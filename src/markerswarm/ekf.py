@@ -13,11 +13,11 @@ detection order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import chi2
 
 from markerswarm.geom import (
     Pose6D,
@@ -30,6 +30,46 @@ from markerswarm.geom import (
 from markerswarm.worldsim import CameraParams, MarkerDetection, OdometryReading
 
 STATE_DIM = 6
+
+
+def chi2_ppf_6dof(q: float) -> float:
+    """Quantile ``x`` with ``P(chi2_6 <= x) = q``, for 0 < q < 1.
+
+    With 6 degrees of freedom both tails are closed-form in ``y = x / 2``:
+    the survival function is ``exp(-y) (1 + y + y^2 / 2)`` and the CDF is
+    ``exp(-y) sum_{k >= 3} y^k / k!``. Bisection runs on the smaller tail
+    (against ``q`` below the median, against ``1 - q`` above it), so the
+    result keeps full relative precision at both ends, down to adjacent
+    doubles.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile {q!r} outside (0, 1)")
+    upper = q > 0.5
+    target = 1.0 - q if upper else q
+
+    def beyond(x: float) -> bool:  # True once x is past the quantile
+        y = 0.5 * x
+        if upper:
+            return math.exp(-y) * (1.0 + y + 0.5 * y * y) < target
+        term = y**3 / 6.0
+        total, k = term, 3
+        while term > total * 1e-17:
+            k += 1
+            term *= y / k
+            total += term
+        return math.exp(-y) * total > target
+
+    lo, hi = 0.0, 1.0
+    while not beyond(hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if beyond(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 @dataclass(frozen=True)
@@ -48,7 +88,7 @@ class EkfConfig:
 
     @cached_property
     def gate_threshold(self) -> float:
-        return float(chi2.ppf(self.gate_quantile, STATE_DIM))
+        return chi2_ppf_6dof(self.gate_quantile)
 
     @cached_property
     def process_noise(self) -> np.ndarray:

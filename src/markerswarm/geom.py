@@ -71,11 +71,22 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion (q v q*)."""
-    w, x, y, z = q
-    u = np.array([x, y, z])
-    v = np.asarray(v, dtype=float)
-    return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
+    """Rotate a 3-vector by a unit quaternion (q v q*).
+
+    ``v + 2 u x (u x v + w v)`` with ``u = (x, y, z)``, written out in
+    scalars: the same products and differences in the same order as
+    ``np.cross``, so bit-identical to the array form, without its overhead.
+    """
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    vx, vy, vz = np.asarray(v, dtype=float).tolist()
+    # u x v + w v
+    ix = (y * vz - z * vy) + w * vx
+    iy = (z * vx - x * vz) + w * vy
+    iz = (x * vy - y * vx) + w * vz
+    # v + 2 u x (...)
+    return np.array(
+        [vx + 2.0 * (y * iz - z * iy), vy + 2.0 * (z * ix - x * iz), vz + 2.0 * (x * iy - y * ix)]
+    )
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:

@@ -23,6 +23,11 @@ from markerswarm.geom import Pose6D, wrap_angle, wrap_angles
 
 MARKER_ID_MAX = 1023  # 1024 distinct marker patterns, ids 0..1023
 MAX_STEP_DT = 0.5
+# Slack on the array cull in sense_markers. The cull and the exact
+# per-marker test reach the camera frame by different float paths that
+# differ by about 1e-15 m; 1e-6 m keeps every marker the exact test would
+# accept, so the cull never changes a detection or an RNG draw.
+CULL_MARGIN = 1e-6  # m
 
 
 def drone_rng(seed: int, drone_id: int) -> np.random.Generator:
@@ -36,7 +41,13 @@ def drone_rng(seed: int, drone_id: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class World:
-    """Static marker field inside an axis-aligned flight volume."""
+    """Static marker field inside an axis-aligned flight volume.
+
+    ``markers`` is read once, at construction, into ``marker_ids`` (sorted)
+    and ``marker_positions`` (the matching ``(N, 3)`` positions) for the
+    sensing cull; those are plain attributes, not fields, so they take no
+    part in ``==`` or ``repr``. Do not mutate ``markers`` afterwards.
+    """
 
     markers: dict[int, Pose6D]
     bounds_min: np.ndarray
@@ -52,6 +63,11 @@ class World:
                 raise ValueError(f"marker id {marker_id} outside 0..{MARKER_ID_MAX}")
         object.__setattr__(self, "bounds_min", lo)
         object.__setattr__(self, "bounds_max", hi)
+        ids = sorted(self.markers)
+        positions = np.array([self.markers[m].t for m in ids], dtype=float).reshape(len(ids), 3)
+        positions.flags.writeable = False
+        object.__setattr__(self, "marker_ids", ids)
+        object.__setattr__(self, "marker_positions", positions)
 
 
 @dataclass(frozen=True)
@@ -184,12 +200,22 @@ def sense_markers(
     A dropout draw can suppress an otherwise valid detection (false
     negative). Visibility depends on truth alone, so the number and order
     of RNG draws is deterministic for a given truth trajectory.
+
+    One array pass over all marker positions culls by range and view cone,
+    widened by ``CULL_MARGIN``; the survivors are a superset of the markers
+    the exact per-marker test below accepts. That test, the dropout draw
+    and the noise then run on the survivors only, in ascending id order, so
+    detections and draws are the same as with no cull at all.
     """
     cam_in_world = truth.pose.compose(cam.extrinsics)
     world_in_cam = cam_in_world.inverse()
     cos_fov = math.cos(cam.fov_half_angle)
+    in_cam = (world.marker_positions - cam_in_world.t) @ cam_in_world.rotation()
+    dists = np.linalg.norm(in_cam, axis=1)
+    near = (dists <= cam.max_range + CULL_MARGIN) & (in_cam[:, 2] >= dists * cos_fov - CULL_MARGIN)
     out: list[MarkerDetection] = []
-    for marker_id in sorted(world.markers):
+    for index in np.flatnonzero(near).tolist():
+        marker_id = world.marker_ids[index]
         rel = world_in_cam.compose(world.markers[marker_id])
         dist = float(np.linalg.norm(rel.t))
         if dist <= 0.0 or dist > cam.max_range:

@@ -174,6 +174,19 @@ def test_quat_rotate_matches_matrix():
         assert np.max(np.abs(quat_rotate(q, v) - oracle_rot(*e) @ v)) < 1e-11
 
 
+def test_quat_rotate_bit_identical_to_cross_product_form():
+    def cross_form(q, v):
+        w, x, y, z = q
+        u = np.array([x, y, z])
+        return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
+
+    rng = np.random.default_rng(708)
+    for _ in range(10_000):
+        q = quat_normalize(rng.standard_normal(4))
+        v = rng.standard_normal(3) * 10.0 ** rng.uniform(-3.0, 3.0)
+        assert np.array_equal(quat_rotate(q, v), cross_form(q, v))
+
+
 def test_rot_quat_round_trip_all_shepperd_branches():
     # near-pi rotations about each axis hit the non-trace branches
     cases = [

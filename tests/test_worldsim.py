@@ -9,6 +9,7 @@ from markerswarm.geom import Pose6D, wrap_angles
 from markerswarm.worldsim import (
     CameraParams,
     DroneTruth,
+    MarkerDetection,
     SensorNoise,
     VelocityCommand,
     World,
@@ -161,6 +162,101 @@ class TestSenseMarkers:
             for _ in range(10_000)
         )
         assert abs(seen / 10_000 - 0.7) < 0.02
+
+
+def sense_markers_every_marker(truth, world, cam, noise, rng, now):
+    """Reference: the exact per-marker test on every marker, in id order, no cull."""
+    world_in_cam = truth.pose.compose(cam.extrinsics).inverse()
+    cos_fov = math.cos(cam.fov_half_angle)
+    out = []
+    for marker_id in sorted(world.markers):
+        rel = world_in_cam.compose(world.markers[marker_id])
+        dist = float(np.linalg.norm(rel.t))
+        if dist <= 0.0 or dist > cam.max_range:
+            continue
+        if rel.t[2] < dist * cos_fov:
+            continue
+        if noise.dropout > 0.0 and rng.uniform() < noise.dropout:
+            continue
+        sigma_p = noise.pos_sigma(dist)
+        sigma_a = noise.ang_sigma(dist)
+        if sigma_p > 0.0 or sigma_a > 0.0:
+            t = rel.t + sigma_p * rng.standard_normal(3)
+            euler = wrap_angles(rel.euler + sigma_a * rng.standard_normal(3))
+            rel = Pose6D.from_euler(t, euler)
+        dist = float(np.linalg.norm(rel.t))
+        out.append(MarkerDetection(truth.drone_id, marker_id, cam.name, rel, dist, now))
+    return out
+
+
+def boundary_markers(truth, cam, rng, count):
+    """Marker positions on the range sphere and on the cone edge, offset by 0 or +-1e-9 m."""
+    cam_in_world = truth.pose.compose(cam.extrinsics)
+    fov = cam.fov_half_angle
+    points = []
+    for _ in range(count):
+        phi = rng.uniform(-math.pi, math.pi)
+        offset = rng.choice([-1e-9, 0.0, 1e-9])
+        if rng.uniform() < 0.5:  # on the range sphere, inside the cone
+            theta = rng.uniform(0.0, 0.9 * fov)
+            direction = np.array(
+                [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+            )
+            point = (cam.max_range + offset) * direction
+        else:  # on the cone surface, inside the range, pushed along its outward normal
+            cos_f, sin_f = math.cos(fov), math.sin(fov)
+            along = np.array([sin_f * math.cos(phi), sin_f * math.sin(phi), cos_f])
+            normal = np.array([cos_f * math.cos(phi), cos_f * math.sin(phi), -sin_f])
+            point = rng.uniform(0.1, 0.95) * cam.max_range * along + offset * normal
+        points.append(cam_in_world.apply(point))
+    return points
+
+
+class TestSenseMarkersCull:
+    """The array cull in sense_markers never changes what the exact per-marker test yields."""
+
+    @staticmethod
+    def assert_same(truth, world, cam, noise, seed):
+        rng_cull, rng_ref = drone_rng(seed, 0), drone_rng(seed, 0)
+        got = sense_markers(truth, world, cam, noise, rng_cull, 0.25)
+        want = sense_markers_every_marker(truth, world, cam, noise, rng_ref, 0.25)
+        assert [d.marker_id for d in got] == [d.marker_id for d in want]
+        for a, b in zip(got, want):
+            assert a.camera == b.camera and a.timestamp == b.timestamp
+            assert np.array_equal(a.rel_pose.t, b.rel_pose.t)
+            assert np.array_equal(a.rel_pose.q, b.rel_pose.q)
+            assert a.range == b.range
+        np.testing.assert_equal(rng_cull.bit_generator.state, rng_ref.bit_generator.state)
+        return len(want)
+
+    @pytest.mark.parametrize("rig", [downward_camera, forward_camera])
+    @pytest.mark.parametrize(
+        "noise",
+        [NO_NOISE, SensorNoise(), SensorNoise(dropout=0.3)],
+        ids=["no_noise", "noise", "dropout"],
+    )
+    def test_same_detections_and_draws_as_every_marker_loop(self, rig, noise):
+        cam = rig()
+        rng = np.random.default_rng(2024)
+        detected = 0
+        for trial in range(30):
+            position = rng.uniform([-8.0, -8.0, 0.5], [8.0, 8.0, 4.5])
+            euler = rng.uniform([-0.3, -0.3, -math.pi], [0.3, 0.3, math.pi])
+            truth = DroneTruth(0, Pose6D.from_euler(position, euler))
+            points = list(rng.uniform([-10.0, -10.0, 0.0], [10.0, 10.0, 5.0], size=(20, 3)))
+            points += boundary_markers(truth, cam, rng, 40)
+            ids = rng.permutation(1024)[: len(points)].tolist()  # dict order != id order
+            markers = {
+                marker_id: Pose6D.from_euler(point, rng.uniform(-math.pi, math.pi, size=3))
+                for marker_id, point in zip(ids, points)
+            }
+            detected += self.assert_same(truth, make_world(markers), cam, noise, trial)
+        assert detected > 0
+
+    def test_empty_world(self):
+        truth = drone_at(z=1.5)
+        for rig in (downward_camera, forward_camera):
+            assert self.assert_same(truth, make_world(), rig(), SensorNoise(dropout=0.3), 3) == 0
 
 
 class TestSenseOdometry:
