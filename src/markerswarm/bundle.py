@@ -22,8 +22,7 @@ and keypose pitches away from that line.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse

@@ -30,7 +30,7 @@ from markerswarm.geom import (
     rot_to_quat,
     transport_covariance,
 )
-from markerswarm.mapstore import GlobalMap, MapContractError, MapEntry, fuse_pose
+from markerswarm.mapstore import GlobalMap, MapContractError
 
 log = logging.getLogger(__name__)
 
@@ -61,40 +61,22 @@ class FrameTransform:
             "scale": float(self.scale),
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "FrameTransform":
-        return FrameTransform(
-            from_frame=int(data["from"]),
-            to_frame=int(data["to"]),
-            rt=Pose6D.from_dict(data["rt"]),
-            residual=float(data["residual"]),
-            support=int(data["support"]),
-            scale=float(data["scale"]),
-        )
-
 
 def find_matches(
     gmap: GlobalMap, frame_a: int, frame_b: int, pending_obs: dict[int, Pose6D]
 ) -> list[int]:
-    """Marker ids known in frame_a that frame_b has evidence for, sorted.
+    """Marker ids known in frame_a that have a pending observation in frame_b, sorted.
 
-    Evidence is either a map entry in frame_b (unreachable while the store
-    enforces one-frame-per-marker, but cheap to honor) or a pending
-    observation expressed in frame_b.
+    The store holds one entry per marker id, so frame_b holds no entry for
+    a marker frame_a knows: the pending observations are the only evidence.
     """
     if frame_a == frame_b:
         raise ValueError(f"match query needs two distinct frames, got {frame_a} twice")
-    matches = []
-    for marker_id, entry in gmap.entries.items():
-        if entry.frame != frame_a:
-            continue
-        other = marker_id in pending_obs
-        if not other:
-            twin = gmap.lookup(marker_id)
-            other = twin is not None and twin.frame == frame_b
-        if other:
-            matches.append(marker_id)
-    return sorted(matches)
+    return sorted(
+        marker_id
+        for marker_id, entry in gmap.entries.items()
+        if entry.frame == frame_a and marker_id in pending_obs
+    )
 
 
 def estimate_transform(
@@ -164,25 +146,6 @@ class MergeRecord:
         return {marker_id for marker_id, _, _ in self.pairs}
 
 
-def fuse_duplicate_entries(twin: MapEntry, moved: MapEntry) -> MapEntry:
-    """Resolve one marker held by both sides of a merge.
-
-    ``moved`` is the loser's entry already re-expressed in the winner
-    frame. Poses fuse under the mapstore rules; the surviving observation
-    count is the max of the two (the marker is not better known than its
-    best-observed copy was).
-    """
-    fused_pose, fused_cov = fuse_pose(twin.pose, twin.cov, moved.pose, moved.cov)
-    return MapEntry(
-        twin.marker_id,
-        twin.frame,
-        fused_pose,
-        fused_cov,
-        obs_count=max(twin.obs_count, moved.obs_count),
-        last_seen=max(twin.last_seen, moved.last_seen),
-    )
-
-
 def merge_frames(
     gmap: GlobalMap,
     winner: int,
@@ -192,12 +155,11 @@ def merge_frames(
 ) -> tuple[MergeRecord, list[int]]:
     """Fold the loser frame into the winner through ``transform``.
 
-    Loser entries are re-expressed (pose composed, covariance transported).
-    Should both frames somehow hold the same marker the duplicates are
-    fused via :func:`fuse_duplicate_entries`; the store's one-frame-per-
-    marker invariant normally makes that branch unreachable. Drones in the
-    loser frame are reassigned; the returned list names them so the caller
-    can broadcast the merge. Returns the merge record for later refinement.
+    Loser entries are re-expressed (pose composed, covariance transported);
+    the store holds one entry per marker id, so no marker can sit in both
+    frames. Drones in the loser frame are reassigned; the returned list
+    names them so the caller can broadcast the merge. Returns the merge
+    record for later refinement.
     """
     if winner == loser:
         raise MapContractError(f"self-merge of frame {winner}")
@@ -213,16 +175,14 @@ def merge_frames(
     pre_merge: dict[int, Pose6D] = {}
     for entry in gmap.entries_in_frame(loser):
         pre_merge[entry.marker_id] = entry.pose
-        moved = replace(
-            entry,
-            frame=winner,
-            pose=rt.compose(entry.pose),
-            cov=transport_covariance(entry.cov, rot),
+        gmap.replace_entry(
+            replace(
+                entry,
+                frame=winner,
+                pose=rt.compose(entry.pose),
+                cov=transport_covariance(entry.cov, rot),
+            )
         )
-        twin = gmap.lookup(entry.marker_id)
-        if twin is not None and twin is not entry and twin.frame == winner:
-            moved = fuse_duplicate_entries(twin, moved)
-        gmap.replace_entry(moved)
     moved_drones = gmap.reassign_frame(loser, winner)
     record = MergeRecord(
         winner=winner,

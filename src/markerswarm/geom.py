@@ -310,11 +310,6 @@ class Pose6D:
         m[:3, 3] = self.t
         return m
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "Pose6D":
-        m = np.asarray(m, dtype=float)
-        return Pose6D(m[:3, 3], rot_to_quat(m[:3, :3]))
-
     def to_vector(self) -> np.ndarray:
         """(x, y, z, alpha, beta, gamma) boundary form."""
         return np.concatenate([self.t, self.euler])

@@ -14,7 +14,7 @@ mutations through its command queue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class MapEntry:
     pose: Pose6D
     cov: np.ndarray
     obs_count: int
-    last_seen: float
 
     def __post_init__(self) -> None:
         cov = check_covariance(np.array(self.cov, dtype=float), f"marker {self.marker_id} cov")
@@ -53,14 +52,13 @@ class MapEntry:
         }
 
     @staticmethod
-    def from_dict(data: dict, last_seen: float = 0.0) -> "MapEntry":
+    def from_dict(data: dict) -> "MapEntry":
         return MapEntry(
             marker_id=int(data["marker_id"]),
             frame=int(data["frame"]),
             pose=Pose6D.from_dict(data["pose"]),
             cov=np.asarray(data["cov"], dtype=float).reshape(6, 6),
             obs_count=int(data["obs_count"]),
-            last_seen=last_seen,
         )
 
 
@@ -136,9 +134,7 @@ class GlobalMap:
     def lookup(self, marker_id: int) -> MapEntry | None:
         return self.entries.get(int(marker_id))
 
-    def insert_marker(
-        self, frame: int, marker_id: int, pose: Pose6D, cov: np.ndarray, now: float
-    ) -> MapEntry:
+    def insert_marker(self, frame: int, marker_id: int, pose: Pose6D, cov: np.ndarray) -> MapEntry:
         marker_id = int(marker_id)
         if not (0 <= marker_id <= MARKER_ID_MAX):
             raise MapContractError(f"marker id {marker_id} outside 0..{MARKER_ID_MAX}")
@@ -146,33 +142,25 @@ class GlobalMap:
             raise MapContractError(f"marker {marker_id} already mapped")
         if frame not in self.frames:
             raise MapContractError(f"frame {frame} is not live")
-        entry = MapEntry(marker_id, int(frame), pose, cov, obs_count=1, last_seen=float(now))
+        entry = MapEntry(marker_id, int(frame), pose, cov, obs_count=1)
         self.entries[marker_id] = entry
         return entry
 
-    def fuse_observation(
-        self, marker_id: int, pose: Pose6D, cov: np.ndarray, now: float
-    ) -> MapEntry:
+    def fuse_observation(self, marker_id: int, pose: Pose6D, cov: np.ndarray) -> MapEntry:
         """Fold one more observation into an existing entry.
 
-        Entries with ``obs_count >= n_fuse`` are frozen: the pose stays put
-        and only ``last_seen`` advances.
+        Entries with ``obs_count >= n_fuse`` are frozen: the observation is
+        ignored and the entry is returned unchanged.
         """
         entry = self.lookup(marker_id)
         if entry is None:
             raise MapContractError(f"marker {marker_id} not in map")
         if entry.obs_count >= self.n_fuse:
-            updated = replace(entry, last_seen=float(now))
-        else:
-            fused_pose, fused_cov = fuse_pose(entry.pose, entry.cov, pose, np.asarray(cov, float))
-            updated = MapEntry(
-                entry.marker_id,
-                entry.frame,
-                fused_pose,
-                fused_cov,
-                obs_count=entry.obs_count + 1,
-                last_seen=float(now),
-            )
+            return entry
+        fused_pose, fused_cov = fuse_pose(entry.pose, entry.cov, pose, np.asarray(cov, float))
+        updated = MapEntry(
+            entry.marker_id, entry.frame, fused_pose, fused_cov, obs_count=entry.obs_count + 1
+        )
         self.entries[marker_id] = updated
         return updated
 
@@ -182,14 +170,8 @@ class GlobalMap:
             raise MapContractError(f"frame {entry.frame} is not live")
         self.entries[entry.marker_id] = entry
 
-    def remove_entry(self, marker_id: int) -> MapEntry:
-        return self.entries.pop(int(marker_id))
-
     # -- export -------------------------------------------------------
 
     def snapshot(self) -> list[dict]:
         """Wire/file form, sorted by marker id for deterministic output."""
         return [self.entries[k].to_dict() for k in sorted(self.entries)]
-
-    def __len__(self) -> int:
-        return len(self.entries)

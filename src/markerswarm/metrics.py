@@ -27,6 +27,36 @@ def _rmse(values) -> float | None:
     return float(np.sqrt(np.mean(np.square(values))))
 
 
+def truth_alignments(report: dict) -> dict[int, tuple[list, Pose6D]]:
+    """Per frame holding a marker that exists in ground truth: its pairs and fit.
+
+    The pairs are (marker id, true pose, estimated pose), by ascending id;
+    the fit is the rigid transform taking the frame's estimates to truth.
+    Frames come in ascending order. The metrics and the plot both align
+    through this one function.
+    """
+    truth_markers = {
+        int(mid): Pose6D.from_dict(d) for mid, d in report["world"]["markers"].items()
+    }
+    by_frame: dict[int, list[dict]] = {}
+    for entry in report["map"]:
+        by_frame.setdefault(int(entry["frame"]), []).append(entry)
+
+    aligned = {}
+    for frame in sorted(by_frame):
+        pairs = []
+        for entry in sorted(by_frame[frame], key=lambda e: e["marker_id"]):
+            marker_id = int(entry["marker_id"])
+            if marker_id in truth_markers:
+                pairs.append((marker_id, truth_markers[marker_id], Pose6D.from_dict(entry["pose"])))
+        if pairs:
+            fit = estimate_transform(
+                [(truth, est) for _, truth, est in pairs], from_frame=frame, to_frame=-1
+            )
+            aligned[frame] = (pairs, fit.rt)
+    return aligned
+
+
 def compute_metrics(report: dict) -> dict:
     """Metrics dict for one run report; all values JSON-native.
 
@@ -36,32 +66,11 @@ def compute_metrics(report: dict) -> dict:
     over the ticks spent in that frame. When exactly one frame holds
     markers the same numbers are mirrored at the top level.
     """
-    truth_markers = {
-        int(mid): Pose6D.from_dict(d) for mid, d in report["world"]["markers"].items()
-    }
-    by_frame: dict[int, list[dict]] = {}
-    for entry in report["map"]:
-        by_frame.setdefault(int(entry["frame"]), []).append(entry)
-
     frames_out: dict[str, dict] = {}
-    for frame in sorted(by_frame):
-        entries = sorted(by_frame[frame], key=lambda e: e["marker_id"])
-        pairs = []
-        mapped = []
-        for entry in entries:
-            marker_id = int(entry["marker_id"])
-            if marker_id not in truth_markers:
-                continue
-            estimated = Pose6D.from_dict(entry["pose"])
-            pairs.append((truth_markers[marker_id], estimated))
-            mapped.append(marker_id)
-        if not pairs:
-            continue
-        rt = estimate_transform(pairs, from_frame=frame, to_frame=-1).rt
-
-        position_errors = [np.linalg.norm(rt.apply(est.t) - truth.t) for truth, est in pairs]
+    for frame, (pairs, rt) in truth_alignments(report).items():
+        position_errors = [np.linalg.norm(rt.apply(est.t) - truth.t) for _, truth, est in pairs]
         angle_errors = [
-            rotation_angle_between(rt.compose(est).q, truth.q) for truth, est in pairs
+            rotation_angle_between(rt.compose(est).q, truth.q) for _, truth, est in pairs
         ]
 
         ate: dict[str, float] = {}
@@ -79,7 +88,7 @@ def compute_metrics(report: dict) -> dict:
 
         frames_out[str(frame)] = {
             "marker_count": len(pairs),
-            "marker_ids": mapped,
+            "marker_ids": [marker_id for marker_id, _, _ in pairs],
             "marker_position_rmse": _rmse(position_errors),
             "marker_orientation_rmse": _rmse(angle_errors),
             "ate": ate,
@@ -89,7 +98,7 @@ def compute_metrics(report: dict) -> dict:
         "frames": frames_out,
         "frame_count": len(report["frames"]),
         "mapped_markers": sum(f["marker_count"] for f in frames_out.values()),
-        "true_markers": len(truth_markers),
+        "true_markers": len(report["world"]["markers"]),
         "merge_count": len(report["merge_events"]),
         "ba_runs": len(report["ba_reports"]),
         "ba_iterations": int(sum(r["iterations"] for r in report["ba_reports"])),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
@@ -171,7 +171,6 @@ SCENARIO_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "port": {"type": "integer", "minimum": 1024, "maximum": 65535},
     },
     "required": ["name", "seed", "duration", "tick_rate", "bounds", "markers", "drones"],
     "additionalProperties": False,
@@ -219,7 +218,6 @@ class Scenario:
     policy: PolicyConfig
     n_fuse: int
     ba: BaSettings
-    port: int | None
     digest: str
 
     @property
@@ -234,18 +232,38 @@ class Scenario:
         return [self.cameras[name] for name in setup.cameras]
 
 
-def _pose(data: dict) -> Pose6D:
-    return Pose6D.from_dict(data)
-
-
 def scenario_digest(raw: dict) -> str:
     """sha256 over the canonical JSON encoding of the raw scenario."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _non_finite_path(value, path: tuple = ()) -> tuple | None:
+    """Path to the first NaN or infinite number in a JSON document, or None.
+
+    Python's json module reads NaN, Infinity and -Infinity, and the schema
+    takes them for numbers.
+    """
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite_path(item, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 def parse_scenario(raw: dict) -> Scenario:
     """Validate a loaded scenario document and resolve all defaults."""
+    bad = _non_finite_path(raw)
+    if bad is not None:
+        raise ScenarioError(f"non-finite number at {list(bad)}")
     try:
         jsonschema.validate(raw, SCENARIO_SCHEMA)
     except jsonschema.ValidationError as err:
@@ -260,7 +278,7 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError("duplicate marker ids")
     try:
         world = World(
-            markers={m["id"]: _pose(m["pose"]) for m in raw["markers"]},
+            markers={m["id"]: Pose6D.from_dict(m["pose"]) for m in raw["markers"]},
             bounds_min=np.asarray(raw["bounds"]["min"], dtype=float),
             bounds_max=np.asarray(raw["bounds"]["max"], dtype=float),
         )
@@ -277,7 +295,7 @@ def parse_scenario(raw: dict) -> Scenario:
             try:
                 cameras[name] = CameraParams(
                     name=name,
-                    extrinsics=_pose(fields["extrinsics"]),
+                    extrinsics=Pose6D.from_dict(fields["extrinsics"]),
                     fov_half_angle=float(fields["fov_half_angle"]),
                     max_range=float(fields["max_range"]),
                 )
@@ -289,8 +307,8 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError("duplicate drone ids")
     drones = []
     for entry in sorted(raw["drones"], key=lambda d: d["id"]):
-        start = _pose(entry["start_pose"])
-        believed = _pose(entry["ekf_start_pose"]) if "ekf_start_pose" in entry else start
+        start = Pose6D.from_dict(entry["start_pose"])
+        believed = Pose6D.from_dict(entry["ekf_start_pose"]) if "ekf_start_pose" in entry else start
         names = tuple(entry.get("cameras", ["down"]))
         missing = [n for n in names if n not in cameras]
         if missing:
@@ -328,7 +346,6 @@ def parse_scenario(raw: dict) -> Scenario:
         policy=policy,
         n_fuse=n_fuse,
         ba=ba,
-        port=raw.get("port"),
         digest=scenario_digest(raw),
     )
 

@@ -14,29 +14,12 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from markerswarm.framemerge import estimate_transform
-from markerswarm.geom import Pose6D
+from markerswarm.metrics import truth_alignments
 
 WIDTH = 720
 HEIGHT = 720
 MARGIN = 54.0
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-
-
-def _frame_alignments(report: dict) -> dict[int, Pose6D]:
-    """Estimate-to-truth rigid transform per frame, as in the metrics."""
-    truth = {int(m): Pose6D.from_dict(d) for m, d in report["world"]["markers"].items()}
-    pairs_by_frame: dict[int, list] = {}
-    for entry in report["map"]:
-        marker_id = int(entry["marker_id"])
-        if marker_id in truth:
-            pairs_by_frame.setdefault(int(entry["frame"]), []).append(
-                (truth[marker_id], Pose6D.from_dict(entry["pose"]))
-            )
-    return {
-        frame: estimate_transform(pairs, from_frame=frame, to_frame=-1).rt
-        for frame, pairs in pairs_by_frame.items()
-    }
 
 
 def render_svg(report: dict) -> str:
@@ -52,7 +35,7 @@ def render_svg(report: dict) -> str:
     def sy(y: float) -> float:
         return HEIGHT - MARGIN - (y - lo[1]) * scale
 
-    aligned = _frame_alignments(report)
+    aligned = {frame: rt for frame, (_, rt) in truth_alignments(report).items()}
 
     def project(t, frame: int):
         point = np.asarray(t, dtype=float)

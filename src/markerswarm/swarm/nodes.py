@@ -42,7 +42,6 @@ from markerswarm.mapstore import GlobalMap, MapContractError, MapEntry
 from markerswarm.scenario import DroneSetup, PolicyConfig, Scenario
 from markerswarm.swarm import protocol
 from markerswarm.swarm.protocol import (
-    Decoded,
     FrameMerged,
     Hello,
     KeyposeCommit,
@@ -92,7 +91,7 @@ class SweepPolicy:
         self._best_distance = float("inf")
         self._no_progress = 0
 
-    def choose_destination(self, pose: Pose6D, map_view=None) -> VelocityCommand:
+    def choose_destination(self, pose: Pose6D) -> VelocityCommand:
         position = pose.t
         for index, center in enumerate(self.cells):
             if index not in self.visited and (
@@ -183,7 +182,6 @@ class NavptsNode:
         now: float,
         odometry: OdometryReading,
         detections: list[MarkerDetection],
-        dt: float,
     ) -> VelocityCommand:
         # SP: sensor readings arrive as arguments, already id-sorted per camera
         # VJ: predict, then correct against frame-local known markers
@@ -228,7 +226,7 @@ class NavptsNode:
         self.link.send(PoseReport(self.drone_id, self.state))
 
         # BG: next destination
-        return self.policy.choose_destination(self.state.pose, self.map_view)
+        return self.policy.choose_destination(self.state.pose)
 
     def _forward(self, det: MarkerDetection, now: float) -> None:
         self.link.send(MarkerObs(self.drone_id, det, self.state.pose, self.state.cov, now))
@@ -236,11 +234,11 @@ class NavptsNode:
 
     def _apply_line(self, line: str) -> None:
         try:
-            decoded = decode_guarded(line, self.guard)
+            decoded = protocol.decode(line)
         except ProtocolError as err:
             log.warning("drone %d dropped a bad line: %s", self.drone_id, err)
             return
-        if decoded is None:
+        if not self.guard.accept(decoded.sender, decoded.seq):
             return
         msg = decoded.msg
         if isinstance(msg, MapSnapshot):
@@ -259,14 +257,6 @@ class NavptsNode:
             pass
         else:
             log.debug("drone %d ignoring %s", self.drone_id, type(msg).__name__)
-
-
-def decode_guarded(line: str, guard: SequenceGuard) -> Decoded | None:
-    """Decode one line and apply the sequence guard; None if stale."""
-    decoded = protocol.decode(line)
-    if not guard.accept(decoded.sender, decoded.seq):
-        return None
-    return decoded
 
 
 class GroundStation:
@@ -291,7 +281,6 @@ class GroundStation:
         self.records: list = []  # active MergeRecords, winner frames still live
         self.merge_events: list[dict] = []
         self.ba_reports: list[dict] = []
-        self.last_report: dict[int, EkfState] = {}
         self.counters = {
             "handled": 0,
             "malformed": 0,
@@ -324,8 +313,6 @@ class GroundStation:
     def _dispatch(self, msg, sender: int) -> None:
         if isinstance(msg, Hello):
             self.gmap.register_drone(msg.drone_id, frame=msg.drone_id)
-        elif isinstance(msg, PoseReport):
-            self.last_report[msg.drone_id] = msg.ekf_state
         elif isinstance(msg, MarkerObs):
             self._process_marker_obs(msg)
         elif isinstance(msg, KeyposeCommit):
@@ -353,10 +340,10 @@ class GroundStation:
         marker_id = m.detection.marker_id
         entry = self.gmap.lookup(marker_id)
         if entry is None:
-            self.gmap.insert_marker(frame, marker_id, pose_in_frame, cov, m.timestamp)
+            self.gmap.insert_marker(frame, marker_id, pose_in_frame, cov)
             self._dirty = True
         elif entry.frame == frame:
-            self.gmap.fuse_observation(marker_id, pose_in_frame, cov, m.timestamp)
+            self.gmap.fuse_observation(marker_id, pose_in_frame, cov)
             self._check_refine(marker_id, pose_in_frame, frame)
             self._dirty = True
         else:
@@ -412,7 +399,7 @@ class GroundStation:
         else:
             pose_fused = transform.rt.compose(pose_obs)
             cov_fused = transport_covariance(cov_obs, transform.rt.rotation())
-        self.gmap.fuse_observation(entry.marker_id, pose_fused, cov_fused, now)
+        self.gmap.fuse_observation(entry.marker_id, pose_fused, cov_fused)
         self._dirty = True
         self._run_ba(winner, trigger="merge", now=now)
 

@@ -6,16 +6,14 @@ envelope carries three fields on every line: "type" (the message name),
 strictly increasing per sender). Payload fields sit flat beside the
 envelope fields, named exactly like the dataclass attributes.
 
-The same encoded lines travel over in-process queues or local stream
-sockets; both transports below speak the one codec, so tests exercising
-either path exercise the same bytes.
+The encoded lines travel over in-process queues, in lockstep and
+threaded runs alike.
 """
 
 from __future__ import annotations
 
 import json
 import queue
-import socket
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +165,15 @@ def decode(line: str) -> Decoded:
         raise ProtocolError("message line must be a JSON object")
     try:
         kind = frame["type"]
-        sender = int(frame["sender"])
-        seq = int(frame["seq"])
+        sender = frame["sender"]
+        seq = frame["seq"]
         parser = _PARSERS[kind]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError) as err:
         raise ProtocolError(f"bad envelope: {err!r}") from err
+    for name, value in (("sender", sender), ("seq", seq)):
+        # a JSON integer only: no float, string or bool (bool subclasses int)
+        if type(value) is not int:
+            raise ProtocolError(f"bad envelope: {name} {value!r} is not an integer")
     if not (0 <= seq <= SEQ_MAX):
         raise ProtocolError(f"sequence number {seq} outside unsigned 64-bit range")
     try:
@@ -202,8 +204,8 @@ class SequenceGuard:
 class QueueTransport:
     """One-directional mailbox of encoded lines, in-process."""
 
-    def __init__(self, maxsize: int = 0) -> None:
-        self._queue: queue.Queue[str] = queue.Queue(maxsize)
+    def __init__(self) -> None:
+        self._queue: queue.Queue[str] = queue.Queue()
 
     def send_line(self, line: str) -> None:
         self._queue.put(line)
@@ -221,44 +223,6 @@ class QueueTransport:
             return self._queue.get(timeout=timeout)
         except queue.Empty:
             return None
-
-
-class SocketTransport:
-    """The same line protocol over a connected stream socket."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._buffer = b""
-        self._lines: list[str] = []
-
-    def send_line(self, line: str) -> None:
-        self._sock.sendall(line.encode("utf-8") + b"\n")
-
-    def _pump(self, timeout: float | None) -> None:
-        self._sock.settimeout(timeout)
-        try:
-            chunk = self._sock.recv(65536)
-        except (socket.timeout, BlockingIOError):
-            return
-        if chunk:
-            self._buffer += chunk
-            *complete, self._buffer = self._buffer.split(b"\n")
-            self._lines.extend(part.decode("utf-8") for part in complete if part)
-
-    def drain(self) -> list[str]:
-        self._pump(timeout=0.0)
-        lines, self._lines = self._lines, []
-        return lines
-
-    def recv_line(self, timeout: float | None = None) -> str | None:
-        if not self._lines:
-            self._pump(timeout)
-        if self._lines:
-            return self._lines.pop(0)
-        return None
-
-    def close(self) -> None:
-        self._sock.close()
 
 
 class Endpoint:

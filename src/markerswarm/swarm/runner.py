@@ -106,7 +106,7 @@ def _run_lockstep(scenario: Scenario, seed: int):
                 scenario, setups[drone_id], previous[drone_id], truths[drone_id],
                 rngs[drone_id], now, dt,
             )
-            commands[drone_id] = nodes[drone_id].tick(tick, now, odometry, detections, dt)
+            commands[drone_id] = nodes[drone_id].tick(tick, now, odometry, detections)
             for line in station_inbox.drain():
                 station.handle_line(line)
             truth_log[drone_id].append(
@@ -170,7 +170,7 @@ def _run_threaded(scenario: Scenario, seed: int):
                 return
             tick, now, odometry, detections = packet
             try:
-                command = node.tick(tick, now, odometry, detections, dt)
+                command = node.tick(tick, now, odometry, detections)
             except Exception:
                 log.exception("drone %d tick %d failed; hovering", drone_id, tick)
                 command = VelocityCommand.hover()
@@ -204,10 +204,6 @@ def _run_threaded(scenario: Scenario, seed: int):
     return station, nodes, truth_log
 
 
-def _pose_dict(pose) -> dict:
-    return pose.to_dict()
-
-
 def _assemble_report(scenario, seed, mode, station, nodes, truth_log) -> dict:
     world = scenario.world
     trajectories = {}
@@ -218,8 +214,8 @@ def _assemble_report(scenario, seed, mode, station, nodes, truth_log) -> dict:
                 {
                     "tick": truth_row["tick"],
                     "time": truth_row["time"],
-                    "truth": _pose_dict(truth_row["pose"]),
-                    "estimate": _pose_dict(est_row["pose"]),
+                    "truth": truth_row["pose"].to_dict(),
+                    "estimate": est_row["pose"].to_dict(),
                     "frame": est_row["frame"],
                 }
             )

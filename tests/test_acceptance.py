@@ -156,7 +156,7 @@ def test_criterion_2_ekf_correctness():
         3: Pose6D.from_euler([0.1, -0.3, 0.0], [0, 0, 1.1]),
     }
     entries = {
-        k: MapEntry(k, 0, p, np.zeros((6, 6)), obs_count=9, last_seen=0.0)
+        k: MapEntry(k, 0, p, np.zeros((6, 6)), obs_count=9)
         for k, p in markers.items()
     }
     truth = Pose6D.from_euler([0.0, 0.1, 1.5], [0.0, 0.0, 0.3])

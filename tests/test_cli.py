@@ -156,6 +156,16 @@ class TestRunCommand:
         assert run_cli("run", bad, "--out", tmp_path / "out") == 2
         assert "invalid scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity"])
+    def test_non_finite_start_pose_exits_2(self, tmp_path, capsys, text):
+        scenario = write_scenario(tmp_path)
+        doc = scenario.read_text().replace('"start_pose": {"t": [0, 0, 0]',
+                                           f'"start_pose": {{"t": [{text}, 0, 0]', 1)
+        scenario.write_text(doc)
+        assert run_cli("run", scenario, "--out", tmp_path / "out") == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_scenario_exits_2(self, tmp_path):
         assert run_cli("run", tmp_path / "absent.json", "--out", tmp_path / "out") == 2
 

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from markerswarm.geom import Pose6D, quat_angle, rotation_angle_between, wrap_angles
-from markerswarm.mapstore import GlobalMap, MapContractError, MapEntry
+from markerswarm.mapstore import GlobalMap, MapContractError
 from markerswarm.framemerge import (
     FrameTransform,
     estimate_transform,
     find_matches,
-    fuse_duplicate_entries,
     merge_frames,
     refine_transform,
 )
@@ -127,8 +126,8 @@ class TestFindMatches:
         gmap.register_drone(0, 0)
         gmap.register_drone(1, 1)
         for marker_id in (8, 2, 5):
-            gmap.insert_marker(0, marker_id, Pose6D.identity(), np.eye(6) * 0.01, 0.0)
-        gmap.insert_marker(1, 3, Pose6D.identity(), np.eye(6) * 0.01, 0.0)
+            gmap.insert_marker(0, marker_id, Pose6D.identity(), np.eye(6) * 0.01)
+        gmap.insert_marker(1, 3, Pose6D.identity(), np.eye(6) * 0.01)
         pending = {8: Pose6D.identity(), 2: Pose6D.identity(), 99: Pose6D.identity()}
         assert find_matches(gmap, 0, 1, pending) == [2, 8]
         assert find_matches(gmap, 0, 1, {}) == []
@@ -136,7 +135,7 @@ class TestFindMatches:
     def test_same_frame_query_rejected(self):
         gmap = GlobalMap()
         gmap.register_drone(0, 0)
-        gmap.insert_marker(0, 4, Pose6D.identity(), np.eye(6) * 0.01, 0.0)
+        gmap.insert_marker(0, 4, Pose6D.identity(), np.eye(6) * 0.01)
         with pytest.raises(ValueError):
             find_matches(gmap, 0, 0, {})
 
@@ -150,9 +149,9 @@ def build_two_frame_map(rng, n_in_loser=3):
     for k in range(n_in_loser):
         pose = random_marker_pose(rng, index=k)
         cov = np.diag([0.01] * 3 + [0.001] * 3)
-        gmap.insert_marker(1, 10 + k, pose, cov, now=float(k))
+        gmap.insert_marker(1, 10 + k, pose, cov)
         loser_entries[10 + k] = pose
-    gmap.insert_marker(0, 1, random_marker_pose(rng), np.diag([0.02] * 3 + [0.002] * 3), 0.0)
+    gmap.insert_marker(0, 1, random_marker_pose(rng), np.diag([0.02] * 3 + [0.002] * 3))
     return gmap, loser_entries
 
 
@@ -203,23 +202,12 @@ class TestMergeFrames:
         k = 4  # k+1 frames, k merges
         for frame in range(k + 1):
             gmap.register_drone(frame, frame)
-            gmap.insert_marker(frame, 20 + frame, random_marker_pose(rng), np.eye(6) * 0.01, 0.0)
+            gmap.insert_marker(frame, 20 + frame, random_marker_pose(rng), np.eye(6) * 0.01)
         for loser in range(k, 0, -1):
             ft = FrameTransform(loser, 0, random_transform(rng), 0.0, 1, 1.0)
             merge_frames(gmap, 0, loser, ft)
         assert gmap.frames == {0}
         assert all(e.frame == 0 for e in gmap.entries.values())
-
-
-class TestFuseDuplicateEntries:
-    def test_obs_count_is_max_and_pose_fused(self):
-        twin = MapEntry(5, 0, Pose6D.from_vector([0, 0, 0, 0, 0, 0]), np.eye(6) * 0.1, 4, 1.0)
-        moved = MapEntry(5, 0, Pose6D.from_vector([1, 0, 0, 0, 0, 0]), np.eye(6) * 0.1, 2, 3.0)
-        fused = fuse_duplicate_entries(twin, moved)
-        assert fused.obs_count == 4
-        assert fused.last_seen == 3.0
-        assert fused.pose.t[0] == pytest.approx(0.5, abs=1e-12)
-        assert np.trace(fused.cov) < np.trace(twin.cov)
 
 
 class TestRefineTransform:
@@ -230,7 +218,7 @@ class TestRefineTransform:
         gmap.register_drone(1, 1)
         poses_b = {30: random_marker_pose(rng, index=0), 31: random_marker_pose(rng, index=1)}
         for marker_id, pose in poses_b.items():
-            gmap.insert_marker(1, marker_id, pose, np.eye(6) * 0.01, 0.0)
+            gmap.insert_marker(1, marker_id, pose, np.eye(6) * 0.01)
 
         def observe_in_winner(marker_id):
             exact = true_rt.compose(poses_b[marker_id])

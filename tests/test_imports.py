@@ -1,0 +1,75 @@
+"""Source hygiene: every name a markerswarm module imports is used there.
+
+No lint tool is a dependency, so this walks each module's syntax tree
+with the standard library: a deletion that leaves an import behind fails
+here. Names listed in ``__all__`` count as used (package re-exports).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "markerswarm"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name each import binds -> line number (``__future__`` excluded)."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, plus those listed in ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return sorted(
+        f"line {line}: {name}" for name, line in imported_names(tree).items() if name not in used
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_unused_and_accepts_every_kind_of_use():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import Any as Whatever\n"
+        "from json import dumps\n"
+        "__all__ = ['dumps']\n"
+        "def f(x) -> Whatever:\n"
+        "    return os.path.join(x)\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    pass\n"
+    )
+    assert unused_imports(source) == ["line 2: math", "line 4: field"]
+
+
+def test_package_modules_found():
+    assert PACKAGE / "swarm" / "nodes.py" in MODULES

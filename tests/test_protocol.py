@@ -1,7 +1,6 @@
 """Wire protocol tests: codec round trips, guards and transports."""
 
 import json
-import socket
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from markerswarm.swarm.protocol import (
     QueueTransport,
     SequenceGuard,
     Shutdown,
-    SocketTransport,
     decode,
     encode,
 )
@@ -68,7 +66,7 @@ def sample_keypose():
 
 def all_messages():
     entry = MapEntry(
-        marker_id=9, frame=0, pose=sample_pose(7), cov=sample_cov(8), obs_count=3, last_seen=1.0
+        marker_id=9, frame=0, pose=sample_pose(7), cov=sample_cov(8), obs_count=3
     )
     return [
         Hello(drone_id=0, start_pose=sample_pose(9)),
@@ -145,6 +143,9 @@ class TestCodec:
             '{"type": "Hello", "seq": 1, "drone_id": 0, "start_pose": {}}',
             '{"type": "Hello", "sender": 0, "seq": -1, "drone_id": 0}',
             '{"type": "Hello", "sender": 0, "seq": 1.5, "drone_id": 0}',
+            '{"type": "Shutdown", "sender": 0, "seq": 1.5}',
+            '{"type": "Shutdown", "sender": true, "seq": 1}',
+            '{"type": "Shutdown", "sender": 0, "seq": "7"}',
             "",
         ],
         ids=[
@@ -156,6 +157,9 @@ class TestCodec:
             "no-sender",
             "negative-seq",
             "float-seq",
+            "shutdown-float-seq",
+            "shutdown-bool-sender",
+            "shutdown-string-seq",
             "empty",
         ],
     )
@@ -202,41 +206,6 @@ class TestTransports:
         assert t.recv_line(timeout=0.01) is None
         t.send_line("x")
         assert t.recv_line(timeout=0.01) == "x"
-
-    def test_socket_transport_matches_queue(self):
-        left, right = socket.socketpair()
-        tx, rx = SocketTransport(left), SocketTransport(right)
-        queue = QueueTransport()
-        try:
-            for msg in all_messages():
-                line = encode(msg, sender=1, seq=2)
-                tx.send_line(line)
-                queue.send_line(line)
-            got = []
-            while len(got) < len(all_messages()):
-                item = rx.recv_line(timeout=1.0)
-                assert item is not None
-                got.append(item)
-            assert got == queue.drain()
-            for line in got:
-                decode(line)
-        finally:
-            tx.close()
-            rx.close()
-
-    def test_socket_reassembles_split_lines(self):
-        left, right = socket.socketpair()
-        rx = SocketTransport(right)
-        try:
-            line = encode(Hello(drone_id=0, start_pose=sample_pose()), 0, 0)
-            data = (line + "\n").encode()
-            left.sendall(data[:10])
-            assert rx.recv_line(timeout=0.05) is None
-            left.sendall(data[10:])
-            assert rx.recv_line(timeout=1.0) == line
-        finally:
-            left.close()
-            rx.close()
 
 
 class TestEndpoint:

@@ -39,7 +39,6 @@ class TestParsing:
         assert sc.ba.enabled and sc.ba.every_keyposes == 10
         assert sc.noise.pos_base == 0.02
         np.testing.assert_array_equal(sc.init_sigma, np.zeros(6))
-        assert sc.port is None
 
     def test_believed_start_defaults_to_truth(self):
         sc = parse_scenario(minimal_raw())
@@ -140,6 +139,27 @@ class TestValidation:
     def test_negative_seed(self):
         with pytest.raises(ScenarioError):
             parse_scenario(minimal_raw(seed=-1))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("drones", 0, "start_pose", "t", 0), math.nan),
+            (("drones", 0, "start_pose", "euler", 2), math.inf),
+            (("duration",), math.inf),
+            (("tick_rate",), math.inf),
+            (("ekf", "q_pos"), math.nan),
+            (("noise", "dropout"), math.nan),
+        ],
+        ids=["start-nan", "yaw-inf", "duration-inf", "tick-rate-inf", "q-pos-nan", "dropout-nan"],
+    )
+    def test_non_finite_number_rejected(self, path, value):
+        raw = minimal_raw(ekf={}, noise={})
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioError, match="non-finite"):
+            parse_scenario(raw)
 
 
 class TestFiles:

@@ -1,6 +1,7 @@
 """Behavior tests for the sweep policy, drone node, station and runner."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -76,14 +77,14 @@ class TestSweepPolicy:
         pose = at(-1.0, -1.0)
         order = []
         for _ in range(3):
-            policy.choose_destination(pose, None)
+            policy.choose_destination(pose)
             order.append(policy._target)
             pose = at(*policy.cells[policy._target][:2])
         # serpentine outcome of nearest-first: right, up, then across
         assert order == [1, 3, 2]
         assert policy.visited == {0, 1, 3}
         # landing on the last cell completes the pass and starts a new one
-        policy.choose_destination(pose, None)
+        policy.choose_destination(pose)
         assert len(policy.visited) < 4
 
     def test_arrival_marks_visited_and_retargets(self):
@@ -197,7 +198,6 @@ def entry_for(node, marker_pose, obs_count, marker_id=5):
         pose=marker_pose,
         cov=np.eye(6) * 1e-4,
         obs_count=obs_count,
-        last_seen=0.0,
     )
 
 
@@ -213,7 +213,7 @@ class TestNavptsNode:
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse)
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [det])
         kinds = outbound_types(station_inbox)
         assert node.counters["updates"] == 1
         assert node.counters["forwarded"] == 0
@@ -228,7 +228,7 @@ class TestNavptsNode:
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse - 1)
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [det])
         assert node.counters["updates"] == 1
         assert node.counters["forwarded"] == 1
         assert "MarkerObs" in outbound_types(station_inbox)
@@ -239,7 +239,7 @@ class TestNavptsNode:
         cam = sc.cameras["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [det])
         assert node.counters["updates"] == 0
         assert node.counters["forwarded"] == 1
         assert "MarkerObs" in outbound_types(station_inbox)
@@ -251,9 +251,9 @@ class TestNavptsNode:
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         entry = entry_for(node, marker, obs_count=sc.n_fuse)
         node.map_view[5] = type(entry)(
-            marker_id=5, frame=7, pose=marker, cov=entry.cov, obs_count=5, last_seen=0.0
+            marker_id=5, frame=7, pose=marker, cov=entry.cov, obs_count=5
         )
-        node.tick(1, 0.1, still_odometry(0), [detection_of(node.state.pose, marker, cam)], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [detection_of(node.state.pose, marker, cam)])
         assert node.counters["updates"] == 0
         assert node.counters["forwarded"] == 1
 
@@ -265,7 +265,7 @@ class TestNavptsNode:
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse)
         before = node.state.pose
         det = detection_of(before, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [det])
         assert np.linalg.norm(node.state.pose.t - before.t) < 1e-9
         assert rotation_angle_between(node.state.pose.q, before.q) < 1e-9
 
@@ -273,7 +273,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, station_inbox, _ = make_node(sc)
         trace0 = float(np.trace(node.state.cov))
-        node.tick(1, 0.1, still_odometry(0), [], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [])
         assert float(np.trace(node.state.cov)) > trace0
         kinds = outbound_types(station_inbox)
         assert kinds == ["PoseReport"]
@@ -283,7 +283,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, _ = make_node(sc)
         for tick in range(1, 4):
-            node.tick(tick, tick * 0.1, still_odometry(0, now=tick * 0.1), [], 0.1)
+            node.tick(tick, tick * 0.1, still_odometry(0, now=tick * 0.1), [])
         assert [row["tick"] for row in node.trajectory] == [1, 2, 3]
         assert all(row["frame"] == node.frame for row in node.trajectory)
 
@@ -292,7 +292,7 @@ class TestNavptsNode:
         node, _, station_tx = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
-        node.tick(1, 0.1, still_odometry(0), [], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [])
         assert set(node.map_view) == {5}
         assert node.map_view[5].obs_count == 2
 
@@ -300,11 +300,11 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=1)
         assert node.frame == 1
-        node.tick(1, 0.1, still_odometry(1), [], 0.1)
+        node.tick(1, 0.1, still_odometry(1), [])
         pose_before = node.state.pose
         rt = Pose6D.from_euler([2.0, -1.0, 0.0], [0, 0, 0.6])
         station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
-        node.tick(2, 0.2, still_odometry(1, now=0.2), [], 0.1)
+        node.tick(2, 0.2, still_odometry(1, now=0.2), [])
         assert node.frame == 0
         assert all(row["frame"] == 0 for row in node.trajectory)
         expected_row0 = rt.compose(pose_before)
@@ -314,7 +314,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=0)
         station_tx.send(FrameMerged(loser=1, winner=0, rt=Pose6D.identity()))
-        node.tick(1, 0.1, still_odometry(0), [], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [])
         assert node.frame == 0
 
     def test_garbage_inbox_line_dropped(self):
@@ -322,8 +322,33 @@ class TestNavptsNode:
         node, _, _ = make_node(sc)
         node.inbox.send_line("{broken")
         node.inbox.send_line('{"type": "Mystery", "sender": -1, "seq": 0}')
-        node.tick(1, 0.1, still_odometry(0), [], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [])
         assert node.map_view == {} and node.frame == 0
+
+    def test_malformed_inbox_line_logged_and_dropped(self, caplog):
+        sc = node_scenario()
+        node, station_inbox, station_tx = make_node(sc)
+        marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
+        node.inbox.send_line('{"type": "Shutdown", "sender": -1, "seq": 1.5}')
+        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
+        with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
+            node.tick(1, 0.1, still_odometry(0), [])
+        assert any("dropped a bad line" in rec.message for rec in caplog.records)
+        # the good line after the bad one still lands, and the tick completes
+        assert set(node.map_view) == {5}
+        assert outbound_types(station_inbox) == ["PoseReport"]
+
+    def test_replayed_older_snapshot_keeps_newer_view(self):
+        sc = node_scenario()
+        node, _, _ = make_node(sc)
+        marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
+        older = MapSnapshot(entries=(entry_for(node, marker, obs_count=2),))
+        newer = MapSnapshot(entries=(entry_for(node, marker, obs_count=3),))
+        node.inbox.send_line(encode(newer, sender=STATION_ID, seq=4))
+        node.inbox.send_line(encode(older, sender=STATION_ID, seq=3))
+        node.tick(1, 0.1, still_odometry(0), [])
+        assert node.map_view[5].obs_count == 3
+        assert node.guard.dropped == 1
 
     def test_replayed_broadcast_applied_once(self):
         sc = node_scenario()
@@ -332,7 +357,7 @@ class TestNavptsNode:
         line = encode(FrameMerged(loser=1, winner=0, rt=rt), sender=STATION_ID, seq=5)
         node.inbox.send_line(line)
         node.inbox.send_line(line)
-        node.tick(1, 0.1, still_odometry(1), [], 0.1)
+        node.tick(1, 0.1, still_odometry(1), [])
         # one remap only: applying rt twice would shift x by 2
         assert node.state.pose.t[0] == pytest.approx(2.0)  # start (1,1,1) + 1
 
@@ -342,17 +367,17 @@ class TestNavptsNode:
         cam = sc.cameras["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det], 0.1)
+        node.tick(1, 0.1, still_odometry(0), [det])
         assert node.counters["keyposes"] == 1  # first sighting commits
         station_inbox.drain()
         # stationary re-sighting: below both thresholds, no new keypose
         det2 = detection_of(node.state.pose, marker, cam)
-        node.tick(2, 0.2, still_odometry(0, now=0.2), [det2], 0.1)
+        node.tick(2, 0.2, still_odometry(0, now=0.2), [det2])
         assert node.counters["keyposes"] == 1
         # teleport the belief far beyond d_key and look again
         moved = OdometryReading(0, 0.1, np.array([8.0, 0.0, 0.0]), np.zeros(3), 0.3)
         det3 = detection_of(node.state.pose, marker, cam)
-        node.tick(3, 0.3, moved, [det3], 0.1)
+        node.tick(3, 0.3, moved, [det3])
         assert node.counters["keyposes"] == 2
 
 
@@ -421,7 +446,7 @@ class TestGroundStation:
         for now in (0.5, 0.6, 0.7):
             senders[0].send(obs_from(0, pose, pose, world_marker(), cam, now=now))
         entry = station.gmap.lookup(5)
-        assert entry.obs_count == 3 and entry.last_seen == 0.7
+        assert entry.obs_count == 3
         assert len(station.gmap.entries) == 1
 
     def test_cross_frame_observation_merges_with_true_offset(self):
@@ -535,15 +560,16 @@ class TestGroundStation:
         assert station.counters["errors"] == 1
         assert len(station.gmap.entries) == 0
 
-    def test_pose_reports_tracked_per_drone(self):
+    def test_pose_report_handled_and_ignored(self):
         from markerswarm.ekf import EkfState
 
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        state = EkfState(np.arange(6.0), np.eye(6), 0, 1.5)
-        senders[0].send(PoseReport(0, state))
-        assert 0 in station.last_report
-        assert station.last_report[0].timestamp == 1.5
+        senders[0].send(Hello(0, Pose6D.identity()))
+        senders[0].send(PoseReport(0, EkfState(np.arange(6.0), np.eye(6), 0, 1.5)))
+        assert station.counters["handled"] == 2
+        assert station.counters["errors"] == 0
+        assert station.gmap.entries == {}
 
     def test_shutdown_marks_drone_done(self):
         sc = station_scenario()
