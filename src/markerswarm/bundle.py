@@ -14,10 +14,21 @@ Optimization is Levenberg-Marquardt with multiplicative damping (x10 on a
 rejected step, /10 on an accepted one); accepted costs are strictly
 decreasing by construction.
 
+Everything runs on arrays, with no Python loop per observation. A residual
+involves one keypose and one marker, so the Jacobian is kept as one 6x6
+keypose block and one 6x6 marker block per observation, and J^T J as its
+6x6 blocks: keypose-keypose U_k and marker-marker V_m (both block-diagonal)
+and keypose-marker W_km. Each damped step eliminates the keyposes (Schur
+complement, Triggs et al. 2000) and solves only the 6M x 6M marker system
+S = V + lambda I - W^T (U + lambda I)^-1 W, then back-substitutes for the
+keyposes: the same step as a dense solve of J^T J + lambda I, at a cost
+linear in the number of keyposes.
+
 Variables are parameterized as (x, y, z, alpha, beta, gamma). The Euler
 parameterization keeps the problem small and matches the filter state, at
 the price of a singularity at |pitch| = pi/2; scenario data keeps marker
-and keypose pitches away from that line.
+and keypose pitches away from that line, and a Jacobian evaluated on it
+raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -25,13 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from markerswarm.geom import (
     Pose6D,
     euler_rate_from_rot_rate,
-    euler_rot_derivatives,
-    rot_to_euler,
+    euler_rot_derivatives_batch,
+    rot_to_euler_batch,
     rotation_angle_between,
     wrap_angles,
 )
@@ -128,7 +138,9 @@ class BaProblem:
     Keyposes must all live in the same frame. The anchor (first keypose of
     the lowest drone id) is excluded from the variable vector; remaining
     keyposes come first, then markers in ascending id. Observations of
-    markers missing from ``marker_poses`` are dropped.
+    markers missing from ``marker_poses`` are dropped. ``obs_keypose`` and
+    ``obs_marker`` give each observation's keypose (0 for the anchor) and
+    marker position in those orders.
     """
 
     def __init__(self, keyposes: list[Keypose], marker_poses: dict[int, Pose6D]) -> None:
@@ -167,11 +179,18 @@ class BaProblem:
         if self.n_variables < 6:
             raise ValueError("need at least one non-anchor variable")
 
-        # cache the whitening factors (cholesky of each observation noise)
-        self._whiteners = [
-            np.linalg.cholesky(np.asarray(obs.noise_cov, dtype=float))
-            for _, obs in self.observations
-        ]
+        # per-observation arrays, fixed for the life of the problem
+        marker_index = {m: j for j, m in enumerate(self.marker_ids)}
+        obs = [o for _, o in self.observations]
+        self.obs_keypose = np.array([i for i, _ in self.observations])  # 0 is the anchor
+        self.obs_marker = np.array([marker_index[o.marker_id] for o in obs])
+        self._anchor = self.keyposes[0].pose.to_vector()
+        self._cam_rot = np.array([o.cam_extrinsics.rotation() for o in obs])
+        self._cam_t = np.array([o.cam_extrinsics.t for o in obs])
+        self._obs_t = np.array([o.rel_pose.t for o in obs])
+        self._obs_euler = np.array([o.rel_pose.euler for o in obs])
+        # whitening factors: cholesky of each observation noise
+        self._whiteners = np.linalg.cholesky(np.array([o.noise_cov for o in obs], dtype=float))
 
     @property
     def n_keypose_vars(self) -> int:
@@ -210,70 +229,148 @@ class BaProblem:
         return keyposes, markers
 
 
-def _pose_parts(vec: np.ndarray):
-    """Translation, rotation and rotation derivatives for a 6-vector."""
-    rot, derivs = euler_rot_derivatives(vec[3:])
-    return vec[:3], rot, derivs
+@dataclass(frozen=True)
+class BlockJacobian:
+    """Whitened Jacobian of the residual stack, one block pair per observation.
+
+    Observation ``o`` owns rows ``6o:6o+6``. Its only nonzero entries are
+    ``keypose[o]`` in the columns of keypose ``problem.obs_keypose[o]`` and
+    ``marker[o]`` in those of marker ``problem.obs_marker[o]``. The anchor is
+    not a variable, so the keypose blocks of its observations are zero.
+    """
+
+    keypose: np.ndarray  # (n_obs, 6, 6)
+    marker: np.ndarray  # (n_obs, 6, 6)
+
+
+def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products: (..., n, m) x (..., m) -> (..., n)."""
+    return (mats @ vecs[..., None])[..., 0]
 
 
 def residuals(
     problem: BaProblem, x: np.ndarray, with_jacobian: bool = True
-) -> tuple[np.ndarray, sparse.csr_matrix | None]:
-    """Whitened residual stack and (optionally) its sparse Jacobian.
+) -> tuple[np.ndarray, BlockJacobian | None]:
+    """Whitened residual stack and (optionally) its block Jacobian.
 
     Per observation the residual is the 6-vector difference between the
     predicted marker-in-camera pose, inverse(keypose * extrinsics) *
     marker, and the detected one: translation difference plus wrapped
-    Euler difference, whitened by the observation noise.
+    Euler difference, whitened by the observation noise. Rotations and
+    their derivatives are computed once per pose and gathered per
+    observation.
     """
-    n_obs = len(problem.observations)
-    res = np.zeros(6 * n_obs)
-    jac = sparse.lil_matrix((6 * n_obs, problem.n_variables)) if with_jacobian else None
+    poses = np.concatenate([problem._anchor, x]).reshape(-1, 6)  # anchor, keyposes, markers
+    rot, drot = euler_rot_derivatives_batch(poses[:, 3:])
+    kp = problem.obs_keypose
+    mk = problem.obs_marker + len(problem.keyposes)
+    rot_c, t_c = problem._cam_rot, problem._cam_t
 
-    anchor_vec = problem.keyposes[0].pose.to_vector()
-    for row, ((kp_index, obs), whitener) in enumerate(
-        zip(problem.observations, problem._whiteners)
-    ):
-        kp_slice = problem.keypose_slice(kp_index)
-        kp_vec = anchor_vec if kp_slice is None else x[kp_slice]
-        mk_slice = problem.marker_slice(obs.marker_id)
-        mk_vec = x[mk_slice]
+    rot_a = rot[kp] @ rot_c  # camera in frame
+    rot_a_t = rot_a.swapaxes(-1, -2)
+    t_a = poses[kp, :3] + _apply(rot[kp], t_c)
+    t_diff = poses[mk, :3] - t_a
+    rot_m = rot[mk]
+    rot_rel = rot_a_t @ rot_m
 
-        t_i, rot_i, drot_i = _pose_parts(kp_vec)
-        t_m, rot_m, drot_m = _pose_parts(mk_vec)
-        rot_c = obs.cam_extrinsics.rotation()
-        t_c = obs.cam_extrinsics.t
+    r6 = np.concatenate(
+        [
+            _apply(rot_a_t, t_diff) - problem._obs_t,
+            wrap_angles(rot_to_euler_batch(rot_rel) - problem._obs_euler),
+        ],
+        axis=1,
+    )
+    res = np.linalg.solve(problem._whiteners, r6[..., None]).reshape(-1)
+    if not with_jacobian:
+        return res, None
 
-        rot_a = rot_i @ rot_c  # camera in frame
-        t_a = t_i + rot_i @ t_c
-        rot_rel = rot_a.T @ rot_m
-        t_rel = rot_a.T @ (t_m - t_a)
+    n_obs = len(kp)
+    rot_rel_k = rot_rel[:, None]  # broadcast over the three angles
+    block_m = np.zeros((n_obs, 6, 6))
+    block_m[:, :3, :3] = rot_a_t  # d t_rel / d t_marker
+    block_m[:, 3:, 3:] = euler_rate_from_rot_rate(
+        rot_rel_k, rot_a_t[:, None] @ drot[mk]
+    ).swapaxes(1, 2)
 
-        r6 = np.empty(6)
-        r6[:3] = t_rel - obs.rel_pose.t
-        r6[3:] = wrap_angles(rot_to_euler(rot_rel) - obs.rel_pose.euler)
-        rows = slice(6 * row, 6 * row + 6)
-        res[rows] = np.linalg.solve(whitener, r6)
+    drot_i = drot[kp]
+    d_rot_a = drot_i @ rot_c[:, None]  # [:, k] = d rot_a / d angle k
+    d_rot_a_t = d_rot_a.swapaxes(-1, -2)
+    block_k = np.zeros((n_obs, 6, 6))
+    block_k[:, :3, :3] = -rot_a_t  # d t_rel / d t_keypose
+    block_k[:, :3, 3:] = (
+        _apply(d_rot_a_t, t_diff[:, None]) - _apply(rot_a_t[:, None], _apply(drot_i, t_c[:, None]))
+    ).swapaxes(1, 2)
+    block_k[:, 3:, 3:] = euler_rate_from_rot_rate(rot_rel_k, d_rot_a_t @ rot_m[:, None]).swapaxes(
+        1, 2
+    )
+    block_k[kp == 0] = 0.0  # the anchor is not a variable
 
-        if not with_jacobian:
-            continue
-        block_m = np.zeros((6, 6))
-        block_m[:3, :3] = rot_a.T  # d t_rel / d t_marker
-        for k in range(3):
-            d_rel = rot_a.T @ drot_m[k]
-            block_m[3:, 3 + k] = euler_rate_from_rot_rate(rot_rel, d_rel)
-        jac[rows, mk_slice] = np.linalg.solve(whitener, block_m)
+    whitened = np.linalg.solve(problem._whiteners, np.concatenate([block_k, block_m], axis=2))
+    return res, BlockJacobian(keypose=whitened[:, :, :6], marker=whitened[:, :, 6:])
 
-        if kp_slice is not None:
-            block_k = np.zeros((6, 6))
-            block_k[:3, :3] = -rot_a.T  # d t_rel / d t_keypose
-            for k in range(3):
-                d_rot_a = drot_i[k] @ rot_c
-                block_k[:3, 3 + k] = d_rot_a.T @ (t_m - t_a) - rot_a.T @ (drot_i[k] @ t_c)
-                block_k[3:, 3 + k] = euler_rate_from_rot_rate(rot_rel, d_rot_a.T @ rot_m)
-            jac[rows, kp_slice] = np.linalg.solve(whitener, block_k)
 
-    return res, (jac.tocsr() if with_jacobian else None)
+def _sum_blocks(index: np.ndarray, blocks: np.ndarray, count: int) -> np.ndarray:
+    """Sum ``blocks[o]`` into slot ``index[o]`` of ``count`` zero slots."""
+    size = blocks[0].size
+    flat = (index[:, None] * size + np.arange(size)).reshape(-1)
+    summed = np.bincount(flat, weights=blocks.reshape(-1), minlength=count * size)
+    return summed.reshape((count,) + blocks.shape[1:])
+
+
+class NormalEquations:
+    """J^T J and J^T r of one linearization, kept in 6x6 blocks.
+
+    ``u`` holds the keypose blocks U_k and ``v`` the marker blocks V_m of
+    the block-diagonal parts; ``w`` holds, per keypose, the row
+    [W_k1 ... W_kM] of the keypose-marker coupling, 6 x 6M. The anchor has
+    no variables and is dropped.
+    """
+
+    def __init__(self, problem: BaProblem, res: np.ndarray, jac: BlockJacobian) -> None:
+        n_keyposes = len(problem.keyposes)
+        n_markers = len(problem.marker_ids)
+        kp, mk = problem.obs_keypose, problem.obs_marker
+        jk_t = jac.keypose.swapaxes(1, 2)
+        jm_t = jac.marker.swapaxes(1, 2)
+        r6 = res.reshape(-1, 6)
+        # an overflow here gives a non-finite step, which raises the damping
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.u = _sum_blocks(kp, jk_t @ jac.keypose, n_keyposes)[1:]
+            self.v = _sum_blocks(mk, jm_t @ jac.marker, n_markers)
+            w = _sum_blocks(kp * n_markers + mk, jk_t @ jac.marker, n_keyposes * n_markers)
+        self.w = (
+            w.reshape(n_keyposes, n_markers, 6, 6)[1:]
+            .transpose(0, 2, 1, 3)
+            .reshape(n_keyposes - 1, 6, 6 * n_markers)
+        )
+        self.g_keypose = _sum_blocks(kp, _apply(jk_t, r6), n_keyposes)[1:]
+        self.g_marker = _sum_blocks(mk, _apply(jm_t, r6), n_markers)
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """J^T r in variable order: keyposes, then markers."""
+        return np.concatenate([self.g_keypose.reshape(-1), self.g_marker.reshape(-1)])
+
+    def step(self, damping: float) -> np.ndarray:
+        """Solve (J^T J + damping I) step = -J^T r by eliminating the keyposes.
+
+        Reduced system S d_m = -g_m + W^T (U + damping I)^-1 g_k with
+        S = V + damping I - W^T (U + damping I)^-1 W, then
+        d_k = -(U + damping I)^-1 (g_k + W d_m). Raises LinAlgError when a
+        damped block or S is singular.
+        """
+        eye = np.eye(6)
+        u_inv = np.linalg.inv(self.u + damping * eye)
+        n_cols = self.w.shape[2]
+        w_rows = self.w.reshape(-1, n_cols)  # (6K, 6M)
+        reduced = -(w_rows.T @ (u_inv @ self.w).reshape(-1, n_cols))
+        diag = np.arange(len(self.v))
+        # a view of ``reduced``: add V_m + damping I to its diagonal blocks
+        reduced.reshape(len(self.v), 6, len(self.v), 6)[diag, :, diag, :] += self.v + damping * eye
+        rhs = w_rows.T @ _apply(u_inv, self.g_keypose).reshape(-1) - self.g_marker.reshape(-1)
+        d_marker = np.linalg.solve(reduced, rhs)
+        d_keypose = -_apply(u_inv, self.g_keypose + self.w @ d_marker)
+        return np.concatenate([d_keypose.reshape(-1), d_marker])
 
 
 @dataclass(frozen=True)
@@ -315,11 +412,9 @@ class BaResult:
 
 
 def _wrap_variable_angles(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    for block in range(len(x) // 6):
-        sl = slice(6 * block + 3, 6 * block + 6)
-        x[sl] = wrap_angles(x[sl])
-    return x
+    blocks = x.reshape(-1, 6).copy()
+    blocks[:, 3:] = wrap_angles(blocks[:, 3:])
+    return blocks.reshape(-1)
 
 
 def optimize(problem: BaProblem, config: BaConfig = BaConfig()) -> BaResult:
@@ -340,7 +435,6 @@ def optimize(problem: BaProblem, config: BaConfig = BaConfig()) -> BaResult:
     status = "max_iterations"
     message = ""
     iterations = 0
-    identity = np.eye(problem.n_variables)
 
     def result(final_status: str, vec: np.ndarray, final_cost: float) -> BaResult:
         keyposes, markers = problem.unpack(vec)
@@ -357,17 +451,16 @@ def optimize(problem: BaProblem, config: BaConfig = BaConfig()) -> BaResult:
         )
 
     for _ in range(config.max_iterations):
-        gradient = jac.T @ res
-        if float(np.max(np.abs(gradient))) < config.grad_tol:
+        normal = NormalEquations(problem, res, jac)
+        if float(np.max(np.abs(normal.gradient))) < config.grad_tol:
             status = "converged"
             message = "gradient below tolerance"
             break
-        normal = (jac.T @ jac).toarray()
 
         accepted = False
         while True:
             try:
-                step = np.linalg.solve(normal + damping * identity, -gradient)
+                step = normal.step(damping)
             except np.linalg.LinAlgError:
                 step = None
             if step is None or not np.all(np.isfinite(step)):

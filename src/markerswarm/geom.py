@@ -158,6 +158,21 @@ def rot_to_euler(rot: np.ndarray) -> np.ndarray:
     return np.array([wrap_angle(alpha), wrap_angle(beta), wrap_angle(gamma)])
 
 
+def rot_to_euler_batch(rot: np.ndarray) -> np.ndarray:
+    """``rot_to_euler`` over a stack ``(..., 3, 3)``, gimbal branch included."""
+    rot = np.asarray(rot, dtype=float)
+    s_beta = np.clip(-rot[..., 2, 0], -1.0, 1.0)
+    gimbal = np.abs(s_beta) >= _GIMBAL_TOL
+    beta = np.where(gimbal, np.copysign(0.5 * math.pi, s_beta), np.arcsin(s_beta))
+    alpha = np.where(gimbal, 0.0, np.arctan2(rot[..., 2, 1], rot[..., 2, 2]))
+    gamma = np.where(
+        gimbal,
+        np.arctan2(-rot[..., 0, 1], rot[..., 1, 1]),
+        np.arctan2(rot[..., 1, 0], rot[..., 0, 0]),
+    )
+    return wrap_angles(np.stack([alpha, beta, gamma], axis=-1))
+
+
 def euler_to_rot(euler: np.ndarray) -> np.ndarray:
     """R = Rz(gamma) @ Ry(beta) @ Rx(alpha), written out."""
     ca, sa = math.cos(euler[0]), math.sin(euler[0])
@@ -191,22 +206,54 @@ def euler_rot_derivatives(euler: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return rot, [rz @ ry @ drx, rz @ dry @ rx, drz @ ry @ rx]
 
 
+def euler_rot_derivatives_batch(euler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``euler_rot_derivatives`` over ``(N, 3)`` angles.
+
+    Returns rotations ``(N, 3, 3)`` and derivatives ``(N, 3, 3, 3)``, where
+    ``[:, k]`` is d R / d angle k.
+    """
+    euler = np.asarray(euler, dtype=float).reshape(-1, 3)
+    ca, cb, cg = np.cos(euler).T
+    sa, sb, sg = np.sin(euler).T
+    zero = np.zeros_like(ca)
+    one = np.ones_like(ca)
+
+    def stack(rows):
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+    rx = stack([[one, zero, zero], [zero, ca, -sa], [zero, sa, ca]])
+    ry = stack([[cb, zero, sb], [zero, one, zero], [-sb, zero, cb]])
+    rz = stack([[cg, -sg, zero], [sg, cg, zero], [zero, zero, one]])
+    drx = stack([[zero, zero, zero], [zero, -sa, -ca], [zero, ca, -sa]])
+    dry = stack([[-sb, zero, cb], [zero, zero, zero], [-cb, zero, -sb]])
+    drz = stack([[-sg, -cg, zero], [cg, -sg, zero], [zero, zero, zero]])
+
+    rzy = rz @ ry
+    rot = rzy @ rx
+    return rot, np.stack([rzy @ drx, rz @ dry @ rx, drz @ ry @ rx], axis=1)
+
+
 def euler_rate_from_rot_rate(rot: np.ndarray, drot: np.ndarray) -> np.ndarray:
     """Chain rule through the Euler extraction: d euler / d s from d R / d s.
 
     Valid away from the pitch singularity (the extraction formulas are
     atan2/asin of individual matrix entries, differentiated directly).
+    Broadcasts over leading axes: ``rot`` ``(..., 3, 3)`` and ``drot``
+    ``(..., 3, 3)`` give ``(..., 3)``; raises if any rotation in the stack
+    is at the singularity.
     """
-    r20 = rot[2, 0]
-    denom_a = rot[2, 1] ** 2 + rot[2, 2] ** 2
-    denom_g = rot[1, 0] ** 2 + rot[0, 0] ** 2
+    rot = np.asarray(rot, dtype=float)
+    drot = np.asarray(drot, dtype=float)
+    r20 = rot[..., 2, 0]
+    denom_a = rot[..., 2, 1] ** 2 + rot[..., 2, 2] ** 2
+    denom_g = rot[..., 1, 0] ** 2 + rot[..., 0, 0] ** 2
     denom_b = 1.0 - r20 * r20
-    if denom_a < 1e-14 or denom_g < 1e-14 or denom_b < 1e-14:
+    if np.any(denom_a < 1e-14) or np.any(denom_g < 1e-14) or np.any(denom_b < 1e-14):
         raise ArithmeticError("euler derivative at pitch singularity")
-    d_alpha = (rot[2, 2] * drot[2, 1] - rot[2, 1] * drot[2, 2]) / denom_a
-    d_beta = -drot[2, 0] / math.sqrt(denom_b)
-    d_gamma = (rot[0, 0] * drot[1, 0] - rot[1, 0] * drot[0, 0]) / denom_g
-    return np.array([d_alpha, d_beta, d_gamma])
+    d_alpha = (rot[..., 2, 2] * drot[..., 2, 1] - rot[..., 2, 1] * drot[..., 2, 2]) / denom_a
+    d_beta = -drot[..., 2, 0] / np.sqrt(denom_b)
+    d_gamma = (rot[..., 0, 0] * drot[..., 1, 0] - rot[..., 1, 0] * drot[..., 0, 0]) / denom_g
+    return np.stack([d_alpha, d_beta, d_gamma], axis=-1)
 
 
 def quat_slerp(qa: np.ndarray, qb: np.ndarray, weight_b: float) -> np.ndarray:

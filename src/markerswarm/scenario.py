@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import jsonschema
@@ -239,13 +240,15 @@ def scenario_digest(raw: dict) -> str:
 
 
 def _non_finite_path(value, path: tuple = ()) -> tuple | None:
-    """Path to the first NaN or infinite number in a JSON document, or None.
+    """Path to the first number in a JSON document that is no finite float, or None.
 
-    Python's json module reads NaN, Infinity and -Infinity, and the schema
-    takes them for numbers.
+    Python's json module reads NaN, Infinity and -Infinity, and integers of
+    any size; the schema takes them all for numbers.
     """
     if isinstance(value, float):
         return None if math.isfinite(value) else path
+    if isinstance(value, int) and not isinstance(value, bool):
+        return None if abs(value) <= sys.float_info.max else path
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list):

@@ -1,26 +1,38 @@
 """Bundle adjustment tests.
 
 The Jacobian is checked against central finite differences of the
-residual vector (independent oracle). Recovery and gauge tests build a
-zero-residual configuration first so the expected optimum is known by
-construction, never copied from the implementation.
+residual vector (independent oracle), and the batched residuals and
+Jacobian blocks against a per-observation reference loop kept here. The
+Schur-complement step is checked against a dense solve of the damped
+normal equations. Recovery and gauge tests build a zero-residual
+configuration first so the expected optimum is known by construction,
+never copied from the implementation.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from markerswarm.bundle import (
     BaConfig,
     BaProblem,
     Keypose,
     KeyposeObservation,
+    NormalEquations,
     optimize,
     residuals,
     select_keypose,
 )
-from markerswarm.geom import Pose6D
+from markerswarm.geom import (
+    Pose6D,
+    euler_rate_from_rot_rate,
+    euler_rot_derivatives,
+    rot_to_euler,
+    wrap_angles,
+)
+from markerswarm.worldsim import downward_camera, forward_camera
 
 DOWN_CAM = Pose6D.from_euler(np.array([0.0, 0.0, 0.1]), np.array([math.pi, 0.0, 0.0]))
 
@@ -94,6 +106,114 @@ def make_problem(rng, n_keyposes=4, n_markers=5, obs_noise=0.0, drone_ids=None,
         ]
     problem = BaProblem(init_keyposes, init_markers)
     return problem, keyposes, markers
+
+
+def dense_jacobian(problem, jac):
+    """The (n_residuals, n_variables) matrix the returned blocks stand for."""
+    dense = np.zeros((problem.n_residuals, problem.n_variables))
+    for row, (kp_index, obs) in enumerate(problem.observations):
+        rows = slice(6 * row, 6 * row + 6)
+        dense[rows, problem.marker_slice(obs.marker_id)] = jac.marker[row]
+        kp_slice = problem.keypose_slice(kp_index)
+        if kp_slice is not None:
+            dense[rows, kp_slice] = jac.keypose[row]
+    return dense
+
+
+def reference_residuals(problem, x):
+    """Per-observation loop: residual stack and its Jacobian as a sparse matrix.
+
+    One observation at a time, with its own rotation derivatives and a
+    per-row whitening solve; the form the batched ``residuals`` replaced.
+    """
+    n_obs = len(problem.observations)
+    res = np.zeros(6 * n_obs)
+    jac = sparse.lil_matrix((6 * n_obs, problem.n_variables))
+    anchor_vec = problem.keyposes[0].pose.to_vector()
+    for row, (kp_index, obs) in enumerate(problem.observations):
+        whitener = np.linalg.cholesky(np.asarray(obs.noise_cov, dtype=float))
+        kp_slice = problem.keypose_slice(kp_index)
+        kp_vec = anchor_vec if kp_slice is None else x[kp_slice]
+        mk_slice = problem.marker_slice(obs.marker_id)
+        mk_vec = x[mk_slice]
+
+        t_i = kp_vec[:3]
+        rot_i, drot_i = euler_rot_derivatives(kp_vec[3:])
+        t_m = mk_vec[:3]
+        rot_m, drot_m = euler_rot_derivatives(mk_vec[3:])
+        rot_c = obs.cam_extrinsics.rotation()
+        t_c = obs.cam_extrinsics.t
+
+        rot_a = rot_i @ rot_c
+        t_a = t_i + rot_i @ t_c
+        rot_rel = rot_a.T @ rot_m
+        t_rel = rot_a.T @ (t_m - t_a)
+
+        r6 = np.empty(6)
+        r6[:3] = t_rel - obs.rel_pose.t
+        r6[3:] = wrap_angles(rot_to_euler(rot_rel) - obs.rel_pose.euler)
+        rows = slice(6 * row, 6 * row + 6)
+        res[rows] = np.linalg.solve(whitener, r6)
+
+        block_m = np.zeros((6, 6))
+        block_m[:3, :3] = rot_a.T
+        for k in range(3):
+            block_m[3:, 3 + k] = euler_rate_from_rot_rate(rot_rel, rot_a.T @ drot_m[k])
+        jac[rows, mk_slice] = np.linalg.solve(whitener, block_m)
+
+        if kp_slice is not None:
+            block_k = np.zeros((6, 6))
+            block_k[:3, :3] = -rot_a.T
+            for k in range(3):
+                d_rot_a = drot_i[k] @ rot_c
+                block_k[:3, 3 + k] = d_rot_a.T @ (t_m - t_a) - rot_a.T @ (drot_i[k] @ t_c)
+                block_k[3:, 3 + k] = euler_rate_from_rot_rate(rot_rel, d_rot_a.T @ rot_m)
+            jac[rows, kp_slice] = np.linalg.solve(whitener, block_k)
+    return res, jac.toarray()
+
+
+def random_problem(rng, n_keyposes, n_markers):
+    """Three drones, both camera rigs, full noise covariances.
+
+    Nothing is consistent: every value is drawn independently, except that
+    each marker is observed through one rig and faces it, so every
+    marker-in-camera rotation stays clear of the pitch singularity. Every
+    keypose sees markers 10 (down rig) and 11 (forward rig) and a random
+    subset of the rest; drone ids cycle 1, 2, 0, so the anchor is not the
+    first keypose given.
+    """
+    rigs = [downward_camera().extrinsics, forward_camera().extrinsics]
+    rig_of = {10 + j: rigs[j % 2] for j in range(n_markers)}
+    markers = {
+        m: Pose6D(rng.normal(0.0, 2.0, 3), rig.compose(small_pose(rng, 0.0, 0.3)).q)
+        for m, rig in rig_of.items()
+    }
+    keyposes = []
+    for i in range(n_keyposes):
+        others = [m for m in markers if m > 11]
+        seen = [10, 11] + sorted(rng.choice(others, size=rng.integers(0, len(others) + 1),
+                                            replace=False))
+        obs = []
+        for mid in seen:
+            a = rng.normal(size=(6, 6))
+            obs.append(
+                KeyposeObservation(
+                    marker_id=int(mid),
+                    rel_pose=small_pose(rng, 1.0, 0.3),
+                    noise_cov=1e-4 * (a @ a.T + 0.5 * np.eye(6)),
+                    cam_extrinsics=Pose6D(rng.normal(0.0, 0.1, 3), rig_of[int(mid)].q),
+                )
+            )
+        keyposes.append(
+            Keypose(
+                drone_id=(i + 1) % 3,
+                frame=0,
+                pose=small_pose(rng, 2.0, 0.2),
+                timestamp=float(i),
+                observations=tuple(obs),
+            )
+        )
+    return BaProblem(keyposes, markers)
 
 
 def fd_jacobian(problem, x, h=1e-7):
@@ -195,19 +315,83 @@ class TestJacobian:
             x = problem.initial_vector()
             _, analytic = residuals(problem, x, with_jacobian=True)
             numeric = fd_jacobian(problem, x)
-            assert np.max(np.abs(analytic.toarray() - numeric)) < 1e-5
+            assert np.max(np.abs(dense_jacobian(problem, analytic) - numeric)) < 1e-5
 
     def test_anchor_columns_absent(self):
         rng = np.random.default_rng(11)
         problem, _, _ = make_problem(rng, n_keyposes=3, n_markers=3)
         _, jac = residuals(problem, problem.initial_vector())
-        assert jac.shape == (problem.n_residuals, problem.n_variables)
+        assert dense_jacobian(problem, jac).shape == (problem.n_residuals, problem.n_variables)
+        n_obs = len(problem.observations)
+        assert jac.keypose.shape == jac.marker.shape == (n_obs, 6, 6)
+        anchored = problem.obs_keypose == 0
+        assert anchored.any()
+        assert not jac.keypose[anchored].any()
+
+    @pytest.mark.parametrize("n_keyposes", [1, 3, 6])
+    def test_matches_per_observation_reference(self, n_keyposes):
+        rng = np.random.default_rng(100 + n_keyposes)
+        problem = random_problem(rng, n_keyposes=n_keyposes, n_markers=5)
+        assert (problem.obs_keypose == 0).any()
+        x = problem.initial_vector() + rng.normal(0.0, 0.05, problem.n_variables)
+        expected_res, expected_jac = reference_residuals(problem, x)
+        res, jac = residuals(problem, x, with_jacobian=True)
+        res_only, none = residuals(problem, x, with_jacobian=False)
+        assert none is None
+        np.testing.assert_allclose(res, expected_res, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res_only, expected_res, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense_jacobian(problem, jac), expected_jac, rtol=0, atol=1e-12)
+
+    def test_marker_at_pitch_singularity_raises(self):
+        keypose = Keypose(
+            drone_id=0,
+            frame=0,
+            pose=Pose6D.identity(),
+            timestamp=0.0,
+            observations=(
+                KeyposeObservation(
+                    marker_id=1,
+                    rel_pose=Pose6D.identity(),
+                    noise_cov=np.eye(6),
+                    cam_extrinsics=Pose6D.identity(),
+                ),
+            ),
+        )
+        marker = Pose6D.from_euler([1.0, 0.0, 0.0], [0.0, math.pi / 2, 0.0])
+        problem = BaProblem([keypose], {1: marker})
+        x = problem.initial_vector()
+        assert x[4] == math.pi / 2
+        res, _ = residuals(problem, x, with_jacobian=False)
+        assert np.all(np.isfinite(res))
+        with pytest.raises(ArithmeticError):
+            residuals(problem, x, with_jacobian=True)
 
     def test_zero_residual_at_truth(self):
         rng = np.random.default_rng(12)
         problem, _, _ = make_problem(rng, n_keyposes=3, n_markers=3)
         res, _ = residuals(problem, problem.initial_vector(), with_jacobian=False)
         assert np.max(np.abs(res)) < 1e-9
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("damping", [1e-4, 1.0, 1e6])
+    @pytest.mark.parametrize("n_keyposes", [1, 2, 5])
+    def test_schur_step_matches_dense_solve(self, damping, n_keyposes):
+        rng = np.random.default_rng(30 + n_keyposes)
+        problem, _, _ = make_problem(
+            rng, n_keyposes=n_keyposes, n_markers=4, obs_noise=0.01, init_jitter=0.05,
+            drone_ids=[1, 0, 2, 0, 1][:n_keyposes],
+        )
+        res, jac = residuals(problem, problem.initial_vector())
+        dense = dense_jacobian(problem, jac)
+        gradient = dense.T @ res
+        normal = NormalEquations(problem, res, jac)
+        np.testing.assert_allclose(normal.gradient, gradient, rtol=1e-12, atol=1e-9)
+        expected = np.linalg.solve(
+            dense.T @ dense + damping * np.eye(problem.n_variables), -gradient
+        )
+        step = normal.step(damping)
+        assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 class TestOptimize:

@@ -166,6 +166,13 @@ class TestRunCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, tick_rate=10**400)
+        assert '"tick_rate": 1' + "0" * 400 + "," in scenario.read_text()
+        assert run_cli("run", scenario, "--out", tmp_path / "out") == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_scenario_exits_2(self, tmp_path):
         assert run_cli("run", tmp_path / "absent.json", "--out", tmp_path / "out") == 2
 

@@ -15,6 +15,7 @@ from markerswarm.geom import (
     check_covariance,
     euler_rate_from_rot_rate,
     euler_rot_derivatives,
+    euler_rot_derivatives_batch,
     euler_to_rot,
     quat_angle,
     quat_chordal_mean,
@@ -25,6 +26,8 @@ from markerswarm.geom import (
     quat_slerp,
     quat_to_euler,
     quat_to_rot,
+    rot_to_euler,
+    rot_to_euler_batch,
     rot_to_quat,
     rotation_angle_between,
     transport_covariance,
@@ -296,6 +299,37 @@ def test_euler_rate_chain_rule_matches_finite_differences():
         em = quat_to_euler(quat_from_euler(*(e - h * direction)))
         fd = wrap_angles(ep - em) / (2 * h)
         assert np.max(np.abs(got - fd)) < 1e-5
+
+
+def test_batched_euler_helpers_match_single_pose_forms():
+    rng = np.random.default_rng(335)
+    eulers = np.column_stack(
+        [rng.uniform(-3, 3, 50), rng.uniform(-1.5, 1.5, 50), rng.uniform(-3, 3, 50)]
+    )
+    # both gimbal branches, and pitches just inside them
+    eulers[:4, 1] = [math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-7, -math.pi / 2 + 1e-7]
+    rots, derivs = euler_rot_derivatives_batch(eulers)
+    assert rots.shape == (50, 3, 3) and derivs.shape == (50, 3, 3, 3)
+    got = rot_to_euler_batch(rots)
+    rates = euler_rate_from_rot_rate(rots[4:, None], derivs[4:])
+    for i, e in enumerate(eulers):
+        rot, drot = euler_rot_derivatives(e)
+        np.testing.assert_allclose(rots[i], rot, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(derivs[i], np.array(drot), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got[i], rot_to_euler(rot), rtol=0, atol=1e-12)
+        if i >= 4:
+            for k in range(3):
+                np.testing.assert_allclose(
+                    rates[i - 4, k], euler_rate_from_rot_rate(rot, drot[k]), rtol=1e-12
+                )
+    assert got[0, 0] == 0.0 and got[0, 1] == math.pi / 2 and got[1, 1] == -math.pi / 2
+
+
+def test_euler_rate_raises_if_any_rotation_in_a_stack_is_singular():
+    rots, derivs = euler_rot_derivatives_batch(np.array([[0.1, 0.2, 0.3], [0.0, math.pi / 2, 0.0]]))
+    euler_rate_from_rot_rate(rots[:1], derivs[:1, 0])
+    with pytest.raises(ArithmeticError):
+        euler_rate_from_rot_rate(rots, derivs[:, 0])
 
 
 def test_transport_covariance_preserves_trace_symmetry_psd():

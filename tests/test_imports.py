@@ -1,4 +1,5 @@
-"""Source hygiene: every name a markerswarm module imports is used there.
+"""Source hygiene: every name a markerswarm module imports is used there,
+and importing the CLI pulls in no test-only dependency.
 
 No lint tool is a dependency, so this walks each module's syntax tree
 with the standard library: a deletion that leaves an import behind fails
@@ -6,6 +7,9 @@ here. Names listed in ``__all__`` count as used (package re-exports).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,17 @@ def test_checker_flags_unused_and_accepts_every_kind_of_use():
 
 def test_package_modules_found():
     assert PACKAGE / "swarm" / "nodes.py" in MODULES
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only a test oracle; importing it would add to every run's start-up
+    code = "import sys, markerswarm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -149,8 +149,12 @@ class TestValidation:
             (("tick_rate",), math.inf),
             (("ekf", "q_pos"), math.nan),
             (("noise", "dropout"), math.nan),
+            (("tick_rate",), 10**400),
+            (("duration",), 10**400),
+            (("drones", 0, "start_pose", "t", 1), -(10**400)),
         ],
-        ids=["start-nan", "yaw-inf", "duration-inf", "tick-rate-inf", "q-pos-nan", "dropout-nan"],
+        ids=["start-nan", "yaw-inf", "duration-inf", "tick-rate-inf", "q-pos-nan", "dropout-nan",
+             "tick-rate-huge-int", "duration-huge-int", "start-huge-int"],
     )
     def test_non_finite_number_rejected(self, path, value):
         raw = minimal_raw(ekf={}, noise={})
