@@ -39,6 +39,7 @@ import numpy as np
 
 from markerswarm.geom import (
     Pose6D,
+    check_int,
     euler_rate_from_rot_rate,
     euler_rot_derivatives_batch,
     rot_to_euler_batch,
@@ -68,7 +69,7 @@ class KeyposeObservation:
     @staticmethod
     def from_dict(data: dict) -> "KeyposeObservation":
         return KeyposeObservation(
-            marker_id=int(data["marker_id"]),
+            marker_id=check_int(data["marker_id"], "marker_id"),
             rel_pose=Pose6D.from_dict(data["rel_pose"]),
             noise_cov=np.asarray(data["noise_cov"], dtype=float).reshape(6, 6),
             cam_extrinsics=Pose6D.from_dict(data["cam_extrinsics"]),
@@ -100,8 +101,8 @@ class Keypose:
     @staticmethod
     def from_dict(data: dict) -> "Keypose":
         return Keypose(
-            drone_id=int(data["drone_id"]),
-            frame=int(data["frame"]),
+            drone_id=check_int(data["drone_id"], "drone_id"),
+            frame=check_int(data["frame"], "frame"),
             pose=Pose6D.from_dict(data["pose"]),
             timestamp=float(data["timestamp"]),
             observations=tuple(

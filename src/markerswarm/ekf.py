@@ -22,6 +22,7 @@ import numpy as np
 from markerswarm.geom import (
     Pose6D,
     check_covariance,
+    check_int,
     euler_rot_derivatives,
     symmetrize,
     transport_covariance,
@@ -133,7 +134,7 @@ class EkfState:
         return EkfState(
             np.asarray(data["mean"], dtype=float),
             np.asarray(data["cov"], dtype=float).reshape(STATE_DIM, STATE_DIM),
-            int(data["frame"]),
+            check_int(data["frame"], "frame"),
             float(data["timestamp"]),
         )
 

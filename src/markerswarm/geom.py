@@ -381,6 +381,18 @@ class Pose6D:
 
 
 # --------------------------------------------------------------------------
+# decoded values
+
+
+def check_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool raises TypeError."""
+    # bool subclasses int, so isinstance would let true and false through
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
+# --------------------------------------------------------------------------
 # 6x6 covariances over (x, y, z, alpha, beta, gamma)
 
 SYM_TOL = 1e-12

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from markerswarm.geom import Pose6D, check_covariance, quat_slerp, symmetrize
+from markerswarm.geom import Pose6D, check_covariance, check_int, quat_slerp, symmetrize
 from markerswarm.worldsim import MARKER_ID_MAX
 
 DEFAULT_N_FUSE = 5
@@ -54,11 +54,11 @@ class MapEntry:
     @staticmethod
     def from_dict(data: dict) -> "MapEntry":
         return MapEntry(
-            marker_id=int(data["marker_id"]),
-            frame=int(data["frame"]),
+            marker_id=check_int(data["marker_id"], "marker_id"),
+            frame=check_int(data["frame"], "frame"),
             pose=Pose6D.from_dict(data["pose"]),
             cov=np.asarray(data["cov"], dtype=float).reshape(6, 6),
-            obs_count=int(data["obs_count"]),
+            obs_count=check_int(data["obs_count"], "obs_count"),
         )
 
 
@@ -120,9 +120,6 @@ class GlobalMap:
             self.membership[drone_id] = winner
         self.frames.discard(loser)
         return moved
-
-    def frame_of(self, drone_id: int) -> int:
-        return self.membership[drone_id]
 
     def entries_in_frame(self, frame: int) -> list[MapEntry]:
         return sorted(

@@ -195,10 +195,10 @@ class NavptsNode:
                 self.state, accepted = update(self.state, obs, self.ekf_config)
                 self.counters["updates" if accepted else "gated"] += 1
                 if entry.obs_count < self.n_fuse:
-                    self._forward(det, now)
+                    self._forward(det)
             else:
                 # unknown or cross-frame: the station decides what it means
-                self._forward(det, now)
+                self._forward(det)
             keypose_obs.append(
                 KeyposeObservation(
                     marker_id=det.marker_id,
@@ -228,8 +228,8 @@ class NavptsNode:
         # BG: next destination
         return self.policy.choose_destination(self.state.pose)
 
-    def _forward(self, det: MarkerDetection, now: float) -> None:
-        self.link.send(MarkerObs(self.drone_id, det, self.state.pose, self.state.cov, now))
+    def _forward(self, det: MarkerDetection) -> None:
+        self.link.send(MarkerObs(det, self.state.pose, self.state.cov, self.state.frame))
         self.counters["forwarded"] += 1
 
     def _apply_line(self, line: str) -> None:
@@ -278,7 +278,7 @@ class GroundStation:
         self.guard = SequenceGuard()
         self.keypose_log: list[Keypose] = []
         self.keyposes_since_ba: dict[int, int] = {}
-        self.records: list = []  # active MergeRecords, winner frames still live
+        self.records: list = []  # every executed merge's MergeRecord, oldest first
         self.merge_events: list[dict] = []
         self.ba_reports: list[dict] = []
         self.counters = {
@@ -328,14 +328,14 @@ class GroundStation:
         cam = self.cameras.get(m.detection.camera)
         if cam is None:
             raise ProtocolError(f"unknown camera {m.detection.camera!r}")
-        frame = self.gmap.frame_of(m.drone_id)
-        camera_pose = m.ekf_pose.compose(cam.extrinsics)
+        frame, ekf_pose, ekf_cov = self._carry_forward(m.frame, m.ekf_pose, m.ekf_cov)
+        camera_pose = ekf_pose.compose(cam.extrinsics)
         pose_in_frame = camera_pose.compose(m.detection.rel_pose)
         cov = (
             transport_covariance(
                 detection_noise(m.detection, self.ekf_config), camera_pose.rotation()
             )
-            + m.ekf_cov
+            + ekf_cov
         )
         marker_id = m.detection.marker_id
         entry = self.gmap.lookup(marker_id)
@@ -347,7 +347,7 @@ class GroundStation:
             self._check_refine(marker_id, pose_in_frame, frame)
             self._dirty = True
         else:
-            self._merge_on_overlap(frame, entry, pose_in_frame, cov, m.timestamp)
+            self._merge_on_overlap(frame, entry, pose_in_frame, cov, m.detection.timestamp)
 
     def _merge_on_overlap(
         self,
@@ -372,8 +372,6 @@ class GroundStation:
         record, moved_drones = merge_frames(
             self.gmap, winner, loser, transform, pairs=[(entry.marker_id, pose_w, pose_l)]
         )
-        # records anchored in the dying frame cannot be refined any more
-        self.records = [r for r in self.records if r.winner != loser]
         self.records.append(record)
         self.merge_events.append(
             {
@@ -384,21 +382,13 @@ class GroundStation:
                 "transform": transform.to_dict(),
             }
         )
-        for kp_index, kp in enumerate(self.keypose_log):
-            if kp.frame == loser:
-                self.keypose_log[kp_index] = replace(
-                    kp, frame=winner, pose=transform.rt.compose(kp.pose)
-                )
+        self.keypose_log = [self._carry_keypose(kp) for kp in self.keypose_log]
         self.keyposes_since_ba[winner] = self.keyposes_since_ba.get(
             winner, 0
         ) + self.keyposes_since_ba.pop(loser, 0)
         self.broadcast(FrameMerged(loser, winner, transform.rt))
         # the triggering observation itself still counts as an observation
-        if obs_frame == winner:
-            pose_fused, cov_fused = pose_obs, cov_obs
-        else:
-            pose_fused = transform.rt.compose(pose_obs)
-            cov_fused = transport_covariance(cov_obs, transform.rt.rotation())
+        _, pose_fused, cov_fused = self._carry_forward(obs_frame, pose_obs, cov_obs)
         self.gmap.fuse_observation(entry.marker_id, pose_fused, cov_fused)
         self._dirty = True
         self._run_ba(winner, trigger="merge", now=now)
@@ -418,29 +408,39 @@ class GroundStation:
                         record.loser, record.winner, marker_id, refit.support,
                     )
 
+    def _carry_forward(
+        self, frame: int, pose: Pose6D, cov: np.ndarray | None = None
+    ) -> tuple[int, Pose6D, np.ndarray | None]:
+        """Re-express a pose stamped in ``frame`` in the live frame that absorbed it.
+
+        A message can race any number of merge broadcasts. Each hop applies
+        the transform of the merge that retired the frame, to ``cov`` too when
+        given; the lower id wins every merge, so the walk ends.
+        """
+        while frame not in self.gmap.frames:
+            hop = next((r for r in reversed(self.records) if r.loser == frame), None)
+            if hop is None:
+                raise ProtocolError(f"frame {frame} was never registered")
+            rt = hop.transform.rt
+            pose = rt.compose(pose)
+            if cov is not None:
+                cov = transport_covariance(cov, rt.rotation())
+            frame = hop.winner
+        return frame, pose, cov
+
     # -- keyposes and adjustment ---------------------------------------
 
+    def _carry_keypose(self, kp: Keypose) -> Keypose:
+        frame, pose, _ = self._carry_forward(kp.frame, kp.pose)
+        return replace(kp, frame=frame, pose=pose)
+
     def _process_keypose(self, kp: Keypose) -> None:
-        frame = kp.frame
-        pose = kp.pose
-        # a commit can race a merge broadcast; chase the frame forward
-        seen = set()
-        while frame not in self.gmap.frames:
-            hop = next(
-                (r for r in reversed(self.records) if r.loser == frame), None
-            )
-            if hop is None or frame in seen:
-                log.warning("dropping keypose for dead frame %d", frame)
-                return
-            seen.add(frame)
-            pose = hop.transform.rt.compose(pose)
-            frame = hop.winner
-        kp = replace(kp, frame=frame, pose=pose)
+        kp = self._carry_keypose(kp)
         self.keypose_log.append(kp)
-        count = self.keyposes_since_ba.get(frame, 0) + 1
-        self.keyposes_since_ba[frame] = count
+        count = self.keyposes_since_ba.get(kp.frame, 0) + 1
+        self.keyposes_since_ba[kp.frame] = count
         if self.ba.enabled and count >= self.ba.every_keyposes:
-            self._run_ba(frame, trigger="keypose_interval", now=kp.timestamp)
+            self._run_ba(kp.frame, trigger="keypose_interval", now=kp.timestamp)
 
     def _run_ba(self, frame: int, trigger: str, now: float) -> None:
         if not self.ba.enabled:

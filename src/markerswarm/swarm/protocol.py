@@ -4,7 +4,16 @@ Messages are newline-delimited JSON, one message per line, UTF-8. The
 envelope carries three fields on every line: "type" (the message name),
 "sender" (drone id, or -1 for the station) and "seq" (unsigned 64-bit,
 strictly increasing per sender). Payload fields sit flat beside the
-envelope fields, named exactly like the dataclass attributes.
+envelope fields, named exactly like the dataclass attributes. Every
+integer, in the envelope and in the payload, must be a JSON integer: a
+float, a string or a bool is a malformed line.
+
+Frame stamps: a pose on the wire names the coordinate frame it is in
+(``MarkerObs.frame``, ``Keypose.frame``, ``EkfState.frame``), the sender's
+frame when the pose was taken; a ``Hello`` start pose is in the frame
+whose id is the drone id. A merge the sender has not heard of yet does
+not change a stamp: the station carries the pose forward along its merge
+records to the frame that is live when it handles the message.
 
 The encoded lines travel over in-process queues, in lockstep and
 threaded runs alike.
@@ -20,7 +29,7 @@ import numpy as np
 
 from markerswarm.bundle import Keypose
 from markerswarm.ekf import EkfState
-from markerswarm.geom import Pose6D
+from markerswarm.geom import Pose6D, check_int
 from markerswarm.mapstore import MapEntry
 from markerswarm.worldsim import MarkerDetection
 
@@ -40,11 +49,10 @@ class Hello:
 
 @dataclass(frozen=True)
 class MarkerObs:
-    drone_id: int
     detection: MarkerDetection
     ekf_pose: Pose6D
     ekf_cov: np.ndarray  # 6x6
-    timestamp: float
+    frame: int  # the sender's frame when ekf_pose and ekf_cov were taken
 
 
 @dataclass(frozen=True)
@@ -87,11 +95,10 @@ def _payload(msg) -> dict:
         return {"drone_id": msg.drone_id, "start_pose": msg.start_pose.to_dict()}
     if isinstance(msg, MarkerObs):
         return {
-            "drone_id": msg.drone_id,
             "detection": msg.detection.to_dict(),
             "ekf_pose": msg.ekf_pose.to_dict(),
             "ekf_cov": [float(v) for v in np.asarray(msg.ekf_cov).reshape(-1)],
-            "timestamp": float(msg.timestamp),
+            "frame": int(msg.frame),
         }
     if isinstance(msg, PoseReport):
         return {"drone_id": msg.drone_id, "ekf_state": msg.ekf_state.to_dict()}
@@ -107,21 +114,20 @@ def _payload(msg) -> dict:
 
 
 def _parse_hello(p: dict) -> Hello:
-    return Hello(int(p["drone_id"]), Pose6D.from_dict(p["start_pose"]))
+    return Hello(check_int(p["drone_id"], "drone_id"), Pose6D.from_dict(p["start_pose"]))
 
 
 def _parse_marker_obs(p: dict) -> MarkerObs:
     return MarkerObs(
-        drone_id=int(p["drone_id"]),
         detection=MarkerDetection.from_dict(p["detection"]),
         ekf_pose=Pose6D.from_dict(p["ekf_pose"]),
         ekf_cov=np.asarray(p["ekf_cov"], dtype=float).reshape(6, 6),
-        timestamp=float(p["timestamp"]),
+        frame=check_int(p["frame"], "frame"),
     )
 
 
 def _parse_pose_report(p: dict) -> PoseReport:
-    return PoseReport(int(p["drone_id"]), EkfState.from_dict(p["ekf_state"]))
+    return PoseReport(check_int(p["drone_id"], "drone_id"), EkfState.from_dict(p["ekf_state"]))
 
 
 def _parse_map_snapshot(p: dict) -> MapSnapshot:
@@ -129,7 +135,9 @@ def _parse_map_snapshot(p: dict) -> MapSnapshot:
 
 
 def _parse_frame_merged(p: dict) -> FrameMerged:
-    return FrameMerged(int(p["loser"]), int(p["winner"]), Pose6D.from_dict(p["rt"]))
+    return FrameMerged(
+        check_int(p["loser"], "loser"), check_int(p["winner"], "winner"), Pose6D.from_dict(p["rt"])
+    )
 
 
 def _parse_keypose_commit(p: dict) -> KeyposeCommit:
@@ -165,15 +173,11 @@ def decode(line: str) -> Decoded:
         raise ProtocolError("message line must be a JSON object")
     try:
         kind = frame["type"]
-        sender = frame["sender"]
-        seq = frame["seq"]
         parser = _PARSERS[kind]
+        sender = check_int(frame["sender"], "sender")
+        seq = check_int(frame["seq"], "seq")
     except (KeyError, TypeError) as err:
         raise ProtocolError(f"bad envelope: {err!r}") from err
-    for name, value in (("sender", sender), ("seq", seq)):
-        # a JSON integer only: no float, string or bool (bool subclasses int)
-        if type(value) is not int:
-            raise ProtocolError(f"bad envelope: {name} {value!r} is not an integer")
     if not (0 <= seq <= SEQ_MAX):
         raise ProtocolError(f"sequence number {seq} outside unsigned 64-bit range")
     try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from markerswarm.geom import Pose6D, wrap_angle, wrap_angles
+from markerswarm.geom import Pose6D, check_int, wrap_angle, wrap_angles
 
 MARKER_ID_MAX = 1023  # 1024 distinct marker patterns, ids 0..1023
 MAX_STEP_DT = 0.5
@@ -132,8 +132,8 @@ class MarkerDetection:
     @staticmethod
     def from_dict(data: dict) -> "MarkerDetection":
         return MarkerDetection(
-            drone_id=int(data["drone_id"]),
-            marker_id=int(data["marker_id"]),
+            drone_id=check_int(data["drone_id"], "drone_id"),
+            marker_id=check_int(data["marker_id"], "marker_id"),
             camera=str(data["camera"]),
             rel_pose=Pose6D.from_dict(data["rel_pose"]),
             range=float(data["range"]),

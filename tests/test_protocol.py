@@ -71,11 +71,10 @@ def all_messages():
     return [
         Hello(drone_id=0, start_pose=sample_pose(9)),
         MarkerObs(
-            drone_id=1,
             detection=sample_detection(),
             ekf_pose=sample_pose(10),
             ekf_cov=sample_cov(11),
-            timestamp=2.5,
+            frame=1,
         ),
         PoseReport(drone_id=1, ekf_state=EkfState(np.arange(6.0), sample_cov(12), 1, 2.0)),
         MapSnapshot(entries=(entry,)),
@@ -83,6 +82,17 @@ def all_messages():
         KeyposeCommit(keypose=sample_keypose()),
         Shutdown(),
     ]
+
+
+def tampered(kind, path, value):
+    """The encoded sample message of ``kind`` with the field at ``path`` set to ``value``."""
+    msg = next(m for m in all_messages() if type(m).__name__ == kind)
+    doc = json.loads(encode(msg, sender=0, seq=1))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
 
 
 def poses_close(a, b, tol=1e-12):
@@ -147,6 +157,20 @@ class TestCodec:
             '{"type": "Shutdown", "sender": true, "seq": 1}',
             '{"type": "Shutdown", "sender": 0, "seq": "7"}',
             "",
+            tampered("FrameMerged", ["loser"], 1.9),
+            tampered("FrameMerged", ["winner"], True),
+            tampered("Hello", ["drone_id"], "3"),
+            tampered("PoseReport", ["drone_id"], 1.0),
+            tampered("PoseReport", ["ekf_state", "frame"], 1.5),
+            tampered("MarkerObs", ["frame"], 1.0),
+            tampered("MarkerObs", ["detection", "drone_id"], False),
+            tampered("MarkerObs", ["detection", "marker_id"], "42"),
+            tampered("MapSnapshot", ["entries", 0, "marker_id"], 9.0),
+            tampered("MapSnapshot", ["entries", 0, "frame"], "0"),
+            tampered("MapSnapshot", ["entries", 0, "obs_count"], 3.5),
+            tampered("KeyposeCommit", ["keypose", "drone_id"], "2"),
+            tampered("KeyposeCommit", ["keypose", "frame"], True),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], 7.0),
         ],
         ids=[
             "raw-text",
@@ -161,6 +185,20 @@ class TestCodec:
             "shutdown-bool-sender",
             "shutdown-string-seq",
             "empty",
+            "merged-float-loser",
+            "merged-bool-winner",
+            "hello-string-drone-id",
+            "report-float-drone-id",
+            "report-float-state-frame",
+            "obs-float-frame",
+            "obs-bool-detection-drone-id",
+            "obs-string-marker-id",
+            "snapshot-float-marker-id",
+            "snapshot-string-frame",
+            "snapshot-float-obs-count",
+            "keypose-string-drone-id",
+            "keypose-bool-frame",
+            "keypose-float-observation-marker-id",
         ],
     )
     def test_malformed_lines_raise(self, line):

@@ -2,13 +2,15 @@
 
 import json
 import logging
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from markerswarm.bundle import Keypose, KeyposeObservation
 from markerswarm.geom import Pose6D, rotation_angle_between
-from markerswarm.scenario import PolicyConfig, parse_scenario
+from markerswarm.scenario import PolicyConfig, load_scenario, parse_scenario
 from markerswarm.swarm import run_scenario
 from markerswarm.swarm.nodes import (
     STALL_LIMIT,
@@ -25,12 +27,15 @@ from markerswarm.swarm.protocol import (
     MapSnapshot,
     MarkerObs,
     PoseReport,
+    ProtocolError,
     QueueTransport,
     Shutdown,
     decode,
     encode,
 )
 from markerswarm.worldsim import MarkerDetection, OdometryReading, downward_camera
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # -- sweep policy ------------------------------------------------------
@@ -413,11 +418,10 @@ def world_marker():
 def obs_from(drone_id, believed_pose, true_pose, marker_pose, cam, marker_id=5, now=0.5):
     det = detection_of(true_pose, marker_pose, cam, marker_id, drone_id, now)
     return MarkerObs(
-        drone_id=drone_id,
         detection=det,
         ekf_pose=believed_pose,
         ekf_cov=np.eye(6) * 1e-6,
-        timestamp=now,
+        frame=drone_id,
     )
 
 
@@ -471,7 +475,7 @@ class TestGroundStation:
         rt = Pose6D.from_dict(event["transform"]["rt"])
         np.testing.assert_allclose(rt.t, offset.t, atol=1e-6)
         assert rotation_angle_between(rt.q, offset.q) < 1e-6
-        assert station.gmap.frame_of(1) == 0
+        assert station.gmap.membership[1] == 0
         entry = station.gmap.lookup(5)
         assert entry.frame == 0 and entry.obs_count == 2
         kinds = [type(decode(line).msg).__name__ for line in inboxes[0].drain()]
@@ -500,11 +504,10 @@ class TestGroundStation:
         biased0 = Pose6D.from_euler(true0.t + [0.005, 0.0, 0.0], [0, 0, 0])
         senders[0].send(
             MarkerObs(
-                0,
                 detection_of(true0, marker_a, cam, 5, 0, 0.8),
                 biased0,
                 np.eye(6) * 1e-6,
-                0.8,
+                frame=0,
             )
         )
         assert len(station.merge_events) == 1
@@ -555,7 +558,7 @@ class TestGroundStation:
             timestamp=0.5,
         )
         senders[0].send(
-            MarkerObs(0, bad_det, bad.ekf_pose, bad.ekf_cov, 0.5)
+            MarkerObs(bad_det, bad.ekf_pose, bad.ekf_cov, frame=0)
         )
         assert station.counters["errors"] == 1
         assert len(station.gmap.entries) == 0
@@ -669,7 +672,7 @@ class TestStationKeyposes:
         true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
         believed1 = offset.inverse().compose(true1)
         senders[1].send(obs_from(1, believed1, true1, marker, cam, now=0.8))
-        assert station.gmap.frame_of(1) == 0
+        assert station.gmap.membership[1] == 0
         # a commit stamped in the dead frame 1 arrives after the merge
         kp = TestStationKeyposes().make_keypose(sc, 1, believed1, 0.81, {5: marker})
         senders[1].send(KeyposeCommit(kp))
@@ -678,6 +681,94 @@ class TestStationKeyposes:
         assert stored.frame == 0
         expected = station.records[-1].transform.rt.compose(believed1)
         np.testing.assert_allclose(stored.pose.t, expected.t, atol=1e-9)
+
+
+class TestCarryForward:
+    """Messages stamped in a frame that a merge has since retired.
+
+    Frame 0 is the world frame; the believed pose of a drone in frame k is
+    its true pose seen from that frame's origin ``offsets[k]``. At zero
+    noise every merge recovers the offsets exactly, so a message carried
+    forward lands on the truth.
+    """
+
+    offsets = {
+        1: Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9]),
+        2: Pose6D.from_euler([-1.0, 1.5, 0.0], [0, 0, -0.7]),
+    }
+    truths = {
+        0: Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0]),
+        1: Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4]),
+        2: Pose6D.from_euler([0.2, -0.1, 1.0], [0, 0, -0.3]),
+    }
+
+    def believed(self, drone_id):
+        truth = self.truths[drone_id]
+        return truth if drone_id == 0 else self.offsets[drone_id].inverse().compose(truth)
+
+    def sight(self, drone_id, marker_pose, marker_id=5):
+        truth = self.truths[drone_id]
+        cam = downward_camera()
+        return obs_from(drone_id, self.believed(drone_id), truth, marker_pose, cam, marker_id)
+
+    def station(self, drone_ids):
+        station, senders, _ = make_station(station_scenario(), drone_ids)
+        for drone_id in drone_ids:
+            senders[drone_id].send(Hello(drone_id, Pose6D.identity()))
+        return station, senders
+
+    def test_observation_after_merge_is_mapped_at_carried_pose(self):
+        station, senders = self.station((0, 1))
+        marker_a = world_marker()
+        marker_b = Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2])
+        senders[0].send(self.sight(0, marker_a, marker_id=5))
+        # two detections from one drone 1 tick, both stamped in frame 1: the
+        # first merges frame 1 into frame 0, the second arrives after it
+        senders[1].send(self.sight(1, marker_a, marker_id=5))
+        assert station.gmap.membership[1] == 0
+        late = self.sight(1, marker_b, marker_id=6)
+        assert late.frame == 1
+        senders[1].send(late)
+        entry = station.gmap.lookup(6)
+        assert entry.frame == 0
+        np.testing.assert_allclose(entry.pose.t, marker_b.t, atol=1e-9)
+        assert rotation_angle_between(entry.pose.q, marker_b.q) < 1e-9
+
+    def test_keypose_after_two_merges_is_logged_in_the_live_frame(self):
+        station, senders = self.station((0, 1, 2))
+        marker = world_marker()
+        senders[1].send(self.sight(1, marker))  # marker 5 enters frame 1
+        senders[2].send(self.sight(2, marker))  # merge 2 -> 1
+        senders[0].send(self.sight(0, marker))  # merge 1 -> 0
+        assert [(e["loser"], e["winner"]) for e in station.merge_events] == [(2, 1), (1, 0)]
+        kp = TestStationKeyposes().make_keypose(
+            station.scenario, 2, self.believed(2), 0.9, {5: marker}
+        )
+        assert kp.frame == 2
+        senders[2].send(KeyposeCommit(kp))
+        assert station.counters["errors"] == 0
+        assert len(station.keypose_log) == 1
+        stored = station.keypose_log[0]
+        assert stored.frame == 0
+        np.testing.assert_allclose(stored.pose.t, self.truths[2].t, atol=1e-9)
+        assert rotation_angle_between(stored.pose.q, self.truths[2].q) < 1e-9
+
+    def test_frame_never_registered_is_rejected_for_both_message_kinds(self, caplog):
+        station, senders = self.station((0,))
+        obs = replace(self.sight(0, world_marker()), frame=3)
+        kp = replace(
+            TestStationKeyposes().make_keypose(
+                station.scenario, 0, self.truths[0], 0.9, {5: world_marker()}
+            ),
+            frame=3,
+        )
+        with caplog.at_level(logging.ERROR, logger="markerswarm.swarm.nodes"):
+            senders[0].send(obs)
+            senders[0].send(KeyposeCommit(kp))
+        assert station.counters["errors"] == 2
+        failures = [rec.exc_info[0] for rec in caplog.records if rec.exc_info]
+        assert failures == [ProtocolError, ProtocolError]
+        assert station.gmap.entries == {} and station.keypose_log == []
 
 
 # -- runner ------------------------------------------------------------
@@ -793,3 +884,12 @@ class TestRunScenario:
         true1 = Pose6D.from_euler([0.8, 0.6, 0.0], [0, 0, 2.2])
         assert np.linalg.norm(rt.t - true1.t) < 1e-6
         assert rotation_angle_between(rt.q, true1.q) < 1e-6
+
+    def test_lab_seed_12_logs_no_out_of_band_rigid_fit(self, caplog):
+        # mis-framed detections once bent a support-2 refine of this run to
+        # scale 1.1055, outside framemerge.SCALE_BAND
+        sc = load_scenario(str(SCENARIOS / "lab_three_drones.json"))
+        with caplog.at_level(logging.WARNING, logger="markerswarm.framemerge"):
+            report = run_scenario(sc, seed=12, mode="lockstep")
+        assert report["metrics"]["merge_count"] >= 2
+        assert [rec.message for rec in caplog.records if "rigid fit scale" in rec.message] == []
