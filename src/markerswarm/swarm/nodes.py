@@ -174,7 +174,7 @@ class NavptsNode:
         self.counters = {"updates": 0, "gated": 0, "forwarded": 0, "keyposes": 0}
 
     def hello(self) -> None:
-        self.link.send(Hello(self.drone_id, self.state.pose))
+        self.link.send(Hello(self.drone_id))
 
     def tick(
         self,
@@ -239,10 +239,15 @@ class NavptsNode:
             log.warning("drone %d dropped a bad line: %s", self.drone_id, err)
             return
         if not self.guard.accept(decoded.sender, decoded.seq):
+            # a lost map delta loses its entries until they change again
+            log.warning(
+                "drone %d dropped stale line seq %d from %d",
+                self.drone_id, decoded.seq, decoded.sender,
+            )
             return
         msg = decoded.msg
         if isinstance(msg, MapSnapshot):
-            self.map_view = {e.marker_id: e for e in msg.entries}
+            self.map_view.update((e.marker_id, e) for e in msg.entries)
         elif isinstance(msg, FrameMerged):
             if self.frame == msg.loser:
                 self.frame = msg.winner
@@ -288,7 +293,7 @@ class GroundStation:
             "errors": 0,
             "refines": 0,
         }
-        self._dirty = False
+        self._sent: dict[int, MapEntry] = {}  # last entry object broadcast per marker id
         self.done: set[int] = set()
 
     # -- inbound ------------------------------------------------------
@@ -341,11 +346,9 @@ class GroundStation:
         entry = self.gmap.lookup(marker_id)
         if entry is None:
             self.gmap.insert_marker(frame, marker_id, pose_in_frame, cov)
-            self._dirty = True
         elif entry.frame == frame:
             self.gmap.fuse_observation(marker_id, pose_in_frame, cov)
             self._check_refine(marker_id, pose_in_frame, frame)
-            self._dirty = True
         else:
             self._merge_on_overlap(frame, entry, pose_in_frame, cov, m.detection.timestamp)
 
@@ -390,7 +393,6 @@ class GroundStation:
         # the triggering observation itself still counts as an observation
         _, pose_fused, cov_fused = self._carry_forward(obs_frame, pose_obs, cov_obs)
         self.gmap.fuse_observation(entry.marker_id, pose_fused, cov_fused)
-        self._dirty = True
         self._run_ba(winner, trigger="merge", now=now)
 
     def _check_refine(self, marker_id: int, pose_in_frame: Pose6D, frame: int) -> None:
@@ -470,7 +472,6 @@ class GroundStation:
         self.keypose_log = [
             adjusted.get((kp.drone_id, kp.timestamp), kp) for kp in self.keypose_log
         ]
-        self._dirty = True
 
     # -- outbound -------------------------------------------------------
 
@@ -479,8 +480,11 @@ class GroundStation:
             link.send(msg)
 
     def flush(self) -> None:
-        """Broadcast a fresh snapshot if the map changed since the last one."""
-        if self._dirty:
-            entries = tuple(self.gmap.entries[k] for k in sorted(self.gmap.entries))
-            self.broadcast(MapSnapshot(entries))
-            self._dirty = False
+        """Broadcast, in id order, the entries replaced since the last flush.
+
+        Every map mutation stores a new entry object and none removes one.
+        """
+        changed = [e for k, e in sorted(self.gmap.entries.items()) if self._sent.get(k) is not e]
+        if changed:
+            self.broadcast(MapSnapshot(tuple(changed)))
+            self._sent.update((e.marker_id, e) for e in changed)

@@ -6,17 +6,24 @@ envelope carries three fields on every line: "type" (the message name),
 strictly increasing per sender). Payload fields sit flat beside the
 envelope fields, named exactly like the dataclass attributes. Every
 integer, in the envelope and in the payload, must be a JSON integer: a
-float, a string or a bool is a malformed line.
+float, a string or a bool is a malformed line. Every number must be
+finite (no ``NaN`` or ``Infinity``), and every covariance must pass
+``check_covariance``; a keypose observation's noise covariance must also
+have a Cholesky factor, since bundle adjustment whitens with it.
 
 Frame stamps: a pose on the wire names the coordinate frame it is in
 (``MarkerObs.frame``, ``Keypose.frame``, ``EkfState.frame``), the sender's
-frame when the pose was taken; a ``Hello`` start pose is in the frame
-whose id is the drone id. A merge the sender has not heard of yet does
-not change a stamp: the station carries the pose forward along its merge
-records to the frame that is live when it handles the message.
+frame when the pose was taken. A merge the sender has not heard of yet
+does not change a stamp: the station carries the pose forward along its
+merge records to the frame that is live when it handles the message.
 
-The encoded lines travel over in-process queues, in lockstep and
-threaded runs alike.
+Map deltas: a ``MapSnapshot`` carries only the entries the station
+replaced since its previous broadcast, in marker id order; a drone
+merges them into its view. The map never removes an entry, so the view
+equals the station map as long as every snapshot arrives, in order. The
+in-process queues, in lockstep and threaded runs alike, deliver each
+link in order, and ``SequenceGuard`` drops (and the drone logs) any line
+that arrives out of order.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from markerswarm.bundle import Keypose
 from markerswarm.ekf import EkfState
-from markerswarm.geom import Pose6D, check_int
+from markerswarm.geom import Pose6D, check_covariance, check_int
 from markerswarm.mapstore import MapEntry
 from markerswarm.worldsim import MarkerDetection
 
@@ -44,7 +51,6 @@ class ProtocolError(Exception):
 @dataclass(frozen=True)
 class Hello:
     drone_id: int
-    start_pose: Pose6D
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class PoseReport:
 
 @dataclass(frozen=True)
 class MapSnapshot:
-    entries: tuple[MapEntry, ...]
+    entries: tuple[MapEntry, ...]  # replaced since the previous snapshot
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,7 @@ class Decoded:
 
 def _payload(msg) -> dict:
     if isinstance(msg, Hello):
-        return {"drone_id": msg.drone_id, "start_pose": msg.start_pose.to_dict()}
+        return {"drone_id": msg.drone_id}
     if isinstance(msg, MarkerObs):
         return {
             "detection": msg.detection.to_dict(),
@@ -114,14 +120,16 @@ def _payload(msg) -> dict:
 
 
 def _parse_hello(p: dict) -> Hello:
-    return Hello(check_int(p["drone_id"], "drone_id"), Pose6D.from_dict(p["start_pose"]))
+    return Hello(check_int(p["drone_id"], "drone_id"))
 
 
 def _parse_marker_obs(p: dict) -> MarkerObs:
     return MarkerObs(
         detection=MarkerDetection.from_dict(p["detection"]),
         ekf_pose=Pose6D.from_dict(p["ekf_pose"]),
-        ekf_cov=np.asarray(p["ekf_cov"], dtype=float).reshape(6, 6),
+        ekf_cov=check_covariance(
+            np.asarray(p["ekf_cov"], dtype=float).reshape(6, 6), "ekf_cov"
+        ),
         frame=check_int(p["frame"], "frame"),
     )
 
@@ -141,7 +149,10 @@ def _parse_frame_merged(p: dict) -> FrameMerged:
 
 
 def _parse_keypose_commit(p: dict) -> KeyposeCommit:
-    return KeyposeCommit(Keypose.from_dict(p["keypose"]))
+    keypose = Keypose.from_dict(p["keypose"])
+    for ob in keypose.observations:
+        np.linalg.cholesky(check_covariance(ob.noise_cov, f"marker {ob.marker_id} noise_cov"))
+    return KeyposeCommit(keypose)
 
 
 _PARSERS = {
@@ -161,12 +172,19 @@ def encode(msg, sender: int, seq: int) -> str:
         raise ProtocolError(f"sequence number {seq} outside unsigned 64-bit range")
     frame = {"type": type(msg).__name__, "sender": int(sender), "seq": int(seq)}
     frame.update(_payload(msg))
-    return json.dumps(frame, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(frame, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as err:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}: {err}") from err
+
+
+def _reject_constant(name: str):
+    raise ProtocolError(f"non-finite number {name}")
 
 
 def decode(line: str) -> Decoded:
     try:
-        frame = json.loads(line)
+        frame = json.loads(line, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise ProtocolError(f"not JSON: {err}") from err
     if not isinstance(frame, dict):

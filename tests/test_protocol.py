@@ -1,6 +1,7 @@
 """Wire protocol tests: codec round trips, guards and transports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def all_messages():
         marker_id=9, frame=0, pose=sample_pose(7), cov=sample_cov(8), obs_count=3
     )
     return [
-        Hello(drone_id=0, start_pose=sample_pose(9)),
+        Hello(drone_id=0),
         MarkerObs(
             detection=sample_detection(),
             ekf_pose=sample_pose(10),
@@ -93,6 +94,10 @@ def tampered(kind, path, value):
         target = target[key]
     target[path[-1]] = value
     return json.dumps(doc)
+
+
+def flat(matrix):
+    return [float(v) for v in np.asarray(matrix).reshape(-1)]
 
 
 def poses_close(a, b, tol=1e-12):
@@ -129,9 +134,9 @@ class TestCodec:
         assert poses_close(ob.cam_extrinsics, ref.cam_extrinsics)
 
     def test_hello_envelope_keys(self):
-        line = encode(Hello(drone_id=4, start_pose=sample_pose()), sender=4, seq=1)
+        line = encode(Hello(drone_id=4), sender=4, seq=1)
         doc = json.loads(line)
-        assert set(doc) == {"type", "sender", "seq", "drone_id", "start_pose"}
+        assert set(doc) == {"type", "sender", "seq", "drone_id"}
         assert doc["type"] == "Hello"
 
     def test_shutdown_envelope_keys(self):
@@ -150,7 +155,7 @@ class TestCodec:
             '{"sender": 0, "seq": 1}',
             '{"type": "Warp", "sender": 0, "seq": 1}',
             '{"type": "Hello", "sender": 0, "seq": 1}',
-            '{"type": "Hello", "seq": 1, "drone_id": 0, "start_pose": {}}',
+            '{"type": "Hello", "seq": 1, "drone_id": 0}',
             '{"type": "Hello", "sender": 0, "seq": -1, "drone_id": 0}',
             '{"type": "Hello", "sender": 0, "seq": 1.5, "drone_id": 0}',
             '{"type": "Shutdown", "sender": 0, "seq": 1.5}',
@@ -171,6 +176,15 @@ class TestCodec:
             tampered("KeyposeCommit", ["keypose", "drone_id"], "2"),
             tampered("KeyposeCommit", ["keypose", "frame"], True),
             tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], 7.0),
+            tampered("MarkerObs", ["ekf_cov"], flat(-np.eye(6))),
+            tampered("MarkerObs", ["ekf_cov"], flat(np.eye(6) + np.triu(np.ones((6, 6)), 1))),
+            tampered("MarkerObs", ["ekf_cov"], flat(np.full((6, 6), np.nan))),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "noise_cov"],
+                     flat(-np.eye(6))),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "noise_cov"],
+                     flat(np.zeros((6, 6)))),
+            tampered("MarkerObs", ["detection", "range"], float("nan")),
+            tampered("KeyposeCommit", ["keypose", "timestamp"], float("inf")),
         ],
         ids=[
             "raw-text",
@@ -199,6 +213,13 @@ class TestCodec:
             "keypose-string-drone-id",
             "keypose-bool-frame",
             "keypose-float-observation-marker-id",
+            "obs-negative-ekf-cov",
+            "obs-asymmetric-ekf-cov",
+            "obs-nan-ekf-cov",
+            "keypose-negative-noise-cov",
+            "keypose-singular-noise-cov",
+            "obs-nan-range",
+            "keypose-infinite-timestamp",
         ],
     )
     def test_malformed_lines_raise(self, line):
@@ -208,6 +229,11 @@ class TestCodec:
     def test_encode_rejects_foreign_object(self):
         with pytest.raises(ProtocolError):
             encode(object(), sender=0, seq=0)
+
+    def test_encode_rejects_non_finite_number(self):
+        keypose = replace(sample_keypose(), timestamp=float("nan"))
+        with pytest.raises(ProtocolError):
+            encode(KeyposeCommit(keypose=keypose), sender=0, seq=1)
 
 
 class TestSequenceGuard:

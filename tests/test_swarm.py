@@ -33,6 +33,7 @@ from markerswarm.swarm.protocol import (
     decode,
     encode,
 )
+from markerswarm.swarm.runner import _run_lockstep
 from markerswarm.worldsim import MarkerDetection, OdometryReading, downward_camera
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -355,6 +356,30 @@ class TestNavptsNode:
         assert node.map_view[5].obs_count == 3
         assert node.guard.dropped == 1
 
+    def test_stale_line_logged_and_dropped(self, caplog):
+        sc = node_scenario()
+        node, _, _ = make_node(sc)
+        marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
+        node.inbox.send_line(encode(Shutdown(), sender=STATION_ID, seq=4))
+        snapshot = MapSnapshot(entries=(entry_for(node, marker, obs_count=2),))
+        node.inbox.send_line(encode(snapshot, sender=STATION_ID, seq=4))
+        with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
+            node.tick(1, 0.1, still_odometry(0), [])
+        assert any("dropped stale line seq 4" in rec.message for rec in caplog.records)
+        assert node.map_view == {} and node.guard.dropped == 1
+
+    def test_map_snapshots_merge_into_view(self):
+        sc = node_scenario()
+        node, _, station_tx = make_node(sc)
+        marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
+        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
+        station_tx.send(
+            MapSnapshot(entries=(entry_for(node, marker, obs_count=1, marker_id=6),))
+        )
+        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=3),)))
+        node.tick(1, 0.1, still_odometry(0), [])
+        assert {k: e.obs_count for k, e in node.map_view.items()} == {5: 3, 6: 1}
+
     def test_replayed_broadcast_applied_once(self):
         sc = node_scenario()
         node, _, _ = make_node(sc, drone_id=1)
@@ -430,7 +455,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, _ = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0, Pose6D.identity()))
+        senders[0].send(Hello(0))
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, pose, pose, world_marker(), cam))
         assert len(station.gmap.entries) == 1
@@ -445,7 +470,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, _ = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0, Pose6D.identity()))
+        senders[0].send(Hello(0))
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         for now in (0.5, 0.6, 0.7):
             senders[0].send(obs_from(0, pose, pose, world_marker(), cam, now=now))
@@ -459,8 +484,8 @@ class TestGroundStation:
         cam = sc.cameras["down"]
         marker = world_marker()
         offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])  # frame1 origin in frame0
-        senders[0].send(Hello(0, Pose6D.identity()))
-        senders[1].send(Hello(1, Pose6D.identity()))
+        senders[0].send(Hello(0))
+        senders[1].send(Hello(1))
 
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, true0, true0, marker, cam))
@@ -488,8 +513,8 @@ class TestGroundStation:
         marker_a = world_marker()
         marker_b = Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2])
         offset = Pose6D.from_euler([1.5, -0.5, 0.0], [0, 0, 0.5])
-        senders[0].send(Hello(0, Pose6D.identity()))
-        senders[1].send(Hello(1, Pose6D.identity()))
+        senders[0].send(Hello(0))
+        senders[1].send(Hello(1))
 
         # drone 1 maps both markers first, so they live in frame 1
         true1 = Pose6D.from_euler([0.2, 0.1, 1.1], [0, 0, 0.3])
@@ -521,7 +546,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, _, _ = make_station(sc)
         cam = sc.cameras["down"]
-        station.handle_line(encode(Hello(0, Pose6D.identity()), sender=0, seq=0))
+        station.handle_line(encode(Hello(0), sender=0, seq=0))
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         line = encode(obs_from(0, pose, pose, world_marker(), cam), sender=0, seq=1)
         station.handle_line(line)
@@ -541,7 +566,7 @@ class TestGroundStation:
     def test_bad_payload_counted_as_error(self):
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        senders[0].send(Hello(0, Pose6D.identity()))
+        senders[0].send(Hello(0))
         bad = obs_from(
             0,
             Pose6D.identity(),
@@ -568,7 +593,7 @@ class TestGroundStation:
 
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        senders[0].send(Hello(0, Pose6D.identity()))
+        senders[0].send(Hello(0))
         senders[0].send(PoseReport(0, EkfState(np.arange(6.0), np.eye(6), 0, 1.5)))
         assert station.counters["handled"] == 2
         assert station.counters["errors"] == 0
@@ -585,7 +610,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0, Pose6D.identity()))
+        senders[0].send(Hello(0))
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, pose, pose, world_marker(), cam))
         for box in inboxes.values():
@@ -596,6 +621,84 @@ class TestGroundStation:
             assert kinds == ["MapSnapshot"]
         station.flush()  # clean: nothing new to say
         assert all(box.drain() == [] for box in inboxes.values())
+
+    def test_flush_sends_only_replaced_entries(self):
+        sc = station_scenario()
+        station, senders, inboxes = make_station(sc)
+        cam = sc.cameras["down"]
+        senders[0].send(Hello(0))
+        pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
+        other = Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2])
+        senders[0].send(obs_from(0, pose, pose, other, cam, marker_id=6))
+        senders[0].send(obs_from(0, pose, pose, world_marker(), cam, marker_id=5))
+        station.flush()
+        assert sent_ids(inboxes) == [[5, 6]]
+        senders[0].send(obs_from(0, pose, pose, other, cam, marker_id=6, now=0.6))
+        station.flush()
+        for box in inboxes.values():
+            (line,) = box.drain()
+            entries = decode(line).msg.entries
+            assert [e.to_dict() for e in entries] == [station.gmap.lookup(6).to_dict()]
+
+    def test_fuse_on_frozen_entry_sends_nothing(self):
+        sc = station_scenario(n_fuse=1)
+        station, senders, inboxes = make_station(sc)
+        cam = sc.cameras["down"]
+        senders[0].send(Hello(0))
+        pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
+        senders[0].send(obs_from(0, pose, pose, world_marker(), cam))
+        station.flush()
+        assert sent_ids(inboxes) == [[5]]
+        frozen = station.gmap.lookup(5)
+        senders[0].send(obs_from(0, pose, pose, world_marker(), cam, now=0.6))
+        assert station.counters["handled"] == 3 and station.gmap.lookup(5) is frozen
+        station.flush()
+        assert all(box.drain() == [] for box in inboxes.values())
+
+    def test_merge_sends_every_moved_entry(self):
+        sc = station_scenario()
+        station, senders, inboxes = make_station(sc)
+        cam = sc.cameras["down"]
+        offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])  # frame1 origin in frame0
+        markers = {
+            5: world_marker(),
+            6: Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2]),
+            7: Pose6D.from_euler([0.3, -0.7, 0.0], [0, 0, 0.5]),
+            8: Pose6D.from_euler([0.9, 0.9, 0.0], [0, 0, 0.1]),
+        }
+        senders[0].send(Hello(0))
+        senders[1].send(Hello(1))
+        true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
+        true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
+        believed1 = offset.inverse().compose(true1)
+        for marker_id in (5, 8):
+            senders[0].send(obs_from(0, true0, true0, markers[marker_id], cam, marker_id))
+        for marker_id in (6, 7):
+            senders[1].send(obs_from(1, believed1, true1, markers[marker_id], cam, marker_id))
+        station.flush()
+        assert sent_ids(inboxes) == [[5, 6, 7, 8]]
+        senders[1].send(obs_from(1, believed1, true1, markers[5], cam, 5, now=0.8))
+        assert len(station.merge_events) == 1
+        station.flush()
+        for box in inboxes.values():
+            snapshots = [m for m in (decode(line).msg for line in box.drain())
+                         if isinstance(m, MapSnapshot)]
+            (snapshot,) = snapshots
+            # the moved entries of frame 1, and marker 5 fused in frame 0
+            assert [e.to_dict() for e in snapshot.entries] == [
+                station.gmap.lookup(k).to_dict() for k in (5, 6, 7)
+            ]
+            assert all(e.frame == 0 for e in snapshot.entries)
+
+
+def sent_ids(inboxes):
+    """Marker ids of the snapshots each inbox holds; the same for every inbox."""
+    per_box = [
+        [[e.marker_id for e in decode(line).msg.entries] for line in box.drain()]
+        for box in inboxes.values()
+    ]
+    assert all(ids == per_box[0] for ids in per_box)
+    return per_box[0]
 
 
 class TestStationKeyposes:
@@ -618,7 +721,7 @@ class TestStationKeyposes:
         sc = station_scenario(extra={"ba": {"enabled": True, "every_keyposes": every_keyposes}})
         station, senders, inboxes = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0, Pose6D.identity()))
+        senders[0].send(Hello(0))
         markers = {
             5: Pose6D.from_euler([0.4, 0.2, 0.0], [0, 0, 0.3]),
             6: Pose6D.from_euler([-0.5, 0.4, 0.0], [0, 0, -0.1]),
@@ -665,8 +768,8 @@ class TestStationKeyposes:
         cam = sc.cameras["down"]
         marker = world_marker()
         offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])
-        senders[0].send(Hello(0, Pose6D.identity()))
-        senders[1].send(Hello(1, Pose6D.identity()))
+        senders[0].send(Hello(0))
+        senders[1].send(Hello(1))
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, true0, true0, marker, cam))
         true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
@@ -714,7 +817,7 @@ class TestCarryForward:
     def station(self, drone_ids):
         station, senders, _ = make_station(station_scenario(), drone_ids)
         for drone_id in drone_ids:
-            senders[drone_id].send(Hello(drone_id, Pose6D.identity()))
+            senders[drone_id].send(Hello(drone_id))
         return station, senders
 
     def test_observation_after_merge_is_mapped_at_carried_pose(self):
@@ -893,3 +996,16 @@ class TestRunScenario:
             report = run_scenario(sc, seed=12, mode="lockstep")
         assert report["metrics"]["merge_count"] >= 2
         assert [rec.message for rec in caplog.records if "rigid fit scale" in rec.message] == []
+
+    def test_lockstep_node_views_match_station_map(self):
+        # each drone builds its view from map deltas alone; once its inbox is
+        # drained it must hold every station entry, merges and BA included
+        sc = load_scenario(str(SCENARIOS / "lab_three_drones.json"))
+        station, nodes, _ = _run_lockstep(sc, 11)
+        assert station.merge_events and station.ba_reports
+        expected = {k: e.to_dict() for k, e in station.gmap.entries.items()}
+        assert len(expected) == len(sc.world.markers)
+        for node in nodes.values():
+            for line in node.inbox.drain():
+                node._apply_line(line)
+            assert {k: e.to_dict() for k, e in node.map_view.items()} == expected
