@@ -107,13 +107,13 @@ class EkfState:
 
     def __post_init__(self) -> None:
         mean = np.array(self.mean, dtype=float).reshape(STATE_DIM)
-        cov = check_covariance(np.array(self.cov, dtype=float), "ekf covariance")
+        cov = np.array(self.cov, dtype=float).reshape(STATE_DIM, STATE_DIM)
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @property
+    @cached_property
     def pose(self) -> Pose6D:
         return Pose6D.from_vector(self.mean)
 
@@ -133,7 +133,10 @@ class EkfState:
     def from_dict(data: dict) -> "EkfState":
         return EkfState(
             np.asarray(data["mean"], dtype=float),
-            np.asarray(data["cov"], dtype=float).reshape(STATE_DIM, STATE_DIM),
+            check_covariance(
+                np.asarray(data["cov"], dtype=float).reshape(STATE_DIM, STATE_DIM),
+                "ekf covariance",
+            ),
             check_int(data["frame"], "frame"),
             float(data["timestamp"]),
         )
@@ -148,7 +151,7 @@ class PoseObservation:
     marker_id: int
 
     def __post_init__(self) -> None:
-        cov = check_covariance(np.array(self.cov, dtype=float), "observation covariance")
+        cov = np.array(self.cov, dtype=float).reshape(STATE_DIM, STATE_DIM)
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
 

@@ -13,6 +13,14 @@ Conventions, fixed once here:
 
 Quaternions are the internal representation; Euler triples appear only at
 API boundaries (construction, serialization, filter state vectors).
+
+Trust boundaries: values are validated once, where they enter a run.
+``parse_scenario`` checks the scenario file; protocol ``decode`` and the
+``from_dict`` constructors it calls check every wire value, covariances
+through ``check_covariance``. The constructors of values a run computes
+itself (``EkfState``, ``PoseObservation``, ``MapEntry``) only copy and
+freeze their arrays. ``Pose6D`` is the exception: it still rejects a
+non-finite translation and normalizes its quaternion.
 """
 
 from __future__ import annotations
@@ -43,8 +51,9 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    norm = np.linalg.norm(q)
-    if not np.isfinite(norm) or norm < _QUAT_NORM_TOL:
+    # what np.linalg.norm computes for a real vector, without its dispatch
+    norm = math.sqrt(q.dot(q))
+    if not math.isfinite(norm) or norm < _QUAT_NORM_TOL:
         raise ValueError(f"cannot normalize quaternion with norm {norm!r}")
     q = q / norm
     # canonical sign: w >= 0 makes serialization and comparisons deterministic
@@ -54,8 +63,9 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    # Python floats: the same IEEE operations as on numpy scalars, faster
+    aw, ax, ay, az = np.asarray(a, dtype=float).tolist()
+    bw, bx, by, bz = np.asarray(b, dtype=float).tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -90,7 +100,7 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -316,7 +326,7 @@ class Pose6D:
 
     def __post_init__(self) -> None:
         t = np.array(self.t, dtype=float).reshape(3)
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError(f"non-finite translation {t}")
         q = quat_normalize(np.array(self.q, dtype=float).reshape(4))
         t.flags.writeable = False

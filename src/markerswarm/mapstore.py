@@ -38,7 +38,7 @@ class MapEntry:
     obs_count: int
 
     def __post_init__(self) -> None:
-        cov = check_covariance(np.array(self.cov, dtype=float), f"marker {self.marker_id} cov")
+        cov = np.array(self.cov, dtype=float).reshape(6, 6)
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
 
@@ -53,11 +53,14 @@ class MapEntry:
 
     @staticmethod
     def from_dict(data: dict) -> "MapEntry":
+        marker_id = check_int(data["marker_id"], "marker_id")
         return MapEntry(
-            marker_id=check_int(data["marker_id"], "marker_id"),
+            marker_id=marker_id,
             frame=check_int(data["frame"], "frame"),
             pose=Pose6D.from_dict(data["pose"]),
-            cov=np.asarray(data["cov"], dtype=float).reshape(6, 6),
+            cov=check_covariance(
+                np.asarray(data["cov"], dtype=float).reshape(6, 6), f"marker {marker_id} cov"
+            ),
             obs_count=check_int(data["obs_count"], "obs_count"),
         )
 

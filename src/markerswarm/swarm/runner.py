@@ -178,14 +178,17 @@ def _run_threaded(scenario: Scenario, seed: int):
                 commands[drone_id] = command
 
     def station_worker() -> None:
+        # handle whatever has queued up, then broadcast what it changed
         while True:
             line = station_inbox.recv_line(timeout=0.02)
             if line is None:
-                station.flush()
                 if station.done == set(order):
                     return
                 continue
             station.handle_line(line)
+            for line in station_inbox.drain():
+                station.handle_line(line)
+            station.flush()
 
     threads = [threading.Thread(target=stepper, name="stepper")]
     threads += [

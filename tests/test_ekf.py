@@ -1,6 +1,7 @@
 """Filter contracts: Jacobians vs. finite differences, gating, consistency."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -252,6 +253,24 @@ class TestUpdate:
         obs = PoseObservation(Pose6D.from_vector([0, 0, 0, 0, 0, -3.1]), np.eye(6), 0)
         y = innovation(state, obs)
         assert y[5] == pytest.approx(2 * math.pi - 6.2, abs=1e-12)
+
+
+class TestStatePose:
+    def test_pose_is_derived_once_and_bit_identical(self):
+        state = make_state(mean=[0.5, -1.0, 1.2, 0.1, -0.2, 3.0])
+        assert state.pose is state.pose
+        want = Pose6D.from_vector(state.mean)
+        assert np.array_equal(state.pose.t, want.t)
+        assert np.array_equal(state.pose.q, want.q)
+
+    def test_replaced_state_derives_its_own_pose(self):
+        state = make_state(mean=[0.5, -1.0, 1.2, 0.1, -0.2, 3.0])
+        first = state.pose
+        moved = replace(state, mean=np.array([2.0, 0.0, 1.0, 0.0, 0.0, -1.0]))
+        assert moved.pose is not first
+        assert np.array_equal(moved.pose.t, [2.0, 0.0, 1.0])
+        assert np.array_equal(moved.pose.q, Pose6D.from_vector(moved.mean).q)
+        assert state.pose is first
 
 
 class TestRemapFrame:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from markerswarm.geom import (
+    _QUAT_NORM_TOL,
     Pose6D,
     check_covariance,
     euler_rate_from_rot_rate,
@@ -188,6 +189,123 @@ def test_quat_rotate_bit_identical_to_cross_product_form():
         q = quat_normalize(rng.standard_normal(4))
         v = rng.standard_normal(3) * 10.0 ** rng.uniform(-3.0, 3.0)
         assert np.array_equal(quat_rotate(q, v), cross_form(q, v))
+
+
+# The numpy forms the scalar kernels replaced, kept as references:
+# the kernels must match them bit for bit, rejections included.
+
+
+def numpy_quat_normalize(q):
+    q = np.asarray(q, dtype=float)
+    norm = np.linalg.norm(q)
+    if not np.isfinite(norm) or norm < _QUAT_NORM_TOL:
+        raise ValueError(f"cannot normalize quaternion with norm {norm!r}")
+    q = q / norm
+    if q[0] < 0.0:
+        q = -q
+    return q
+
+
+def numpy_quat_multiply(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def numpy_quat_to_rot(q):
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+BIT_CASES = 200_000
+
+
+def awkward_quats(seed, n=BIT_CASES):
+    """``n`` 4-vectors: general ones of either sign of ``w``, signed zeros,
+    norms within a few ulps of the normalization tolerance, components as
+    large as 1e150 or as small as 1e-150, and zero, NaN and infinite ones."""
+    rng = np.random.default_rng(seed)
+    quats = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    kind = rng.integers(0, 5, n)
+    zeroed = (kind == 1)[:, None] & (rng.random((n, 4)) < 0.5)
+    quats[zeroed] = np.copysign(0.0, rng.standard_normal(int(zeroed.sum())))
+    near_tol = kind == 2
+    directions = quats[near_tol] / np.linalg.norm(quats[near_tol], axis=1, keepdims=True)
+    ulps = rng.integers(-4, 5, (int(near_tol.sum()), 1))
+    quats[near_tol] = directions * (_QUAT_NORM_TOL * (1.0 + ulps * np.finfo(float).eps))
+    extreme = kind == 3
+    quats[extreme] = rng.choice([-1.0, 1.0], (int(extreme.sum()), 4)) * 10.0 ** rng.choice(
+        [-150.0, 150.0], (int(extreme.sum()), 1)
+    ) * rng.uniform(0.5, 1.0, (int(extreme.sum()), 4))
+    mixed = kind == 4
+    quats[mixed] = rng.choice([-1.0, 1.0], (int(mixed.sum()), 4)) * 10.0 ** rng.uniform(
+        -150.0, 150.0, (int(mixed.sum()), 4)
+    )
+    quats[:6] = [
+        [0.0, 0.0, 0.0, 0.0],
+        [-0.0, -0.0, -0.0, -0.0],
+        [np.nan, 0.0, 0.0, 1.0],
+        [1.0, np.inf, 0.0, 0.0],
+        [-np.inf, 0.0, 0.0, 0.0],
+        [1e-150, 1e-150, 1e-150, 1e-150],
+    ]
+    return quats
+
+
+def same_bits(a, b):
+    """Equal values and signed zeros; NaN equals NaN whatever its payload."""
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "rejected"
+
+
+@np.errstate(all="ignore")  # the references warn on NaN and Inf inputs
+def test_quat_normalize_bit_identical_to_numpy_norm_form():
+    rejected = 0
+    for q in awkward_quats(1001):
+        got, want = outcome(quat_normalize, q), outcome(numpy_quat_normalize, q)
+        if isinstance(want, str):
+            assert got == want, q
+            rejected += 1
+        else:
+            assert same_bits(got, want), q
+    # zero, NaN, Inf, underflowing and just-below-tolerance inputs all occur
+    assert 1000 < rejected < BIT_CASES // 4
+
+
+@np.errstate(all="ignore")
+def test_quat_multiply_bit_identical_to_numpy_scalar_form():
+    quats = awkward_quats(1002)
+    for a, b in zip(quats, np.roll(quats, 1, axis=0)):
+        assert same_bits(quat_multiply(a, b), numpy_quat_multiply(a, b)), (a, b)
+
+
+@np.errstate(all="ignore")
+def test_quat_to_rot_bit_identical_to_numpy_scalar_form():
+    for q in awkward_quats(1003):
+        assert same_bits(quat_to_rot(q), numpy_quat_to_rot(q)), q
 
 
 def test_rot_quat_round_trip_all_shepperd_branches():

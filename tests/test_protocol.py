@@ -185,6 +185,12 @@ class TestCodec:
                      flat(np.zeros((6, 6)))),
             tampered("MarkerObs", ["detection", "range"], float("nan")),
             tampered("KeyposeCommit", ["keypose", "timestamp"], float("inf")),
+            tampered("MapSnapshot", ["entries", 0, "cov"], flat(-np.eye(6))),
+            tampered("MapSnapshot", ["entries", 0, "cov"],
+                     flat(np.eye(6) + np.triu(np.ones((6, 6)), 1))),
+            tampered("MapSnapshot", ["entries", 0, "cov"], flat(np.full((6, 6), np.nan))),
+            tampered("PoseReport", ["ekf_state", "cov"], flat(-np.eye(6))),
+            tampered("PoseReport", ["ekf_state", "cov"], flat(np.full((6, 6), np.nan))),
         ],
         ids=[
             "raw-text",
@@ -220,6 +226,11 @@ class TestCodec:
             "keypose-singular-noise-cov",
             "obs-nan-range",
             "keypose-infinite-timestamp",
+            "snapshot-negative-cov",
+            "snapshot-asymmetric-cov",
+            "snapshot-nan-cov",
+            "report-negative-state-cov",
+            "report-nan-state-cov",
         ],
     )
     def test_malformed_lines_raise(self, line):

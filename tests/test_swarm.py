@@ -962,6 +962,14 @@ class TestRunScenario:
         assert len(rows) == sc.n_ticks
         assert len(report["map"]) == 1
 
+    def test_threaded_drones_localize_against_the_map(self):
+        # the station broadcasts after every batch it drains, not only when idle
+        sc = load_scenario(str(SCENARIOS / "two_drone_demo.json"))
+        report = run_scenario(sc, mode="threaded")
+        updates = {d: c["updates"] for d, c in report["counters"]["drones"].items()}
+        assert len(updates) == 2
+        assert all(n > 100 for n in updates.values()), updates
+
     def test_two_drones_converge_to_one_frame(self):
         drones = [
             {"id": 0, "start_pose": {"t": [-0.8, -0.6, 0.0], "euler": [0, 0, 0]}},
