@@ -62,7 +62,7 @@ class KeyposeObservation:
         return {
             "marker_id": int(self.marker_id),
             "rel_pose": self.rel_pose.to_dict(),
-            "noise_cov": [float(v) for v in np.asarray(self.noise_cov).reshape(-1)],
+            "noise_cov": np.asarray(self.noise_cov, dtype=float).reshape(-1).tolist(),
             "cam_extrinsics": self.cam_extrinsics.to_dict(),
         }
 

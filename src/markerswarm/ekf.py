@@ -123,8 +123,8 @@ class EkfState:
 
     def to_dict(self) -> dict:
         return {
-            "mean": [float(v) for v in self.mean],
-            "cov": [float(v) for v in self.cov.reshape(-1)],
+            "mean": self.mean.tolist(),
+            "cov": self.cov.reshape(-1).tolist(),
             "frame": int(self.frame),
             "timestamp": float(self.timestamp),
         }
@@ -163,6 +163,10 @@ def predict_jacobian(mean: np.ndarray, v_body: np.ndarray, dt: float) -> np.ndar
     else is identity.
     """
     _, derivs = euler_rot_derivatives(mean[3:])
+    return _transition_jacobian(derivs, v_body, dt)
+
+
+def _transition_jacobian(derivs: list[np.ndarray], v_body: np.ndarray, dt: float) -> np.ndarray:
     jac = np.eye(STATE_DIM)
     for k in range(3):
         jac[:3, 3 + k] = derivs[k] @ v_body * dt
@@ -179,11 +183,11 @@ def predict(state: EkfState, odo: OdometryReading, config: EkfConfig) -> EkfStat
     ):
         raise ValueError(f"non-finite or non-positive odometry {odo}")
     dt = float(odo.dt)
-    rot, _ = euler_rot_derivatives(state.mean[3:])
+    rot, derivs = euler_rot_derivatives(state.mean[3:])
     mean = state.mean.copy()
     mean[:3] = mean[:3] + rot @ odo.v_body * dt
     mean[3:] = wrap_angles(mean[3:] + odo.euler_rates * dt)
-    jac = predict_jacobian(state.mean, odo.v_body, dt)
+    jac = _transition_jacobian(derivs, odo.v_body, dt)
     cov = symmetrize(jac @ state.cov @ jac.T + config.process_noise * dt)
     return EkfState(mean, cov, state.frame, state.timestamp + dt)
 
@@ -206,7 +210,7 @@ def observation_from_marker(
     drone's frame). The detection noise is transported into the frame by
     the observed pose's rotation; map uncertainty adds on top.
     """
-    pose = entry.pose.compose(det.rel_pose.inverse()).compose(cam.extrinsics.inverse())
+    pose = entry.pose.compose(det.rel_pose.inverse()).compose(cam.inverse_extrinsics)
     cov = transport_covariance(detection_noise(det, config), pose.rotation()) + entry.cov
     return PoseObservation(pose=pose, cov=symmetrize(cov), marker_id=det.marker_id)
 

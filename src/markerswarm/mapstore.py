@@ -47,7 +47,7 @@ class MapEntry:
             "marker_id": int(self.marker_id),
             "frame": int(self.frame),
             "pose": self.pose.to_dict(),
-            "cov": [float(v) for v in self.cov.reshape(-1)],
+            "cov": self.cov.reshape(-1).tolist(),
             "obs_count": int(self.obs_count),
         }
 

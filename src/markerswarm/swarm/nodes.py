@@ -11,6 +11,7 @@ lockstep or on separate threads.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -85,7 +86,7 @@ class SweepPolicy:
         xs = _cell_centers(lo[0], hi[0], cell)
         ys = _cell_centers(lo[1], hi[1], cell)
         altitude = float(np.clip(config.altitude, lo[2], hi[2]))
-        self.cells = [np.array([x, y, altitude]) for y in ys for x in xs]
+        self.cells = np.array([[x, y, altitude] for y in ys for x in xs])
         self.visited: set[int] = set()
         self._target: int | None = None
         self._best_distance = float("inf")
@@ -93,10 +94,10 @@ class SweepPolicy:
 
     def choose_destination(self, pose: Pose6D) -> VelocityCommand:
         position = pose.t
-        for index, center in enumerate(self.cells):
-            if index not in self.visited and (
-                float(np.linalg.norm(position - center)) <= self.config.r_visit
-            ):
+        # math.sqrt(d.dot(d)) is np.linalg.norm(d) without its dispatch
+        distances = [math.sqrt(d.dot(d)) for d in self.cells - position]
+        for index, distance in enumerate(distances):
+            if index not in self.visited and distance <= self.config.r_visit:
                 self.visited.add(index)
 
         while True:
@@ -104,13 +105,13 @@ class SweepPolicy:
                 self.visited.clear()
             best = min(
                 (i for i in range(len(self.cells)) if i not in self.visited),
-                key=lambda i: (float(np.linalg.norm(self.cells[i] - position)), i),
+                key=lambda i: (distances[i], i),
             )
             if best != self._target:
                 self._target = best
                 self._best_distance = float("inf")
                 self._no_progress = 0
-            distance = float(np.linalg.norm(self.cells[best] - position))
+            distance = distances[best]
             if distance < self._best_distance - PROGRESS_EPS:
                 self._best_distance = distance
                 self._no_progress = 0

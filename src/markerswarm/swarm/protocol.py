@@ -103,7 +103,7 @@ def _payload(msg) -> dict:
         return {
             "detection": msg.detection.to_dict(),
             "ekf_pose": msg.ekf_pose.to_dict(),
-            "ekf_cov": [float(v) for v in np.asarray(msg.ekf_cov).reshape(-1)],
+            "ekf_cov": np.asarray(msg.ekf_cov, dtype=float).reshape(-1).tolist(),
             "frame": int(msg.frame),
         }
     if isinstance(msg, PoseReport):
@@ -166,6 +166,15 @@ _PARSERS = {
 }
 
 
+def _reject_constant(name: str):
+    raise ProtocolError(f"non-finite number {name}")
+
+
+# built once: json.dumps and json.loads with options build one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def encode(msg, sender: int, seq: int) -> str:
     """One message as a single JSON line (no trailing newline)."""
     if not (0 <= seq <= SEQ_MAX):
@@ -173,18 +182,19 @@ def encode(msg, sender: int, seq: int) -> str:
     frame = {"type": type(msg).__name__, "sender": int(sender), "seq": int(seq)}
     frame.update(_payload(msg))
     try:
-        return json.dumps(frame, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return _ENCODER.encode(frame)
     except ValueError as err:
         raise ProtocolError(f"cannot encode {type(msg).__name__}: {err}") from err
 
 
-def _reject_constant(name: str):
-    raise ProtocolError(f"non-finite number {name}")
-
-
 def decode(line: str) -> Decoded:
+    # JSONDecoder.decode leaves these two checks to json.loads
+    if not isinstance(line, str):
+        raise ProtocolError(f"a line must be str, not {type(line).__name__}")
+    if line.startswith("\ufeff"):
+        raise ProtocolError("not JSON: unexpected UTF-8 BOM")
     try:
-        frame = json.loads(line, parse_constant=_reject_constant)
+        frame = _DECODER.decode(line)
     except json.JSONDecodeError as err:
         raise ProtocolError(f"not JSON: {err}") from err
     if not isinstance(frame, dict):

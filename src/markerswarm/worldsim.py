@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,11 @@ class CameraParams:
             raise ValueError(f"fov half-angle {self.fov_half_angle} outside (0, pi/2)")
         if self.max_range <= 0.0:
             raise ValueError(f"max range {self.max_range} must be positive")
+
+    @cached_property
+    def inverse_extrinsics(self) -> Pose6D:
+        """Body pose in the camera frame, built once per camera."""
+        return self.extrinsics.inverse()
 
 
 @dataclass(frozen=True)

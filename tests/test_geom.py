@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from markerswarm.geom import (
+    _GIMBAL_TOL,
     _QUAT_NORM_TOL,
     Pose6D,
     check_covariance,
@@ -306,6 +307,227 @@ def test_quat_multiply_bit_identical_to_numpy_scalar_form():
 def test_quat_to_rot_bit_identical_to_numpy_scalar_form():
     for q in awkward_quats(1003):
         assert same_bits(quat_to_rot(q), numpy_quat_to_rot(q)), q
+
+
+# The array forms of the Euler and pose kernels, as they were before the
+# float cores, with the references above.
+
+
+def numpy_quat_from_euler(alpha, beta, gamma):
+    ha, hb, hg = 0.5 * alpha, 0.5 * beta, 0.5 * gamma
+    qx = np.array([math.cos(ha), math.sin(ha), 0.0, 0.0])
+    qy = np.array([math.cos(hb), 0.0, math.sin(hb), 0.0])
+    qz = np.array([math.cos(hg), 0.0, 0.0, math.sin(hg)])
+    return numpy_quat_normalize(numpy_quat_multiply(qz, numpy_quat_multiply(qy, qx)))
+
+
+def numpy_rot_to_euler(rot):
+    s_beta = -rot[2, 0]
+    s_beta = min(1.0, max(-1.0, s_beta))
+    if abs(s_beta) >= _GIMBAL_TOL:
+        beta = math.copysign(0.5 * math.pi, s_beta)
+        alpha = 0.0
+        gamma = math.atan2(-rot[0, 1], rot[1, 1])
+    else:
+        beta = math.asin(s_beta)
+        alpha = math.atan2(rot[2, 1], rot[2, 2])
+        gamma = math.atan2(rot[1, 0], rot[0, 0])
+    return np.array([wrap_angle(alpha), wrap_angle(beta), wrap_angle(gamma)])
+
+
+def numpy_quat_to_euler(q):
+    return numpy_rot_to_euler(numpy_quat_to_rot(q))
+
+
+def numpy_rotate(q, v):
+    """The cross-product form of ``quat_rotate``, over stacked rows.
+
+    ``np.cross`` and the elementwise ufuncs round each row exactly as a
+    one-row call does; stacking only spares 200 000 slow ``np.cross`` calls.
+    """
+    w, u = q[:, :1], q[:, 1:]
+    return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
+
+
+def numpy_pose(t, q):
+    """``(t, q)`` as ``Pose6D`` stored them: finite ``t``, normalized ``q``."""
+    t = np.array(t, dtype=float).reshape(3)
+    if not np.isfinite(t).all():
+        raise ValueError(f"non-finite translation {t}")
+    return t, numpy_quat_normalize(np.array(q, dtype=float).reshape(4))
+
+
+def numpy_compose(ta, qa, tb, qb):
+    """``a.compose(b)`` over stacked ``(t, q)`` rows, as ``(t, q)`` pairs."""
+    t = ta + numpy_rotate(qa, tb)
+    return [numpy_pose(t_i, numpy_quat_multiply(a, b)) for t_i, a, b in zip(t, qa, qb)]
+
+
+def numpy_inverse(t, q):
+    """``a.inverse()`` over stacked ``(t, q)`` rows, as ``(t, q)`` pairs."""
+    q_inv = np.concatenate([q[:, :1], -q[:, 1:]], axis=1)
+    return [numpy_pose(t_i, q_i) for t_i, q_i in zip(-numpy_rotate(q_inv, t), q_inv)]
+
+
+def assert_same_rows(got, want, cases):
+    """``same_bits`` row by row; a failure names the first differing case."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan_got, nan_want = np.isnan(got), np.isnan(want)
+    same = ((got == want) | (nan_got & nan_want)) & (
+        (np.signbit(got) | nan_got) == (np.signbit(want) | nan_want)
+    )
+    rows = same.reshape(len(got), -1).all(axis=1)
+    assert rows.all(), cases[int(np.argmin(rows))]
+
+
+def assert_same_outcomes(kernel, reference, cases) -> int:
+    """``kernel(*case)`` and ``reference(*case)`` are bit-identical arrays, or
+    both raise ValueError, for every case; returns the number rejected."""
+    got = [outcome(kernel, *case) for case in cases]
+    want = [outcome(reference, *case) for case in cases]
+    kept = []
+    for i, (g, w) in enumerate(zip(got, want)):
+        if isinstance(g, str) or isinstance(w, str):
+            assert g == w, cases[i]
+        else:
+            kept.append(i)
+    assert_same_rows([got[i] for i in kept], [want[i] for i in kept], [cases[i] for i in kept])
+    return len(cases) - len(kept)
+
+
+ULP_BELOW_ONE = np.finfo(float).eps / 2  # spacing of the doubles just below 1.0
+
+
+def gimbal_band_sines(rng, n):
+    """``n`` pitch sines within 4 ulps of the gimbal tolerance, either sign."""
+    return rng.choice([-1.0, 1.0], n) * (_GIMBAL_TOL + rng.integers(-4, 5, n) * ULP_BELOW_ONE)
+
+
+def awkward_angles(seed, n=BIT_CASES):
+    """``n`` (alpha, beta, gamma) triples: general ones, signed zeros and
+    exact multiples of pi/2 up to +-pi, pitches whose sine is within 4 ulps
+    of the gimbal tolerance, magnitudes from 1e-150 to 1e150, and NaN and
+    infinite ones."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-4.0, 4.0, (n, 3))
+    kind = rng.integers(0, 4, n)
+    exact = (kind == 1)[:, None] & (rng.random((n, 3)) < 0.5)
+    angles[exact] = rng.choice(
+        [0.0, -0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi, -math.pi], int(exact.sum())
+    )
+    band = kind == 2
+    angles[band, 1] = np.arcsin(gimbal_band_sines(rng, int(band.sum())))
+    extreme = kind == 3
+    angles[extreme] = rng.choice([-1.0, 1.0], (int(extreme.sum()), 3)) * 10.0 ** rng.uniform(
+        -150.0, 150.0, (int(extreme.sum()), 3)
+    )
+    angles[:4] = [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf], [-0.0] * 3]
+    return angles
+
+
+def euler_edge_quats(seed, n=BIT_CASES):
+    """``awkward_quats`` with a third replaced by unit quaternions near the
+    pitch singularity, each component moved by up to 2 ulps, so the pitch
+    sine falls on both sides of the gimbal tolerance, within 4 ulps."""
+    rng = np.random.default_rng(seed)
+    quats = awkward_quats(seed, n)
+    band = rng.random(n) < 1.0 / 3.0
+    m = int(band.sum())
+    ha, hg = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, (2, m))
+    hb = 0.5 * np.arcsin(gimbal_band_sines(rng, m))
+    ca, sa, cb, sb, cg, sg = np.cos(ha), np.sin(ha), np.cos(hb), np.sin(hb), np.cos(hg), np.sin(hg)
+    near = np.stack(
+        [
+            cg * cb * ca + sg * sb * sa,
+            cg * cb * sa - sg * sb * ca,
+            cg * sb * ca + sg * cb * sa,
+            sg * cb * ca - cg * sb * sa,
+        ],
+        axis=1,
+    )
+    quats[band] = near + rng.integers(-2, 3, near.shape) * np.spacing(near)
+    return quats
+
+
+@np.errstate(all="ignore")
+def test_quat_from_euler_bit_identical_to_array_form():
+    rejected = assert_same_outcomes(quat_from_euler, numpy_quat_from_euler, awkward_angles(1006))
+    # math.cos rejects the infinite angles; NaN ones reach the norm check
+    assert 2 <= rejected < 100
+
+
+@np.errstate(all="ignore")
+def test_quat_to_euler_bit_identical_to_matrix_form():
+    quats = euler_edge_quats(1007)
+    assert_same_outcomes(quat_to_euler, numpy_quat_to_euler, [(q,) for q in quats])
+    s_beta = np.abs(np.array([numpy_quat_to_rot(q)[2, 0] for q in quats]))
+    band = np.abs(s_beta - _GIMBAL_TOL) <= 4 * ULP_BELOW_ONE
+    gimbal = band & (s_beta >= _GIMBAL_TOL)
+    # the band is hit on both sides of the tolerance
+    assert band.sum() > 20_000 and 5_000 < gimbal.sum() < band.sum() - 5_000
+    rots = [(numpy_quat_to_rot(q),) for q in quats[:20_000]]
+    assert_same_outcomes(rot_to_euler, numpy_rot_to_euler, rots)
+
+
+def awkward_pose_inputs(seed):
+    """Translations from the first three components of ``awkward_quats``
+    rows, rotations from a second draw in reverse order (so non-finite
+    translations meet valid rotations)."""
+    return list(zip(awkward_quats(seed)[:, :3], awkward_quats(seed + 1)[::-1]))
+
+
+def pose_row(pose):
+    return np.concatenate([pose.t, pose.q])
+
+
+@np.errstate(all="ignore")
+def test_pose_construction_bit_identical_to_array_form():
+    rejected = assert_same_outcomes(
+        lambda t, q: pose_row(Pose6D(t, q)),
+        lambda t, q: np.concatenate(numpy_pose(t, q)),
+        awkward_pose_inputs(1008),
+    )
+    assert 1000 < rejected < BIT_CASES // 2
+
+
+@pytest.fixture(scope="module")
+def awkward_poses():
+    poses = []
+    for t, q in awkward_pose_inputs(1008):
+        try:
+            poses.append(Pose6D(t, q))
+        except ValueError:
+            pass
+    assert len(poses) > BIT_CASES // 2
+    return poses
+
+
+def stacked(poses):
+    return np.array([p.t for p in poses]), np.array([p.q for p in poses])
+
+
+@np.errstate(all="ignore")
+def test_pose_compose_bit_identical_to_array_form(awkward_poses):
+    others = awkward_poses[1:] + awkward_poses[:1]
+    (ta, qa), (tb, qb) = stacked(awkward_poses), stacked(others)
+    want = [np.concatenate(tq) for tq in numpy_compose(ta, qa, tb, qb)]
+    pairs = list(zip(awkward_poses, others))
+    assert_same_rows([pose_row(a.compose(b)) for a, b in pairs], want, pairs)
+    assert_same_rows([a.apply(b.t) for a, b in pairs], [w[:3] for w in want], pairs)
+
+
+@np.errstate(all="ignore")
+def test_pose_inverse_bit_identical_to_array_form(awkward_poses):
+    want = [np.concatenate(tq) for tq in numpy_inverse(*stacked(awkward_poses))]
+    assert_same_rows([pose_row(a.inverse()) for a in awkward_poses], want, awkward_poses)
+
+
+def test_pose_carries_only_translation_and_rotation():
+    """Nothing derived is cached on a pose: a run keeps one per tick per drone."""
+    pose = Pose6D.from_euler([1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
+    pose.euler, pose.rotation(), pose.to_vector(), pose.to_dict()
+    assert set(vars(pose)) == {"t", "q"}
 
 
 def test_rot_quat_round_trip_all_shepperd_branches():

@@ -8,7 +8,7 @@ import pytest
 
 from markerswarm.bundle import Keypose, KeyposeObservation
 from markerswarm.ekf import EkfState
-from markerswarm.geom import Pose6D
+from markerswarm.geom import Pose6D, quat_to_rot, rot_to_euler
 from markerswarm.mapstore import MapEntry
 from markerswarm.swarm.protocol import (
     STATION_ID,
@@ -98,6 +98,81 @@ def tampered(kind, path, value):
 
 def flat(matrix):
     return [float(v) for v in np.asarray(matrix).reshape(-1)]
+
+
+# encode's output before the payload float lists came from .tolist():
+# every number went through float() one at a time, and json.dumps built
+# a new encoder per message.
+
+
+def legacy_pose(p):
+    euler = rot_to_euler(quat_to_rot(p.q))
+    return {"t": [float(v) for v in p.t], "euler": [float(v) for v in euler]}
+
+
+def legacy_cov(cov):
+    return [float(v) for v in np.asarray(cov).reshape(-1)]
+
+
+def legacy_entry(e):
+    return {"marker_id": e.marker_id, "frame": e.frame, "pose": legacy_pose(e.pose),
+            "cov": legacy_cov(e.cov), "obs_count": e.obs_count}
+
+
+def legacy_detection(d):
+    return {"drone_id": d.drone_id, "marker_id": d.marker_id, "camera": d.camera,
+            "rel_pose": legacy_pose(d.rel_pose), "range": float(d.range),
+            "timestamp": float(d.timestamp)}
+
+
+def legacy_keypose(kp):
+    observations = [
+        {"marker_id": o.marker_id, "rel_pose": legacy_pose(o.rel_pose),
+         "noise_cov": legacy_cov(o.noise_cov), "cam_extrinsics": legacy_pose(o.cam_extrinsics)}
+        for o in kp.observations
+    ]
+    return {"drone_id": kp.drone_id, "frame": kp.frame, "pose": legacy_pose(kp.pose),
+            "timestamp": float(kp.timestamp), "observations": observations}
+
+
+def legacy_payload(msg):
+    if isinstance(msg, Hello):
+        return {"drone_id": msg.drone_id}
+    if isinstance(msg, MarkerObs):
+        return {"detection": legacy_detection(msg.detection),
+                "ekf_pose": legacy_pose(msg.ekf_pose), "ekf_cov": legacy_cov(msg.ekf_cov),
+                "frame": msg.frame}
+    if isinstance(msg, PoseReport):
+        state = msg.ekf_state
+        return {"drone_id": msg.drone_id,
+                "ekf_state": {"mean": [float(v) for v in state.mean], "cov": legacy_cov(state.cov),
+                              "frame": state.frame, "timestamp": float(state.timestamp)}}
+    if isinstance(msg, MapSnapshot):
+        return {"entries": [legacy_entry(e) for e in msg.entries]}
+    if isinstance(msg, FrameMerged):
+        return {"loser": msg.loser, "winner": msg.winner, "rt": legacy_pose(msg.rt)}
+    if isinstance(msg, KeyposeCommit):
+        return {"keypose": legacy_keypose(msg.keypose)}
+    return {}
+
+
+def legacy_encode(msg, sender, seq):
+    frame = {"type": type(msg).__name__, "sender": sender, "seq": seq, **legacy_payload(msg)}
+    return json.dumps(frame, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def awkward_messages():
+    """Messages whose float lists hold signed zeros, subnormals and extremes."""
+    odd = np.array([-0.0, 0.0, 5e-324, -1e-300, 1e300, -1.7976931348623157e308])
+    cov = np.diag(np.abs(odd) + 1e-3)
+    cov[0, 1] = cov[1, 0] = -0.0
+    entry = MapEntry(marker_id=3, frame=2, pose=Pose6D(odd[:3], [-0.0, 0.0, 1.0, -0.0]),
+                     cov=cov, obs_count=1)
+    return [
+        PoseReport(drone_id=2, ekf_state=EkfState(odd, cov, 2, -0.0)),
+        MapSnapshot(entries=(entry, replace(entry, marker_id=4, cov=-cov))),
+        MarkerObs(detection=sample_detection(), ekf_pose=entry.pose, ekf_cov=cov, frame=-0),
+    ]
 
 
 def poses_close(a, b, tol=1e-12):
@@ -234,6 +309,26 @@ class TestCodec:
         ],
     )
     def test_malformed_lines_raise(self, line):
+        with pytest.raises(ProtocolError):
+            decode(line)
+
+    @pytest.mark.parametrize(
+        "msg", all_messages() + awkward_messages(), ids=lambda m: type(m).__name__
+    )
+    def test_encode_bytes_match_the_float_list_form(self, msg):
+        assert encode(msg, sender=STATION_ID, seq=2**64 - 1) == legacy_encode(msg, -1, 2**64 - 1)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "\ufeff" + encode(Shutdown(), sender=0, seq=1),
+            encode(Shutdown(), sender=0, seq=1).encode("utf-8"),
+            None,
+            7,
+        ],
+        ids=["bom", "bytes", "none", "int"],
+    )
+    def test_non_text_and_bom_lines_raise(self, line):
         with pytest.raises(ProtocolError):
             decode(line)
 
