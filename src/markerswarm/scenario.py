@@ -22,7 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from markerswarm.bundle import D_KEY_DEFAULT, THETA_KEY_DEFAULT
@@ -262,15 +261,81 @@ def _non_finite_path(value, path: tuple = ()) -> tuple | None:
     return None
 
 
+_PY_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def _is_type(value, name: str) -> bool:
+    """draft-07's type test on a JSON value: a bool is no number, 3.0 is an integer."""
+    if name == "number":
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if name == "integer":
+        if isinstance(value, float):
+            return value.is_integer()
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, _PY_TYPES[name])
+
+
+def schema_violation(value, schema: dict) -> tuple[tuple, str] | None:
+    """First place where a JSON value breaks a schema, as (path, message), or None.
+
+    Interprets the draft-07 keywords SCENARIO_SCHEMA uses and no others:
+    ``type`` (one name), ``properties``, ``required``, ``additionalProperties``
+    (false or a subschema), ``items`` (one subschema), ``minItems``/``maxItems``,
+    ``minimum``/``maximum`` and ``exclusiveMinimum``/``exclusiveMaximum``;
+    ``$schema`` only names the draft. Each keyword constrains only the
+    values of its own type, as in the draft.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _is_type(value, kind):
+        return (), f"{value!r} is not of type {kind!r}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return (), f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = properties.get(key, extra)
+            if sub is False:
+                return (), f"Additional properties are not allowed ({key!r} was unexpected)"
+            if sub is not True:
+                found = schema_violation(item, sub)
+                if found is not None:
+                    return (key, *found[0]), found[1]
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return (), f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", len(value)):
+            return (), f"{value!r} is too long"
+        items = schema.get("items")
+        if items is not None:
+            for index, item in enumerate(value):
+                found = schema_violation(item, items)
+                if found is not None:
+                    return (index, *found[0]), found[1]
+    elif _is_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            return (), f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "maximum" in schema and value > schema["maximum"]:
+            return (), f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return (), (f"{value!r} is less than or equal to the minimum of "
+                        f"{schema['exclusiveMinimum']!r}")
+        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
+            return (), (f"{value!r} is greater than or equal to the maximum of "
+                        f"{schema['exclusiveMaximum']!r}")
+    return None
+
+
 def parse_scenario(raw: dict) -> Scenario:
     """Validate a loaded scenario document and resolve all defaults."""
     bad = _non_finite_path(raw)
     if bad is not None:
         raise ScenarioError(f"non-finite number at {list(bad)}")
-    try:
-        jsonschema.validate(raw, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as err:
-        raise ScenarioError(f"schema violation at {list(err.absolute_path)}: {err.message}") from err
+    violation = schema_violation(raw, SCENARIO_SCHEMA)
+    if violation is not None:
+        path, message = violation
+        raise ScenarioError(f"schema violation at {list(path)}: {message}")
 
     dt = 1.0 / raw["tick_rate"]
     if dt > MAX_STEP_DT:

@@ -10,8 +10,6 @@ Merge events are annotated as text in the top-left corner.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from markerswarm.metrics import truth_alignments
@@ -20,6 +18,14 @@ WIDTH = 720
 HEIGHT = 720
 MARGIN = 54.0
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text, as ``xml.sax.saxutils.escape`` does.
+
+    A local helper: importing ``xml.sax`` loads the stdlib network stack.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def render_svg(report: dict) -> str:

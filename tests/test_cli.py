@@ -5,10 +5,12 @@ import json
 import re
 import subprocess
 import sys
+from xml.sax import saxutils
 
 import jsonschema
 import pytest
 
+from markerswarm import svgplot
 from markerswarm.cli import main
 from markerswarm.metrics import compute_metrics
 
@@ -201,6 +203,17 @@ class TestPlotCommand:
         assert svg.count('data-source="estimate"') == 1
         # one circle per mapped marker
         assert svg.count("<circle") == len(report["map"])
+
+    @pytest.mark.parametrize("text", ["", "plain", "&<>\"'", "a&amp;b", "<<&&>>", "&lt;'x'"])
+    def test_escape_matches_saxutils(self, text):
+        assert svgplot.escape(text) == saxutils.escape(text)
+
+    def test_render_escapes_as_saxutils_does(self, tmp_path, monkeypatch):
+        _, report = self.make_report(tmp_path, name="a&b <c> \"d\" 'e'")
+        svg = svgplot.render_svg(report)
+        assert "a&amp;b &lt;c&gt; \"d\" 'e'" in svg
+        monkeypatch.setattr(svgplot, "escape", saxutils.escape)
+        assert svgplot.render_svg(report) == svg
 
     def test_empty_report_renders_axes_only(self, tmp_path):
         report_path, _ = self.make_report(tmp_path, duration=0.0)

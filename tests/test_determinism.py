@@ -1,4 +1,4 @@
-"""Determinism pin: a lockstep report is byte-identical across changes.
+"""Determinism pin: a lockstep report, and its plot, are byte-identical across changes.
 
 A change that is meant to alter lockstep results (a new model, a bug fix
 that moves numbers) updates the digest below and declares the new value,
@@ -13,6 +13,7 @@ from markerswarm.cli import main as cli_main
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TWO_DRONE_DEMO_SEED_7 = "4e76be35d34a4be9d1fa9aca47c35dc85bf0d6f79c2b22dd4d0b0b17e61043d5"
+TWO_DRONE_DEMO_SEED_7_PLOT = "8ee3740cb7760fa17924c587bed0c7ad7a14bdf92e1a7ddaee716a911a098c5e"
 
 
 def test_two_drone_demo_seed_7_report_digest(tmp_path):
@@ -23,4 +24,14 @@ def test_two_drone_demo_seed_7_report_digest(tmp_path):
         f"two_drone_demo seed 7 lockstep report.json sha256 is {digest}, pinned "
         f"{TWO_DRONE_DEMO_SEED_7}. If this change is meant to alter lockstep results, "
         "declare the new digest and the reason in CHANGES.md and update the pin."
+    )
+
+
+def test_two_drone_demo_seed_7_plot_digest(tmp_path):
+    argv = ["run", str(SCENARIOS / "two_drone_demo.json"), "--seed", "7", "--mode", "lockstep"]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 0
+    assert cli_main(["plot", str(tmp_path / "report.json"), "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "plot.svg").read_bytes()).hexdigest()
+    assert digest == TWO_DRONE_DEMO_SEED_7_PLOT, (
+        f"two_drone_demo seed 7 plot.svg sha256 is {digest}, pinned {TWO_DRONE_DEMO_SEED_7_PLOT}"
     )

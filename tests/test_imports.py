@@ -1,5 +1,5 @@
 """Source hygiene: every name a markerswarm module imports is used there,
-and importing the CLI pulls in no test-only dependency.
+and importing the CLI pulls in no test oracle and no network module.
 
 No lint tool is a dependency, so this walks each module's syntax tree
 with the standard library: a deletion that leaves an import behind fails
@@ -79,9 +79,14 @@ def test_package_modules_found():
     assert PACKAGE / "swarm" / "nodes.py" in MODULES
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is only a test oracle; importing it would add to every run's start-up
-    code = "import sys, markerswarm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+# test oracles (jsonschema, scipy) and the stdlib network stack, which
+# xml.sax pulls in: a run uses none of them, and each adds to its start-up
+NOT_AT_STARTUP = ("jsonschema", "referencing", "scipy", "ssl", "http.client", "email",
+                  "urllib.request", "xml.sax")
+
+
+def test_cli_import_loads_no_oracle_or_network_module():
+    code = "import sys, markerswarm.cli; print(sorted(sys.modules))"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -90,4 +95,5 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = ast.literal_eval(proc.stdout)
+    assert [name for name in NOT_AT_STARTUP if name in loaded] == []

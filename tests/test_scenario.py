@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,38 @@ class TestValidation:
         raw = minimal_raw()
         raw["markers"][0]["id"] = 1024
         with pytest.raises(ScenarioError):
+            parse_scenario(raw)
+
+    def test_marker_id_out_of_range_names_its_path(self):
+        raw = minimal_raw()
+        raw["markers"][0]["id"] = 1024
+        with pytest.raises(ScenarioError, match=re.escape("schema violation at ['markers', 0, 'id']")):
+            parse_scenario(raw)
+
+    def test_boolean_is_no_number(self):
+        with pytest.raises(ScenarioError, match=re.escape("schema violation at ['duration']")):
+            parse_scenario(minimal_raw(duration=True))
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ScenarioError, match=re.escape("schema violation at ['seed']")):
+            parse_scenario(minimal_raw(seed=1.5))
+
+    def test_integral_float_seed_accepted(self):
+        # draft-07 counts 3.0 as an integer
+        assert parse_scenario(minimal_raw(seed=3.0)).seed == 3
+
+    def test_unknown_key_in_camera_entry(self):
+        raw = minimal_raw(
+            cameras={
+                "belly": {
+                    "extrinsics": {"t": [0, 0, -0.05], "euler": [math.pi, 0, 0]},
+                    "fov_half_angle": 1.0,
+                    "max_range": 3.0,
+                    "fps": 30,
+                }
+            }
+        )
+        with pytest.raises(ScenarioError, match=re.escape("schema violation at ['cameras', 'belly']")):
             parse_scenario(raw)
 
     def test_duplicate_marker_ids(self):
