@@ -268,10 +268,10 @@ class NavptsNode:
 class GroundStation:
     """Single owner of the global map, merges, keyposes and adjustment.
 
-    Mutations happen only inside handle_line, so running it from one
-    station thread (or inline in lockstep) serializes everything. A
-    malformed or stale line is logged and dropped; the station never
-    raises out of handle_line.
+    Mutations happen only inside handle_line and flush, which the runner
+    calls from its own thread between node ticks in both modes, so nothing
+    else touches the station's state. A malformed or stale line is logged
+    and dropped; the station never raises out of handle_line.
     """
 
     def __init__(self, scenario: Scenario, links: dict[int, protocol.Endpoint]) -> None:
@@ -295,7 +295,6 @@ class GroundStation:
             "refines": 0,
         }
         self._sent: dict[int, MapEntry] = {}  # last entry object broadcast per marker id
-        self.done: set[int] = set()
 
     # -- inbound ------------------------------------------------------
 
@@ -310,21 +309,19 @@ class GroundStation:
             self.counters["stale"] += 1
             return
         try:
-            self._dispatch(decoded.msg, decoded.sender)
+            self._dispatch(decoded.msg)
             self.counters["handled"] += 1
         except Exception:
             self.counters["errors"] += 1
             log.exception("station failed on %s", type(decoded.msg).__name__)
 
-    def _dispatch(self, msg, sender: int) -> None:
+    def _dispatch(self, msg) -> None:
         if isinstance(msg, Hello):
             self.gmap.register_drone(msg.drone_id, frame=msg.drone_id)
         elif isinstance(msg, MarkerObs):
             self._process_marker_obs(msg)
         elif isinstance(msg, KeyposeCommit):
             self._process_keypose(msg.keypose)
-        elif isinstance(msg, Shutdown):
-            self.done.add(sender)
         else:
             log.debug("station ignoring %s", type(msg).__name__)
 

@@ -20,10 +20,12 @@ merge records to the frame that is live when it handles the message.
 Map deltas: a ``MapSnapshot`` carries only the entries the station
 replaced since its previous broadcast, in marker id order; a drone
 merges them into its view. The map never removes an entry, so the view
-equals the station map as long as every snapshot arrives, in order. The
-in-process queues, in lockstep and threaded runs alike, deliver each
-link in order, and ``SequenceGuard`` drops (and the drone logs) any line
-that arrives out of order.
+equals the station map as long as every snapshot arrives, in order. Each
+link is one in-process queue with one writer: a drone's node tick, or
+the station between ticks. It delivers in order in lockstep and threaded
+runs alike, since a threaded run only interleaves different drones'
+lines in the station's inbox. ``SequenceGuard`` drops (and the drone
+logs) any line that arrives out of order all the same.
 """
 
 from __future__ import annotations

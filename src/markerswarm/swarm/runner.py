@@ -1,23 +1,26 @@
-"""Scenario execution: the lockstep and threaded drivers.
+"""Scenario execution: one tick loop, run in lockstep or on threads.
 
-Lockstep runs everything on one logical thread in a fixed order (step all
-drones, then per drone: sense, tick, let the station handle the mail) and
-is bit-for-bit deterministic per (scenario, seed). Threaded runs one
-thread per drone plus one for the station plus one stepping the world;
-all coordination goes through the protocol and a locked command board, so
-scheduling shifts message order but never corrupts state.
+Every tick the loop steps each drone's truth, senses it (one random
+stream per drone), runs the drones' node ticks, lets the station handle
+what they sent, and broadcasts the map entries that changed. The modes
+differ only in how the node ticks run:
 
-Either way the result is a plain report dict: world truth, final map,
-per-tick trajectories (truth and estimate), merge events, adjustment
-reports, counters and metrics. The dict is JSON-ready; serializing it
-with sorted keys is the canonical byte encoding.
+- lockstep runs them in drone id order, the station handling each
+  drone's mail before the next drone ticks; a report is bit-for-bit
+  deterministic per (scenario, seed);
+- threaded runs them concurrently on a thread pool, and the station
+  handles its mail once every drone has finished the tick. A node talks
+  only through the protocol, so scheduling decides nothing but the order
+  of the drones' lines in the station's inbox.
+
+Either way an exception in a node tick reaches the caller, and the result
+is a plain report dict: world truth, final map, per-tick trajectories
+(truth and estimate), merge events, adjustment reports, counters and
+metrics. The dict is JSON-ready; serializing it with sorted keys is the
+canonical byte encoding.
 """
 
 from __future__ import annotations
-
-import logging
-import queue
-import threading
 
 from markerswarm.metrics import compute_metrics
 from markerswarm.scenario import Scenario
@@ -37,8 +40,6 @@ from markerswarm.worldsim import (
     step_drone,
 )
 
-log = logging.getLogger(__name__)
-
 MODES = ("lockstep", "threaded")
 
 
@@ -47,9 +48,14 @@ def run_scenario(scenario: Scenario, seed: int | None = None, mode: str = "locks
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not in {MODES}")
     seed = scenario.seed if seed is None else int(seed)
-    station, nodes, truth_log = (_run_lockstep if mode == "lockstep" else _run_threaded)(
-        scenario, seed
-    )
+    if mode == "threaded":
+        # imported here so that a lockstep run never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(len(scenario.drones), thread_name_prefix="drone") as pool:
+            station, nodes, truth_log = _run_ticks(scenario, seed, pool)
+    else:
+        station, nodes, truth_log = _run_ticks(scenario, seed)
     return _assemble_report(scenario, seed, mode, station, nodes, truth_log)
 
 
@@ -80,7 +86,13 @@ def _sense(scenario, setup, truth_prev, truth_now, rng, now, dt):
     return odometry, detections
 
 
-def _run_lockstep(scenario: Scenario, seed: int):
+def _handle_mail(station: GroundStation, station_inbox: QueueTransport) -> None:
+    for line in station_inbox.drain():
+        station.handle_line(line)
+
+
+def _run_ticks(scenario: Scenario, seed: int, pool=None):
+    """The tick loop; node ticks run on ``pool`` if given, else in id order."""
     station, nodes, station_inbox = _build_system(scenario)
     world = scenario.world
     setups = {d.drone_id: d for d in scenario.drones}
@@ -93,116 +105,32 @@ def _run_lockstep(scenario: Scenario, seed: int):
 
     for drone_id in order:
         nodes[drone_id].hello()
-    for line in station_inbox.drain():
-        station.handle_line(line)
+    _handle_mail(station, station_inbox)
 
     for tick in range(1, scenario.n_ticks + 1):
         now = tick * dt
-        previous = dict(truths)
+        readings = {}
         for drone_id in order:
-            truths[drone_id] = step_drone(truths[drone_id], commands[drone_id], dt, world)
-        for drone_id in order:
-            odometry, detections = _sense(
-                scenario, setups[drone_id], previous[drone_id], truths[drone_id],
-                rngs[drone_id], now, dt,
+            previous = truths[drone_id]
+            truths[drone_id] = step_drone(previous, commands[drone_id], dt, world)
+            readings[drone_id] = _sense(
+                scenario, setups[drone_id], previous, truths[drone_id], rngs[drone_id], now, dt
             )
-            commands[drone_id] = nodes[drone_id].tick(tick, now, odometry, detections)
-            for line in station_inbox.drain():
-                station.handle_line(line)
-            truth_log[drone_id].append(
-                {"tick": tick, "time": now, "pose": truths[drone_id].pose}
-            )
+            truth_log[drone_id].append({"tick": tick, "time": now, "pose": truths[drone_id].pose})
+        if pool is None:
+            for drone_id in order:
+                commands[drone_id] = nodes[drone_id].tick(tick, now, *readings[drone_id])
+                _handle_mail(station, station_inbox)
+        else:
+            futures = {d: pool.submit(nodes[d].tick, tick, now, *readings[d]) for d in order}
+            # result() re-raises what a node tick raised
+            commands = {d: future.result() for d, future in futures.items()}
+            _handle_mail(station, station_inbox)
         station.flush()
 
     for drone_id in order:
         nodes[drone_id].link.send(Shutdown())
-    for line in station_inbox.drain():
-        station.handle_line(line)
-    station.flush()
-    return station, nodes, truth_log
-
-
-def _run_threaded(scenario: Scenario, seed: int):
-    station, nodes, station_inbox = _build_system(scenario)
-    world = scenario.world
-    setups = {d.drone_id: d for d in scenario.drones}
-    order = sorted(setups)
-    dt = scenario.dt
-    truth_log: dict[int, list] = {d: [] for d in order}
-
-    board_lock = threading.Lock()
-    commands = {d: VelocityCommand.hover() for d in order}
-    sensor_queues: dict[int, queue.Queue] = {d: queue.Queue(maxsize=2) for d in order}
-
-    for drone_id in order:
-        nodes[drone_id].hello()
-
-    def stepper() -> None:
-        rngs = {d: drone_rng(seed, d) for d in order}
-        truths = {d: DroneTruth(d, setups[d].start_pose) for d in order}
-        for tick in range(1, scenario.n_ticks + 1):
-            now = tick * dt
-            with board_lock:
-                current = dict(commands)
-            previous = dict(truths)
-            for drone_id in order:
-                truths[drone_id] = step_drone(
-                    truths[drone_id], current[drone_id], dt, world
-                )
-            for drone_id in order:
-                odometry, detections = _sense(
-                    scenario, setups[drone_id], previous[drone_id], truths[drone_id],
-                    rngs[drone_id], now, dt,
-                )
-                sensor_queues[drone_id].put((tick, now, odometry, detections))
-                truth_log[drone_id].append(
-                    {"tick": tick, "time": now, "pose": truths[drone_id].pose}
-                )
-        for drone_id in order:
-            sensor_queues[drone_id].put(None)
-
-    def node_worker(drone_id: int) -> None:
-        node = nodes[drone_id]
-        while True:
-            packet = sensor_queues[drone_id].get()
-            if packet is None:
-                node.link.send(Shutdown())
-                return
-            tick, now, odometry, detections = packet
-            try:
-                command = node.tick(tick, now, odometry, detections)
-            except Exception:
-                log.exception("drone %d tick %d failed; hovering", drone_id, tick)
-                command = VelocityCommand.hover()
-            with board_lock:
-                commands[drone_id] = command
-
-    def station_worker() -> None:
-        # handle whatever has queued up, then broadcast what it changed
-        while True:
-            line = station_inbox.recv_line(timeout=0.02)
-            if line is None:
-                if station.done == set(order):
-                    return
-                continue
-            station.handle_line(line)
-            for line in station_inbox.drain():
-                station.handle_line(line)
-            station.flush()
-
-    threads = [threading.Thread(target=stepper, name="stepper")]
-    threads += [
-        threading.Thread(target=node_worker, args=(d,), name=f"drone-{d}") for d in order
-    ]
-    station_thread = threading.Thread(target=station_worker, name="station")
-    for thread in threads:
-        thread.start()
-    station_thread.start()
-    for thread in threads:
-        thread.join()
-    station_thread.join()
-    for line in station_inbox.drain():
-        station.handle_line(line)
+    _handle_mail(station, station_inbox)
     station.flush()
     return station, nodes, truth_log
 

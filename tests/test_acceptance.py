@@ -403,6 +403,19 @@ def test_criterion_7_determinism_and_threaded_parity():
           f"{rmse_thread:.4f} <= 2x lockstep {rmse_lock:.4f}, {elapsed:.1f}s")
 
 
+def test_threaded_parity_on_ten_demo_seeds():
+    # criterion 7's bound on many seeds, not only the one it pins
+    scenario = load_scenario("scenarios/two_drone_demo.json")
+    for seed in range(1, 11):
+        lockstep = run_scenario(scenario, seed=seed, mode="lockstep")["metrics"]
+        threaded = run_scenario(scenario, seed=seed, mode="threaded")["metrics"]
+        assert lockstep["frame_count"] == 1, f"seed {seed}: lockstep left several frames"
+        assert threaded["frame_count"] == 1, f"seed {seed}: threaded left several frames"
+        rmse_lock = lockstep["marker_position_rmse"]
+        rmse_thread = threaded["marker_position_rmse"]
+        assert rmse_thread <= 2.0 * max(rmse_lock, 1e-3), (seed, rmse_thread, rmse_lock)
+
+
 def test_criterion_8_lab_demo_via_cli(tmp_path):
     start = time.perf_counter()
     out = tmp_path / "lab"

@@ -13,6 +13,7 @@ import pytest
 from markerswarm import svgplot
 from markerswarm.cli import main
 from markerswarm.metrics import compute_metrics
+from markerswarm.swarm.nodes import NavptsNode
 
 POSE_SCHEMA = {
     "type": "object",
@@ -151,6 +152,15 @@ class TestRunCommand:
         assert run_cli("run", scenario, "--mode", "threaded", "--out", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["mode"] == "threaded"
+
+    def test_node_tick_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def tick(self, *args):
+            raise RuntimeError("node tick failed")
+
+        monkeypatch.setattr(NavptsNode, "tick", tick)
+        scenario = write_scenario(tmp_path, duration=1.0)
+        assert run_cli("run", scenario, "--mode", "threaded", "--out", tmp_path / "out") == 3
+        assert "run failed: node tick failed" in capsys.readouterr().err
 
     def test_invalid_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

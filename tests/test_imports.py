@@ -1,5 +1,6 @@
 """Source hygiene: every name a markerswarm module imports is used there,
-and importing the CLI pulls in no test oracle and no network module.
+and importing the CLI pulls in no test oracle, no network module and
+no thread pool.
 
 No lint tool is a dependency, so this walks each module's syntax tree
 with the standard library: a deletion that leaves an import behind fails
@@ -80,9 +81,10 @@ def test_package_modules_found():
 
 
 # test oracles (jsonschema, scipy) and the stdlib network stack, which
-# xml.sax pulls in: a run uses none of them, and each adds to its start-up
+# xml.sax pulls in: a run uses none of them, and each adds to its start-up;
+# concurrent.futures serves threaded runs only, which import it themselves
 NOT_AT_STARTUP = ("jsonschema", "referencing", "scipy", "ssl", "http.client", "email",
-                  "urllib.request", "xml.sax")
+                  "urllib.request", "xml.sax", "concurrent.futures")
 
 
 def test_cli_import_loads_no_oracle_or_network_module():

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from markerswarm.swarm.protocol import (
     decode,
     encode,
 )
-from markerswarm.swarm.runner import _run_lockstep
+from markerswarm.swarm.runner import MODES, _run_ticks
 from markerswarm.worldsim import MarkerDetection, OdometryReading, downward_camera
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -599,12 +601,14 @@ class TestGroundStation:
         assert station.counters["errors"] == 0
         assert station.gmap.entries == {}
 
-    def test_shutdown_marks_drone_done(self):
+    def test_shutdown_is_handled_without_error(self):
         sc = station_scenario()
-        station, senders, _ = make_station(sc)
+        station, senders, inboxes = make_station(sc)
         senders[0].send(Shutdown())
         senders[1].send(Shutdown())
-        assert station.done == {0, 1}
+        assert station.counters["handled"] == 2
+        assert station.counters["errors"] == 0
+        assert all(inbox.drain() == [] for inbox in inboxes.values())
 
     def test_flush_broadcasts_snapshot_once(self):
         sc = station_scenario()
@@ -962,8 +966,50 @@ class TestRunScenario:
         assert len(rows) == sc.n_ticks
         assert len(report["map"]) == 1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_node_tick_error_reaches_the_caller(self, mode, monkeypatch):
+        original = NavptsNode.tick
+
+        def tick(self, tick, *args):
+            if tick == 3:
+                raise RuntimeError("tick 3 failed")
+            return original(self, tick, *args)
+
+        monkeypatch.setattr(NavptsNode, "tick", tick)
+        sc = parse_scenario(runner_raw(duration=1.0))
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="tick 3 failed"):
+            run_scenario(sc, mode=mode)
+        # the drones' pool is shut down, not left running
+        assert set(threading.enumerate()) <= before
+
+    def test_threaded_station_handles_every_line_under_contention(self):
+        # more drone threads than cores, switching as often as the
+        # interpreter allows: the station's shared inbox must lose,
+        # duplicate or reorder no drone's line
+        drones = [
+            {"id": d, "start_pose": {"t": [0.4 * d - 0.6, 0.0, 0.0], "euler": [0, 0, 0]}}
+            for d in range(4)
+        ]
+        sc = parse_scenario(runner_raw(duration=2.0, drones=drones))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_scenario(sc, mode="threaded")
+        finally:
+            sys.setswitchinterval(interval)
+        station = report["counters"]["station"]
+        # per drone: Hello, a PoseReport per tick, forwarded MarkerObs,
+        # KeyposeCommits and Shutdown
+        sent = sum(
+            2 + sc.n_ticks + c["forwarded"] + c["keyposes"]
+            for c in report["counters"]["drones"].values()
+        )
+        assert station["handled"] == sent
+        assert station["stale"] == station["malformed"] == station["errors"] == 0
+
     def test_threaded_drones_localize_against_the_map(self):
-        # the station broadcasts after every batch it drains, not only when idle
+        # the station broadcasts the map every tick, not only when idle
         sc = load_scenario(str(SCENARIOS / "two_drone_demo.json"))
         report = run_scenario(sc, mode="threaded")
         updates = {d: c["updates"] for d, c in report["counters"]["drones"].items()}
@@ -1009,7 +1055,7 @@ class TestRunScenario:
         # each drone builds its view from map deltas alone; once its inbox is
         # drained it must hold every station entry, merges and BA included
         sc = load_scenario(str(SCENARIOS / "lab_three_drones.json"))
-        station, nodes, _ = _run_lockstep(sc, 11)
+        station, nodes, _ = _run_ticks(sc, 11)
         assert station.merge_events and station.ba_reports
         expected = {k: e.to_dict() for k, e in station.gmap.entries.items()}
         assert len(expected) == len(sc.world.markers)
