@@ -115,13 +115,6 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion (q v q*)."""
-    return np.array(
-        _rotate(np.asarray(q, dtype=float).tolist(), np.asarray(v, dtype=float).tolist())
-    )
-
-
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
     w, x, y, z = np.asarray(q, dtype=float).tolist()
     return np.array(
@@ -171,7 +164,7 @@ def quat_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 def _euler(r00, r01, r10, r11, r20, r21, r22) -> tuple[float, float, float]:
     """(alpha, beta, gamma) from the rotation entries the extraction reads."""
-    # R[2,0] = -sin(beta); see euler_to_rot for the full matrix
+    # R = Rz(gamma) @ Ry(beta) @ Rx(alpha), so R[2,0] = -sin(beta)
     s_beta = -r20
     s_beta = min(1.0, max(-1.0, s_beta))
     if abs(s_beta) >= _GIMBAL_TOL:
@@ -223,20 +216,6 @@ def rot_to_euler_batch(rot: np.ndarray) -> np.ndarray:
         np.arctan2(rot[..., 1, 0], rot[..., 0, 0]),
     )
     return wrap_angles(np.stack([alpha, beta, gamma], axis=-1))
-
-
-def euler_to_rot(euler: np.ndarray) -> np.ndarray:
-    """R = Rz(gamma) @ Ry(beta) @ Rx(alpha), written out."""
-    ca, sa = math.cos(euler[0]), math.sin(euler[0])
-    cb, sb = math.cos(euler[1]), math.sin(euler[1])
-    cg, sg = math.cos(euler[2]), math.sin(euler[2])
-    return np.array(
-        [
-            [cg * cb, cg * sb * sa - sg * ca, cg * sb * ca + sg * sa],
-            [sg * cb, sg * sb * sa + cg * ca, sg * sb * ca - cg * sa],
-            [-sb, cb * sa, cb * ca],
-        ]
-    )
 
 
 def euler_rot_derivatives(euler: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

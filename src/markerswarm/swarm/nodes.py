@@ -51,7 +51,6 @@ from markerswarm.swarm.protocol import (
     PoseReport,
     ProtocolError,
     SequenceGuard,
-    Shutdown,
 )
 from markerswarm.worldsim import MarkerDetection, OdometryReading, VelocityCommand
 
@@ -140,11 +139,13 @@ def _cell_centers(lo: float, hi: float, cell: float) -> list[float]:
 
 
 class NavptsNode:
-    """One drone's estimation and behavior loop.
+    """One drone's estimation and behavior loop, in two halves per tick.
 
-    A tick runs four phases in order: ingest sensors, correct the EKF and
-    forward what the station needs, apply inbound map/merge messages, and
-    emit the next velocity command.
+    ``tick`` senses and estimates: it predicts, corrects the EKF against
+    the map view, forwards what the station needs and commits keyposes,
+    reading only the drone's own state. ``steer`` applies the station's
+    map and merge messages, records the trajectory row, reports the pose
+    and returns the next velocity command.
     """
 
     def __init__(
@@ -183,7 +184,7 @@ class NavptsNode:
         now: float,
         odometry: OdometryReading,
         detections: list[MarkerDetection],
-    ) -> VelocityCommand:
+    ) -> None:
         # SP: sensor readings arrive as arguments, already id-sorted per camera
         # VJ: predict, then correct against frame-local known markers
         self.state = predict(self.state, odometry, self.ekf_config)
@@ -217,7 +218,8 @@ class NavptsNode:
             self.last_keypose = self.state.pose
             self.counters["keyposes"] += 1
 
-        # WM: apply whatever the station broadcast since the last tick
+    def steer(self, tick: int, now: float) -> VelocityCommand:
+        # WM: apply whatever the station broadcast since the last steer
         for line in self.inbox.drain():
             self._apply_line(line)
 
@@ -259,8 +261,6 @@ class NavptsNode:
                     if row["frame"] == msg.loser:
                         row["pose"] = msg.rt.compose(row["pose"])
                         row["frame"] = msg.winner
-        elif isinstance(msg, Shutdown):
-            pass
         else:
             log.debug("drone %d ignoring %s", self.drone_id, type(msg).__name__)
 
@@ -269,9 +269,10 @@ class GroundStation:
     """Single owner of the global map, merges, keyposes and adjustment.
 
     Mutations happen only inside handle_line and flush, which the runner
-    calls from its own thread between node ticks in both modes, so nothing
-    else touches the station's state. A malformed or stale line is logged
-    and dropped; the station never raises out of handle_line.
+    calls from its own thread once the drones' ticks are done, in both
+    modes, so nothing else touches the station's state. A malformed or
+    stale line is logged and dropped; the station never raises out of
+    handle_line.
     """
 
     def __init__(self, scenario: Scenario, links: dict[int, protocol.Endpoint]) -> None:

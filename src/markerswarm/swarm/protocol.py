@@ -21,11 +21,12 @@ Map deltas: a ``MapSnapshot`` carries only the entries the station
 replaced since its previous broadcast, in marker id order; a drone
 merges them into its view. The map never removes an entry, so the view
 equals the station map as long as every snapshot arrives, in order. Each
-link is one in-process queue with one writer: a drone's node tick, or
-the station between ticks. It delivers in order in lockstep and threaded
-runs alike, since a threaded run only interleaves different drones'
-lines in the station's inbox. ``SequenceGuard`` drops (and the drone
-logs) any line that arrives out of order all the same.
+link is one in-process queue with one writer and one reader: each drone
+has its own link to the station, and the station one to each drone. So
+every link delivers in order, in lockstep and threaded runs alike, and
+the station reads the drones' links in drone id order. ``SequenceGuard``
+drops (and the drone logs) any line that arrives out of order all the
+same.
 """
 
 from __future__ import annotations

@@ -1,23 +1,20 @@
 """Scenario execution: one tick loop, run in lockstep or on threads.
 
 Every tick the loop steps each drone's truth, senses it (one random
-stream per drone), runs the drones' node ticks, lets the station handle
-what they sent, and broadcasts the map entries that changed. The modes
-differ only in how the node ticks run:
+stream per drone) and runs every drone node's ``tick``, the estimation
+half. Then, in drone id order, it calls each node's ``steer`` and lets
+the station handle that drone's mail; last it broadcasts the map entries
+that changed. A ``tick`` touches only its own drone's state and station
+inbox, so the modes differ only in how the ticks run: in drone id order
+(lockstep) or concurrently on a thread pool (threaded). A report is
+bit-for-bit deterministic per (scenario, seed) and the same in both
+modes, apart from ``mode``.
 
-- lockstep runs them in drone id order, the station handling each
-  drone's mail before the next drone ticks; a report is bit-for-bit
-  deterministic per (scenario, seed);
-- threaded runs them concurrently on a thread pool, and the station
-  handles its mail once every drone has finished the tick. A node talks
-  only through the protocol, so scheduling decides nothing but the order
-  of the drones' lines in the station's inbox.
-
-Either way an exception in a node tick reaches the caller, and the result
-is a plain report dict: world truth, final map, per-tick trajectories
-(truth and estimate), merge events, adjustment reports, counters and
-metrics. The dict is JSON-ready; serializing it with sorted keys is the
-canonical byte encoding.
+Either way an exception in a node's tick or steer reaches the caller, and
+the result is a plain report dict: world truth, final map, per-tick
+trajectories (truth and estimate), merge events, adjustment reports,
+counters and metrics. The dict is JSON-ready; serializing it with sorted
+keys is the canonical byte encoding.
 """
 
 from __future__ import annotations
@@ -53,26 +50,22 @@ def run_scenario(scenario: Scenario, seed: int | None = None, mode: str = "locks
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(len(scenario.drones), thread_name_prefix="drone") as pool:
-            station, nodes, truth_log = _run_ticks(scenario, seed, pool)
+            station, nodes, truth_log = _run_ticks(scenario, seed, pool.map)
     else:
         station, nodes, truth_log = _run_ticks(scenario, seed)
     return _assemble_report(scenario, seed, mode, station, nodes, truth_log)
 
 
 def _build_system(scenario: Scenario):
-    station_inbox = QueueTransport()
+    station_inboxes = {d.drone_id: QueueTransport() for d in scenario.drones}
     node_inboxes = {d.drone_id: QueueTransport() for d in scenario.drones}
-    station_links = {
-        d.drone_id: Endpoint(STATION_ID, node_inboxes[d.drone_id]) for d in scenario.drones
-    }
+    station_links = {d: Endpoint(STATION_ID, inbox) for d, inbox in node_inboxes.items()}
     station = GroundStation(scenario, station_links)
-    nodes = {
-        d.drone_id: NavptsNode(
-            d, scenario, Endpoint(d.drone_id, station_inbox), node_inboxes[d.drone_id]
-        )
-        for d in scenario.drones
-    }
-    return station, nodes, station_inbox
+    nodes = {}
+    for setup in scenario.drones:
+        d = setup.drone_id
+        nodes[d] = NavptsNode(setup, scenario, Endpoint(d, station_inboxes[d]), node_inboxes[d])
+    return station, nodes, station_inboxes
 
 
 def _sense(scenario, setup, truth_prev, truth_now, rng, now, dt):
@@ -91,9 +84,9 @@ def _handle_mail(station: GroundStation, station_inbox: QueueTransport) -> None:
         station.handle_line(line)
 
 
-def _run_ticks(scenario: Scenario, seed: int, pool=None):
-    """The tick loop; node ticks run on ``pool`` if given, else in id order."""
-    station, nodes, station_inbox = _build_system(scenario)
+def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
+    """The tick loop; ``map_ticks`` runs the node ticks (``map``, or a pool's)."""
+    station, nodes, station_inboxes = _build_system(scenario)
     world = scenario.world
     setups = {d.drone_id: d for d in scenario.drones}
     order = sorted(setups)
@@ -105,7 +98,7 @@ def _run_ticks(scenario: Scenario, seed: int, pool=None):
 
     for drone_id in order:
         nodes[drone_id].hello()
-    _handle_mail(station, station_inbox)
+        _handle_mail(station, station_inboxes[drone_id])
 
     for tick in range(1, scenario.n_ticks + 1):
         now = tick * dt
@@ -117,20 +110,16 @@ def _run_ticks(scenario: Scenario, seed: int, pool=None):
                 scenario, setups[drone_id], previous, truths[drone_id], rngs[drone_id], now, dt
             )
             truth_log[drone_id].append({"tick": tick, "time": now, "pose": truths[drone_id].pose})
-        if pool is None:
-            for drone_id in order:
-                commands[drone_id] = nodes[drone_id].tick(tick, now, *readings[drone_id])
-                _handle_mail(station, station_inbox)
-        else:
-            futures = {d: pool.submit(nodes[d].tick, tick, now, *readings[d]) for d in order}
-            # result() re-raises what a node tick raised
-            commands = {d: future.result() for d, future in futures.items()}
-            _handle_mail(station, station_inbox)
+        # list() waits for every tick and re-raises what one raised
+        list(map_ticks(lambda d: nodes[d].tick(tick, now, *readings[d]), order))
+        for drone_id in order:
+            commands[drone_id] = nodes[drone_id].steer(tick, now)
+            _handle_mail(station, station_inboxes[drone_id])
         station.flush()
 
     for drone_id in order:
         nodes[drone_id].link.send(Shutdown())
-    _handle_mail(station, station_inbox)
+        _handle_mail(station, station_inboxes[drone_id])
     station.flush()
     return station, nodes, truth_log
 

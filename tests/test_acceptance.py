@@ -15,6 +15,7 @@ import pytest
 
 from test_bundle import _marker_rmse, make_problem
 from test_ekf import run_nees_experiment
+from test_swarm import keys_differing_bar_mode
 
 from markerswarm.bundle import BaConfig, optimize
 from markerswarm.cli import main as cli_main
@@ -396,24 +397,41 @@ def test_criterion_7_determinism_and_threaded_parity():
     assert rmse_lock is not None, "lockstep run failed to converge to one frame"
     assert rmse_thread is not None, "threaded run failed to converge to one frame"
     assert rmse_thread <= 2.0 * max(rmse_lock, 1e-3)
+    assert keys_differing_bar_mode(threaded, a) == []
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    print(f"\nPASS criterion 7 (determinism): lockstep byte-identical; threaded RMSE "
-          f"{rmse_thread:.4f} <= 2x lockstep {rmse_lock:.4f}, {elapsed:.1f}s")
+    print(f"\nPASS criterion 7 (determinism): lockstep byte-identical; threaded equal to "
+          f"lockstep bar mode, RMSE {rmse_thread:.4f} <= 2x lockstep {rmse_lock:.4f}, "
+          f"{elapsed:.1f}s")
+
+
+def test_threaded_equals_lockstep_on_criterion_7_program_seed_5():
+    # the station once handled threaded mail after every drone's tick and
+    # lockstep mail after each one: here that read 0.0163 m threaded
+    # against 0.0077 m lockstep, over criterion 7's 2x bound
+    scenario = parse_scenario(merge_scenario_raw(seed=3, noise=True))
+    lockstep = run_scenario(scenario, seed=5, mode="lockstep")
+    threaded = run_scenario(scenario, seed=5, mode="threaded")
+    rmse_lock = lockstep["metrics"]["marker_position_rmse"]
+    rmse_thread = threaded["metrics"]["marker_position_rmse"]
+    assert rmse_thread <= 2.0 * max(rmse_lock, 1e-3), (rmse_thread, rmse_lock)
+    assert keys_differing_bar_mode(threaded, lockstep) == []
 
 
 def test_threaded_parity_on_ten_demo_seeds():
     # criterion 7's bound on many seeds, not only the one it pins
     scenario = load_scenario("scenarios/two_drone_demo.json")
     for seed in range(1, 11):
-        lockstep = run_scenario(scenario, seed=seed, mode="lockstep")["metrics"]
-        threaded = run_scenario(scenario, seed=seed, mode="threaded")["metrics"]
+        lockstep_report = run_scenario(scenario, seed=seed, mode="lockstep")
+        threaded_report = run_scenario(scenario, seed=seed, mode="threaded")
+        lockstep, threaded = lockstep_report["metrics"], threaded_report["metrics"]
         assert lockstep["frame_count"] == 1, f"seed {seed}: lockstep left several frames"
         assert threaded["frame_count"] == 1, f"seed {seed}: threaded left several frames"
         rmse_lock = lockstep["marker_position_rmse"]
         rmse_thread = threaded["marker_position_rmse"]
         assert rmse_thread <= 2.0 * max(rmse_lock, 1e-3), (seed, rmse_thread, rmse_lock)
+        assert keys_differing_bar_mode(threaded_report, lockstep_report) == [], seed
 
 
 def test_criterion_8_lab_demo_via_cli(tmp_path):

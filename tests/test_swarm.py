@@ -222,6 +222,7 @@ class TestNavptsNode:
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse)
         det = detection_of(node.state.pose, marker, cam)
         node.tick(1, 0.1, still_odometry(0), [det])
+        node.steer(1, 0.1)
         kinds = outbound_types(station_inbox)
         assert node.counters["updates"] == 1
         assert node.counters["forwarded"] == 0
@@ -282,6 +283,7 @@ class TestNavptsNode:
         node, station_inbox, _ = make_node(sc)
         trace0 = float(np.trace(node.state.cov))
         node.tick(1, 0.1, still_odometry(0), [])
+        node.steer(1, 0.1)
         assert float(np.trace(node.state.cov)) > trace0
         kinds = outbound_types(station_inbox)
         assert kinds == ["PoseReport"]
@@ -292,6 +294,7 @@ class TestNavptsNode:
         node, _, _ = make_node(sc)
         for tick in range(1, 4):
             node.tick(tick, tick * 0.1, still_odometry(0, now=tick * 0.1), [])
+            node.steer(tick, tick * 0.1)
         assert [row["tick"] for row in node.trajectory] == [1, 2, 3]
         assert all(row["frame"] == node.frame for row in node.trajectory)
 
@@ -301,6 +304,7 @@ class TestNavptsNode:
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
         node.tick(1, 0.1, still_odometry(0), [])
+        node.steer(1, 0.1)
         assert set(node.map_view) == {5}
         assert node.map_view[5].obs_count == 2
 
@@ -309,20 +313,40 @@ class TestNavptsNode:
         node, _, station_tx = make_node(sc, drone_id=1)
         assert node.frame == 1
         node.tick(1, 0.1, still_odometry(1), [])
+        node.steer(1, 0.1)
         pose_before = node.state.pose
         rt = Pose6D.from_euler([2.0, -1.0, 0.0], [0, 0, 0.6])
         station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
         node.tick(2, 0.2, still_odometry(1, now=0.2), [])
+        node.steer(2, 0.2)
         assert node.frame == 0
         assert all(row["frame"] == 0 for row in node.trajectory)
         expected_row0 = rt.compose(pose_before)
         np.testing.assert_allclose(node.trajectory[0]["pose"].t, expected_row0.t, atol=1e-12)
+
+    def test_tick_leaves_the_inbox_to_steer(self):
+        # the estimation half reads only the drone's own state: a merge
+        # already waiting in the inbox lands in steer, not in tick
+        sc = node_scenario()
+        node, station_inbox, station_tx = make_node(sc, drone_id=1)
+        rt = Pose6D.from_euler([1.0, 0.0, 0.0], [0, 0, 0])
+        station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
+        node.tick(1, 0.1, still_odometry(1), [])
+        assert node.frame == 1 and node.trajectory == []
+        assert node.state.pose.t[0] == pytest.approx(1.0)
+        assert outbound_types(station_inbox) == []
+        node.steer(1, 0.1)
+        assert node.frame == 0
+        assert node.state.pose.t[0] == pytest.approx(2.0)
+        assert [row["frame"] for row in node.trajectory] == [0]
+        assert outbound_types(station_inbox) == ["PoseReport"]
 
     def test_merge_for_other_frame_ignored(self):
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=0)
         station_tx.send(FrameMerged(loser=1, winner=0, rt=Pose6D.identity()))
         node.tick(1, 0.1, still_odometry(0), [])
+        node.steer(1, 0.1)
         assert node.frame == 0
 
     def test_garbage_inbox_line_dropped(self):
@@ -331,6 +355,7 @@ class TestNavptsNode:
         node.inbox.send_line("{broken")
         node.inbox.send_line('{"type": "Mystery", "sender": -1, "seq": 0}')
         node.tick(1, 0.1, still_odometry(0), [])
+        node.steer(1, 0.1)
         assert node.map_view == {} and node.frame == 0
 
     def test_malformed_inbox_line_logged_and_dropped(self, caplog):
@@ -341,6 +366,7 @@ class TestNavptsNode:
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
             node.tick(1, 0.1, still_odometry(0), [])
+            node.steer(1, 0.1)
         assert any("dropped a bad line" in rec.message for rec in caplog.records)
         # the good line after the bad one still lands, and the tick completes
         assert set(node.map_view) == {5}
@@ -355,6 +381,7 @@ class TestNavptsNode:
         node.inbox.send_line(encode(newer, sender=STATION_ID, seq=4))
         node.inbox.send_line(encode(older, sender=STATION_ID, seq=3))
         node.tick(1, 0.1, still_odometry(0), [])
+        node.steer(1, 0.1)
         assert node.map_view[5].obs_count == 3
         assert node.guard.dropped == 1
 
@@ -367,6 +394,7 @@ class TestNavptsNode:
         node.inbox.send_line(encode(snapshot, sender=STATION_ID, seq=4))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
             node.tick(1, 0.1, still_odometry(0), [])
+            node.steer(1, 0.1)
         assert any("dropped stale line seq 4" in rec.message for rec in caplog.records)
         assert node.map_view == {} and node.guard.dropped == 1
 
@@ -380,6 +408,7 @@ class TestNavptsNode:
         )
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=3),)))
         node.tick(1, 0.1, still_odometry(0), [])
+        node.steer(1, 0.1)
         assert {k: e.obs_count for k, e in node.map_view.items()} == {5: 3, 6: 1}
 
     def test_replayed_broadcast_applied_once(self):
@@ -390,6 +419,7 @@ class TestNavptsNode:
         node.inbox.send_line(line)
         node.inbox.send_line(line)
         node.tick(1, 0.1, still_odometry(1), [])
+        node.steer(1, 0.1)
         # one remap only: applying rt twice would shift x by 2
         assert node.state.pose.t[0] == pytest.approx(2.0)  # start (1,1,1) + 1
 
@@ -907,6 +937,18 @@ def runner_raw(duration=3.0, drones=None, markers=None, **overrides):
     return raw
 
 
+def keys_differing_bar_mode(a, b):
+    """The top-level report keys whose canonical bytes differ, ``mode`` aside.
+
+    An empty list means the reports are byte-identical bar ``mode``; naming
+    keys keeps a failure short where a diff of two whole reports is not.
+    """
+    def canon(report, key):
+        return json.dumps(report.get(key), sort_keys=True)
+
+    return sorted(k for k in a.keys() | b.keys() if k != "mode" and canon(a, k) != canon(b, k))
+
+
 class TestRunScenario:
     def test_unknown_mode_rejected(self):
         sc = parse_scenario(runner_raw())
@@ -968,25 +1010,27 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_node_tick_error_reaches_the_caller(self, mode, monkeypatch):
-        original = NavptsNode.tick
-
-        def tick(self, tick, *args):
-            if tick == 3:
-                raise RuntimeError("tick 3 failed")
-            return original(self, tick, *args)
-
-        monkeypatch.setattr(NavptsNode, "tick", tick)
         sc = parse_scenario(runner_raw(duration=1.0))
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="tick 3 failed"):
-            run_scenario(sc, mode=mode)
-        # the drones' pool is shut down, not left running
-        assert set(threading.enumerate()) <= before
+        for half in ("tick", "steer"):
+            original = getattr(NavptsNode, half)
+
+            def fail_at_tick_3(self, tick, *args, half=half, original=original):
+                if tick == 3:
+                    raise RuntimeError(f"{half} 3 failed")
+                return original(self, tick, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(NavptsNode, half, fail_at_tick_3)
+                before = set(threading.enumerate())
+                with pytest.raises(RuntimeError, match=f"{half} 3 failed"):
+                    run_scenario(sc, mode=mode)
+            # the drones' pool is shut down, not left running
+            assert set(threading.enumerate()) <= before
 
     def test_threaded_station_handles_every_line_under_contention(self):
         # more drone threads than cores, switching as often as the
-        # interpreter allows: the station's shared inbox must lose,
-        # duplicate or reorder no drone's line
+        # interpreter allows: each drone's own station inbox must lose,
+        # duplicate or reorder none of its lines, so the report is lockstep's
         drones = [
             {"id": d, "start_pose": {"t": [0.4 * d - 0.6, 0.0, 0.0], "euler": [0, 0, 0]}}
             for d in range(4)
@@ -998,6 +1042,7 @@ class TestRunScenario:
             report = run_scenario(sc, mode="threaded")
         finally:
             sys.setswitchinterval(interval)
+        assert keys_differing_bar_mode(report, run_scenario(sc, mode="lockstep")) == []
         station = report["counters"]["station"]
         # per drone: Hello, a PoseReport per tick, forwarded MarkerObs,
         # KeyposeCommits and Shutdown
