@@ -19,7 +19,6 @@ import traceback
 from pathlib import Path
 
 from markerswarm.scenario import ScenarioError, load_scenario
-from markerswarm.svgplot import render_svg
 from markerswarm.swarm.runner import MODES, run_scenario
 
 log = logging.getLogger(__name__)
@@ -49,7 +48,10 @@ def _write_trajectories_csv(path: Path, report: dict) -> None:
 
 
 def _dump_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    # dump, not dumps: with indent, dumps builds every chunk and then the whole string
+    with path.open("w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -83,6 +85,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    # imported here so that a run never loads it
+    from markerswarm.svgplot import render_svg
+
     try:
         with open(args.report, "r", encoding="utf-8") as handle:
             report = json.load(handle)

@@ -6,9 +6,10 @@ half. Then, in drone id order, it calls each node's ``steer`` and lets
 the station handle that drone's mail; last it broadcasts the map entries
 that changed. A ``tick`` touches only its own drone's state and station
 inbox, so the modes differ only in how the ticks run: in drone id order
-(lockstep) or concurrently on a thread pool (threaded). A report is
-bit-for-bit deterministic per (scenario, seed) and the same in both
-modes, apart from ``mode``.
+(lockstep) or concurrently on a thread pool (threaded). For a given
+numpy/OpenBLAS build and BLAS thread count, a report is bit-for-bit
+deterministic per (scenario, seed) and the same in both modes, apart
+from ``mode``.
 
 Either way an exception in a node's tick or steer reaches the caller, and
 the result is a plain report dict: world truth, final map, per-tick
@@ -109,7 +110,10 @@ def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
             readings[drone_id] = _sense(
                 scenario, setups[drone_id], previous, truths[drone_id], rngs[drone_id], now, dt
             )
-            truth_log[drone_id].append({"tick": tick, "time": now, "pose": truths[drone_id].pose})
+            # in report form: this dict becomes the drone's report row
+            truth_log[drone_id].append(
+                {"tick": tick, "time": now, "truth": truths[drone_id].pose.to_dict()}
+            )
         # list() waits for every tick and re-raises what one raised
         list(map_ticks(lambda d: nodes[d].tick(tick, now, *readings[d]), order))
         for drone_id in order:
@@ -128,17 +132,13 @@ def _assemble_report(scenario, seed, mode, station, nodes, truth_log) -> dict:
     world = scenario.world
     trajectories = {}
     for drone_id in sorted(nodes):
-        rows = []
-        for truth_row, est_row in zip(truth_log[drone_id], nodes[drone_id].trajectory):
-            rows.append(
-                {
-                    "tick": truth_row["tick"],
-                    "time": truth_row["time"],
-                    "truth": truth_row["pose"].to_dict(),
-                    "estimate": est_row["pose"].to_dict(),
-                    "frame": est_row["frame"],
-                }
-            )
+        # the truth rows gain their estimates in place and become the report rows;
+        # the node's estimate poses are released once they are copied
+        rows = truth_log[drone_id]
+        for row, est_row in zip(rows, nodes[drone_id].trajectory, strict=True):
+            row["estimate"] = est_row["pose"].to_dict()
+            row["frame"] = est_row["frame"]
+        nodes[drone_id].trajectory.clear()
         trajectories[str(drone_id)] = rows
 
     report = {

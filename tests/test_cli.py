@@ -2,16 +2,18 @@
 
 import csv
 import json
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from xml.sax import saxutils
 
 import jsonschema
 import pytest
 
 from markerswarm import svgplot
-from markerswarm.cli import main
+from markerswarm.cli import _dump_json, main
 from markerswarm.metrics import compute_metrics
 from markerswarm.swarm.nodes import NavptsNode
 
@@ -145,6 +147,31 @@ class TestRunCommand:
         assert run_cli("run", scenario, "--seed", 5, "--out", tmp_path / "b") == 0
         for name in ("map.json", "trajectories.csv", "report.json", "metrics.json"):
             assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
+
+    def test_json_artifact_streams_to_disk(self, tmp_path):
+        # 15 000 poses, 3.4 MB of JSON; encoding it into one string first
+        # peaks at about 5.5x the file
+        rng = random.Random(0)
+        payload = {
+            "poses": [
+                {"t": [rng.uniform(-5, 5) for _ in range(3)],
+                 "euler": [rng.uniform(-3, 3) for _ in range(3)]}
+                for _ in range(15000)
+            ]
+        }
+        target = tmp_path / "payload.json"
+        tracemalloc.start()
+        try:
+            _dump_json(target, payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 3_000_000
+        assert peak < size / 4, f"writing {size} bytes peaked at {peak} bytes"
+        assert target.read_text(encoding="utf-8") == (
+            json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        )
 
     def test_threaded_mode_flag(self, tmp_path):
         scenario = write_scenario(tmp_path, duration=1.0)

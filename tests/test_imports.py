@@ -82,9 +82,10 @@ def test_package_modules_found():
 
 # test oracles (jsonschema, scipy) and the stdlib network stack, which
 # xml.sax pulls in: a run uses none of them, and each adds to its start-up;
-# concurrent.futures serves threaded runs only, which import it themselves
+# concurrent.futures serves threaded runs only, which import it themselves,
+# and markerswarm.svgplot serves ``plot`` only, which imports it itself
 NOT_AT_STARTUP = ("jsonschema", "referencing", "scipy", "ssl", "http.client", "email",
-                  "urllib.request", "xml.sax", "concurrent.futures")
+                  "urllib.request", "xml.sax", "concurrent.futures", "markerswarm.svgplot")
 
 
 def test_cli_import_loads_no_oracle_or_network_module():
