@@ -8,8 +8,8 @@ orientation). After ``n_fuse`` observations the entry freezes: later
 corrections flow through bundle adjustment only, which keeps a stable map
 under sensor noise once a marker is well established.
 
-The store itself is not thread safe; the ground station serializes all
-mutations through its command queue.
+The store itself is not thread safe; only the ground station mutates it,
+from the runner's thread, once the drones' ticks of a tick have returned.
 """
 
 from __future__ import annotations

@@ -341,12 +341,14 @@ def parse_scenario(raw: dict) -> Scenario:
     if dt > MAX_STEP_DT:
         raise ScenarioError(f"tick_rate {raw['tick_rate']} gives dt {dt:.3f} > {MAX_STEP_DT}")
 
-    marker_ids = [m["id"] for m in raw["markers"]]
+    # draft-07 takes an integral float such as 3.0 for an integer; the run
+    # gets an int, so ids, counts and iteration limits are cast here
+    marker_ids = [int(m["id"]) for m in raw["markers"]]
     if len(set(marker_ids)) != len(marker_ids):
         raise ScenarioError("duplicate marker ids")
     try:
         world = World(
-            markers={m["id"]: Pose6D.from_dict(m["pose"]) for m in raw["markers"]},
+            markers={int(m["id"]): Pose6D.from_dict(m["pose"]) for m in raw["markers"]},
             bounds_min=np.asarray(raw["bounds"]["min"], dtype=float),
             bounds_max=np.asarray(raw["bounds"]["max"], dtype=float),
         )
@@ -370,7 +372,7 @@ def parse_scenario(raw: dict) -> Scenario:
             except ValueError as err:
                 raise ScenarioError(f"camera {name}: {err}") from err
 
-    drone_ids = [d["id"] for d in raw["drones"]]
+    drone_ids = [int(d["id"]) for d in raw["drones"]]
     if len(set(drone_ids)) != len(drone_ids):
         raise ScenarioError("duplicate drone ids")
     drones = []
@@ -381,7 +383,7 @@ def parse_scenario(raw: dict) -> Scenario:
         missing = [n for n in names if n not in cameras]
         if missing:
             raise ScenarioError(f"drone {entry['id']} references unknown cameras {missing}")
-        drones.append(DroneSetup(entry["id"], start, believed, names))
+        drones.append(DroneSetup(int(entry["id"]), start, believed, names))
 
     noise_block = raw.get("noise", {})
     noise = SensorNoise(**noise_block)
@@ -397,8 +399,12 @@ def parse_scenario(raw: dict) -> Scenario:
     )
 
     policy = PolicyConfig(**raw.get("policy", {}))
-    ba = BaSettings(**raw.get("ba", {}))
-    n_fuse = raw.get("fusion", {}).get("n_fuse", DEFAULT_N_FUSE)
+    ba_block = dict(raw.get("ba", {}))
+    for key in ("every_keyposes", "max_iterations"):
+        if key in ba_block:
+            ba_block[key] = int(ba_block[key])
+    ba = BaSettings(**ba_block)
+    n_fuse = int(raw.get("fusion", {}).get("n_fuse", DEFAULT_N_FUSE))
 
     return Scenario(
         name=raw["name"],

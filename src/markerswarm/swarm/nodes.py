@@ -148,13 +148,7 @@ class NavptsNode:
     and returns the next velocity command.
     """
 
-    def __init__(
-        self,
-        setup: DroneSetup,
-        scenario: Scenario,
-        station_link: protocol.Endpoint,
-        inbox,
-    ) -> None:
+    def __init__(self, setup: DroneSetup, scenario: Scenario) -> None:
         self.drone_id = setup.drone_id
         self.frame = setup.drone_id
         self.ekf_config = scenario.ekf
@@ -168,8 +162,9 @@ class NavptsNode:
         self.policy = SweepPolicy(
             scenario.world.bounds_min, scenario.world.bounds_max, scenario.policy
         )
-        self.link = station_link
-        self.inbox = inbox
+        self.inbox = protocol.QueueTransport()  # the station's broadcasts
+        self.outbox = protocol.QueueTransport()  # read by the station
+        self.link = protocol.Endpoint(self.drone_id, self.outbox)
         self.guard = SequenceGuard()
         self.last_keypose: Pose6D | None = None
         self.trajectory: list[dict] = []
@@ -275,13 +270,13 @@ class GroundStation:
     handle_line.
     """
 
-    def __init__(self, scenario: Scenario, links: dict[int, protocol.Endpoint]) -> None:
+    def __init__(self, scenario: Scenario, link: protocol.Endpoint) -> None:
         self.scenario = scenario
         self.gmap = GlobalMap(n_fuse=scenario.n_fuse)
         self.cameras = scenario.cameras
         self.ekf_config = scenario.ekf
         self.ba = scenario.ba
-        self.links = links
+        self.link = link  # over every drone's inbox
         self.guard = SequenceGuard()
         self.keypose_log: list[Keypose] = []
         self.keyposes_since_ba: dict[int, int] = {}
@@ -388,7 +383,7 @@ class GroundStation:
         self.keyposes_since_ba[winner] = self.keyposes_since_ba.get(
             winner, 0
         ) + self.keyposes_since_ba.pop(loser, 0)
-        self.broadcast(FrameMerged(loser, winner, transform.rt))
+        self.link.send(FrameMerged(loser, winner, transform.rt))
         # the triggering observation itself still counts as an observation
         _, pose_fused, cov_fused = self._carry_forward(obs_frame, pose_obs, cov_obs)
         self.gmap.fuse_observation(entry.marker_id, pose_fused, cov_fused)
@@ -474,10 +469,6 @@ class GroundStation:
 
     # -- outbound -------------------------------------------------------
 
-    def broadcast(self, msg) -> None:
-        for link in self.links.values():
-            link.send(msg)
-
     def flush(self) -> None:
         """Broadcast, in id order, the entries replaced since the last flush.
 
@@ -485,5 +476,5 @@ class GroundStation:
         """
         changed = [e for k, e in sorted(self.gmap.entries.items()) if self._sent.get(k) is not e]
         if changed:
-            self.broadcast(MapSnapshot(tuple(changed)))
+            self.link.send(MapSnapshot(tuple(changed)))
             self._sent.update((e.marker_id, e) for e in changed)

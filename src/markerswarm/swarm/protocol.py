@@ -20,19 +20,21 @@ merge records to the frame that is live when it handles the message.
 Map deltas: a ``MapSnapshot`` carries only the entries the station
 replaced since its previous broadcast, in marker id order; a drone
 merges them into its view. The map never removes an entry, so the view
-equals the station map as long as every snapshot arrives, in order. Each
-link is one in-process queue with one writer and one reader: each drone
-has its own link to the station, and the station one to each drone. So
-every link delivers in order, in lockstep and threaded runs alike, and
-the station reads the drones' links in drone id order. ``SequenceGuard``
-drops (and the drone logs) any line that arrives out of order all the
-same.
+equals the station map as long as every snapshot arrives, in order.
+
+Mailboxes: every link is a plain list of lines with one writer, read on
+the runner's thread only after the writer's part of the tick has
+returned, so no lock is needed and every mailbox delivers in order, in
+lockstep and threaded runs alike. Each drone writes its own outbox,
+which the station reads in drone id order. Every station message is a
+broadcast: the station's one ``Endpoint`` encodes it once and appends the
+same line to every drone's inbox. ``SequenceGuard`` drops (and the drone
+logs) any line that arrives out of order all the same.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,34 +242,33 @@ class QueueTransport:
     """One-directional mailbox of encoded lines, in-process."""
 
     def __init__(self) -> None:
-        self._queue: queue.Queue[str] = queue.Queue()
+        self._lines: list[str] = []
 
     def send_line(self, line: str) -> None:
-        self._queue.put(line)
+        self._lines.append(line)
 
     def drain(self) -> list[str]:
-        lines = []
-        while True:
-            try:
-                lines.append(self._queue.get_nowait())
-            except queue.Empty:
-                return lines
+        lines, self._lines = self._lines, []
+        return lines
 
-    def recv_line(self, timeout: float | None = None) -> str | None:
-        try:
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
+    def recv_line(self) -> str | None:
+        """The oldest line, or None when the mailbox is empty."""
+        return self._lines.pop(0) if self._lines else None
 
 
 class Endpoint:
-    """Outbound side of a link: stamps sender id and sequence numbers."""
+    """Outbound side of a link: stamps sender id and sequence numbers.
 
-    def __init__(self, sender: int, transport) -> None:
+    Each message is encoded once, and the same line goes to every transport.
+    """
+
+    def __init__(self, sender: int, *transports) -> None:
         self.sender = int(sender)
-        self.transport = transport
+        self.transports = transports
         self._seq = 0
 
     def send(self, msg) -> None:
         self._seq += 1
-        self.transport.send_line(encode(msg, self.sender, self._seq))
+        line = encode(msg, self.sender, self._seq)
+        for transport in self.transports:
+            transport.send_line(line)

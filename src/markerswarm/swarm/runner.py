@@ -3,9 +3,9 @@
 Every tick the loop steps each drone's truth, senses it (one random
 stream per drone) and runs every drone node's ``tick``, the estimation
 half. Then, in drone id order, it calls each node's ``steer`` and lets
-the station handle that drone's mail; last it broadcasts the map entries
-that changed. A ``tick`` touches only its own drone's state and station
-inbox, so the modes differ only in how the ticks run: in drone id order
+the station handle that drone's outbox; last it broadcasts the map entries
+that changed. A ``tick`` touches only its own drone's state and outbox,
+so the modes differ only in how the ticks run: in drone id order
 (lockstep) or concurrently on a thread pool (threaded). For a given
 numpy/OpenBLAS build and BLAS thread count, a report is bit-for-bit
 deterministic per (scenario, seed) and the same in both modes, apart
@@ -23,12 +23,7 @@ from __future__ import annotations
 from markerswarm.metrics import compute_metrics
 from markerswarm.scenario import Scenario
 from markerswarm.swarm.nodes import GroundStation, NavptsNode
-from markerswarm.swarm.protocol import (
-    STATION_ID,
-    Endpoint,
-    QueueTransport,
-    Shutdown,
-)
+from markerswarm.swarm.protocol import STATION_ID, Endpoint, QueueTransport, Shutdown
 from markerswarm.worldsim import (
     DroneTruth,
     VelocityCommand,
@@ -58,15 +53,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None, mode: str = "locks
 
 
 def _build_system(scenario: Scenario):
-    station_inboxes = {d.drone_id: QueueTransport() for d in scenario.drones}
-    node_inboxes = {d.drone_id: QueueTransport() for d in scenario.drones}
-    station_links = {d: Endpoint(STATION_ID, inbox) for d, inbox in node_inboxes.items()}
-    station = GroundStation(scenario, station_links)
-    nodes = {}
-    for setup in scenario.drones:
-        d = setup.drone_id
-        nodes[d] = NavptsNode(setup, scenario, Endpoint(d, station_inboxes[d]), node_inboxes[d])
-    return station, nodes, station_inboxes
+    nodes = {setup.drone_id: NavptsNode(setup, scenario) for setup in scenario.drones}
+    station_link = Endpoint(STATION_ID, *(node.inbox for node in nodes.values()))
+    return GroundStation(scenario, station_link), nodes
 
 
 def _sense(scenario, setup, truth_prev, truth_now, rng, now, dt):
@@ -80,14 +69,14 @@ def _sense(scenario, setup, truth_prev, truth_now, rng, now, dt):
     return odometry, detections
 
 
-def _handle_mail(station: GroundStation, station_inbox: QueueTransport) -> None:
-    for line in station_inbox.drain():
+def _handle_mail(station: GroundStation, outbox: QueueTransport) -> None:
+    for line in outbox.drain():
         station.handle_line(line)
 
 
 def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
     """The tick loop; ``map_ticks`` runs the node ticks (``map``, or a pool's)."""
-    station, nodes, station_inboxes = _build_system(scenario)
+    station, nodes = _build_system(scenario)
     world = scenario.world
     setups = {d.drone_id: d for d in scenario.drones}
     order = sorted(setups)
@@ -99,7 +88,7 @@ def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
 
     for drone_id in order:
         nodes[drone_id].hello()
-        _handle_mail(station, station_inboxes[drone_id])
+        _handle_mail(station, nodes[drone_id].outbox)
 
     for tick in range(1, scenario.n_ticks + 1):
         now = tick * dt
@@ -118,12 +107,12 @@ def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
         list(map_ticks(lambda d: nodes[d].tick(tick, now, *readings[d]), order))
         for drone_id in order:
             commands[drone_id] = nodes[drone_id].steer(tick, now)
-            _handle_mail(station, station_inboxes[drone_id])
+            _handle_mail(station, nodes[drone_id].outbox)
         station.flush()
 
     for drone_id in order:
         nodes[drone_id].link.send(Shutdown())
-        _handle_mail(station, station_inboxes[drone_id])
+        _handle_mail(station, nodes[drone_id].outbox)
     station.flush()
     return station, nodes, truth_log
 

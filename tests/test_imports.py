@@ -83,9 +83,11 @@ def test_package_modules_found():
 # test oracles (jsonschema, scipy) and the stdlib network stack, which
 # xml.sax pulls in: a run uses none of them, and each adds to its start-up;
 # concurrent.futures serves threaded runs only, which import it themselves,
-# and markerswarm.svgplot serves ``plot`` only, which imports it itself
+# and markerswarm.svgplot serves ``plot`` only, which imports it itself;
+# a mailbox is a plain list, so no locked queue is loaded either
 NOT_AT_STARTUP = ("jsonschema", "referencing", "scipy", "ssl", "http.client", "email",
-                  "urllib.request", "xml.sax", "concurrent.futures", "markerswarm.svgplot")
+                  "urllib.request", "xml.sax", "concurrent.futures", "markerswarm.svgplot",
+                  "queue")
 
 
 def test_cli_import_loads_no_oracle_or_network_module():

@@ -371,17 +371,20 @@ class TestTransports:
         assert t.drain() == ["a", "b"]
         assert t.drain() == []
 
-    def test_queue_recv_timeout(self):
+    def test_queue_recv_oldest_or_none(self):
         t = QueueTransport()
-        assert t.recv_line(timeout=0.01) is None
+        assert t.recv_line() is None
         t.send_line("x")
-        assert t.recv_line(timeout=0.01) == "x"
+        t.send_line("y")
+        assert t.recv_line() == "x"
+        assert t.drain() == ["y"]
+        assert t.recv_line() is None
 
 
 class TestEndpoint:
     def test_seq_strictly_increasing(self):
         t = QueueTransport()
-        ep = Endpoint(sender=2, transport=t)
+        ep = Endpoint(2, t)
         for _ in range(4):
             ep.send(Shutdown())
         decoded = [decode(line) for line in t.drain()]
@@ -389,9 +392,18 @@ class TestEndpoint:
         assert seqs == sorted(set(seqs))
         assert all(d.sender == 2 for d in decoded)
 
+    def test_one_encode_reaches_every_transport(self):
+        boxes = [QueueTransport() for _ in range(3)]
+        ep = Endpoint(STATION_ID, *boxes)
+        ep.send(Shutdown())
+        ep.send(Shutdown())
+        first, *rest = [box.drain() for box in boxes]
+        assert [decode(line).seq for line in first] == [1, 2]
+        assert all(all(a is b for a, b in zip(lines, first, strict=True)) for lines in rest)
+
     def test_guard_accepts_endpoint_stream(self):
         t = QueueTransport()
-        ep = Endpoint(sender=5, transport=t)
+        ep = Endpoint(5, t)
         guard = SequenceGuard()
         for _ in range(6):
             ep.send(PoseReport(drone_id=5, ekf_state=EkfState(np.zeros(6), np.eye(6), 5, 0.0)))

@@ -62,6 +62,31 @@ class TestParsing:
         sc = parse_scenario(raw)
         assert [d.drone_id for d in sc.drones] == [1, 4]
 
+    def test_integral_floats_parse_as_int(self):
+        # draft-07 takes 3.0 for an integer; the run must still get an int
+        raw = minimal_raw(
+            fusion={"n_fuse": 3.0}, ba={"every_keyposes": 4.0, "max_iterations": 100.0}
+        )
+        raw["markers"][0]["id"] = 10.0
+        raw["drones"][0]["id"] = 1.0
+        sc = parse_scenario(raw)
+        assert [type(m) for m in sc.world.markers] == [int]
+        assert type(sc.drones[0].drone_id) is int
+        for value in (sc.n_fuse, sc.ba.every_keyposes, sc.ba.max_iterations):
+            assert type(value) is int
+        assert (sc.n_fuse, sc.ba.every_keyposes, sc.ba.max_iterations) == (3, 4, 100)
+
+    def test_integral_float_max_iterations_runs_adjustment(self):
+        from markerswarm.swarm import run_scenario
+
+        with open("scenarios/two_drone_demo.json", encoding="utf-8") as handle:
+            raw = json.load(handle)
+        raw["duration"] = 15.0
+        raw["ba"]["max_iterations"] = 100.0
+        report = run_scenario(parse_scenario(raw), seed=7)
+        assert report["metrics"]["ba_runs"] > 0
+        assert report["counters"]["station"]["errors"] == 0
+
     def test_custom_camera_block(self):
         raw = minimal_raw(
             cameras={

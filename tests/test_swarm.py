@@ -13,7 +13,7 @@ import pytest
 from markerswarm.bundle import Keypose, KeyposeObservation
 from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.scenario import PolicyConfig, load_scenario, parse_scenario
-from markerswarm.swarm import run_scenario
+from markerswarm.swarm import protocol, run_scenario
 from markerswarm.swarm.nodes import (
     STALL_LIMIT,
     GroundStation,
@@ -173,12 +173,10 @@ def node_scenario(n_fuse=5, extra=None):
 
 
 def make_node(scenario, drone_id=0):
-    station_inbox = QueueTransport()
-    node_inbox = QueueTransport()
     setup = next(d for d in scenario.drones if d.drone_id == drone_id)
-    node = NavptsNode(setup, scenario, Endpoint(drone_id, station_inbox), node_inbox)
-    station_rx = Endpoint(STATION_ID, node_inbox)
-    return node, station_inbox, station_rx
+    node = NavptsNode(setup, scenario)
+    station_rx = Endpoint(STATION_ID, node.inbox)
+    return node, node.outbox, station_rx
 
 
 def still_odometry(drone_id, dt=0.1, now=0.1):
@@ -452,8 +450,7 @@ def station_scenario(**kw):
 
 def make_station(scenario, drone_ids=(0, 1)):
     inboxes = {d: QueueTransport() for d in drone_ids}
-    links = {d: Endpoint(STATION_ID, inboxes[d]) for d in drone_ids}
-    station = GroundStation(scenario, links)
+    station = GroundStation(scenario, Endpoint(STATION_ID, *inboxes.values()))
     senders = {d: Endpoint(d, _StationFeed(station)) for d in drone_ids}
     return station, senders, inboxes
 
@@ -655,6 +652,41 @@ class TestGroundStation:
             assert kinds == ["MapSnapshot"]
         station.flush()  # clean: nothing new to say
         assert all(box.drain() == [] for box in inboxes.values())
+
+    def test_flush_and_merge_encode_once_for_every_drone(self, monkeypatch):
+        drones = [{"id": d, "start_pose": {"t": [d, d, 1], "euler": [0, 0, 0]}} for d in range(3)]
+        sc = station_scenario(extra={"drones": drones})
+        station, senders, inboxes = make_station(sc, drone_ids=(0, 1, 2))
+        cam = sc.cameras["down"]
+        offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])  # frame1 origin in frame0
+        true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
+        true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
+        for d in (0, 1, 2):
+            senders[d].send(Hello(d))
+        senders[0].send(obs_from(0, true0, true0, world_marker(), cam))
+        station_encodes = []
+
+        def counting_encode(msg, sender, seq):
+            if sender == STATION_ID:
+                station_encodes.append(type(msg).__name__)
+            return encode(msg, sender, seq)
+
+        monkeypatch.setattr(protocol, "encode", counting_encode)
+
+        def one_line_for_all():
+            ((line,), *others) = [box.drain() for box in inboxes.values()]
+            assert len(others) == 2 and all(other == [line] for other in others)
+            assert all(other[0] is line for other in others)
+            return decode(line).msg
+
+        station.flush()
+        assert station_encodes == ["MapSnapshot"]
+        assert isinstance(one_line_for_all(), MapSnapshot)
+        believed1 = offset.inverse().compose(true1)
+        senders[1].send(obs_from(1, believed1, true1, world_marker(), cam, now=0.8))
+        assert len(station.merge_events) == 1
+        assert station_encodes == ["MapSnapshot", "FrameMerged"]
+        assert isinstance(one_line_for_all(), FrameMerged)
 
     def test_flush_sends_only_replaced_entries(self):
         sc = station_scenario()
