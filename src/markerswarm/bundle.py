@@ -359,16 +359,27 @@ class NormalEquations:
         S = V + damping I - W^T (U + damping I)^-1 W, then
         d_k = -(U + damping I)^-1 (g_k + W d_m). Raises LinAlgError when a
         damped block or S is singular.
+
+        The sums over keyposes in S and its right-hand side run one keypose
+        at a time, in keypose order. One product over all keyposes would
+        leave that summation order to the BLAS, whose threads split a long
+        inner dimension differently for each thread count.
         """
         eye = np.eye(6)
         u_inv = np.linalg.inv(self.u + damping * eye)
         n_cols = self.w.shape[2]
-        w_rows = self.w.reshape(-1, n_cols)  # (6K, 6M)
-        reduced = -(w_rows.T @ (u_inv @ self.w).reshape(-1, n_cols))
+        reduced = np.zeros((n_cols, n_cols))
+        rhs = np.zeros(n_cols)
+        for w_k, u_inv_w_k, u_inv_g_k in zip(
+            self.w, u_inv @ self.w, _apply(u_inv, self.g_keypose)
+        ):
+            w_k_t = w_k.T
+            reduced -= w_k_t @ u_inv_w_k
+            rhs += w_k_t @ u_inv_g_k
+        rhs -= self.g_marker.reshape(-1)
         diag = np.arange(len(self.v))
         # a view of ``reduced``: add V_m + damping I to its diagonal blocks
         reduced.reshape(len(self.v), 6, len(self.v), 6)[diag, :, diag, :] += self.v + damping * eye
-        rhs = w_rows.T @ _apply(u_inv, self.g_keypose).reshape(-1) - self.g_marker.reshape(-1)
         d_marker = np.linalg.solve(reduced, rhs)
         d_keypose = -_apply(u_inv, self.g_keypose + self.w @ d_marker)
         return np.concatenate([d_keypose.reshape(-1), d_marker])

@@ -7,6 +7,13 @@ known, treated as direct pose observations (H = identity). Per-axis
 measurement errors are modeled as independent, so detection noise is a
 strictly positive diagonal that grows linearly with range.
 
+That diagonal is isotropic in blocks: ``sigma_p^2 I`` on the position and
+``sigma_a^2 I`` on the angles. A detection is measured in the camera
+frame, but an isotropic block is the same in every frame, since
+``R (s^2 I) R^T = s^2 R R^T = s^2 I`` for any rotation ``R``. So the noise
+adds to the map entry's covariance as it is, with no rotation into the
+drone's frame.
+
 Multiple detections in one tick are applied as sequential updates in
 detection order.
 """
@@ -21,11 +28,15 @@ import numpy as np
 
 from markerswarm.geom import (
     Pose6D,
+    _compose,
+    _euler_rotate,
+    _inverse,
+    _quat_euler,
     check_covariance,
     check_int,
-    euler_rot_derivatives,
     symmetrize,
     transport_covariance,
+    wrap_angle,
     wrap_angles,
 )
 from markerswarm.worldsim import CameraParams, MarkerDetection, OdometryReading
@@ -144,15 +155,18 @@ class EkfState:
 
 @dataclass(frozen=True)
 class PoseObservation:
-    """Direct pose observation derived from one marker detection."""
+    """Direct observation of the state vector, derived from one marker detection."""
 
-    pose: Pose6D
+    vector: np.ndarray  # (x, y, z, alpha, beta, gamma)
     cov: np.ndarray
     marker_id: int
 
     def __post_init__(self) -> None:
+        vector = np.array(self.vector, dtype=float).reshape(STATE_DIM)
         cov = np.array(self.cov, dtype=float).reshape(STATE_DIM, STATE_DIM)
+        vector.flags.writeable = False
         cov.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "cov", cov)
 
 
@@ -162,32 +176,37 @@ def predict_jacobian(mean: np.ndarray, v_body: np.ndarray, dt: float) -> np.ndar
     Position rows couple to the angles through d(R(e) v)/de; everything
     else is identity.
     """
-    _, derivs = euler_rot_derivatives(mean[3:])
-    return _transition_jacobian(derivs, v_body, dt)
+    alpha, beta, gamma = np.asarray(mean, dtype=float)[3:].tolist()
+    _, derivs = _euler_rotate(alpha, beta, gamma, np.asarray(v_body, dtype=float).tolist())
+    return _transition_jacobian(derivs, dt)
 
 
-def _transition_jacobian(derivs: list[np.ndarray], v_body: np.ndarray, dt: float) -> np.ndarray:
+def _transition_jacobian(derivs, dt: float) -> np.ndarray:
     jac = np.eye(STATE_DIM)
-    for k in range(3):
-        jac[:3, 3 + k] = derivs[k] @ v_body * dt
+    # column 3 + k is d(R v)/d angle k, times dt
+    jac[:3, 3:] = np.array(derivs).T * dt
     return jac
 
 
 def predict(state: EkfState, odo: OdometryReading, config: EkfConfig) -> EkfState:
     """Integrate one odometry reading; covariance grows by F P F^T + Q dt."""
-    if not (
-        np.all(np.isfinite(odo.v_body))
-        and np.all(np.isfinite(odo.euler_rates))
-        and np.isfinite(odo.dt)
-        and odo.dt > 0.0
-    ):
-        raise ValueError(f"non-finite or non-positive odometry {odo}")
+    v_body = odo.v_body.tolist()
+    rates = odo.euler_rates.tolist()
     dt = float(odo.dt)
-    rot, derivs = euler_rot_derivatives(state.mean[3:])
-    mean = state.mean.copy()
-    mean[:3] = mean[:3] + rot @ odo.v_body * dt
-    mean[3:] = wrap_angles(mean[3:] + odo.euler_rates * dt)
-    jac = _transition_jacobian(derivs, odo.v_body, dt)
+    if not (all(map(math.isfinite, [*v_body, *rates, dt])) and dt > 0.0):
+        raise ValueError(f"non-finite or non-positive odometry {odo}")
+    x, y, z, alpha, beta, gamma = state.mean.tolist()
+    (rx, ry, rz), derivs = _euler_rotate(alpha, beta, gamma, v_body)
+    rate_a, rate_b, rate_g = rates
+    mean = (
+        x + rx * dt,
+        y + ry * dt,
+        z + rz * dt,
+        wrap_angle(alpha + rate_a * dt),
+        wrap_angle(beta + rate_b * dt),
+        wrap_angle(gamma + rate_g * dt),
+    )
+    jac = _transition_jacobian(derivs, dt)
     cov = symmetrize(jac @ state.cov @ jac.T + config.process_noise * dt)
     return EkfState(mean, cov, state.frame, state.timestamp + dt)
 
@@ -207,16 +226,23 @@ def observation_from_marker(
     """Invert a detection of a known marker into a drone-pose observation.
 
     ``entry`` is the marker's map record (``pose`` and ``cov`` in the
-    drone's frame). The detection noise is transported into the frame by
-    the observed pose's rotation; map uncertainty adds on top.
+    drone's frame). The observed pose is ``entry * rel^-1 * cam^-1``,
+    composed on floats straight to the state vector. The detection noise
+    adds to the map uncertainty as it is: see the module docstring for why
+    it needs no rotation into the frame.
     """
-    pose = entry.pose.compose(det.rel_pose.inverse()).compose(cam.inverse_extrinsics)
-    cov = transport_covariance(detection_noise(det, config), pose.rotation()) + entry.cov
-    return PoseObservation(pose=pose, cov=symmetrize(cov), marker_id=det.marker_id)
+    marker, rel, cam_inv = entry.pose, det.rel_pose, cam.inverse_extrinsics
+    t, q = _compose(marker.t.tolist(), marker.q.tolist(), *_inverse(rel.t.tolist(), rel.q.tolist()))
+    t, q = _compose(t, q, cam_inv.t.tolist(), cam_inv.q.tolist())
+    return PoseObservation(
+        vector=(*t, *_quat_euler(q)),
+        cov=entry.cov + detection_noise(det, config),
+        marker_id=det.marker_id,
+    )
 
 
 def innovation(state: EkfState, obs: PoseObservation) -> np.ndarray:
-    diff = obs.pose.to_vector() - state.mean
+    diff = obs.vector - state.mean
     diff[3:] = wrap_angles(diff[3:])
     return diff
 
@@ -228,16 +254,21 @@ def update(state: EkfState, obs: PoseObservation, config: EkfConfig) -> tuple[Ek
     Mahalanobis distance exceeds the configured chi-square gate.
     """
     y = innovation(state, obs)
-    s = symmetrize(state.cov + obs.cov)
-    s_inv_y = np.linalg.solve(s, y)
-    if config.gate_enabled and float(y @ s_inv_y) > config.gate_threshold:
+    p = state.cov
+    s = symmetrize(p + obs.cov)
+    # one factorization for both right-hand sides: S^-1 y and S^-1 P
+    rhs = np.empty((STATE_DIM, STATE_DIM + 1))
+    rhs[:, 0] = y
+    rhs[:, 1:] = p
+    sol = np.linalg.solve(s, rhs)
+    if config.gate_enabled and float(y @ sol[:, 0]) > config.gate_threshold:
         return state, False
-    gain = np.linalg.solve(s, state.cov).T  # P S^-1, via symmetric S
+    gain = sol[:, 1:].T  # P S^-1, via symmetric S
     mean = state.mean + gain @ y
     mean[3:] = wrap_angles(mean[3:])
-    ident = np.eye(STATE_DIM)
     # Joseph form keeps the posterior symmetric PSD under roundoff
-    cov = (ident - gain) @ state.cov @ (ident - gain).T + gain @ obs.cov @ gain.T
+    a = np.eye(STATE_DIM) - gain
+    cov = a @ p @ a.T + gain @ obs.cov @ gain.T
     return EkfState(mean, symmetrize(cov), state.frame, state.timestamp), True
 
 

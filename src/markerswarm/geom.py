@@ -24,14 +24,22 @@ non-finite translation and normalizes its quaternion.
 
 Float kernels: the quaternion and pose kernels unpack their arrays with
 ``tolist()`` and compute on Python floats, which is several times faster
-than numpy dispatch on 3- and 4-vectors. Each does the same IEEE
-operations in the same order as the array form it replaced, so results
-are bit-identical (``tests/test_geom.py`` keeps those forms as references).
-Norms are the exception: they stay on ``ndarray.dot``. A sequential float
-sum of squares differs from OpenBLAS ``ddot`` in the last bit for about a
-quarter of random quaternions (72 214 of 300 000 standard-normal
-4-vectors, scipy-openblas 0.3.31 on x86-64), so normalizing with it
-would change the reports.
+than numpy dispatch on 3- and 4-vectors. ``Pose6D``'s own methods do the
+same IEEE operations in the same order as the array forms they replaced,
+so they are bit-identical to them (``tests/test_geom.py`` keeps those
+forms as references). Quaternion norms stay on ``ndarray.dot``: a
+sequential float sum of squares differs from OpenBLAS ``ddot`` in the last
+bit for about a quarter of random quaternions (72 214 of 300 000
+standard-normal 4-vectors, scipy-openblas 0.3.31 on x86-64).
+
+The per-detection path goes further and builds no intermediate pose.
+``_compose``, ``_inverse``, ``_euler_quat`` and ``_quat_euler`` chain on
+float tuples, so a composition's quaternion is normalized only where a
+``Pose6D`` is finally built (or not at all, when only its Euler angles
+are read), and ``_euler_rotate`` gives ``R v`` with its three angle
+derivatives in closed form. These agree with the pose and matrix forms to
+rounding, not bit for bit: within 1e-12 over 20 000 random inputs with
+pitch up to 1.4 rad (``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
@@ -105,6 +113,21 @@ def _rotate(q, v) -> tuple[float, float, float]:
     )
 
 
+def _compose(ta, qa, tb, qb) -> tuple[tuple[float, float, float], tuple]:
+    """``a.compose(b)`` on float sequences: ``(t, q)``, ``q`` not normalized."""
+    tx, ty, tz = ta
+    rx, ry, rz = _rotate(qa, tb)
+    return (tx + rx, ty + ry, tz + rz), _multiply(qa, qb)
+
+
+def _inverse(t, q) -> tuple[tuple[float, float, float], tuple]:
+    """``a.inverse()`` on float sequences: ``(t, q)``."""
+    w, x, y, z = q
+    q_inv = (w, -x, -y, -z)
+    rx, ry, rz = _rotate(q_inv, t)
+    return (-rx, -ry, -rz), q_inv
+
+
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(
         _multiply(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist())
@@ -153,13 +176,18 @@ def rot_to_quat(rot: np.ndarray) -> np.ndarray:
     return quat_normalize(q)
 
 
-def quat_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Quaternion for R = Rz(gamma) @ Ry(beta) @ Rx(alpha)."""
+def _euler_quat(alpha: float, beta: float, gamma: float) -> tuple[float, float, float, float]:
+    """Quaternion for R = Rz(gamma) @ Ry(beta) @ Rx(alpha), before normalizing."""
     ha, hb, hg = 0.5 * alpha, 0.5 * beta, 0.5 * gamma
     qx = (math.cos(ha), math.sin(ha), 0.0, 0.0)
     qy = (math.cos(hb), 0.0, math.sin(hb), 0.0)
     qz = (math.cos(hg), 0.0, 0.0, math.sin(hg))
-    return quat_normalize(np.array(_multiply(qz, _multiply(qy, qx))))
+    return _multiply(qz, _multiply(qy, qx))
+
+
+def quat_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Quaternion for R = Rz(gamma) @ Ry(beta) @ Rx(alpha)."""
+    return quat_normalize(np.array(_euler_quat(alpha, beta, gamma)))
 
 
 def _euler(r00, r01, r10, r11, r20, r21, r22) -> tuple[float, float, float]:
@@ -216,6 +244,31 @@ def rot_to_euler_batch(rot: np.ndarray) -> np.ndarray:
         np.arctan2(rot[..., 1, 0], rot[..., 0, 0]),
     )
     return wrap_angles(np.stack([alpha, beta, gamma], axis=-1))
+
+
+def _euler_rotate(alpha: float, beta: float, gamma: float, v) -> tuple[tuple, tuple]:
+    """``R v`` and its partial derivatives by alpha, beta and gamma, on floats.
+
+    ``R = Rz(gamma) @ Ry(beta) @ Rx(alpha)`` is applied factor by factor,
+    and each derivative reuses the partial products: d/d alpha is
+    ``Rz Ry (0, -u_z, u_y)`` with ``u = Rx v``, d/d beta is
+    ``Rz (w_z, 0, -w_x)`` with ``w = Ry u``, and d/d gamma is
+    ``(-(R v)_y, (R v)_x, 0)``.
+    """
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    vx, vy, vz = v
+    uy = ca * vy - sa * vz
+    uz = sa * vy + ca * vz
+    wx = cb * vx + sb * uz
+    wz = cb * uz - sb * vx
+    rx, ry = cg * wx - sg * uy, sg * wx + cg * uy
+    sb_uy = sb * uy
+    d_alpha = (cg * sb_uy + sg * uz, sg * sb_uy - cg * uz, cb * uy)
+    d_beta = (cg * wz, sg * wz, -wx)
+    d_gamma = (-ry, rx, 0.0)
+    return (rx, ry, wz), (d_alpha, d_beta, d_gamma)
 
 
 def euler_rot_derivatives(euler: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -366,7 +419,8 @@ class Pose6D:
     @staticmethod
     def from_euler(t, euler) -> "Pose6D":
         euler = np.asarray(euler, dtype=float).reshape(3)
-        return Pose6D(np.asarray(t, dtype=float), quat_from_euler(*euler.tolist()))
+        # normalized once, by the constructor
+        return Pose6D(np.asarray(t, dtype=float), _euler_quat(*euler.tolist()))
 
     @property
     def euler(self) -> np.ndarray:
@@ -377,16 +431,11 @@ class Pose6D:
 
     def compose(self, other: "Pose6D") -> "Pose6D":
         """self then other: first apply other in self's frame (self * other)."""
-        q = self.q.tolist()
-        tx, ty, tz = self.t.tolist()
-        rx, ry, rz = _rotate(q, other.t.tolist())
-        return Pose6D((tx + rx, ty + ry, tz + rz), _multiply(q, other.q.tolist()))
+        t, q = _compose(self.t.tolist(), self.q.tolist(), other.t.tolist(), other.q.tolist())
+        return Pose6D(t, q)
 
     def inverse(self) -> "Pose6D":
-        w, x, y, z = self.q.tolist()
-        q_inv = (w, -x, -y, -z)
-        rx, ry, rz = _rotate(q_inv, self.t.tolist())
-        return Pose6D((-rx, -ry, -rz), q_inv)
+        return Pose6D(*_inverse(self.t.tolist(), self.q.tolist()))
 
     def apply(self, point: np.ndarray) -> np.ndarray:
         tx, ty, tz = self.t.tolist()

@@ -330,12 +330,8 @@ class GroundStation:
         frame, ekf_pose, ekf_cov = self._carry_forward(m.frame, m.ekf_pose, m.ekf_cov)
         camera_pose = ekf_pose.compose(cam.extrinsics)
         pose_in_frame = camera_pose.compose(m.detection.rel_pose)
-        cov = (
-            transport_covariance(
-                detection_noise(m.detection, self.ekf_config), camera_pose.rotation()
-            )
-            + ekf_cov
-        )
+        # isotropic detection noise needs no rotation into the frame (see ekf)
+        cov = detection_noise(m.detection, self.ekf_config) + ekf_cov
         marker_id = m.detection.marker_id
         entry = self.gmap.lookup(marker_id)
         if entry is None:
@@ -473,8 +469,14 @@ class GroundStation:
         """Broadcast, in id order, the entries replaced since the last flush.
 
         Every map mutation stores a new entry object and none removes one.
+        A pose travels as Euler angles, and that round trip can move the
+        last bit, so the station then keeps each sent entry with the pose a
+        drone decodes from it: every drone's view equals the map bit for bit.
         """
         changed = [e for k, e in sorted(self.gmap.entries.items()) if self._sent.get(k) is not e]
         if changed:
             self.link.send(MapSnapshot(tuple(changed)))
-            self._sent.update((e.marker_id, e) for e in changed)
+            for entry in changed:
+                sent = replace(entry, pose=Pose6D.from_dict(entry.pose.to_dict()))
+                self.gmap.replace_entry(sent)
+                self._sent[sent.marker_id] = sent

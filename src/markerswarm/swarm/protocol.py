@@ -19,8 +19,10 @@ merge records to the frame that is live when it handles the message.
 
 Map deltas: a ``MapSnapshot`` carries only the entries the station
 replaced since its previous broadcast, in marker id order; a drone
-merges them into its view. The map never removes an entry, so the view
-equals the station map as long as every snapshot arrives, in order.
+merges them into its view. The map never removes an entry, and the
+station keeps each entry as a drone decodes it (``GroundStation.flush``),
+so the view equals the station map bit for bit as long as every snapshot
+arrives, in order.
 
 Mailboxes: every link is a plain list of lines with one writer, read on
 the runner's thread only after the writer's part of the tick has

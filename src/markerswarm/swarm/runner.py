@@ -7,9 +7,11 @@ the station handle that drone's outbox; last it broadcasts the map entries
 that changed. A ``tick`` touches only its own drone's state and outbox,
 so the modes differ only in how the ticks run: in drone id order
 (lockstep) or concurrently on a thread pool (threaded). For a given
-numpy/OpenBLAS build and BLAS thread count, a report is bit-for-bit
-deterministic per (scenario, seed) and the same in both modes, apart
-from ``mode``.
+numpy/OpenBLAS build, a report is bit-for-bit deterministic per
+(scenario, seed) and the same in both modes, apart from ``mode``. The
+lab report is also the same on one and two OpenBLAS threads; a frame of
+40 markers is not, as bundle adjustment's LU solve of its reduced
+system then follows the thread count.
 
 Either way an exception in a node's tick or steer reaches the caller, and
 the result is a plain report dict: world truth, final map, per-tick

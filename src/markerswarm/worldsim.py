@@ -20,7 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
-from markerswarm.geom import Pose6D, check_int, wrap_angle, wrap_angles
+from markerswarm.geom import (
+    Pose6D,
+    _compose,
+    _euler_quat,
+    _quat_euler,
+    check_int,
+    wrap_angle,
+    wrap_angles,
+)
 
 MARKER_ID_MAX = 1023  # 1024 distinct marker patterns, ids 0..1023
 MAX_STEP_DT = 0.5
@@ -211,10 +219,13 @@ def sense_markers(
     widened by ``CULL_MARGIN``; the survivors are a superset of the markers
     the exact per-marker test below accepts. That test, the dropout draw
     and the noise then run on the survivors only, in ascending id order, so
-    detections and draws are the same as with no cull at all.
+    detections and draws are the same as with no cull at all. Each
+    survivor is composed into the camera frame and perturbed on floats;
+    the detection's ``rel_pose`` is the one pose built per marker.
     """
     cam_in_world = truth.pose.compose(cam.extrinsics)
     world_in_cam = cam_in_world.inverse()
+    cam_t, cam_q = world_in_cam.t.tolist(), world_in_cam.q.tolist()
     cos_fov = math.cos(cam.fov_half_angle)
     in_cam = (world.marker_positions - cam_in_world.t) @ cam_in_world.rotation()
     dists = np.linalg.norm(in_cam, axis=1)
@@ -222,27 +233,34 @@ def sense_markers(
     out: list[MarkerDetection] = []
     for index in np.flatnonzero(near).tolist():
         marker_id = world.marker_ids[index]
-        rel = world_in_cam.compose(world.markers[marker_id])
-        dist = float(np.linalg.norm(rel.t))
+        marker = world.markers[marker_id]
+        (x, y, z), q = _compose(cam_t, cam_q, marker.t.tolist(), marker.q.tolist())
+        dist = math.sqrt(x * x + y * y + z * z)
         if dist <= 0.0 or dist > cam.max_range:
             continue
-        if rel.t[2] < dist * cos_fov:
+        if z < dist * cos_fov:
             continue
         if noise.dropout > 0.0 and rng.uniform() < noise.dropout:
             continue
         sigma_p = noise.pos_sigma(dist)
         sigma_a = noise.ang_sigma(dist)
         if sigma_p > 0.0 or sigma_a > 0.0:
-            t = rel.t + sigma_p * rng.standard_normal(3)
-            euler = wrap_angles(rel.euler + sigma_a * rng.standard_normal(3))
-            rel = Pose6D.from_euler(t, euler)
+            nx, ny, nz = rng.standard_normal(3).tolist()
+            x, y, z = x + sigma_p * nx, y + sigma_p * ny, z + sigma_p * nz
+            alpha, beta, gamma = _quat_euler(q)
+            na, nb, ng = rng.standard_normal(3).tolist()
+            q = _euler_quat(
+                wrap_angle(alpha + sigma_a * na),
+                wrap_angle(beta + sigma_a * nb),
+                wrap_angle(gamma + sigma_a * ng),
+            )
         out.append(
             MarkerDetection(
                 drone_id=truth.drone_id,
                 marker_id=marker_id,
                 camera=cam.name,
-                rel_pose=rel,
-                range=float(np.linalg.norm(rel.t)),
+                rel_pose=Pose6D((x, y, z), q),
+                range=math.sqrt(x * x + y * y + z * z),
                 timestamp=now,
             )
         )

@@ -7,19 +7,22 @@ with its reason, in CHANGES.md. Any other change must leave it alone.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from markerswarm.cli import main as cli_main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-TWO_DRONE_DEMO_SEED_7 = "4e76be35d34a4be9d1fa9aca47c35dc85bf0d6f79c2b22dd4d0b0b17e61043d5"
+TWO_DRONE_DEMO_SEED_7 = "0b6b1ba4547ac1e85a8c689712095e365d5beaaadb133364fc86dee5e686f656"
 TWO_DRONE_DEMO_SEED_7_PLOT = "8ee3740cb7760fa17924c587bed0c7ad7a14bdf92e1a7ddaee716a911a098c5e"
 # the other three artifacts of the same run
 TWO_DRONE_DEMO_SEED_7_ARTIFACTS = {
-    "map.json": "5abca87cd7ad692dda585b2497e0912ee4d9f92a5b136ef295d24ca99b05b79e",
-    "metrics.json": "4cb0be6717252d8b2790b3a460cf10e51ee29ad1f431663995354e83eafea40e",
-    "trajectories.csv": "7c9c583aff44a440b51881e30c511a3a0fa7aead1510aefc24d6d2dab07d7cdc",
+    "map.json": "d3a7939a07bee4c33368e2df0a87831fcd74de9b81b4a2071656e28245180724",
+    "metrics.json": "41e86aa24e22c25ed7ccabb8ff1581b439b4c33cb9ae58ac35caea3c1ff9cef4",
+    "trajectories.csv": "a85fc0d5e36a0fa97f2421a29f7ce5a90347ab323f46b51fa8cba234659b37ff",
 }
 
 
@@ -52,3 +55,29 @@ def test_two_drone_demo_seed_7_artifact_digests(tmp_path):
         for name in TWO_DRONE_DEMO_SEED_7_ARTIFACTS
     }
     assert digests == TWO_DRONE_DEMO_SEED_7_ARTIFACTS
+
+
+def lab_seed_11_report_digest(tmp_path, blas_threads: int) -> str:
+    """sha256 of a lab seed 11 ``report.json`` from a fresh process with that many BLAS threads."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": str(blas_threads),
+    }
+    out = tmp_path / f"threads_{blas_threads}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "markerswarm.cli", "run", str(SCENARIOS / "lab_three_drones.json"),
+         "--seed", "11", "--mode", "lockstep", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+
+
+def test_lab_report_independent_of_blas_thread_count(tmp_path):
+    # bundle adjustment once summed its Schur complement in one BLAS product,
+    # whose summation order changed with the number of OpenBLAS threads
+    assert lab_seed_11_report_digest(tmp_path, 1) == lab_seed_11_report_digest(tmp_path, 2)

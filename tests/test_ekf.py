@@ -163,8 +163,8 @@ class TestObservationFromMarker:
                 det = make_detection(rel, camera=cam.name)
                 entry = SimpleNamespace(pose=marker, cov=np.zeros((6, 6)))
                 obs = observation_from_marker(det, entry, cam, cfg)
-                assert np.max(np.abs(obs.pose.t - truth.t)) < 1e-9
-                assert np.max(np.abs(wrap_angles(obs.pose.euler - truth.euler))) < 1e-9
+                assert np.max(np.abs(obs.vector[:3] - truth.t)) < 1e-9
+                assert np.max(np.abs(wrap_angles(obs.vector[3:] - truth.euler))) < 1e-9
 
     def test_zero_entry_cov_identity_rotation_gives_detection_noise(self):
         cfg = EkfConfig()
@@ -176,7 +176,7 @@ class TestObservationFromMarker:
         det = make_detection(rel, camera=cam.name)
         entry = SimpleNamespace(pose=marker, cov=np.zeros((6, 6)))
         obs = observation_from_marker(det, entry, cam, cfg)
-        assert np.max(np.abs(obs.pose.rotation() - np.eye(3))) < 1e-12
+        assert np.max(np.abs(wrap_angles(obs.vector[3:]))) < 1e-12
         assert np.max(np.abs(obs.cov - detection_noise(det, cfg))) < 1e-15
 
     def test_trace_is_additive_in_map_uncertainty(self):
@@ -199,9 +199,7 @@ class TestUpdate:
         # prior mean 0 var 1, observation mean 1 var 1 -> posterior (0.5, 0.5)
         cfg = EkfConfig(gate_enabled=False)
         state = make_state(mean=np.zeros(6), cov=np.eye(6))
-        obs = PoseObservation(
-            pose=Pose6D.from_vector([1.0, 0, 0, 0, 0, 0]), cov=np.eye(6), marker_id=0
-        )
+        obs = PoseObservation(vector=[1.0, 0, 0, 0, 0, 0], cov=np.eye(6), marker_id=0)
         new, accepted = update(state, obs, cfg)
         assert accepted
         assert new.mean[0] == pytest.approx(0.5, abs=1e-12)
@@ -216,7 +214,7 @@ class TestUpdate:
             b = rng.standard_normal((6, 6))
             r = b @ b.T + 0.1 * np.eye(6)
             state = make_state(mean=rng.uniform(-1, 1, 6) * 0.1, cov=p)
-            obs = PoseObservation(Pose6D.from_vector(rng.uniform(-1, 1, 6) * 0.1), r, 0)
+            obs = PoseObservation(rng.uniform(-1, 1, 6) * 0.1, r, 0)
             new, _ = update(state, obs, cfg)
             assert np.trace(new.cov) <= np.trace(state.cov) + 1e-12
             assert np.max(np.abs(new.cov - new.cov.T)) < 1e-12
@@ -224,7 +222,7 @@ class TestUpdate:
     def test_gate_rejects_wild_observation(self):
         cfg = EkfConfig(gate_enabled=True)
         state = make_state(cov=1e-4 * np.eye(6))
-        wild = PoseObservation(Pose6D.from_vector([5.0, 0, 0, 0, 0, 0]), 1e-4 * np.eye(6), 0)
+        wild = PoseObservation([5.0, 0, 0, 0, 0, 0], 1e-4 * np.eye(6), 0)
         new, accepted = update(state, wild, cfg)
         assert not accepted
         assert new is state
@@ -232,7 +230,7 @@ class TestUpdate:
     def test_gate_disabled_accepts_everything(self):
         cfg = EkfConfig(gate_enabled=False)
         state = make_state(cov=1e-4 * np.eye(6))
-        wild = PoseObservation(Pose6D.from_vector([5.0, 0, 0, 0, 0, 0]), 1e-4 * np.eye(6), 0)
+        wild = PoseObservation([5.0, 0, 0, 0, 0, 0], 1e-4 * np.eye(6), 0)
         _, accepted = update(state, wild, cfg)
         assert accepted
 
@@ -250,7 +248,7 @@ class TestUpdate:
 
     def test_innovation_wraps_angles(self):
         state = make_state(mean=[0, 0, 0, 0, 0, 3.1])
-        obs = PoseObservation(Pose6D.from_vector([0, 0, 0, 0, 0, -3.1]), np.eye(6), 0)
+        obs = PoseObservation([0, 0, 0, 0, 0, -3.1], np.eye(6), 0)
         y = innovation(state, obs)
         assert y[5] == pytest.approx(2 * math.pi - 6.2, abs=1e-12)
 

@@ -1128,11 +1128,12 @@ class TestRunScenario:
         assert report["metrics"]["merge_count"] >= 2
         assert [rec.message for rec in caplog.records if "rigid fit scale" in rec.message] == []
 
-    def test_lockstep_node_views_match_station_map(self):
+    @staticmethod
+    def assert_node_views_match_station_map(seed):
         # each drone builds its view from map deltas alone; once its inbox is
         # drained it must hold every station entry, merges and BA included
         sc = load_scenario(str(SCENARIOS / "lab_three_drones.json"))
-        station, nodes, _ = _run_ticks(sc, 11)
+        station, nodes, _ = _run_ticks(sc, seed)
         assert station.merge_events and station.ba_reports
         expected = {k: e.to_dict() for k, e in station.gmap.entries.items()}
         assert len(expected) == len(sc.world.markers)
@@ -1140,3 +1141,12 @@ class TestRunScenario:
             for line in node.inbox.drain():
                 node._apply_line(line)
             assert {k: e.to_dict() for k, e in node.map_view.items()} == expected
+
+    def test_lockstep_node_views_match_station_map(self):
+        self.assert_node_views_match_station_map(11)
+
+    def test_node_views_keep_the_station_map_bits_through_the_euler_wire(self):
+        # a pose travels as Euler angles; decoding and re-extracting them moved
+        # the last bit of marker 27's yaw here, so the views differed from the
+        # map until the station kept each entry as the drones decode it
+        self.assert_node_views_match_station_map(3)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from markerswarm.geom import Pose6D, wrap_angles
+from markerswarm.geom import Pose6D, quat_multiply, quat_to_euler, wrap_angles
 from markerswarm.worldsim import (
     CameraParams,
     DroneTruth,
@@ -164,28 +164,42 @@ class TestSenseMarkers:
         assert abs(seen / 10_000 - 0.7) < 0.02
 
 
+def norm3(v):
+    """Euclidean norm as a sequential float sum of squares."""
+    x, y, z = v.tolist()
+    return math.sqrt(x * x + y * y + z * z)
+
+
 def sense_markers_every_marker(truth, world, cam, noise, rng, now):
-    """Reference: the exact per-marker test on every marker, in id order, no cull."""
+    """Reference: the exact per-marker test on every marker, in id order, no cull.
+
+    Each marker reaches the camera frame as ``apply`` of its position and
+    the raw product of the two quaternions, which is what the composition
+    computes before it normalizes.
+    """
     world_in_cam = truth.pose.compose(cam.extrinsics).inverse()
     cos_fov = math.cos(cam.fov_half_angle)
     out = []
     for marker_id in sorted(world.markers):
-        rel = world_in_cam.compose(world.markers[marker_id])
-        dist = float(np.linalg.norm(rel.t))
+        marker = world.markers[marker_id]
+        t = world_in_cam.apply(marker.t)
+        q = quat_multiply(world_in_cam.q, marker.q)
+        dist = norm3(t)
         if dist <= 0.0 or dist > cam.max_range:
             continue
-        if rel.t[2] < dist * cos_fov:
+        if t[2] < dist * cos_fov:
             continue
         if noise.dropout > 0.0 and rng.uniform() < noise.dropout:
             continue
         sigma_p = noise.pos_sigma(dist)
         sigma_a = noise.ang_sigma(dist)
         if sigma_p > 0.0 or sigma_a > 0.0:
-            t = rel.t + sigma_p * rng.standard_normal(3)
-            euler = wrap_angles(rel.euler + sigma_a * rng.standard_normal(3))
+            t = t + sigma_p * rng.standard_normal(3)
+            euler = wrap_angles(quat_to_euler(q) + sigma_a * rng.standard_normal(3))
             rel = Pose6D.from_euler(t, euler)
-        dist = float(np.linalg.norm(rel.t))
-        out.append(MarkerDetection(truth.drone_id, marker_id, cam.name, rel, dist, now))
+        else:
+            rel = Pose6D(t, q)
+        out.append(MarkerDetection(truth.drone_id, marker_id, cam.name, rel, norm3(rel.t), now))
     return out
 
 
