@@ -39,6 +39,7 @@ import numpy as np
 
 from markerswarm.geom import (
     Pose6D,
+    check_float,
     check_int,
     euler_rate_from_rot_rate,
     euler_rot_derivatives_batch,
@@ -49,6 +50,13 @@ from markerswarm.geom import (
 
 D_KEY_DEFAULT = 0.5  # m of translation since the last keypose
 THETA_KEY_DEFAULT = 0.35  # rad of rotation since the last keypose
+
+# Levenberg-Marquardt settings; scenarios set only the iteration cap
+INITIAL_DAMPING = 1e-4
+DAMPING_STEP = 10.0
+MAX_DAMPING = 1e12
+COST_REL_TOL = 1e-9
+GRAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,9 @@ class KeyposeObservation:
         return KeyposeObservation(
             marker_id=check_int(data["marker_id"], "marker_id"),
             rel_pose=Pose6D.from_dict(data["rel_pose"]),
-            noise_cov=np.asarray(data["noise_cov"], dtype=float).reshape(6, 6),
+            noise_cov=np.array(
+                [check_float(v, "noise_cov") for v in data["noise_cov"]]
+            ).reshape(6, 6),
             cam_extrinsics=Pose6D.from_dict(data["cam_extrinsics"]),
         )
 
@@ -104,7 +114,7 @@ class Keypose:
             drone_id=check_int(data["drone_id"], "drone_id"),
             frame=check_int(data["frame"], "frame"),
             pose=Pose6D.from_dict(data["pose"]),
-            timestamp=float(data["timestamp"]),
+            timestamp=check_float(data["timestamp"], "timestamp"),
             observations=tuple(
                 KeyposeObservation.from_dict(o) for o in data["observations"]
             ),
@@ -200,10 +210,6 @@ class BaProblem:
     @property
     def n_variables(self) -> int:
         return 6 * (self.n_keypose_vars + len(self.marker_ids))
-
-    @property
-    def n_residuals(self) -> int:
-        return 6 * len(self.observations)
 
     def initial_vector(self) -> np.ndarray:
         parts = [kp.pose.to_vector() for kp in self.keyposes[1:]]
@@ -385,16 +391,6 @@ class NormalEquations:
         return np.concatenate([d_keypose.reshape(-1), d_marker])
 
 
-@dataclass(frozen=True)
-class BaConfig:
-    max_iterations: int = 100
-    initial_damping: float = 1e-4
-    damping_step: float = 10.0
-    max_damping: float = 1e12
-    cost_rel_tol: float = 1e-9
-    grad_tol: float = 1e-10
-
-
 @dataclass
 class BaResult:
     status: str  # converged | max_iterations | aborted_singular
@@ -429,11 +425,11 @@ def _wrap_variable_angles(x: np.ndarray) -> np.ndarray:
     return blocks.reshape(-1)
 
 
-def optimize(problem: BaProblem, config: BaConfig = BaConfig()) -> BaResult:
+def optimize(problem: BaProblem, max_iterations: int = 100) -> BaResult:
     """Levenberg-Marquardt on the whitened residuals.
 
-    Terminates on relative cost decrease below cost_rel_tol, gradient
-    infinity norm below grad_tol, or max_iterations. A singular damped
+    Terminates on relative cost decrease below COST_REL_TOL, gradient
+    infinity norm below GRAD_TOL, or max_iterations. A singular damped
     system at maximum damping aborts with the initial variables intact so
     the caller leaves the map untouched.
     """
@@ -441,7 +437,7 @@ def optimize(problem: BaProblem, config: BaConfig = BaConfig()) -> BaResult:
     res, jac = residuals(problem, x, with_jacobian=True)
     cost = 0.5 * float(res @ res)
     initial_cost = cost
-    damping = config.initial_damping
+    damping = INITIAL_DAMPING
     damping_trace: list[float] = []
     cost_trace: list[float] = []
     status = "max_iterations"
@@ -462,9 +458,9 @@ def optimize(problem: BaProblem, config: BaConfig = BaConfig()) -> BaResult:
             message=message,
         )
 
-    for _ in range(config.max_iterations):
+    for _ in range(max_iterations):
         normal = NormalEquations(problem, res, jac)
-        if float(np.max(np.abs(normal.gradient))) < config.grad_tol:
+        if float(np.max(np.abs(normal.gradient))) < GRAD_TOL:
             status = "converged"
             message = "gradient below tolerance"
             break
@@ -476,8 +472,8 @@ def optimize(problem: BaProblem, config: BaConfig = BaConfig()) -> BaResult:
             except np.linalg.LinAlgError:
                 step = None
             if step is None or not np.all(np.isfinite(step)):
-                damping *= config.damping_step
-                if damping > config.max_damping:
+                damping *= DAMPING_STEP
+                if damping > MAX_DAMPING:
                     message = "singular damped system at maximum damping"
                     return result("aborted_singular", problem.initial_vector(), initial_cost)
                 continue
@@ -486,10 +482,10 @@ def optimize(problem: BaProblem, config: BaConfig = BaConfig()) -> BaResult:
             cost_try = 0.5 * float(res_try @ res_try)
             if cost_try < cost:
                 accepted = True
-                damping = max(damping / config.damping_step, 1e-15)
+                damping = max(damping / DAMPING_STEP, 1e-15)
                 break
-            damping *= config.damping_step
-            if damping > config.max_damping:
+            damping *= DAMPING_STEP
+            if damping > MAX_DAMPING:
                 break
 
         if not accepted:
@@ -505,7 +501,7 @@ def optimize(problem: BaProblem, config: BaConfig = BaConfig()) -> BaResult:
         x = x_try
         cost = cost_try
         res, jac = residuals(problem, x, with_jacobian=True)
-        if relative_drop < config.cost_rel_tol:
+        if relative_drop < COST_REL_TOL:
             status = "converged"
             message = "relative cost decrease below tolerance"
             break

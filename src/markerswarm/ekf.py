@@ -33,6 +33,7 @@ from markerswarm.geom import (
     _inverse,
     _quat_euler,
     check_covariance,
+    check_float,
     check_int,
     symmetrize,
     transport_covariance,
@@ -142,14 +143,12 @@ class EkfState:
 
     @staticmethod
     def from_dict(data: dict) -> "EkfState":
+        cov = np.array([check_float(v, "cov") for v in data["cov"]])
         return EkfState(
-            np.asarray(data["mean"], dtype=float),
-            check_covariance(
-                np.asarray(data["cov"], dtype=float).reshape(STATE_DIM, STATE_DIM),
-                "ekf covariance",
-            ),
+            [check_float(v, "mean") for v in data["mean"]],
+            check_covariance(cov.reshape(STATE_DIM, STATE_DIM), "ekf covariance"),
             check_int(data["frame"], "frame"),
-            float(data["timestamp"]),
+            check_float(data["timestamp"], "timestamp"),
         )
 
 
@@ -168,17 +167,6 @@ class PoseObservation:
         cov.flags.writeable = False
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "cov", cov)
-
-
-def predict_jacobian(mean: np.ndarray, v_body: np.ndarray, dt: float) -> np.ndarray:
-    """State-transition Jacobian of the odometry integration.
-
-    Position rows couple to the angles through d(R(e) v)/de; everything
-    else is identity.
-    """
-    alpha, beta, gamma = np.asarray(mean, dtype=float)[3:].tolist()
-    _, derivs = _euler_rotate(alpha, beta, gamma, np.asarray(v_body, dtype=float).tolist())
-    return _transition_jacobian(derivs, dt)
 
 
 def _transition_jacobian(derivs, dt: float) -> np.ndarray:
@@ -277,10 +265,3 @@ def remap_frame(state: EkfState, rt: Pose6D, new_frame: int) -> EkfState:
     pose = rt.compose(state.pose)
     cov = transport_covariance(state.cov, rt.rotation())
     return EkfState(pose.to_vector(), cov, new_frame, state.timestamp)
-
-
-def nees(state: EkfState, truth: np.ndarray) -> float:
-    """Normalized estimation error squared against a true state vector."""
-    err = state.mean - np.asarray(truth, dtype=float).reshape(STATE_DIM)
-    err[3:] = wrap_angles(err[3:])
-    return float(err @ np.linalg.solve(state.cov, err))

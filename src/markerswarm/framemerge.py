@@ -198,17 +198,15 @@ def refine_transform(
     gmap: GlobalMap,
     record: MergeRecord,
     new_matches: list[tuple[int, Pose6D]],
-    eps_translation: float = REFINE_EPS_TRANSLATION,
-    eps_rotation: float = REFINE_EPS_ROTATION,
 ) -> FrameTransform | None:
     """Re-estimate a past merge when fresh matches of its entries appear.
 
     ``new_matches`` holds (marker_id, pose_in_winner) for markers that were
     transformed by the merge; their pre-merge loser poses complete the new
     pairs. If the re-estimated transform differs from the applied one by
-    more than the thresholds, every transformed entry is corrected by the
-    delta and the record is updated. Returns the new transform when a
-    correction was applied, None for a no-op.
+    more than the REFINE_EPS_* thresholds, every transformed entry is
+    corrected by the delta and the record is updated. Returns the new
+    transform when a correction was applied, None for a no-op.
     """
     known = record.paired_ids()
     added = False
@@ -226,8 +224,8 @@ def refine_transform(
     )
     delta = refit.rt.compose(record.transform.rt.inverse())
     if (
-        float(np.linalg.norm(delta.t)) <= eps_translation
-        and quat_angle(delta.q) <= eps_rotation
+        float(np.linalg.norm(delta.t)) <= REFINE_EPS_TRANSLATION
+        and quat_angle(delta.q) <= REFINE_EPS_ROTATION
     ):
         return None
 

@@ -16,11 +16,12 @@ API boundaries (construction, serialization, filter state vectors).
 
 Trust boundaries: values are validated once, where they enter a run.
 ``parse_scenario`` checks the scenario file; protocol ``decode`` and the
-``from_dict`` constructors it calls check every wire value, covariances
-through ``check_covariance``. The constructors of values a run computes
-itself (``EkfState``, ``PoseObservation``, ``MapEntry``) only copy and
-freeze their arrays. ``Pose6D`` is the exception: it still rejects a
-non-finite translation and normalizes its quaternion.
+``from_dict`` constructors it calls check every wire value with
+``check_int``, ``check_float`` or ``check_covariance``. The constructors
+of values a run computes itself (``EkfState``, ``PoseObservation``,
+``MapEntry``) only copy and freeze their arrays. ``Pose6D`` is the
+exception: it still rejects a non-finite translation and normalizes its
+quaternion.
 
 Float kernels: the quaternion and pose kernels unpack their arrays with
 ``tolist()`` and compute on Python floats, which is several times faster
@@ -128,16 +129,6 @@ def _inverse(t, q) -> tuple[tuple[float, float, float], tuple]:
     return (-rx, -ry, -rz), q_inv
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array(
-        _multiply(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist())
-    )
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
     w, x, y, z = np.asarray(q, dtype=float).tolist()
     return np.array(
@@ -185,11 +176,6 @@ def _euler_quat(alpha: float, beta: float, gamma: float) -> tuple[float, float, 
     return _multiply(qz, _multiply(qy, qx))
 
 
-def quat_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Quaternion for R = Rz(gamma) @ Ry(beta) @ Rx(alpha)."""
-    return quat_normalize(np.array(_euler_quat(alpha, beta, gamma)))
-
-
 def _euler(r00, r01, r10, r11, r20, r21, r22) -> tuple[float, float, float]:
     """(alpha, beta, gamma) from the rotation entries the extraction reads."""
     # R = Rz(gamma) @ Ry(beta) @ Rx(alpha), so R[2,0] = -sin(beta)
@@ -226,13 +212,8 @@ def quat_to_euler(q: np.ndarray) -> np.ndarray:
     return np.array(_quat_euler(np.asarray(q, dtype=float).tolist()))
 
 
-def rot_to_euler(rot: np.ndarray) -> np.ndarray:
-    (r00, r01, _), (r10, r11, _), (r20, r21, r22) = np.asarray(rot, dtype=float).tolist()
-    return np.array(_euler(r00, r01, r10, r11, r20, r21, r22))
-
-
 def rot_to_euler_batch(rot: np.ndarray) -> np.ndarray:
-    """``rot_to_euler`` over a stack ``(..., 3, 3)``, gimbal branch included."""
+    """``_euler`` over a stack of rotations ``(..., 3, 3)``, gimbal branch included."""
     rot = np.asarray(rot, dtype=float)
     s_beta = np.clip(-rot[..., 2, 0], -1.0, 1.0)
     gimbal = np.abs(s_beta) >= _GIMBAL_TOL
@@ -271,27 +252,8 @@ def _euler_rotate(alpha: float, beta: float, gamma: float, v) -> tuple[tuple, tu
     return (rx, ry, wz), (d_alpha, d_beta, d_gamma)
 
 
-def euler_rot_derivatives(euler: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Rotation matrix and its three partial derivatives d R / d angle."""
-    alpha, beta, gamma = float(euler[0]), float(euler[1]), float(euler[2])
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cg, sg = math.cos(gamma), math.sin(gamma)
-
-    rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
-    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
-    rz = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]])
-
-    drx = np.array([[0, 0, 0], [0, -sa, -ca], [0, ca, -sa]])
-    dry = np.array([[-sb, 0, cb], [0, 0, 0], [-cb, 0, -sb]])
-    drz = np.array([[-sg, -cg, 0], [cg, -sg, 0], [0, 0, 0]])
-
-    rot = rz @ ry @ rx
-    return rot, [rz @ ry @ drx, rz @ dry @ rx, drz @ ry @ rx]
-
-
 def euler_rot_derivatives_batch(euler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``euler_rot_derivatives`` over ``(N, 3)`` angles.
+    """Rotation matrices and their partial derivatives by angle, over ``(N, 3)`` angles.
 
     Returns rotations ``(N, 3, 3)`` and derivatives ``(N, 3, 3, 3)``, where
     ``[:, k]`` is d R / d angle k.
@@ -384,7 +346,8 @@ def quat_angle(q: np.ndarray) -> float:
 
 def rotation_angle_between(qa: np.ndarray, qb: np.ndarray) -> float:
     """Geodesic angle between two orientations."""
-    return quat_angle(quat_multiply(quat_conjugate(qa), qb))
+    w, x, y, z = np.asarray(qa, dtype=float).tolist()
+    return quat_angle(_multiply((w, -x, -y, -z), np.asarray(qb, dtype=float).tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -442,12 +405,6 @@ class Pose6D:
         rx, ry, rz = _rotate(self.q.tolist(), np.asarray(point, dtype=float).tolist())
         return np.array([tx + rx, ty + ry, tz + rz])
 
-    def to_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation()
-        m[:3, 3] = self.t
-        return m
-
     def to_vector(self) -> np.ndarray:
         """(x, y, z, alpha, beta, gamma) boundary form."""
         return np.array([*self.t.tolist(), *_quat_euler(self.q.tolist())])
@@ -462,7 +419,10 @@ class Pose6D:
 
     @staticmethod
     def from_dict(data: dict) -> "Pose6D":
-        return Pose6D.from_euler(data["t"], data["euler"])
+        return Pose6D.from_euler(
+            [check_float(v, "t") for v in data["t"]],
+            [check_float(v, "euler") for v in data["euler"]],
+        )
 
     def __repr__(self) -> str:  # compact, round-trip not required
         t = ", ".join(f"{v:.4g}" for v in self.t)
@@ -479,6 +439,17 @@ def check_int(value, what: str) -> int:
     # bool subclasses int, so isinstance would let true and false through
     if type(value) is not int:
         raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def check_float(value, what: str) -> float:
+    """``value`` if it is a finite JSON number; a string, bool or non-finite one raises."""
+    # json.loads reads 1e400 as inf; bool subclasses int
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not finite")
     return value
 
 

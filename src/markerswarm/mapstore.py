@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from markerswarm.geom import Pose6D, check_covariance, check_int, quat_slerp, symmetrize
+from markerswarm.geom import (
+    Pose6D,
+    check_covariance,
+    check_float,
+    check_int,
+    quat_slerp,
+    symmetrize,
+)
 from markerswarm.worldsim import MARKER_ID_MAX
 
 DEFAULT_N_FUSE = 5
@@ -59,7 +66,8 @@ class MapEntry:
             frame=check_int(data["frame"], "frame"),
             pose=Pose6D.from_dict(data["pose"]),
             cov=check_covariance(
-                np.asarray(data["cov"], dtype=float).reshape(6, 6), f"marker {marker_id} cov"
+                np.array([check_float(v, "cov") for v in data["cov"]]).reshape(6, 6),
+                f"marker {marker_id} cov",
             ),
             obs_count=check_int(data["obs_count"], "obs_count"),
         )

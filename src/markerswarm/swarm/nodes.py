@@ -17,7 +17,6 @@ from dataclasses import replace
 import numpy as np
 
 from markerswarm.bundle import (
-    BaConfig,
     BaProblem,
     Keypose,
     KeyposeObservation,
@@ -271,7 +270,6 @@ class GroundStation:
     """
 
     def __init__(self, scenario: Scenario, link: protocol.Endpoint) -> None:
-        self.scenario = scenario
         self.gmap = GlobalMap(n_fuse=scenario.n_fuse)
         self.cameras = scenario.cameras
         self.ekf_config = scenario.ekf
@@ -447,7 +445,7 @@ class GroundStation:
         except ValueError as err:
             log.debug("skipping adjustment of frame %d: %s", frame, err)
             return
-        result = optimize(problem, BaConfig(max_iterations=self.ba.max_iterations))
+        result = optimize(problem, self.ba.max_iterations)
         self.ba_reports.append(
             {**result.to_dict(), "frame": frame, "trigger": trigger, "time": float(now)}
         )

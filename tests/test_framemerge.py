@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from markerswarm import framemerge
 from markerswarm.geom import Pose6D, quat_angle, rotation_angle_between, wrap_angles
 from markerswarm.mapstore import GlobalMap, MapContractError
 from markerswarm.framemerge import (
@@ -248,12 +249,13 @@ class TestRefineTransform:
         assert refine_transform(gmap, record, []) is None
         assert refine_transform(gmap, record, [(30, observe(30))]) is None  # already paired
 
-    def test_noisy_second_match_reduces_residual(self):
+    def test_noisy_second_match_reduces_residual(self, monkeypatch):
         rng = np.random.default_rng(72)
         true_rt = random_transform(rng)
         gmap, record, observe = self._merged_map(rng, true_rt, noise=0.02)
         old_rt = record.transform.rt
-        refined = refine_transform(gmap, record, [(31, observe(31))], eps_translation=1e-6)
+        monkeypatch.setattr(framemerge, "REFINE_EPS_TRANSLATION", 1e-6)
+        refined = refine_transform(gmap, record, [(31, observe(31))])
         assert refined is not None
         pair_set = [(w, l) for _, w, l in record.pairs]
 

@@ -14,6 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from reference import euler_rot_derivatives
+
 from markerswarm.ekf import (
     EkfConfig,
     EkfState,
@@ -27,7 +29,6 @@ from markerswarm.ekf import (
 from markerswarm.geom import (
     Pose6D,
     _euler_rotate,
-    euler_rot_derivatives,
     symmetrize,
     transport_covariance,
     wrap_angles,

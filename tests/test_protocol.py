@@ -8,7 +8,7 @@ import pytest
 
 from markerswarm.bundle import Keypose, KeyposeObservation
 from markerswarm.ekf import EkfState
-from markerswarm.geom import Pose6D, quat_to_rot, rot_to_euler
+from markerswarm.geom import Pose6D
 from markerswarm.mapstore import MapEntry
 from markerswarm.swarm.protocol import (
     STATION_ID,
@@ -23,7 +23,6 @@ from markerswarm.swarm.protocol import (
     ProtocolError,
     QueueTransport,
     SequenceGuard,
-    Shutdown,
     decode,
     encode,
 )
@@ -81,7 +80,6 @@ def all_messages():
         MapSnapshot(entries=(entry,)),
         FrameMerged(loser=2, winner=0, rt=sample_pose(13)),
         KeyposeCommit(keypose=sample_keypose()),
-        Shutdown(),
     ]
 
 
@@ -106,8 +104,7 @@ def flat(matrix):
 
 
 def legacy_pose(p):
-    euler = rot_to_euler(quat_to_rot(p.q))
-    return {"t": [float(v) for v in p.t], "euler": [float(v) for v in euler]}
+    return {"t": [float(v) for v in p.t], "euler": [float(v) for v in p.euler]}
 
 
 def legacy_cov(cov):
@@ -214,10 +211,6 @@ class TestCodec:
         assert set(doc) == {"type", "sender", "seq", "drone_id"}
         assert doc["type"] == "Hello"
 
-    def test_shutdown_envelope_keys(self):
-        doc = json.loads(encode(Shutdown(), sender=0, seq=9))
-        assert set(doc) == {"type", "sender", "seq"}
-
     def test_station_sender_allowed(self):
         line = encode(MapSnapshot(entries=()), sender=STATION_ID, seq=0)
         assert decode(line).sender == STATION_ID
@@ -233,9 +226,9 @@ class TestCodec:
             '{"type": "Hello", "seq": 1, "drone_id": 0}',
             '{"type": "Hello", "sender": 0, "seq": -1, "drone_id": 0}',
             '{"type": "Hello", "sender": 0, "seq": 1.5, "drone_id": 0}',
-            '{"type": "Shutdown", "sender": 0, "seq": 1.5}',
-            '{"type": "Shutdown", "sender": true, "seq": 1}',
-            '{"type": "Shutdown", "sender": 0, "seq": "7"}',
+            '{"type": "Hello", "sender": true, "seq": 1, "drone_id": 0}',
+            '{"type": "Hello", "sender": 0, "seq": "7", "drone_id": 0}',
+            '{"type": "Shutdown", "sender": 0, "seq": 1}',
             "",
             tampered("FrameMerged", ["loser"], 1.9),
             tampered("FrameMerged", ["winner"], True),
@@ -266,6 +259,23 @@ class TestCodec:
             tampered("MapSnapshot", ["entries", 0, "cov"], flat(np.full((6, 6), np.nan))),
             tampered("PoseReport", ["ekf_state", "cov"], flat(-np.eye(6))),
             tampered("PoseReport", ["ekf_state", "cov"], flat(np.full((6, 6), np.nan))),
+            tampered("MarkerObs", ["detection", "range"], "nan"),
+            tampered("MarkerObs", ["detection", "range"], True),
+            tampered("MarkerObs", ["detection", "range"], 0.125).replace("0.125", "1e400"),
+            tampered("MarkerObs", ["detection", "timestamp"], "inf"),
+            tampered("MarkerObs", ["detection", "camera"], 5),
+            tampered("MarkerObs", ["detection", "rel_pose", "t"], ["0.1", 0.0, 0.0]),
+            tampered("MarkerObs", ["ekf_pose", "euler"], [0.0, False, 0.0]),
+            tampered("MarkerObs", ["ekf_cov"], [True if v else 0.0 for v in flat(np.eye(6))]),
+            tampered("FrameMerged", ["rt", "t"], ["0.5", 0.0, 0.0]),
+            tampered("PoseReport", ["ekf_state", "timestamp"], "inf"),
+            tampered("PoseReport", ["ekf_state", "mean"], ["0.0", 1.0, 2.0, 3.0, 4.0, 5.0]),
+            tampered("PoseReport", ["ekf_state", "cov"], [str(v) for v in flat(np.eye(6))]),
+            tampered("MapSnapshot", ["entries", 0, "cov"], [str(v) for v in flat(np.eye(6))]),
+            tampered("MapSnapshot", ["entries", 0, "pose", "euler"], [0.0, 0.0, "0.5"]),
+            tampered("KeyposeCommit", ["keypose", "timestamp"], "inf"),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "noise_cov"],
+                     [True if v else 0.0 for v in flat(np.eye(6))]),
         ],
         ids=[
             "raw-text",
@@ -276,9 +286,9 @@ class TestCodec:
             "no-sender",
             "negative-seq",
             "float-seq",
-            "shutdown-float-seq",
-            "shutdown-bool-sender",
-            "shutdown-string-seq",
+            "bool-sender",
+            "string-seq",
+            "shutdown",
             "empty",
             "merged-float-loser",
             "merged-bool-winner",
@@ -306,6 +316,22 @@ class TestCodec:
             "snapshot-nan-cov",
             "report-negative-state-cov",
             "report-nan-state-cov",
+            "obs-string-range",
+            "obs-bool-range",
+            "obs-overflowing-range",
+            "obs-string-timestamp",
+            "obs-int-camera",
+            "obs-string-rel-pose-t",
+            "obs-bool-ekf-pose-euler",
+            "obs-bool-ekf-cov",
+            "merged-string-rt-t",
+            "report-string-state-timestamp",
+            "report-string-state-mean",
+            "report-string-state-cov",
+            "snapshot-string-cov",
+            "snapshot-string-pose-euler",
+            "keypose-string-timestamp",
+            "keypose-bool-noise-cov",
         ],
     )
     def test_malformed_lines_raise(self, line):
@@ -321,8 +347,8 @@ class TestCodec:
     @pytest.mark.parametrize(
         "line",
         [
-            "\ufeff" + encode(Shutdown(), sender=0, seq=1),
-            encode(Shutdown(), sender=0, seq=1).encode("utf-8"),
+            "\ufeff" + encode(Hello(drone_id=0), sender=0, seq=1),
+            encode(Hello(drone_id=0), sender=0, seq=1).encode("utf-8"),
             None,
             7,
         ],
@@ -386,7 +412,7 @@ class TestEndpoint:
         t = QueueTransport()
         ep = Endpoint(2, t)
         for _ in range(4):
-            ep.send(Shutdown())
+            ep.send(Hello(drone_id=2))
         decoded = [decode(line) for line in t.drain()]
         seqs = [d.seq for d in decoded]
         assert seqs == sorted(set(seqs))
@@ -395,8 +421,8 @@ class TestEndpoint:
     def test_one_encode_reaches_every_transport(self):
         boxes = [QueueTransport() for _ in range(3)]
         ep = Endpoint(STATION_ID, *boxes)
-        ep.send(Shutdown())
-        ep.send(Shutdown())
+        ep.send(MapSnapshot(entries=()))
+        ep.send(MapSnapshot(entries=()))
         first, *rest = [box.drain() for box in boxes]
         assert [decode(line).seq for line in first] == [1, 2]
         assert all(all(a is b for a, b in zip(lines, first, strict=True)) for lines in rest)

@@ -31,7 +31,6 @@ from markerswarm.swarm.protocol import (
     PoseReport,
     ProtocolError,
     QueueTransport,
-    Shutdown,
     decode,
     encode,
 )
@@ -360,7 +359,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, station_inbox, station_tx = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
-        node.inbox.send_line('{"type": "Shutdown", "sender": -1, "seq": 1.5}')
+        node.inbox.send_line('{"type": "Hello", "sender": -1, "seq": 1.5, "drone_id": 0}')
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
             node.tick(1, 0.1, still_odometry(0), [])
@@ -387,7 +386,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, _ = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
-        node.inbox.send_line(encode(Shutdown(), sender=STATION_ID, seq=4))
+        node.inbox.send_line(encode(Hello(0), sender=STATION_ID, seq=4))
         snapshot = MapSnapshot(entries=(entry_for(node, marker, obs_count=2),))
         node.inbox.send_line(encode(snapshot, sender=STATION_ID, seq=4))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
@@ -628,13 +627,27 @@ class TestGroundStation:
         assert station.counters["errors"] == 0
         assert station.gmap.entries == {}
 
-    def test_shutdown_is_handled_without_error(self):
+    def test_shutdown_line_counts_as_malformed(self):
+        sc = station_scenario()
+        station, _, inboxes = make_station(sc)
+        station.handle_line('{"type": "Shutdown", "sender": 0, "seq": 1}')
+        assert station.counters["malformed"] == 1
+        assert station.counters["handled"] == station.counters["errors"] == 0
+        assert all(inbox.drain() == [] for inbox in inboxes.values())
+
+    def test_string_nan_range_is_malformed_and_flush_succeeds(self):
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
-        senders[0].send(Shutdown())
-        senders[1].send(Shutdown())
-        assert station.counters["handled"] == 2
-        assert station.counters["errors"] == 0
+        cam = sc.cameras["down"]
+        senders[0].send(Hello(0))
+        pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
+        doc = json.loads(encode(obs_from(0, pose, pose, world_marker(), cam), sender=0, seq=2))
+        doc["detection"]["range"] = "nan"
+        station.handle_line(json.dumps(doc))
+        assert station.counters["malformed"] == 1
+        assert station.counters["handled"] == 1  # the Hello
+        assert station.gmap.entries == {}
+        station.flush()
         assert all(inbox.drain() == [] for inbox in inboxes.values())
 
     def test_flush_broadcasts_snapshot_once(self):
@@ -911,7 +924,7 @@ class TestCarryForward:
         senders[0].send(self.sight(0, marker))  # merge 1 -> 0
         assert [(e["loser"], e["winner"]) for e in station.merge_events] == [(2, 1), (1, 0)]
         kp = TestStationKeyposes().make_keypose(
-            station.scenario, 2, self.believed(2), 0.9, {5: marker}
+            station_scenario(), 2, self.believed(2), 0.9, {5: marker}
         )
         assert kp.frame == 2
         senders[2].send(KeyposeCommit(kp))
@@ -927,7 +940,7 @@ class TestCarryForward:
         obs = replace(self.sight(0, world_marker()), frame=3)
         kp = replace(
             TestStationKeyposes().make_keypose(
-                station.scenario, 0, self.truths[0], 0.9, {5: world_marker()}
+                station_scenario(), 0, self.truths[0], 0.9, {5: world_marker()}
             ),
             frame=3,
         )
@@ -1076,10 +1089,10 @@ class TestRunScenario:
             sys.setswitchinterval(interval)
         assert keys_differing_bar_mode(report, run_scenario(sc, mode="lockstep")) == []
         station = report["counters"]["station"]
-        # per drone: Hello, a PoseReport per tick, forwarded MarkerObs,
-        # KeyposeCommits and Shutdown
+        # per drone: Hello, a PoseReport per tick, forwarded MarkerObs and
+        # KeyposeCommits
         sent = sum(
-            2 + sc.n_ticks + c["forwarded"] + c["keyposes"]
+            1 + sc.n_ticks + c["forwarded"] + c["keyposes"]
             for c in report["counters"]["drones"].values()
         )
         assert station["handled"] == sent

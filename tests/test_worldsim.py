@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from markerswarm.geom import Pose6D, quat_multiply, quat_to_euler, wrap_angles
+from markerswarm.geom import Pose6D, _multiply, quat_to_euler, wrap_angles
 from markerswarm.worldsim import (
     CameraParams,
     DroneTruth,
@@ -183,7 +183,7 @@ def sense_markers_every_marker(truth, world, cam, noise, rng, now):
     for marker_id in sorted(world.markers):
         marker = world.markers[marker_id]
         t = world_in_cam.apply(marker.t)
-        q = quat_multiply(world_in_cam.q, marker.q)
+        q = np.array(_multiply(world_in_cam.q.tolist(), marker.q.tolist()))
         dist = norm3(t)
         if dist <= 0.0 or dist > cam.max_range:
             continue
