@@ -8,6 +8,11 @@ and all observed markers; minimizing it removes the bias that per-marker
 fusion cannot (keyposes and markers are pulled together instead of
 trusting the filter trajectory that inserted the markers).
 
+The noise model is the one the filter and the map use,
+``ekf.detection_noise``: a diagonal covariance set by the detection's
+range. So whitening divides each residual axis by its sigma, the square
+root of that diagonal.
+
 The first keypose of the lowest drone id anchors the gauge: it is not a
 variable, which pins the otherwise free rigid motion of the whole problem.
 Optimization is Levenberg-Marquardt with multiplicative damping (x10 on a
@@ -37,6 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from markerswarm.ekf import EkfConfig, detection_noise
 from markerswarm.geom import (
     Pose6D,
     check_float,
@@ -47,6 +53,7 @@ from markerswarm.geom import (
     rotation_angle_between,
     wrap_angles,
 )
+from markerswarm.worldsim import CameraParams, MarkerDetection
 
 D_KEY_DEFAULT = 0.5  # m of translation since the last keypose
 THETA_KEY_DEFAULT = 0.35  # rad of rotation since the last keypose
@@ -60,39 +67,12 @@ GRAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class KeyposeObservation:
-    marker_id: int
-    rel_pose: Pose6D  # marker in camera, as detected
-    noise_cov: np.ndarray  # 6x6 detection noise at the time
-    cam_extrinsics: Pose6D  # camera in drone body
-
-    def to_dict(self) -> dict:
-        return {
-            "marker_id": int(self.marker_id),
-            "rel_pose": self.rel_pose.to_dict(),
-            "noise_cov": np.asarray(self.noise_cov, dtype=float).reshape(-1).tolist(),
-            "cam_extrinsics": self.cam_extrinsics.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "KeyposeObservation":
-        return KeyposeObservation(
-            marker_id=check_int(data["marker_id"], "marker_id"),
-            rel_pose=Pose6D.from_dict(data["rel_pose"]),
-            noise_cov=np.array(
-                [check_float(v, "noise_cov") for v in data["noise_cov"]]
-            ).reshape(6, 6),
-            cam_extrinsics=Pose6D.from_dict(data["cam_extrinsics"]),
-        )
-
-
-@dataclass(frozen=True)
 class Keypose:
     drone_id: int
     frame: int
     pose: Pose6D
     timestamp: float
-    observations: tuple[KeyposeObservation, ...]
+    observations: tuple[MarkerDetection, ...]  # the detections seen at this instant
 
     def __post_init__(self) -> None:
         if len(self.observations) < 1:
@@ -115,9 +95,7 @@ class Keypose:
             frame=check_int(data["frame"], "frame"),
             pose=Pose6D.from_dict(data["pose"]),
             timestamp=check_float(data["timestamp"], "timestamp"),
-            observations=tuple(
-                KeyposeObservation.from_dict(o) for o in data["observations"]
-            ),
+            observations=tuple(MarkerDetection.from_dict(o) for o in data["observations"]),
         )
 
 
@@ -151,10 +129,18 @@ class BaProblem:
     keyposes come first, then markers in ascending id. Observations of
     markers missing from ``marker_poses`` are dropped. ``obs_keypose`` and
     ``obs_marker`` give each observation's keypose (0 for the anchor) and
-    marker position in those orders.
+    marker position in those orders. Each detection's camera pose comes
+    from ``cameras`` and its noise from ``detection_noise``, the model the
+    filter and the map use.
     """
 
-    def __init__(self, keyposes: list[Keypose], marker_poses: dict[int, Pose6D]) -> None:
+    def __init__(
+        self,
+        keyposes: list[Keypose],
+        marker_poses: dict[int, Pose6D],
+        cameras: dict[str, CameraParams],
+        ekf_config: EkfConfig,
+    ) -> None:
         if not keyposes:
             raise ValueError("no keyposes")
         frames = {kp.frame for kp in keyposes}
@@ -171,19 +157,19 @@ class BaProblem:
         self.keyposes: list[Keypose] = [keyposes[anchor_idx]] + rest
 
         observed = {
-            obs.marker_id
+            det.marker_id
             for kp in self.keyposes
-            for obs in kp.observations
-            if obs.marker_id in marker_poses
+            for det in kp.observations
+            if det.marker_id in marker_poses
         }
         self.marker_ids: list[int] = sorted(observed)
         self.marker_init: dict[int, Pose6D] = {m: marker_poses[m] for m in self.marker_ids}
 
-        self.observations: list[tuple[int, KeyposeObservation]] = [
-            (i, obs)
+        self.observations: list[tuple[int, MarkerDetection]] = [
+            (i, det)
             for i, kp in enumerate(self.keyposes)
-            for obs in kp.observations
-            if obs.marker_id in self.marker_init
+            for det in kp.observations
+            if det.marker_id in self.marker_init
         ]
         if not self.observations:
             raise ValueError("no usable observations")
@@ -192,16 +178,17 @@ class BaProblem:
 
         # per-observation arrays, fixed for the life of the problem
         marker_index = {m: j for j, m in enumerate(self.marker_ids)}
-        obs = [o for _, o in self.observations]
+        dets = [d for _, d in self.observations]
+        extrinsics = [cameras[d.camera].extrinsics for d in dets]
         self.obs_keypose = np.array([i for i, _ in self.observations])  # 0 is the anchor
-        self.obs_marker = np.array([marker_index[o.marker_id] for o in obs])
+        self.obs_marker = np.array([marker_index[d.marker_id] for d in dets])
         self._anchor = self.keyposes[0].pose.to_vector()
-        self._cam_rot = np.array([o.cam_extrinsics.rotation() for o in obs])
-        self._cam_t = np.array([o.cam_extrinsics.t for o in obs])
-        self._obs_t = np.array([o.rel_pose.t for o in obs])
-        self._obs_euler = np.array([o.rel_pose.euler for o in obs])
-        # whitening factors: cholesky of each observation noise
-        self._whiteners = np.linalg.cholesky(np.array([o.noise_cov for o in obs], dtype=float))
+        self._cam_rot = np.array([e.rotation() for e in extrinsics])
+        self._cam_t = np.array([e.t for e in extrinsics])
+        self._obs_t = np.array([d.rel_pose.t for d in dets])
+        self._obs_euler = np.array([d.rel_pose.euler for d in dets])
+        # the noise is diagonal: whitening divides each axis by its sigma
+        self._sigma = np.sqrt([np.diag(detection_noise(d, ekf_config)) for d in dets])
 
     @property
     def n_keypose_vars(self) -> int:
@@ -216,23 +203,14 @@ class BaProblem:
         parts += [self.marker_init[m].to_vector() for m in self.marker_ids]
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def keypose_slice(self, index: int) -> slice | None:
-        """Variable slice of keypose ``index``; None for the anchor."""
-        if index == 0:
-            return None
-        offset = 6 * (index - 1)
-        return slice(offset, offset + 6)
-
-    def marker_slice(self, marker_id: int) -> slice:
-        offset = 6 * (self.n_keypose_vars + self.marker_ids.index(marker_id))
-        return slice(offset, offset + 6)
-
     def unpack(self, x: np.ndarray) -> tuple[list[Keypose], dict[int, Pose6D]]:
-        keyposes = [self.keyposes[0]]
-        for i, kp in enumerate(self.keyposes[1:], start=1):
-            sl = self.keypose_slice(i)
-            keyposes.append(replace(kp, pose=Pose6D.from_vector(x[sl])))
-        markers = {m: Pose6D.from_vector(x[self.marker_slice(m)]) for m in self.marker_ids}
+        blocks = x.reshape(-1, 6)  # keyposes after the anchor, then markers
+        n_keyposes = self.n_keypose_vars
+        keyposes = [self.keyposes[0]] + [
+            replace(kp, pose=Pose6D.from_vector(v))
+            for kp, v in zip(self.keyposes[1:], blocks[:n_keyposes])
+        ]
+        markers = {m: Pose6D.from_vector(v) for m, v in zip(self.marker_ids, blocks[n_keyposes:])}
         return keyposes, markers
 
 
@@ -263,8 +241,8 @@ def residuals(
     Per observation the residual is the 6-vector difference between the
     predicted marker-in-camera pose, inverse(keypose * extrinsics) *
     marker, and the detected one: translation difference plus wrapped
-    Euler difference, whitened by the observation noise. Rotations and
-    their derivatives are computed once per pose and gathered per
+    Euler difference, each axis divided by its detection sigma. Rotations
+    and their derivatives are computed once per pose and gathered per
     observation.
     """
     poses = np.concatenate([problem._anchor, x]).reshape(-1, 6)  # anchor, keyposes, markers
@@ -287,7 +265,8 @@ def residuals(
         ],
         axis=1,
     )
-    res = np.linalg.solve(problem._whiteners, r6[..., None]).reshape(-1)
+    # bit-equal to a LAPACK solve by diag(sigma): one rhs divides, several multiply by 1 / sigma
+    res = (r6 / problem._sigma).reshape(-1)
     if not with_jacobian:
         return res, None
 
@@ -312,8 +291,8 @@ def residuals(
     )
     block_k[kp == 0] = 0.0  # the anchor is not a variable
 
-    whitened = np.linalg.solve(problem._whiteners, np.concatenate([block_k, block_m], axis=2))
-    return res, BlockJacobian(keypose=whitened[:, :, :6], marker=whitened[:, :, 6:])
+    inv_sigma = (1.0 / problem._sigma)[:, :, None]
+    return res, BlockJacobian(keypose=block_k * inv_sigma, marker=block_m * inv_sigma)
 
 
 def _sum_blocks(index: np.ndarray, blocks: np.ndarray, count: int) -> np.ndarray:

@@ -16,13 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from markerswarm.bundle import (
-    BaProblem,
-    Keypose,
-    KeyposeObservation,
-    optimize,
-    select_keypose,
-)
+from markerswarm.bundle import BaProblem, Keypose, optimize, select_keypose
 from markerswarm.ekf import (
     EkfState,
     detection_noise,
@@ -51,7 +45,7 @@ from markerswarm.swarm.protocol import (
     ProtocolError,
     SequenceGuard,
 )
-from markerswarm.worldsim import MarkerDetection, OdometryReading, VelocityCommand
+from markerswarm.worldsim import CameraParams, MarkerDetection, OdometryReading, VelocityCommand
 
 log = logging.getLogger(__name__)
 
@@ -149,14 +143,13 @@ class NavptsNode:
 
     def __init__(self, setup: DroneSetup, scenario: Scenario) -> None:
         self.drone_id = setup.drone_id
-        self.frame = setup.drone_id
         self.ekf_config = scenario.ekf
         self.n_fuse = scenario.n_fuse
         self.d_key = scenario.ba.d_key
         self.theta_key = scenario.ba.theta_key
         self.cameras = {name: scenario.cameras[name] for name in setup.cameras}
         init_cov = np.diag(np.square(scenario.init_sigma))
-        self.state = EkfState.from_pose(setup.ekf_start_pose, init_cov, self.frame, 0.0)
+        self.state = EkfState.from_pose(setup.ekf_start_pose, init_cov, setup.drone_id, 0.0)
         self.map_view: dict[int, MapEntry] = {}
         self.policy = SweepPolicy(
             scenario.world.bounds_min, scenario.world.bounds_max, scenario.policy
@@ -182,11 +175,10 @@ class NavptsNode:
         # SP: sensor readings arrive as arguments, already id-sorted per camera
         # VJ: predict, then correct against frame-local known markers
         self.state = predict(self.state, odometry, self.ekf_config)
-        keypose_obs = []
         for det in detections:
-            cam = self.cameras[det.camera]
             entry = self.map_view.get(det.marker_id)
-            if entry is not None and entry.frame == self.frame:
+            if entry is not None and entry.frame == self.state.frame:
+                cam = self.cameras[det.camera]
                 obs = observation_from_marker(det, entry, cam, self.ekf_config)
                 self.state, accepted = update(self.state, obs, self.ekf_config)
                 self.counters["updates" if accepted else "gated"] += 1
@@ -195,19 +187,11 @@ class NavptsNode:
             else:
                 # unknown or cross-frame: the station decides what it means
                 self._forward(det)
-            keypose_obs.append(
-                KeyposeObservation(
-                    marker_id=det.marker_id,
-                    rel_pose=det.rel_pose,
-                    noise_cov=detection_noise(det, self.ekf_config),
-                    cam_extrinsics=cam.extrinsics,
-                )
-            )
 
         if detections and select_keypose(
             self.state.pose, self.last_keypose, len(detections), self.d_key, self.theta_key
         ):
-            kp = Keypose(self.drone_id, self.frame, self.state.pose, now, tuple(keypose_obs))
+            kp = Keypose(self.drone_id, self.state.frame, self.state.pose, now, tuple(detections))
             self.link.send(KeyposeCommit(kp))
             self.last_keypose = self.state.pose
             self.counters["keyposes"] += 1
@@ -218,7 +202,7 @@ class NavptsNode:
             self._apply_line(line)
 
         self.trajectory.append(
-            {"tick": tick, "time": now, "pose": self.state.pose, "frame": self.frame}
+            {"tick": tick, "time": now, "pose": self.state.pose, "frame": self.state.frame}
         )
         self.link.send(PoseReport(self.drone_id, self.state))
 
@@ -246,8 +230,7 @@ class NavptsNode:
         if isinstance(msg, MapSnapshot):
             self.map_view.update((e.marker_id, e) for e in msg.entries)
         elif isinstance(msg, FrameMerged):
-            if self.frame == msg.loser:
-                self.frame = msg.winner
+            if self.state.frame == msg.loser:
                 self.state = remap_frame(self.state, msg.rt, msg.winner)
                 if self.last_keypose is not None:
                     self.last_keypose = msg.rt.compose(self.last_keypose)
@@ -321,10 +304,14 @@ class GroundStation:
 
     # -- marker observations -------------------------------------------
 
-    def _process_marker_obs(self, m: MarkerObs) -> None:
-        cam = self.cameras.get(m.detection.camera)
+    def _camera(self, det: MarkerDetection) -> CameraParams:
+        cam = self.cameras.get(det.camera)
         if cam is None:
-            raise ProtocolError(f"unknown camera {m.detection.camera!r}")
+            raise ProtocolError(f"unknown camera {det.camera!r}")
+        return cam
+
+    def _process_marker_obs(self, m: MarkerObs) -> None:
+        cam = self._camera(m.detection)
         frame, ekf_pose, ekf_cov = self._carry_forward(m.frame, m.ekf_pose, m.ekf_cov)
         camera_pose = ekf_pose.compose(cam.extrinsics)
         pose_in_frame = camera_pose.compose(m.detection.rel_pose)
@@ -425,6 +412,8 @@ class GroundStation:
         return replace(kp, frame=frame, pose=pose)
 
     def _process_keypose(self, kp: Keypose) -> None:
+        for det in kp.observations:
+            self._camera(det)  # a keypose BA cannot use would fail every later BA of its frame
         kp = self._carry_keypose(kp)
         self.keypose_log.append(kp)
         count = self.keyposes_since_ba.get(kp.frame, 0) + 1
@@ -441,7 +430,7 @@ class GroundStation:
         if not keyposes or not markers:
             return
         try:
-            problem = BaProblem(keyposes, markers)
+            problem = BaProblem(keyposes, markers, self.cameras, self.ekf_config)
         except ValueError as err:
             log.debug("skipping adjustment of frame %d: %s", frame, err)
             return

@@ -9,12 +9,16 @@ sends ``Hello``, ``MarkerObs``, ``PoseReport`` and ``KeyposeCommit``; the
 station sends ``MapSnapshot`` and ``FrameMerged``. Any other "type" is a
 malformed line.
 
+A drone sends what it measured. ``MarkerObs`` carries one detection and
+a keypose carries the detections seen at its instant, each as a
+``MarkerDetection``; the station looks up the camera and derives the
+noise from its own scenario.
+
 Every integer, in the envelope and in the payload, must be a JSON
 integer: a float, a string or a bool is a malformed line. Every float
 must be a finite JSON number (``check_float``), not a string or a bool,
-and a camera name must be a string. Every covariance must pass
-``check_covariance``; a keypose observation's noise covariance must also
-have a Cholesky factor, since bundle adjustment whitens with it.
+a camera name must be a string and a detection's range must not be
+negative. Every covariance must pass ``check_covariance``.
 
 Frame stamps: a pose on the wire names the coordinate frame it is in
 (``MarkerObs.frame``, ``Keypose.frame``, ``EkfState.frame``), the sender's
@@ -154,10 +158,7 @@ def _parse_frame_merged(p: dict) -> FrameMerged:
 
 
 def _parse_keypose_commit(p: dict) -> KeyposeCommit:
-    keypose = Keypose.from_dict(p["keypose"])
-    for ob in keypose.observations:
-        np.linalg.cholesky(check_covariance(ob.noise_cov, f"marker {ob.marker_id} noise_cov"))
-    return KeyposeCommit(keypose)
+    return KeyposeCommit(Keypose.from_dict(p["keypose"]))
 
 
 _PARSERS = {

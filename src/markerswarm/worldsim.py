@@ -149,12 +149,15 @@ class MarkerDetection:
         camera = data["camera"]
         if type(camera) is not str:
             raise TypeError(f"camera {camera!r} is not a string")
+        distance = check_float(data["range"], "range")
+        if distance < 0.0:
+            raise ValueError(f"range {distance!r} is negative")
         return MarkerDetection(
             drone_id=check_int(data["drone_id"], "drone_id"),
             marker_id=check_int(data["marker_id"], "marker_id"),
             camera=camera,
             rel_pose=Pose6D.from_dict(data["rel_pose"]),
-            range=check_float(data["range"], "range"),
+            range=distance,
             timestamp=check_float(data["timestamp"], "timestamp"),
         )
 

@@ -10,6 +10,7 @@ never copied from the implementation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from reference import euler_rot_derivatives
 from markerswarm.bundle import (
     BaProblem,
     Keypose,
-    KeyposeObservation,
     NormalEquations,
     optimize,
     residuals,
@@ -33,9 +33,24 @@ from markerswarm.geom import (
     rot_to_quat,
     wrap_angles,
 )
-from markerswarm.worldsim import downward_camera, forward_camera
+from markerswarm.ekf import EkfConfig, detection_noise
+from markerswarm.worldsim import CameraParams, MarkerDetection, downward_camera, forward_camera
 
 DOWN_CAM = Pose6D.from_euler(np.array([0.0, 0.0, 0.1]), np.array([math.pi, 0.0, 0.0]))
+CAMERAS = {"down": CameraParams("down", DOWN_CAM, 0.9, 4.0)}
+# sigma 0.02 m and 0.01 rad at every range
+FLAT_NOISE = EkfConfig(det_pos_per_m=0.0, det_ang_per_m=0.0)
+
+
+def detection(marker_id, rel_pose, camera="down", drone_id=0, timestamp=0.0):
+    return MarkerDetection(
+        drone_id=drone_id,
+        marker_id=marker_id,
+        camera=camera,
+        rel_pose=rel_pose,
+        range=float(np.linalg.norm(rel_pose.t)),
+        timestamp=timestamp,
+    )
 
 
 def small_pose(rng, pos_scale, ang_scale):
@@ -54,7 +69,6 @@ def make_problem(rng, n_keyposes=4, n_markers=5, obs_noise=0.0, drone_ids=None,
     """
     if drone_ids is None:
         drone_ids = [0] * n_keyposes
-    sigma = np.diag([0.02**2] * 3 + [0.01**2] * 3)
     markers = {
         10 + j: Pose6D.from_euler(
             np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0]),
@@ -76,11 +90,7 @@ def make_problem(rng, n_keyposes=4, n_markers=5, obs_noise=0.0, drone_ids=None,
             rel = pose.compose(DOWN_CAM).inverse().compose(markers[mid])
             if obs_noise > 0:
                 rel = rel.compose(small_pose(rng, obs_noise, obs_noise / 2))
-            obs.append(
-                KeyposeObservation(
-                    marker_id=mid, rel_pose=rel, noise_cov=sigma, cam_extrinsics=DOWN_CAM
-                )
-            )
+            obs.append(detection(mid, rel, drone_id=drone_ids[i], timestamp=float(i)))
         keyposes.append(
             Keypose(
                 drone_id=drone_ids[i],
@@ -105,45 +115,56 @@ def make_problem(rng, n_keyposes=4, n_markers=5, obs_noise=0.0, drone_ids=None,
             )
             for kp in keyposes[1:]
         ]
-    problem = BaProblem(init_keyposes, init_markers)
+    problem = BaProblem(init_keyposes, init_markers, CAMERAS, FLAT_NOISE)
     return problem, keyposes, markers
+
+
+def variable_slices(problem, kp_index, marker_id):
+    """Columns of keypose ``kp_index`` (None for the anchor) and of marker ``marker_id``.
+
+    Keyposes after the anchor come first, then markers in ascending id.
+    """
+    kp_slice = None if kp_index == 0 else slice(6 * (kp_index - 1), 6 * kp_index)
+    offset = 6 * (len(problem.keyposes) - 1 + sorted(problem.marker_ids).index(marker_id))
+    return kp_slice, slice(offset, offset + 6)
 
 
 def dense_jacobian(problem, jac):
     """The (6 x observations, n_variables) matrix the returned blocks stand for."""
     dense = np.zeros((6 * len(problem.observations), problem.n_variables))
-    for row, (kp_index, obs) in enumerate(problem.observations):
+    for row, (kp_index, det) in enumerate(problem.observations):
         rows = slice(6 * row, 6 * row + 6)
-        dense[rows, problem.marker_slice(obs.marker_id)] = jac.marker[row]
-        kp_slice = problem.keypose_slice(kp_index)
+        kp_slice, mk_slice = variable_slices(problem, kp_index, det.marker_id)
+        dense[rows, mk_slice] = jac.marker[row]
         if kp_slice is not None:
             dense[rows, kp_slice] = jac.keypose[row]
     return dense
 
 
-def reference_residuals(problem, x):
+def reference_residuals(problem, x, cameras, ekf_config):
     """Per-observation loop: residual stack and its Jacobian as a sparse matrix.
 
     One observation at a time, with its own rotation derivatives and a
-    per-row whitening solve; the form the batched ``residuals`` replaced.
+    per-row whitening solve by the Cholesky factor of its noise; the form
+    the batched ``residuals`` replaced.
     """
     n_obs = len(problem.observations)
     res = np.zeros(6 * n_obs)
     jac = sparse.lil_matrix((6 * n_obs, problem.n_variables))
     anchor_vec = problem.keyposes[0].pose.to_vector()
     for row, (kp_index, obs) in enumerate(problem.observations):
-        whitener = np.linalg.cholesky(np.asarray(obs.noise_cov, dtype=float))
-        kp_slice = problem.keypose_slice(kp_index)
+        whitener = np.linalg.cholesky(detection_noise(obs, ekf_config))
+        kp_slice, mk_slice = variable_slices(problem, kp_index, obs.marker_id)
         kp_vec = anchor_vec if kp_slice is None else x[kp_slice]
-        mk_slice = problem.marker_slice(obs.marker_id)
         mk_vec = x[mk_slice]
 
         t_i = kp_vec[:3]
         rot_i, drot_i = euler_rot_derivatives(kp_vec[3:])
         t_m = mk_vec[:3]
         rot_m, drot_m = euler_rot_derivatives(mk_vec[3:])
-        rot_c = obs.cam_extrinsics.rotation()
-        t_c = obs.cam_extrinsics.t
+        extrinsics = cameras[obs.camera].extrinsics
+        rot_c = extrinsics.rotation()
+        t_c = extrinsics.t
 
         rot_a = rot_i @ rot_c
         t_a = t_i + rot_i @ t_c
@@ -174,19 +195,27 @@ def reference_residuals(problem, x):
 
 
 def random_problem(rng, n_keyposes, n_markers):
-    """Three drones, both camera rigs, full noise covariances.
+    """Three drones, four named cameras on two rigs, range-dependent noise.
 
     Nothing is consistent: every value is drawn independently, except that
-    each marker is observed through one rig and faces it, so every
-    marker-in-camera rotation stays clear of the pitch singularity. Every
-    keypose sees markers 10 (down rig) and 11 (forward rig) and a random
-    subset of the rest; drone ids cycle 1, 2, 0, so the anchor is not the
-    first keypose given.
+    each marker is observed through a camera of one rig and faces it, so
+    every marker-in-camera rotation stays clear of the pitch singularity.
+    Each rig carries two cameras with random offsets. Every keypose sees
+    markers 10 (down rig) and 11 (forward rig) and a random subset of the
+    rest; drone ids cycle 1, 2, 0, so the anchor is not the first keypose
+    given. Returns (problem, cameras, ekf_config).
     """
-    rigs = [downward_camera().extrinsics, forward_camera().extrinsics]
+    rigs = [downward_camera(), forward_camera()]
+    cameras = {
+        f"{rig.name}{k}": replace(
+            rig, name=f"{rig.name}{k}", extrinsics=Pose6D(rng.normal(0.0, 0.1, 3), rig.extrinsics.q)
+        )
+        for rig in rigs
+        for k in range(2)
+    }
     rig_of = {10 + j: rigs[j % 2] for j in range(n_markers)}
     markers = {
-        m: Pose6D(rng.normal(0.0, 2.0, 3), rig.compose(small_pose(rng, 0.0, 0.3)).q)
+        m: Pose6D(rng.normal(0.0, 2.0, 3), rig.extrinsics.compose(small_pose(rng, 0.0, 0.3)).q)
         for m, rig in rig_of.items()
     }
     keyposes = []
@@ -196,15 +225,8 @@ def random_problem(rng, n_keyposes, n_markers):
                                             replace=False))
         obs = []
         for mid in seen:
-            a = rng.normal(size=(6, 6))
-            obs.append(
-                KeyposeObservation(
-                    marker_id=int(mid),
-                    rel_pose=small_pose(rng, 1.0, 0.3),
-                    noise_cov=1e-4 * (a @ a.T + 0.5 * np.eye(6)),
-                    cam_extrinsics=Pose6D(rng.normal(0.0, 0.1, 3), rig_of[int(mid)].q),
-                )
-            )
+            camera = f"{rig_of[int(mid)].name}{rng.integers(2)}"
+            obs.append(detection(int(mid), small_pose(rng, 1.0, 0.3), camera=camera))
         keyposes.append(
             Keypose(
                 drone_id=(i + 1) % 3,
@@ -214,7 +236,8 @@ def random_problem(rng, n_keyposes, n_markers):
                 observations=tuple(obs),
             )
         )
-    return BaProblem(keyposes, markers)
+    ekf_config = EkfConfig()
+    return BaProblem(keyposes, markers, cameras, ekf_config), cameras, ekf_config
 
 
 def fd_jacobian(problem, x, h=1e-7):
@@ -267,20 +290,23 @@ class TestProblemLayout:
         # drone 1's earliest keypose has timestamp 1.0
         assert problem.keyposes[0].drone_id == 1
         assert problem.keyposes[0].timestamp == 1.0
-        assert problem.keypose_slice(0) is None
+        # the anchor is no variable: the vector starts at the next keypose
+        np.testing.assert_array_equal(
+            problem.initial_vector()[:6], problem.keyposes[1].pose.to_vector()
+        )
 
     def test_mixed_frames_rejected(self):
         rng = np.random.default_rng(3)
         _, keyposes, markers = make_problem(rng, n_keyposes=2)
         bad = [keyposes[0], Keypose(0, 7, keyposes[1].pose, 1.0, keyposes[1].observations)]
         with pytest.raises(ValueError):
-            BaProblem(bad, markers)
+            BaProblem(bad, markers, CAMERAS, FLAT_NOISE)
 
     def test_unknown_markers_dropped(self):
         rng = np.random.default_rng(4)
         _, keyposes, markers = make_problem(rng, n_keyposes=3, n_markers=4)
         known = {m: p for m, p in markers.items() if m != 10}
-        problem = BaProblem(keyposes, known)
+        problem = BaProblem(keyposes, known, CAMERAS, FLAT_NOISE)
         assert 10 not in problem.marker_ids
         assert all(obs.marker_id != 10 for _, obs in problem.observations)
 
@@ -288,7 +314,7 @@ class TestProblemLayout:
         rng = np.random.default_rng(5)
         _, keyposes, _ = make_problem(rng, n_keyposes=1, n_markers=2)
         with pytest.raises(ValueError):
-            BaProblem(keyposes, {})
+            BaProblem(keyposes, {}, CAMERAS, FLAT_NOISE)
 
     def test_keypose_requires_observations(self):
         with pytest.raises(ValueError):
@@ -300,10 +326,12 @@ class TestProblemLayout:
         loaded = Keypose.from_dict(keyposes[0].to_dict())
         assert loaded.drone_id == keyposes[0].drone_id
         np.testing.assert_allclose(loaded.pose.t, keyposes[0].pose.t)
-        obs0 = loaded.observations[0]
-        np.testing.assert_allclose(
-            obs0.noise_cov, keyposes[0].observations[0].noise_cov
-        )
+        assert len(loaded.observations) == len(keyposes[0].observations)
+        for got, sent in zip(loaded.observations, keyposes[0].observations):
+            assert (got.marker_id, got.camera, got.range) == (
+                sent.marker_id, sent.camera, sent.range
+            )
+            np.testing.assert_allclose(got.rel_pose.t, sent.rel_pose.t)
 
 
 class TestJacobian:
@@ -332,10 +360,10 @@ class TestJacobian:
     @pytest.mark.parametrize("n_keyposes", [1, 3, 6])
     def test_matches_per_observation_reference(self, n_keyposes):
         rng = np.random.default_rng(100 + n_keyposes)
-        problem = random_problem(rng, n_keyposes=n_keyposes, n_markers=5)
+        problem, cameras, ekf_config = random_problem(rng, n_keyposes=n_keyposes, n_markers=5)
         assert (problem.obs_keypose == 0).any()
         x = problem.initial_vector() + rng.normal(0.0, 0.05, problem.n_variables)
-        expected_res, expected_jac = reference_residuals(problem, x)
+        expected_res, expected_jac = reference_residuals(problem, x, cameras, ekf_config)
         res, jac = residuals(problem, x, with_jacobian=True)
         res_only, none = residuals(problem, x, with_jacobian=False)
         assert none is None
@@ -349,17 +377,11 @@ class TestJacobian:
             frame=0,
             pose=Pose6D.identity(),
             timestamp=0.0,
-            observations=(
-                KeyposeObservation(
-                    marker_id=1,
-                    rel_pose=Pose6D.identity(),
-                    noise_cov=np.eye(6),
-                    cam_extrinsics=Pose6D.identity(),
-                ),
-            ),
+            observations=(detection(1, Pose6D.identity(), camera="body"),),
         )
         marker = Pose6D.from_euler([1.0, 0.0, 0.0], [0.0, math.pi / 2, 0.0])
-        problem = BaProblem([keypose], {1: marker})
+        cameras = {"body": CameraParams("body", Pose6D.identity(), 0.9, 4.0)}
+        problem = BaProblem([keypose], {1: marker}, cameras, FLAT_NOISE)
         x = problem.initial_vector()
         assert x[4] == math.pi / 2
         res, _ = residuals(problem, x, with_jacobian=False)
@@ -446,7 +468,7 @@ class TestOptimize:
             for kp in problem.keyposes
         ]
         moved_markers = {m: shift.compose(p) for m, p in problem.marker_init.items()}
-        moved = BaProblem(moved_keyposes, moved_markers)
+        moved = BaProblem(moved_keyposes, moved_markers, CAMERAS, FLAT_NOISE)
 
         res_a, _ = residuals(problem, problem.initial_vector(), with_jacobian=False)
         res_b, _ = residuals(moved, moved.initial_vector(), with_jacobian=False)
@@ -482,15 +504,11 @@ class TestOptimize:
     def test_singular_system_aborts_with_variables_untouched(self):
         rng = np.random.default_rng(25)
         _, keyposes, markers = make_problem(rng, n_keyposes=3, n_markers=3)
-        broken = []
-        for kp in keyposes:
-            obs = tuple(
-                KeyposeObservation(o.marker_id, o.rel_pose,
-                                   np.diag([1e-320] * 6), o.cam_extrinsics)
-                for o in kp.observations
-            )
-            broken.append(Keypose(kp.drone_id, kp.frame, kp.pose, kp.timestamp, obs))
-        problem = BaProblem(broken, markers)
+        # variances of 1e-320: whitened residuals overflow J^T J
+        tiny = EkfConfig(det_pos_base=1e-160, det_pos_per_m=0.0,
+                         det_ang_base=1e-160, det_ang_per_m=0.0)
+        assert np.all(np.diag(detection_noise(keyposes[0].observations[0], tiny)) > 0.0)
+        problem = BaProblem(keyposes, markers, CAMERAS, tiny)
         result = optimize(problem)
         assert result.status == "aborted_singular"
         assert result.aborted

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from markerswarm.bundle import Keypose, KeyposeObservation
+from markerswarm.bundle import Keypose
 from markerswarm.ekf import EkfState
 from markerswarm.geom import Pose6D
 from markerswarm.mapstore import MapEntry
@@ -53,14 +53,17 @@ def sample_detection():
 
 
 def sample_keypose():
-    obs = KeyposeObservation(
+    rel = sample_pose(3)
+    det = MarkerDetection(
+        drone_id=2,
         marker_id=7,
-        rel_pose=sample_pose(3),
-        noise_cov=sample_cov(4),
-        cam_extrinsics=sample_pose(5),
+        camera="forward",
+        rel_pose=rel,
+        range=float(np.linalg.norm(rel.t)),
+        timestamp=4.5,
     )
     return Keypose(
-        drone_id=2, frame=0, pose=sample_pose(6), timestamp=4.5, observations=(obs,)
+        drone_id=2, frame=0, pose=sample_pose(6), timestamp=4.5, observations=(det,)
     )
 
 
@@ -123,13 +126,9 @@ def legacy_detection(d):
 
 
 def legacy_keypose(kp):
-    observations = [
-        {"marker_id": o.marker_id, "rel_pose": legacy_pose(o.rel_pose),
-         "noise_cov": legacy_cov(o.noise_cov), "cam_extrinsics": legacy_pose(o.cam_extrinsics)}
-        for o in kp.observations
-    ]
     return {"drone_id": kp.drone_id, "frame": kp.frame, "pose": legacy_pose(kp.pose),
-            "timestamp": float(kp.timestamp), "observations": observations}
+            "timestamp": float(kp.timestamp),
+            "observations": [legacy_detection(d) for d in kp.observations]}
 
 
 def legacy_payload(msg):
@@ -199,11 +198,11 @@ class TestCodec:
         out = decode(encode(msg, sender=2, seq=5)).msg
         kp = out.keypose
         assert kp.drone_id == 2 and kp.timestamp == 4.5
-        ob = kp.observations[0]
+        (ob,) = kp.observations
         ref = msg.keypose.observations[0]
-        assert ob.marker_id == 7
-        np.testing.assert_allclose(ob.noise_cov, ref.noise_cov)
-        assert poses_close(ob.cam_extrinsics, ref.cam_extrinsics)
+        assert (ob.drone_id, ob.marker_id, ob.camera) == (2, 7, "forward")
+        assert ob.range == ref.range and ob.timestamp == ref.timestamp
+        assert poses_close(ob.rel_pose, ref.rel_pose)
 
     def test_hello_envelope_keys(self):
         line = encode(Hello(drone_id=4), sender=4, seq=1)
@@ -247,10 +246,8 @@ class TestCodec:
             tampered("MarkerObs", ["ekf_cov"], flat(-np.eye(6))),
             tampered("MarkerObs", ["ekf_cov"], flat(np.eye(6) + np.triu(np.ones((6, 6)), 1))),
             tampered("MarkerObs", ["ekf_cov"], flat(np.full((6, 6), np.nan))),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "noise_cov"],
-                     flat(-np.eye(6))),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "noise_cov"],
-                     flat(np.zeros((6, 6)))),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], "0.5"),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "camera"], 5),
             tampered("MarkerObs", ["detection", "range"], float("nan")),
             tampered("KeyposeCommit", ["keypose", "timestamp"], float("inf")),
             tampered("MapSnapshot", ["entries", 0, "cov"], flat(-np.eye(6))),
@@ -274,8 +271,10 @@ class TestCodec:
             tampered("MapSnapshot", ["entries", 0, "cov"], [str(v) for v in flat(np.eye(6))]),
             tampered("MapSnapshot", ["entries", 0, "pose", "euler"], [0.0, 0.0, "0.5"]),
             tampered("KeyposeCommit", ["keypose", "timestamp"], "inf"),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "noise_cov"],
-                     [True if v else 0.0 for v in flat(np.eye(6))]),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "rel_pose", "t"],
+                     [True, 0.0, 0.0]),
+            tampered("MarkerObs", ["detection", "range"], -1.0),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], -2.0),
         ],
         ids=[
             "raw-text",
@@ -307,8 +306,8 @@ class TestCodec:
             "obs-negative-ekf-cov",
             "obs-asymmetric-ekf-cov",
             "obs-nan-ekf-cov",
-            "keypose-negative-noise-cov",
-            "keypose-singular-noise-cov",
+            "keypose-string-observation-range",
+            "keypose-int-observation-camera",
             "obs-nan-range",
             "keypose-infinite-timestamp",
             "snapshot-negative-cov",
@@ -331,7 +330,9 @@ class TestCodec:
             "snapshot-string-cov",
             "snapshot-string-pose-euler",
             "keypose-string-timestamp",
-            "keypose-bool-noise-cov",
+            "keypose-bool-observation-rel-pose-t",
+            "obs-negative-range",
+            "keypose-negative-observation-range",
         ],
     )
     def test_malformed_lines_raise(self, line):

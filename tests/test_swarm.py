@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from markerswarm.bundle import Keypose, KeyposeObservation
+from markerswarm.bundle import Keypose
 from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.scenario import PolicyConfig, load_scenario, parse_scenario
 from markerswarm.swarm import protocol, run_scenario
@@ -199,7 +199,7 @@ def entry_for(node, marker_pose, obs_count, marker_id=5):
 
     return MapEntry(
         marker_id=marker_id,
-        frame=node.frame,
+        frame=node.state.frame,
         pose=marker_pose,
         cov=np.eye(6) * 1e-4,
         obs_count=obs_count,
@@ -293,7 +293,7 @@ class TestNavptsNode:
             node.tick(tick, tick * 0.1, still_odometry(0, now=tick * 0.1), [])
             node.steer(tick, tick * 0.1)
         assert [row["tick"] for row in node.trajectory] == [1, 2, 3]
-        assert all(row["frame"] == node.frame for row in node.trajectory)
+        assert all(row["frame"] == node.state.frame for row in node.trajectory)
 
     def test_map_snapshot_refreshes_view(self):
         sc = node_scenario()
@@ -308,7 +308,7 @@ class TestNavptsNode:
     def test_frame_merge_remaps_state_and_history(self):
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=1)
-        assert node.frame == 1
+        assert node.state.frame == 1
         node.tick(1, 0.1, still_odometry(1), [])
         node.steer(1, 0.1)
         pose_before = node.state.pose
@@ -316,7 +316,7 @@ class TestNavptsNode:
         station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
         node.tick(2, 0.2, still_odometry(1, now=0.2), [])
         node.steer(2, 0.2)
-        assert node.frame == 0
+        assert node.state.frame == 0
         assert all(row["frame"] == 0 for row in node.trajectory)
         expected_row0 = rt.compose(pose_before)
         np.testing.assert_allclose(node.trajectory[0]["pose"].t, expected_row0.t, atol=1e-12)
@@ -329,11 +329,11 @@ class TestNavptsNode:
         rt = Pose6D.from_euler([1.0, 0.0, 0.0], [0, 0, 0])
         station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
         node.tick(1, 0.1, still_odometry(1), [])
-        assert node.frame == 1 and node.trajectory == []
+        assert node.state.frame == 1 and node.trajectory == []
         assert node.state.pose.t[0] == pytest.approx(1.0)
         assert outbound_types(station_inbox) == []
         node.steer(1, 0.1)
-        assert node.frame == 0
+        assert node.state.frame == 0
         assert node.state.pose.t[0] == pytest.approx(2.0)
         assert [row["frame"] for row in node.trajectory] == [0]
         assert outbound_types(station_inbox) == ["PoseReport"]
@@ -344,7 +344,7 @@ class TestNavptsNode:
         station_tx.send(FrameMerged(loser=1, winner=0, rt=Pose6D.identity()))
         node.tick(1, 0.1, still_odometry(0), [])
         node.steer(1, 0.1)
-        assert node.frame == 0
+        assert node.state.frame == 0
 
     def test_garbage_inbox_line_dropped(self):
         sc = node_scenario()
@@ -353,7 +353,7 @@ class TestNavptsNode:
         node.inbox.send_line('{"type": "Mystery", "sender": -1, "seq": 0}')
         node.tick(1, 0.1, still_odometry(0), [])
         node.steer(1, 0.1)
-        assert node.map_view == {} and node.frame == 0
+        assert node.map_view == {} and node.state.frame == 0
 
     def test_malformed_inbox_line_logged_and_dropped(self, caplog):
         sc = node_scenario()
@@ -783,18 +783,11 @@ def sent_ids(inboxes):
 class TestStationKeyposes:
     def make_keypose(self, sc, drone_id, pose, now, marker_poses):
         cam = sc.cameras["down"]
-        obs = []
-        for marker_id, marker_pose in marker_poses.items():
-            rel = pose.compose(cam.extrinsics).inverse().compose(marker_pose)
-            obs.append(
-                KeyposeObservation(
-                    marker_id=marker_id,
-                    rel_pose=rel,
-                    noise_cov=np.eye(6) * 1e-4,
-                    cam_extrinsics=cam.extrinsics,
-                )
-            )
-        return Keypose(drone_id, drone_id, pose, now, tuple(obs))
+        detections = tuple(
+            detection_of(pose, marker_pose, cam, marker_id, drone_id, now)
+            for marker_id, marker_pose in marker_poses.items()
+        )
+        return Keypose(drone_id, drone_id, pose, now, detections)
 
     def seed_station(self, every_keyposes=3):
         sc = station_scenario(extra={"ba": {"enabled": True, "every_keyposes": every_keyposes}})
@@ -825,6 +818,33 @@ class TestStationKeyposes:
         assert report["trigger"] == "keypose_interval" and report["frame"] == 0
         assert station.keyposes_since_ba[0] == 0
         assert len(station.keypose_log) == 3
+
+    def test_keypose_with_unknown_camera_is_refused(self, caplog):
+        sc, station, senders, markers = self.seed_station(every_keyposes=2)
+        poses = [
+            Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0]),
+            Pose6D.from_euler([0.6, 0.1, 1.2], [0, 0, 0.2]),
+            Pose6D.from_euler([-0.4, 0.5, 1.3], [0, 0, -0.3]),
+        ]
+        senders[0].send(KeyposeCommit(self.make_keypose(sc, 0, poses[0], 1.0, markers)))
+        good = self.make_keypose(sc, 0, poses[1], 2.0, markers)
+        bad = replace(
+            good,
+            observations=(replace(good.observations[0], camera="thermal"),)
+            + good.observations[1:],
+        )
+        with caplog.at_level(logging.ERROR, logger="markerswarm.swarm.nodes"):
+            senders[0].send(KeyposeCommit(bad))
+        assert station.counters["errors"] == 1
+        assert [rec.exc_info[0] for rec in caplog.records if rec.exc_info] == [ProtocolError]
+        assert [kp.timestamp for kp in station.keypose_log] == [1.0]
+        assert station.ba_reports == []
+        # the refused keypose neither counts towards the interval nor blocks it
+        senders[0].send(KeyposeCommit(self.make_keypose(sc, 0, poses[2], 3.0, markers)))
+        assert station.counters["errors"] == 1
+        assert [kp.timestamp for kp in station.keypose_log] == [1.0, 3.0]
+        assert len(station.ba_reports) == 1
+        assert station.ba_reports[0]["status"] != "aborted_singular"
 
     def test_consistent_keyposes_leave_map_in_place(self):
         sc, station, senders, markers = self.seed_station(every_keyposes=2)
