@@ -32,9 +32,6 @@ from markerswarm.geom import (
     _euler_rotate,
     _inverse,
     _quat_euler,
-    check_covariance,
-    check_float,
-    check_int,
     symmetrize,
     transport_covariance,
     wrap_angle,
@@ -132,24 +129,6 @@ class EkfState:
     @staticmethod
     def from_pose(pose: Pose6D, cov: np.ndarray, frame: int, timestamp: float) -> "EkfState":
         return EkfState(pose.to_vector(), cov, frame, timestamp)
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "cov": self.cov.reshape(-1).tolist(),
-            "frame": int(self.frame),
-            "timestamp": float(self.timestamp),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "EkfState":
-        cov = np.array([check_float(v, "cov") for v in data["cov"]])
-        return EkfState(
-            [check_float(v, "mean") for v in data["mean"]],
-            check_covariance(cov.reshape(STATE_DIM, STATE_DIM), "ekf covariance"),
-            check_int(data["frame"], "frame"),
-            check_float(data["timestamp"], "timestamp"),
-        )
 
 
 @dataclass(frozen=True)

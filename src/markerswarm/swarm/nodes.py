@@ -11,7 +11,6 @@ lockstep or on separate threads.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -86,8 +85,7 @@ class SweepPolicy:
 
     def choose_destination(self, pose: Pose6D) -> VelocityCommand:
         position = pose.t
-        # math.sqrt(d.dot(d)) is np.linalg.norm(d) without its dispatch
-        distances = [math.sqrt(d.dot(d)) for d in self.cells - position]
+        distances = _distances(self.cells, position)
         for index, distance in enumerate(distances):
             if index not in self.visited and distance <= self.config.r_visit:
                 self.visited.add(index)
@@ -121,6 +119,17 @@ class SweepPolicy:
         v_world = delta / distance * speed
         v_body = pose.rotation().T @ v_world
         return VelocityCommand(v_body, self.config.yaw_rate)
+
+
+def _distances(cells: np.ndarray, position: np.ndarray) -> list[float]:
+    """Euclidean distance from ``position`` to each row of ``cells``.
+
+    One batched product of each row with itself, in one call: the same bits
+    as the per-row ``math.sqrt(d.dot(d))``, which ``np.einsum`` and
+    ``(d * d).sum(1)`` are not.
+    """
+    d = cells - position
+    return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()).tolist()
 
 
 def _cell_centers(lo: float, hi: float, cell: float) -> list[float]:
@@ -204,7 +213,10 @@ class NavptsNode:
         self.trajectory.append(
             {"tick": tick, "time": now, "pose": self.state.pose, "frame": self.state.frame}
         )
-        self.link.send(PoseReport(self.drone_id, self.state))
+        state = self.state
+        self.link.send(
+            PoseReport(self.drone_id, state.frame, state.timestamp, tuple(state.mean.tolist()))
+        )
 
         # BG: next destination
         return self.policy.choose_destination(self.state.pose)
@@ -215,7 +227,7 @@ class NavptsNode:
 
     def _apply_line(self, line: str) -> None:
         try:
-            decoded = protocol.decode(line)
+            decoded = protocol.decode_broadcast(line)
         except ProtocolError as err:
             log.warning("drone %d dropped a bad line: %s", self.drone_id, err)
             return
@@ -457,13 +469,14 @@ class GroundStation:
 
         Every map mutation stores a new entry object and none removes one.
         A pose travels as Euler angles, and that round trip can move the
-        last bit, so the station then keeps each sent entry with the pose a
-        drone decodes from it: every drone's view equals the map bit for bit.
+        last bit. So the station decodes its own line, through the decode
+        the drones share (``protocol.decode_broadcast``), and keeps the
+        entries it gets: every drone's view then holds the very objects of
+        the station map.
         """
         changed = [e for k, e in sorted(self.gmap.entries.items()) if self._sent.get(k) is not e]
         if changed:
-            self.link.send(MapSnapshot(tuple(changed)))
-            for entry in changed:
-                sent = replace(entry, pose=Pose6D.from_dict(entry.pose.to_dict()))
+            line = self.link.send(MapSnapshot(tuple(changed)))
+            for sent in protocol.decode_broadcast(line).msg.entries:
                 self.gmap.replace_entry(sent)
                 self._sent[sent.marker_id] = sent

@@ -12,7 +12,9 @@ malformed line.
 A drone sends what it measured. ``MarkerObs`` carries one detection and
 a keypose carries the detections seen at its instant, each as a
 ``MarkerDetection``; the station looks up the camera and derives the
-noise from its own scenario.
+noise from its own scenario. ``PoseReport`` carries the drone's EKF mean
+(exactly six floats), its frame and timestamp, and not the covariance,
+which nothing reads.
 
 Every integer, in the envelope and in the payload, must be a JSON
 integer: a float, a string or a bool is a malformed line. Every float
@@ -21,7 +23,7 @@ a camera name must be a string and a detection's range must not be
 negative. Every covariance must pass ``check_covariance``.
 
 Frame stamps: a pose on the wire names the coordinate frame it is in
-(``MarkerObs.frame``, ``Keypose.frame``, ``EkfState.frame``), the sender's
+(``MarkerObs.frame``, ``Keypose.frame``, ``PoseReport.frame``), the sender's
 frame when the pose was taken. A merge the sender has not heard of yet
 does not change a stamp: the station carries the pose forward along its
 merge records to the frame that is live when it handles the message.
@@ -29,9 +31,9 @@ merge records to the frame that is live when it handles the message.
 Map deltas: a ``MapSnapshot`` carries only the entries the station
 replaced since its previous broadcast, in marker id order; a drone
 merges them into its view. The map never removes an entry, and the
-station keeps each entry as a drone decodes it (``GroundStation.flush``),
-so the view equals the station map bit for bit as long as every snapshot
-arrives, in order.
+station keeps the entries it decodes from its own snapshot line
+(``GroundStation.flush``), so the view holds the very objects of the
+station map as long as every snapshot arrives, in order.
 
 Mailboxes: every link is a plain list of lines with one writer, read on
 the runner's thread only after the writer's part of the tick has
@@ -39,19 +41,21 @@ returned, so no lock is needed and every mailbox delivers in order, in
 lockstep and threaded runs alike. Each drone writes its own outbox,
 which the station reads in drone id order. Every station message is a
 broadcast: the station's one ``Endpoint`` encodes it once and appends the
-same line to every drone's inbox. ``SequenceGuard`` drops (and the drone
-logs) any line that arrives out of order all the same.
+same line to every drone's inbox, and ``decode_broadcast`` decodes it once
+per process for every reader. ``SequenceGuard`` drops (and the drone
+logs) any line that arrives out of order all the same. Every decoded
+message is immutable, arrays included, so readers can share it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from markerswarm.bundle import Keypose
-from markerswarm.ekf import EkfState
 from markerswarm.geom import Pose6D, check_covariance, check_float, check_int
 from markerswarm.mapstore import MapEntry
 from markerswarm.worldsim import MarkerDetection
@@ -76,11 +80,18 @@ class MarkerObs:
     ekf_cov: np.ndarray  # 6x6
     frame: int  # the sender's frame when ekf_pose and ekf_cov were taken
 
+    def __post_init__(self) -> None:
+        cov = np.array(self.ekf_cov, dtype=float).reshape(6, 6)
+        cov.flags.writeable = False
+        object.__setattr__(self, "ekf_cov", cov)
+
 
 @dataclass(frozen=True)
 class PoseReport:
     drone_id: int
-    ekf_state: EkfState
+    frame: int  # the frame the mean is in
+    timestamp: float
+    mean: tuple[float, ...]  # the EKF mean (x, y, z, alpha, beta, gamma)
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,12 @@ def _payload(msg) -> dict:
             "frame": int(msg.frame),
         }
     if isinstance(msg, PoseReport):
-        return {"drone_id": msg.drone_id, "ekf_state": msg.ekf_state.to_dict()}
+        return {
+            "drone_id": msg.drone_id,
+            "frame": int(msg.frame),
+            "timestamp": float(msg.timestamp),
+            "mean": list(msg.mean),
+        }
     if isinstance(msg, MapSnapshot):
         return {"entries": [e.to_dict() for e in msg.entries]}
     if isinstance(msg, FrameMerged):
@@ -144,7 +160,18 @@ def _parse_marker_obs(p: dict) -> MarkerObs:
 
 
 def _parse_pose_report(p: dict) -> PoseReport:
-    return PoseReport(check_int(p["drone_id"], "drone_id"), EkfState.from_dict(p["ekf_state"]))
+    # a list, then tuple(): a tuple built from a generator is resized, and the
+    # freed 6-tuples then pile up on the interpreter's free list (about 0.2 MB
+    # of peak memory over a 75 s three-drone run)
+    mean = [check_float(v, "mean") for v in p["mean"]]
+    if len(mean) != 6:
+        raise ValueError(f"mean has {len(mean)} entries, not 6")
+    return PoseReport(
+        check_int(p["drone_id"], "drone_id"),
+        check_int(p["frame"], "frame"),
+        check_float(p["timestamp"], "timestamp"),
+        tuple(mean),
+    )
 
 
 def _parse_map_snapshot(p: dict) -> MapSnapshot:
@@ -222,6 +249,32 @@ def decode(line: str) -> Decoded:
     return Decoded(msg, sender, seq)
 
 
+def decode_broadcast(line: str) -> Decoded:
+    """``decode`` of a station broadcast line, shared by every reader in the process.
+
+    The station encodes a broadcast once and appends the same line to every
+    drone's inbox, so without this each drone would parse and check it
+    again. Sharing one ``Decoded`` is sound only because ``decode`` is a
+    pure function of the line and every decoded message is immutable:
+    frozen dataclasses, tuples and read-only arrays.
+    """
+    # before the cache, which would raise TypeError on an unhashable line
+    if not isinstance(line, str):
+        raise ProtocolError(f"a line must be str, not {type(line).__name__}")
+    return _decode_broadcast(line)
+
+
+# Between two of its reads a drone gets at most one MapSnapshot, and a
+# FrameMerged only when frames merge, which a run does fewer times than it
+# has drones: two slots hold both, and a miss only decodes again. Each slot
+# keeps a line and its message alive, which is why there are only two.
+# ``decode`` is looked up on the module at each call, so a wrapped
+# ``decode`` sees every decode.
+@lru_cache(maxsize=2)
+def _decode_broadcast(line: str) -> Decoded:
+    return decode(line)
+
+
 class SequenceGuard:
     """Per-sender monotonicity check; replayed or stale lines are rejected."""
 
@@ -267,8 +320,10 @@ class Endpoint:
         self.transports = transports
         self._seq = 0
 
-    def send(self, msg) -> None:
+    def send(self, msg) -> str:
+        """Encode ``msg``, append the line to every transport and return it."""
         self._seq += 1
         line = encode(msg, self.sender, self._seq)
         for transport in self.transports:
             transport.send_line(line)
+        return line

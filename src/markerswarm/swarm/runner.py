@@ -102,9 +102,14 @@ def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
             readings[drone_id] = _sense(
                 scenario, setups[drone_id], previous, truths[drone_id], rngs[drone_id], now, dt
             )
-            # in report form: this dict becomes the drone's report row
+            # in report form (Pose6D.to_dict's): this dict becomes the drone's report row
+            truth = truths[drone_id]
             truth_log[drone_id].append(
-                {"tick": tick, "time": now, "truth": truths[drone_id].pose.to_dict()}
+                {
+                    "tick": tick,
+                    "time": now,
+                    "truth": {"t": truth.pose.t.tolist(), "euler": list(truth.euler)},
+                }
             )
         # list() waits for every tick and re-raises what one raised
         list(map_ticks(lambda d: nodes[d].tick(tick, now, *readings[d]), order))

@@ -25,6 +25,7 @@ from markerswarm.geom import (
     _compose,
     _euler_quat,
     _quat_euler,
+    _rotate,
     check_float,
     check_int,
     wrap_angle,
@@ -86,6 +87,11 @@ class DroneTruth:
 
     drone_id: int
     pose: Pose6D
+
+    @cached_property
+    def euler(self) -> tuple[float, float, float]:
+        """``pose.euler`` as floats, extracted once: stepping, odometry and the report read it."""
+        return _quat_euler(self.pose.q.tolist())
 
 
 @dataclass(frozen=True)
@@ -199,12 +205,18 @@ def step_drone(truth: DroneTruth, cmd: VelocityCommand, dt: float, world: World)
     """
     if not (0.0 < dt <= MAX_STEP_DT):
         raise ValueError(f"dt {dt} outside (0, {MAX_STEP_DT}]")
-    if not (np.all(np.isfinite(cmd.v_body)) and math.isfinite(cmd.yaw_rate)):
+    v_body = cmd.v_body.tolist()
+    if not (all(map(math.isfinite, v_body)) and math.isfinite(cmd.yaw_rate)):
         raise ValueError(f"non-finite command {cmd}")
-    pos = truth.pose.apply(cmd.v_body * dt)
-    pos = np.clip(pos, world.bounds_min, world.bounds_max)
-    yaw = wrap_angle(truth.pose.euler[2] + cmd.yaw_rate * dt)
-    return DroneTruth(truth.drone_id, Pose6D.from_euler(pos, [0.0, 0.0, yaw]))
+    offset = _rotate(truth.pose.q.tolist(), [v * dt for v in v_body])
+    lows, highs = world.bounds_min.tolist(), world.bounds_max.tolist()
+    # np.clip's comparisons, in its order, so even a signed zero clips alike
+    pos = [
+        min(hi, max(lo, t + r))
+        for t, r, lo, hi in zip(truth.pose.t.tolist(), offset, lows, highs)
+    ]
+    yaw = wrap_angle(truth.euler[2] + cmd.yaw_rate * dt)
+    return DroneTruth(truth.drone_id, Pose6D(pos, _euler_quat(0.0, 0.0, yaw)))
 
 
 def sense_markers(
@@ -293,7 +305,7 @@ def sense_odometry(
     delta = curr.pose.t - prev.pose.t
     rot = prev.pose.rotation()
     v_body = rot.T @ delta / dt
-    rates = wrap_angles(curr.pose.euler - prev.pose.euler) / dt
+    rates = wrap_angles(np.subtract(curr.euler, prev.euler)) / dt
     if noise.odom_vel_sigma > 0.0 or noise.odom_rate_sigma > 0.0:
         v_body = v_body + noise.odom_vel_sigma * rng.standard_normal(3)
         rates = rates + noise.odom_rate_sigma * rng.standard_normal(3)

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from markerswarm.ekf import STATE_DIM, EkfState, _transition_jacobian
-from markerswarm.geom import Pose6D, _euler_rotate, wrap_angles
+from markerswarm.geom import Pose6D, _euler_rotate, wrap_angle, wrap_angles
+from markerswarm.worldsim import DroneTruth, VelocityCommand, World
 
 
 def euler_rot_derivatives(euler: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -53,3 +54,13 @@ def pose_matrix(pose: Pose6D) -> np.ndarray:
     m[:3, :3] = pose.rotation()
     m[:3, 3] = pose.t
     return m
+
+
+def step_drone_numpy(
+    truth: DroneTruth, cmd: VelocityCommand, dt: float, world: World
+) -> DroneTruth:
+    """``worldsim.step_drone`` on arrays: ``Pose6D.apply``, ``np.clip`` and ``from_euler``."""
+    pos = truth.pose.apply(cmd.v_body * dt)
+    pos = np.clip(pos, world.bounds_min, world.bounds_max)
+    yaw = wrap_angle(truth.pose.euler[2] + cmd.yaw_rate * dt)
+    return DroneTruth(truth.drone_id, Pose6D.from_euler(pos, [0.0, 0.0, yaw]))

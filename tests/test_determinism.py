@@ -1,5 +1,5 @@
 """Determinism pin: a lockstep run's four artifacts, and its plot, are byte-identical
-across changes.
+across changes; so is the lab scenario's seed 11 report.
 
 A change that is meant to alter lockstep results (a new model, a bug fix
 that moves numbers) updates the digests below and declares the new value,
@@ -24,6 +24,7 @@ TWO_DRONE_DEMO_SEED_7_ARTIFACTS = {
     "metrics.json": "41e86aa24e22c25ed7ccabb8ff1581b439b4c33cb9ae58ac35caea3c1ff9cef4",
     "trajectories.csv": "a85fc0d5e36a0fa97f2421a29f7ce5a90347ab323f46b51fa8cba234659b37ff",
 }
+LAB_THREE_DRONES_SEED_11 = "fe35f196aa4ea16490fd0a96142216912f8ccaac0d82ae59eddc1cf71bc39f3b"
 
 
 def test_two_drone_demo_seed_7_report_digest(tmp_path):
@@ -80,4 +81,10 @@ def lab_seed_11_report_digest(tmp_path, blas_threads: int) -> str:
 def test_lab_report_independent_of_blas_thread_count(tmp_path):
     # bundle adjustment once summed its Schur complement in one BLAS product,
     # whose summation order changed with the number of OpenBLAS threads
-    assert lab_seed_11_report_digest(tmp_path, 1) == lab_seed_11_report_digest(tmp_path, 2)
+    digest = lab_seed_11_report_digest(tmp_path, 1)
+    assert digest == lab_seed_11_report_digest(tmp_path, 2)
+    assert digest == LAB_THREE_DRONES_SEED_11, (
+        f"lab_three_drones seed 11 lockstep report.json sha256 is {digest}, pinned "
+        f"{LAB_THREE_DRONES_SEED_11}. If this change is meant to alter lockstep results, "
+        "declare the new digest and the reason in CHANGES.md and update the pin."
+    )

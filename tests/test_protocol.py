@@ -1,5 +1,6 @@
 """Wire protocol tests: codec round trips, guards and transports."""
 
+import dataclasses
 import json
 from dataclasses import replace
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from markerswarm.bundle import Keypose
-from markerswarm.ekf import EkfState
 from markerswarm.geom import Pose6D
 from markerswarm.mapstore import MapEntry
 from markerswarm.swarm.protocol import (
@@ -24,6 +24,7 @@ from markerswarm.swarm.protocol import (
     QueueTransport,
     SequenceGuard,
     decode,
+    decode_broadcast,
     encode,
 )
 from markerswarm.worldsim import MarkerDetection
@@ -79,7 +80,7 @@ def all_messages():
             ekf_cov=sample_cov(11),
             frame=1,
         ),
-        PoseReport(drone_id=1, ekf_state=EkfState(np.arange(6.0), sample_cov(12), 1, 2.0)),
+        PoseReport(drone_id=1, frame=1, timestamp=2.0, mean=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0)),
         MapSnapshot(entries=(entry,)),
         FrameMerged(loser=2, winner=0, rt=sample_pose(13)),
         KeyposeCommit(keypose=sample_keypose()),
@@ -139,10 +140,8 @@ def legacy_payload(msg):
                 "ekf_pose": legacy_pose(msg.ekf_pose), "ekf_cov": legacy_cov(msg.ekf_cov),
                 "frame": msg.frame}
     if isinstance(msg, PoseReport):
-        state = msg.ekf_state
-        return {"drone_id": msg.drone_id,
-                "ekf_state": {"mean": [float(v) for v in state.mean], "cov": legacy_cov(state.cov),
-                              "frame": state.frame, "timestamp": float(state.timestamp)}}
+        return {"drone_id": msg.drone_id, "frame": msg.frame,
+                "timestamp": float(msg.timestamp), "mean": [float(v) for v in msg.mean]}
     if isinstance(msg, MapSnapshot):
         return {"entries": [legacy_entry(e) for e in msg.entries]}
     if isinstance(msg, FrameMerged):
@@ -165,7 +164,7 @@ def awkward_messages():
     entry = MapEntry(marker_id=3, frame=2, pose=Pose6D(odd[:3], [-0.0, 0.0, 1.0, -0.0]),
                      cov=cov, obs_count=1)
     return [
-        PoseReport(drone_id=2, ekf_state=EkfState(odd, cov, 2, -0.0)),
+        PoseReport(drone_id=2, frame=2, timestamp=-0.0, mean=tuple(odd.tolist())),
         MapSnapshot(entries=(entry, replace(entry, marker_id=4, cov=-cov))),
         MarkerObs(detection=sample_detection(), ekf_pose=entry.pose, ekf_cov=cov, frame=-0),
     ]
@@ -233,7 +232,7 @@ class TestCodec:
             tampered("FrameMerged", ["winner"], True),
             tampered("Hello", ["drone_id"], "3"),
             tampered("PoseReport", ["drone_id"], 1.0),
-            tampered("PoseReport", ["ekf_state", "frame"], 1.5),
+            tampered("PoseReport", ["frame"], 1.5),
             tampered("MarkerObs", ["frame"], 1.0),
             tampered("MarkerObs", ["detection", "drone_id"], False),
             tampered("MarkerObs", ["detection", "marker_id"], "42"),
@@ -254,8 +253,10 @@ class TestCodec:
             tampered("MapSnapshot", ["entries", 0, "cov"],
                      flat(np.eye(6) + np.triu(np.ones((6, 6)), 1))),
             tampered("MapSnapshot", ["entries", 0, "cov"], flat(np.full((6, 6), np.nan))),
-            tampered("PoseReport", ["ekf_state", "cov"], flat(-np.eye(6))),
-            tampered("PoseReport", ["ekf_state", "cov"], flat(np.full((6, 6), np.nan))),
+            tampered("PoseReport", ["mean"], [0.0, 1.0, 2.0, 3.0, 4.0]),
+            tampered("PoseReport", ["mean"], [0.0, 1.0, 2.0, 3.0, 4.0, 0.125]).replace(
+                "0.125", "1e400"
+            ),
             tampered("MarkerObs", ["detection", "range"], "nan"),
             tampered("MarkerObs", ["detection", "range"], True),
             tampered("MarkerObs", ["detection", "range"], 0.125).replace("0.125", "1e400"),
@@ -265,9 +266,9 @@ class TestCodec:
             tampered("MarkerObs", ["ekf_pose", "euler"], [0.0, False, 0.0]),
             tampered("MarkerObs", ["ekf_cov"], [True if v else 0.0 for v in flat(np.eye(6))]),
             tampered("FrameMerged", ["rt", "t"], ["0.5", 0.0, 0.0]),
-            tampered("PoseReport", ["ekf_state", "timestamp"], "inf"),
-            tampered("PoseReport", ["ekf_state", "mean"], ["0.0", 1.0, 2.0, 3.0, 4.0, 5.0]),
-            tampered("PoseReport", ["ekf_state", "cov"], [str(v) for v in flat(np.eye(6))]),
+            tampered("PoseReport", ["timestamp"], "inf"),
+            tampered("PoseReport", ["mean"], ["0.0", 1.0, 2.0, 3.0, 4.0, 5.0]),
+            tampered("PoseReport", ["frame"], True),
             tampered("MapSnapshot", ["entries", 0, "cov"], [str(v) for v in flat(np.eye(6))]),
             tampered("MapSnapshot", ["entries", 0, "pose", "euler"], [0.0, 0.0, "0.5"]),
             tampered("KeyposeCommit", ["keypose", "timestamp"], "inf"),
@@ -313,8 +314,8 @@ class TestCodec:
             "snapshot-negative-cov",
             "snapshot-asymmetric-cov",
             "snapshot-nan-cov",
-            "report-negative-state-cov",
-            "report-nan-state-cov",
+            "report-short-state-mean",
+            "report-overflowing-state-mean",
             "obs-string-range",
             "obs-bool-range",
             "obs-overflowing-range",
@@ -326,7 +327,7 @@ class TestCodec:
             "merged-string-rt-t",
             "report-string-state-timestamp",
             "report-string-state-mean",
-            "report-string-state-cov",
+            "report-bool-state-frame",
             "snapshot-string-cov",
             "snapshot-string-pose-euler",
             "keypose-string-timestamp",
@@ -358,6 +359,27 @@ class TestCodec:
     def test_non_text_and_bom_lines_raise(self, line):
         with pytest.raises(ProtocolError):
             decode(line)
+        with pytest.raises(ProtocolError):
+            decode_broadcast(line)
+
+    def test_decoded_messages_hold_no_writeable_array(self):
+        # decode_broadcast hands one decoded message to every drone
+        def mutable_parts(value, path):
+            if isinstance(value, np.ndarray):
+                if value.flags.writeable:
+                    yield path
+            elif isinstance(value, (list, dict, set)):
+                yield path
+            elif isinstance(value, tuple):
+                for i, item in enumerate(value):
+                    yield from mutable_parts(item, f"{path}[{i}]")
+            elif dataclasses.is_dataclass(value):
+                for field in dataclasses.fields(value):
+                    yield from mutable_parts(getattr(value, field.name), f"{path}.{field.name}")
+
+        for msg in all_messages():
+            decoded = decode(encode(msg, sender=0, seq=1))
+            assert list(mutable_parts(decoded.msg, type(msg).__name__)) == []
 
     def test_encode_rejects_foreign_object(self):
         with pytest.raises(ProtocolError):
@@ -433,7 +455,7 @@ class TestEndpoint:
         ep = Endpoint(5, t)
         guard = SequenceGuard()
         for _ in range(6):
-            ep.send(PoseReport(drone_id=5, ekf_state=EkfState(np.zeros(6), np.eye(6), 5, 0.0)))
+            ep.send(PoseReport(drone_id=5, frame=5, timestamp=0.0, mean=(0.0,) * 6))
         for line in t.drain():
             d = decode(line)
             assert d.sender == 5

@@ -2,8 +2,10 @@
 
 import json
 import logging
+import math
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from markerswarm.swarm.nodes import (
     GroundStation,
     NavptsNode,
     SweepPolicy,
+    _distances,
 )
 from markerswarm.swarm.protocol import (
     STATION_ID,
@@ -34,7 +37,7 @@ from markerswarm.swarm.protocol import (
     decode,
     encode,
 )
-from markerswarm.swarm.runner import MODES, _run_ticks
+from markerswarm.swarm.runner import MODES, _build_system, _handle_mail, _run_ticks
 from markerswarm.worldsim import MarkerDetection, OdometryReading, downward_camera
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -147,6 +150,18 @@ class TestSweepPolicy:
     def test_yaw_rate_passthrough(self):
         policy = square_policy(yaw_rate=0.25)
         assert policy.choose_destination(at(0.0, 0.0)).yaw_rate == 0.25
+
+    def test_batched_distances_bit_identical_to_per_row_dot(self):
+        rng = np.random.default_rng(19)
+        for scale in (1e-3, 1.0, 7.0, 1e4):
+            cells = rng.normal(size=(2000, 3)) * scale
+            position = rng.normal(size=3) * scale
+            expected = [math.sqrt(d.dot(d)) for d in cells - position]
+            assert _distances(cells, position) == expected
+        policy = SweepPolicy([-3.0, -3.0, 0.0], [3.0, 3.0, 2.0], PolicyConfig(cell_size=0.7))
+        position = np.array([0.3, -1.1, 1.4])
+        expected = [math.sqrt(d.dot(d)) for d in policy.cells - position]
+        assert _distances(policy.cells, position) == expected
 
 
 # -- node fixtures -----------------------------------------------------
@@ -617,12 +632,10 @@ class TestGroundStation:
         assert len(station.gmap.entries) == 0
 
     def test_pose_report_handled_and_ignored(self):
-        from markerswarm.ekf import EkfState
-
         sc = station_scenario()
         station, senders, _ = make_station(sc)
         senders[0].send(Hello(0))
-        senders[0].send(PoseReport(0, EkfState(np.arange(6.0), np.eye(6), 0, 1.5)))
+        senders[0].send(PoseReport(0, 0, 1.5, tuple(np.arange(6.0).tolist())))
         assert station.counters["handled"] == 2
         assert station.counters["errors"] == 0
         assert station.gmap.entries == {}
@@ -700,6 +713,44 @@ class TestGroundStation:
         assert len(station.merge_events) == 1
         assert station_encodes == ["MapSnapshot", "FrameMerged"]
         assert isinstance(one_line_for_all(), FrameMerged)
+
+    def test_each_broadcast_is_decoded_once_and_shared(self, monkeypatch):
+        # three drones read a merge and one snapshot; the station decodes its
+        # own snapshot, and the drones get the very objects of its map
+        drones = [{"id": d, "start_pose": {"t": [d, d, 1], "euler": [0, 0, 0]}} for d in range(3)]
+        sc = station_scenario(extra={"drones": drones})
+        station, nodes = _build_system(sc)
+        for node in nodes.values():
+            node.hello()
+            _handle_mail(station, node.outbox)
+        cam = sc.cameras["down"]
+        offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])  # frame 1's origin in frame 0
+        true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
+        true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
+        station_decodes = Counter()
+
+        def counting_decode(line):
+            decoded = decode(line)
+            if decoded.sender == STATION_ID:
+                station_decodes[line] += 1
+            return decoded
+
+        monkeypatch.setattr(protocol, "decode", counting_decode)
+        protocol._decode_broadcast.cache_clear()  # a line of an earlier test is not one of these
+        nodes[0].link.send(obs_from(0, true0, true0, world_marker(), cam))
+        _handle_mail(station, nodes[0].outbox)
+        believed1 = offset.inverse().compose(true1)
+        nodes[1].link.send(obs_from(1, believed1, true1, world_marker(), cam, now=0.8))
+        _handle_mail(station, nodes[1].outbox)
+        assert len(station.merge_events) == 1
+        station.flush()
+        for node in nodes.values():
+            node.steer(1, 0.1)
+        assert len(station_decodes) == 2  # FrameMerged, MapSnapshot
+        assert set(station_decodes.values()) == {1}
+        for node in nodes.values():
+            assert node.map_view.keys() == station.gmap.entries.keys() == {5}
+            assert all(node.map_view[k] is station.gmap.entries[k] for k in node.map_view)
 
     def test_flush_sends_only_replaced_entries(self):
         sc = station_scenario()

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import step_drone_numpy
+
 from markerswarm.geom import Pose6D, _multiply, quat_to_euler, wrap_angles
 from markerswarm.worldsim import (
     CameraParams,
@@ -34,6 +36,12 @@ def make_world(markers=None):
 
 def drone_at(x=0.0, y=0.0, z=0.0, yaw=0.0, drone_id=0):
     return DroneTruth(drone_id, Pose6D.from_euler([x, y, z], [0.0, 0.0, yaw]))
+
+
+def assert_same_step(got, want):
+    assert got.pose.t.tobytes() == want.pose.t.tobytes()
+    assert got.pose.q.tobytes() == want.pose.q.tobytes()
+    assert np.array(got.euler).tobytes() == got.pose.euler.tobytes()
 
 
 class TestStepDrone:
@@ -69,6 +77,42 @@ class TestStepDrone:
             step_drone(drone_at(), VelocityCommand([np.nan, 0, 0]), 0.1, world)
         with pytest.raises(ValueError):
             step_drone(drone_at(), VelocityCommand([0, 0, 0], yaw_rate=math.inf), 0.1, world)
+
+    def test_float_step_bit_identical_to_array_form(self):
+        # random poses and commands, steps clamped at each of the six bounds,
+        # a zero command, and a signed zero sitting on a bound
+        world = make_world()
+        rng = np.random.default_rng(19)
+        cases = []
+        for _ in range(2000):
+            t = rng.uniform(world.bounds_min, world.bounds_max)
+            euler = rng.uniform(-math.pi, math.pi, 3) * [0.4, 0.4, 1.0]
+            cmd = VelocityCommand(rng.normal(size=3) * 2.0, float(rng.normal()))
+            cases.append((Pose6D.from_euler(t, euler), cmd, float(rng.uniform(0.01, 0.5))))
+        for axis in range(3):
+            for side, bound in ((-1.0, world.bounds_min), (1.0, world.bounds_max)):
+                t = np.zeros(3)
+                t[axis] = bound[axis] - side * 0.01
+                v = np.zeros(3)
+                v[axis] = side * 3.0
+                pose = Pose6D.from_euler(t, [0.0, 0.0, float(rng.uniform(-0.1, 0.1))])
+                cases.append((pose, VelocityCommand(pose.rotation().T @ v, 0.2), 0.5))
+        hovering = Pose6D.from_euler([1.0, -2.0, 1.5], [0, 0, 2.0])
+        cases.append((hovering, VelocityCommand.hover(), 0.1))
+        clamped = 0
+        for pose, cmd, dt in cases:
+            truth = DroneTruth(3, pose)
+            got = step_drone(truth, cmd, dt, world)
+            assert_same_step(got, step_drone_numpy(truth, cmd, dt, world))
+            clamped += bool(np.any(got.pose.t == world.bounds_min) or
+                            np.any(got.pose.t == world.bounds_max))
+        assert clamped >= 6
+        # np.clip keeps the bound when the position equals it: -0.0 here, not 0.0
+        floor = World({}, np.array([-1.0, -1.0, -0.0]), np.array([1.0, 1.0, 1.0]))
+        truth = DroneTruth(3, Pose6D.from_euler([0.5, 0.5, 0.0], [0, 0, 0]))
+        got = step_drone(truth, VelocityCommand.hover(), 0.1, floor)
+        assert math.copysign(1.0, got.pose.t[2]) == -1.0
+        assert_same_step(got, step_drone_numpy(truth, VelocityCommand.hover(), 0.1, floor))
 
 
 class TestWorld:
