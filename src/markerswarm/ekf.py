@@ -1,11 +1,13 @@
 """Per-drone extended Kalman filter over the 6-DOF pose.
 
 State vector (x, y, z, alpha, beta, gamma): position plus roll/pitch/yaw in
-the drone's coordinate frame. Prediction integrates body-frame odometry;
-corrections come from detections of markers whose map pose is already
-known, treated as direct pose observations (H = identity). Per-axis
-measurement errors are modeled as independent, so detection noise is a
-strictly positive diagonal that grows linearly with range.
+the drone's coordinate frame. A state is its mean, covariance and frame;
+it keeps no clock, since the tick that steps it knows the time.
+Prediction integrates body-frame odometry; corrections come from
+detections of markers whose map pose is already known, treated as direct
+pose observations (H = identity). Per-axis measurement errors are modeled
+as independent, so detection noise is a strictly positive diagonal that
+grows linearly with range.
 
 That diagonal is isotropic in blocks: ``sigma_p^2 I`` on the position and
 ``sigma_a^2 I`` on the angles. A detection is measured in the camera
@@ -112,7 +114,6 @@ class EkfState:
     mean: np.ndarray  # (6,)
     cov: np.ndarray  # (6, 6)
     frame: int
-    timestamp: float
 
     def __post_init__(self) -> None:
         mean = np.array(self.mean, dtype=float).reshape(STATE_DIM)
@@ -127,8 +128,8 @@ class EkfState:
         return Pose6D.from_vector(self.mean)
 
     @staticmethod
-    def from_pose(pose: Pose6D, cov: np.ndarray, frame: int, timestamp: float) -> "EkfState":
-        return EkfState(pose.to_vector(), cov, frame, timestamp)
+    def from_pose(pose: Pose6D, cov: np.ndarray, frame: int) -> "EkfState":
+        return EkfState(pose.to_vector(), cov, frame)
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,6 @@ class PoseObservation:
 
     vector: np.ndarray  # (x, y, z, alpha, beta, gamma)
     cov: np.ndarray
-    marker_id: int
 
     def __post_init__(self) -> None:
         vector = np.array(self.vector, dtype=float).reshape(STATE_DIM)
@@ -175,7 +175,7 @@ def predict(state: EkfState, odo: OdometryReading, config: EkfConfig) -> EkfStat
     )
     jac = _transition_jacobian(derivs, dt)
     cov = symmetrize(jac @ state.cov @ jac.T + config.process_noise * dt)
-    return EkfState(mean, cov, state.frame, state.timestamp + dt)
+    return EkfState(mean, cov, state.frame)
 
 
 def detection_noise(det: MarkerDetection, config: EkfConfig) -> np.ndarray:
@@ -204,7 +204,6 @@ def observation_from_marker(
     return PoseObservation(
         vector=(*t, *_quat_euler(q)),
         cov=entry.cov + detection_noise(det, config),
-        marker_id=det.marker_id,
     )
 
 
@@ -236,11 +235,11 @@ def update(state: EkfState, obs: PoseObservation, config: EkfConfig) -> tuple[Ek
     # Joseph form keeps the posterior symmetric PSD under roundoff
     a = np.eye(STATE_DIM) - gain
     cov = a @ p @ a.T + gain @ obs.cov @ gain.T
-    return EkfState(mean, symmetrize(cov), state.frame, state.timestamp), True
+    return EkfState(mean, symmetrize(cov), state.frame), True
 
 
 def remap_frame(state: EkfState, rt: Pose6D, new_frame: int) -> EkfState:
     """Re-express the state in another frame after a merge (rt: old -> new)."""
     pose = rt.compose(state.pose)
     cov = transport_covariance(state.cov, rt.rotation())
-    return EkfState(pose.to_vector(), cov, new_frame, state.timestamp)
+    return EkfState(pose.to_vector(), cov, new_frame)

@@ -148,12 +148,10 @@ class MergeRecord:
 
 def merge_frames(
     gmap: GlobalMap,
-    winner: int,
-    loser: int,
     transform: FrameTransform,
     pairs: list[tuple[int, Pose6D, Pose6D]] | None = None,
 ) -> tuple[MergeRecord, list[int]]:
-    """Fold the loser frame into the winner through ``transform``.
+    """Fold ``transform.from_frame`` (the loser) into ``transform.to_frame`` (the winner).
 
     Loser entries are re-expressed (pose composed, covariance transported);
     the store holds one entry per marker id, so no marker can sit in both
@@ -161,15 +159,11 @@ def merge_frames(
     names them so the caller can broadcast the merge. Returns the merge
     record for later refinement.
     """
+    winner, loser = transform.to_frame, transform.from_frame
     if winner == loser:
         raise MapContractError(f"self-merge of frame {winner}")
     if loser < winner:
         raise MapContractError(f"frame {winner} cannot win over lower id {loser}")
-    if transform.from_frame != loser or transform.to_frame != winner:
-        raise MapContractError(
-            f"transform maps {transform.from_frame}->{transform.to_frame}, "
-            f"expected {loser}->{winner}"
-        )
     rt = transform.rt
     rot = rt.rotation()
     pre_merge: dict[int, Pose6D] = {}

@@ -158,7 +158,7 @@ class NavptsNode:
         self.theta_key = scenario.ba.theta_key
         self.cameras = {name: scenario.cameras[name] for name in setup.cameras}
         init_cov = np.diag(np.square(scenario.init_sigma))
-        self.state = EkfState.from_pose(setup.ekf_start_pose, init_cov, setup.drone_id, 0.0)
+        self.state = EkfState.from_pose(setup.ekf_start_pose, init_cov, setup.drone_id)
         self.map_view: dict[int, MapEntry] = {}
         self.policy = SweepPolicy(
             scenario.world.bounds_min, scenario.world.bounds_max, scenario.policy
@@ -172,7 +172,7 @@ class NavptsNode:
         self.counters = {"updates": 0, "gated": 0, "forwarded": 0, "keyposes": 0}
 
     def hello(self) -> None:
-        self.link.send(Hello(self.drone_id))
+        self.link.send(Hello())
 
     def tick(
         self,
@@ -192,10 +192,10 @@ class NavptsNode:
                 self.state, accepted = update(self.state, obs, self.ekf_config)
                 self.counters["updates" if accepted else "gated"] += 1
                 if entry.obs_count < self.n_fuse:
-                    self._forward(det)
+                    self._forward(det, now)
             else:
                 # unknown or cross-frame: the station decides what it means
-                self._forward(det)
+                self._forward(det, now)
 
         if detections and select_keypose(
             self.state.pose, self.last_keypose, len(detections), self.d_key, self.theta_key
@@ -214,15 +214,13 @@ class NavptsNode:
             {"tick": tick, "time": now, "pose": self.state.pose, "frame": self.state.frame}
         )
         state = self.state
-        self.link.send(
-            PoseReport(self.drone_id, state.frame, state.timestamp, tuple(state.mean.tolist()))
-        )
+        self.link.send(PoseReport(self.drone_id, state.frame, now, tuple(state.mean.tolist())))
 
         # BG: next destination
         return self.policy.choose_destination(self.state.pose)
 
-    def _forward(self, det: MarkerDetection) -> None:
-        self.link.send(MarkerObs(det, self.state.pose, self.state.cov, self.state.frame))
+    def _forward(self, det: MarkerDetection, now: float) -> None:
+        self.link.send(MarkerObs(det, self.state.pose, self.state.cov, self.state.frame, now))
         self.counters["forwarded"] += 1
 
     def _apply_line(self, line: str) -> None:
@@ -271,7 +269,8 @@ class GroundStation:
         self.ba = scenario.ba
         self.link = link  # over every drone's inbox
         self.guard = SequenceGuard()
-        self.keypose_log: list[Keypose] = []
+        # per live frame, from the Hello that made it to the merge that retires it
+        self.keyposes: dict[int, list[Keypose]] = {}
         self.keyposes_since_ba: dict[int, int] = {}
         self.records: list = []  # every executed merge's MergeRecord, oldest first
         self.merge_events: list[dict] = []
@@ -298,15 +297,20 @@ class GroundStation:
             self.counters["stale"] += 1
             return
         try:
-            self._dispatch(decoded.msg)
+            self._dispatch(decoded.msg, decoded.sender)
             self.counters["handled"] += 1
         except Exception:
             self.counters["errors"] += 1
             log.exception("station failed on %s", type(decoded.msg).__name__)
 
-    def _dispatch(self, msg) -> None:
+    def _dispatch(self, msg, sender: int) -> None:
         if isinstance(msg, Hello):
-            self.gmap.register_drone(msg.drone_id, frame=msg.drone_id)
+            # a second Hello would revive the sender's frame after it merged away
+            if sender in self.gmap.membership:
+                raise ProtocolError(f"drone {sender} is already registered")
+            self.gmap.register_drone(sender, frame=sender)
+            self.keyposes[sender] = []
+            self.keyposes_since_ba[sender] = 0
         elif isinstance(msg, MarkerObs):
             self._process_marker_obs(msg)
         elif isinstance(msg, KeyposeCommit):
@@ -337,7 +341,7 @@ class GroundStation:
             self.gmap.fuse_observation(marker_id, pose_in_frame, cov)
             self._check_refine(marker_id, pose_in_frame, frame)
         else:
-            self._merge_on_overlap(frame, entry, pose_in_frame, cov, m.detection.timestamp)
+            self._merge_on_overlap(frame, entry, pose_in_frame, cov, m.timestamp)
 
     def _merge_on_overlap(
         self,
@@ -360,7 +364,7 @@ class GroundStation:
             pose_w, pose_l = pose_obs, entry.pose
         transform = estimate_transform([(pose_w, pose_l)], from_frame=loser, to_frame=winner)
         record, moved_drones = merge_frames(
-            self.gmap, winner, loser, transform, pairs=[(entry.marker_id, pose_w, pose_l)]
+            self.gmap, transform, pairs=[(entry.marker_id, pose_w, pose_l)]
         )
         self.records.append(record)
         self.merge_events.append(
@@ -372,10 +376,11 @@ class GroundStation:
                 "transform": transform.to_dict(),
             }
         )
-        self.keypose_log = [self._carry_keypose(kp) for kp in self.keypose_log]
-        self.keyposes_since_ba[winner] = self.keyposes_since_ba.get(
-            winner, 0
-        ) + self.keyposes_since_ba.pop(loser, 0)
+        rt = transform.rt
+        self.keyposes[winner].extend(
+            replace(kp, frame=winner, pose=rt.compose(kp.pose)) for kp in self.keyposes.pop(loser)
+        )
+        self.keyposes_since_ba[winner] += self.keyposes_since_ba.pop(loser)
         self.link.send(FrameMerged(loser, winner, transform.rt))
         # the triggering observation itself still counts as an observation
         _, pose_fused, cov_fused = self._carry_forward(obs_frame, pose_obs, cov_obs)
@@ -419,25 +424,20 @@ class GroundStation:
 
     # -- keyposes and adjustment ---------------------------------------
 
-    def _carry_keypose(self, kp: Keypose) -> Keypose:
-        frame, pose, _ = self._carry_forward(kp.frame, kp.pose)
-        return replace(kp, frame=frame, pose=pose)
-
     def _process_keypose(self, kp: Keypose) -> None:
         for det in kp.observations:
             self._camera(det)  # a keypose BA cannot use would fail every later BA of its frame
-        kp = self._carry_keypose(kp)
-        self.keypose_log.append(kp)
-        count = self.keyposes_since_ba.get(kp.frame, 0) + 1
-        self.keyposes_since_ba[kp.frame] = count
-        if self.ba.enabled and count >= self.ba.every_keyposes:
-            self._run_ba(kp.frame, trigger="keypose_interval", now=kp.timestamp)
+        frame, pose, _ = self._carry_forward(kp.frame, kp.pose)
+        self.keyposes[frame].append(replace(kp, frame=frame, pose=pose))
+        self.keyposes_since_ba[frame] += 1
+        if self.ba.enabled and self.keyposes_since_ba[frame] >= self.ba.every_keyposes:
+            self._run_ba(frame, trigger="keypose_interval", now=kp.timestamp)
 
     def _run_ba(self, frame: int, trigger: str, now: float) -> None:
         if not self.ba.enabled:
             return
         self.keyposes_since_ba[frame] = 0
-        keyposes = [kp for kp in self.keypose_log if kp.frame == frame]
+        keyposes = self.keyposes[frame]
         markers = {e.marker_id: e.pose for e in self.gmap.entries_in_frame(frame)}
         if not keyposes or not markers:
             return
@@ -457,10 +457,7 @@ class GroundStation:
             current = self.gmap.lookup(marker_id)
             if current is not None and current.frame == frame:
                 self.gmap.replace_entry(replace(current, pose=pose))
-        adjusted = {(kp.drone_id, kp.timestamp): kp for kp in result.keyposes}
-        self.keypose_log = [
-            adjusted.get((kp.drone_id, kp.timestamp), kp) for kp in self.keypose_log
-        ]
+        self.keyposes[frame] = result.keyposes
 
     # -- outbound -------------------------------------------------------
 

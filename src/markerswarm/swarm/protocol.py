@@ -9,12 +9,14 @@ sends ``Hello``, ``MarkerObs``, ``PoseReport`` and ``KeyposeCommit``; the
 station sends ``MapSnapshot`` and ``FrameMerged``. Any other "type" is a
 malformed line.
 
-A drone sends what it measured. ``MarkerObs`` carries one detection and
-a keypose carries the detections seen at its instant, each as a
-``MarkerDetection``; the station looks up the camera and derives the
-noise from its own scenario. ``PoseReport`` carries the drone's EKF mean
-(exactly six floats), its frame and timestamp, and not the covariance,
-which nothing reads.
+Each fact travels once. ``Hello`` has no payload: the station registers
+the envelope's sender. A drone sends what it measured. ``MarkerObs``
+carries one detection and the time it was made; a keypose carries the
+detections seen at its instant, beside its own drone id and time. A
+``MarkerDetection`` itself carries neither a drone id nor a time. The
+station looks up the camera and derives the noise from its own scenario.
+``PoseReport`` carries the drone's EKF mean (exactly six floats), its
+frame and the tick's time, and not the covariance, which nothing reads.
 
 Every integer, in the envelope and in the payload, must be a JSON
 integer: a float, a string or a bool is a malformed line. Every float
@@ -70,7 +72,7 @@ class ProtocolError(Exception):
 
 @dataclass(frozen=True)
 class Hello:
-    drone_id: int
+    """A drone's first line; the station registers the envelope's sender."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,7 @@ class MarkerObs:
     ekf_pose: Pose6D
     ekf_cov: np.ndarray  # 6x6
     frame: int  # the sender's frame when ekf_pose and ekf_cov were taken
+    timestamp: float  # when the detection was made
 
     def __post_init__(self) -> None:
         cov = np.array(self.ekf_cov, dtype=float).reshape(6, 6)
@@ -120,13 +123,14 @@ class Decoded:
 
 def _payload(msg) -> dict:
     if isinstance(msg, Hello):
-        return {"drone_id": msg.drone_id}
+        return {}
     if isinstance(msg, MarkerObs):
         return {
             "detection": msg.detection.to_dict(),
             "ekf_pose": msg.ekf_pose.to_dict(),
             "ekf_cov": np.asarray(msg.ekf_cov, dtype=float).reshape(-1).tolist(),
             "frame": int(msg.frame),
+            "timestamp": float(msg.timestamp),
         }
     if isinstance(msg, PoseReport):
         return {
@@ -145,7 +149,7 @@ def _payload(msg) -> dict:
 
 
 def _parse_hello(p: dict) -> Hello:
-    return Hello(check_int(p["drone_id"], "drone_id"))
+    return Hello()
 
 
 def _parse_marker_obs(p: dict) -> MarkerObs:
@@ -156,6 +160,7 @@ def _parse_marker_obs(p: dict) -> MarkerObs:
             np.array([check_float(v, "ekf_cov") for v in p["ekf_cov"]]).reshape(6, 6), "ekf_cov"
         ),
         frame=check_int(p["frame"], "frame"),
+        timestamp=check_float(p["timestamp"], "timestamp"),
     )
 
 

@@ -61,14 +61,12 @@ def _build_system(scenario: Scenario):
     return GroundStation(scenario, station_link), nodes
 
 
-def _sense(scenario, setup, truth_prev, truth_now, rng, now, dt):
+def _sense(scenario, setup, truth_prev, truth_now, rng, dt):
     """Odometry then detections, in a frozen draw order per drone."""
-    odometry = sense_odometry(truth_prev, truth_now, dt, scenario.noise, rng, now)
+    odometry = sense_odometry(truth_prev, truth_now, dt, scenario.noise, rng)
     detections = []
     for cam in scenario.drone_cameras(setup):
-        detections.extend(
-            sense_markers(truth_now, scenario.world, cam, scenario.noise, rng, now)
-        )
+        detections.extend(sense_markers(truth_now, scenario.world, cam, scenario.noise, rng))
     return odometry, detections
 
 
@@ -84,7 +82,7 @@ def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
     setups = {d.drone_id: d for d in scenario.drones}
     order = sorted(setups)
     rngs = {d: drone_rng(seed, d) for d in order}
-    truths = {d: DroneTruth(d, setups[d].start_pose) for d in order}
+    truths = {d: DroneTruth(setups[d].start_pose) for d in order}
     truth_log: dict[int, list] = {d: [] for d in order}
     commands = {d: VelocityCommand.hover() for d in order}
     dt = scenario.dt
@@ -100,7 +98,7 @@ def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
             previous = truths[drone_id]
             truths[drone_id] = step_drone(previous, commands[drone_id], dt, world)
             readings[drone_id] = _sense(
-                scenario, setups[drone_id], previous, truths[drone_id], rngs[drone_id], now, dt
+                scenario, setups[drone_id], previous, truths[drone_id], rngs[drone_id], dt
             )
             # in report form (Pose6D.to_dict's): this dict becomes the drone's report row
             truth = truths[drone_id]

@@ -7,6 +7,11 @@ freedom). Cameras detect fiducial markers inside a view cone and report the
 marker pose relative to the camera, corrupted by range-dependent Gaussian
 noise. Odometry is a finite-difference body-velocity sensor.
 
+A reading holds what was measured and nothing else: neither a detection
+nor an odometry reading carries a drone id or a time. The caller knows
+both, and the message that carries a detection (``MarkerObs``, a
+keypose) names its sender and its time once.
+
 All randomness flows through per-drone counter-based generators
 (:func:`drone_rng`), so draws depend only on (seed, drone id, call order)
 and never on scheduling.
@@ -85,7 +90,6 @@ class World:
 class DroneTruth:
     """True state of one drone; roll and pitch are exactly zero."""
 
-    drone_id: int
     pose: Pose6D
 
     @cached_property
@@ -133,21 +137,17 @@ class CameraParams:
 
 @dataclass(frozen=True)
 class MarkerDetection:
-    drone_id: int
     marker_id: int
     camera: str
     rel_pose: Pose6D  # marker pose in the camera frame
     range: float  # == |rel_pose.t|
-    timestamp: float
 
     def to_dict(self) -> dict:
         return {
-            "drone_id": self.drone_id,
             "marker_id": self.marker_id,
             "camera": self.camera,
             "rel_pose": self.rel_pose.to_dict(),
             "range": float(self.range),
-            "timestamp": float(self.timestamp),
         }
 
     @staticmethod
@@ -159,22 +159,18 @@ class MarkerDetection:
         if distance < 0.0:
             raise ValueError(f"range {distance!r} is negative")
         return MarkerDetection(
-            drone_id=check_int(data["drone_id"], "drone_id"),
             marker_id=check_int(data["marker_id"], "marker_id"),
             camera=camera,
             rel_pose=Pose6D.from_dict(data["rel_pose"]),
             range=distance,
-            timestamp=check_float(data["timestamp"], "timestamp"),
         )
 
 
 @dataclass(frozen=True)
 class OdometryReading:
-    drone_id: int
     dt: float
     v_body: np.ndarray
     euler_rates: np.ndarray
-    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -216,7 +212,7 @@ def step_drone(truth: DroneTruth, cmd: VelocityCommand, dt: float, world: World)
         for t, r, lo, hi in zip(truth.pose.t.tolist(), offset, lows, highs)
     ]
     yaw = wrap_angle(truth.euler[2] + cmd.yaw_rate * dt)
-    return DroneTruth(truth.drone_id, Pose6D(pos, _euler_quat(0.0, 0.0, yaw)))
+    return DroneTruth(Pose6D(pos, _euler_quat(0.0, 0.0, yaw)))
 
 
 def sense_markers(
@@ -225,7 +221,6 @@ def sense_markers(
     cam: CameraParams,
     noise: SensorNoise,
     rng: np.random.Generator,
-    now: float,
 ) -> list[MarkerDetection]:
     """Detections of all markers inside the camera cone, noisy, id-sorted.
 
@@ -275,12 +270,10 @@ def sense_markers(
             )
         out.append(
             MarkerDetection(
-                drone_id=truth.drone_id,
                 marker_id=marker_id,
                 camera=cam.name,
                 rel_pose=Pose6D((x, y, z), q),
                 range=math.sqrt(x * x + y * y + z * z),
-                timestamp=now,
             )
         )
     return out
@@ -292,7 +285,6 @@ def sense_odometry(
     dt: float,
     noise: SensorNoise,
     rng: np.random.Generator,
-    now: float,
 ) -> OdometryReading:
     """Finite-difference odometry over one step, in the starting body frame.
 
@@ -309,13 +301,7 @@ def sense_odometry(
     if noise.odom_vel_sigma > 0.0 or noise.odom_rate_sigma > 0.0:
         v_body = v_body + noise.odom_vel_sigma * rng.standard_normal(3)
         rates = rates + noise.odom_rate_sigma * rng.standard_normal(3)
-    return OdometryReading(
-        drone_id=curr.drone_id,
-        dt=dt,
-        v_body=v_body,
-        euler_rates=rates,
-        timestamp=now,
-    )
+    return OdometryReading(dt=dt, v_body=v_body, euler_rates=rates)
 
 
 # --- standard camera rigs -------------------------------------------------

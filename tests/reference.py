@@ -63,4 +63,4 @@ def step_drone_numpy(
     pos = truth.pose.apply(cmd.v_body * dt)
     pos = np.clip(pos, world.bounds_min, world.bounds_max)
     yaw = wrap_angle(truth.pose.euler[2] + cmd.yaw_rate * dt)
-    return DroneTruth(truth.drone_id, Pose6D.from_euler(pos, [0.0, 0.0, yaw]))
+    return DroneTruth(Pose6D.from_euler(pos, [0.0, 0.0, yaw]))

@@ -162,15 +162,14 @@ def test_criterion_2_ekf_correctness():
     }
     truth = Pose6D.from_euler([0.0, 0.1, 1.5], [0.0, 0.0, 0.3])
     mean0 = truth.to_vector() + np.array([0.05, -0.04, 0.03, 0.02, -0.015, 0.025])
-    state = EkfState(mean0, np.diag([0.1**2] * 3 + [0.05**2] * 3), 0, 0.0)
+    state = EkfState(mean0, np.diag([0.1**2] * 3 + [0.05**2] * 3), 0)
     error0 = float(np.linalg.norm(state.mean - truth.to_vector()))
     first_update_error = None
-    for k in range(40):
-        now = 0.1 * (k + 1)
-        state = predict(state, OdometryReading(0, 0.1, np.zeros(3), np.zeros(3), now), cfg)
+    for _ in range(40):
+        state = predict(state, OdometryReading(0.1, np.zeros(3), np.zeros(3)), cfg)
         for marker_id, marker_pose in markers.items():
             rel = truth.compose(cam.extrinsics).inverse().compose(marker_pose)
-            det = MarkerDetection(0, marker_id, "down", rel, float(np.linalg.norm(rel.t)), now)
+            det = MarkerDetection(marker_id, "down", rel, float(np.linalg.norm(rel.t)))
             obs = observation_from_marker(det, entries[marker_id], cam, cfg)
             state, accepted = update(state, obs, cfg)
             assert accepted
@@ -195,8 +194,8 @@ def test_criterion_2_ekf_correctness():
         jac = predict_jacobian(mean, v, 0.1)
 
         def mean_map(x):
-            st = EkfState(x, np.eye(6), 0, 0.0)
-            odo = OdometryReading(0, 0.1, v, rates, 0.1)
+            st = EkfState(x, np.eye(6), 0)
+            odo = OdometryReading(0.1, v, rates)
             return predict(st, odo, cfg).mean
 
         fd = np.zeros((6, 6))

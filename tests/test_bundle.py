@@ -42,14 +42,12 @@ CAMERAS = {"down": CameraParams("down", DOWN_CAM, 0.9, 4.0)}
 FLAT_NOISE = EkfConfig(det_pos_per_m=0.0, det_ang_per_m=0.0)
 
 
-def detection(marker_id, rel_pose, camera="down", drone_id=0, timestamp=0.0):
+def detection(marker_id, rel_pose, camera="down"):
     return MarkerDetection(
-        drone_id=drone_id,
         marker_id=marker_id,
         camera=camera,
         rel_pose=rel_pose,
         range=float(np.linalg.norm(rel_pose.t)),
-        timestamp=timestamp,
     )
 
 
@@ -90,7 +88,7 @@ def make_problem(rng, n_keyposes=4, n_markers=5, obs_noise=0.0, drone_ids=None,
             rel = pose.compose(DOWN_CAM).inverse().compose(markers[mid])
             if obs_noise > 0:
                 rel = rel.compose(small_pose(rng, obs_noise, obs_noise / 2))
-            obs.append(detection(mid, rel, drone_id=drone_ids[i], timestamp=float(i)))
+            obs.append(detection(mid, rel))
         keyposes.append(
             Keypose(
                 drone_id=drone_ids[i],
@@ -491,6 +489,40 @@ class TestOptimize:
             if _marker_rmse(result.markers, markers) < before:
                 improved += 1
         assert improved >= 18
+
+    def test_keypose_order_does_not_change_the_result(self):
+        # the station hands BA its frame's keyposes in merge order, not arrival order
+        rng = np.random.default_rng(25)
+        problem, _, _ = make_problem(
+            rng, n_keyposes=9, n_markers=5, obs_noise=0.02, init_jitter=0.05
+        )
+        # three drones whose keyposes share times, as keyposes of one tick do;
+        # (drone_id, timestamp) stays unique
+        keyposes = [
+            replace(kp, drone_id=i % 3, timestamp=float(i // 3))
+            for i, kp in enumerate(problem.keyposes)
+        ]
+        orders = [list(range(9)), list(range(8, -1, -1))]
+        orders += [np.random.default_rng(seed).permutation(9).tolist() for seed in range(4)]
+
+        def outcome(order):
+            shuffled = BaProblem(
+                [keyposes[i] for i in order], problem.marker_init, CAMERAS, FLAT_NOISE
+            )
+            result = optimize(shuffled)
+            assert result.iterations > 0
+            return (
+                [(kp.drone_id, kp.timestamp) for kp in shuffled.keyposes],
+                shuffled.initial_vector().tobytes(),
+                result.to_dict(),
+                [(kp.drone_id, kp.timestamp, kp.pose.t.tobytes(), kp.pose.q.tobytes())
+                 for kp in result.keyposes],
+                [(m, p.t.tobytes(), p.q.tobytes()) for m, p in result.markers.items()],
+            )
+
+        first = outcome(orders[0])
+        for order in orders[1:]:
+            assert outcome(order) == first, order
 
     def test_iteration_cap_respected(self):
         rng = np.random.default_rng(24)

@@ -40,24 +40,22 @@ from markerswarm.worldsim import (
 NO_NOISE = SensorNoise(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def make_state(mean=None, cov=None, frame=0, t=0.0):
+def make_state(mean=None, cov=None, frame=0):
     mean = np.zeros(6) if mean is None else np.asarray(mean, dtype=float)
     cov = np.eye(6) if cov is None else np.asarray(cov, dtype=float)
-    return EkfState(mean, cov, frame, t)
+    return EkfState(mean, cov, frame)
 
 
 def make_detection(rel_pose, rng_range=None, marker_id=0, camera="down"):
     rng_range = float(np.linalg.norm(rel_pose.t)) if rng_range is None else rng_range
-    return MarkerDetection(0, marker_id, camera, rel_pose, rng_range, 0.0)
+    return MarkerDetection(marker_id, camera, rel_pose, rng_range)
 
 
 def odometry(v, rates, dt=0.1):
     return SimpleNamespace(
-        drone_id=0,
         dt=dt,
         v_body=np.asarray(v, dtype=float),
         euler_rates=np.asarray(rates, dtype=float),
-        timestamp=dt,
     )
 
 
@@ -94,26 +92,25 @@ class TestPredict:
     def test_mean_integration_matches_truth_stepper(self):
         world = World({}, np.array([-50.0, -50, -50]), np.array([50.0, 50, 50]))
         cfg = EkfConfig()
-        truth = DroneTruth(0, Pose6D.from_euler([1.0, 2.0, 1.5], [0, 0, 0.6]))
-        state = EkfState.from_pose(truth.pose, np.zeros((6, 6)), 0, 0.0)
+        truth = DroneTruth(Pose6D.from_euler([1.0, 2.0, 1.5], [0, 0, 0.6]))
+        state = EkfState.from_pose(truth.pose, np.zeros((6, 6)), 0)
         rng = drone_rng(0, 0)
         for k in range(100):
             cmd = VelocityCommand([0.3, -0.1, 0.05], yaw_rate=0.2)
             moved = step_drone(truth, cmd, 0.1, world)
-            odo = sense_odometry(truth, moved, 0.1, NO_NOISE, rng, 0.1 * (k + 1))
+            odo = sense_odometry(truth, moved, 0.1, NO_NOISE, rng)
             state = predict(state, odo, cfg)
             truth = moved
         err = state.mean - truth.pose.to_vector()
         err[3:] = wrap_angles(err[3:])
         assert np.max(np.abs(err)) < 1e-9
 
-    def test_covariance_never_shrinks_and_timestamp_advances(self):
+    def test_covariance_never_shrinks(self):
         cfg = EkfConfig()
         state = make_state(cov=np.diag([0.01] * 6))
         for _ in range(20):
             new = predict(state, odometry([0.5, 0.2, 0.0], [0, 0, 0.3]), cfg)
             assert np.trace(new.cov) >= np.trace(state.cov)
-            assert new.timestamp == pytest.approx(state.timestamp + 0.1)
             state = new
 
     def test_rejects_non_finite_odometry(self):
@@ -199,7 +196,7 @@ class TestUpdate:
         # prior mean 0 var 1, observation mean 1 var 1 -> posterior (0.5, 0.5)
         cfg = EkfConfig(gate_enabled=False)
         state = make_state(mean=np.zeros(6), cov=np.eye(6))
-        obs = PoseObservation(vector=[1.0, 0, 0, 0, 0, 0], cov=np.eye(6), marker_id=0)
+        obs = PoseObservation(vector=[1.0, 0, 0, 0, 0, 0], cov=np.eye(6))
         new, accepted = update(state, obs, cfg)
         assert accepted
         assert new.mean[0] == pytest.approx(0.5, abs=1e-12)
@@ -214,7 +211,7 @@ class TestUpdate:
             b = rng.standard_normal((6, 6))
             r = b @ b.T + 0.1 * np.eye(6)
             state = make_state(mean=rng.uniform(-1, 1, 6) * 0.1, cov=p)
-            obs = PoseObservation(rng.uniform(-1, 1, 6) * 0.1, r, 0)
+            obs = PoseObservation(rng.uniform(-1, 1, 6) * 0.1, r)
             new, _ = update(state, obs, cfg)
             assert np.trace(new.cov) <= np.trace(state.cov) + 1e-12
             assert np.max(np.abs(new.cov - new.cov.T)) < 1e-12
@@ -222,7 +219,7 @@ class TestUpdate:
     def test_gate_rejects_wild_observation(self):
         cfg = EkfConfig(gate_enabled=True)
         state = make_state(cov=1e-4 * np.eye(6))
-        wild = PoseObservation([5.0, 0, 0, 0, 0, 0], 1e-4 * np.eye(6), 0)
+        wild = PoseObservation([5.0, 0, 0, 0, 0, 0], 1e-4 * np.eye(6))
         new, accepted = update(state, wild, cfg)
         assert not accepted
         assert new is state
@@ -230,7 +227,7 @@ class TestUpdate:
     def test_gate_disabled_accepts_everything(self):
         cfg = EkfConfig(gate_enabled=False)
         state = make_state(cov=1e-4 * np.eye(6))
-        wild = PoseObservation([5.0, 0, 0, 0, 0, 0], 1e-4 * np.eye(6), 0)
+        wild = PoseObservation([5.0, 0, 0, 0, 0, 0], 1e-4 * np.eye(6))
         _, accepted = update(state, wild, cfg)
         assert accepted
 
@@ -248,7 +245,7 @@ class TestUpdate:
 
     def test_innovation_wraps_angles(self):
         state = make_state(mean=[0, 0, 0, 0, 0, 3.1])
-        obs = PoseObservation([0, 0, 0, 0, 0, -3.1], np.eye(6), 0)
+        obs = PoseObservation([0, 0, 0, 0, 0, -3.1], np.eye(6))
         y = innovation(state, obs)
         assert y[5] == pytest.approx(2 * math.pi - 6.2, abs=1e-12)
 
@@ -297,9 +294,9 @@ class TestZeroNoiseTracking:
             det_pos_base=1e-4, det_pos_per_m=0.0,
             det_ang_base=1e-4, det_ang_per_m=0.0,
         )
-        truth = DroneTruth(0, Pose6D.from_euler([0.4, 0.6, 1.5], [0, 0, 0.2]))
+        truth = DroneTruth(Pose6D.from_euler([0.4, 0.6, 1.5], [0, 0, 0.2]))
         offset_mean = truth.pose.to_vector() + np.array([0.3, -0.2, 0.1, 0, 0, 0.05])
-        state = EkfState(offset_mean, np.eye(6), 0, 0.0)
+        state = EkfState(offset_mean, np.eye(6), 0)
         entry = SimpleNamespace(pose=world.markers[0], cov=np.zeros((6, 6)))
         rng = drone_rng(0, 0)
 
@@ -307,9 +304,9 @@ class TestZeroNoiseTracking:
         for k in range(20):
             cmd = VelocityCommand([0.1, 0.05, 0.0], yaw_rate=0.1)
             moved = step_drone(truth, cmd, 0.1, world)
-            odo = sense_odometry(truth, moved, 0.1, NO_NOISE, rng, 0.1 * (k + 1))
+            odo = sense_odometry(truth, moved, 0.1, NO_NOISE, rng)
             state = predict(state, odo, cfg)
-            dets = sense_markers(moved, world, cam, NO_NOISE, rng, 0.1 * (k + 1))
+            dets = sense_markers(moved, world, cam, NO_NOISE, rng)
             for det in dets:
                 obs = observation_from_marker(det, entry, cam, cfg)
                 state, accepted = update(state, obs, cfg)
@@ -360,18 +357,18 @@ def run_nees_experiment(runs: int, seed0: int, ticks: int = 60) -> float:
     total = 0.0
     for run in range(runs):
         rng = drone_rng(seed0 + run, 0)
-        truth = DroneTruth(0, Pose6D.from_euler([0.3, 0.4, 1.5], [0, 0, 0.1]))
+        truth = DroneTruth(Pose6D.from_euler([0.3, 0.4, 1.5], [0, 0, 0.1]))
         mean0 = truth.pose.to_vector() + init_sigma * rng.standard_normal(6)
-        state = EkfState(mean0, np.diag(init_sigma**2), 0, 0.0)
+        state = EkfState(mean0, np.diag(init_sigma**2), 0)
         for k in range(ticks):
             cmd = VelocityCommand(
                 [0.25 * math.cos(0.2 * k * dt), 0.25 * math.sin(0.2 * k * dt), 0.0],
                 yaw_rate=0.15,
             )
             moved = step_drone(truth, cmd, dt, world)
-            odo = sense_odometry(truth, moved, dt, sim_noise, rng, dt * (k + 1))
+            odo = sense_odometry(truth, moved, dt, sim_noise, rng)
             state = predict(state, odo, cfg)
-            for det in sense_markers(moved, world, cam, sim_noise, rng, dt * (k + 1)):
+            for det in sense_markers(moved, world, cam, sim_noise, rng):
                 obs = observation_from_marker(det, entries[det.marker_id], cam, cfg)
                 state, _ = update(state, obs, cfg)
             truth = moved

@@ -162,7 +162,7 @@ class TestMergeFrames:
         gmap, loser_entries = build_two_frame_map(rng)
         rt = random_transform(rng)
         ft = FrameTransform(1, 0, rt, 0.0, 1, 1.0)
-        record, moved = merge_frames(gmap, winner=0, loser=1, transform=ft)
+        record, moved = merge_frames(gmap, ft)
         assert moved == [1, 2]
         assert gmap.frames == {0}
         for marker_id, old_pose in loser_entries.items():
@@ -179,7 +179,7 @@ class TestMergeFrames:
         gmap, _ = build_two_frame_map(rng)
         before = gmap.lookup(1).pose
         ft = FrameTransform(1, 0, random_transform(rng), 0.0, 1, 1.0)
-        merge_frames(gmap, 0, 1, ft)
+        merge_frames(gmap, ft)
         dt, dr = pose_error(gmap.lookup(1).pose, before)
         assert dt == 0.0 and dr < 1e-15
 
@@ -188,14 +188,14 @@ class TestMergeFrames:
         gmap, _ = build_two_frame_map(rng)
         ft = FrameTransform(0, 0, Pose6D.identity(), 0.0, 1, 1.0)
         with pytest.raises(MapContractError):
-            merge_frames(gmap, 0, 0, ft)
+            merge_frames(gmap, ft)
 
     def test_higher_id_cannot_win(self):
         rng = np.random.default_rng(68)
         gmap, _ = build_two_frame_map(rng)
         ft = FrameTransform(0, 1, Pose6D.identity(), 0.0, 1, 1.0)
         with pytest.raises(MapContractError):
-            merge_frames(gmap, winner=1, loser=0, transform=ft)
+            merge_frames(gmap, ft)
 
     def test_chain_of_merges_leaves_one_frame(self):
         rng = np.random.default_rng(69)
@@ -206,7 +206,7 @@ class TestMergeFrames:
             gmap.insert_marker(frame, 20 + frame, random_marker_pose(rng), np.eye(6) * 0.01)
         for loser in range(k, 0, -1):
             ft = FrameTransform(loser, 0, random_transform(rng), 0.0, 1, 1.0)
-            merge_frames(gmap, 0, loser, ft)
+            merge_frames(gmap, ft)
         assert gmap.frames == {0}
         assert all(e.frame == 0 for e in gmap.entries.values())
 
@@ -229,7 +229,7 @@ class TestRefineTransform:
 
         first = [(30, observe_in_winner(30), poses_b[30])]
         ft = estimate_transform([(w, l) for _, w, l in first], 1, 0)
-        record, _ = merge_frames(gmap, 0, 1, ft, pairs=first)
+        record, _ = merge_frames(gmap, ft, pairs=first)
         return gmap, record, observe_in_winner
 
     def test_consistent_second_match_is_noop(self):

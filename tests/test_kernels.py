@@ -98,7 +98,7 @@ def reference_update(state, obs):
     return nis, mean, symmetrize(cov)
 
 
-def reference_sense_markers(truth, world, cam, noise, rng, now):
+def reference_sense_markers(truth, world, cam, noise, rng):
     """``sense_markers`` with ``Pose6D`` algebra on every marker, no cull."""
     world_in_cam = truth.pose.compose(cam.extrinsics).inverse()
     cos_fov = math.cos(cam.fov_half_angle)
@@ -143,7 +143,7 @@ def test_observation_from_marker_matches_pose_composition(rig):
         drone = Pose6D.from_euler(rng.uniform(-5.0, 5.0, 3), drone_euler)
         rel = Pose6D.from_euler(rng.uniform(-3.0, 3.0, 3), rel_euler)
         entry = drone.compose(cam.extrinsics).compose(rel)
-        det = MarkerDetection(0, 7, cam.name, rel, float(np.linalg.norm(rel.t)), 0.0)
+        det = MarkerDetection(7, cam.name, rel, float(np.linalg.norm(rel.t)))
         record = SimpleNamespace(pose=entry, cov=random_cov(rng, 0.01))
         obs = observation_from_marker(det, record, cam, cfg)
         want_vector, want_cov = reference_observation(det, record, cam, cfg)
@@ -159,7 +159,7 @@ def test_predict_matches_matrix_form():
     worst_mean = worst_cov = 0.0
     for euler in random_euler(rng, CASES):
         mean = np.concatenate([rng.uniform(-5.0, 5.0, 3), euler])
-        state = EkfState(mean, random_cov(rng, 0.05), 0, 0.0)
+        state = EkfState(mean, random_cov(rng, 0.05), 0)
         odo = SimpleNamespace(
             dt=float(rng.uniform(0.01, 0.5)),
             v_body=rng.uniform(-1.0, 1.0, 3),
@@ -181,9 +181,9 @@ def test_update_matches_two_solve_form():
     same_gate = 0
     for euler in random_euler(rng, CASES):
         mean = np.concatenate([rng.uniform(-5.0, 5.0, 3), euler])
-        state = EkfState(mean, random_cov(rng, 0.1), 0, 0.0)
+        state = EkfState(mean, random_cov(rng, 0.1), 0)
         vector = state.mean + rng.standard_normal(6) * 0.2
-        obs = PoseObservation(vector, random_cov(rng, 0.05), 0)
+        obs = PoseObservation(vector, random_cov(rng, 0.05))
         nis, want_mean, want_cov = reference_update(state, obs)
         got, accepted = update(state, obs, cfg)
         assert accepted
@@ -212,10 +212,10 @@ def test_sense_markers_matches_pose_composition(rig):
     for trial in range(CASES // 100):
         position = rng.uniform([-3.0, -3.0, 0.5], [3.0, 3.0, 3.5])
         euler = rng.uniform([-0.3, -0.3, -math.pi], [0.3, 0.3, math.pi])
-        truth = DroneTruth(0, Pose6D.from_euler(position, euler))
+        truth = DroneTruth(Pose6D.from_euler(position, euler))
         rng_got, rng_want = drone_rng(trial, 0), drone_rng(trial, 0)
-        got = sense_markers(truth, world, cam, noise, rng_got, 0.0)
-        want = reference_sense_markers(truth, world, cam, noise, rng_want, 0.0)
+        got = sense_markers(truth, world, cam, noise, rng_got)
+        want = reference_sense_markers(truth, world, cam, noise, rng_want)
         assert [d.marker_id for d in got] == [marker_id for marker_id, _, _ in want]
         np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)
         for det, (_, rel, dist) in zip(got, want):

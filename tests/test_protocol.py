@@ -44,24 +44,20 @@ def sample_cov(seed=1):
 def sample_detection():
     rel = sample_pose(2)
     return MarkerDetection(
-        drone_id=1,
         marker_id=42,
         camera="down",
         rel_pose=rel,
         range=float(np.linalg.norm(rel.t)),
-        timestamp=3.25,
     )
 
 
 def sample_keypose():
     rel = sample_pose(3)
     det = MarkerDetection(
-        drone_id=2,
         marker_id=7,
         camera="forward",
         rel_pose=rel,
         range=float(np.linalg.norm(rel.t)),
-        timestamp=4.5,
     )
     return Keypose(
         drone_id=2, frame=0, pose=sample_pose(6), timestamp=4.5, observations=(det,)
@@ -73,12 +69,13 @@ def all_messages():
         marker_id=9, frame=0, pose=sample_pose(7), cov=sample_cov(8), obs_count=3
     )
     return [
-        Hello(drone_id=0),
+        Hello(),
         MarkerObs(
             detection=sample_detection(),
             ekf_pose=sample_pose(10),
             ekf_cov=sample_cov(11),
             frame=1,
+            timestamp=3.25,
         ),
         PoseReport(drone_id=1, frame=1, timestamp=2.0, mean=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0)),
         MapSnapshot(entries=(entry,)),
@@ -121,9 +118,8 @@ def legacy_entry(e):
 
 
 def legacy_detection(d):
-    return {"drone_id": d.drone_id, "marker_id": d.marker_id, "camera": d.camera,
-            "rel_pose": legacy_pose(d.rel_pose), "range": float(d.range),
-            "timestamp": float(d.timestamp)}
+    return {"marker_id": d.marker_id, "camera": d.camera,
+            "rel_pose": legacy_pose(d.rel_pose), "range": float(d.range)}
 
 
 def legacy_keypose(kp):
@@ -134,11 +130,11 @@ def legacy_keypose(kp):
 
 def legacy_payload(msg):
     if isinstance(msg, Hello):
-        return {"drone_id": msg.drone_id}
+        return {}
     if isinstance(msg, MarkerObs):
         return {"detection": legacy_detection(msg.detection),
                 "ekf_pose": legacy_pose(msg.ekf_pose), "ekf_cov": legacy_cov(msg.ekf_cov),
-                "frame": msg.frame}
+                "frame": msg.frame, "timestamp": float(msg.timestamp)}
     if isinstance(msg, PoseReport):
         return {"drone_id": msg.drone_id, "frame": msg.frame,
                 "timestamp": float(msg.timestamp), "mean": [float(v) for v in msg.mean]}
@@ -166,7 +162,8 @@ def awkward_messages():
     return [
         PoseReport(drone_id=2, frame=2, timestamp=-0.0, mean=tuple(odd.tolist())),
         MapSnapshot(entries=(entry, replace(entry, marker_id=4, cov=-cov))),
-        MarkerObs(detection=sample_detection(), ekf_pose=entry.pose, ekf_cov=cov, frame=-0),
+        MarkerObs(detection=sample_detection(), ekf_pose=entry.pose, ekf_cov=cov, frame=-0,
+                  timestamp=-0.0),
     ]
 
 
@@ -191,6 +188,7 @@ class TestCodec:
         assert poses_close(out.detection.rel_pose, msg.detection.rel_pose)
         np.testing.assert_allclose(out.ekf_cov, msg.ekf_cov)
         assert out.detection.marker_id == 42 and out.detection.camera == "down"
+        assert out.frame == 1 and out.timestamp == 3.25
 
     def test_keypose_round_trip_preserves_observation(self):
         msg = KeyposeCommit(keypose=sample_keypose())
@@ -199,14 +197,14 @@ class TestCodec:
         assert kp.drone_id == 2 and kp.timestamp == 4.5
         (ob,) = kp.observations
         ref = msg.keypose.observations[0]
-        assert (ob.drone_id, ob.marker_id, ob.camera) == (2, 7, "forward")
-        assert ob.range == ref.range and ob.timestamp == ref.timestamp
+        assert (ob.marker_id, ob.camera) == (7, "forward")
+        assert ob.range == ref.range
         assert poses_close(ob.rel_pose, ref.rel_pose)
 
     def test_hello_envelope_keys(self):
-        line = encode(Hello(drone_id=4), sender=4, seq=1)
+        line = encode(Hello(), sender=4, seq=1)
         doc = json.loads(line)
-        assert set(doc) == {"type", "sender", "seq", "drone_id"}
+        assert set(doc) == {"type", "sender", "seq"}
         assert doc["type"] == "Hello"
 
     def test_station_sender_allowed(self):
@@ -220,21 +218,19 @@ class TestCodec:
             "[1, 2, 3]",
             '{"sender": 0, "seq": 1}',
             '{"type": "Warp", "sender": 0, "seq": 1}',
-            '{"type": "Hello", "sender": 0, "seq": 1}',
-            '{"type": "Hello", "seq": 1, "drone_id": 0}',
-            '{"type": "Hello", "sender": 0, "seq": -1, "drone_id": 0}',
-            '{"type": "Hello", "sender": 0, "seq": 1.5, "drone_id": 0}',
-            '{"type": "Hello", "sender": true, "seq": 1, "drone_id": 0}',
-            '{"type": "Hello", "sender": 0, "seq": "7", "drone_id": 0}',
+            '{"type": "FrameMerged", "sender": -1, "seq": 1, "loser": 1, "winner": 0}',
+            '{"type": "Hello", "seq": 1}',
+            '{"type": "Hello", "sender": 0, "seq": -1}',
+            '{"type": "Hello", "sender": 0, "seq": 1.5}',
+            '{"type": "Hello", "sender": true, "seq": 1}',
+            '{"type": "Hello", "sender": 0, "seq": "7"}',
             '{"type": "Shutdown", "sender": 0, "seq": 1}',
             "",
             tampered("FrameMerged", ["loser"], 1.9),
             tampered("FrameMerged", ["winner"], True),
-            tampered("Hello", ["drone_id"], "3"),
             tampered("PoseReport", ["drone_id"], 1.0),
             tampered("PoseReport", ["frame"], 1.5),
             tampered("MarkerObs", ["frame"], 1.0),
-            tampered("MarkerObs", ["detection", "drone_id"], False),
             tampered("MarkerObs", ["detection", "marker_id"], "42"),
             tampered("MapSnapshot", ["entries", 0, "marker_id"], 9.0),
             tampered("MapSnapshot", ["entries", 0, "frame"], "0"),
@@ -260,7 +256,7 @@ class TestCodec:
             tampered("MarkerObs", ["detection", "range"], "nan"),
             tampered("MarkerObs", ["detection", "range"], True),
             tampered("MarkerObs", ["detection", "range"], 0.125).replace("0.125", "1e400"),
-            tampered("MarkerObs", ["detection", "timestamp"], "inf"),
+            tampered("MarkerObs", ["timestamp"], "inf"),
             tampered("MarkerObs", ["detection", "camera"], 5),
             tampered("MarkerObs", ["detection", "rel_pose", "t"], ["0.1", 0.0, 0.0]),
             tampered("MarkerObs", ["ekf_pose", "euler"], [0.0, False, 0.0]),
@@ -292,11 +288,9 @@ class TestCodec:
             "empty",
             "merged-float-loser",
             "merged-bool-winner",
-            "hello-string-drone-id",
             "report-float-drone-id",
             "report-float-state-frame",
             "obs-float-frame",
-            "obs-bool-detection-drone-id",
             "obs-string-marker-id",
             "snapshot-float-marker-id",
             "snapshot-string-frame",
@@ -349,8 +343,8 @@ class TestCodec:
     @pytest.mark.parametrize(
         "line",
         [
-            "\ufeff" + encode(Hello(drone_id=0), sender=0, seq=1),
-            encode(Hello(drone_id=0), sender=0, seq=1).encode("utf-8"),
+            "\ufeff" + encode(Hello(), sender=0, seq=1),
+            encode(Hello(), sender=0, seq=1).encode("utf-8"),
             None,
             7,
         ],
@@ -435,7 +429,7 @@ class TestEndpoint:
         t = QueueTransport()
         ep = Endpoint(2, t)
         for _ in range(4):
-            ep.send(Hello(drone_id=2))
+            ep.send(Hello())
         decoded = [decode(line) for line in t.drain()]
         seqs = [d.seq for d in decoded]
         assert seqs == sorted(set(seqs))

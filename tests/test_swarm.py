@@ -193,19 +193,17 @@ def make_node(scenario, drone_id=0):
     return node, node.outbox, station_rx
 
 
-def still_odometry(drone_id, dt=0.1, now=0.1):
-    return OdometryReading(drone_id, dt, np.zeros(3), np.zeros(3), now)
+def still_odometry():
+    return OdometryReading(0.1, np.zeros(3), np.zeros(3))
 
 
-def detection_of(node_pose, marker_pose, cam, marker_id=5, drone_id=0, now=0.1):
+def detection_of(node_pose, marker_pose, cam, marker_id=5):
     rel = node_pose.compose(cam.extrinsics).inverse().compose(marker_pose)
     return MarkerDetection(
-        drone_id=drone_id,
         marker_id=marker_id,
         camera=cam.name,
         rel_pose=rel,
         range=float(np.linalg.norm(rel.t)),
-        timestamp=now,
     )
 
 
@@ -233,7 +231,7 @@ class TestNavptsNode:
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse)
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det])
+        node.tick(1, 0.1, still_odometry(), [det])
         node.steer(1, 0.1)
         kinds = outbound_types(station_inbox)
         assert node.counters["updates"] == 1
@@ -249,7 +247,7 @@ class TestNavptsNode:
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse - 1)
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det])
+        node.tick(1, 0.1, still_odometry(), [det])
         assert node.counters["updates"] == 1
         assert node.counters["forwarded"] == 1
         assert "MarkerObs" in outbound_types(station_inbox)
@@ -260,7 +258,7 @@ class TestNavptsNode:
         cam = sc.cameras["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det])
+        node.tick(1, 0.1, still_odometry(), [det])
         assert node.counters["updates"] == 0
         assert node.counters["forwarded"] == 1
         assert "MarkerObs" in outbound_types(station_inbox)
@@ -274,7 +272,7 @@ class TestNavptsNode:
         node.map_view[5] = type(entry)(
             marker_id=5, frame=7, pose=marker, cov=entry.cov, obs_count=5
         )
-        node.tick(1, 0.1, still_odometry(0), [detection_of(node.state.pose, marker, cam)])
+        node.tick(1, 0.1, still_odometry(), [detection_of(node.state.pose, marker, cam)])
         assert node.counters["updates"] == 0
         assert node.counters["forwarded"] == 1
 
@@ -286,7 +284,7 @@ class TestNavptsNode:
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse)
         before = node.state.pose
         det = detection_of(before, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det])
+        node.tick(1, 0.1, still_odometry(), [det])
         assert np.linalg.norm(node.state.pose.t - before.t) < 1e-9
         assert rotation_angle_between(node.state.pose.q, before.q) < 1e-9
 
@@ -294,7 +292,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, station_inbox, _ = make_node(sc)
         trace0 = float(np.trace(node.state.cov))
-        node.tick(1, 0.1, still_odometry(0), [])
+        node.tick(1, 0.1, still_odometry(), [])
         node.steer(1, 0.1)
         assert float(np.trace(node.state.cov)) > trace0
         kinds = outbound_types(station_inbox)
@@ -305,7 +303,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, _ = make_node(sc)
         for tick in range(1, 4):
-            node.tick(tick, tick * 0.1, still_odometry(0, now=tick * 0.1), [])
+            node.tick(tick, tick * 0.1, still_odometry(), [])
             node.steer(tick, tick * 0.1)
         assert [row["tick"] for row in node.trajectory] == [1, 2, 3]
         assert all(row["frame"] == node.state.frame for row in node.trajectory)
@@ -315,7 +313,7 @@ class TestNavptsNode:
         node, _, station_tx = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
-        node.tick(1, 0.1, still_odometry(0), [])
+        node.tick(1, 0.1, still_odometry(), [])
         node.steer(1, 0.1)
         assert set(node.map_view) == {5}
         assert node.map_view[5].obs_count == 2
@@ -324,12 +322,12 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=1)
         assert node.state.frame == 1
-        node.tick(1, 0.1, still_odometry(1), [])
+        node.tick(1, 0.1, still_odometry(), [])
         node.steer(1, 0.1)
         pose_before = node.state.pose
         rt = Pose6D.from_euler([2.0, -1.0, 0.0], [0, 0, 0.6])
         station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
-        node.tick(2, 0.2, still_odometry(1, now=0.2), [])
+        node.tick(2, 0.2, still_odometry(), [])
         node.steer(2, 0.2)
         assert node.state.frame == 0
         assert all(row["frame"] == 0 for row in node.trajectory)
@@ -343,7 +341,7 @@ class TestNavptsNode:
         node, station_inbox, station_tx = make_node(sc, drone_id=1)
         rt = Pose6D.from_euler([1.0, 0.0, 0.0], [0, 0, 0])
         station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
-        node.tick(1, 0.1, still_odometry(1), [])
+        node.tick(1, 0.1, still_odometry(), [])
         assert node.state.frame == 1 and node.trajectory == []
         assert node.state.pose.t[0] == pytest.approx(1.0)
         assert outbound_types(station_inbox) == []
@@ -357,7 +355,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=0)
         station_tx.send(FrameMerged(loser=1, winner=0, rt=Pose6D.identity()))
-        node.tick(1, 0.1, still_odometry(0), [])
+        node.tick(1, 0.1, still_odometry(), [])
         node.steer(1, 0.1)
         assert node.state.frame == 0
 
@@ -366,7 +364,7 @@ class TestNavptsNode:
         node, _, _ = make_node(sc)
         node.inbox.send_line("{broken")
         node.inbox.send_line('{"type": "Mystery", "sender": -1, "seq": 0}')
-        node.tick(1, 0.1, still_odometry(0), [])
+        node.tick(1, 0.1, still_odometry(), [])
         node.steer(1, 0.1)
         assert node.map_view == {} and node.state.frame == 0
 
@@ -374,10 +372,10 @@ class TestNavptsNode:
         sc = node_scenario()
         node, station_inbox, station_tx = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
-        node.inbox.send_line('{"type": "Hello", "sender": -1, "seq": 1.5, "drone_id": 0}')
+        node.inbox.send_line('{"type": "Hello", "sender": -1, "seq": 1.5}')
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
-            node.tick(1, 0.1, still_odometry(0), [])
+            node.tick(1, 0.1, still_odometry(), [])
             node.steer(1, 0.1)
         assert any("dropped a bad line" in rec.message for rec in caplog.records)
         # the good line after the bad one still lands, and the tick completes
@@ -392,7 +390,7 @@ class TestNavptsNode:
         newer = MapSnapshot(entries=(entry_for(node, marker, obs_count=3),))
         node.inbox.send_line(encode(newer, sender=STATION_ID, seq=4))
         node.inbox.send_line(encode(older, sender=STATION_ID, seq=3))
-        node.tick(1, 0.1, still_odometry(0), [])
+        node.tick(1, 0.1, still_odometry(), [])
         node.steer(1, 0.1)
         assert node.map_view[5].obs_count == 3
         assert node.guard.dropped == 1
@@ -401,11 +399,11 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, _ = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
-        node.inbox.send_line(encode(Hello(0), sender=STATION_ID, seq=4))
+        node.inbox.send_line(encode(Hello(), sender=STATION_ID, seq=4))
         snapshot = MapSnapshot(entries=(entry_for(node, marker, obs_count=2),))
         node.inbox.send_line(encode(snapshot, sender=STATION_ID, seq=4))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
-            node.tick(1, 0.1, still_odometry(0), [])
+            node.tick(1, 0.1, still_odometry(), [])
             node.steer(1, 0.1)
         assert any("dropped stale line seq 4" in rec.message for rec in caplog.records)
         assert node.map_view == {} and node.guard.dropped == 1
@@ -419,7 +417,7 @@ class TestNavptsNode:
             MapSnapshot(entries=(entry_for(node, marker, obs_count=1, marker_id=6),))
         )
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=3),)))
-        node.tick(1, 0.1, still_odometry(0), [])
+        node.tick(1, 0.1, still_odometry(), [])
         node.steer(1, 0.1)
         assert {k: e.obs_count for k, e in node.map_view.items()} == {5: 3, 6: 1}
 
@@ -430,7 +428,7 @@ class TestNavptsNode:
         line = encode(FrameMerged(loser=1, winner=0, rt=rt), sender=STATION_ID, seq=5)
         node.inbox.send_line(line)
         node.inbox.send_line(line)
-        node.tick(1, 0.1, still_odometry(1), [])
+        node.tick(1, 0.1, still_odometry(), [])
         node.steer(1, 0.1)
         # one remap only: applying rt twice would shift x by 2
         assert node.state.pose.t[0] == pytest.approx(2.0)  # start (1,1,1) + 1
@@ -441,15 +439,15 @@ class TestNavptsNode:
         cam = sc.cameras["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(0), [det])
+        node.tick(1, 0.1, still_odometry(), [det])
         assert node.counters["keyposes"] == 1  # first sighting commits
         station_inbox.drain()
         # stationary re-sighting: below both thresholds, no new keypose
         det2 = detection_of(node.state.pose, marker, cam)
-        node.tick(2, 0.2, still_odometry(0, now=0.2), [det2])
+        node.tick(2, 0.2, still_odometry(), [det2])
         assert node.counters["keyposes"] == 1
         # teleport the belief far beyond d_key and look again
-        moved = OdometryReading(0, 0.1, np.array([8.0, 0.0, 0.0]), np.zeros(3), 0.3)
+        moved = OdometryReading(0.1, np.array([8.0, 0.0, 0.0]), np.zeros(3))
         det3 = detection_of(node.state.pose, marker, cam)
         node.tick(3, 0.3, moved, [det3])
         assert node.counters["keyposes"] == 2
@@ -484,12 +482,12 @@ def world_marker():
 
 
 def obs_from(drone_id, believed_pose, true_pose, marker_pose, cam, marker_id=5, now=0.5):
-    det = detection_of(true_pose, marker_pose, cam, marker_id, drone_id, now)
     return MarkerObs(
-        detection=det,
+        detection=detection_of(true_pose, marker_pose, cam, marker_id),
         ekf_pose=believed_pose,
         ekf_cov=np.eye(6) * 1e-6,
         frame=drone_id,
+        timestamp=now,
     )
 
 
@@ -498,7 +496,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, _ = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0))
+        senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, pose, pose, world_marker(), cam))
         assert len(station.gmap.entries) == 1
@@ -513,7 +511,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, _ = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0))
+        senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         for now in (0.5, 0.6, 0.7):
             senders[0].send(obs_from(0, pose, pose, world_marker(), cam, now=now))
@@ -527,8 +525,8 @@ class TestGroundStation:
         cam = sc.cameras["down"]
         marker = world_marker()
         offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])  # frame1 origin in frame0
-        senders[0].send(Hello(0))
-        senders[1].send(Hello(1))
+        senders[0].send(Hello())
+        senders[1].send(Hello())
 
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, true0, true0, marker, cam))
@@ -548,6 +546,33 @@ class TestGroundStation:
         assert entry.frame == 0 and entry.obs_count == 2
         kinds = [type(decode(line).msg).__name__ for line in inboxes[0].drain()]
         assert "FrameMerged" in kinds
+        assert event["time"] == 0.8  # the MarkerObs's own time
+
+    def test_hello_registers_the_envelope_sender(self):
+        station, _, _ = make_station(station_scenario())
+        station.handle_line(encode(Hello(), sender=7, seq=1))
+        assert station.gmap.membership == {7: 7} and station.gmap.frames == {7}
+        assert station.keyposes == {7: []}
+
+    def test_second_hello_is_refused_and_keeps_the_merged_frame(self, caplog):
+        sc = station_scenario()
+        station, senders, _ = make_station(sc)
+        cam = sc.cameras["down"]
+        marker = world_marker()
+        senders[0].send(Hello())
+        senders[1].send(Hello())
+        true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
+        senders[0].send(obs_from(0, true0, true0, marker, cam))
+        senders[1].send(obs_from(1, true0, true0, marker, cam, now=0.8))
+        assert station.gmap.frames == {0} and station.gmap.membership == {0: 0, 1: 0}
+        with caplog.at_level(logging.ERROR, logger="markerswarm.swarm.nodes"):
+            senders[1].send(Hello())
+            senders[0].send(Hello())
+        # frame 1 stays retired: a revived frame would end a carry-forward early
+        assert station.counters["errors"] == 2 and station.counters["handled"] == 4
+        assert [rec.exc_info[0] for rec in caplog.records if rec.exc_info] == [ProtocolError] * 2
+        assert station.gmap.frames == {0} and station.gmap.membership == {0: 0, 1: 0}
+        assert list(station.keyposes) == [0]
 
     def test_refine_corrects_merge_on_second_shared_marker(self):
         sc = station_scenario()
@@ -556,8 +581,8 @@ class TestGroundStation:
         marker_a = world_marker()
         marker_b = Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2])
         offset = Pose6D.from_euler([1.5, -0.5, 0.0], [0, 0, 0.5])
-        senders[0].send(Hello(0))
-        senders[1].send(Hello(1))
+        senders[0].send(Hello())
+        senders[1].send(Hello())
 
         # drone 1 maps both markers first, so they live in frame 1
         true1 = Pose6D.from_euler([0.2, 0.1, 1.1], [0, 0, 0.3])
@@ -572,10 +597,11 @@ class TestGroundStation:
         biased0 = Pose6D.from_euler(true0.t + [0.005, 0.0, 0.0], [0, 0, 0])
         senders[0].send(
             MarkerObs(
-                detection_of(true0, marker_a, cam, 5, 0, 0.8),
+                detection_of(true0, marker_a, cam, 5),
                 biased0,
                 np.eye(6) * 1e-6,
                 frame=0,
+                timestamp=0.8,
             )
         )
         assert len(station.merge_events) == 1
@@ -589,7 +615,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, _, _ = make_station(sc)
         cam = sc.cameras["down"]
-        station.handle_line(encode(Hello(0), sender=0, seq=0))
+        station.handle_line(encode(Hello(), sender=0, seq=0))
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         line = encode(obs_from(0, pose, pose, world_marker(), cam), sender=0, seq=1)
         station.handle_line(line)
@@ -602,14 +628,14 @@ class TestGroundStation:
         station, _, _ = make_station(sc)
         station.handle_line("" if True else None)
         station.handle_line("{]")
-        station.handle_line('{"type": "Hello", "sender": 0, "seq": 0}')
+        station.handle_line('{"type": "Hello", "sender": 0}')
         assert station.counters["malformed"] == 3
         assert station.counters["handled"] == 0
 
     def test_bad_payload_counted_as_error(self):
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        senders[0].send(Hello(0))
+        senders[0].send(Hello())
         bad = obs_from(
             0,
             Pose6D.identity(),
@@ -617,24 +643,14 @@ class TestGroundStation:
             world_marker(),
             downward_camera(),
         )
-        bad_det = MarkerDetection(
-            drone_id=0,
-            marker_id=5,
-            camera="sideways",
-            rel_pose=bad.detection.rel_pose,
-            range=bad.detection.range,
-            timestamp=0.5,
-        )
-        senders[0].send(
-            MarkerObs(bad_det, bad.ekf_pose, bad.ekf_cov, frame=0)
-        )
+        senders[0].send(replace(bad, detection=replace(bad.detection, camera="sideways")))
         assert station.counters["errors"] == 1
         assert len(station.gmap.entries) == 0
 
     def test_pose_report_handled_and_ignored(self):
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        senders[0].send(Hello(0))
+        senders[0].send(Hello())
         senders[0].send(PoseReport(0, 0, 1.5, tuple(np.arange(6.0).tolist())))
         assert station.counters["handled"] == 2
         assert station.counters["errors"] == 0
@@ -652,7 +668,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0))
+        senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         doc = json.loads(encode(obs_from(0, pose, pose, world_marker(), cam), sender=0, seq=2))
         doc["detection"]["range"] = "nan"
@@ -667,7 +683,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0))
+        senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, pose, pose, world_marker(), cam))
         for box in inboxes.values():
@@ -688,7 +704,7 @@ class TestGroundStation:
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
         true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
         for d in (0, 1, 2):
-            senders[d].send(Hello(d))
+            senders[d].send(Hello())
         senders[0].send(obs_from(0, true0, true0, world_marker(), cam))
         station_encodes = []
 
@@ -756,7 +772,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0))
+        senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         other = Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2])
         senders[0].send(obs_from(0, pose, pose, other, cam, marker_id=6))
@@ -774,7 +790,7 @@ class TestGroundStation:
         sc = station_scenario(n_fuse=1)
         station, senders, inboxes = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0))
+        senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, pose, pose, world_marker(), cam))
         station.flush()
@@ -796,8 +812,8 @@ class TestGroundStation:
             7: Pose6D.from_euler([0.3, -0.7, 0.0], [0, 0, 0.5]),
             8: Pose6D.from_euler([0.9, 0.9, 0.0], [0, 0, 0.1]),
         }
-        senders[0].send(Hello(0))
-        senders[1].send(Hello(1))
+        senders[0].send(Hello())
+        senders[1].send(Hello())
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
         true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
         believed1 = offset.inverse().compose(true1)
@@ -835,7 +851,7 @@ class TestStationKeyposes:
     def make_keypose(self, sc, drone_id, pose, now, marker_poses):
         cam = sc.cameras["down"]
         detections = tuple(
-            detection_of(pose, marker_pose, cam, marker_id, drone_id, now)
+            detection_of(pose, marker_pose, cam, marker_id)
             for marker_id, marker_pose in marker_poses.items()
         )
         return Keypose(drone_id, drone_id, pose, now, detections)
@@ -844,7 +860,7 @@ class TestStationKeyposes:
         sc = station_scenario(extra={"ba": {"enabled": True, "every_keyposes": every_keyposes}})
         station, senders, inboxes = make_station(sc)
         cam = sc.cameras["down"]
-        senders[0].send(Hello(0))
+        senders[0].send(Hello())
         markers = {
             5: Pose6D.from_euler([0.4, 0.2, 0.0], [0, 0, 0.3]),
             6: Pose6D.from_euler([-0.5, 0.4, 0.0], [0, 0, -0.1]),
@@ -868,7 +884,7 @@ class TestStationKeyposes:
         report = station.ba_reports[0]
         assert report["trigger"] == "keypose_interval" and report["frame"] == 0
         assert station.keyposes_since_ba[0] == 0
-        assert len(station.keypose_log) == 3
+        assert len(station.keyposes[0]) == 3
 
     def test_keypose_with_unknown_camera_is_refused(self, caplog):
         sc, station, senders, markers = self.seed_station(every_keyposes=2)
@@ -888,12 +904,12 @@ class TestStationKeyposes:
             senders[0].send(KeyposeCommit(bad))
         assert station.counters["errors"] == 1
         assert [rec.exc_info[0] for rec in caplog.records if rec.exc_info] == [ProtocolError]
-        assert [kp.timestamp for kp in station.keypose_log] == [1.0]
+        assert [kp.timestamp for kp in station.keyposes[0]] == [1.0]
         assert station.ba_reports == []
         # the refused keypose neither counts towards the interval nor blocks it
         senders[0].send(KeyposeCommit(self.make_keypose(sc, 0, poses[2], 3.0, markers)))
         assert station.counters["errors"] == 1
-        assert [kp.timestamp for kp in station.keypose_log] == [1.0, 3.0]
+        assert [kp.timestamp for kp in station.keyposes[0]] == [1.0, 3.0]
         assert len(station.ba_reports) == 1
         assert station.ba_reports[0]["status"] != "aborted_singular"
 
@@ -918,8 +934,8 @@ class TestStationKeyposes:
         cam = sc.cameras["down"]
         marker = world_marker()
         offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])
-        senders[0].send(Hello(0))
-        senders[1].send(Hello(1))
+        senders[0].send(Hello())
+        senders[1].send(Hello())
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, true0, true0, marker, cam))
         true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
@@ -929,8 +945,8 @@ class TestStationKeyposes:
         # a commit stamped in the dead frame 1 arrives after the merge
         kp = TestStationKeyposes().make_keypose(sc, 1, believed1, 0.81, {5: marker})
         senders[1].send(KeyposeCommit(kp))
-        assert len(station.keypose_log) == 1
-        stored = station.keypose_log[0]
+        assert list(station.keyposes) == [0]
+        (stored,) = station.keyposes[0]
         assert stored.frame == 0
         expected = station.records[-1].transform.rt.compose(believed1)
         np.testing.assert_allclose(stored.pose.t, expected.t, atol=1e-9)
@@ -967,7 +983,7 @@ class TestCarryForward:
     def station(self, drone_ids):
         station, senders, _ = make_station(station_scenario(), drone_ids)
         for drone_id in drone_ids:
-            senders[drone_id].send(Hello(drone_id))
+            senders[drone_id].send(Hello())
         return station, senders
 
     def test_observation_after_merge_is_mapped_at_carried_pose(self):
@@ -1000,8 +1016,8 @@ class TestCarryForward:
         assert kp.frame == 2
         senders[2].send(KeyposeCommit(kp))
         assert station.counters["errors"] == 0
-        assert len(station.keypose_log) == 1
-        stored = station.keypose_log[0]
+        assert list(station.keyposes) == [0]
+        (stored,) = station.keyposes[0]
         assert stored.frame == 0
         np.testing.assert_allclose(stored.pose.t, self.truths[2].t, atol=1e-9)
         assert rotation_angle_between(stored.pose.q, self.truths[2].q) < 1e-9
@@ -1021,7 +1037,7 @@ class TestCarryForward:
         assert station.counters["errors"] == 2
         failures = [rec.exc_info[0] for rec in caplog.records if rec.exc_info]
         assert failures == [ProtocolError, ProtocolError]
-        assert station.gmap.entries == {} and station.keypose_log == []
+        assert station.gmap.entries == {} and station.keyposes == {0: []}
 
 
 # -- runner ------------------------------------------------------------

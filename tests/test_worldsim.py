@@ -34,8 +34,8 @@ def make_world(markers=None):
     )
 
 
-def drone_at(x=0.0, y=0.0, z=0.0, yaw=0.0, drone_id=0):
-    return DroneTruth(drone_id, Pose6D.from_euler([x, y, z], [0.0, 0.0, yaw]))
+def drone_at(x=0.0, y=0.0, z=0.0, yaw=0.0):
+    return DroneTruth(Pose6D.from_euler([x, y, z], [0.0, 0.0, yaw]))
 
 
 def assert_same_step(got, want):
@@ -101,7 +101,7 @@ class TestStepDrone:
         cases.append((hovering, VelocityCommand.hover(), 0.1))
         clamped = 0
         for pose, cmd, dt in cases:
-            truth = DroneTruth(3, pose)
+            truth = DroneTruth(pose)
             got = step_drone(truth, cmd, dt, world)
             assert_same_step(got, step_drone_numpy(truth, cmd, dt, world))
             clamped += bool(np.any(got.pose.t == world.bounds_min) or
@@ -109,7 +109,7 @@ class TestStepDrone:
         assert clamped >= 6
         # np.clip keeps the bound when the position equals it: -0.0 here, not 0.0
         floor = World({}, np.array([-1.0, -1.0, -0.0]), np.array([1.0, 1.0, 1.0]))
-        truth = DroneTruth(3, Pose6D.from_euler([0.5, 0.5, 0.0], [0, 0, 0]))
+        truth = DroneTruth(Pose6D.from_euler([0.5, 0.5, 0.0], [0, 0, 0]))
         got = step_drone(truth, VelocityCommand.hover(), 0.1, floor)
         assert math.copysign(1.0, got.pose.t[2]) == -1.0
         assert_same_step(got, step_drone_numpy(truth, VelocityCommand.hover(), 0.1, floor))
@@ -132,19 +132,18 @@ class TestSenseMarkers:
         # on the optical axis at (0, 0, 2) in camera coordinates
         world = make_world({7: Pose6D.from_euler([2.0, 0.0, 0.0], [0, 0, 0])})
         rng = drone_rng(0, 0)
-        dets = sense_markers(drone_at(), world, forward_camera(), NO_NOISE, rng, 1.5)
+        dets = sense_markers(drone_at(), world, forward_camera(), NO_NOISE, rng)
         assert len(dets) == 1
         det = dets[0]
         assert det.marker_id == 7
         assert det.camera == "forward"
-        assert det.timestamp == 1.5
         assert np.allclose(det.rel_pose.t, [0.0, 0.0, 2.0], atol=1e-12)
         assert det.range == pytest.approx(2.0, abs=1e-12)
 
     def test_downward_camera_sees_floor_marker(self):
         world = make_world({3: Pose6D.from_euler([0.0, 0.0, 0.0], [0, 0, 0])})
         truth = drone_at(z=1.5)
-        dets = sense_markers(truth, world, downward_camera(), NO_NOISE, drone_rng(0, 0), 0.0)
+        dets = sense_markers(truth, world, downward_camera(), NO_NOISE, drone_rng(0, 0))
         assert len(dets) == 1
         assert dets[0].range == pytest.approx(1.5, abs=1e-12)
 
@@ -153,7 +152,7 @@ class TestSenseMarkers:
         world = make_world({4: marker})
         truth = drone_at(x=0.5, y=0.2, z=1.8, yaw=0.7)
         cam = downward_camera(fov_half_angle=1.2, max_range=6.0)
-        dets = sense_markers(truth, world, cam, NO_NOISE, drone_rng(0, 0), 0.0)
+        dets = sense_markers(truth, world, cam, NO_NOISE, drone_rng(0, 0))
         assert len(dets) == 1
         want = truth.pose.compose(cam.extrinsics).inverse().compose(marker)
         assert np.max(np.abs(dets[0].rel_pose.t - want.t)) < 1e-12
@@ -167,14 +166,14 @@ class TestSenseMarkers:
                 3: Pose6D.from_euler([2.0, 2.5, 0.0], [0, 0, 0]),  # outside the cone
             }
         )
-        dets = sense_markers(drone_at(), world, forward_camera(), NO_NOISE, drone_rng(0, 0), 0.0)
+        dets = sense_markers(drone_at(), world, forward_camera(), NO_NOISE, drone_rng(0, 0))
         assert dets == []
 
     def test_range_equals_norm_of_noisy_translation(self):
         world = make_world({k: Pose6D.from_euler([2.0, 0.2 * k, 0.0], [0, 0, 0]) for k in range(4)})
         noise = SensorNoise(pos_base=0.05, pos_per_m=0.02, ang_base=0.02, ang_per_m=0.01)
         rng = drone_rng(3, 0)
-        dets = sense_markers(drone_at(), world, forward_camera(), noise, rng, 0.0)
+        dets = sense_markers(drone_at(), world, forward_camera(), noise, rng)
         assert len(dets) == 4
         for det in dets:
             assert det.range == pytest.approx(float(np.linalg.norm(det.rel_pose.t)), abs=1e-15)
@@ -182,7 +181,7 @@ class TestSenseMarkers:
     def test_ids_sorted_and_never_corrupted(self):
         world = make_world({k: Pose6D.from_euler([2.0, 0.1 * k, 0.0], [0, 0, 0]) for k in (9, 1, 5)})
         noise = SensorNoise(pos_base=0.1, ang_base=0.05)
-        dets = sense_markers(drone_at(), world, forward_camera(), noise, drone_rng(1, 0), 0.0)
+        dets = sense_markers(drone_at(), world, forward_camera(), noise, drone_rng(1, 0))
         assert [d.marker_id for d in dets] == [1, 5, 9]
 
     def test_position_noise_std_matches_config_within_5_percent(self):
@@ -192,7 +191,7 @@ class TestSenseMarkers:
         rng = drone_rng(42, 0)
         xs = []
         for _ in range(10_000):
-            (det,) = sense_markers(drone_at(), world, forward_camera(), noise, rng, 0.0)
+            (det,) = sense_markers(drone_at(), world, forward_camera(), noise, rng)
             xs.append(det.rel_pose.t)
         spread = np.std(np.array(xs) - np.array([0.0, 0.0, 2.0]), axis=0, ddof=1)
         assert np.all(np.abs(spread - 0.04) < 0.05 * 0.04)
@@ -202,7 +201,7 @@ class TestSenseMarkers:
         noise = SensorNoise(0.0, 0.0, 0.0, 0.0, dropout=0.3)
         rng = drone_rng(5, 0)
         seen = sum(
-            bool(sense_markers(drone_at(), world, forward_camera(), noise, rng, 0.0))
+            bool(sense_markers(drone_at(), world, forward_camera(), noise, rng))
             for _ in range(10_000)
         )
         assert abs(seen / 10_000 - 0.7) < 0.02
@@ -214,7 +213,7 @@ def norm3(v):
     return math.sqrt(x * x + y * y + z * z)
 
 
-def sense_markers_every_marker(truth, world, cam, noise, rng, now):
+def sense_markers_every_marker(truth, world, cam, noise, rng):
     """Reference: the exact per-marker test on every marker, in id order, no cull.
 
     Each marker reaches the camera frame as ``apply`` of its position and
@@ -243,7 +242,7 @@ def sense_markers_every_marker(truth, world, cam, noise, rng, now):
             rel = Pose6D.from_euler(t, euler)
         else:
             rel = Pose6D(t, q)
-        out.append(MarkerDetection(truth.drone_id, marker_id, cam.name, rel, norm3(rel.t), now))
+        out.append(MarkerDetection(marker_id, cam.name, rel, norm3(rel.t)))
     return out
 
 
@@ -276,11 +275,11 @@ class TestSenseMarkersCull:
     @staticmethod
     def assert_same(truth, world, cam, noise, seed):
         rng_cull, rng_ref = drone_rng(seed, 0), drone_rng(seed, 0)
-        got = sense_markers(truth, world, cam, noise, rng_cull, 0.25)
-        want = sense_markers_every_marker(truth, world, cam, noise, rng_ref, 0.25)
+        got = sense_markers(truth, world, cam, noise, rng_cull)
+        want = sense_markers_every_marker(truth, world, cam, noise, rng_ref)
         assert [d.marker_id for d in got] == [d.marker_id for d in want]
         for a, b in zip(got, want):
-            assert a.camera == b.camera and a.timestamp == b.timestamp
+            assert a.camera == b.camera
             assert np.array_equal(a.rel_pose.t, b.rel_pose.t)
             assert np.array_equal(a.rel_pose.q, b.rel_pose.q)
             assert a.range == b.range
@@ -300,7 +299,7 @@ class TestSenseMarkersCull:
         for trial in range(30):
             position = rng.uniform([-8.0, -8.0, 0.5], [8.0, 8.0, 4.5])
             euler = rng.uniform([-0.3, -0.3, -math.pi], [0.3, 0.3, math.pi])
-            truth = DroneTruth(0, Pose6D.from_euler(position, euler))
+            truth = DroneTruth(Pose6D.from_euler(position, euler))
             points = list(rng.uniform([-10.0, -10.0, 0.0], [10.0, 10.0, 5.0], size=(20, 3)))
             points += boundary_markers(truth, cam, rng, 40)
             ids = rng.permutation(1024)[: len(points)].tolist()  # dict order != id order
@@ -321,7 +320,7 @@ class TestSenseOdometry:
     def test_exact_at_zero_noise(self):
         prev = drone_at(x=0.0, yaw=0.0)
         curr = drone_at(x=1.0, yaw=0.0)
-        odo = sense_odometry(prev, curr, 1.0, NO_NOISE, drone_rng(0, 0), 1.0)
+        odo = sense_odometry(prev, curr, 1.0, NO_NOISE, drone_rng(0, 0))
         assert np.allclose(odo.v_body, [1.0, 0.0, 0.0], atol=1e-12)
         assert np.allclose(odo.euler_rates, 0.0, atol=1e-12)
 
@@ -331,14 +330,14 @@ class TestSenseOdometry:
         truth = drone_at(x=1.0, y=-2.0, yaw=0.8)
         cmd = VelocityCommand([0.4, -0.2, 0.1], yaw_rate=0.3)
         moved = step_drone(truth, cmd, 0.1, world)
-        odo = sense_odometry(truth, moved, 0.1, NO_NOISE, rng, 0.1)
+        odo = sense_odometry(truth, moved, 0.1, NO_NOISE, rng)
         assert np.allclose(odo.v_body, cmd.v_body, atol=1e-10)
         assert odo.euler_rates[2] == pytest.approx(0.3, abs=1e-10)
 
     def test_rate_wraps_across_pi(self):
         prev = drone_at(yaw=3.1)
         curr = drone_at(yaw=-3.1)  # crossed the +pi seam
-        odo = sense_odometry(prev, curr, 0.1, NO_NOISE, drone_rng(0, 0), 0.1)
+        odo = sense_odometry(prev, curr, 0.1, NO_NOISE, drone_rng(0, 0))
         expected = (2 * math.pi - 6.2) / 0.1
         assert odo.euler_rates[2] == pytest.approx(expected, abs=1e-9)
 
@@ -348,14 +347,14 @@ class TestSenseOdometry:
         noise = SensorNoise(odom_vel_sigma=0.05, odom_rate_sigma=0.02)
         rng = drone_rng(11, 0)
         vs = np.array(
-            [sense_odometry(prev, curr, 0.1, noise, rng, 0.1).v_body for _ in range(10_000)]
+            [sense_odometry(prev, curr, 0.1, noise, rng).v_body for _ in range(10_000)]
         )
         # standard error of the mean: 3 sigma / sqrt(N) = 3 sigma / 100
         assert np.all(np.abs(vs.mean(axis=0) - [1.0, 0.0, 0.0]) < 3 * 0.05 / 100)
 
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
-            sense_odometry(drone_at(), drone_at(), 0.0, NO_NOISE, drone_rng(0, 0), 0.0)
+            sense_odometry(drone_at(), drone_at(), 0.0, NO_NOISE, drone_rng(0, 0))
 
 
 class TestDeterminism:
@@ -365,12 +364,12 @@ class TestDeterminism:
 
         def run(seed):
             rng = drone_rng(seed, 1)
-            truth = drone_at(drone_id=1)
+            truth = drone_at()
             frames = []
             for tick in range(50):
                 moved = step_drone(truth, VelocityCommand([0.2, 0.05, 0.0], 0.1), 0.1, world)
-                odo = sense_odometry(truth, moved, 0.1, noise, rng, 0.1 * tick)
-                dets = sense_markers(moved, world, forward_camera(), noise, rng, 0.1 * tick)
+                odo = sense_odometry(truth, moved, 0.1, noise, rng)
+                dets = sense_markers(moved, world, forward_camera(), noise, rng)
                 frames.append((odo.v_body.tobytes(), [(d.marker_id, d.rel_pose.t.tobytes()) for d in dets]))
                 truth = moved
             return frames
