@@ -11,8 +11,9 @@ expressed in both frames), from which a rigid transform is estimated:
   ``pose_in_a * inverse(pose_in_b)``.
 
 The frame with the lower id always wins a merge; the loser's entries are
-re-expressed through the transform and its drones are reassigned. Each
-merge is recorded so that later matches against pre-merge entries can
+re-expressed through the transform and its drones are reassigned, which
+retires the loser for good. Each merge leaves one record, whose transform
+names both frames, so that later matches against pre-merge entries can
 refine the transform and re-transform the affected markers.
 """
 
@@ -132,10 +133,11 @@ def estimate_transform(
 
 @dataclass
 class MergeRecord:
-    """Everything needed to refine one executed merge later."""
+    """Everything needed to refine one executed merge later.
 
-    winner: int
-    loser: int
+    ``transform`` takes the loser (``from_frame``) into the winner (``to_frame``).
+    """
+
     transform: FrameTransform
     # (marker_id, pose_in_winner, pose_in_loser) pairs backing the transform
     pairs: list[tuple[int, Pose6D, Pose6D]]
@@ -178,13 +180,7 @@ def merge_frames(
             )
         )
     moved_drones = gmap.reassign_frame(loser, winner)
-    record = MergeRecord(
-        winner=winner,
-        loser=loser,
-        transform=transform,
-        pairs=list(pairs or []),
-        pre_merge_poses=pre_merge,
-    )
+    record = MergeRecord(transform, pairs=list(pairs or []), pre_merge_poses=pre_merge)
     return record, moved_drones
 
 
@@ -213,10 +209,11 @@ def refine_transform(
     if not added:
         return None
 
+    applied = record.transform
     refit = estimate_transform(
-        [(pw, pl) for _, pw, pl in record.pairs], record.loser, record.winner
+        [(pw, pl) for _, pw, pl in record.pairs], applied.from_frame, applied.to_frame
     )
-    delta = refit.rt.compose(record.transform.rt.inverse())
+    delta = refit.rt.compose(applied.rt.inverse())
     if (
         float(np.linalg.norm(delta.t)) <= REFINE_EPS_TRANSLATION
         and quat_angle(delta.q) <= REFINE_EPS_ROTATION

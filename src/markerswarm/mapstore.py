@@ -1,10 +1,11 @@
 """Ground-station marker map: one entry per marker id, grouped by frame.
 
-Every drone is registered to exactly one coordinate frame and every entry
-lives in a live frame. A fresh marker enters the map with the pose implied
-by its first observation and is then refined by the next few observations
-(information-form position fusion, covariance-trace-weighted slerp for the
-orientation). After ``n_fuse`` observations the entry freezes: later
+Every drone is registered to exactly one coordinate frame, a frame is
+live exactly while a drone is in it, and every entry lives in a live
+frame. A fresh marker enters the map with the pose implied by its first
+observation and is then refined by the next few observations
+(information-form position fusion, covariance-trace-weighted slerp for
+the orientation). After ``n_fuse`` observations the entry freezes: later
 corrections flow through bundle adjustment only, which keeps a stable map
 under sensor noise once a marker is well established.
 
@@ -113,23 +114,25 @@ class GlobalMap:
             raise ValueError(f"n_fuse {n_fuse} must be >= 1")
         self.n_fuse = int(n_fuse)
         self.entries: dict[int, MapEntry] = {}
-        self.frames: set[int] = set()
         self.membership: dict[int, int] = {}  # drone id -> frame id
 
     # -- frames and drones --------------------------------------------
 
+    @property
+    def frames(self) -> set[int]:
+        """The live frames: those a drone is in."""
+        return set(self.membership.values())
+
     def register_drone(self, drone_id: int, frame: int) -> None:
-        self.frames.add(int(frame))
         self.membership[int(drone_id)] = int(frame)
 
     def reassign_frame(self, loser: int, winner: int) -> list[int]:
-        """Move every drone in ``loser`` to ``winner``; retire ``loser``."""
+        """Move every drone in ``loser`` to ``winner``, which retires ``loser``."""
         if winner not in self.frames:
             raise MapContractError(f"winner frame {winner} is not live")
         moved = sorted(d for d, f in self.membership.items() if f == loser)
         for drone_id in moved:
             self.membership[drone_id] = winner
-        self.frames.discard(loser)
         return moved
 
     def entries_in_frame(self, frame: int) -> list[MapEntry]:

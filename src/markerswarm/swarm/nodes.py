@@ -144,18 +144,18 @@ class NavptsNode:
     """One drone's estimation and behavior loop, in two halves per tick.
 
     ``tick`` senses and estimates: it predicts, corrects the EKF against
-    the map view, forwards what the station needs and commits keyposes,
-    reading only the drone's own state. ``steer`` applies the station's
-    map and merge messages, records the trajectory row, reports the pose
-    and returns the next velocity command.
+    the map view, forwards what the station needs and, when the scenario
+    runs bundle adjustment, commits keyposes, reading only the drone's own
+    state. ``steer`` applies the station's map and merge messages, records
+    the trajectory row, reports the pose and returns the next velocity
+    command.
     """
 
     def __init__(self, setup: DroneSetup, scenario: Scenario) -> None:
         self.drone_id = setup.drone_id
         self.ekf_config = scenario.ekf
         self.n_fuse = scenario.n_fuse
-        self.d_key = scenario.ba.d_key
-        self.theta_key = scenario.ba.theta_key
+        self.ba = scenario.ba  # keypose thresholds; with BA off nothing reads a keypose
         self.cameras = {name: scenario.cameras[name] for name in setup.cameras}
         init_cov = np.diag(np.square(scenario.init_sigma))
         self.state = EkfState.from_pose(setup.ekf_start_pose, init_cov, setup.drone_id)
@@ -175,11 +175,7 @@ class NavptsNode:
         self.link.send(Hello())
 
     def tick(
-        self,
-        tick: int,
-        now: float,
-        odometry: OdometryReading,
-        detections: list[MarkerDetection],
+        self, now: float, odometry: OdometryReading, detections: list[MarkerDetection]
     ) -> None:
         # SP: sensor readings arrive as arguments, already id-sorted per camera
         # VJ: predict, then correct against frame-local known markers
@@ -197,24 +193,22 @@ class NavptsNode:
                 # unknown or cross-frame: the station decides what it means
                 self._forward(det, now)
 
-        if detections and select_keypose(
-            self.state.pose, self.last_keypose, len(detections), self.d_key, self.theta_key
+        if self.ba.enabled and detections and select_keypose(
+            self.state.pose, self.last_keypose, len(detections), self.ba.d_key, self.ba.theta_key
         ):
             kp = Keypose(self.drone_id, self.state.frame, self.state.pose, now, tuple(detections))
             self.link.send(KeyposeCommit(kp))
             self.last_keypose = self.state.pose
             self.counters["keyposes"] += 1
 
-    def steer(self, tick: int, now: float) -> VelocityCommand:
+    def steer(self, now: float) -> VelocityCommand:
         # WM: apply whatever the station broadcast since the last steer
         for line in self.inbox.drain():
             self._apply_line(line)
 
-        self.trajectory.append(
-            {"tick": tick, "time": now, "pose": self.state.pose, "frame": self.state.frame}
-        )
         state = self.state
-        self.link.send(PoseReport(self.drone_id, state.frame, now, tuple(state.mean.tolist())))
+        self.trajectory.append({"pose": state.pose, "frame": state.frame})
+        self.link.send(PoseReport(state.frame, now, tuple(state.mean.tolist())))
 
         # BG: next destination
         return self.policy.choose_destination(self.state.pose)
@@ -272,7 +266,7 @@ class GroundStation:
         # per live frame, from the Hello that made it to the merge that retires it
         self.keyposes: dict[int, list[Keypose]] = {}
         self.keyposes_since_ba: dict[int, int] = {}
-        self.records: list = []  # every executed merge's MergeRecord, oldest first
+        self.merges: dict = {}  # retired frame -> the MergeRecord that retired it, oldest first
         self.merge_events: list[dict] = []
         self.ba_reports: list[dict] = []
         self.counters = {
@@ -366,7 +360,7 @@ class GroundStation:
         record, moved_drones = merge_frames(
             self.gmap, transform, pairs=[(entry.marker_id, pose_w, pose_l)]
         )
-        self.records.append(record)
+        self.merges[loser] = record
         self.merge_events.append(
             {
                 "time": float(now),
@@ -376,11 +370,9 @@ class GroundStation:
                 "transform": transform.to_dict(),
             }
         )
-        rt = transform.rt
-        self.keyposes[winner].extend(
-            replace(kp, frame=winner, pose=rt.compose(kp.pose)) for kp in self.keyposes.pop(loser)
-        )
-        self.keyposes_since_ba[winner] += self.keyposes_since_ba.pop(loser)
+        for kp in self.keyposes.pop(loser):
+            self._store_keypose(kp)
+        self.keyposes_since_ba.pop(loser)  # unread: the adjustment below resets the winner's
         self.link.send(FrameMerged(loser, winner, transform.rt))
         # the triggering observation itself still counts as an observation
         _, pose_fused, cov_fused = self._carry_forward(obs_frame, pose_obs, cov_obs)
@@ -388,9 +380,9 @@ class GroundStation:
         self._run_ba(winner, trigger="merge", now=now)
 
     def _check_refine(self, marker_id: int, pose_in_frame: Pose6D, frame: int) -> None:
-        for record in self.records:
+        for record in self.merges.values():
             if (
-                record.winner == frame
+                record.transform.to_frame == frame
                 and marker_id in record.pre_merge_poses
                 and marker_id not in record.paired_ids()
             ):
@@ -399,7 +391,7 @@ class GroundStation:
                     self.counters["refines"] += 1
                     log.info(
                         "refined merge %d->%d on marker %d (support %d)",
-                        record.loser, record.winner, marker_id, refit.support,
+                        refit.from_frame, refit.to_frame, marker_id, refit.support,
                     )
 
     def _carry_forward(
@@ -412,14 +404,14 @@ class GroundStation:
         given; the lower id wins every merge, so the walk ends.
         """
         while frame not in self.gmap.frames:
-            hop = next((r for r in reversed(self.records) if r.loser == frame), None)
-            if hop is None:
+            record = self.merges.get(frame)
+            if record is None:
                 raise ProtocolError(f"frame {frame} was never registered")
-            rt = hop.transform.rt
+            rt = record.transform.rt
             pose = rt.compose(pose)
             if cov is not None:
                 cov = transport_covariance(cov, rt.rotation())
-            frame = hop.winner
+            frame = record.transform.to_frame
         return frame, pose, cov
 
     # -- keyposes and adjustment ---------------------------------------
@@ -427,11 +419,16 @@ class GroundStation:
     def _process_keypose(self, kp: Keypose) -> None:
         for det in kp.observations:
             self._camera(det)  # a keypose BA cannot use would fail every later BA of its frame
-        frame, pose, _ = self._carry_forward(kp.frame, kp.pose)
-        self.keyposes[frame].append(replace(kp, frame=frame, pose=pose))
+        frame = self._store_keypose(kp)
         self.keyposes_since_ba[frame] += 1
         if self.ba.enabled and self.keyposes_since_ba[frame] >= self.ba.every_keyposes:
             self._run_ba(frame, trigger="keypose_interval", now=kp.timestamp)
+
+    def _store_keypose(self, kp: Keypose) -> int:
+        """File ``kp`` under the live frame that absorbed its own; return that frame."""
+        frame, pose, _ = self._carry_forward(kp.frame, kp.pose)
+        self.keyposes[frame].append(replace(kp, frame=frame, pose=pose))
+        return frame
 
     def _run_ba(self, frame: int, trigger: str, now: float) -> None:
         if not self.ba.enabled:

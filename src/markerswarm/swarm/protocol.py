@@ -16,7 +16,8 @@ detections seen at its instant, beside its own drone id and time. A
 ``MarkerDetection`` itself carries neither a drone id nor a time. The
 station looks up the camera and derives the noise from its own scenario.
 ``PoseReport`` carries the drone's EKF mean (exactly six floats), its
-frame and the tick's time, and not the covariance, which nothing reads.
+frame and the tick's time: not the drone id, which the envelope's sender
+is, nor the covariance, which nothing reads.
 
 Every integer, in the envelope and in the payload, must be a JSON
 integer: a float, a string or a bool is a malformed line. Every float
@@ -27,8 +28,9 @@ negative. Every covariance must pass ``check_covariance``.
 Frame stamps: a pose on the wire names the coordinate frame it is in
 (``MarkerObs.frame``, ``Keypose.frame``, ``PoseReport.frame``), the sender's
 frame when the pose was taken. A merge the sender has not heard of yet
-does not change a stamp: the station carries the pose forward along its
-merge records to the frame that is live when it handles the message.
+does not change a stamp: the station keeps one merge record per retired
+frame and carries the pose forward through them, one hop per merge, to the
+frame that is live when it handles the message.
 
 Map deltas: a ``MapSnapshot`` carries only the entries the station
 replaced since its previous broadcast, in marker id order; a drone
@@ -91,7 +93,6 @@ class MarkerObs:
 
 @dataclass(frozen=True)
 class PoseReport:
-    drone_id: int
     frame: int  # the frame the mean is in
     timestamp: float
     mean: tuple[float, ...]  # the EKF mean (x, y, z, alpha, beta, gamma)
@@ -134,7 +135,6 @@ def _payload(msg) -> dict:
         }
     if isinstance(msg, PoseReport):
         return {
-            "drone_id": msg.drone_id,
             "frame": int(msg.frame),
             "timestamp": float(msg.timestamp),
             "mean": list(msg.mean),
@@ -148,7 +148,7 @@ def _payload(msg) -> dict:
     raise ProtocolError(f"not a protocol message: {type(msg).__name__}")
 
 
-def _parse_hello(p: dict) -> Hello:
+def _parse_hello(_p: dict) -> Hello:
     return Hello()
 
 
@@ -172,7 +172,6 @@ def _parse_pose_report(p: dict) -> PoseReport:
     if len(mean) != 6:
         raise ValueError(f"mean has {len(mean)} entries, not 6")
     return PoseReport(
-        check_int(p["drone_id"], "drone_id"),
         check_int(p["frame"], "frame"),
         check_float(p["timestamp"], "timestamp"),
         tuple(mean),

@@ -110,9 +110,9 @@ def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
                 }
             )
         # list() waits for every tick and re-raises what one raised
-        list(map_ticks(lambda d: nodes[d].tick(tick, now, *readings[d]), order))
+        list(map_ticks(lambda d: nodes[d].tick(now, *readings[d]), order))
         for drone_id in order:
-            commands[drone_id] = nodes[drone_id].steer(tick, now)
+            commands[drone_id] = nodes[drone_id].steer(now)
             _handle_mail(station, nodes[drone_id].outbox)
         station.flush()
 

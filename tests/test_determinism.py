@@ -1,5 +1,6 @@
 """Determinism pin: a lockstep run's four artifacts, and its plot, are byte-identical
-across changes; so is the lab scenario's seed 11 report.
+across changes; so are the lab scenario's seed 11 report and the demo's seed 7
+report with bundle adjustment off.
 
 A change that is meant to alter lockstep results (a new model, a bug fix
 that moves numbers) updates the digests below and declares the new value,
@@ -7,6 +8,7 @@ with its reason, in CHANGES.md. Any other change must leave it alone.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +26,8 @@ TWO_DRONE_DEMO_SEED_7_ARTIFACTS = {
     "metrics.json": "41e86aa24e22c25ed7ccabb8ff1581b439b4c33cb9ae58ac35caea3c1ff9cef4",
     "trajectories.csv": "a85fc0d5e36a0fa97f2421a29f7ce5a90347ab323f46b51fa8cba234659b37ff",
 }
+# the same run with "ba": {"enabled": false}: no keyposes, no adjustment
+TWO_DRONE_DEMO_SEED_7_BA_OFF = "6fb570421737b0fb91d3caa036a7fb2d245f4d5d44012c2500152183985d3338"
 LAB_THREE_DRONES_SEED_11 = "fe35f196aa4ea16490fd0a96142216912f8ccaac0d82ae59eddc1cf71bc39f3b"
 
 
@@ -56,6 +60,21 @@ def test_two_drone_demo_seed_7_artifact_digests(tmp_path):
         for name in TWO_DRONE_DEMO_SEED_7_ARTIFACTS
     }
     assert digests == TWO_DRONE_DEMO_SEED_7_ARTIFACTS
+
+
+def test_two_drone_demo_seed_7_ba_off_report_digest(tmp_path):
+    raw = json.loads((SCENARIOS / "two_drone_demo.json").read_text(encoding="utf-8"))
+    raw["ba"]["enabled"] = False
+    scenario = tmp_path / "two_drone_demo_ba_off.json"
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    argv = ["run", str(scenario), "--seed", "7", "--mode", "lockstep"]
+    assert cli_main([*argv, "--out", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == TWO_DRONE_DEMO_SEED_7_BA_OFF, (
+        f"two_drone_demo seed 7 BA-off lockstep report.json sha256 is {digest}, pinned "
+        f"{TWO_DRONE_DEMO_SEED_7_BA_OFF}. If this change is meant to alter lockstep results, "
+        "declare the new digest and the reason in CHANGES.md and update the pin."
+    )
 
 
 def lab_seed_11_report_digest(tmp_path, blas_threads: int) -> str:

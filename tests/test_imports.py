@@ -1,10 +1,12 @@
 """Source hygiene: every name a markerswarm module imports is used there,
-and importing the CLI pulls in no test oracle, no network module and
-no thread pool.
+every parameter a function takes is read in its body, and importing the
+CLI pulls in no test oracle, no network module and no thread pool.
 
 No lint tool is a dependency, so this walks each module's syntax tree
-with the standard library: a deletion that leaves an import behind fails
-here. Names listed in ``__all__`` count as used (package re-exports).
+with the standard library: a deletion that leaves an import or a
+parameter behind fails here. Names listed in ``__all__`` count as used
+(package re-exports); ``self``, ``cls`` and a parameter whose name starts
+with ``_`` (kept for a uniform signature) need not be read.
 """
 
 import ast
@@ -74,6 +76,48 @@ def test_checker_flags_unused_and_accepts_every_kind_of_use():
         "    pass\n"
     )
     assert unused_imports(source) == ["line 2: math", "line 4: field"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``line N: function(parameter)`` for each parameter its function never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "lambda")
+        found += [
+            f"line {node.lineno}: {name}({p.arg})"
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_module_has_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_parameter_checker_flags_unused_and_accepts_every_kind_of_read():
+    source = (
+        "class C:\n"
+        "    def m(self, tick, now, *args, _kept, **kwargs):\n"
+        "        def inner():\n"
+        "            return now\n"
+        "        return inner, kwargs\n"
+        "    @classmethod\n"
+        "    def make(cls, size):\n"
+        "        return [cls() for _ in range(size)]\n"
+        "def parse(_p):\n"
+        "    return 0\n"
+        "f = lambda x, y: x\n"
+    )
+    assert unused_parameters(source) == ["line 2: m(tick)", "line 2: m(args)", "line 11: lambda(y)"]
 
 
 def test_package_modules_found():

@@ -77,7 +77,7 @@ def all_messages():
             frame=1,
             timestamp=3.25,
         ),
-        PoseReport(drone_id=1, frame=1, timestamp=2.0, mean=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0)),
+        PoseReport(frame=1, timestamp=2.0, mean=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0)),
         MapSnapshot(entries=(entry,)),
         FrameMerged(loser=2, winner=0, rt=sample_pose(13)),
         KeyposeCommit(keypose=sample_keypose()),
@@ -136,7 +136,7 @@ def legacy_payload(msg):
                 "ekf_pose": legacy_pose(msg.ekf_pose), "ekf_cov": legacy_cov(msg.ekf_cov),
                 "frame": msg.frame, "timestamp": float(msg.timestamp)}
     if isinstance(msg, PoseReport):
-        return {"drone_id": msg.drone_id, "frame": msg.frame,
+        return {"frame": msg.frame,
                 "timestamp": float(msg.timestamp), "mean": [float(v) for v in msg.mean]}
     if isinstance(msg, MapSnapshot):
         return {"entries": [legacy_entry(e) for e in msg.entries]}
@@ -160,7 +160,7 @@ def awkward_messages():
     entry = MapEntry(marker_id=3, frame=2, pose=Pose6D(odd[:3], [-0.0, 0.0, 1.0, -0.0]),
                      cov=cov, obs_count=1)
     return [
-        PoseReport(drone_id=2, frame=2, timestamp=-0.0, mean=tuple(odd.tolist())),
+        PoseReport(frame=2, timestamp=-0.0, mean=tuple(odd.tolist())),
         MapSnapshot(entries=(entry, replace(entry, marker_id=4, cov=-cov))),
         MarkerObs(detection=sample_detection(), ekf_pose=entry.pose, ekf_cov=cov, frame=-0,
                   timestamp=-0.0),
@@ -228,7 +228,6 @@ class TestCodec:
             "",
             tampered("FrameMerged", ["loser"], 1.9),
             tampered("FrameMerged", ["winner"], True),
-            tampered("PoseReport", ["drone_id"], 1.0),
             tampered("PoseReport", ["frame"], 1.5),
             tampered("MarkerObs", ["frame"], 1.0),
             tampered("MarkerObs", ["detection", "marker_id"], "42"),
@@ -288,7 +287,6 @@ class TestCodec:
             "empty",
             "merged-float-loser",
             "merged-bool-winner",
-            "report-float-drone-id",
             "report-float-state-frame",
             "obs-float-frame",
             "obs-string-marker-id",
@@ -449,7 +447,7 @@ class TestEndpoint:
         ep = Endpoint(5, t)
         guard = SequenceGuard()
         for _ in range(6):
-            ep.send(PoseReport(drone_id=5, frame=5, timestamp=0.0, mean=(0.0,) * 6))
+            ep.send(PoseReport(frame=5, timestamp=0.0, mean=(0.0,) * 6))
         for line in t.drain():
             d = decode(line)
             assert d.sender == 5

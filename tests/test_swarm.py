@@ -231,8 +231,8 @@ class TestNavptsNode:
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse)
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(), [det])
-        node.steer(1, 0.1)
+        node.tick(0.1, still_odometry(), [det])
+        node.steer(0.1)
         kinds = outbound_types(station_inbox)
         assert node.counters["updates"] == 1
         assert node.counters["forwarded"] == 0
@@ -247,7 +247,7 @@ class TestNavptsNode:
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse - 1)
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(), [det])
+        node.tick(0.1, still_odometry(), [det])
         assert node.counters["updates"] == 1
         assert node.counters["forwarded"] == 1
         assert "MarkerObs" in outbound_types(station_inbox)
@@ -258,7 +258,7 @@ class TestNavptsNode:
         cam = sc.cameras["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(), [det])
+        node.tick(0.1, still_odometry(), [det])
         assert node.counters["updates"] == 0
         assert node.counters["forwarded"] == 1
         assert "MarkerObs" in outbound_types(station_inbox)
@@ -272,7 +272,7 @@ class TestNavptsNode:
         node.map_view[5] = type(entry)(
             marker_id=5, frame=7, pose=marker, cov=entry.cov, obs_count=5
         )
-        node.tick(1, 0.1, still_odometry(), [detection_of(node.state.pose, marker, cam)])
+        node.tick(0.1, still_odometry(), [detection_of(node.state.pose, marker, cam)])
         assert node.counters["updates"] == 0
         assert node.counters["forwarded"] == 1
 
@@ -284,7 +284,7 @@ class TestNavptsNode:
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse)
         before = node.state.pose
         det = detection_of(before, marker, cam)
-        node.tick(1, 0.1, still_odometry(), [det])
+        node.tick(0.1, still_odometry(), [det])
         assert np.linalg.norm(node.state.pose.t - before.t) < 1e-9
         assert rotation_angle_between(node.state.pose.q, before.q) < 1e-9
 
@@ -292,8 +292,8 @@ class TestNavptsNode:
         sc = node_scenario()
         node, station_inbox, _ = make_node(sc)
         trace0 = float(np.trace(node.state.cov))
-        node.tick(1, 0.1, still_odometry(), [])
-        node.steer(1, 0.1)
+        node.tick(0.1, still_odometry(), [])
+        node.steer(0.1)
         assert float(np.trace(node.state.cov)) > trace0
         kinds = outbound_types(station_inbox)
         assert kinds == ["PoseReport"]
@@ -303,9 +303,9 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, _ = make_node(sc)
         for tick in range(1, 4):
-            node.tick(tick, tick * 0.1, still_odometry(), [])
-            node.steer(tick, tick * 0.1)
-        assert [row["tick"] for row in node.trajectory] == [1, 2, 3]
+            node.tick(tick * 0.1, still_odometry(), [])
+            node.steer(tick * 0.1)
+        assert len(node.trajectory) == 3
         assert all(row["frame"] == node.state.frame for row in node.trajectory)
 
     def test_map_snapshot_refreshes_view(self):
@@ -313,8 +313,8 @@ class TestNavptsNode:
         node, _, station_tx = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
-        node.tick(1, 0.1, still_odometry(), [])
-        node.steer(1, 0.1)
+        node.tick(0.1, still_odometry(), [])
+        node.steer(0.1)
         assert set(node.map_view) == {5}
         assert node.map_view[5].obs_count == 2
 
@@ -322,13 +322,13 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=1)
         assert node.state.frame == 1
-        node.tick(1, 0.1, still_odometry(), [])
-        node.steer(1, 0.1)
+        node.tick(0.1, still_odometry(), [])
+        node.steer(0.1)
         pose_before = node.state.pose
         rt = Pose6D.from_euler([2.0, -1.0, 0.0], [0, 0, 0.6])
         station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
-        node.tick(2, 0.2, still_odometry(), [])
-        node.steer(2, 0.2)
+        node.tick(0.2, still_odometry(), [])
+        node.steer(0.2)
         assert node.state.frame == 0
         assert all(row["frame"] == 0 for row in node.trajectory)
         expected_row0 = rt.compose(pose_before)
@@ -341,11 +341,11 @@ class TestNavptsNode:
         node, station_inbox, station_tx = make_node(sc, drone_id=1)
         rt = Pose6D.from_euler([1.0, 0.0, 0.0], [0, 0, 0])
         station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
-        node.tick(1, 0.1, still_odometry(), [])
+        node.tick(0.1, still_odometry(), [])
         assert node.state.frame == 1 and node.trajectory == []
         assert node.state.pose.t[0] == pytest.approx(1.0)
         assert outbound_types(station_inbox) == []
-        node.steer(1, 0.1)
+        node.steer(0.1)
         assert node.state.frame == 0
         assert node.state.pose.t[0] == pytest.approx(2.0)
         assert [row["frame"] for row in node.trajectory] == [0]
@@ -355,8 +355,8 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=0)
         station_tx.send(FrameMerged(loser=1, winner=0, rt=Pose6D.identity()))
-        node.tick(1, 0.1, still_odometry(), [])
-        node.steer(1, 0.1)
+        node.tick(0.1, still_odometry(), [])
+        node.steer(0.1)
         assert node.state.frame == 0
 
     def test_garbage_inbox_line_dropped(self):
@@ -364,8 +364,8 @@ class TestNavptsNode:
         node, _, _ = make_node(sc)
         node.inbox.send_line("{broken")
         node.inbox.send_line('{"type": "Mystery", "sender": -1, "seq": 0}')
-        node.tick(1, 0.1, still_odometry(), [])
-        node.steer(1, 0.1)
+        node.tick(0.1, still_odometry(), [])
+        node.steer(0.1)
         assert node.map_view == {} and node.state.frame == 0
 
     def test_malformed_inbox_line_logged_and_dropped(self, caplog):
@@ -375,8 +375,8 @@ class TestNavptsNode:
         node.inbox.send_line('{"type": "Hello", "sender": -1, "seq": 1.5}')
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
-            node.tick(1, 0.1, still_odometry(), [])
-            node.steer(1, 0.1)
+            node.tick(0.1, still_odometry(), [])
+            node.steer(0.1)
         assert any("dropped a bad line" in rec.message for rec in caplog.records)
         # the good line after the bad one still lands, and the tick completes
         assert set(node.map_view) == {5}
@@ -390,8 +390,8 @@ class TestNavptsNode:
         newer = MapSnapshot(entries=(entry_for(node, marker, obs_count=3),))
         node.inbox.send_line(encode(newer, sender=STATION_ID, seq=4))
         node.inbox.send_line(encode(older, sender=STATION_ID, seq=3))
-        node.tick(1, 0.1, still_odometry(), [])
-        node.steer(1, 0.1)
+        node.tick(0.1, still_odometry(), [])
+        node.steer(0.1)
         assert node.map_view[5].obs_count == 3
         assert node.guard.dropped == 1
 
@@ -403,8 +403,8 @@ class TestNavptsNode:
         snapshot = MapSnapshot(entries=(entry_for(node, marker, obs_count=2),))
         node.inbox.send_line(encode(snapshot, sender=STATION_ID, seq=4))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
-            node.tick(1, 0.1, still_odometry(), [])
-            node.steer(1, 0.1)
+            node.tick(0.1, still_odometry(), [])
+            node.steer(0.1)
         assert any("dropped stale line seq 4" in rec.message for rec in caplog.records)
         assert node.map_view == {} and node.guard.dropped == 1
 
@@ -417,8 +417,8 @@ class TestNavptsNode:
             MapSnapshot(entries=(entry_for(node, marker, obs_count=1, marker_id=6),))
         )
         station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=3),)))
-        node.tick(1, 0.1, still_odometry(), [])
-        node.steer(1, 0.1)
+        node.tick(0.1, still_odometry(), [])
+        node.steer(0.1)
         assert {k: e.obs_count for k, e in node.map_view.items()} == {5: 3, 6: 1}
 
     def test_replayed_broadcast_applied_once(self):
@@ -428,8 +428,8 @@ class TestNavptsNode:
         line = encode(FrameMerged(loser=1, winner=0, rt=rt), sender=STATION_ID, seq=5)
         node.inbox.send_line(line)
         node.inbox.send_line(line)
-        node.tick(1, 0.1, still_odometry(), [])
-        node.steer(1, 0.1)
+        node.tick(0.1, still_odometry(), [])
+        node.steer(0.1)
         # one remap only: applying rt twice would shift x by 2
         assert node.state.pose.t[0] == pytest.approx(2.0)  # start (1,1,1) + 1
 
@@ -439,17 +439,17 @@ class TestNavptsNode:
         cam = sc.cameras["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         det = detection_of(node.state.pose, marker, cam)
-        node.tick(1, 0.1, still_odometry(), [det])
+        node.tick(0.1, still_odometry(), [det])
         assert node.counters["keyposes"] == 1  # first sighting commits
         station_inbox.drain()
         # stationary re-sighting: below both thresholds, no new keypose
         det2 = detection_of(node.state.pose, marker, cam)
-        node.tick(2, 0.2, still_odometry(), [det2])
+        node.tick(0.2, still_odometry(), [det2])
         assert node.counters["keyposes"] == 1
         # teleport the belief far beyond d_key and look again
         moved = OdometryReading(0.1, np.array([8.0, 0.0, 0.0]), np.zeros(3))
         det3 = detection_of(node.state.pose, marker, cam)
-        node.tick(3, 0.3, moved, [det3])
+        node.tick(0.3, moved, [det3])
         assert node.counters["keyposes"] == 2
 
 
@@ -609,7 +609,7 @@ class TestGroundStation:
         # the bias and triggers a correction of the recorded transform
         senders[0].send(obs_from(0, true0, true0, marker_b, cam, marker_id=6, now=0.9))
         assert station.counters["refines"] == 1
-        assert len(station.records[-1].pairs) == 2
+        assert len(station.merges[1].pairs) == 2
 
     def test_replayed_line_is_stale_and_ignored(self):
         sc = station_scenario()
@@ -651,7 +651,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, _ = make_station(sc)
         senders[0].send(Hello())
-        senders[0].send(PoseReport(0, 0, 1.5, tuple(np.arange(6.0).tolist())))
+        senders[0].send(PoseReport(0, 1.5, tuple(np.arange(6.0).tolist())))
         assert station.counters["handled"] == 2
         assert station.counters["errors"] == 0
         assert station.gmap.entries == {}
@@ -761,7 +761,7 @@ class TestGroundStation:
         assert len(station.merge_events) == 1
         station.flush()
         for node in nodes.values():
-            node.steer(1, 0.1)
+            node.steer(0.1)
         assert len(station_decodes) == 2  # FrameMerged, MapSnapshot
         assert set(station_decodes.values()) == {1}
         for node in nodes.values():
@@ -948,7 +948,7 @@ class TestStationKeyposes:
         assert list(station.keyposes) == [0]
         (stored,) = station.keyposes[0]
         assert stored.frame == 0
-        expected = station.records[-1].transform.rt.compose(believed1)
+        expected = station.merges[1].transform.rt.compose(believed1)
         np.testing.assert_allclose(stored.pose.t, expected.t, atol=1e-9)
 
 
@@ -1140,16 +1140,42 @@ class TestRunScenario:
         assert len(rows) == sc.n_ticks
         assert len(report["map"]) == 1
 
+    def test_ba_off_run_commits_no_keyposes(self, monkeypatch):
+        # only bundle adjustment reads keyposes: with it off no drone builds or
+        # sends one, and the station stores none; with it on, the run commits some
+        drones = [
+            {"id": d, "start_pose": {"t": [0.5 * d, 0.0, 0.0], "euler": [0, 0, 0]}}
+            for d in range(2)
+        ]
+        encoded = Counter()
+
+        def counting_encode(msg, sender, seq):
+            encoded[type(msg).__name__] += 1
+            return encode(msg, sender, seq)
+
+        monkeypatch.setattr(protocol, "encode", counting_encode)
+        for enabled in (True, False):
+            encoded.clear()
+            sc = parse_scenario(runner_raw(duration=2.0, drones=drones, ba={"enabled": enabled}))
+            station, nodes, _ = _run_ticks(sc, sc.seed)
+            committed = sum(node.counters["keyposes"] for node in nodes.values())
+            if enabled:
+                assert encoded["KeyposeCommit"] == committed > 0
+            else:
+                assert encoded["KeyposeCommit"] == committed == 0
+                assert station.keyposes and all(kps == [] for kps in station.keyposes.values())
+                assert encoded["PoseReport"] == 2 * sc.n_ticks
+
     @pytest.mark.parametrize("mode", MODES)
     def test_node_tick_error_reaches_the_caller(self, mode, monkeypatch):
         sc = parse_scenario(runner_raw(duration=1.0))
         for half in ("tick", "steer"):
             original = getattr(NavptsNode, half)
 
-            def fail_at_tick_3(self, tick, *args, half=half, original=original):
-                if tick == 3:
+            def fail_at_tick_3(self, now, *args, half=half, original=original):
+                if now == 3 * sc.dt:
                     raise RuntimeError(f"{half} 3 failed")
-                return original(self, tick, *args)
+                return original(self, now, *args)
 
             with monkeypatch.context() as patch:
                 patch.setattr(NavptsNode, half, fail_at_tick_3)
