@@ -146,7 +146,6 @@ class BaProblem:
         frames = {kp.frame for kp in keyposes}
         if len(frames) != 1:
             raise ValueError(f"keyposes span frames {sorted(frames)}; adjust one frame at a time")
-        self.frame = keyposes[0].frame
 
         anchor_idx = min(
             range(len(keyposes)),

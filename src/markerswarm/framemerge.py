@@ -80,6 +80,19 @@ def find_matches(
     )
 
 
+def hops_to_live(frame: int, merges) -> list[tuple[int, int, Pose6D]]:
+    """The (retired, winner, rt) hops of the frame table ``merges`` that take ``frame`` live.
+
+    A frame only merges into a live one, so in the oldest-first table each hop follows the last.
+    """
+    hops = []
+    for hop in merges:
+        if hop[0] == frame:
+            hops.append(hop)
+            frame = hop[1]
+    return hops
+
+
 def estimate_transform(
     pairs: list[tuple[Pose6D, Pose6D]], from_frame: int = -1, to_frame: int = -1
 ) -> FrameTransform:

@@ -27,6 +27,7 @@ from markerswarm.ekf import (
 from markerswarm.framemerge import (
     estimate_transform,
     find_matches,
+    hops_to_live,
     merge_frames,
     refine_transform,
 )
@@ -35,7 +36,6 @@ from markerswarm.mapstore import GlobalMap, MapContractError, MapEntry
 from markerswarm.scenario import DroneSetup, PolicyConfig, Scenario
 from markerswarm.swarm import protocol
 from markerswarm.swarm.protocol import (
-    FrameMerged,
     Hello,
     KeyposeCommit,
     MapSnapshot,
@@ -146,9 +146,10 @@ class NavptsNode:
     ``tick`` senses and estimates: it predicts, corrects the EKF against
     the map view, forwards what the station needs and, when the scenario
     runs bundle adjustment, commits keyposes, reading only the drone's own
-    state. ``steer`` applies the station's map and merge messages, records
-    the trajectory row, reports the pose and returns the next velocity
-    command.
+    state. ``steer`` applies the station's snapshots (each walks the state,
+    last keypose and trajectory rows to the live frame through the frame
+    table, then merges its entries into the map view), records the
+    trajectory row, reports the pose and returns the next velocity command.
     """
 
     def __init__(self, setup: DroneSetup, scenario: Scenario) -> None:
@@ -232,16 +233,15 @@ class NavptsNode:
             return
         msg = decoded.msg
         if isinstance(msg, MapSnapshot):
-            self.map_view.update((e.marker_id, e) for e in msg.entries)
-        elif isinstance(msg, FrameMerged):
-            if self.state.frame == msg.loser:
-                self.state = remap_frame(self.state, msg.rt, msg.winner)
+            for retired, winner, rt in hops_to_live(self.state.frame, msg.merges):
+                self.state = remap_frame(self.state, rt, winner)
                 if self.last_keypose is not None:
-                    self.last_keypose = msg.rt.compose(self.last_keypose)
+                    self.last_keypose = rt.compose(self.last_keypose)
                 for row in self.trajectory:
-                    if row["frame"] == msg.loser:
-                        row["pose"] = msg.rt.compose(row["pose"])
-                        row["frame"] = msg.winner
+                    if row["frame"] == retired:
+                        row["pose"] = rt.compose(row["pose"])
+                        row["frame"] = winner
+            self.map_view.update((e.marker_id, e) for e in msg.entries)
         else:
             log.debug("drone %d ignoring %s", self.drone_id, type(msg).__name__)
 
@@ -253,7 +253,7 @@ class GroundStation:
     calls from its own thread once the drones' ticks are done, in both
     modes, so nothing else touches the station's state. A malformed or
     stale line is logged and dropped; the station never raises out of
-    handle_line.
+    handle_line. Every broadcast is a ``MapSnapshot`` with the whole frame table.
     """
 
     def __init__(self, scenario: Scenario, link: protocol.Endpoint) -> None:
@@ -373,7 +373,7 @@ class GroundStation:
         for kp in self.keyposes.pop(loser):
             self._store_keypose(kp)
         self.keyposes_since_ba.pop(loser)  # unread: the adjustment below resets the winner's
-        self.link.send(FrameMerged(loser, winner, transform.rt))
+        self.link.send(MapSnapshot((), self.frame_table()))  # entries wait for the tick's flush
         # the triggering observation itself still counts as an observation
         _, pose_fused, cov_fused = self._carry_forward(obs_frame, pose_obs, cov_obs)
         self.gmap.fuse_observation(entry.marker_id, pose_fused, cov_fused)
@@ -401,18 +401,20 @@ class GroundStation:
 
         A message can race any number of merge broadcasts. Each hop applies
         the transform of the merge that retired the frame, to ``cov`` too when
-        given; the lower id wins every merge, so the walk ends.
+        given: the walk a drone takes through a snapshot's table.
         """
-        while frame not in self.gmap.frames:
-            record = self.merges.get(frame)
-            if record is None:
-                raise ProtocolError(f"frame {frame} was never registered")
-            rt = record.transform.rt
+        for _, winner, rt in hops_to_live(frame, self.frame_table()):
             pose = rt.compose(pose)
             if cov is not None:
                 cov = transport_covariance(cov, rt.rotation())
-            frame = record.transform.to_frame
+            frame = winner
+        if frame not in self.gmap.frames:
+            raise ProtocolError(f"frame {frame} was never registered")
         return frame, pose, cov
+
+    def frame_table(self) -> tuple[tuple[int, int, Pose6D], ...]:
+        """(retired, winner, rt) per merge, oldest first, each with its latest transform."""
+        return tuple((r, m.transform.to_frame, m.transform.rt) for r, m in self.merges.items())
 
     # -- keyposes and adjustment ---------------------------------------
 
@@ -421,7 +423,7 @@ class GroundStation:
             self._camera(det)  # a keypose BA cannot use would fail every later BA of its frame
         frame = self._store_keypose(kp)
         self.keyposes_since_ba[frame] += 1
-        if self.ba.enabled and self.keyposes_since_ba[frame] >= self.ba.every_keyposes:
+        if self.keyposes_since_ba[frame] >= self.ba.every_keyposes:
             self._run_ba(frame, trigger="keypose_interval", now=kp.timestamp)
 
     def _store_keypose(self, kp: Keypose) -> int:
@@ -459,7 +461,7 @@ class GroundStation:
     # -- outbound -------------------------------------------------------
 
     def flush(self) -> None:
-        """Broadcast, in id order, the entries replaced since the last flush.
+        """Broadcast, in id order, the entries replaced since the last flush, and the frame table.
 
         Every map mutation stores a new entry object and none removes one.
         A pose travels as Euler angles, and that round trip can move the
@@ -470,7 +472,7 @@ class GroundStation:
         """
         changed = [e for k, e in sorted(self.gmap.entries.items()) if self._sent.get(k) is not e]
         if changed:
-            line = self.link.send(MapSnapshot(tuple(changed)))
+            line = self.link.send(MapSnapshot(tuple(changed), self.frame_table()))
             for sent in protocol.decode_broadcast(line).msg.entries:
                 self.gmap.replace_entry(sent)
                 self._sent[sent.marker_id] = sent

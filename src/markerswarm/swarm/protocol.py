@@ -6,8 +6,7 @@ envelope carries three fields on every line: "type" (the message name),
 strictly increasing per sender). Payload fields sit flat beside the
 envelope fields, named exactly like the dataclass attributes. A drone
 sends ``Hello``, ``MarkerObs``, ``PoseReport`` and ``KeyposeCommit``; the
-station sends ``MapSnapshot`` and ``FrameMerged``. Any other "type" is a
-malformed line.
+station sends only ``MapSnapshot``. Any other "type" is a malformed line.
 
 Each fact travels once. ``Hello`` has no payload: the station registers
 the envelope's sender. A drone sends what it measured. ``MarkerObs``
@@ -25,19 +24,20 @@ must be a finite JSON number (``check_float``), not a string or a bool,
 a camera name must be a string and a detection's range must not be
 negative. Every covariance must pass ``check_covariance``.
 
-Frame stamps: a pose on the wire names the coordinate frame it is in
-(``MarkerObs.frame``, ``Keypose.frame``, ``PoseReport.frame``), the sender's
-frame when the pose was taken. A merge the sender has not heard of yet
-does not change a stamp: the station keeps one merge record per retired
-frame and carries the pose forward through them, one hop per merge, to the
-frame that is live when it handles the message.
+Frames are state, not events: a pose on the wire names the frame it was
+taken in (``MarkerObs.frame``, ``Keypose.frame``, ``PoseReport.frame``);
+every ``MapSnapshot`` carries the whole frame table, ``merges``: (retired,
+winner, rt) per merge, oldest first. The station carries a stamped pose,
+and a drone its own state, to the live frame by one walk (``hops_to_live``
+in ``framemerge``), so a drone that missed a snapshot is live after the next.
 
-Map deltas: a ``MapSnapshot`` carries only the entries the station
-replaced since its previous broadcast, in marker id order; a drone
-merges them into its view. The map never removes an entry, and the
-station keeps the entries it decodes from its own snapshot line
-(``GroundStation.flush``), so the view holds the very objects of the
-station map as long as every snapshot arrives, in order.
+Map deltas: a snapshot's ``entries`` are those replaced since the previous
+broadcast, in marker id order, merged into a drone's view after its walk.
+A merge sends a snapshot with no entries at once; a flush sends one when an
+entry changed. The map never removes an entry, and the station keeps the
+entries it decodes from its own line (``GroundStation.flush``), so the view
+holds the very objects of the station map as long as every snapshot
+arrives, in order.
 
 Mailboxes: every link is a plain list of lines with one writer, read on
 the runner's thread only after the writer's part of the tick has
@@ -101,13 +101,7 @@ class PoseReport:
 @dataclass(frozen=True)
 class MapSnapshot:
     entries: tuple[MapEntry, ...]  # replaced since the previous snapshot
-
-
-@dataclass(frozen=True)
-class FrameMerged:
-    loser: int
-    winner: int
-    rt: Pose6D
+    merges: tuple[tuple[int, int, Pose6D], ...]  # (retired, winner, rt) per merge, oldest first
 
 
 @dataclass(frozen=True)
@@ -140,9 +134,8 @@ def _payload(msg) -> dict:
             "mean": list(msg.mean),
         }
     if isinstance(msg, MapSnapshot):
-        return {"entries": [e.to_dict() for e in msg.entries]}
-    if isinstance(msg, FrameMerged):
-        return {"loser": msg.loser, "winner": msg.winner, "rt": msg.rt.to_dict()}
+        merges = [{"from": r, "to": w, "rt": rt.to_dict()} for r, w, rt in msg.merges]
+        return {"entries": [e.to_dict() for e in msg.entries], "merges": merges}
     if isinstance(msg, KeyposeCommit):
         return {"keypose": msg.keypose.to_dict()}
     raise ProtocolError(f"not a protocol message: {type(msg).__name__}")
@@ -179,13 +172,9 @@ def _parse_pose_report(p: dict) -> PoseReport:
 
 
 def _parse_map_snapshot(p: dict) -> MapSnapshot:
-    return MapSnapshot(tuple(MapEntry.from_dict(e) for e in p["entries"]))
-
-
-def _parse_frame_merged(p: dict) -> FrameMerged:
-    return FrameMerged(
-        check_int(p["loser"], "loser"), check_int(p["winner"], "winner"), Pose6D.from_dict(p["rt"])
-    )
+    merges = ((check_int(m["from"], "from"), check_int(m["to"], "to"), Pose6D.from_dict(m["rt"]))
+              for m in p["merges"])
+    return MapSnapshot(tuple(MapEntry.from_dict(e) for e in p["entries"]), tuple(merges))
 
 
 def _parse_keypose_commit(p: dict) -> KeyposeCommit:
@@ -197,7 +186,6 @@ _PARSERS = {
     "MarkerObs": _parse_marker_obs,
     "PoseReport": _parse_pose_report,
     "MapSnapshot": _parse_map_snapshot,
-    "FrameMerged": _parse_frame_merged,
     "KeyposeCommit": _parse_keypose_commit,
 }
 
@@ -268,9 +256,9 @@ def decode_broadcast(line: str) -> Decoded:
     return _decode_broadcast(line)
 
 
-# Between two of its reads a drone gets at most one MapSnapshot, and a
-# FrameMerged only when frames merge, which a run does fewer times than it
-# has drones: two slots hold both, and a miss only decodes again. Each slot
+# Between two of its reads a drone gets at most one flush snapshot, plus one
+# merge snapshot per merge, which a run does fewer times than it has drones:
+# two slots hold both, and a miss only decodes again. Each slot
 # keeps a line and its message alive, which is why there are only two.
 # ``decode`` is looked up on the module at each call, so a wrapped
 # ``decode`` sees every decode.
@@ -284,12 +272,10 @@ class SequenceGuard:
 
     def __init__(self) -> None:
         self._last: dict[int, int] = {}
-        self.dropped = 0
 
     def accept(self, sender: int, seq: int) -> bool:
         last = self._last.get(sender)
         if last is not None and seq <= last:
-            self.dropped += 1
             return False
         self._last[sender] = seq
         return True

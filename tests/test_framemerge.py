@@ -13,6 +13,7 @@ from markerswarm.framemerge import (
     FrameTransform,
     estimate_transform,
     find_matches,
+    hops_to_live,
     merge_frames,
     refine_transform,
 )
@@ -209,6 +210,44 @@ class TestMergeFrames:
             merge_frames(gmap, ft)
         assert gmap.frames == {0}
         assert all(e.frame == 0 for e in gmap.entries.values())
+
+
+class TestHopsToLive:
+    rt_21 = Pose6D.from_euler([1.0, 0.0, 0.0], [0, 0, 0.2])
+    rt_10 = Pose6D.from_euler([0.0, 2.0, 0.0], [0, 0, -0.4])
+    rt_43 = Pose6D.from_euler([0.0, 0.0, 0.5], [0, 0, 0.1])
+    # oldest first: 2 retired into 1, then 4 into 3, then 1 into 0
+    table = ((2, 1, rt_21), (4, 3, rt_43), (1, 0, rt_10))
+
+    def test_two_hop_chain_is_walked_in_one_pass(self):
+        class OnePass:
+            """The table, iterable exactly once."""
+
+            def __init__(self, hops):
+                self.hops = hops
+                self.passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                assert self.passes == 1
+                return iter(self.hops)
+
+        table = OnePass(self.table)
+        hops = hops_to_live(2, table)
+        assert hops == [(2, 1, self.rt_21), (1, 0, self.rt_10)]
+        assert table.passes == 1
+
+    def test_each_retired_frame_ends_in_its_live_frame(self):
+        assert [(r, w) for r, w, _ in hops_to_live(1, self.table)] == [(1, 0)]
+        assert [(r, w) for r, w, _ in hops_to_live(4, self.table)] == [(4, 3)]
+
+    @pytest.mark.parametrize("frame", [0, 3])
+    def test_live_frame_has_no_hop(self, frame):
+        assert hops_to_live(frame, self.table) == []
+        assert hops_to_live(frame, ()) == []
+
+    def test_frame_the_table_does_not_name_has_no_hop(self):
+        assert hops_to_live(7, self.table) == []
 
 
 class TestRefineTransform:

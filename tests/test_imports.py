@@ -1,6 +1,8 @@
 """Source hygiene: every name a markerswarm module imports is used there,
-every parameter a function takes is read in its body, and importing the
-CLI pulls in no test oracle, no network module and no thread pool.
+every parameter a function takes is read in its body, every attribute a
+module stores is read somewhere in the package or the benchmark, and
+importing the CLI pulls in no test oracle, no network module and no
+thread pool.
 
 No lint tool is a dependency, so this walks each module's syntax tree
 with the standard library: a deletion that leaves an import or a
@@ -118,6 +120,118 @@ def test_parameter_checker_flags_unused_and_accepts_every_kind_of_read():
         "f = lambda x, y: x\n"
     )
     assert unused_parameters(source) == ["line 2: m(tick)", "line 2: m(args)", "line 11: lambda(y)"]
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _assigned_to(target: ast.expr):
+    """The ``self.x`` attribute names a plain or augmented assignment target binds."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned_to(element)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned_to(target.value)
+    elif (
+        isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    ):
+        yield target.attr
+
+
+def stored_attributes(source: str) -> dict[str, int]:
+    """Attribute name -> first line, for each ``self.x = ...``,
+    ``object.__setattr__(self, "x", ...)`` and dataclass field."""
+    stored = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            names = [name for target in node.targets for name in _assigned_to(target)]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            names = list(_assigned_to(node.target))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and getattr(node.func.value, "id", None) == "object"
+            and len(node.args) == 3
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            names = [node.args[1].value]
+        else:
+            names = []
+        for name in names:
+            stored.setdefault(name, node.lineno)
+        if isinstance(node, ast.ClassDef) and any(
+            _is_dataclass_decorator(d) for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    stored.setdefault(stmt.target.id, stmt.lineno)
+    return stored
+
+
+def read_attributes(source: str) -> set[str]:
+    """Every attribute name the source loads (``x.name``), augmented assignments excluded."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_attributes(stored_in: str, read_in: list[str]) -> list[str]:
+    read = set().union(*(read_attributes(source) for source in read_in))
+    return [
+        f"line {line}: {name}"
+        for name, line in stored_attributes(stored_in).items()
+        if name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_module_stores_no_attribute_that_nothing_reads(path):
+    # read anywhere in the package or the benchmark: an attribute one module
+    # stores is often read by another
+    readers = [p.read_text(encoding="utf-8") for p in MODULES + sorted(PERFBENCH.rglob("*.py"))]
+    assert unread_attributes(path.read_text(encoding="utf-8"), readers) == []
+
+
+def test_attribute_checker_flags_unread_and_accepts_every_kind_of_read():
+    source = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Msg:\n"
+        "    frame: int\n"
+        "    stamp: float\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'cov', 0)\n"
+        "@dataclasses.dataclass\n"
+        "class Rec:\n"
+        "    kept: int\n"
+        "class Guard:\n"
+        "    def __init__(self):\n"
+        "        self.dropped = 0\n"
+        "        self.seen, (self.left, *self.rest) = 0, (1, 2)\n"
+        "        self.table = {}\n"
+        "        self.total = 0\n"
+        "    def accept(self, m):\n"
+        "        self.dropped += 1\n"
+        "        self.table[m.frame] = self.seen\n"
+        "        self.total += 1\n"
+        "        return self.total, self.left\n"
+        "other.stamp = 1\n"
+    )
+    reader = "def use(rec, msg):\n    return rec.kept, msg.cov\n"
+    assert unread_attributes(source, [source, reader]) == [
+        "line 6: stamp", "line 14: dropped", "line 15: rest",
+    ]
 
 
 def test_package_modules_found():

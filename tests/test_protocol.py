@@ -14,7 +14,6 @@ from markerswarm.swarm.protocol import (
     STATION_ID,
     Decoded,
     Endpoint,
-    FrameMerged,
     Hello,
     KeyposeCommit,
     MapSnapshot,
@@ -78,8 +77,7 @@ def all_messages():
             timestamp=3.25,
         ),
         PoseReport(frame=1, timestamp=2.0, mean=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0)),
-        MapSnapshot(entries=(entry,)),
-        FrameMerged(loser=2, winner=0, rt=sample_pose(13)),
+        MapSnapshot(entries=(entry,), merges=((2, 0, sample_pose(13)), (1, 0, sample_pose(14)))),
         KeyposeCommit(keypose=sample_keypose()),
     ]
 
@@ -139,9 +137,8 @@ def legacy_payload(msg):
         return {"frame": msg.frame,
                 "timestamp": float(msg.timestamp), "mean": [float(v) for v in msg.mean]}
     if isinstance(msg, MapSnapshot):
-        return {"entries": [legacy_entry(e) for e in msg.entries]}
-    if isinstance(msg, FrameMerged):
-        return {"loser": msg.loser, "winner": msg.winner, "rt": legacy_pose(msg.rt)}
+        merges = [{"from": r, "to": w, "rt": legacy_pose(rt)} for r, w, rt in msg.merges]
+        return {"entries": [legacy_entry(e) for e in msg.entries], "merges": merges}
     if isinstance(msg, KeyposeCommit):
         return {"keypose": legacy_keypose(msg.keypose)}
     return {}
@@ -161,7 +158,8 @@ def awkward_messages():
                      cov=cov, obs_count=1)
     return [
         PoseReport(frame=2, timestamp=-0.0, mean=tuple(odd.tolist())),
-        MapSnapshot(entries=(entry, replace(entry, marker_id=4, cov=-cov))),
+        MapSnapshot(entries=(entry, replace(entry, marker_id=4, cov=-cov)),
+                    merges=((3, 2, entry.pose),)),
         MarkerObs(detection=sample_detection(), ekf_pose=entry.pose, ekf_cov=cov, frame=-0,
                   timestamp=-0.0),
     ]
@@ -190,6 +188,12 @@ class TestCodec:
         assert out.detection.marker_id == 42 and out.detection.camera == "down"
         assert out.frame == 1 and out.timestamp == 3.25
 
+    def test_snapshot_round_trip_preserves_the_frame_table(self):
+        msg = next(m for m in all_messages() if isinstance(m, MapSnapshot))
+        out = decode(encode(msg, sender=STATION_ID, seq=3)).msg
+        assert [(r, w) for r, w, _ in out.merges] == [(2, 0), (1, 0)]
+        assert all(poses_close(a[2], b[2]) for a, b in zip(out.merges, msg.merges, strict=True))
+
     def test_keypose_round_trip_preserves_observation(self):
         msg = KeyposeCommit(keypose=sample_keypose())
         out = decode(encode(msg, sender=2, seq=5)).msg
@@ -208,7 +212,7 @@ class TestCodec:
         assert doc["type"] == "Hello"
 
     def test_station_sender_allowed(self):
-        line = encode(MapSnapshot(entries=()), sender=STATION_ID, seq=0)
+        line = encode(MapSnapshot(entries=(), merges=()), sender=STATION_ID, seq=0)
         assert decode(line).sender == STATION_ID
 
     @pytest.mark.parametrize(
@@ -218,7 +222,7 @@ class TestCodec:
             "[1, 2, 3]",
             '{"sender": 0, "seq": 1}',
             '{"type": "Warp", "sender": 0, "seq": 1}',
-            '{"type": "FrameMerged", "sender": -1, "seq": 1, "loser": 1, "winner": 0}',
+            '{"type": "MapSnapshot", "sender": -1, "seq": 1, "entries": []}',
             '{"type": "Hello", "seq": 1}',
             '{"type": "Hello", "sender": 0, "seq": -1}',
             '{"type": "Hello", "sender": 0, "seq": 1.5}',
@@ -226,8 +230,8 @@ class TestCodec:
             '{"type": "Hello", "sender": 0, "seq": "7"}',
             '{"type": "Shutdown", "sender": 0, "seq": 1}',
             "",
-            tampered("FrameMerged", ["loser"], 1.9),
-            tampered("FrameMerged", ["winner"], True),
+            tampered("MapSnapshot", ["merges", 0, "from"], 1.9),
+            tampered("MapSnapshot", ["merges", 1, "to"], True),
             tampered("PoseReport", ["frame"], 1.5),
             tampered("MarkerObs", ["frame"], 1.0),
             tampered("MarkerObs", ["detection", "marker_id"], "42"),
@@ -260,7 +264,7 @@ class TestCodec:
             tampered("MarkerObs", ["detection", "rel_pose", "t"], ["0.1", 0.0, 0.0]),
             tampered("MarkerObs", ["ekf_pose", "euler"], [0.0, False, 0.0]),
             tampered("MarkerObs", ["ekf_cov"], [True if v else 0.0 for v in flat(np.eye(6))]),
-            tampered("FrameMerged", ["rt", "t"], ["0.5", 0.0, 0.0]),
+            tampered("MapSnapshot", ["merges", 0, "rt", "t"], ["0.5", 0.0, 0.0]),
             tampered("PoseReport", ["timestamp"], "inf"),
             tampered("PoseReport", ["mean"], ["0.0", 1.0, 2.0, 3.0, 4.0, 5.0]),
             tampered("PoseReport", ["frame"], True),
@@ -271,6 +275,8 @@ class TestCodec:
                      [True, 0.0, 0.0]),
             tampered("MarkerObs", ["detection", "range"], -1.0),
             tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], -2.0),
+            '{"type": "FrameMerged", "sender": -1, "seq": 1, "loser": 1, "winner": 0, '
+            '"rt": {"t": [0.0, 0.0, 0.0], "euler": [0.0, 0.0, 0.0]}}',
         ],
         ids=[
             "raw-text",
@@ -326,6 +332,7 @@ class TestCodec:
             "keypose-bool-observation-rel-pose-t",
             "obs-negative-range",
             "keypose-negative-observation-range",
+            "frame-merged",
         ],
     )
     def test_malformed_lines_raise(self, line):
@@ -387,14 +394,13 @@ class TestSequenceGuard:
     def test_monotone_accept(self):
         g = SequenceGuard()
         assert g.accept(0, 0) and g.accept(0, 1) and g.accept(0, 5)
-        assert g.dropped == 0
 
     def test_replay_and_regression_rejected(self):
         g = SequenceGuard()
         assert g.accept(0, 3)
         assert not g.accept(0, 3)
         assert not g.accept(0, 2)
-        assert g.dropped == 2
+        assert g.accept(0, 4)
 
     def test_senders_independent(self):
         g = SequenceGuard()
@@ -436,8 +442,8 @@ class TestEndpoint:
     def test_one_encode_reaches_every_transport(self):
         boxes = [QueueTransport() for _ in range(3)]
         ep = Endpoint(STATION_ID, *boxes)
-        ep.send(MapSnapshot(entries=()))
-        ep.send(MapSnapshot(entries=()))
+        ep.send(MapSnapshot(entries=(), merges=()))
+        ep.send(MapSnapshot(entries=(), merges=()))
         first, *rest = [box.drain() for box in boxes]
         assert [decode(line).seq for line in first] == [1, 2]
         assert all(all(a is b for a, b in zip(lines, first, strict=True)) for lines in rest)

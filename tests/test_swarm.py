@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import random
 import sys
 import threading
 from collections import Counter
@@ -15,7 +16,7 @@ import pytest
 from markerswarm.bundle import Keypose
 from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.scenario import PolicyConfig, load_scenario, parse_scenario
-from markerswarm.swarm import protocol, run_scenario
+from markerswarm.swarm import protocol, run_scenario, runner
 from markerswarm.swarm.nodes import (
     STALL_LIMIT,
     GroundStation,
@@ -26,7 +27,6 @@ from markerswarm.swarm.nodes import (
 from markerswarm.swarm.protocol import (
     STATION_ID,
     Endpoint,
-    FrameMerged,
     Hello,
     KeyposeCommit,
     MapSnapshot,
@@ -312,7 +312,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, station_tx = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
-        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
+        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),), merges=()))
         node.tick(0.1, still_odometry(), [])
         node.steer(0.1)
         assert set(node.map_view) == {5}
@@ -326,7 +326,7 @@ class TestNavptsNode:
         node.steer(0.1)
         pose_before = node.state.pose
         rt = Pose6D.from_euler([2.0, -1.0, 0.0], [0, 0, 0.6])
-        station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
+        station_tx.send(MapSnapshot(entries=(), merges=((1, 0, rt),)))
         node.tick(0.2, still_odometry(), [])
         node.steer(0.2)
         assert node.state.frame == 0
@@ -340,7 +340,7 @@ class TestNavptsNode:
         sc = node_scenario()
         node, station_inbox, station_tx = make_node(sc, drone_id=1)
         rt = Pose6D.from_euler([1.0, 0.0, 0.0], [0, 0, 0])
-        station_tx.send(FrameMerged(loser=1, winner=0, rt=rt))
+        station_tx.send(MapSnapshot(entries=(), merges=((1, 0, rt),)))
         node.tick(0.1, still_odometry(), [])
         assert node.state.frame == 1 and node.trajectory == []
         assert node.state.pose.t[0] == pytest.approx(1.0)
@@ -354,10 +354,45 @@ class TestNavptsNode:
     def test_merge_for_other_frame_ignored(self):
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=0)
-        station_tx.send(FrameMerged(loser=1, winner=0, rt=Pose6D.identity()))
+        station_tx.send(MapSnapshot(entries=(), merges=((1, 0, Pose6D.identity()),)))
         node.tick(0.1, still_odometry(), [])
         node.steer(0.1)
         assert node.state.frame == 0
+
+    def test_snapshot_walks_a_drone_that_missed_merges_to_the_live_frame(self):
+        # the merge snapshots of 2 -> 1 and 1 -> 0 never arrived; a later
+        # snapshot's table carries the drone through both hops at once
+        drones = [{"id": d, "start_pose": {"t": [d, d, 1], "euler": [0, 0, 0]}} for d in range(3)]
+        sc = node_scenario(extra={"drones": drones})
+        node, _, station_tx = make_node(sc, drone_id=2)
+        node.tick(0.1, still_odometry(), [])
+        node.steer(0.1)
+        pose_before = node.state.pose
+        rt_21 = Pose6D.from_euler([2.0, -1.0, 0.0], [0, 0, 0.6])
+        rt_10 = Pose6D.from_euler([-0.5, 0.3, 0.0], [0, 0, -0.2])
+        marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
+        entry = replace(entry_for(node, marker, obs_count=2), frame=0)
+        station_tx.send(MapSnapshot(entries=(entry,), merges=((2, 1, rt_21), (1, 0, rt_10))))
+        node.tick(0.2, still_odometry(), [])
+        node.steer(0.2)
+        assert node.state.frame == 0 and node.map_view[5].frame == 0
+        assert [row["frame"] for row in node.trajectory] == [0, 0]
+        expected = rt_10.compose(rt_21.compose(pose_before))
+        np.testing.assert_allclose(node.trajectory[0]["pose"].t, expected.t, atol=1e-12)
+        np.testing.assert_allclose(node.state.pose.t, expected.t, atol=1e-12)
+
+    def test_frame_merged_line_is_malformed_and_moves_nothing(self, caplog):
+        # the frame table rides on every snapshot; the old merge event is an unknown type
+        sc = node_scenario()
+        node, _, _ = make_node(sc, drone_id=1)
+        rt = {"t": [1.0, 0.0, 0.0], "euler": [0.0, 0.0, 0.0]}
+        doc = {"type": "FrameMerged", "sender": STATION_ID, "seq": 1, "loser": 1, "winner": 0}
+        node.inbox.send_line(json.dumps({**doc, "rt": rt}))
+        with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
+            node.tick(0.1, still_odometry(), [])
+            node.steer(0.1)
+        assert any("dropped a bad line" in rec.message for rec in caplog.records)
+        assert node.state.frame == 1 and node.state.pose.t[0] == pytest.approx(1.0)
 
     def test_garbage_inbox_line_dropped(self):
         sc = node_scenario()
@@ -373,7 +408,7 @@ class TestNavptsNode:
         node, station_inbox, station_tx = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.inbox.send_line('{"type": "Hello", "sender": -1, "seq": 1.5}')
-        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
+        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),), merges=()))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
             node.tick(0.1, still_odometry(), [])
             node.steer(0.1)
@@ -382,41 +417,45 @@ class TestNavptsNode:
         assert set(node.map_view) == {5}
         assert outbound_types(station_inbox) == ["PoseReport"]
 
-    def test_replayed_older_snapshot_keeps_newer_view(self):
+    def test_replayed_older_snapshot_keeps_newer_view(self, caplog):
         sc = node_scenario()
         node, _, _ = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
-        older = MapSnapshot(entries=(entry_for(node, marker, obs_count=2),))
-        newer = MapSnapshot(entries=(entry_for(node, marker, obs_count=3),))
+        older = MapSnapshot(entries=(entry_for(node, marker, obs_count=2),), merges=())
+        newer = MapSnapshot(entries=(entry_for(node, marker, obs_count=3),), merges=())
         node.inbox.send_line(encode(newer, sender=STATION_ID, seq=4))
         node.inbox.send_line(encode(older, sender=STATION_ID, seq=3))
-        node.tick(0.1, still_odometry(), [])
-        node.steer(0.1)
+        with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
+            node.tick(0.1, still_odometry(), [])
+            node.steer(0.1)
         assert node.map_view[5].obs_count == 3
-        assert node.guard.dropped == 1
+        assert [rec.message for rec in caplog.records if "stale" in rec.message] == [
+            "drone 0 dropped stale line seq 3 from -1"
+        ]
 
     def test_stale_line_logged_and_dropped(self, caplog):
         sc = node_scenario()
         node, _, _ = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.inbox.send_line(encode(Hello(), sender=STATION_ID, seq=4))
-        snapshot = MapSnapshot(entries=(entry_for(node, marker, obs_count=2),))
+        snapshot = MapSnapshot(entries=(entry_for(node, marker, obs_count=2),), merges=())
         node.inbox.send_line(encode(snapshot, sender=STATION_ID, seq=4))
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
             node.tick(0.1, still_odometry(), [])
             node.steer(0.1)
-        assert any("dropped stale line seq 4" in rec.message for rec in caplog.records)
-        assert node.map_view == {} and node.guard.dropped == 1
+        stale = [rec.message for rec in caplog.records if "stale" in rec.message]
+        assert stale == ["drone 0 dropped stale line seq 4 from -1"]
+        assert node.map_view == {}
 
     def test_map_snapshots_merge_into_view(self):
         sc = node_scenario()
         node, _, station_tx = make_node(sc)
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
-        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),)))
+        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),), merges=()))
         station_tx.send(
-            MapSnapshot(entries=(entry_for(node, marker, obs_count=1, marker_id=6),))
+            MapSnapshot(entries=(entry_for(node, marker, obs_count=1, marker_id=6),), merges=())
         )
-        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=3),)))
+        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=3),), merges=()))
         node.tick(0.1, still_odometry(), [])
         node.steer(0.1)
         assert {k: e.obs_count for k, e in node.map_view.items()} == {5: 3, 6: 1}
@@ -425,7 +464,8 @@ class TestNavptsNode:
         sc = node_scenario()
         node, _, _ = make_node(sc, drone_id=1)
         rt = Pose6D.from_euler([1.0, 0.0, 0.0], [0, 0, 0])
-        line = encode(FrameMerged(loser=1, winner=0, rt=rt), sender=STATION_ID, seq=5)
+        merge = MapSnapshot(entries=(), merges=((1, 0, rt),))
+        line = encode(merge, sender=STATION_ID, seq=5)
         node.inbox.send_line(line)
         node.inbox.send_line(line)
         node.tick(0.1, still_odometry(), [])
@@ -544,8 +584,8 @@ class TestGroundStation:
         assert station.gmap.membership[1] == 0
         entry = station.gmap.lookup(5)
         assert entry.frame == 0 and entry.obs_count == 2
-        kinds = [type(decode(line).msg).__name__ for line in inboxes[0].drain()]
-        assert "FrameMerged" in kinds
+        tables = [[(r, w) for r, w, _ in decode(line).msg.merges] for line in inboxes[0].drain()]
+        assert [(1, 0)] in tables
         assert event["time"] == 0.8  # the MarkerObs's own time
 
     def test_hello_registers_the_envelope_sender(self):
@@ -727,8 +767,10 @@ class TestGroundStation:
         believed1 = offset.inverse().compose(true1)
         senders[1].send(obs_from(1, believed1, true1, world_marker(), cam, now=0.8))
         assert len(station.merge_events) == 1
-        assert station_encodes == ["MapSnapshot", "FrameMerged"]
-        assert isinstance(one_line_for_all(), FrameMerged)
+        assert station_encodes == ["MapSnapshot", "MapSnapshot"]
+        merge = one_line_for_all()
+        assert isinstance(merge, MapSnapshot) and merge.entries == ()
+        assert [(r, w) for r, w, _ in merge.merges] == [(1, 0)]
 
     def test_each_broadcast_is_decoded_once_and_shared(self, monkeypatch):
         # three drones read a merge and one snapshot; the station decodes its
@@ -762,7 +804,7 @@ class TestGroundStation:
         station.flush()
         for node in nodes.values():
             node.steer(0.1)
-        assert len(station_decodes) == 2  # FrameMerged, MapSnapshot
+        assert len(station_decodes) == 2  # the merge's snapshot and the flush's
         assert set(station_decodes.values()) == {1}
         for node in nodes.values():
             assert node.map_view.keys() == station.gmap.entries.keys() == {5}
@@ -827,9 +869,11 @@ class TestGroundStation:
         assert len(station.merge_events) == 1
         station.flush()
         for box in inboxes.values():
-            snapshots = [m for m in (decode(line).msg for line in box.drain())
-                         if isinstance(m, MapSnapshot)]
-            (snapshot,) = snapshots
+            merge, snapshot = [decode(line).msg for line in box.drain()]
+            assert merge.entries == ()
+            assert [(r, w, rt.to_dict()) for r, w, rt in merge.merges] == [
+                (r, w, rt.to_dict()) for r, w, rt in snapshot.merges
+            ] == [(1, 0, station.merges[1].transform.rt.to_dict())]
             # the moved entries of frame 1, and marker 5 fused in frame 0
             assert [e.to_dict() for e in snapshot.entries] == [
                 station.gmap.lookup(k).to_dict() for k in (5, 6, 7)
@@ -1244,6 +1288,71 @@ class TestRunScenario:
         true1 = Pose6D.from_euler([0.8, 0.6, 0.0], [0, 0, 2.2])
         assert np.linalg.norm(rt.t - true1.t) < 1e-6
         assert rotation_angle_between(rt.q, true1.q) < 1e-6
+
+    @staticmethod
+    def run_lab_with_lossy_inboxes(monkeypatch, drop):
+        """Lab seed 11 where ``drop(drone_id, line)`` loses broadcast lines at a drone's inbox.
+
+        The loss wraps each inbox's ``send_line``; the station still sends
+        every line, and the scenario does not know about it.
+        """
+        build = runner._build_system
+        lost = Counter()
+
+        def lossy_build(scenario):
+            station, nodes = build(scenario)
+            for drone_id, node in nodes.items():
+                def send_line(line, drone_id=drone_id, deliver=node.inbox.send_line):
+                    if drop(drone_id, line):
+                        lost[drone_id] += 1
+                    else:
+                        deliver(line)
+
+                node.inbox.send_line = send_line
+            return station, nodes
+
+        monkeypatch.setattr(runner, "_build_system", lossy_build)
+        sc = load_scenario(str(SCENARIOS / "lab_three_drones.json"))
+        return run_scenario(sc, seed=11, mode="lockstep"), lost
+
+    def test_lost_merge_line_heals_at_the_next_broadcast(self, monkeypatch):
+        told = []
+
+        def first_merge_of_frame_1_to_drone_1(drone_id, line):
+            if drone_id != 1 or told:
+                return False
+            if any(retired == 1 for retired, _, _ in decode(line).msg.merges):
+                told.append(line)
+                return True
+            return False
+
+        report, lost = self.run_lab_with_lossy_inboxes(
+            monkeypatch, first_merge_of_frame_1_to_drone_1
+        )
+        assert lost == {1: 1}
+        assert report["drone_frames"]["1"] == 0
+        assert report["trajectories"]["1"][-1]["frame"] == 0
+        assert "1" in report["metrics"]["ate"]
+
+    def test_a_fifth_of_broadcast_lines_lost_leaves_every_drone_in_the_live_frame(
+        self, monkeypatch
+    ):
+        lossless = run_scenario(load_scenario(str(SCENARIOS / "lab_three_drones.json")), seed=11)
+        # with these seeds drone 1 loses the only line that tells it of its
+        # merge: a drone that moved on a one-off merge event would stay in
+        # frame 1 for the rest of the run, with 16 updates and no ATE
+        rngs = {drone_id: random.Random(6 + drone_id) for drone_id in range(3)}
+        report, lost = self.run_lab_with_lossy_inboxes(
+            monkeypatch, lambda drone_id, line: rngs[drone_id].random() < 0.2
+        )
+        assert sorted(lost) == [0, 1, 2]
+        for drone_id in ("0", "1", "2"):
+            assert drone_id in report["metrics"]["ate"]
+            assert report["drone_frames"][drone_id] == 0
+            assert report["trajectories"][drone_id][-1]["frame"] == 0
+            updates = report["counters"]["drones"][drone_id]["updates"]
+            expected = lossless["counters"]["drones"][drone_id]["updates"]
+            assert abs(updates - expected) <= 0.1 * expected, (drone_id, updates, expected)
 
     def test_lab_seed_12_logs_no_out_of_band_rigid_fit(self, caplog):
         # mis-framed detections once bent a support-2 refine of this run to
