@@ -10,8 +10,9 @@ trusting the filter trajectory that inserted the markers).
 
 The noise model is the one the filter and the map use,
 ``ekf.detection_noise``: a diagonal covariance set by the detection's
-range. So whitening divides each residual axis by its sigma, the square
-root of that diagonal.
+range, whose diagonal ``ekf.detection_variances`` gives. So whitening
+divides each residual axis by its sigma, the square root of that
+diagonal.
 
 The first keypose of the lowest drone id anchors the gauge: it is not a
 variable, which pins the otherwise free rigid motion of the whole problem.
@@ -38,13 +39,15 @@ raises ArithmeticError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from markerswarm.ekf import EkfConfig, detection_noise
+from markerswarm.ekf import EkfConfig, detection_variances
 from markerswarm.geom import (
     Pose6D,
+    _quat_euler,
     check_float,
     check_int,
     euler_rate_from_rot_rate,
@@ -116,7 +119,9 @@ def select_keypose(
         return False
     if last is None:
         return True
-    moved = float(np.linalg.norm(current.t - last.t)) > d_key
+    offset = current.t - last.t
+    # what np.linalg.norm computes for a real vector, without its dispatch
+    moved = math.sqrt(offset.dot(offset)) > d_key
     turned = rotation_angle_between(current.q, last.q) > theta_key
     return moved or turned
 
@@ -130,8 +135,8 @@ class BaProblem:
     markers missing from ``marker_poses`` are dropped. ``obs_keypose`` and
     ``obs_marker`` give each observation's keypose (0 for the anchor) and
     marker position in those orders. Each detection's camera pose comes
-    from ``cameras`` and its noise from ``detection_noise``, the model the
-    filter and the map use.
+    from ``cameras``, one rotation per camera, and its noise from
+    ``detection_variances``, the model the filter and the map use.
     """
 
     def __init__(
@@ -178,16 +183,20 @@ class BaProblem:
         # per-observation arrays, fixed for the life of the problem
         marker_index = {m: j for j, m in enumerate(self.marker_ids)}
         dets = [d for _, d in self.observations]
-        extrinsics = [cameras[d.camera].extrinsics for d in dets]
         self.obs_keypose = np.array([i for i, _ in self.observations])  # 0 is the anchor
         self.obs_marker = np.array([marker_index[d.marker_id] for d in dets])
         self._anchor = self.keyposes[0].pose.to_vector()
-        self._cam_rot = np.array([e.rotation() for e in extrinsics])
-        self._cam_t = np.array([e.t for e in extrinsics])
-        self._obs_t = np.array([d.rel_pose.t for d in dets])
-        self._obs_euler = np.array([d.rel_pose.euler for d in dets])
+        # one rotation per camera, gathered per observation
+        names = sorted({d.camera for d in dets})
+        camera_index = {name: k for k, name in enumerate(names)}
+        obs_camera = np.array([camera_index[d.camera] for d in dets])
+        self._cam_rot = np.array([cameras[n].extrinsics.rotation() for n in names])[obs_camera]
+        self._cam_t = np.array([cameras[n].extrinsics.t for n in names])[obs_camera]
+        self._obs_t = np.array([d.rel_pose.t.tolist() for d in dets])
+        self._obs_euler = np.array([_quat_euler(d.rel_pose.q.tolist()) for d in dets])
         # the noise is diagonal: whitening divides each axis by its sigma
-        self._sigma = np.sqrt([np.diag(detection_noise(d, ekf_config)) for d in dets])
+        variances = [detection_variances(d, ekf_config) for d in dets]
+        self._sigma = np.sqrt([(v_p, v_p, v_p, v_a, v_a, v_a) for v_p, v_a in variances])
 
     @property
     def n_keypose_vars(self) -> int:
@@ -198,15 +207,18 @@ class BaProblem:
         return 6 * (self.n_keypose_vars + len(self.marker_ids))
 
     def initial_vector(self) -> np.ndarray:
-        parts = [kp.pose.to_vector() for kp in self.keyposes[1:]]
-        parts += [self.marker_init[m].to_vector() for m in self.marker_ids]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        poses = [kp.pose for kp in self.keyposes[1:]]
+        poses += [self.marker_init[m] for m in self.marker_ids]
+        # Pose6D.to_vector's values, in one array
+        return np.array(
+            [(*p.t.tolist(), *_quat_euler(p.q.tolist())) for p in poses], dtype=float
+        ).reshape(-1)
 
     def unpack(self, x: np.ndarray) -> tuple[list[Keypose], dict[int, Pose6D]]:
         blocks = x.reshape(-1, 6)  # keyposes after the anchor, then markers
         n_keyposes = self.n_keypose_vars
         keyposes = [self.keyposes[0]] + [
-            replace(kp, pose=Pose6D.from_vector(v))
+            Keypose(kp.drone_id, kp.frame, Pose6D.from_vector(v), kp.timestamp, kp.observations)
             for kp, v in zip(self.keyposes[1:], blocks[:n_keyposes])
         ]
         markers = {m: Pose6D.from_vector(v) for m, v in zip(self.marker_ids, blocks[n_keyposes:])}

@@ -37,11 +37,12 @@ from markerswarm.geom import (
     symmetrize,
     transport_covariance,
     wrap_angle,
-    wrap_angles,
 )
 from markerswarm.worldsim import CameraParams, MarkerDetection, OdometryReading
 
 STATE_DIM = 6
+_EYE = np.eye(STATE_DIM)
+_EYE.setflags(write=False)
 
 
 def chi2_ppf_6dof(q: float) -> float:
@@ -116,10 +117,7 @@ class EkfState:
     frame: int
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float).reshape(STATE_DIM)
-        cov = np.array(self.cov, dtype=float).reshape(STATE_DIM, STATE_DIM)
-        mean.flags.writeable = False
-        cov.flags.writeable = False
+        mean, cov = _frozen_copies(self.mean, self.cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -140,18 +138,33 @@ class PoseObservation:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        vector = np.array(self.vector, dtype=float).reshape(STATE_DIM)
-        cov = np.array(self.cov, dtype=float).reshape(STATE_DIM, STATE_DIM)
-        vector.flags.writeable = False
-        cov.flags.writeable = False
+        vector, cov = _frozen_copies(self.vector, self.cov)
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "cov", cov)
 
 
+def _frozen_copies(vector, cov) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float copies of a state vector and its covariance, shapes checked."""
+    vector = np.array(vector, dtype=float)
+    if vector.shape != (STATE_DIM,):
+        vector = vector.reshape(STATE_DIM)
+    cov = np.array(cov, dtype=float)
+    if cov.shape != (STATE_DIM, STATE_DIM):
+        cov = cov.reshape(STATE_DIM, STATE_DIM)
+    vector.setflags(write=False)
+    cov.setflags(write=False)
+    return vector, cov
+
+
 def _transition_jacobian(derivs, dt: float) -> np.ndarray:
-    jac = np.eye(STATE_DIM)
+    (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = derivs
+    jac = _EYE.copy()
     # column 3 + k is d(R v)/d angle k, times dt
-    jac[:3, 3:] = np.array(derivs).T * dt
+    jac[:3, 3:] = (
+        (a0 * dt, b0 * dt, g0 * dt),
+        (a1 * dt, b1 * dt, g1 * dt),
+        (a2 * dt, b2 * dt, g2 * dt),
+    )
     return jac
 
 
@@ -178,13 +191,21 @@ def predict(state: EkfState, odo: OdometryReading, config: EkfConfig) -> EkfStat
     return EkfState(mean, cov, state.frame)
 
 
-def detection_noise(det: MarkerDetection, config: EkfConfig) -> np.ndarray:
-    """Diagonal measurement covariance for one detection at its range."""
+def detection_variances(det: MarkerDetection, config: EkfConfig) -> tuple[float, float]:
+    """Position and angle variance of one detection at its range, per axis."""
     sigma_p = config.det_pos_base + config.det_pos_per_m * det.range
     sigma_a = config.det_ang_base + config.det_ang_per_m * det.range
     if sigma_p <= 0.0 or sigma_a <= 0.0:
         raise ValueError(f"detection noise must be strictly positive, got {sigma_p}, {sigma_a}")
-    return np.diag([sigma_p**2] * 3 + [sigma_a**2] * 3)
+    return sigma_p**2, sigma_a**2
+
+
+def detection_noise(det: MarkerDetection, config: EkfConfig) -> np.ndarray:
+    """Diagonal measurement covariance for one detection at its range."""
+    var_p, var_a = detection_variances(det, config)
+    noise = np.zeros((STATE_DIM, STATE_DIM))
+    noise.flat[:: STATE_DIM + 1] = (var_p, var_p, var_p, var_a, var_a, var_a)
+    return noise
 
 
 def observation_from_marker(
@@ -208,9 +229,9 @@ def observation_from_marker(
 
 
 def innovation(state: EkfState, obs: PoseObservation) -> np.ndarray:
-    diff = obs.vector - state.mean
-    diff[3:] = wrap_angles(diff[3:])
-    return diff
+    x, y, z, alpha, beta, gamma = (obs.vector - state.mean).tolist()
+    # wrap_angle per angle: the IEEE operations wrap_angles runs elementwise
+    return np.array((x, y, z, wrap_angle(alpha), wrap_angle(beta), wrap_angle(gamma)))
 
 
 def update(state: EkfState, obs: PoseObservation, config: EkfConfig) -> tuple[EkfState, bool]:
@@ -230,10 +251,10 @@ def update(state: EkfState, obs: PoseObservation, config: EkfConfig) -> tuple[Ek
     if config.gate_enabled and float(y @ sol[:, 0]) > config.gate_threshold:
         return state, False
     gain = sol[:, 1:].T  # P S^-1, via symmetric S
-    mean = state.mean + gain @ y
-    mean[3:] = wrap_angles(mean[3:])
+    px, py, pz, alpha, beta, gamma = (state.mean + gain @ y).tolist()
+    mean = (px, py, pz, wrap_angle(alpha), wrap_angle(beta), wrap_angle(gamma))  # as in innovation
     # Joseph form keeps the posterior symmetric PSD under roundoff
-    a = np.eye(STATE_DIM) - gain
+    a = _EYE - gain
     cov = a @ p @ a.T + gain @ obs.cov @ gain.T
     return EkfState(mean, symmetrize(cov), state.frame), True
 

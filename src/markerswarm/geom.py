@@ -23,15 +23,22 @@ of values a run computes itself (``EkfState``, ``PoseObservation``,
 exception: it still rejects a non-finite translation and normalizes its
 quaternion.
 
+``Pose6D`` is a slotted dataclass built in one pass: its own
+``__init__`` copies ``t``, checks that it is finite and normalizes ``q``
+on floats through ``_quat_unit``, whose norm stays on ``ndarray.dot``
+(below). It has no ``__post_init__`` and no ``__dict__``: a run builds a
+pose per tick per drone and per detection, and keeps many of them.
+
 Float kernels: the quaternion and pose kernels unpack their arrays with
 ``tolist()`` and compute on Python floats, which is several times faster
 than numpy dispatch on 3- and 4-vectors. ``Pose6D``'s own methods do the
 same IEEE operations in the same order as the array forms they replaced,
-so they are bit-identical to them (``tests/test_geom.py`` keeps those
-forms as references). Quaternion norms stay on ``ndarray.dot``: a
-sequential float sum of squares differs from OpenBLAS ``ddot`` in the last
-bit for about a quarter of random quaternions (72 214 of 300 000
-standard-normal 4-vectors, scipy-openblas 0.3.31 on x86-64).
+so they are bit-identical to them (``tests/test_geom.py`` and
+``tests/reference.py`` keep those forms as references). Quaternion norms
+stay on ``ndarray.dot``: a sequential float sum of squares differs from
+OpenBLAS ``ddot`` in the last bit for about a quarter of random
+quaternions (72 214 of 300 000 standard-normal 4-vectors, scipy-openblas
+0.3.31 on x86-64).
 
 The per-detection path goes further and builds no intermediate pose.
 ``_compose``, ``_inverse``, ``_euler_quat`` and ``_quat_euler`` chain on
@@ -69,9 +76,15 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
 # quaternions, scalar-first (w, x, y, z)
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
+def _quat_unit(q) -> tuple[float, float, float, float]:
+    """``q`` divided by its norm, on floats, with the canonical sign ``w >= 0``.
+
+    The norm is ``math.sqrt(q.dot(q))`` on an array: what ``np.linalg.norm``
+    computes for a real vector, without its dispatch.
+    """
     q = np.asarray(q, dtype=float)
-    # what np.linalg.norm computes for a real vector, without its dispatch
+    if q.shape != (4,):
+        q = q.reshape(4)
     norm = math.sqrt(q.dot(q))
     if not math.isfinite(norm) or norm < _QUAT_NORM_TOL:
         raise ValueError(f"cannot normalize quaternion with norm {norm!r}")
@@ -79,8 +92,12 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     w, x, y, z = w / norm, x / norm, y / norm, z / norm
     # canonical sign: w >= 0 makes serialization and comparisons deterministic
     if w < 0.0:
-        return np.array([-w, -x, -y, -z])
-    return np.array([w, x, y, z])
+        return -w, -x, -y, -z
+    return w, x, y, z
+
+
+def quat_normalize(q: np.ndarray) -> np.ndarray:
+    return np.array(_quat_unit(q))
 
 
 def _multiply(a, b) -> tuple[float, float, float, float]:
@@ -354,36 +371,39 @@ def rotation_angle_between(qa: np.ndarray, qb: np.ndarray) -> float:
 # poses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose6D:
     """Rigid transform: rotate by ``q`` then translate by ``t``.
 
-    Holds ``t`` and ``q`` only. Nothing derived (Euler angles, rotation
-    matrix) is cached on it: a run keeps one pose per tick per drone.
+    Holds ``t`` and ``q`` only, in slots: nothing derived (Euler angles,
+    rotation matrix) can be cached on it, since a run keeps one pose per
+    tick per drone.
     """
 
     t: np.ndarray
     q: np.ndarray
 
-    def __post_init__(self) -> None:
-        t = np.array(self.t, dtype=float).reshape(3)
+    def __init__(self, t, q) -> None:
+        t = np.array(t, dtype=float)
+        if t.shape != (3,):
+            t = t.reshape(3)
         if not all(map(math.isfinite, t.tolist())):
             raise ValueError(f"non-finite translation {t}")
-        q = quat_normalize(np.asarray(self.q, dtype=float).reshape(4))
-        t.flags.writeable = False
-        q.flags.writeable = False
+        q = np.array(_quat_unit(q))
+        t.setflags(write=False)
+        q.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "q", q)
 
     @staticmethod
     def identity() -> "Pose6D":
-        return Pose6D(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+        return Pose6D((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
     @staticmethod
     def from_euler(t, euler) -> "Pose6D":
-        euler = np.asarray(euler, dtype=float).reshape(3)
+        alpha, beta, gamma = np.asarray(euler, dtype=float).reshape(3).tolist()
         # normalized once, by the constructor
-        return Pose6D(np.asarray(t, dtype=float), _euler_quat(*euler.tolist()))
+        return Pose6D(t, _euler_quat(alpha, beta, gamma))
 
     @property
     def euler(self) -> np.ndarray:
@@ -411,8 +431,8 @@ class Pose6D:
 
     @staticmethod
     def from_vector(vec: np.ndarray) -> "Pose6D":
-        vec = np.asarray(vec, dtype=float).reshape(6)
-        return Pose6D.from_euler(vec[:3], vec[3:])
+        x, y, z, alpha, beta, gamma = np.asarray(vec, dtype=float).reshape(6).tolist()
+        return Pose6D((x, y, z), _euler_quat(alpha, beta, gamma))
 
     def to_dict(self) -> dict:
         return {"t": self.t.tolist(), "euler": list(_quat_euler(self.q.tolist()))}

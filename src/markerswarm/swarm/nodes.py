@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
+from itertools import filterfalse
 
 import numpy as np
 
@@ -86,16 +87,16 @@ class SweepPolicy:
     def choose_destination(self, pose: Pose6D) -> VelocityCommand:
         position = pose.t
         distances = _distances(self.cells, position)
-        for index, distance in enumerate(distances):
-            if index not in self.visited and distance <= self.config.r_visit:
-                self.visited.add(index)
+        r_visit = self.config.r_visit
+        self.visited.update(i for i, distance in enumerate(distances) if distance <= r_visit)
 
         while True:
             if len(self.visited) == len(self.cells):
                 self.visited.clear()
+            # the first nearest in index order: ties go to the lowest index
             best = min(
-                (i for i in range(len(self.cells)) if i not in self.visited),
-                key=lambda i: (distances[i], i),
+                filterfalse(self.visited.__contains__, range(len(self.cells))),
+                key=distances.__getitem__,
             )
             if best != self._target:
                 self._target = best
@@ -112,12 +113,13 @@ class SweepPolicy:
             self.visited.add(best)
             self._target = None
 
-        delta = self.cells[best] - position
         if distance < 1e-9:
             return VelocityCommand(np.zeros(3), self.config.yaw_rate)
         speed = min(self.config.speed, distance)
-        v_world = delta / distance * speed
-        v_body = pose.rotation().T @ v_world
+        v_world = [
+            (c - p) / distance * speed for c, p in zip(self.cells[best].tolist(), position.tolist())
+        ]
+        v_body = pose.rotation().T @ np.array(v_world)
         return VelocityCommand(v_body, self.config.yaw_rate)
 
 

@@ -21,8 +21,9 @@ is, nor the covariance, which nothing reads.
 Every integer, in the envelope and in the payload, must be a JSON
 integer: a float, a string or a bool is a malformed line. Every float
 must be a finite JSON number (``check_float``), not a string or a bool,
-a camera name must be a string and a detection's range must not be
-negative. Every covariance must pass ``check_covariance``.
+a camera name must be a string and a detection's range must be the norm
+of its ``rel_pose.t`` within ``RANGE_REL_TOL`` relative (so not negative).
+Every covariance must pass ``check_covariance``.
 
 Frames are state, not events: a pose on the wire names the frame it was
 taken in (``MarkerObs.frame``, ``Keypose.frame``, ``PoseReport.frame``);
@@ -117,8 +118,13 @@ class Decoded:
 
 
 def _payload(msg) -> dict:
-    if isinstance(msg, Hello):
-        return {}
+    # most frequent first: every drone reports its pose once a tick
+    if isinstance(msg, PoseReport):
+        return {
+            "frame": int(msg.frame),
+            "timestamp": float(msg.timestamp),
+            "mean": list(msg.mean),
+        }
     if isinstance(msg, MarkerObs):
         return {
             "detection": msg.detection.to_dict(),
@@ -127,17 +133,13 @@ def _payload(msg) -> dict:
             "frame": int(msg.frame),
             "timestamp": float(msg.timestamp),
         }
-    if isinstance(msg, PoseReport):
-        return {
-            "frame": int(msg.frame),
-            "timestamp": float(msg.timestamp),
-            "mean": list(msg.mean),
-        }
     if isinstance(msg, MapSnapshot):
         merges = [{"from": r, "to": w, "rt": rt.to_dict()} for r, w, rt in msg.merges]
         return {"entries": [e.to_dict() for e in msg.entries], "merges": merges}
     if isinstance(msg, KeyposeCommit):
         return {"keypose": msg.keypose.to_dict()}
+    if isinstance(msg, Hello):
+        return {}
     raise ProtocolError(f"not a protocol message: {type(msg).__name__}")
 
 

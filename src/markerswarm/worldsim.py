@@ -29,21 +29,26 @@ from markerswarm.geom import (
     Pose6D,
     _compose,
     _euler_quat,
+    _inverse,
     _quat_euler,
+    _quat_unit,
     _rotate,
     check_float,
     check_int,
     wrap_angle,
-    wrap_angles,
 )
 
 MARKER_ID_MAX = 1023  # 1024 distinct marker patterns, ids 0..1023
 MAX_STEP_DT = 0.5
-# Slack on the array cull in sense_markers. The cull and the exact
-# per-marker test reach the camera frame by different float paths that
-# differ by about 1e-15 m; 1e-6 m keeps every marker the exact test would
-# accept, so the cull never changes a detection or an RNG draw.
+# Slack on the array cull in sense_markers. The cull compares each marker's
+# distance from the camera before any rotation, and its depth along one
+# column of the camera rotation; the exact per-marker test composes the
+# marker into the camera frame. The two float paths differ by about
+# 1e-15 m; 1e-6 m keeps every marker the exact test would accept, so the
+# cull never changes a detection or an RNG draw.
 CULL_MARGIN = 1e-6  # m
+# A decoded detection's range may differ from |rel_pose.t| by this much, relative.
+RANGE_REL_TOL = 1e-9
 
 
 def drone_rng(seed: int, drone_id: int) -> np.random.Generator:
@@ -135,7 +140,7 @@ class CameraParams:
         return self.extrinsics.inverse()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkerDetection:
     marker_id: int
     camera: str
@@ -158,10 +163,15 @@ class MarkerDetection:
         distance = check_float(data["range"], "range")
         if distance < 0.0:
             raise ValueError(f"range {distance!r} is negative")
+        rel_pose = Pose6D.from_dict(data["rel_pose"])
+        # the sender takes the range from the very floats it sends as rel_pose.t
+        norm = math.hypot(*rel_pose.t.tolist())
+        if abs(distance - norm) > RANGE_REL_TOL * norm:
+            raise ValueError(f"range {distance!r} is not |rel_pose.t| = {norm!r}")
         return MarkerDetection(
             marker_id=check_int(data["marker_id"], "marker_id"),
             camera=camera,
-            rel_pose=Pose6D.from_dict(data["rel_pose"]),
+            rel_pose=rel_pose,
             range=distance,
         )
 
@@ -229,21 +239,34 @@ def sense_markers(
     negative). Visibility depends on truth alone, so the number and order
     of RNG draws is deterministic for a given truth trajectory.
 
-    One array pass over all marker positions culls by range and view cone,
-    widened by ``CULL_MARGIN``; the survivors are a superset of the markers
-    the exact per-marker test below accepts. That test, the dropout draw
-    and the noise then run on the survivors only, in ascending id order, so
+    The camera pose is composed and inverted on floats, each quaternion
+    normalized as the two ``Pose6D`` of ``compose`` and ``inverse`` would
+    be. One array pass over all marker positions then culls by distance
+    from the camera, which needs no rotation, and by depth along the
+    optical axis, one column of the camera rotation; both are widened by
+    ``CULL_MARGIN``, so the survivors are a superset of the markers the
+    exact per-marker test below accepts. That test, the dropout draw and
+    the noise then run on the survivors only, in ascending id order, so
     detections and draws are the same as with no cull at all. Each
-    survivor is composed into the camera frame and perturbed on floats;
+    survivor is composed into the camera frame and perturbed on floats by
+    one draw of six normals (the stream two draws of three would give);
     the detection's ``rel_pose`` is the one pose built per marker.
     """
-    cam_in_world = truth.pose.compose(cam.extrinsics)
-    world_in_cam = cam_in_world.inverse()
-    cam_t, cam_q = world_in_cam.t.tolist(), world_in_cam.q.tolist()
+    ext = cam.extrinsics
+    (cx, cy, cz), cq = _compose(
+        truth.pose.t.tolist(), truth.pose.q.tolist(), ext.t.tolist(), ext.q.tolist()
+    )
+    # normalized as the camera's Pose6D and then its inverse's would be
+    cw, qx, qy, qz = cq = _quat_unit(cq)
+    cam_t, cam_q = _inverse((cx, cy, cz), cq)
+    cam_q = _quat_unit(cam_q)
     cos_fov = math.cos(cam.fov_half_angle)
-    in_cam = (world.marker_positions - cam_in_world.t) @ cam_in_world.rotation()
-    dists = np.linalg.norm(in_cam, axis=1)
-    near = (dists <= cam.max_range + CULL_MARGIN) & (in_cam[:, 2] >= dists * cos_fov - CULL_MARGIN)
+    offsets = world.marker_positions - (cx, cy, cz)
+    dists = np.sqrt((offsets * offsets).sum(axis=1))
+    # the optical axis in the world: the third column of quat_to_rot(cq)
+    axis = (2 * (qx * qz + cw * qy), 2 * (qy * qz - cw * qx), 1 - 2 * (qx * qx + qy * qy))
+    depth = offsets @ axis
+    near = (dists <= cam.max_range + CULL_MARGIN) & (depth >= dists * cos_fov - CULL_MARGIN)
     out: list[MarkerDetection] = []
     for index in np.flatnonzero(near).tolist():
         marker_id = world.marker_ids[index]
@@ -259,10 +282,9 @@ def sense_markers(
         sigma_p = noise.pos_sigma(dist)
         sigma_a = noise.ang_sigma(dist)
         if sigma_p > 0.0 or sigma_a > 0.0:
-            nx, ny, nz = rng.standard_normal(3).tolist()
+            nx, ny, nz, na, nb, ng = rng.standard_normal(6).tolist()
             x, y, z = x + sigma_p * nx, y + sigma_p * ny, z + sigma_p * nz
             alpha, beta, gamma = _quat_euler(q)
-            na, nb, ng = rng.standard_normal(3).tolist()
             q = _euler_quat(
                 wrap_angle(alpha + sigma_a * na),
                 wrap_angle(beta + sigma_a * nb),
@@ -296,12 +318,15 @@ def sense_odometry(
         raise ValueError(f"dt {dt} must be positive")
     delta = curr.pose.t - prev.pose.t
     rot = prev.pose.rotation()
-    v_body = rot.T @ delta / dt
-    rates = wrap_angles(np.subtract(curr.euler, prev.euler)) / dt
-    if noise.odom_vel_sigma > 0.0 or noise.odom_rate_sigma > 0.0:
-        v_body = v_body + noise.odom_vel_sigma * rng.standard_normal(3)
-        rates = rates + noise.odom_rate_sigma * rng.standard_normal(3)
-    return OdometryReading(dt=dt, v_body=v_body, euler_rates=rates)
+    v_body = (rot.T @ delta / dt).tolist()
+    # wrap_angle per axis: the IEEE operations wrap_angles runs elementwise
+    rates = [wrap_angle(c - p) / dt for c, p in zip(curr.euler, prev.euler)]
+    sigma_v, sigma_r = noise.odom_vel_sigma, noise.odom_rate_sigma
+    if sigma_v > 0.0 or sigma_r > 0.0:
+        draws = rng.standard_normal(6).tolist()
+        v_body = [v + sigma_v * n for v, n in zip(v_body, draws[:3])]
+        rates = [r + sigma_r * n for r, n in zip(rates, draws[3:])]
+    return OdometryReading(dt=dt, v_body=np.array(v_body), euler_rates=np.array(rates))
 
 
 # --- standard camera rigs -------------------------------------------------

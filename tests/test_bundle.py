@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from reference import euler_rot_derivatives
+from reference import ba_arrays, ba_initial_vector, euler_rot_derivatives, from_vector_array
 
 from markerswarm.bundle import (
     BaProblem,
@@ -317,6 +317,39 @@ class TestProblemLayout:
     def test_keypose_requires_observations(self):
         with pytest.raises(ValueError):
             Keypose(0, 0, Pose6D.identity(), 0.0, ())
+
+    def test_arrays_and_vectors_bit_identical_to_per_observation_forms(self):
+        """One rotation per camera, one array per field, one pose per unpacked row."""
+        rng = np.random.default_rng(7)
+        _, keyposes, markers = make_problem(rng, n_keyposes=30, n_markers=12, obs_noise=0.05)
+        cameras = {**CAMERAS, "forward": forward_camera()}
+        # every third detection through the forward camera, at range-dependent noise
+        keyposes = [
+            replace(kp, observations=tuple(
+                replace(det, camera="forward") if (i + j) % 3 == 0 else det
+                for j, det in enumerate(kp.observations)
+            ))
+            for i, kp in enumerate(keyposes)
+        ]
+        config = EkfConfig()
+        problem = BaProblem(keyposes, markers, cameras, config)
+        for name, want in ba_arrays(problem, cameras, config).items():
+            got = getattr(problem, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        x = problem.initial_vector()
+        assert x.tobytes() == ba_initial_vector(problem).tobytes()
+        x = x + rng.normal(0.0, 0.3, x.shape)
+        unpacked, unpacked_markers = problem.unpack(x)
+        rows = iter(x.reshape(-1, 6))
+        assert unpacked[0] is problem.keyposes[0]
+        for got, kp in zip(unpacked[1:], problem.keyposes[1:], strict=True):
+            t, q = from_vector_array(next(rows))
+            assert got.pose.t.tobytes() == t.tobytes() and got.pose.q.tobytes() == q.tobytes()
+            assert got == replace(kp, pose=got.pose)
+        for marker_id in problem.marker_ids:
+            t, q = from_vector_array(next(rows))
+            pose = unpacked_markers[marker_id]
+            assert pose.t.tobytes() == t.tobytes() and pose.q.tobytes() == q.tobytes()
 
     def test_keypose_dict_round_trip(self):
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 """Determinism pin: a lockstep run's four artifacts, and its plot, are byte-identical
-across changes; so are the lab scenario's seed 11 report and the demo's seed 7
-report with bundle adjustment off.
+across changes; so are the lab scenario's seed 11 report, the demo's seed 7
+report with bundle adjustment off, and the reports of the benchmark's two
+workloads (``lab_long`` and ``marker_dense``, built by ``perfbench/workloads.py``).
 
 A change that is meant to alter lockstep results (a new model, a bug fix
 that moves numbers) updates the digests below and declares the new value,
@@ -8,11 +9,14 @@ with its reason, in CHANGES.md. Any other change must leave it alone.
 """
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from markerswarm.cli import main as cli_main
 
@@ -29,6 +33,11 @@ TWO_DRONE_DEMO_SEED_7_ARTIFACTS = {
 # the same run with "ba": {"enabled": false}: no keyposes, no adjustment
 TWO_DRONE_DEMO_SEED_7_BA_OFF = "6fb570421737b0fb91d3caa036a7fb2d245f4d5d44012c2500152183985d3338"
 LAB_THREE_DRONES_SEED_11 = "fe35f196aa4ea16490fd0a96142216912f8ccaac0d82ae59eddc1cf71bc39f3b"
+# the benchmark's workloads, on the program seed each runs for workload seed 1
+WORKLOAD_REPORTS = {
+    "lab_long": "4715ee9029d2dfc50d2a91e20914f57cf9dbf3b005b94a6f3a366e4905cc02e5",
+    "marker_dense": "ea73f869b9b1484f2c7dc684aa9e46fea4b9749392ea08948a1a00bf54a1129e",
+}
 
 
 def test_two_drone_demo_seed_7_report_digest(tmp_path):
@@ -105,5 +114,22 @@ def test_lab_report_independent_of_blas_thread_count(tmp_path):
     assert digest == LAB_THREE_DRONES_SEED_11, (
         f"lab_three_drones seed 11 lockstep report.json sha256 is {digest}, pinned "
         f"{LAB_THREE_DRONES_SEED_11}. If this change is meant to alter lockstep results, "
+        "declare the new digest and the reason in CHANGES.md and update the pin."
+    )
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_REPORTS))
+def test_benchmark_workload_report_digest(name, monkeypatch, tmp_path):
+    # the benchmark's own generator, imported as perfbench/run.py imports it
+    monkeypatch.syspath_prepend(str(SCENARIOS.parent / "perfbench"))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    scenario = tmp_path / f"{name}.json"
+    scenario.write_text(json.dumps(workload.build(1)), encoding="utf-8")
+    argv = ["run", str(scenario), "--seed", str(workload.seeds(1)[0]), "--mode", workload.mode]
+    assert cli_main([*argv, "--out", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == WORKLOAD_REPORTS[name], (
+        f"{name} workload seed 1 lockstep report.json sha256 is {digest}, pinned "
+        f"{WORKLOAD_REPORTS[name]}. If this change is meant to alter lockstep results, "
         "declare the new digest and the reason in CHANGES.md and update the pin."
     )

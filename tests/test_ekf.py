@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from reference import nees, predict_jacobian
+from reference import (
+    detection_noise_array,
+    innovation_array,
+    nees,
+    predict_jacobian,
+    transition_jacobian_array,
+    update_array,
+)
 
 from markerswarm.ekf import (
     EkfConfig,
     EkfState,
     PoseObservation,
+    _transition_jacobian,
     chi2_ppf_6dof,
     detection_noise,
     innovation,
@@ -22,7 +30,7 @@ from markerswarm.ekf import (
     remap_frame,
     update,
 )
-from markerswarm.geom import Pose6D, wrap_angles
+from markerswarm.geom import Pose6D, _euler_rotate, wrap_angles
 from markerswarm.worldsim import (
     DroneTruth,
     MarkerDetection,
@@ -266,6 +274,62 @@ class TestStatePose:
         assert np.array_equal(moved.pose.t, [2.0, 0.0, 1.0])
         assert np.array_equal(moved.pose.q, Pose6D.from_vector(moved.mean).q)
         assert state.pose is first
+
+
+def seam_angles(rng, n):
+    """Angles anywhere, a third of them at or within 1e-9 of 0 and +-pi, signed zeros included."""
+    angles = rng.uniform(-math.pi, math.pi, n)
+    edge = rng.random(n) < 1.0 / 3.0
+    angles[edge] = rng.choice([0.0, -0.0, math.pi, -math.pi], int(edge.sum())) + rng.choice(
+        [0.0, -1e-9, 1e-9], int(edge.sum())
+    )
+    return angles
+
+
+def spd(rng, scale):
+    a = rng.standard_normal((6, 6)) * scale
+    return a @ a.T + scale**2 * np.eye(6)
+
+
+class TestBitIdenticalToArrayForms:
+    """The float glue of the filter against the array forms it replaced."""
+
+    @pytest.mark.parametrize("gate_enabled", [True, False])
+    def test_innovation_and_update(self, gate_enabled):
+        cfg = EkfConfig(gate_enabled=gate_enabled)
+        rng = np.random.default_rng(2027)
+        accepted = 0
+        for _ in range(4000):
+            mean = np.concatenate([rng.uniform(-5.0, 5.0, 3), seam_angles(rng, 3)])
+            vector = np.concatenate([mean[:3] + rng.standard_normal(3), seam_angles(rng, 3)])
+            state = EkfState(mean, spd(rng, 0.3), 0)
+            obs = PoseObservation(vector, spd(rng, 0.1))
+            assert innovation(state, obs).tobytes() == innovation_array(state, obs).tobytes()
+            got, got_accepted = update(state, obs, cfg)
+            want, want_accepted = update_array(state, obs, cfg)
+            assert got_accepted == want_accepted
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.cov.tobytes() == want.cov.tobytes()
+            accepted += got_accepted
+        # the gate rejects some and passes others
+        assert 0 < accepted < 4000 if gate_enabled else accepted == 4000
+
+    def test_transition_jacobian(self):
+        rng = np.random.default_rng(2028)
+        for _ in range(4000):
+            euler = [*seam_angles(rng, 1), *rng.uniform(-1.5, 1.5, 1), *seam_angles(rng, 1)]
+            v = (rng.standard_normal(3) * rng.choice([0.0, 1.0], 3)).tolist()  # signed zeros
+            _, derivs = _euler_rotate(*euler, v)
+            dt = float(rng.uniform(0.01, 0.5))
+            got, want = _transition_jacobian(derivs, dt), transition_jacobian_array(derivs, dt)
+            assert got.tobytes() == want.tobytes()
+
+    def test_detection_noise(self):
+        rng = np.random.default_rng(2029)
+        cfg = EkfConfig()
+        for distance in [0.0, *rng.uniform(0.0, 10.0, 1000)]:
+            det = make_detection(Pose6D.identity(), rng_range=float(distance))
+            assert detection_noise(det, cfg).tobytes() == detection_noise_array(det, cfg).tobytes()
 
 
 class TestRemapFrame:

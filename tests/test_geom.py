@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import euler_rot_derivatives, pose_matrix
+from reference import euler_rot_derivatives, from_vector_array, pose_arrays, pose_matrix
 
 from markerswarm.geom import (
     _GIMBAL_TOL,
@@ -536,11 +536,77 @@ def test_pose_inverse_bit_identical_to_array_form(awkward_poses):
     assert_same_rows([pose_row(a.inverse()) for a in awkward_poses], want, awkward_poses)
 
 
+def constructor_inputs(seed):
+    """``(t, q)`` pairs in every form a caller passes: lists, tuples, arrays,
+    shapes (1, 3) and (4, 1), ``w < 0``, signed zeros, non-unit and
+    rejected ones."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for t, q in awkward_pose_inputs(seed)[:3000]:
+        cases += [
+            (t.tolist(), q.tolist()),
+            (tuple(t.tolist()), tuple(q.tolist())),
+            (t, q),
+            (t.reshape(1, 3), q.reshape(4, 1)),
+            (t.astype(np.float32), -np.abs(q)),
+        ]
+    cases += [
+        ([0.0, -0.0, 0.0], [-0.0, 1.0, -0.0, 0.0]),
+        ((-0.0, -0.0, -0.0), (-1.0, -0.0, 0.0, -0.0)),
+        ([1, 2, 3], [2, 0, 0, 0]),
+        ([0.0, 0.0, 0.0], [-5e-324, 1.0, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [-5e-324, 3.0, 0.0, 0.0]),  # w / norm is -0.0
+        (rng.standard_normal(3), rng.standard_normal(4) * 1e6),
+        ([0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, 0.0, math.inf], [1.0, 0.0, 0.0, 0.0]),
+    ]
+    return cases
+
+
+@np.errstate(all="ignore")
+def test_pose_constructor_bit_identical_to_post_init_form():
+    """One pass, with the same IEEE operations and the same ValueErrors."""
+    rejected = 0
+    for t, q in constructor_inputs(1009):
+        try:
+            want = pose_arrays(t, q)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                Pose6D(t, q)
+            assert str(got.value) == str(err)
+            rejected += 1
+            continue
+        pose = Pose6D(t, q)
+        for got_array, want_array in zip((pose.t, pose.q), want):
+            assert got_array.shape == want_array.shape and got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes(), (t, q)
+            assert not got_array.flags.writeable
+    assert 1000 < rejected < 10_000
+
+
+def test_pose_constructor_copies_its_input():
+    t, q = np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0, 0.0])
+    pose = Pose6D(t, q)
+    t[0], q[0] = 9.0, 0.5
+    assert pose.t.tolist() == [1.0, 2.0, 3.0] and pose.q.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_pose_from_vector_bit_identical_to_array_form():
+    rng = np.random.default_rng(1010)
+    positions = rng.uniform(-5.0, 5.0, (5000, 3))
+    vectors = np.concatenate([positions, awkward_angles(1010, 5000)], axis=1)
+    for vec in vectors[np.isfinite(vectors).all(axis=1)]:
+        pose, (t, q) = Pose6D.from_vector(vec), from_vector_array(vec)
+        assert pose.t.tobytes() == t.tobytes() and pose.q.tobytes() == q.tobytes(), vec
+
+
 def test_pose_carries_only_translation_and_rotation():
-    """Nothing derived is cached on a pose: a run keeps one per tick per drone."""
+    """Nothing derived can be cached on a pose: a run keeps one per tick per drone."""
     pose = Pose6D.from_euler([1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
     pose.euler, pose.rotation(), pose.to_vector(), pose.to_dict()
-    assert set(vars(pose)) == {"t", "q"}
+    assert Pose6D.__slots__ == ("t", "q")
+    assert not hasattr(pose, "__dict__")
 
 
 def test_rot_quat_round_trip_all_shepperd_branches():

@@ -275,6 +275,8 @@ class TestCodec:
                      [True, 0.0, 0.0]),
             tampered("MarkerObs", ["detection", "range"], -1.0),
             tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], -2.0),
+            tampered("MarkerObs", ["detection", "range"], 0.0),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], 0.0),
             '{"type": "FrameMerged", "sender": -1, "seq": 1, "loser": 1, "winner": 0, '
             '"rt": {"t": [0.0, 0.0, 0.0], "euler": [0.0, 0.0, 0.0]}}',
         ],
@@ -332,12 +334,21 @@ class TestCodec:
             "keypose-bool-observation-rel-pose-t",
             "obs-negative-range",
             "keypose-negative-observation-range",
+            "obs-range-not-translation-norm",
+            "keypose-observation-range-not-translation-norm",
             "frame-merged",
         ],
     )
     def test_malformed_lines_raise(self, line):
         with pytest.raises(ProtocolError):
             decode(line)
+
+    def test_range_must_be_the_translation_norm_within_relative_tolerance(self):
+        norm = sample_detection().range
+        close = tampered("MarkerObs", ["detection", "range"], norm * (1.0 + 1e-12))
+        assert decode(close).msg.detection.range == norm * (1.0 + 1e-12)
+        with pytest.raises(ProtocolError):
+            decode(tampered("MarkerObs", ["detection", "range"], norm * (1.0 + 1e-8)))
 
     @pytest.mark.parametrize(
         "msg", all_messages() + awkward_messages(), ids=lambda m: type(m).__name__

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import choose_destination_array
+
 from markerswarm.bundle import Keypose
 from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.scenario import PolicyConfig, load_scenario, parse_scenario
@@ -150,6 +152,23 @@ class TestSweepPolicy:
     def test_yaw_rate_passthrough(self):
         policy = square_policy(yaw_rate=0.25)
         assert policy.choose_destination(at(0.0, 0.0)).yaw_rate == 0.25
+
+    def test_commands_and_state_bit_identical_to_array_form(self):
+        """Equal distances tie to the lowest index; the velocity arithmetic runs on floats."""
+        rng = np.random.default_rng(20)
+        got, want = square_policy(r_visit=0.5), square_policy(r_visit=0.5)
+        pose = at(0.0, 0.0)  # equidistant from all four cells
+        for step in range(3000):
+            a, b = got.choose_destination(pose), choose_destination_array(want, pose)
+            assert a.v_body.tobytes() == b.v_body.tobytes() and a.yaw_rate == b.yaw_rate
+            assert (got.visited, got._target, got._best_distance, got._no_progress) == (
+                want.visited, want._target, want._best_distance, want._no_progress
+            )
+            # fly the command with a drift; now and then jump to a cell centre or a tie
+            t = pose.t + pose.rotation() @ a.v_body * 0.3 + rng.normal(0.0, 0.05, 3)
+            if step % 97 == 0:
+                t = np.array(rng.choice([[0.0, 0.0, 1.5], [1.0, 1.0, 1.5], [0.0, 1.0, 1.5]]))
+            pose = Pose6D.from_euler(t, [0.02, -0.01, rng.uniform(-math.pi, math.pi)])
 
     def test_batched_distances_bit_identical_to_per_row_dot(self):
         rng = np.random.default_rng(19)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from reference import step_drone_numpy
+from reference import sense_markers_every_marker, sense_odometry_array, step_drone_numpy
 
-from markerswarm.geom import Pose6D, _multiply, quat_to_euler, wrap_angles
+from markerswarm.geom import Pose6D, wrap_angles
 from markerswarm.worldsim import (
     CameraParams,
     DroneTruth,
@@ -207,45 +207,6 @@ class TestSenseMarkers:
         assert abs(seen / 10_000 - 0.7) < 0.02
 
 
-def norm3(v):
-    """Euclidean norm as a sequential float sum of squares."""
-    x, y, z = v.tolist()
-    return math.sqrt(x * x + y * y + z * z)
-
-
-def sense_markers_every_marker(truth, world, cam, noise, rng):
-    """Reference: the exact per-marker test on every marker, in id order, no cull.
-
-    Each marker reaches the camera frame as ``apply`` of its position and
-    the raw product of the two quaternions, which is what the composition
-    computes before it normalizes.
-    """
-    world_in_cam = truth.pose.compose(cam.extrinsics).inverse()
-    cos_fov = math.cos(cam.fov_half_angle)
-    out = []
-    for marker_id in sorted(world.markers):
-        marker = world.markers[marker_id]
-        t = world_in_cam.apply(marker.t)
-        q = np.array(_multiply(world_in_cam.q.tolist(), marker.q.tolist()))
-        dist = norm3(t)
-        if dist <= 0.0 or dist > cam.max_range:
-            continue
-        if t[2] < dist * cos_fov:
-            continue
-        if noise.dropout > 0.0 and rng.uniform() < noise.dropout:
-            continue
-        sigma_p = noise.pos_sigma(dist)
-        sigma_a = noise.ang_sigma(dist)
-        if sigma_p > 0.0 or sigma_a > 0.0:
-            t = t + sigma_p * rng.standard_normal(3)
-            euler = wrap_angles(quat_to_euler(q) + sigma_a * rng.standard_normal(3))
-            rel = Pose6D.from_euler(t, euler)
-        else:
-            rel = Pose6D(t, q)
-        out.append(MarkerDetection(marker_id, cam.name, rel, norm3(rel.t)))
-    return out
-
-
 def boundary_markers(truth, cam, rng, count):
     """Marker positions on the range sphere and on the cone edge, offset by 0 or +-1e-9 m."""
     cam_in_world = truth.pose.compose(cam.extrinsics)
@@ -315,6 +276,50 @@ class TestSenseMarkersCull:
         for rig in (downward_camera, forward_camera):
             assert self.assert_same(truth, make_world(), rig(), SensorNoise(dropout=0.3), 3) == 0
 
+    @pytest.mark.parametrize("rig", [downward_camera, forward_camera])
+    def test_camera_pose_bit_identical_to_compose_inverse_form(self, rig):
+        """The camera pose on floats, normalized twice as two ``Pose6D`` would be.
+
+        Drones at any attitude, so the camera quaternion takes every sign and
+        its two normalizations move last bits; markers fill the view, so
+        nearly every one is detected and perturbed from that pose.
+        """
+        cam = rig()
+        rng = np.random.default_rng(2025)
+        detected = 0
+        for trial in range(150):
+            truth = DroneTruth(
+                Pose6D(rng.uniform(-3.0, 3.0, 3), rng.standard_normal(4) * rng.uniform(0.1, 10.0))
+            )
+            cam_in_world = truth.pose.compose(cam.extrinsics)
+            in_view = rng.uniform([-0.5, -0.5, 0.5], [0.5, 0.5, 3.0], (12, 3))
+            markers = {
+                marker_id: Pose6D(cam_in_world.apply(point), rng.standard_normal(4))
+                for marker_id, point in enumerate(in_view)
+            }
+            world = World(markers, np.full(3, -20.0), np.full(3, 20.0))
+            detected += self.assert_same(truth, world, cam, SensorNoise(), trial)
+        assert detected > 150 * 10
+
+
+def test_one_draw_of_six_is_two_draws_of_three():
+    """``sense_markers`` and ``sense_odometry`` draw six normals where they drew 3 + 3."""
+    for seed in range(50):
+        six, three = drone_rng(seed, 1), drone_rng(seed, 1)
+        for _ in range(20):
+            got = six.standard_normal(6)
+            want = np.concatenate([three.standard_normal(3), three.standard_normal(3)])
+            assert got.tobytes() == want.tobytes()
+            assert six.uniform() == three.uniform()
+        np.testing.assert_equal(six.bit_generator.state, three.bit_generator.state)
+
+
+def test_detection_is_slotted():
+    """A detection holds its four fields and nothing else: keyposes retain them."""
+    assert MarkerDetection.__slots__ == ("marker_id", "camera", "rel_pose", "range")
+    det = MarkerDetection(1, "down", Pose6D.identity(), 0.0)
+    assert not hasattr(det, "__dict__")
+
 
 class TestSenseOdometry:
     def test_exact_at_zero_noise(self):
@@ -355,6 +360,27 @@ class TestSenseOdometry:
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
             sense_odometry(drone_at(), drone_at(), 0.0, NO_NOISE, drone_rng(0, 0))
+
+    @pytest.mark.parametrize(
+        "noise", [NO_NOISE, SensorNoise(), SensorNoise(odom_rate_sigma=0.0)],
+        ids=["no_noise", "noise", "velocity_noise_only"],
+    )
+    def test_bit_identical_to_array_form(self, noise):
+        rng = np.random.default_rng(2026)
+        got_rng, want_rng = drone_rng(4, 2), drone_rng(4, 2)
+        for _ in range(3000):
+            # any attitude, and yaws on both sides of the +-pi seam
+            euler = rng.uniform(-math.pi, math.pi, (2, 3))
+            euler[1, 2] = rng.choice([-1.0, 1.0]) * math.pi - rng.uniform(-0.2, 0.2)
+            prev, curr = (
+                DroneTruth(Pose6D.from_euler(rng.uniform(-5.0, 5.0, 3), e)) for e in euler
+            )
+            dt = float(rng.uniform(0.01, 0.5))
+            got = sense_odometry(prev, curr, dt, noise, got_rng)
+            want = sense_odometry_array(prev, curr, dt, noise, want_rng)
+            assert got.v_body.tobytes() == want.v_body.tobytes()
+            assert got.euler_rates.tobytes() == want.euler_rates.tobytes()
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 class TestDeterminism:
