@@ -58,10 +58,7 @@ from markerswarm.geom import (
 )
 from markerswarm.worldsim import CameraParams, MarkerDetection
 
-D_KEY_DEFAULT = 0.5  # m of translation since the last keypose
-THETA_KEY_DEFAULT = 0.35  # rad of rotation since the last keypose
-
-# Levenberg-Marquardt settings; scenarios set only the iteration cap
+# Levenberg-Marquardt settings; the iteration cap is optimize's argument
 INITIAL_DAMPING = 1e-4
 DAMPING_STEP = 10.0
 MAX_DAMPING = 1e12
@@ -106,8 +103,8 @@ def select_keypose(
     current: Pose6D,
     last: Pose6D | None,
     visible_markers: int,
-    d_key: float = D_KEY_DEFAULT,
-    theta_key: float = THETA_KEY_DEFAULT,
+    d_key: float = 0.5,  # m of translation since the last keypose
+    theta_key: float = 0.35,  # rad of rotation since the last keypose
 ) -> bool:
     """Commit a keypose when the drone has moved enough and sees a marker.
 

@@ -17,7 +17,11 @@ adds to the map entry's covariance as it is, with no rotation into the
 drone's frame.
 
 Multiple detections in one tick are applied as sequential updates in
-detection order.
+detection order. An update whose normalized innovation squared exceeds
+GATE_THRESHOLD, the chi-square 0.999 quantile with 6 degrees of freedom,
+is rejected. A scenario sets only the detection noise, through its noise
+block; the process noise and the ungated mode are set in code only, as
+acceptance criterion 2 and the filter tests set them.
 """
 
 from __future__ import annotations
@@ -43,46 +47,9 @@ from markerswarm.worldsim import CameraParams, MarkerDetection, OdometryReading
 STATE_DIM = 6
 _EYE = np.eye(STATE_DIM)
 _EYE.setflags(write=False)
-
-
-def chi2_ppf_6dof(q: float) -> float:
-    """Quantile ``x`` with ``P(chi2_6 <= x) = q``, for 0 < q < 1.
-
-    With 6 degrees of freedom both tails are closed-form in ``y = x / 2``:
-    the survival function is ``exp(-y) (1 + y + y^2 / 2)`` and the CDF is
-    ``exp(-y) sum_{k >= 3} y^k / k!``. Bisection runs on the smaller tail
-    (against ``q`` below the median, against ``1 - q`` above it), so the
-    result keeps full relative precision at both ends, down to adjacent
-    doubles.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile {q!r} outside (0, 1)")
-    upper = q > 0.5
-    target = 1.0 - q if upper else q
-
-    def beyond(x: float) -> bool:  # True once x is past the quantile
-        y = 0.5 * x
-        if upper:
-            return math.exp(-y) * (1.0 + y + 0.5 * y * y) < target
-        term = y**3 / 6.0
-        total, k = term, 3
-        while term > total * 1e-17:
-            k += 1
-            term *= y / k
-            total += term
-        return math.exp(-y) * total > target
-
-    lo, hi = 0.0, 1.0
-    while not beyond(hi):
-        lo, hi = hi, 2.0 * hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return hi
-        if beyond(mid):
-            hi = mid
-        else:
-            lo = mid
+# the 0.999 quantile of chi-square with 6 degrees of freedom, the innovation
+# gate on the Mahalanobis distance (scipy's chi2.ppf(0.999, 6) is one ulp lower)
+GATE_THRESHOLD = 22.457744484825326
 
 
 @dataclass(frozen=True)
@@ -95,13 +62,9 @@ class EkfConfig:
     det_pos_per_m: float = 0.01
     det_ang_base: float = 0.01
     det_ang_per_m: float = 0.005
-    # innovation gate; disable for the ungated paper-faithful mode
+    # innovation gate at GATE_THRESHOLD; the ungated paper-faithful mode is
+    # set in code only (acceptance criterion 2 runs it)
     gate_enabled: bool = True
-    gate_quantile: float = 0.999
-
-    @cached_property
-    def gate_threshold(self) -> float:
-        return chi2_ppf_6dof(self.gate_quantile)
 
     @cached_property
     def process_noise(self) -> np.ndarray:
@@ -238,7 +201,7 @@ def update(state: EkfState, obs: PoseObservation, config: EkfConfig) -> tuple[Ek
     """One measurement update; returns (state, accepted).
 
     The observation is rejected (state returned unchanged) when its
-    Mahalanobis distance exceeds the configured chi-square gate.
+    Mahalanobis distance exceeds GATE_THRESHOLD and the gate is enabled.
     """
     y = innovation(state, obs)
     p = state.cov
@@ -248,7 +211,7 @@ def update(state: EkfState, obs: PoseObservation, config: EkfConfig) -> tuple[Ek
     rhs[:, 0] = y
     rhs[:, 1:] = p
     sol = np.linalg.solve(s, rhs)
-    if config.gate_enabled and float(y @ sol[:, 0]) > config.gate_threshold:
+    if config.gate_enabled and float(y @ sol[:, 0]) > GATE_THRESHOLD:
         return state, False
     gain = sol[:, 1:].T  # P S^-1, via symmetric S
     px, py, pz, alpha, beta, gamma = (state.mean + gain @ y).tolist()

@@ -1,17 +1,21 @@
 """Scenario files: the single JSON input describing a run.
 
 A scenario fixes the world (bounds, markers), the fleet (per-drone true
-start pose, believed start pose, cameras), sensor noise, filter settings,
-the exploration policy, fusion and adjustment knobs, the tick rate and the
-duration. Everything a run needs besides the seed lives here, so one file
-plus one integer reproduces a run bit for bit in lockstep mode.
+start pose, believed start pose, cameras), sensor noise, the exploration
+policy, fusion and adjustment knobs, the tick rate and the duration.
+Everything a run needs besides the seed lives here, so one file plus one
+integer reproduces a run bit for bit in lockstep mode.
+
+A drone names its cameras from one fixed table, ``down`` and ``forward``.
+The filter takes its detection noise from the noise block; its other
+settings are set in code (see ``markerswarm.ekf``).
 
 The believed start pose (``ekf_start_pose``) is where the drone thinks it
-wakes up; it defines the origin of that drone's coordinate frame. Leaving
-it out means the drone knows its true start. Giving every drone the
-identity belief reproduces the setting where each drone builds its map
-relative to its own takeoff point and the frames only meet through shared
-markers.
+wakes up; it defines the origin of that drone's coordinate frame, so the
+filter starts there with zero covariance. Leaving it out means the drone
+knows its true start. Giving every drone the identity belief reproduces
+the setting where each drone builds its map relative to its own takeoff
+point and the frames only meet through shared markers.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from markerswarm.bundle import D_KEY_DEFAULT, THETA_KEY_DEFAULT
 from markerswarm.ekf import EkfConfig
 from markerswarm.geom import Pose6D
 from markerswarm.mapstore import DEFAULT_N_FUSE
@@ -52,16 +55,6 @@ _POSE = {
     "type": "object",
     "properties": {"t": _VEC3, "euler": _VEC3},
     "required": ["t", "euler"],
-    "additionalProperties": False,
-}
-_CAMERA = {
-    "type": "object",
-    "properties": {
-        "extrinsics": _POSE,
-        "fov_half_angle": {"type": "number", "exclusiveMinimum": 0},
-        "max_range": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["extrinsics", "fov_half_angle", "max_range"],
     "additionalProperties": False,
 }
 _NONNEG = {"type": "number", "minimum": 0}
@@ -111,10 +104,6 @@ SCENARIO_SCHEMA = {
                 "additionalProperties": False,
             },
         },
-        "cameras": {
-            "type": "object",
-            "additionalProperties": _CAMERA,
-        },
         "noise": {
             "type": "object",
             "properties": {
@@ -128,29 +117,12 @@ SCENARIO_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "ekf": {
-            "type": "object",
-            "properties": {
-                "q_pos": _NONNEG,
-                "q_ang": _NONNEG,
-                "gate_enabled": {"type": "boolean"},
-                "gate_quantile": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "init_sigma": {
-                    "type": "array",
-                    "items": _NONNEG,
-                    "minItems": 6,
-                    "maxItems": 6,
-                },
-            },
-            "additionalProperties": False,
-        },
         "policy": {
             "type": "object",
             "properties": {
                 "cell_size": {"type": "number", "exclusiveMinimum": 0},
                 "altitude": {"type": "number"},
                 "speed": {"type": "number", "exclusiveMinimum": 0},
-                "yaw_rate": _NONNEG,
                 "r_visit": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -165,9 +137,6 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "enabled": {"type": "boolean"},
                 "every_keyposes": {"type": "integer", "minimum": 1},
-                "max_iterations": {"type": "integer", "minimum": 1},
-                "d_key": {"type": "number", "exclusiveMinimum": 0},
-                "theta_key": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -190,7 +159,6 @@ class PolicyConfig:
     cell_size: float = 1.2
     altitude: float = 1.5
     speed: float = 0.8
-    yaw_rate: float = 0.0
     r_visit: float = 0.3
 
 
@@ -198,9 +166,6 @@ class PolicyConfig:
 class BaSettings:
     enabled: bool = True
     every_keyposes: int = 10
-    max_iterations: int = 100
-    d_key: float = D_KEY_DEFAULT
-    theta_key: float = THETA_KEY_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -214,7 +179,6 @@ class Scenario:
     cameras: dict[str, CameraParams]
     noise: SensorNoise
     ekf: EkfConfig
-    init_sigma: np.ndarray
     policy: PolicyConfig
     n_fuse: int
     ba: BaSettings
@@ -342,7 +306,7 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError(f"tick_rate {raw['tick_rate']} gives dt {dt:.3f} > {MAX_STEP_DT}")
 
     # draft-07 takes an integral float such as 3.0 for an integer; the run
-    # gets an int, so ids, counts and iteration limits are cast here
+    # gets an int, so ids and counts are cast here
     marker_ids = [int(m["id"]) for m in raw["markers"]]
     if len(set(marker_ids)) != len(marker_ids):
         raise ScenarioError("duplicate marker ids")
@@ -355,22 +319,7 @@ def parse_scenario(raw: dict) -> Scenario:
     except ValueError as err:
         raise ScenarioError(str(err)) from err
 
-    cameras: dict[str, CameraParams] = {}
-    cam_block = raw.get("cameras")
-    if cam_block is None:
-        cameras = {"down": downward_camera(), "forward": forward_camera()}
-    else:
-        for name in sorted(cam_block):
-            fields = cam_block[name]
-            try:
-                cameras[name] = CameraParams(
-                    name=name,
-                    extrinsics=Pose6D.from_dict(fields["extrinsics"]),
-                    fov_half_angle=float(fields["fov_half_angle"]),
-                    max_range=float(fields["max_range"]),
-                )
-            except ValueError as err:
-                raise ScenarioError(f"camera {name}: {err}") from err
+    cameras = {"down": downward_camera(), "forward": forward_camera()}
 
     drone_ids = [int(d["id"]) for d in raw["drones"]]
     if len(set(drone_ids)) != len(drone_ids):
@@ -388,21 +337,17 @@ def parse_scenario(raw: dict) -> Scenario:
     noise_block = raw.get("noise", {})
     noise = SensorNoise(**noise_block)
 
-    ekf_block = dict(raw.get("ekf", {}))
-    init_sigma = np.asarray(ekf_block.pop("init_sigma", [0.0] * 6), dtype=float)
     ekf = EkfConfig(
         det_pos_base=noise.pos_base if noise.pos_base > 0 else EkfConfig.det_pos_base,
         det_pos_per_m=noise.pos_per_m,
         det_ang_base=noise.ang_base if noise.ang_base > 0 else EkfConfig.det_ang_base,
         det_ang_per_m=noise.ang_per_m,
-        **ekf_block,
     )
 
     policy = PolicyConfig(**raw.get("policy", {}))
     ba_block = dict(raw.get("ba", {}))
-    for key in ("every_keyposes", "max_iterations"):
-        if key in ba_block:
-            ba_block[key] = int(ba_block[key])
+    if "every_keyposes" in ba_block:
+        ba_block["every_keyposes"] = int(ba_block["every_keyposes"])
     ba = BaSettings(**ba_block)
     n_fuse = int(raw.get("fusion", {}).get("n_fuse", DEFAULT_N_FUSE))
 
@@ -416,7 +361,6 @@ def parse_scenario(raw: dict) -> Scenario:
         cameras=cameras,
         noise=noise,
         ekf=ekf,
-        init_sigma=init_sigma,
         policy=policy,
         n_fuse=n_fuse,
         ba=ba,

@@ -114,13 +114,13 @@ class SweepPolicy:
             self._target = None
 
         if distance < 1e-9:
-            return VelocityCommand(np.zeros(3), self.config.yaw_rate)
+            return VelocityCommand(np.zeros(3))
         speed = min(self.config.speed, distance)
         v_world = [
             (c - p) / distance * speed for c, p in zip(self.cells[best].tolist(), position.tolist())
         ]
         v_body = pose.rotation().T @ np.array(v_world)
-        return VelocityCommand(v_body, self.config.yaw_rate)
+        return VelocityCommand(v_body)
 
 
 def _distances(cells: np.ndarray, position: np.ndarray) -> list[float]:
@@ -158,10 +158,10 @@ class NavptsNode:
         self.drone_id = setup.drone_id
         self.ekf_config = scenario.ekf
         self.n_fuse = scenario.n_fuse
-        self.ba = scenario.ba  # keypose thresholds; with BA off nothing reads a keypose
+        self.ba = scenario.ba  # with BA off nothing reads a keypose
         self.cameras = {name: scenario.cameras[name] for name in setup.cameras}
-        init_cov = np.diag(np.square(scenario.init_sigma))
-        self.state = EkfState.from_pose(setup.ekf_start_pose, init_cov, setup.drone_id)
+        # the believed start defines the frame: the state is exact at t = 0
+        self.state = EkfState.from_pose(setup.ekf_start_pose, np.zeros((6, 6)), setup.drone_id)
         self.map_view: dict[int, MapEntry] = {}
         self.policy = SweepPolicy(
             scenario.world.bounds_min, scenario.world.bounds_max, scenario.policy
@@ -197,7 +197,7 @@ class NavptsNode:
                 self._forward(det, now)
 
         if self.ba.enabled and detections and select_keypose(
-            self.state.pose, self.last_keypose, len(detections), self.ba.d_key, self.ba.theta_key
+            self.state.pose, self.last_keypose, len(detections)
         ):
             kp = Keypose(self.drone_id, self.state.frame, self.state.pose, now, tuple(detections))
             self.link.send(KeyposeCommit(kp))
@@ -438,26 +438,22 @@ class GroundStation:
         if not self.ba.enabled:
             return
         self.keyposes_since_ba[frame] = 0
-        keyposes = self.keyposes[frame]
         markers = {e.marker_id: e.pose for e in self.gmap.entries_in_frame(frame)}
-        if not keyposes or not markers:
-            return
         try:
-            problem = BaProblem(keyposes, markers, self.cameras, self.ekf_config)
+            problem = BaProblem(self.keyposes[frame], markers, self.cameras, self.ekf_config)
         except ValueError as err:
             log.debug("skipping adjustment of frame %d: %s", frame, err)
             return
-        result = optimize(problem, self.ba.max_iterations)
+        result = optimize(problem)
         self.ba_reports.append(
             {**result.to_dict(), "frame": frame, "trigger": trigger, "time": float(now)}
         )
         if result.aborted:
             log.warning("adjustment of frame %d aborted: %s", frame, result.message)
             return
+        # every id came from entries_in_frame(frame) above, and nothing has moved since
         for marker_id, pose in result.markers.items():
-            current = self.gmap.lookup(marker_id)
-            if current is not None and current.frame == frame:
-                self.gmap.replace_entry(replace(current, pose=pose))
+            self.gmap.replace_entry(replace(self.gmap.lookup(marker_id), pose=pose))
         self.keyposes[frame] = result.keyposes
 
     # -- outbound -------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from markerswarm.ekf import STATE_DIM, EkfState, _transition_jacobian
+from markerswarm.ekf import GATE_THRESHOLD, STATE_DIM, EkfState, _transition_jacobian
 from markerswarm.geom import (
     _QUAT_NORM_TOL,
     Pose6D,
@@ -192,7 +192,7 @@ def update_array(state, obs, config) -> tuple[EkfState, bool]:
     rhs[:, 0] = y
     rhs[:, 1:] = p
     sol = np.linalg.solve(s, rhs)
-    if config.gate_enabled and float(y @ sol[:, 0]) > config.gate_threshold:
+    if config.gate_enabled and float(y @ sol[:, 0]) > GATE_THRESHOLD:
         return state, False
     gain = sol[:, 1:].T
     mean = state.mean + gain @ y
@@ -260,7 +260,7 @@ def choose_destination_array(policy, pose: Pose6D) -> VelocityCommand:
         policy._target = None
     delta = policy.cells[best] - position
     if distance < 1e-9:
-        return VelocityCommand(np.zeros(3), policy.config.yaw_rate)
+        return VelocityCommand(np.zeros(3))
     speed = min(policy.config.speed, distance)
     v_world = delta / distance * speed
-    return VelocityCommand(pose.rotation().T @ v_world, policy.config.yaw_rate)
+    return VelocityCommand(pose.rotation().T @ v_world)

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from reference import predict_jacobian
 from test_bundle import _marker_rmse, make_problem

@@ -18,11 +18,11 @@ from reference import (
 )
 
 from markerswarm.ekf import (
+    GATE_THRESHOLD,
     EkfConfig,
     EkfState,
     PoseObservation,
     _transition_jacobian,
-    chi2_ppf_6dof,
     detection_noise,
     innovation,
     observation_from_marker,
@@ -240,16 +240,10 @@ class TestUpdate:
         assert accepted
 
     def test_gate_threshold_is_chi2_999_of_6dof(self):
-        assert EkfConfig().gate_threshold == pytest.approx(22.457744, abs=1e-5)
+        assert GATE_THRESHOLD == pytest.approx(22.457744, abs=1e-5)
 
-    @pytest.mark.parametrize("q", [1e-6, 0.5, 0.95, 0.999, 1 - 1e-9])
-    def test_chi2_quantile_matches_scipy(self, q):
-        assert chi2_ppf_6dof(q) == pytest.approx(chi2.ppf(q, 6), rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5, math.nan])
-    def test_chi2_quantile_rejects_q_outside_open_unit_interval(self, q):
-        with pytest.raises(ValueError):
-            chi2_ppf_6dof(q)
+    def test_gate_threshold_matches_scipy_quantile(self):
+        assert GATE_THRESHOLD == pytest.approx(chi2.ppf(0.999, 6), rel=1e-15, abs=0.0)
 
     def test_innovation_wraps_angles(self):
         state = make_state(mean=[0, 0, 0, 0, 0, 3.1])

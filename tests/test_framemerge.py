@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from markerswarm import framemerge
-from markerswarm.geom import Pose6D, quat_angle, rotation_angle_between, wrap_angles
+from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.mapstore import GlobalMap, MapContractError
 from markerswarm.framemerge import (
     FrameTransform,

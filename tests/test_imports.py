@@ -1,4 +1,4 @@
-"""Source hygiene: every name a markerswarm module imports is used there,
+"""Source hygiene: every name a markerswarm or test module imports is used there,
 every parameter a function takes is read in its body, every attribute a
 module stores is read somewhere in the package or the benchmark, and
 importing the CLI pulls in no test oracle, no network module and no
@@ -21,6 +21,15 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "markerswarm"
 MODULES = sorted(PACKAGE.rglob("*.py"))
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(TESTS.glob("*.py"))
+
+
+def module_id(path: Path) -> str:
+    """A package module by its path in the package, a test module as ``tests/<name>``."""
+    if path.is_relative_to(PACKAGE):
+        return str(path.relative_to(PACKAGE))
+    return str(path.relative_to(TESTS.parent))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -57,7 +66,7 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=module_id)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

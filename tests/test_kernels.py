@@ -17,6 +17,7 @@ import pytest
 from reference import euler_rot_derivatives
 
 from markerswarm.ekf import (
+    GATE_THRESHOLD,
     EkfConfig,
     EkfState,
     PoseObservation,
@@ -190,7 +191,7 @@ def test_update_matches_two_solve_form():
         worst = max(worst, vector_error(got.mean, want_mean))
         worst = max(worst, float(np.max(np.abs(got.cov - want_cov))))
         _, accepted = update(state, obs, gated)
-        same_gate += accepted == (nis <= gated.gate_threshold)
+        same_gate += accepted == (nis <= GATE_THRESHOLD)
     assert worst < TOL, worst
     assert same_gate == CASES
 

@@ -6,9 +6,11 @@ scenarios and of a 256-marker grid document must get the same
 accept/reject from it as from jsonschema, and a rejection must name a place
 jsonschema also names. A second check walks the schema for keywords the
 interpreter does not implement, so a later schema edit cannot be ignored
-silently.
+silently. A third check finds every setting the schema offers in a bundled
+scenario or a benchmark workload, so a setting nothing sets cannot stay.
 """
 
+import importlib
 import json
 import math
 import random
@@ -87,6 +89,36 @@ def test_keyword_walk_flags_what_the_interpreter_lacks():
     ]
 
 
+def schema_paths(schema, prefix=()):
+    """Property path of every setting the schema offers; array items share their array's path."""
+    for key, sub in schema.get("properties", {}).items():
+        yield prefix + (key,)
+        yield from schema_paths(sub, prefix + (key,))
+    if isinstance(schema.get("items"), dict):
+        yield from schema_paths(schema["items"], prefix)
+
+
+def document_paths(node, prefix=()):
+    """Property path of every value a document sets, in schema_paths' form."""
+    if isinstance(node, dict):
+        for key, item in node.items():
+            yield prefix + (key,)
+            yield from document_paths(item, prefix + (key,))
+    elif isinstance(node, list):
+        for item in node:
+            yield from document_paths(item, prefix)
+
+
+def test_every_setting_is_set_by_a_scenario_or_workload(monkeypatch):
+    # the benchmark's own generator, imported as perfbench/run.py imports it
+    monkeypatch.syspath_prepend(str(SCENARIOS.parent / "perfbench"))
+    workloads = importlib.import_module("workloads").WORKLOADS
+    docs = [bundled(path.stem) for path in sorted(SCENARIOS.glob("*.json"))]
+    docs += [workloads[name].build(1) for name in ("lab_long", "marker_dense")]
+    used = {path for doc in docs for path in document_paths(doc)}
+    assert [".".join(p) for p in schema_paths(SCENARIO_SCHEMA) if p not in used] == []
+
+
 def grid_document() -> dict:
     """A 16 x 16 marker grid that also fills every optional block of the schema."""
     pose = {"t": [0.0, 0.0, 0.0], "euler": [0.0, 0.0, 0.0]}
@@ -105,24 +137,14 @@ def grid_document() -> dict:
         "markers": markers,
         "drones": [
             {"id": k, "start_pose": {"t": [0.5 * k, 0.0, 0.0], "euler": [0.0, 0.0, 0.3]},
-             "ekf_start_pose": pose, "cameras": ["belly", "nose"]}
+             "ekf_start_pose": pose, "cameras": ["down", "forward"]}
             for k in range(3)
         ],
-        "cameras": {
-            "belly": {"extrinsics": {"t": [0.0, 0.0, -0.05], "euler": [math.pi, 0.0, 0.0]},
-                      "fov_half_angle": 0.6, "max_range": 3.0},
-            "nose": {"extrinsics": {"t": [0.1, 0.0, 0.0], "euler": [0.0, 1.2, 0.0]},
-                     "fov_half_angle": 0.5, "max_range": 2.5},
-        },
         "noise": {"pos_base": 0.02, "pos_per_m": 0.01, "ang_base": 0.01, "ang_per_m": 0.005,
                   "odom_vel_sigma": 0.05, "odom_rate_sigma": 0.02, "dropout": 0.05},
-        "ekf": {"q_pos": 0.01, "q_ang": 0.005, "gate_enabled": True, "gate_quantile": 0.99,
-                "init_sigma": [0.0, 0.0, 0.0, 0.0, 0.0, 0.01]},
-        "policy": {"cell_size": 2.0, "altitude": 1.5, "speed": 0.8, "yaw_rate": 0.1,
-                   "r_visit": 0.3},
+        "policy": {"cell_size": 2.0, "altitude": 1.5, "speed": 0.8, "r_visit": 0.3},
         "fusion": {"n_fuse": 5},
-        "ba": {"enabled": False, "every_keyposes": 10, "max_iterations": 50, "d_key": 0.3,
-               "theta_key": 0.2},
+        "ba": {"enabled": False, "every_keyposes": 10},
     }
 
 

@@ -49,7 +49,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def square_policy(**overrides):
-    fields = dict(cell_size=2.0, altitude=1.5, speed=0.8, yaw_rate=0.0, r_visit=0.3)
+    fields = dict(cell_size=2.0, altitude=1.5, speed=0.8, r_visit=0.3)
     fields.update(overrides)
     return SweepPolicy([-2.0, -2.0, 0.0], [2.0, 2.0, 2.0], PolicyConfig(**fields))
 
@@ -148,10 +148,6 @@ class TestSweepPolicy:
         v_world = yawed.rotation() @ cmd.v_body
         direction = v_world[:2] / np.linalg.norm(v_world[:2])
         np.testing.assert_allclose(direction, [-1, -1] / np.sqrt(2), atol=1e-12)
-
-    def test_yaw_rate_passthrough(self):
-        policy = square_policy(yaw_rate=0.25)
-        assert policy.choose_destination(at(0.0, 0.0)).yaw_rate == 0.25
 
     def test_commands_and_state_bit_identical_to_array_form(self):
         """Equal distances tie to the lowest index; the velocity arithmetic runs on floats."""
@@ -975,6 +971,22 @@ class TestStationKeyposes:
         assert [kp.timestamp for kp in station.keyposes[0]] == [1.0, 3.0]
         assert len(station.ba_reports) == 1
         assert station.ba_reports[0]["status"] != "aborted_singular"
+
+    def test_adjustment_of_a_frame_with_no_mapped_marker_is_skipped(self, caplog):
+        sc, station, senders, markers = self.seed_station(every_keyposes=1)
+        senders[1].send(Hello())
+        before = dict(station.gmap.entries)
+        pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
+        kp = self.make_keypose(sc, 1, pose, 1.0, markers)  # frame 1 has mapped nothing
+        with caplog.at_level(logging.DEBUG, logger="markerswarm.swarm.nodes"):
+            senders[1].send(KeyposeCommit(kp))
+        assert station.counters["errors"] == 0
+        assert "skipping adjustment of frame 1: no usable observations" in caplog.text
+        assert station.ba_reports == []
+        assert station.gmap.entries == before
+        assert all(station.gmap.entries[k] is e for k, e in before.items())
+        assert [k.timestamp for k in station.keyposes[1]] == [1.0]
+        assert station.keyposes_since_ba[1] == 0
 
     def test_consistent_keyposes_leave_map_in_place(self):
         sc, station, senders, markers = self.seed_station(every_keyposes=2)
