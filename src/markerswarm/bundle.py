@@ -40,6 +40,7 @@ raises ArithmeticError.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ from markerswarm.geom import (
     _quat_euler,
     check_float,
     check_int,
+    check_keys,
     euler_rate_from_rot_rate,
     euler_rot_derivatives_batch,
     rot_to_euler_batch,
@@ -73,6 +75,8 @@ class Keypose:
     pose: Pose6D
     timestamp: float
     observations: tuple[MarkerDetection, ...]  # the detections seen at this instant
+    # no drone_id: the message that carries a keypose names its sender
+    WIRE_KEYS = frozenset(("frame", "pose", "timestamp", "observations"))
 
     def __post_init__(self) -> None:
         if len(self.observations) < 1:
@@ -81,7 +85,6 @@ class Keypose:
 
     def to_dict(self) -> dict:
         return {
-            "drone_id": int(self.drone_id),
             "frame": int(self.frame),
             "pose": self.pose.to_dict(),
             "timestamp": float(self.timestamp),
@@ -89,9 +92,10 @@ class Keypose:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "Keypose":
+    def from_dict(data: dict, drone_id: int) -> "Keypose":
+        check_keys(data, Keypose.WIRE_KEYS, "keypose")
         return Keypose(
-            drone_id=check_int(data["drone_id"], "drone_id"),
+            drone_id=drone_id,
             frame=check_int(data["frame"], "frame"),
             pose=Pose6D.from_dict(data["pose"]),
             timestamp=check_float(data["timestamp"], "timestamp"),
@@ -140,7 +144,7 @@ class BaProblem:
         self,
         keyposes: list[Keypose],
         marker_poses: dict[int, Pose6D],
-        cameras: dict[str, CameraParams],
+        cameras: Mapping[str, CameraParams],
         ekf_config: EkfConfig,
     ) -> None:
         if not keyposes:
@@ -381,7 +385,6 @@ class NormalEquations:
 @dataclass
 class BaResult:
     status: str  # converged | max_iterations | aborted_singular
-    iterations: int
     initial_cost: float
     final_cost: float
     damping_trace: list[float]
@@ -391,13 +394,18 @@ class BaResult:
     message: str = ""
 
     @property
+    def iterations(self) -> int:
+        """Accepted steps: each appends its cost to ``cost_trace``."""
+        return len(self.cost_trace)
+
+    @property
     def aborted(self) -> bool:
         return self.status == "aborted_singular"
 
     def to_dict(self) -> dict:
         return {
             "status": self.status,
-            "iterations": int(self.iterations),
+            "iterations": self.iterations,
             "initial_cost": float(self.initial_cost),
             "final_cost": float(self.final_cost),
             "damping_trace": [float(v) for v in self.damping_trace],
@@ -429,13 +437,11 @@ def optimize(problem: BaProblem, max_iterations: int = 100) -> BaResult:
     cost_trace: list[float] = []
     status = "max_iterations"
     message = ""
-    iterations = 0
 
     def result(final_status: str, vec: np.ndarray, final_cost: float) -> BaResult:
         keyposes, markers = problem.unpack(vec)
         return BaResult(
             status=final_status,
-            iterations=iterations,
             initial_cost=initial_cost,
             final_cost=final_cost,
             damping_trace=damping_trace,
@@ -481,7 +487,6 @@ def optimize(problem: BaProblem, max_iterations: int = 100) -> BaResult:
             message = "no descent step at maximum damping"
             break
 
-        iterations += 1
         damping_trace.append(damping)
         cost_trace.append(cost_try)
         relative_drop = (cost - cost_try) / max(cost, 1e-300)

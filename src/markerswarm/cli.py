@@ -54,6 +54,12 @@ def _dump_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -112,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a scenario and write artifacts")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run_p.add_argument("--seed", type=_seed, help="override the scenario seed (non-negative)")
     run_p.add_argument("--mode", choices=MODES, default="lockstep")
     run_p.add_argument("--out", default="out", help="output directory")
     run_p.set_defaults(func=cmd_run)

@@ -155,9 +155,11 @@ def predict(state: EkfState, odo: OdometryReading, config: EkfConfig) -> EkfStat
 
 
 def detection_variances(det: MarkerDetection, config: EkfConfig) -> tuple[float, float]:
-    """Position and angle variance of one detection at its range, per axis."""
-    sigma_p = config.det_pos_base + config.det_pos_per_m * det.range
-    sigma_a = config.det_ang_base + config.det_ang_per_m * det.range
+    """Position and angle variance of one detection at its range |rel_pose.t|, per axis."""
+    x, y, z = det.rel_pose.t.tolist()
+    distance = math.sqrt(x * x + y * y + z * z)  # as sense_markers measures it
+    sigma_p = config.det_pos_base + config.det_pos_per_m * distance
+    sigma_a = config.det_ang_base + config.det_ang_per_m * distance
     if sigma_p <= 0.0 or sigma_a <= 0.0:
         raise ValueError(f"detection noise must be strictly positive, got {sigma_p}, {sigma_a}")
     return sigma_p**2, sigma_a**2

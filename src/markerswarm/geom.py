@@ -17,7 +17,9 @@ API boundaries (construction, serialization, filter state vectors).
 Trust boundaries: values are validated once, where they enter a run.
 ``parse_scenario`` checks the scenario file; protocol ``decode`` and the
 ``from_dict`` constructors it calls check every wire value with
-``check_int``, ``check_float`` or ``check_covariance``. The constructors
+``check_keys`` (an object has exactly its keys), ``check_int``,
+``check_float``, ``check_covariance`` or, for a detection's camera and
+marker id, against the camera table and the id range. The constructors
 of values a run computes itself (``EkfState``, ``PoseObservation``,
 ``MapEntry``) only copy and freeze their arrays. ``Pose6D`` is the
 exception: it still rejects a non-finite translation and normalizes its
@@ -382,6 +384,7 @@ class Pose6D:
 
     t: np.ndarray
     q: np.ndarray
+    WIRE_KEYS = frozenset(("t", "euler"))  # of to_dict's object
 
     def __init__(self, t, q) -> None:
         t = np.array(t, dtype=float)
@@ -439,6 +442,7 @@ class Pose6D:
 
     @staticmethod
     def from_dict(data: dict) -> "Pose6D":
+        check_keys(data, Pose6D.WIRE_KEYS, "pose")
         return Pose6D.from_euler(
             [check_float(v, "t") for v in data["t"]],
             [check_float(v, "euler") for v in data["euler"]],
@@ -452,6 +456,12 @@ class Pose6D:
 
 # --------------------------------------------------------------------------
 # decoded values
+
+def check_keys(data: dict, keys: frozenset, what: str) -> dict:
+    """``data`` if it is a JSON object with exactly ``keys``; else raises."""
+    if data.keys() != keys:
+        raise ValueError(f"{what} has keys {sorted(data)}, not {sorted(keys)}")
+    return data
 
 
 def check_int(value, what: str) -> int:

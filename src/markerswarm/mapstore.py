@@ -24,6 +24,7 @@ from markerswarm.geom import (
     check_covariance,
     check_float,
     check_int,
+    check_keys,
     quat_slerp,
     symmetrize,
 )
@@ -44,6 +45,7 @@ class MapEntry:
     pose: Pose6D
     cov: np.ndarray
     obs_count: int
+    WIRE_KEYS = frozenset(("marker_id", "frame", "pose", "cov", "obs_count"))
 
     def __post_init__(self) -> None:
         cov = np.array(self.cov, dtype=float).reshape(6, 6)
@@ -61,6 +63,7 @@ class MapEntry:
 
     @staticmethod
     def from_dict(data: dict) -> "MapEntry":
+        check_keys(data, MapEntry.WIRE_KEYS, "map entry")
         marker_id = check_int(data["marker_id"], "marker_id")
         return MapEntry(
             marker_id=marker_id,

@@ -6,7 +6,8 @@ policy, fusion and adjustment knobs, the tick rate and the duration.
 Everything a run needs besides the seed lives here, so one file plus one
 integer reproduces a run bit for bit in lockstep mode.
 
-A drone names its cameras from one fixed table, ``down`` and ``forward``.
+A drone names its cameras from one fixed table, ``worldsim.CAMERAS``
+(``down`` and ``forward``), each at most once.
 The filter takes its detection noise from the noise block; its other
 settings are set in code (see ``markerswarm.ekf``).
 
@@ -31,14 +32,7 @@ import numpy as np
 from markerswarm.ekf import EkfConfig
 from markerswarm.geom import Pose6D
 from markerswarm.mapstore import DEFAULT_N_FUSE
-from markerswarm.worldsim import (
-    MAX_STEP_DT,
-    CameraParams,
-    SensorNoise,
-    World,
-    downward_camera,
-    forward_camera,
-)
+from markerswarm.worldsim import CAMERAS, MAX_STEP_DT, CameraParams, SensorNoise, World
 
 
 class ScenarioError(Exception):
@@ -151,7 +145,7 @@ class DroneSetup:
     drone_id: int
     start_pose: Pose6D  # ground truth at t=0
     ekf_start_pose: Pose6D  # believed start; origin of this drone's frame
-    cameras: tuple[str, ...]
+    cameras: tuple[CameraParams, ...]  # from CAMERAS, each named once
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,6 @@ class Scenario:
     tick_rate: float
     world: World
     drones: tuple[DroneSetup, ...]
-    cameras: dict[str, CameraParams]
     noise: SensorNoise
     ekf: EkfConfig
     policy: PolicyConfig
@@ -191,9 +184,6 @@ class Scenario:
     @property
     def n_ticks(self) -> int:
         return int(round(self.duration * self.tick_rate))
-
-    def drone_cameras(self, setup: DroneSetup) -> list[CameraParams]:
-        return [self.cameras[name] for name in setup.cameras]
 
 
 def scenario_digest(raw: dict) -> str:
@@ -319,8 +309,6 @@ def parse_scenario(raw: dict) -> Scenario:
     except ValueError as err:
         raise ScenarioError(str(err)) from err
 
-    cameras = {"down": downward_camera(), "forward": forward_camera()}
-
     drone_ids = [int(d["id"]) for d in raw["drones"]]
     if len(set(drone_ids)) != len(drone_ids):
         raise ScenarioError("duplicate drone ids")
@@ -328,11 +316,14 @@ def parse_scenario(raw: dict) -> Scenario:
     for entry in sorted(raw["drones"], key=lambda d: d["id"]):
         start = Pose6D.from_dict(entry["start_pose"])
         believed = Pose6D.from_dict(entry["ekf_start_pose"]) if "ekf_start_pose" in entry else start
-        names = tuple(entry.get("cameras", ["down"]))
-        missing = [n for n in names if n not in cameras]
+        names = entry.get("cameras", ["down"])
+        missing = [n for n in names if n not in CAMERAS]
         if missing:
             raise ScenarioError(f"drone {entry['id']} references unknown cameras {missing}")
-        drones.append(DroneSetup(int(entry["id"]), start, believed, names))
+        if len(set(names)) != len(names):  # it would sense every marker twice a tick
+            raise ScenarioError(f"drone {entry['id']} names a camera twice: {names}")
+        cameras = tuple(CAMERAS[n] for n in names)
+        drones.append(DroneSetup(int(entry["id"]), start, believed, cameras))
 
     noise_block = raw.get("noise", {})
     noise = SensorNoise(**noise_block)
@@ -358,7 +349,6 @@ def parse_scenario(raw: dict) -> Scenario:
         tick_rate=float(raw["tick_rate"]),
         world=world,
         drones=tuple(drones),
-        cameras=cameras,
         noise=noise,
         ekf=ekf,
         policy=policy,

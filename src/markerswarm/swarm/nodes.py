@@ -45,7 +45,7 @@ from markerswarm.swarm.protocol import (
     ProtocolError,
     SequenceGuard,
 )
-from markerswarm.worldsim import CameraParams, MarkerDetection, OdometryReading, VelocityCommand
+from markerswarm.worldsim import CAMERAS, MarkerDetection, OdometryReading, VelocityCommand
 
 log = logging.getLogger(__name__)
 
@@ -159,7 +159,6 @@ class NavptsNode:
         self.ekf_config = scenario.ekf
         self.n_fuse = scenario.n_fuse
         self.ba = scenario.ba  # with BA off nothing reads a keypose
-        self.cameras = {name: scenario.cameras[name] for name in setup.cameras}
         # the believed start defines the frame: the state is exact at t = 0
         self.state = EkfState.from_pose(setup.ekf_start_pose, np.zeros((6, 6)), setup.drone_id)
         self.map_view: dict[int, MapEntry] = {}
@@ -186,8 +185,7 @@ class NavptsNode:
         for det in detections:
             entry = self.map_view.get(det.marker_id)
             if entry is not None and entry.frame == self.state.frame:
-                cam = self.cameras[det.camera]
-                obs = observation_from_marker(det, entry, cam, self.ekf_config)
+                obs = observation_from_marker(det, entry, CAMERAS[det.camera], self.ekf_config)
                 self.state, accepted = update(self.state, obs, self.ekf_config)
                 self.counters["updates" if accepted else "gated"] += 1
                 if entry.obs_count < self.n_fuse:
@@ -260,7 +258,6 @@ class GroundStation:
 
     def __init__(self, scenario: Scenario, link: protocol.Endpoint) -> None:
         self.gmap = GlobalMap(n_fuse=scenario.n_fuse)
-        self.cameras = scenario.cameras
         self.ekf_config = scenario.ekf
         self.ba = scenario.ba
         self.link = link  # over every drone's inbox
@@ -316,16 +313,9 @@ class GroundStation:
 
     # -- marker observations -------------------------------------------
 
-    def _camera(self, det: MarkerDetection) -> CameraParams:
-        cam = self.cameras.get(det.camera)
-        if cam is None:
-            raise ProtocolError(f"unknown camera {det.camera!r}")
-        return cam
-
     def _process_marker_obs(self, m: MarkerObs) -> None:
-        cam = self._camera(m.detection)
         frame, ekf_pose, ekf_cov = self._carry_forward(m.frame, m.ekf_pose, m.ekf_cov)
-        camera_pose = ekf_pose.compose(cam.extrinsics)
+        camera_pose = ekf_pose.compose(CAMERAS[m.detection.camera].extrinsics)
         pose_in_frame = camera_pose.compose(m.detection.rel_pose)
         # isotropic detection noise needs no rotation into the frame (see ekf)
         cov = detection_noise(m.detection, self.ekf_config) + ekf_cov
@@ -421,8 +411,6 @@ class GroundStation:
     # -- keyposes and adjustment ---------------------------------------
 
     def _process_keypose(self, kp: Keypose) -> None:
-        for det in kp.observations:
-            self._camera(det)  # a keypose BA cannot use would fail every later BA of its frame
         frame = self._store_keypose(kp)
         self.keyposes_since_ba[frame] += 1
         if self.keyposes_since_ba[frame] >= self.ba.every_keyposes:
@@ -440,7 +428,7 @@ class GroundStation:
         self.keyposes_since_ba[frame] = 0
         markers = {e.marker_id: e.pose for e in self.gmap.entries_in_frame(frame)}
         try:
-            problem = BaProblem(self.keyposes[frame], markers, self.cameras, self.ekf_config)
+            problem = BaProblem(self.keyposes[frame], markers, CAMERAS, self.ekf_config)
         except ValueError as err:
             log.debug("skipping adjustment of frame %d: %s", frame, err)
             return

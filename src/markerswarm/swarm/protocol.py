@@ -11,19 +11,22 @@ station sends only ``MapSnapshot``. Any other "type" is a malformed line.
 Each fact travels once. ``Hello`` has no payload: the station registers
 the envelope's sender. A drone sends what it measured. ``MarkerObs``
 carries one detection and the time it was made; a keypose carries the
-detections seen at its instant, beside its own drone id and time. A
-``MarkerDetection`` itself carries neither a drone id nor a time. The
-station looks up the camera and derives the noise from its own scenario.
+detections seen at its instant, its frame and time; its drone is the
+envelope's sender. A ``MarkerDetection`` carries neither its range, which
+is |``rel_pose.t``|, nor a drone id or a time. The station takes camera
+poses from ``worldsim.CAMERAS`` and the noise from its own scenario.
 ``PoseReport`` carries the drone's EKF mean (exactly six floats), its
 frame and the tick's time: not the drone id, which the envelope's sender
 is, nor the covariance, which nothing reads.
 
-Every integer, in the envelope and in the payload, must be a JSON
-integer: a float, a string or a bool is a malformed line. Every float
-must be a finite JSON number (``check_float``), not a string or a bool,
-a camera name must be a string and a detection's range must be the norm
-of its ``rel_pose.t`` within ``RANGE_REL_TOL`` relative (so not negative).
-Every covariance must pass ``check_covariance``.
+Every wire value is checked where it is decoded; what fails makes a
+malformed line. Every JSON object on a line, the line included, has
+exactly its keys. Every integer, in the envelope and in the payload, must
+be a JSON integer: a float, a string or a bool is a malformed line. Every
+float must be a finite JSON number (``check_float``), not a string or a
+bool. A detection's camera must be a name in ``CAMERAS`` and its marker
+id lie in ``0..MARKER_ID_MAX``. Every covariance must pass
+``check_covariance``.
 
 Frames are state, not events: a pose on the wire names the frame it was
 taken in (``MarkerObs.frame``, ``Keypose.frame``, ``PoseReport.frame``);
@@ -55,18 +58,19 @@ message is immutable, arrays included, so readers can share it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from markerswarm.bundle import Keypose
-from markerswarm.geom import Pose6D, check_covariance, check_float, check_int
+from markerswarm.geom import Pose6D, check_covariance, check_float, check_int, check_keys
 from markerswarm.mapstore import MapEntry
 from markerswarm.worldsim import MarkerDetection
 
 STATION_ID = -1
 SEQ_MAX = 2**64 - 1
+MERGE_KEYS = frozenset(("from", "to", "rt"))  # of one frame table row
 
 
 class ProtocolError(Exception):
@@ -174,21 +178,27 @@ def _parse_pose_report(p: dict) -> PoseReport:
 
 
 def _parse_map_snapshot(p: dict) -> MapSnapshot:
+    rows = (check_keys(m, MERGE_KEYS, "merge") for m in p["merges"])
     merges = ((check_int(m["from"], "from"), check_int(m["to"], "to"), Pose6D.from_dict(m["rt"]))
-              for m in p["merges"])
+              for m in rows)
     return MapSnapshot(tuple(MapEntry.from_dict(e) for e in p["entries"]), tuple(merges))
 
 
 def _parse_keypose_commit(p: dict) -> KeyposeCommit:
-    return KeyposeCommit(Keypose.from_dict(p["keypose"]))
+    # decode checked the sender before any parser runs
+    return KeyposeCommit(Keypose.from_dict(p["keypose"], p["sender"]))
 
 
+# per message name: its parser and its line's keys, the envelope's and the payload's
 _PARSERS = {
-    "Hello": _parse_hello,
-    "MarkerObs": _parse_marker_obs,
-    "PoseReport": _parse_pose_report,
-    "MapSnapshot": _parse_map_snapshot,
-    "KeyposeCommit": _parse_keypose_commit,
+    cls.__name__: (parser, frozenset(("type", "sender", "seq", *(f.name for f in fields(cls)))))
+    for cls, parser in (
+        (Hello, _parse_hello),
+        (MarkerObs, _parse_marker_obs),
+        (PoseReport, _parse_pose_report),
+        (MapSnapshot, _parse_map_snapshot),
+        (KeyposeCommit, _parse_keypose_commit),
+    )
 }
 
 
@@ -227,7 +237,7 @@ def decode(line: str) -> Decoded:
         raise ProtocolError("message line must be a JSON object")
     try:
         kind = frame["type"]
-        parser = _PARSERS[kind]
+        parser, keys = _PARSERS[kind]
         sender = check_int(frame["sender"], "sender")
         seq = check_int(frame["seq"], "seq")
     except (KeyError, TypeError) as err:
@@ -235,7 +245,7 @@ def decode(line: str) -> Decoded:
     if not (0 <= seq <= SEQ_MAX):
         raise ProtocolError(f"sequence number {seq} outside unsigned 64-bit range")
     try:
-        msg = parser(frame)
+        msg = parser(check_keys(frame, keys, kind))
     except ProtocolError:
         raise
     except Exception as err:

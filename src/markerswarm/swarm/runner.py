@@ -44,6 +44,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None, mode: str = "locks
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not in {MODES}")
     seed = scenario.seed if seed is None else int(seed)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
     if mode == "threaded":
         # imported here so that a lockstep run never loads it
         from concurrent.futures import ThreadPoolExecutor
@@ -65,7 +67,7 @@ def _sense(scenario, setup, truth_prev, truth_now, rng, dt):
     """Odometry then detections, in a frozen draw order per drone."""
     odometry = sense_odometry(truth_prev, truth_now, dt, scenario.noise, rng)
     detections = []
-    for cam in scenario.drone_cameras(setup):
+    for cam in setup.cameras:
         detections.extend(sense_markers(truth_now, scenario.world, cam, scenario.noise, rng))
     return odometry, detections
 

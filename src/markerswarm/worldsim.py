@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from markerswarm.geom import (
     _quat_euler,
     _quat_unit,
     _rotate,
-    check_float,
     check_int,
+    check_keys,
     wrap_angle,
 )
 
@@ -47,8 +48,6 @@ MAX_STEP_DT = 0.5
 # 1e-15 m; 1e-6 m keeps every marker the exact test would accept, so the
 # cull never changes a detection or an RNG draw.
 CULL_MARGIN = 1e-6  # m
-# A decoded detection's range may differ from |rel_pose.t| by this much, relative.
-RANGE_REL_TOL = 1e-9
 
 
 def drone_rng(seed: int, drone_id: int) -> np.random.Generator:
@@ -140,40 +139,43 @@ class CameraParams:
         return self.extrinsics.inverse()
 
 
+# The one camera table: a drone names its cameras from it.
+CAMERAS = MappingProxyType({
+    # looking along body -z (roll the optics by pi)
+    "down": CameraParams("down", Pose6D.from_euler([0.0, 0.0, 0.0], [math.pi, 0.0, 0.0]), 0.9, 4.0),
+    # looking along body +x (pitch the optics by pi/2)
+    "forward": CameraParams(
+        "forward", Pose6D.from_euler([0.0, 0.0, 0.0], [0.0, math.pi / 2, 0.0]), 0.8, 5.0
+    ),
+})
+
+
 @dataclass(frozen=True, slots=True)
 class MarkerDetection:
+    """One marker seen by one camera; its range is |rel_pose.t|, which is not stored."""
+
     marker_id: int
-    camera: str
+    camera: str  # a key of CAMERAS
     rel_pose: Pose6D  # marker pose in the camera frame
-    range: float  # == |rel_pose.t|
+    WIRE_KEYS = frozenset(("marker_id", "camera", "rel_pose"))
 
     def to_dict(self) -> dict:
         return {
             "marker_id": self.marker_id,
             "camera": self.camera,
             "rel_pose": self.rel_pose.to_dict(),
-            "range": float(self.range),
         }
 
     @staticmethod
     def from_dict(data: dict) -> "MarkerDetection":
+        check_keys(data, MarkerDetection.WIRE_KEYS, "detection")
+        marker_id = check_int(data["marker_id"], "marker_id")
+        if not (0 <= marker_id <= MARKER_ID_MAX):
+            raise ValueError(f"marker id {marker_id} outside 0..{MARKER_ID_MAX}")
         camera = data["camera"]
-        if type(camera) is not str:
-            raise TypeError(f"camera {camera!r} is not a string")
-        distance = check_float(data["range"], "range")
-        if distance < 0.0:
-            raise ValueError(f"range {distance!r} is negative")
-        rel_pose = Pose6D.from_dict(data["rel_pose"])
-        # the sender takes the range from the very floats it sends as rel_pose.t
-        norm = math.hypot(*rel_pose.t.tolist())
-        if abs(distance - norm) > RANGE_REL_TOL * norm:
-            raise ValueError(f"range {distance!r} is not |rel_pose.t| = {norm!r}")
-        return MarkerDetection(
-            marker_id=check_int(data["marker_id"], "marker_id"),
-            camera=camera,
-            rel_pose=rel_pose,
-            range=distance,
-        )
+        if camera not in CAMERAS:  # an unhashable one raises TypeError
+            raise ValueError(f"camera {camera!r} is not one of {sorted(CAMERAS)}")
+        return MarkerDetection(marker_id, camera, Pose6D.from_dict(data["rel_pose"]))
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,6 @@ def sense_markers(
                 marker_id=marker_id,
                 camera=cam.name,
                 rel_pose=Pose6D((x, y, z), q),
-                range=math.sqrt(x * x + y * y + z * z),
             )
         )
     return out
@@ -327,26 +328,3 @@ def sense_odometry(
         v_body = [v + sigma_v * n for v, n in zip(v_body, draws[:3])]
         rates = [r + sigma_r * n for r, n in zip(rates, draws[3:])]
     return OdometryReading(dt=dt, v_body=np.array(v_body), euler_rates=np.array(rates))
-
-
-# --- standard camera rigs -------------------------------------------------
-
-
-def downward_camera(fov_half_angle: float = 0.9, max_range: float = 4.0) -> CameraParams:
-    """Camera looking along body -z (roll the optics by pi)."""
-    return CameraParams(
-        name="down",
-        extrinsics=Pose6D.from_euler([0.0, 0.0, 0.0], [math.pi, 0.0, 0.0]),
-        fov_half_angle=fov_half_angle,
-        max_range=max_range,
-    )
-
-
-def forward_camera(fov_half_angle: float = 0.8, max_range: float = 5.0) -> CameraParams:
-    """Camera looking along body +x (pitch the optics by pi/2)."""
-    return CameraParams(
-        name="forward",
-        extrinsics=Pose6D.from_euler([0.0, 0.0, 0.0], [0.0, math.pi / 2, 0.0]),
-        fov_half_angle=fov_half_angle,
-        max_range=max_range,
-    )

@@ -141,7 +141,7 @@ def sense_markers_every_marker(truth, world, cam, noise, rng):
             rel = Pose6D.from_euler(t, euler)
         else:
             rel = Pose6D(t, q)
-        out.append(MarkerDetection(marker_id, cam.name, rel, norm3(rel.t)))
+        out.append(MarkerDetection(marker_id, cam.name, rel))
     return out
 
 
@@ -171,8 +171,9 @@ def transition_jacobian_array(derivs, dt: float) -> np.ndarray:
 
 def detection_noise_array(det, config) -> np.ndarray:
     """``ekf.detection_noise`` through ``np.diag`` of a list."""
-    sigma_p = config.det_pos_base + config.det_pos_per_m * det.range
-    sigma_a = config.det_ang_base + config.det_ang_per_m * det.range
+    distance = norm3(det.rel_pose.t)
+    sigma_p = config.det_pos_base + config.det_pos_per_m * distance
+    sigma_a = config.det_ang_base + config.det_ang_per_m * distance
     return np.diag([sigma_p**2] * 3 + [sigma_a**2] * 3)
 
 

@@ -31,7 +31,7 @@ from markerswarm.geom import Pose6D, rotation_angle_between, wrap_angles
 from markerswarm.mapstore import MapEntry, fuse_pose
 from markerswarm.scenario import load_scenario, parse_scenario
 from markerswarm.swarm import run_scenario
-from markerswarm.worldsim import MarkerDetection, OdometryReading, downward_camera
+from markerswarm.worldsim import CAMERAS, MarkerDetection, OdometryReading
 
 
 def merge_scenario_raw(seed, noise=True):
@@ -148,7 +148,7 @@ def test_criterion_2_ekf_correctness():
 
     # (a cont.) an initial belief offset is pulled onto the truth by
     # repeated exact marker updates
-    cam = downward_camera()
+    cam = CAMERAS["down"]
     cfg = EkfConfig(det_pos_base=1e-3, det_ang_base=1e-3, gate_enabled=False)
     markers = {
         1: Pose6D.from_euler([0.3, 0.0, 0.0], [0, 0, 0.2]),
@@ -168,7 +168,7 @@ def test_criterion_2_ekf_correctness():
         state = predict(state, OdometryReading(0.1, np.zeros(3), np.zeros(3)), cfg)
         for marker_id, marker_pose in markers.items():
             rel = truth.compose(cam.extrinsics).inverse().compose(marker_pose)
-            det = MarkerDetection(marker_id, "down", rel, float(np.linalg.norm(rel.t)))
+            det = MarkerDetection(marker_id, "down", rel)
             obs = observation_from_marker(det, entries[marker_id], cam, cfg)
             state, accepted = update(state, obs, cfg)
             assert accepted

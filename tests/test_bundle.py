@@ -34,7 +34,7 @@ from markerswarm.geom import (
     wrap_angles,
 )
 from markerswarm.ekf import EkfConfig, detection_noise
-from markerswarm.worldsim import CameraParams, MarkerDetection, downward_camera, forward_camera
+from markerswarm.worldsim import CAMERAS as TABLE, CameraParams, MarkerDetection
 
 DOWN_CAM = Pose6D.from_euler(np.array([0.0, 0.0, 0.1]), np.array([math.pi, 0.0, 0.0]))
 CAMERAS = {"down": CameraParams("down", DOWN_CAM, 0.9, 4.0)}
@@ -43,12 +43,7 @@ FLAT_NOISE = EkfConfig(det_pos_per_m=0.0, det_ang_per_m=0.0)
 
 
 def detection(marker_id, rel_pose, camera="down"):
-    return MarkerDetection(
-        marker_id=marker_id,
-        camera=camera,
-        rel_pose=rel_pose,
-        range=float(np.linalg.norm(rel_pose.t)),
-    )
+    return MarkerDetection(marker_id=marker_id, camera=camera, rel_pose=rel_pose)
 
 
 def small_pose(rng, pos_scale, ang_scale):
@@ -203,7 +198,7 @@ def random_problem(rng, n_keyposes, n_markers):
     rest; drone ids cycle 1, 2, 0, so the anchor is not the first keypose
     given. Returns (problem, cameras, ekf_config).
     """
-    rigs = [downward_camera(), forward_camera()]
+    rigs = [TABLE["down"], TABLE["forward"]]
     cameras = {
         f"{rig.name}{k}": replace(
             rig, name=f"{rig.name}{k}", extrinsics=Pose6D(rng.normal(0.0, 0.1, 3), rig.extrinsics.q)
@@ -322,7 +317,7 @@ class TestProblemLayout:
         """One rotation per camera, one array per field, one pose per unpacked row."""
         rng = np.random.default_rng(7)
         _, keyposes, markers = make_problem(rng, n_keyposes=30, n_markers=12, obs_noise=0.05)
-        cameras = {**CAMERAS, "forward": forward_camera()}
+        cameras = {**CAMERAS, "forward": TABLE["forward"]}
         # every third detection through the forward camera, at range-dependent noise
         keyposes = [
             replace(kp, observations=tuple(
@@ -354,14 +349,14 @@ class TestProblemLayout:
     def test_keypose_dict_round_trip(self):
         rng = np.random.default_rng(6)
         _, keyposes, _ = make_problem(rng, n_keyposes=2)
-        loaded = Keypose.from_dict(keyposes[0].to_dict())
-        assert loaded.drone_id == keyposes[0].drone_id
+        assert "drone_id" not in keyposes[0].to_dict()
+        loaded = Keypose.from_dict(keyposes[0].to_dict(), 9)
+        assert loaded.drone_id == 9  # the sender the caller names
+        assert (loaded.frame, loaded.timestamp) == (keyposes[0].frame, keyposes[0].timestamp)
         np.testing.assert_allclose(loaded.pose.t, keyposes[0].pose.t)
         assert len(loaded.observations) == len(keyposes[0].observations)
         for got, sent in zip(loaded.observations, keyposes[0].observations):
-            assert (got.marker_id, got.camera, got.range) == (
-                sent.marker_id, sent.camera, sent.range
-            )
+            assert (got.marker_id, got.camera) == (sent.marker_id, sent.camera)
             np.testing.assert_allclose(got.rel_pose.t, sent.rel_pose.t)
 
 
@@ -454,7 +449,8 @@ class TestOptimize:
         problem, keyposes, markers = make_problem(rng, n_keyposes=3, n_markers=4)
         result = optimize(problem)
         assert result.status == "converged"
-        assert result.iterations == 0
+        assert result.iterations == 0 == len(result.cost_trace)
+        assert result.to_dict()["iterations"] == 0
         for before, after in zip(problem.keyposes, result.keyposes):
             assert np.linalg.norm(after.pose.t - before.pose.t) < 1e-9
         for mid, pose in result.markers.items():
@@ -577,6 +573,7 @@ class TestOptimize:
         result = optimize(problem)
         assert result.status == "aborted_singular"
         assert result.aborted
+        assert result.to_dict()["iterations"] == result.iterations == len(result.cost_trace)
         for mid, pose in result.markers.items():
             np.testing.assert_array_equal(pose.t, markers[mid].t)
 

@@ -212,6 +212,15 @@ class TestRunCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_seed_that_is_no_non_negative_integer_exits_2(self, tmp_path, capsys, seed):
+        scenario = write_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", scenario, "--seed", seed, "--out", tmp_path / "out")
+        assert exit_info.value.code == 2
+        assert "is not a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_scenario_exits_2(self, tmp_path):
         assert run_cli("run", tmp_path / "absent.json", "--out", tmp_path / "out") == 2
 

@@ -32,14 +32,13 @@ from markerswarm.ekf import (
 )
 from markerswarm.geom import Pose6D, _euler_rotate, wrap_angles
 from markerswarm.worldsim import (
+    CAMERAS,
     DroneTruth,
     MarkerDetection,
     SensorNoise,
     VelocityCommand,
     World,
-    downward_camera,
     drone_rng,
-    forward_camera,
     sense_markers,
     sense_odometry,
     step_drone,
@@ -54,9 +53,8 @@ def make_state(mean=None, cov=None, frame=0):
     return EkfState(mean, cov, frame)
 
 
-def make_detection(rel_pose, rng_range=None, marker_id=0, camera="down"):
-    rng_range = float(np.linalg.norm(rel_pose.t)) if rng_range is None else rng_range
-    return MarkerDetection(marker_id, camera, rel_pose, rng_range)
+def make_detection(rel_pose, marker_id=0, camera="down"):
+    return MarkerDetection(marker_id, camera, rel_pose)
 
 
 def odometry(v, rates, dt=0.1):
@@ -158,7 +156,7 @@ class TestObservationFromMarker:
     def test_recovers_drone_pose_from_exact_detection(self):
         rng = np.random.default_rng(77)
         cfg = EkfConfig()
-        for cam in (downward_camera(), forward_camera()):
+        for cam in CAMERAS.values():
             for _ in range(50):
                 truth = Pose6D.from_euler(rng.uniform(-3, 3, 3), [0, 0, rng.uniform(-3, 3)])
                 marker = Pose6D.from_euler(
@@ -173,7 +171,7 @@ class TestObservationFromMarker:
 
     def test_zero_entry_cov_identity_rotation_gives_detection_noise(self):
         cfg = EkfConfig()
-        cam = downward_camera()
+        cam = CAMERAS["down"]
         # marker placed so the recovered drone pose has identity rotation
         marker = Pose6D.from_euler([0.0, 0.0, 0.0], [math.pi, 0.0, 0.0])
         truth = Pose6D.from_euler([0.0, 0.0, 1.5], [0.0, 0.0, 0.0])
@@ -186,7 +184,7 @@ class TestObservationFromMarker:
 
     def test_trace_is_additive_in_map_uncertainty(self):
         cfg = EkfConfig()
-        cam = downward_camera()
+        cam = CAMERAS["down"]
         marker = Pose6D.from_euler([0.3, -0.2, 0.0], [0.2, 0.1, 1.0])
         truth = Pose6D.from_euler([0.1, 0.2, 1.4], [0, 0, -0.8])
         rel = truth.compose(cam.extrinsics).inverse().compose(marker)
@@ -322,7 +320,9 @@ class TestBitIdenticalToArrayForms:
         rng = np.random.default_rng(2029)
         cfg = EkfConfig()
         for distance in [0.0, *rng.uniform(0.0, 10.0, 1000)]:
-            det = make_detection(Pose6D.identity(), rng_range=float(distance))
+            direction = rng.standard_normal(3)
+            t = distance * direction / np.linalg.norm(direction)  # a range of about distance
+            det = make_detection(Pose6D(t, [1.0, 0.0, 0.0, 0.0]))
             assert detection_noise(det, cfg).tobytes() == detection_noise_array(det, cfg).tobytes()
 
 
@@ -346,7 +346,7 @@ class TestZeroNoiseTracking:
             np.array([-5.0, -5, 0]),
             np.array([5.0, 5, 3]),
         )
-        cam = downward_camera()
+        cam = CAMERAS["down"]
         cfg = EkfConfig(
             q_pos=1e-8, q_ang=1e-8,
             det_pos_base=1e-4, det_pos_per_m=0.0,
@@ -396,7 +396,7 @@ def run_nees_experiment(runs: int, seed0: int, ticks: int = 60) -> float:
         np.array([-1.0, -1.0, 0.0]),
         np.array([2.5, 2.5, 2.5]),
     )
-    cam = downward_camera(fov_half_angle=1.1, max_range=4.0)
+    cam = replace(CAMERAS["down"], fov_half_angle=1.1, max_range=4.0)
     dt = 0.1
     sim_noise = SensorNoise(
         pos_base=0.02, pos_per_m=0.0, ang_base=0.002, ang_per_m=0.0,

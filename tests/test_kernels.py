@@ -35,20 +35,23 @@ from markerswarm.geom import (
     wrap_angles,
 )
 from markerswarm.worldsim import (
+    CAMERAS,
     MARKER_ID_MAX,
     DroneTruth,
     MarkerDetection,
     SensorNoise,
     World,
-    downward_camera,
     drone_rng,
-    forward_camera,
     sense_markers,
 )
 
 CASES = 20_000
 TOL = 1e-12
 MAX_PITCH = 1.4
+# ids named after the rig functions the table replaced
+RIGS = pytest.mark.parametrize(
+    "cam", [CAMERAS["down"], CAMERAS["forward"]], ids=["downward_camera", "forward_camera"]
+)
 
 
 def random_euler(rng, n):
@@ -133,9 +136,8 @@ def test_euler_rotate_matches_rotation_derivatives():
     assert worst < TOL, worst
 
 
-@pytest.mark.parametrize("rig", [downward_camera, forward_camera])
-def test_observation_from_marker_matches_pose_composition(rig):
-    cam = rig()
+@RIGS
+def test_observation_from_marker_matches_pose_composition(cam):
     cfg = EkfConfig()
     rng = np.random.default_rng(1502)
     drones, rels = random_euler(rng, CASES), random_euler(rng, CASES)
@@ -144,7 +146,7 @@ def test_observation_from_marker_matches_pose_composition(rig):
         drone = Pose6D.from_euler(rng.uniform(-5.0, 5.0, 3), drone_euler)
         rel = Pose6D.from_euler(rng.uniform(-3.0, 3.0, 3), rel_euler)
         entry = drone.compose(cam.extrinsics).compose(rel)
-        det = MarkerDetection(7, cam.name, rel, float(np.linalg.norm(rel.t)))
+        det = MarkerDetection(7, cam.name, rel)
         record = SimpleNamespace(pose=entry, cov=random_cov(rng, 0.01))
         obs = observation_from_marker(det, record, cam, cfg)
         want_vector, want_cov = reference_observation(det, record, cam, cfg)
@@ -196,9 +198,8 @@ def test_update_matches_two_solve_form():
     assert same_gate == CASES
 
 
-@pytest.mark.parametrize("rig", [downward_camera, forward_camera])
-def test_sense_markers_matches_pose_composition(rig):
-    cam = rig()
+@RIGS
+def test_sense_markers_matches_pose_composition(cam):
     noise = SensorNoise(dropout=0.2)
     rng = np.random.default_rng(1505)
     count = MARKER_ID_MAX + 1
@@ -221,7 +222,7 @@ def test_sense_markers_matches_pose_composition(rig):
         np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)
         for det, (_, rel, dist) in zip(got, want):
             worst = max(worst, vector_error(det.rel_pose.to_vector(), rel.to_vector()))
-            worst = max(worst, abs(det.range - dist))
+            worst = max(worst, abs(float(np.linalg.norm(det.rel_pose.t)) - dist))
         detected += len(got)
     assert detected > CASES // 2
     assert worst < TOL, worst

@@ -41,23 +41,11 @@ def sample_cov(seed=1):
 
 
 def sample_detection():
-    rel = sample_pose(2)
-    return MarkerDetection(
-        marker_id=42,
-        camera="down",
-        rel_pose=rel,
-        range=float(np.linalg.norm(rel.t)),
-    )
+    return MarkerDetection(marker_id=42, camera="down", rel_pose=sample_pose(2))
 
 
 def sample_keypose():
-    rel = sample_pose(3)
-    det = MarkerDetection(
-        marker_id=7,
-        camera="forward",
-        rel_pose=rel,
-        range=float(np.linalg.norm(rel.t)),
-    )
+    det = MarkerDetection(marker_id=7, camera="forward", rel_pose=sample_pose(3))
     return Keypose(
         drone_id=2, frame=0, pose=sample_pose(6), timestamp=4.5, observations=(det,)
     )
@@ -117,11 +105,11 @@ def legacy_entry(e):
 
 def legacy_detection(d):
     return {"marker_id": d.marker_id, "camera": d.camera,
-            "rel_pose": legacy_pose(d.rel_pose), "range": float(d.range)}
+            "rel_pose": legacy_pose(d.rel_pose)}
 
 
 def legacy_keypose(kp):
-    return {"drone_id": kp.drone_id, "frame": kp.frame, "pose": legacy_pose(kp.pose),
+    return {"frame": kp.frame, "pose": legacy_pose(kp.pose),
             "timestamp": float(kp.timestamp),
             "observations": [legacy_detection(d) for d in kp.observations]}
 
@@ -202,8 +190,19 @@ class TestCodec:
         (ob,) = kp.observations
         ref = msg.keypose.observations[0]
         assert (ob.marker_id, ob.camera) == (7, "forward")
-        assert ob.range == ref.range
         assert poses_close(ob.rel_pose, ref.rel_pose)
+
+    def test_keypose_drone_is_the_envelope_sender(self):
+        keypose = sample_keypose()
+        assert keypose.drone_id == 2
+        assert decode(encode(KeyposeCommit(keypose), sender=5, seq=1)).msg.keypose.drone_id == 5
+
+    def test_detections_carry_no_range_and_keyposes_no_drone(self):
+        obs = json.loads(encode(all_messages()[1], sender=1, seq=1))
+        commit = json.loads(encode(KeyposeCommit(sample_keypose()), sender=2, seq=1))
+        assert set(obs["detection"]) == {"marker_id", "camera", "rel_pose"}
+        assert set(commit["keypose"]) == {"frame", "pose", "timestamp", "observations"}
+        assert set(commit["keypose"]["observations"][0]) == {"marker_id", "camera", "rel_pose"}
 
     def test_hello_envelope_keys(self):
         line = encode(Hello(), sender=4, seq=1)
@@ -215,6 +214,9 @@ class TestCodec:
         line = encode(MapSnapshot(entries=(), merges=()), sender=STATION_ID, seq=0)
         assert decode(line).sender == STATION_ID
 
+    # A detection has no "range" key and a keypose no "drone_id": every JSON
+    # object on a line has exactly its keys, so the cases that set either
+    # key are malformed for the key alone, whatever its value.
     @pytest.mark.parametrize(
         "line",
         [
@@ -279,6 +281,19 @@ class TestCodec:
             tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], 0.0),
             '{"type": "FrameMerged", "sender": -1, "seq": 1, "loser": 1, "winner": 0, '
             '"rt": {"t": [0.0, 0.0, 0.0], "euler": [0.0, 0.0, 0.0]}}',
+            tampered("MarkerObs", ["detection", "camera"], "thermal"),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "camera"], "thermal"),
+            tampered("MarkerObs", ["detection", "camera"], ["down"]),
+            tampered("MarkerObs", ["detection", "marker_id"], -1),
+            tampered("MarkerObs", ["detection", "marker_id"], 1024),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], -1),
+            tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], 1024),
+            tampered("Hello", ["drone_id"], 0),
+            tampered("PoseReport", ["cov"], flat(np.eye(6))),
+            tampered("MarkerObs", ["ekf_pose", "q"], [1.0, 0.0, 0.0, 0.0]),
+            tampered("MapSnapshot", ["entries", 0, "seen"], 1),
+            tampered("MapSnapshot", ["merges", 0, "time"], 1.0),
+            tampered("MarkerObs", ["detection"], [42, "down"]),
         ],
         ids=[
             "raw-text",
@@ -337,18 +352,24 @@ class TestCodec:
             "obs-range-not-translation-norm",
             "keypose-observation-range-not-translation-norm",
             "frame-merged",
+            "obs-unknown-camera",
+            "keypose-unknown-observation-camera",
+            "obs-list-camera",
+            "obs-negative-marker-id",
+            "obs-marker-id-1024",
+            "keypose-negative-observation-marker-id",
+            "keypose-observation-marker-id-1024",
+            "hello-extra-key",
+            "report-extra-key",
+            "obs-extra-ekf-pose-key",
+            "snapshot-extra-entry-key",
+            "snapshot-extra-merge-key",
+            "obs-list-detection",
         ],
     )
     def test_malformed_lines_raise(self, line):
         with pytest.raises(ProtocolError):
             decode(line)
-
-    def test_range_must_be_the_translation_norm_within_relative_tolerance(self):
-        norm = sample_detection().range
-        close = tampered("MarkerObs", ["detection", "range"], norm * (1.0 + 1e-12))
-        assert decode(close).msg.detection.range == norm * (1.0 + 1e-12)
-        with pytest.raises(ProtocolError):
-            decode(tampered("MarkerObs", ["detection", "range"], norm * (1.0 + 1e-8)))
 
     @pytest.mark.parametrize(
         "msg", all_messages() + awkward_messages(), ids=lambda m: type(m).__name__

@@ -14,6 +14,7 @@ from markerswarm.scenario import (
     parse_scenario,
     scenario_digest,
 )
+from markerswarm.worldsim import CAMERAS
 
 
 def minimal_raw(**overrides):
@@ -52,8 +53,8 @@ class TestParsing:
         sc = parse_scenario(minimal_raw())
         assert sc.n_ticks == 20
         assert math.isclose(sc.dt, 0.1)
-        assert set(sc.cameras) == {"down", "forward"}
-        assert sc.drones[0].cameras == ("down",)
+        assert sc.drones[0].cameras == (CAMERAS["down"],)
+        assert sc.drones[0].cameras[0] is CAMERAS["down"]
         assert sc.n_fuse == 5
         assert sc.ba.enabled and sc.ba.every_keyposes == 10
         assert sc.noise.pos_base == 0.02
@@ -169,6 +170,20 @@ class TestValidation:
         raw = minimal_raw()
         raw["drones"][0]["cameras"] = ["sideways"]
         with pytest.raises(ScenarioError, match="unknown cameras"):
+            parse_scenario(raw)
+
+    def test_cameras_come_from_the_table_in_the_order_named(self):
+        raw = minimal_raw()
+        raw["drones"][0]["cameras"] = ["forward", "down"]
+        (drone,) = parse_scenario(raw).drones
+        assert drone.cameras == (CAMERAS["forward"], CAMERAS["down"])
+
+    @pytest.mark.parametrize("names", [["down", "down"], ["forward", "down", "forward"]])
+    def test_camera_named_twice_is_refused(self, names):
+        # it would sense every marker twice a tick, and the filter fuse both
+        raw = minimal_raw()
+        raw["drones"][0]["cameras"] = names
+        with pytest.raises(ScenarioError, match="names a camera twice"):
             parse_scenario(raw)
 
     def test_tick_rate_too_slow_for_stepper(self):

@@ -40,7 +40,7 @@ from markerswarm.swarm.protocol import (
     encode,
 )
 from markerswarm.swarm.runner import MODES, _build_system, _handle_mail, _run_ticks
-from markerswarm.worldsim import MarkerDetection, OdometryReading, downward_camera
+from markerswarm.worldsim import CAMERAS, MarkerDetection, OdometryReading
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -214,12 +214,7 @@ def still_odometry():
 
 def detection_of(node_pose, marker_pose, cam, marker_id=5):
     rel = node_pose.compose(cam.extrinsics).inverse().compose(marker_pose)
-    return MarkerDetection(
-        marker_id=marker_id,
-        camera=cam.name,
-        rel_pose=rel,
-        range=float(np.linalg.norm(rel.t)),
-    )
+    return MarkerDetection(marker_id=marker_id, camera=cam.name, rel_pose=rel)
 
 
 def entry_for(node, marker_pose, obs_count, marker_id=5):
@@ -242,7 +237,7 @@ class TestNavptsNode:
     def test_known_settled_marker_updates_without_forwarding(self):
         sc = node_scenario()
         node, station_inbox, _ = make_node(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse)
         det = detection_of(node.state.pose, marker, cam)
@@ -258,7 +253,7 @@ class TestNavptsNode:
     def test_known_young_marker_updates_and_forwards(self):
         sc = node_scenario()
         node, station_inbox, _ = make_node(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse - 1)
         det = detection_of(node.state.pose, marker, cam)
@@ -270,7 +265,7 @@ class TestNavptsNode:
     def test_unknown_marker_forwarded_not_fused(self):
         sc = node_scenario()
         node, station_inbox, _ = make_node(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         det = detection_of(node.state.pose, marker, cam)
         node.tick(0.1, still_odometry(), [det])
@@ -281,7 +276,7 @@ class TestNavptsNode:
     def test_cross_frame_marker_forwarded_not_fused(self):
         sc = node_scenario()
         node, station_inbox, _ = make_node(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         entry = entry_for(node, marker, obs_count=sc.n_fuse)
         node.map_view[5] = type(entry)(
@@ -294,7 +289,7 @@ class TestNavptsNode:
     def test_exact_detection_leaves_pose_unchanged(self):
         sc = node_scenario()
         node, _, _ = make_node(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         node.map_view[5] = entry_for(node, marker, obs_count=sc.n_fuse)
         before = node.state.pose
@@ -491,7 +486,7 @@ class TestNavptsNode:
     def test_keypose_commit_after_sufficient_motion(self):
         sc = node_scenario()
         node, station_inbox, _ = make_node(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
         det = detection_of(node.state.pose, marker, cam)
         node.tick(0.1, still_odometry(), [det])
@@ -550,7 +545,7 @@ class TestGroundStation:
     def test_first_observation_inserts_marker(self):
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, pose, pose, world_marker(), cam))
@@ -565,7 +560,7 @@ class TestGroundStation:
     def test_same_frame_reobservation_fuses(self):
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         for now in (0.5, 0.6, 0.7):
@@ -577,7 +572,7 @@ class TestGroundStation:
     def test_cross_frame_observation_merges_with_true_offset(self):
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker = world_marker()
         offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])  # frame1 origin in frame0
         senders[0].send(Hello())
@@ -612,7 +607,7 @@ class TestGroundStation:
     def test_second_hello_is_refused_and_keeps_the_merged_frame(self, caplog):
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker = world_marker()
         senders[0].send(Hello())
         senders[1].send(Hello())
@@ -632,7 +627,7 @@ class TestGroundStation:
     def test_refine_corrects_merge_on_second_shared_marker(self):
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker_a = world_marker()
         marker_b = Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2])
         offset = Pose6D.from_euler([1.5, -0.5, 0.0], [0, 0, 0.5])
@@ -669,7 +664,7 @@ class TestGroundStation:
     def test_replayed_line_is_stale_and_ignored(self):
         sc = station_scenario()
         station, _, _ = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         station.handle_line(encode(Hello(), sender=0, seq=0))
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         line = encode(obs_from(0, pose, pose, world_marker(), cam), sender=0, seq=1)
@@ -687,19 +682,16 @@ class TestGroundStation:
         assert station.counters["malformed"] == 3
         assert station.counters["handled"] == 0
 
-    def test_bad_payload_counted_as_error(self):
+    def test_bad_payload_counted_as_malformed(self):
+        # an unknown camera or an out-of-range marker id fails at decode
         sc = station_scenario()
         station, senders, _ = make_station(sc)
         senders[0].send(Hello())
-        bad = obs_from(
-            0,
-            Pose6D.identity(),
-            Pose6D.identity(),
-            world_marker(),
-            downward_camera(),
-        )
-        senders[0].send(replace(bad, detection=replace(bad.detection, camera="sideways")))
-        assert station.counters["errors"] == 1
+        good = obs_from(0, Pose6D.identity(), Pose6D.identity(), world_marker(), CAMERAS["down"])
+        for field, value in [("camera", "sideways"), ("marker_id", -1), ("marker_id", 1024)]:
+            senders[0].send(replace(good, detection=replace(good.detection, **{field: value})))
+        assert station.counters["malformed"] == 3
+        assert station.counters["errors"] == 0 and station.counters["handled"] == 1
         assert len(station.gmap.entries) == 0
 
     def test_pose_report_handled_and_ignored(self):
@@ -722,7 +714,7 @@ class TestGroundStation:
     def test_string_nan_range_is_malformed_and_flush_succeeds(self):
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         doc = json.loads(encode(obs_from(0, pose, pose, world_marker(), cam), sender=0, seq=2))
@@ -737,7 +729,7 @@ class TestGroundStation:
     def test_flush_broadcasts_snapshot_once(self):
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, pose, pose, world_marker(), cam))
@@ -754,7 +746,7 @@ class TestGroundStation:
         drones = [{"id": d, "start_pose": {"t": [d, d, 1], "euler": [0, 0, 0]}} for d in range(3)]
         sc = station_scenario(extra={"drones": drones})
         station, senders, inboxes = make_station(sc, drone_ids=(0, 1, 2))
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])  # frame1 origin in frame0
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
         true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
@@ -796,7 +788,7 @@ class TestGroundStation:
         for node in nodes.values():
             node.hello()
             _handle_mail(station, node.outbox)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])  # frame 1's origin in frame 0
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
         true1 = Pose6D.from_euler([0.3, 0.1, 1.1], [0, 0, 0.4])
@@ -828,7 +820,7 @@ class TestGroundStation:
     def test_flush_sends_only_replaced_entries(self):
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         other = Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2])
@@ -846,7 +838,7 @@ class TestGroundStation:
     def test_fuse_on_frozen_entry_sends_nothing(self):
         sc = station_scenario(n_fuse=1)
         station, senders, inboxes = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         senders[0].send(obs_from(0, pose, pose, world_marker(), cam))
@@ -861,7 +853,7 @@ class TestGroundStation:
     def test_merge_sends_every_moved_entry(self):
         sc = station_scenario()
         station, senders, inboxes = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])  # frame1 origin in frame0
         markers = {
             5: world_marker(),
@@ -908,7 +900,7 @@ def sent_ids(inboxes):
 
 class TestStationKeyposes:
     def make_keypose(self, sc, drone_id, pose, now, marker_poses):
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         detections = tuple(
             detection_of(pose, marker_pose, cam, marker_id)
             for marker_id, marker_pose in marker_poses.items()
@@ -918,7 +910,7 @@ class TestStationKeyposes:
     def seed_station(self, every_keyposes=3):
         sc = station_scenario(extra={"ba": {"enabled": True, "every_keyposes": every_keyposes}})
         station, senders, inboxes = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         senders[0].send(Hello())
         markers = {
             5: Pose6D.from_euler([0.4, 0.2, 0.0], [0, 0, 0.3]),
@@ -945,7 +937,7 @@ class TestStationKeyposes:
         assert station.keyposes_since_ba[0] == 0
         assert len(station.keyposes[0]) == 3
 
-    def test_keypose_with_unknown_camera_is_refused(self, caplog):
+    def assert_keypose_refused_at_decode(self, caplog, **change):
         sc, station, senders, markers = self.seed_station(every_keyposes=2)
         poses = [
             Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0]),
@@ -956,21 +948,28 @@ class TestStationKeyposes:
         good = self.make_keypose(sc, 0, poses[1], 2.0, markers)
         bad = replace(
             good,
-            observations=(replace(good.observations[0], camera="thermal"),)
-            + good.observations[1:],
+            observations=(replace(good.observations[0], **change),) + good.observations[1:],
         )
-        with caplog.at_level(logging.ERROR, logger="markerswarm.swarm.nodes"):
+        with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
             senders[0].send(KeyposeCommit(bad))
-        assert station.counters["errors"] == 1
-        assert [rec.exc_info[0] for rec in caplog.records if rec.exc_info] == [ProtocolError]
+        # a keypose BA cannot use would fail every later BA of its frame
+        assert station.counters["malformed"] == 1 and station.counters["errors"] == 0
+        assert "station dropped a malformed line" in caplog.text
         assert [kp.timestamp for kp in station.keyposes[0]] == [1.0]
         assert station.ba_reports == []
         # the refused keypose neither counts towards the interval nor blocks it
         senders[0].send(KeyposeCommit(self.make_keypose(sc, 0, poses[2], 3.0, markers)))
-        assert station.counters["errors"] == 1
+        assert station.counters["malformed"] == 1 and station.counters["errors"] == 0
         assert [kp.timestamp for kp in station.keyposes[0]] == [1.0, 3.0]
         assert len(station.ba_reports) == 1
         assert station.ba_reports[0]["status"] != "aborted_singular"
+
+    def test_keypose_with_unknown_camera_is_refused(self, caplog):
+        self.assert_keypose_refused_at_decode(caplog, camera="thermal")
+
+    @pytest.mark.parametrize("marker_id", [-1, 1024])
+    def test_keypose_with_out_of_range_marker_id_is_refused(self, caplog, marker_id):
+        self.assert_keypose_refused_at_decode(caplog, marker_id=marker_id)
 
     def test_adjustment_of_a_frame_with_no_mapped_marker_is_skipped(self, caplog):
         sc, station, senders, markers = self.seed_station(every_keyposes=1)
@@ -1006,7 +1005,7 @@ class TestStationKeyposes:
     def test_keypose_for_dead_frame_chased_through_merge(self):
         sc = station_scenario()
         station, senders, _ = make_station(sc)
-        cam = sc.cameras["down"]
+        cam = CAMERAS["down"]
         marker = world_marker()
         offset = Pose6D.from_euler([2.0, 1.0, 0.0], [0, 0, 0.9])
         senders[0].send(Hello())
@@ -1052,7 +1051,7 @@ class TestCarryForward:
 
     def sight(self, drone_id, marker_pose, marker_id=5):
         truth = self.truths[drone_id]
-        cam = downward_camera()
+        cam = CAMERAS["down"]
         return obs_from(drone_id, self.believed(drone_id), truth, marker_pose, cam, marker_id)
 
     def station(self, drone_ids):
@@ -1161,6 +1160,16 @@ class TestRunScenario:
         sc = parse_scenario(runner_raw())
         with pytest.raises(ValueError, match="mode"):
             run_scenario(sc, mode="warp")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_negative_seed_rejected_before_anything_is_built(self, monkeypatch, mode):
+        def build(*args):
+            raise AssertionError("built a system for a negative seed")
+
+        monkeypatch.setattr(runner, "_build_system", build)
+        sc = parse_scenario(runner_raw())
+        with pytest.raises(ValueError, match="seed -1 is negative"):
+            run_scenario(sc, seed=-1, mode=mode)
 
     def test_zero_duration_runs_empty(self):
         sc = parse_scenario(runner_raw(duration=0.0))

@@ -1,29 +1,33 @@
 """Truth stepping and simulated sensing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from reference import sense_markers_every_marker, sense_odometry_array, step_drone_numpy
 
+from markerswarm.ekf import EkfConfig, detection_variances
 from markerswarm.geom import Pose6D, wrap_angles
 from markerswarm.worldsim import (
+    CAMERAS,
     CameraParams,
     DroneTruth,
     MarkerDetection,
     SensorNoise,
     VelocityCommand,
     World,
-    downward_camera,
     drone_rng,
-    forward_camera,
     sense_markers,
     sense_odometry,
     step_drone,
 )
 
 NO_NOISE = SensorNoise(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+DOWN, FORWARD = CAMERAS["down"], CAMERAS["forward"]
+# ids named after the rig functions the table replaced
+RIGS = pytest.mark.parametrize("cam", [DOWN, FORWARD], ids=["downward_camera", "forward_camera"])
 
 
 def make_world(markers=None):
@@ -132,26 +136,25 @@ class TestSenseMarkers:
         # on the optical axis at (0, 0, 2) in camera coordinates
         world = make_world({7: Pose6D.from_euler([2.0, 0.0, 0.0], [0, 0, 0])})
         rng = drone_rng(0, 0)
-        dets = sense_markers(drone_at(), world, forward_camera(), NO_NOISE, rng)
+        dets = sense_markers(drone_at(), world, FORWARD, NO_NOISE, rng)
         assert len(dets) == 1
         det = dets[0]
         assert det.marker_id == 7
         assert det.camera == "forward"
         assert np.allclose(det.rel_pose.t, [0.0, 0.0, 2.0], atol=1e-12)
-        assert det.range == pytest.approx(2.0, abs=1e-12)
 
     def test_downward_camera_sees_floor_marker(self):
         world = make_world({3: Pose6D.from_euler([0.0, 0.0, 0.0], [0, 0, 0])})
         truth = drone_at(z=1.5)
-        dets = sense_markers(truth, world, downward_camera(), NO_NOISE, drone_rng(0, 0))
+        dets = sense_markers(truth, world, DOWN, NO_NOISE, drone_rng(0, 0))
         assert len(dets) == 1
-        assert dets[0].range == pytest.approx(1.5, abs=1e-12)
+        assert np.linalg.norm(dets[0].rel_pose.t) == pytest.approx(1.5, abs=1e-12)
 
     def test_zero_noise_relative_pose_is_exact(self):
         marker = Pose6D.from_euler([1.0, 0.5, 0.0], [0.1, -0.2, 0.9])
         world = make_world({4: marker})
         truth = drone_at(x=0.5, y=0.2, z=1.8, yaw=0.7)
-        cam = downward_camera(fov_half_angle=1.2, max_range=6.0)
+        cam = replace(DOWN, fov_half_angle=1.2, max_range=6.0)
         dets = sense_markers(truth, world, cam, NO_NOISE, drone_rng(0, 0))
         assert len(dets) == 1
         want = truth.pose.compose(cam.extrinsics).inverse().compose(marker)
@@ -166,22 +169,30 @@ class TestSenseMarkers:
                 3: Pose6D.from_euler([2.0, 2.5, 0.0], [0, 0, 0]),  # outside the cone
             }
         )
-        dets = sense_markers(drone_at(), world, forward_camera(), NO_NOISE, drone_rng(0, 0))
+        dets = sense_markers(drone_at(), world, FORWARD, NO_NOISE, drone_rng(0, 0))
         assert dets == []
 
     def test_range_equals_norm_of_noisy_translation(self):
         world = make_world({k: Pose6D.from_euler([2.0, 0.2 * k, 0.0], [0, 0, 0]) for k in range(4)})
         noise = SensorNoise(pos_base=0.05, pos_per_m=0.02, ang_base=0.02, ang_per_m=0.01)
         rng = drone_rng(3, 0)
-        dets = sense_markers(drone_at(), world, forward_camera(), noise, rng)
+        dets = sense_markers(drone_at(), world, FORWARD, noise, rng)
         assert len(dets) == 4
+        # the noise model's range is |rel_pose.t| of the noisy detection, to the bit
+        config = EkfConfig()
         for det in dets:
-            assert det.range == pytest.approx(float(np.linalg.norm(det.rel_pose.t)), abs=1e-15)
+            x, y, z = det.rel_pose.t.tolist()
+            distance = math.sqrt(x * x + y * y + z * z)
+            assert distance == pytest.approx(float(np.linalg.norm(det.rel_pose.t)), abs=1e-15)
+            assert detection_variances(det, config) == (
+                (config.det_pos_base + config.det_pos_per_m * distance) ** 2,
+                (config.det_ang_base + config.det_ang_per_m * distance) ** 2,
+            )
 
     def test_ids_sorted_and_never_corrupted(self):
         world = make_world({k: Pose6D.from_euler([2.0, 0.1 * k, 0.0], [0, 0, 0]) for k in (9, 1, 5)})
         noise = SensorNoise(pos_base=0.1, ang_base=0.05)
-        dets = sense_markers(drone_at(), world, forward_camera(), noise, drone_rng(1, 0))
+        dets = sense_markers(drone_at(), world, FORWARD, noise, drone_rng(1, 0))
         assert [d.marker_id for d in dets] == [1, 5, 9]
 
     def test_position_noise_std_matches_config_within_5_percent(self):
@@ -191,7 +202,7 @@ class TestSenseMarkers:
         rng = drone_rng(42, 0)
         xs = []
         for _ in range(10_000):
-            (det,) = sense_markers(drone_at(), world, forward_camera(), noise, rng)
+            (det,) = sense_markers(drone_at(), world, FORWARD, noise, rng)
             xs.append(det.rel_pose.t)
         spread = np.std(np.array(xs) - np.array([0.0, 0.0, 2.0]), axis=0, ddof=1)
         assert np.all(np.abs(spread - 0.04) < 0.05 * 0.04)
@@ -201,7 +212,7 @@ class TestSenseMarkers:
         noise = SensorNoise(0.0, 0.0, 0.0, 0.0, dropout=0.3)
         rng = drone_rng(5, 0)
         seen = sum(
-            bool(sense_markers(drone_at(), world, forward_camera(), noise, rng))
+            bool(sense_markers(drone_at(), world, FORWARD, noise, rng))
             for _ in range(10_000)
         )
         assert abs(seen / 10_000 - 0.7) < 0.02
@@ -243,18 +254,16 @@ class TestSenseMarkersCull:
             assert a.camera == b.camera
             assert np.array_equal(a.rel_pose.t, b.rel_pose.t)
             assert np.array_equal(a.rel_pose.q, b.rel_pose.q)
-            assert a.range == b.range
         np.testing.assert_equal(rng_cull.bit_generator.state, rng_ref.bit_generator.state)
         return len(want)
 
-    @pytest.mark.parametrize("rig", [downward_camera, forward_camera])
+    @RIGS
     @pytest.mark.parametrize(
         "noise",
         [NO_NOISE, SensorNoise(), SensorNoise(dropout=0.3)],
         ids=["no_noise", "noise", "dropout"],
     )
-    def test_same_detections_and_draws_as_every_marker_loop(self, rig, noise):
-        cam = rig()
+    def test_same_detections_and_draws_as_every_marker_loop(self, cam, noise):
         rng = np.random.default_rng(2024)
         detected = 0
         for trial in range(30):
@@ -273,18 +282,17 @@ class TestSenseMarkersCull:
 
     def test_empty_world(self):
         truth = drone_at(z=1.5)
-        for rig in (downward_camera, forward_camera):
-            assert self.assert_same(truth, make_world(), rig(), SensorNoise(dropout=0.3), 3) == 0
+        for cam in (DOWN, FORWARD):
+            assert self.assert_same(truth, make_world(), cam, SensorNoise(dropout=0.3), 3) == 0
 
-    @pytest.mark.parametrize("rig", [downward_camera, forward_camera])
-    def test_camera_pose_bit_identical_to_compose_inverse_form(self, rig):
+    @RIGS
+    def test_camera_pose_bit_identical_to_compose_inverse_form(self, cam):
         """The camera pose on floats, normalized twice as two ``Pose6D`` would be.
 
         Drones at any attitude, so the camera quaternion takes every sign and
         its two normalizations move last bits; markers fill the view, so
         nearly every one is detected and perturbed from that pose.
         """
-        cam = rig()
         rng = np.random.default_rng(2025)
         detected = 0
         for trial in range(150):
@@ -315,9 +323,9 @@ def test_one_draw_of_six_is_two_draws_of_three():
 
 
 def test_detection_is_slotted():
-    """A detection holds its four fields and nothing else: keyposes retain them."""
-    assert MarkerDetection.__slots__ == ("marker_id", "camera", "rel_pose", "range")
-    det = MarkerDetection(1, "down", Pose6D.identity(), 0.0)
+    """A detection holds its three fields and nothing else: keyposes retain them."""
+    assert MarkerDetection.__slots__ == ("marker_id", "camera", "rel_pose")
+    det = MarkerDetection(1, "down", Pose6D.identity())
     assert not hasattr(det, "__dict__")
 
 
@@ -395,7 +403,7 @@ class TestDeterminism:
             for tick in range(50):
                 moved = step_drone(truth, VelocityCommand([0.2, 0.05, 0.0], 0.1), 0.1, world)
                 odo = sense_odometry(truth, moved, 0.1, noise, rng)
-                dets = sense_markers(moved, world, forward_camera(), noise, rng)
+                dets = sense_markers(moved, world, FORWARD, noise, rng)
                 frames.append((odo.v_body.tobytes(), [(d.marker_id, d.rel_pose.t.tobytes()) for d in dets]))
                 truth = moved
             return frames
@@ -410,6 +418,18 @@ class TestDeterminism:
 
 
 class TestCameraValidation:
+    def test_table_is_read_only_and_holds_the_two_rigs(self):
+        with pytest.raises(TypeError):
+            CAMERAS["thermal"] = DOWN
+        assert list(CAMERAS) == ["down", "forward"]
+        assert all(cam.name == name for name, cam in CAMERAS.items())
+        assert (DOWN.fov_half_angle, DOWN.max_range) == (0.9, 4.0)
+        assert (FORWARD.fov_half_angle, FORWARD.max_range) == (0.8, 5.0)
+        assert DOWN.extrinsics.t.tolist() == FORWARD.extrinsics.t.tolist() == [0.0, 0.0, 0.0]
+        # down looks along body -z, forward along body +x
+        assert np.allclose(DOWN.extrinsics.apply([0.0, 0.0, 1.0]), [0.0, 0.0, -1.0])
+        assert np.allclose(FORWARD.extrinsics.apply([0.0, 0.0, 1.0]), [1.0, 0.0, 0.0])
+
     def test_bad_fov_or_range_rejected(self):
         with pytest.raises(ValueError):
             CameraParams("c", Pose6D.identity(), fov_half_angle=0.0, max_range=1.0)
