@@ -30,11 +30,11 @@ S = V + lambda I - W^T (U + lambda I)^-1 W, then back-substitutes for the
 keyposes: the same step as a dense solve of J^T J + lambda I, at a cost
 linear in the number of keyposes.
 
-Variables are parameterized as (x, y, z, alpha, beta, gamma). The Euler
-parameterization keeps the problem small and matches the filter state, at
-the price of a singularity at |pitch| = pi/2; scenario data keeps marker
-and keypose pitches away from that line, and a Jacobian evaluated on it
-raises ArithmeticError.
+Each variable is a translation plus a unit quaternion, seven numbers, and
+a step is six tangent coordinates: x [+] d = (t + d_t, q Exp(d_theta)).
+The rotation residual is the Log of the detected rotation's inverse times
+the predicted one, with closed-form right Jacobians (Sola, Deray &
+Atchuthan 2018), so no orientation is singular, pitch +-pi/2 included.
 """
 
 from __future__ import annotations
@@ -48,15 +48,17 @@ import numpy as np
 from markerswarm.ekf import EkfConfig, detection_variances
 from markerswarm.geom import (
     Pose6D,
-    _quat_euler,
+    QUAT_CONJUGATE,
     check_float,
     check_int,
     check_keys,
-    euler_rate_from_rot_rate,
-    euler_rot_derivatives_batch,
-    rot_to_euler_batch,
+    hat_batch,
+    quat_multiply_batch,
+    quat_to_rot_batch,
     rotation_angle_between,
-    wrap_angles,
+    so3_exp_batch,
+    so3_log_batch,
+    so3_right_jacobian_inv_batch,
 )
 from markerswarm.worldsim import CameraParams, MarkerDetection
 
@@ -66,6 +68,8 @@ DAMPING_STEP = 10.0
 MAX_DAMPING = 1e12
 COST_REL_TOL = 1e-9
 GRAD_TOL = 1e-10
+KEYPOSE_TRANSLATION = 0.5  # m moved since the last keypose that commits the next
+KEYPOSE_ROTATION = 0.35  # rad turned since the last keypose that commits the next
 
 
 @dataclass(frozen=True)
@@ -103,18 +107,12 @@ class Keypose:
         )
 
 
-def select_keypose(
-    current: Pose6D,
-    last: Pose6D | None,
-    visible_markers: int,
-    d_key: float = 0.5,  # m of translation since the last keypose
-    theta_key: float = 0.35,  # rad of rotation since the last keypose
-) -> bool:
+def select_keypose(current: Pose6D, last: Pose6D | None, visible_markers: int) -> bool:
     """Commit a keypose when the drone has moved enough and sees a marker.
 
-    True iff (translation since the last keypose > d_key or rotation >
-    theta_key) and at least one marker is currently visible. With no prior
-    keypose any marker sighting qualifies.
+    True iff (translation since the last keypose > KEYPOSE_TRANSLATION or
+    rotation > KEYPOSE_ROTATION) and at least one marker is currently
+    visible. With no prior keypose any marker sighting qualifies.
     """
     if visible_markers < 1:
         return False
@@ -122,8 +120,8 @@ def select_keypose(
         return True
     offset = current.t - last.t
     # what np.linalg.norm computes for a real vector, without its dispatch
-    moved = math.sqrt(offset.dot(offset)) > d_key
-    turned = rotation_angle_between(current.q, last.q) > theta_key
+    moved = math.sqrt(offset.dot(offset)) > KEYPOSE_TRANSLATION
+    turned = rotation_angle_between(current.q, last.q) > KEYPOSE_ROTATION
     return moved or turned
 
 
@@ -186,7 +184,7 @@ class BaProblem:
         dets = [d for _, d in self.observations]
         self.obs_keypose = np.array([i for i, _ in self.observations])  # 0 is the anchor
         self.obs_marker = np.array([marker_index[d.marker_id] for d in dets])
-        self._anchor = self.keyposes[0].pose.to_vector()
+        self._anchor = _pose_rows([self.keyposes[0].pose])
         # one rotation per camera, gathered per observation
         names = sorted({d.camera for d in dets})
         camera_index = {name: k for k, name in enumerate(names)}
@@ -194,7 +192,10 @@ class BaProblem:
         self._cam_rot = np.array([cameras[n].extrinsics.rotation() for n in names])[obs_camera]
         self._cam_t = np.array([cameras[n].extrinsics.t for n in names])[obs_camera]
         self._obs_t = np.array([d.rel_pose.t.tolist() for d in dets])
-        self._obs_euler = np.array([_quat_euler(d.rel_pose.q.tolist()) for d in dets])
+        # (q_c q_z)^-1: the detected marker rotation in the keypose body, inverted
+        cam_q = np.array([cameras[n].extrinsics.q for n in names])[obs_camera]
+        obs_q = np.array([d.rel_pose.q.tolist() for d in dets])
+        self._obs_q_inv = quat_multiply_batch(cam_q, obs_q) * QUAT_CONJUGATE
         # the noise is diagonal: whitening divides each axis by its sigma
         variances = [detection_variances(d, ekf_config) for d in dets]
         self._sigma = np.sqrt([(v_p, v_p, v_p, v_a, v_a, v_a) for v_p, v_a in variances])
@@ -208,22 +209,33 @@ class BaProblem:
         return 6 * (self.n_keypose_vars + len(self.marker_ids))
 
     def initial_vector(self) -> np.ndarray:
+        """Keyposes after the anchor, then markers, as (x, y, z, qw, qx, qy, qz) rows."""
         poses = [kp.pose for kp in self.keyposes[1:]]
-        poses += [self.marker_init[m] for m in self.marker_ids]
-        # Pose6D.to_vector's values, in one array
-        return np.array(
-            [(*p.t.tolist(), *_quat_euler(p.q.tolist())) for p in poses], dtype=float
-        ).reshape(-1)
+        return _pose_rows(poses + [self.marker_init[m] for m in self.marker_ids])
 
     def unpack(self, x: np.ndarray) -> tuple[list[Keypose], dict[int, Pose6D]]:
-        blocks = x.reshape(-1, 6)  # keyposes after the anchor, then markers
+        rows = x.reshape(-1, 7)  # keyposes after the anchor, then markers
         n_keyposes = self.n_keypose_vars
         keyposes = [self.keyposes[0]] + [
-            Keypose(kp.drone_id, kp.frame, Pose6D.from_vector(v), kp.timestamp, kp.observations)
-            for kp, v in zip(self.keyposes[1:], blocks[:n_keyposes])
+            Keypose(kp.drone_id, kp.frame, Pose6D(v[:3], v[3:]), kp.timestamp, kp.observations)
+            for kp, v in zip(self.keyposes[1:], rows[:n_keyposes])
         ]
-        markers = {m: Pose6D.from_vector(v) for m, v in zip(self.marker_ids, blocks[n_keyposes:])}
+        markers = {m: Pose6D(v[:3], v[3:]) for m, v in zip(self.marker_ids, rows[n_keyposes:])}
         return keyposes, markers
+
+
+def _pose_rows(poses: list[Pose6D]) -> np.ndarray:
+    """The poses' ``t`` and ``q``, seven numbers each, in one flat array."""
+    return np.array([(*p.t.tolist(), *p.q.tolist()) for p in poses]).reshape(-1)
+
+
+def retract(x: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``x [+] step``: translations add, quaternions turn by ``Exp`` on the right, renormalized."""
+    rows = x.reshape(-1, 7)
+    deltas = step.reshape(-1, 6)
+    q = quat_multiply_batch(rows[:, 3:], so3_exp_batch(deltas[:, 3:]))
+    q /= np.sqrt(np.sum(q * q, axis=1))[:, None]
+    return np.concatenate([rows[:, :3] + deltas[:, :3], q], axis=1).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -248,59 +260,43 @@ def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def residuals(
     problem: BaProblem, x: np.ndarray, with_jacobian: bool = True
 ) -> tuple[np.ndarray, BlockJacobian | None]:
-    """Whitened residual stack and (optionally) its block Jacobian.
+    """Whitened residual stack and (optionally) its block Jacobian in the tangent space.
 
-    Per observation the residual is the 6-vector difference between the
-    predicted marker-in-camera pose, inverse(keypose * extrinsics) *
-    marker, and the detected one: translation difference plus wrapped
-    Euler difference, each axis divided by its detection sigma. Rotations
-    and their derivatives are computed once per pose and gathered per
-    observation.
+    Per observation of marker m from keypose k through camera c, with the
+    marker in the keypose body ``p = R_k^T (t_m - t_k)``, the residual is
+    ``R_c^T (p - t_c) - z_t`` (= ``R_a^T (t_m - t_a) - z_t``) and
+    ``r = Log(q_z^-1 q_c^-1 q_k^-1 q_m)``, each axis divided by its sigma.
+    Its blocks: ``+-R_a^T`` for the translations, ``R_c^T [p]x`` for the
+    keypose rotation, and in the rotation rows ``J_r^-1(r)`` for the marker
+    and ``-J_r^-1(r) R_m^T R_k`` for the keypose.
     """
-    poses = np.concatenate([problem._anchor, x]).reshape(-1, 6)  # anchor, keyposes, markers
-    rot, drot = euler_rot_derivatives_batch(poses[:, 3:])
+    poses = np.concatenate([problem._anchor, x]).reshape(-1, 7)  # anchor, keyposes, markers
+    t, q = poses[:, :3], poses[:, 3:]
+    rot = quat_to_rot_batch(q)
     kp = problem.obs_keypose
     mk = problem.obs_marker + len(problem.keyposes)
-    rot_c, t_c = problem._cam_rot, problem._cam_t
+    rot_k_t = rot[kp].swapaxes(-1, -2)
+    rot_c_t = problem._cam_rot.swapaxes(-1, -2)
 
-    rot_a = rot[kp] @ rot_c  # camera in frame
-    rot_a_t = rot_a.swapaxes(-1, -2)
-    t_a = poses[kp, :3] + _apply(rot[kp], t_c)
-    t_diff = poses[mk, :3] - t_a
-    rot_m = rot[mk]
-    rot_rel = rot_a_t @ rot_m
-
-    r6 = np.concatenate(
-        [
-            _apply(rot_a_t, t_diff) - problem._obs_t,
-            wrap_angles(rot_to_euler_batch(rot_rel) - problem._obs_euler),
-        ],
-        axis=1,
-    )
+    p = _apply(rot_k_t, t[mk] - t[kp])
+    k_inv_m = quat_multiply_batch(q[kp] * QUAT_CONJUGATE, q[mk])  # marker in keypose body
+    r_theta = so3_log_batch(quat_multiply_batch(problem._obs_q_inv, k_inv_m))
+    r6 = np.concatenate([_apply(rot_c_t, p - problem._cam_t) - problem._obs_t, r_theta], axis=1)
     # bit-equal to a LAPACK solve by diag(sigma): one rhs divides, several multiply by 1 / sigma
     res = (r6 / problem._sigma).reshape(-1)
     if not with_jacobian:
         return res, None
 
     n_obs = len(kp)
-    rot_rel_k = rot_rel[:, None]  # broadcast over the three angles
+    rot_a_t = rot_c_t @ rot_k_t
+    jr_inv = so3_right_jacobian_inv_batch(r_theta)
     block_m = np.zeros((n_obs, 6, 6))
-    block_m[:, :3, :3] = rot_a_t  # d t_rel / d t_marker
-    block_m[:, 3:, 3:] = euler_rate_from_rot_rate(
-        rot_rel_k, rot_a_t[:, None] @ drot[mk]
-    ).swapaxes(1, 2)
-
-    drot_i = drot[kp]
-    d_rot_a = drot_i @ rot_c[:, None]  # [:, k] = d rot_a / d angle k
-    d_rot_a_t = d_rot_a.swapaxes(-1, -2)
+    block_m[:, :3, :3] = rot_a_t
+    block_m[:, 3:, 3:] = jr_inv
     block_k = np.zeros((n_obs, 6, 6))
-    block_k[:, :3, :3] = -rot_a_t  # d t_rel / d t_keypose
-    block_k[:, :3, 3:] = (
-        _apply(d_rot_a_t, t_diff[:, None]) - _apply(rot_a_t[:, None], _apply(drot_i, t_c[:, None]))
-    ).swapaxes(1, 2)
-    block_k[:, 3:, 3:] = euler_rate_from_rot_rate(rot_rel_k, d_rot_a_t @ rot_m[:, None]).swapaxes(
-        1, 2
-    )
+    block_k[:, :3, :3] = -rot_a_t
+    block_k[:, :3, 3:] = rot_c_t @ hat_batch(p)
+    block_k[:, 3:, 3:] = -jr_inv @ rot[mk].swapaxes(-1, -2) @ rot[kp]
     block_k[kp == 0] = 0.0  # the anchor is not a variable
 
     inv_sigma = (1.0 / problem._sigma)[:, :, None]
@@ -414,12 +410,6 @@ class BaResult:
         }
 
 
-def _wrap_variable_angles(x: np.ndarray) -> np.ndarray:
-    blocks = x.reshape(-1, 6).copy()
-    blocks[:, 3:] = wrap_angles(blocks[:, 3:])
-    return blocks.reshape(-1)
-
-
 def optimize(problem: BaProblem, max_iterations: int = 100) -> BaResult:
     """Levenberg-Marquardt on the whitened residuals.
 
@@ -470,7 +460,7 @@ def optimize(problem: BaProblem, max_iterations: int = 100) -> BaResult:
                     message = "singular damped system at maximum damping"
                     return result("aborted_singular", problem.initial_vector(), initial_cost)
                 continue
-            x_try = _wrap_variable_angles(x + step)
+            x_try = retract(x, step)
             res_try, _ = residuals(problem, x_try, with_jacobian=False)
             cost_try = 0.5 * float(res_try @ res_try)
             if cost_try < cost:

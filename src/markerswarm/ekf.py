@@ -195,7 +195,7 @@ def observation_from_marker(
 
 def innovation(state: EkfState, obs: PoseObservation) -> np.ndarray:
     x, y, z, alpha, beta, gamma = (obs.vector - state.mean).tolist()
-    # wrap_angle per angle: the IEEE operations wrap_angles runs elementwise
+    # wrap_angle per angle: the IEEE operations of the array wrap (tests/reference.py)
     return np.array((x, y, z, wrap_angle(alpha), wrap_angle(beta), wrap_angle(gamma)))
 
 

@@ -208,8 +208,10 @@ def refine_transform(
     transformed by the merge; their pre-merge loser poses complete the new
     pairs. If the re-estimated transform differs from the applied one by
     more than the REFINE_EPS_* thresholds, every transformed entry is
-    corrected by the delta and the record is updated. Returns the new
-    transform when a correction was applied, None for a no-op.
+    corrected by the delta and the record is updated. A refit whose scale
+    lies outside SCALE_BAND is refused with a log line: the new pairs stay
+    on the record, but neither the entries nor its transform move. Returns the new
+    transform when a correction was applied, None otherwise.
     """
     known = record.paired_ids()
     added = False
@@ -226,6 +228,9 @@ def refine_transform(
     refit = estimate_transform(
         [(pw, pl) for _, pw, pl in record.pairs], applied.from_frame, applied.to_frame
     )
+    if not (SCALE_BAND[0] <= refit.scale <= SCALE_BAND[1]):
+        log.warning("refit refused: its scale is outside %s", SCALE_BAND)
+        return None
     delta = refit.rt.compose(applied.rt.inverse())
     if (
         float(np.linalg.norm(delta.t)) <= REFINE_EPS_TRANSLATION

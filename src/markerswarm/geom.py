@@ -11,8 +11,10 @@ Conventions, fixed once here:
 * at the pitch singularity ``|beta| = pi/2`` roll and yaw are degenerate and
   the extraction returns the canonical solution with ``alpha = 0``.
 
-Quaternions are the internal representation; Euler triples appear only at
-API boundaries (construction, serialization, filter state vectors).
+Quaternions are the internal representation, and bundle adjustment's
+unknowns are quaternions too, stepped on the rotation manifold; Euler
+triples appear only at API boundaries (construction, serialization, the
+filter's state vector and its measurements).
 
 Trust boundaries: values are validated once, where they enter a run.
 ``parse_scenario`` checks the scenario file; protocol ``decode`` and the
@@ -67,11 +69,6 @@ def wrap_angle(angle: float) -> float:
     """Wrap a single angle to (-pi, pi]."""
     wrapped = math.pi - (math.pi - angle) % (2.0 * math.pi)
     return wrapped
-
-
-def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Wrap an array of angles to (-pi, pi]."""
-    return math.pi - (math.pi - np.asarray(angles, dtype=float)) % (2.0 * math.pi)
 
 
 # --------------------------------------------------------------------------
@@ -231,21 +228,6 @@ def quat_to_euler(q: np.ndarray) -> np.ndarray:
     return np.array(_quat_euler(np.asarray(q, dtype=float).tolist()))
 
 
-def rot_to_euler_batch(rot: np.ndarray) -> np.ndarray:
-    """``_euler`` over a stack of rotations ``(..., 3, 3)``, gimbal branch included."""
-    rot = np.asarray(rot, dtype=float)
-    s_beta = np.clip(-rot[..., 2, 0], -1.0, 1.0)
-    gimbal = np.abs(s_beta) >= _GIMBAL_TOL
-    beta = np.where(gimbal, np.copysign(0.5 * math.pi, s_beta), np.arcsin(s_beta))
-    alpha = np.where(gimbal, 0.0, np.arctan2(rot[..., 2, 1], rot[..., 2, 2]))
-    gamma = np.where(
-        gimbal,
-        np.arctan2(-rot[..., 0, 1], rot[..., 1, 1]),
-        np.arctan2(rot[..., 1, 0], rot[..., 0, 0]),
-    )
-    return wrap_angles(np.stack([alpha, beta, gamma], axis=-1))
-
-
 def _euler_rotate(alpha: float, beta: float, gamma: float, v) -> tuple[tuple, tuple]:
     """``R v`` and its partial derivatives by alpha, beta and gamma, on floats.
 
@@ -269,56 +251,6 @@ def _euler_rotate(alpha: float, beta: float, gamma: float, v) -> tuple[tuple, tu
     d_beta = (cg * wz, sg * wz, -wx)
     d_gamma = (-ry, rx, 0.0)
     return (rx, ry, wz), (d_alpha, d_beta, d_gamma)
-
-
-def euler_rot_derivatives_batch(euler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation matrices and their partial derivatives by angle, over ``(N, 3)`` angles.
-
-    Returns rotations ``(N, 3, 3)`` and derivatives ``(N, 3, 3, 3)``, where
-    ``[:, k]`` is d R / d angle k.
-    """
-    euler = np.asarray(euler, dtype=float).reshape(-1, 3)
-    ca, cb, cg = np.cos(euler).T
-    sa, sb, sg = np.sin(euler).T
-    zero = np.zeros_like(ca)
-    one = np.ones_like(ca)
-
-    def stack(rows):
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-    rx = stack([[one, zero, zero], [zero, ca, -sa], [zero, sa, ca]])
-    ry = stack([[cb, zero, sb], [zero, one, zero], [-sb, zero, cb]])
-    rz = stack([[cg, -sg, zero], [sg, cg, zero], [zero, zero, one]])
-    drx = stack([[zero, zero, zero], [zero, -sa, -ca], [zero, ca, -sa]])
-    dry = stack([[-sb, zero, cb], [zero, zero, zero], [-cb, zero, -sb]])
-    drz = stack([[-sg, -cg, zero], [cg, -sg, zero], [zero, zero, zero]])
-
-    rzy = rz @ ry
-    rot = rzy @ rx
-    return rot, np.stack([rzy @ drx, rz @ dry @ rx, drz @ ry @ rx], axis=1)
-
-
-def euler_rate_from_rot_rate(rot: np.ndarray, drot: np.ndarray) -> np.ndarray:
-    """Chain rule through the Euler extraction: d euler / d s from d R / d s.
-
-    Valid away from the pitch singularity (the extraction formulas are
-    atan2/asin of individual matrix entries, differentiated directly).
-    Broadcasts over leading axes: ``rot`` ``(..., 3, 3)`` and ``drot``
-    ``(..., 3, 3)`` give ``(..., 3)``; raises if any rotation in the stack
-    is at the singularity.
-    """
-    rot = np.asarray(rot, dtype=float)
-    drot = np.asarray(drot, dtype=float)
-    r20 = rot[..., 2, 0]
-    denom_a = rot[..., 2, 1] ** 2 + rot[..., 2, 2] ** 2
-    denom_g = rot[..., 1, 0] ** 2 + rot[..., 0, 0] ** 2
-    denom_b = 1.0 - r20 * r20
-    if np.any(denom_a < 1e-14) or np.any(denom_g < 1e-14) or np.any(denom_b < 1e-14):
-        raise ArithmeticError("euler derivative at pitch singularity")
-    d_alpha = (rot[..., 2, 2] * drot[..., 2, 1] - rot[..., 2, 1] * drot[..., 2, 2]) / denom_a
-    d_beta = -drot[..., 2, 0] / np.sqrt(denom_b)
-    d_gamma = (rot[..., 0, 0] * drot[..., 1, 0] - rot[..., 1, 0] * drot[..., 0, 0]) / denom_g
-    return np.stack([d_alpha, d_beta, d_gamma], axis=-1)
 
 
 def quat_slerp(qa: np.ndarray, qb: np.ndarray, weight_b: float) -> np.ndarray:
@@ -370,6 +302,80 @@ def rotation_angle_between(qa: np.ndarray, qb: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
+# batched rotation kernels over stacks of quaternions (..., 4) and rotation
+# vectors (..., 3), for bundle adjustment; the per-tick path stays on floats
+
+_SERIES_ANGLE = 1e-4  # rad: below it Exp, Log and J_r^-1 take their series
+QUAT_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])  # q * QUAT_CONJUGATE is q^-1
+
+
+def quat_multiply_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton products of two broadcast stacks of quaternions."""
+    aw, ax, ay, az = np.moveaxis(a, -1, 0)
+    bw, bx, by, bz = np.moveaxis(b, -1, 0)
+    return np.stack([aw * bw - ax * bx - ay * by - az * bz, aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx, aw * bz + ax * by - ay * bx + az * bw],
+                    axis=-1)
+
+
+def quat_to_rot_batch(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices ``(..., 3, 3)`` of unit quaternions: ``quat_to_rot``'s entries."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+                     2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+                     2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+                    axis=-1).reshape(q.shape[:-1] + (3, 3))
+
+
+def hat_batch(v: np.ndarray) -> np.ndarray:
+    """Skew matrices ``[v]x`` with ``[v]x u = v x u``: row i is ``e_i x v``."""
+    return np.cross(np.eye(3), v[..., None, :])
+
+
+def so3_exp_batch(phi: np.ndarray) -> np.ndarray:
+    """Unit quaternions ``Exp(phi)`` of rotation vectors."""
+    theta2 = np.sum(phi * phi, axis=-1)
+    theta = np.sqrt(theta2)
+    small = theta < _SERIES_ANGLE
+    safe = np.where(small, 1.0, theta)
+    half_sinc = np.where(small, 0.5 - theta2 / 48.0, np.sin(0.5 * safe) / safe)
+    return np.concatenate([np.cos(0.5 * theta)[..., None], half_sinc[..., None] * phi], axis=-1)
+
+
+def so3_log_batch(q: np.ndarray) -> np.ndarray:
+    """Rotation vectors ``Log(q)`` of unit quaternions, angle in [0, pi].
+
+    Of ``q`` and ``-q`` (one rotation) the one with ``w >= 0`` is taken; its
+    angle ``2 atan2(|v|, w)`` keeps the digits acos(w) loses near 0.
+    """
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    w, v = q[..., 0], q[..., 1:]
+    n2 = np.sum(v * v, axis=-1)
+    n = np.sqrt(n2)
+    small = n < 0.5 * _SERIES_ANGLE
+    safe = np.where(small, 1.0, n)
+    angle_per_n = np.where(small, (2.0 - 2.0 * n2 / (3.0 * w * w)) / w,
+                           2.0 * np.arctan2(safe, w) / safe)
+    return angle_per_n[..., None] * v
+
+
+def so3_right_jacobian_inv_batch(phi: np.ndarray) -> np.ndarray:
+    """``J_r^-1(phi)``, with ``Log(Exp(phi) Exp(d)) = phi + J_r^-1(phi) d + O(d^2)``.
+
+    ``I + [phi]x / 2 + (1 / theta^2 - cot(theta / 2) / (2 theta)) [phi]x^2``
+    (Sola, Deray & Atchuthan 2018, eq. 144): finite up to theta = pi.
+    """
+    theta2 = np.sum(phi * phi, axis=-1)
+    theta = np.sqrt(theta2)
+    small = theta < _SERIES_ANGLE
+    safe = np.where(small, 1.0, theta)
+    coeff = np.where(small, 1.0 / 12.0 + theta2 / 720.0,
+                     1.0 / (safe * safe) - 0.5 / (safe * np.tan(0.5 * safe)))
+    hat = hat_batch(phi)
+    return np.eye(3) + 0.5 * hat + coeff[..., None, None] * (hat @ hat)
+
+
+# --------------------------------------------------------------------------
 # poses
 
 
@@ -397,10 +403,6 @@ class Pose6D:
         q.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "q", q)
-
-    @staticmethod
-    def identity() -> "Pose6D":
-        return Pose6D((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
     @staticmethod
     def from_euler(t, euler) -> "Pose6D":

@@ -320,7 +320,7 @@ def sense_odometry(
     delta = curr.pose.t - prev.pose.t
     rot = prev.pose.rotation()
     v_body = (rot.T @ delta / dt).tolist()
-    # wrap_angle per axis: the IEEE operations wrap_angles runs elementwise
+    # wrap_angle per axis: the IEEE operations of the array wrap (tests/reference.py)
     rates = [wrap_angle(c - p) / dt for c, p in zip(curr.euler, prev.euler)]
     sigma_v, sigma_r = noise.odom_vel_sigma, noise.odom_rate_sigma
     if sigma_v > 0.0 or sigma_r > 0.0:

@@ -5,14 +5,22 @@ live kernels ``predict`` runs (``_euler_rotate`` and
 ``_transition_jacobian``), so a test of it checks them; the others are
 matrix forms written without the float kernels, or the array forms that
 the float kernels replaced, kept here so that the kernels can be checked
-against them bit for bit.
+against them bit for bit. ``ba_residuals`` is the per-observation loop that
+the batched bundle-adjustment residuals are checked against, and
+``wrap_angles`` the array wrap that the filter's float wraps replaced.
 """
 
 import math
 
 import numpy as np
 
-from markerswarm.ekf import GATE_THRESHOLD, STATE_DIM, EkfState, _transition_jacobian
+from markerswarm.ekf import (
+    GATE_THRESHOLD,
+    STATE_DIM,
+    EkfState,
+    _transition_jacobian,
+    detection_noise,
+)
 from markerswarm.geom import (
     _QUAT_NORM_TOL,
     Pose6D,
@@ -20,9 +28,9 @@ from markerswarm.geom import (
     _euler_rotate,
     _multiply,
     quat_to_euler,
+    quat_to_rot,
     symmetrize,
     wrap_angle,
-    wrap_angles,
 )
 from markerswarm.swarm.nodes import PROGRESS_EPS, STALL_LIMIT
 from markerswarm.worldsim import (
@@ -32,6 +40,14 @@ from markerswarm.worldsim import (
     VelocityCommand,
     World,
 )
+
+
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """Wrap an array of angles to (-pi, pi]: ``geom.wrap_angle`` elementwise."""
+    return math.pi - (math.pi - np.asarray(angles, dtype=float)) % (2.0 * math.pi)
+
+
+IDENTITY = Pose6D((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))  # a run never builds it, tests often do
 
 
 def euler_rot_derivatives(euler: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -211,16 +227,98 @@ def ba_arrays(problem, cameras, config) -> dict[str, np.ndarray]:
         "_cam_rot": np.array([e.rotation() for e in extrinsics]),
         "_cam_t": np.array([e.t for e in extrinsics]),
         "_obs_t": np.array([d.rel_pose.t for d in dets]),
-        "_obs_euler": np.array([d.rel_pose.euler for d in dets]),
+        "_obs_q_inv": np.array([
+            quat_conjugate(_multiply(e.q.tolist(), d.rel_pose.q.tolist()))
+            for e, d in zip(extrinsics, dets)
+        ]),
         "_sigma": np.sqrt([np.diag(detection_noise_array(d, config)) for d in dets]),
     }
 
 
 def ba_initial_vector(problem) -> np.ndarray:
-    """``BaProblem.initial_vector`` as one ``to_vector`` per pose, concatenated."""
-    parts = [kp.pose.to_vector() for kp in problem.keyposes[1:]]
-    parts += [problem.marker_init[m].to_vector() for m in problem.marker_ids]
-    return np.concatenate(parts)
+    """``BaProblem.initial_vector`` as one ``(t, q)`` pair per pose, concatenated."""
+    poses = [kp.pose for kp in problem.keyposes[1:]]
+    poses += [problem.marker_init[m] for m in problem.marker_ids]
+    return np.concatenate([np.concatenate([p.t, p.q]) for p in poses])
+
+
+def quat_conjugate(q) -> tuple[float, float, float, float]:
+    w, x, y, z = q
+    return w, -x, -y, -z
+
+
+def so3_log(q) -> np.ndarray:
+    """Rotation vector of one unit quaternion, angle in [0, pi], on floats."""
+    w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    n = math.sqrt(x * x + y * y + z * z)
+    if n == 0.0:
+        return np.zeros(3)
+    return 2.0 * math.atan2(n, w) / n * np.array([x, y, z])
+
+
+def skew(v) -> np.ndarray:
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def so3_right_jacobian_inv(phi) -> np.ndarray:
+    """``J_r^-1(phi)`` of one rotation vector (Sola, Deray & Atchuthan 2018, eq. 144)."""
+    theta = float(np.linalg.norm(phi))
+    hat = skew(phi)
+    if theta < 1e-4:
+        coeff = 1.0 / 12.0 + theta * theta / 720.0
+    else:
+        coeff = 1.0 / theta**2 - 1.0 / (2.0 * theta * math.tan(0.5 * theta))
+    return np.eye(3) + 0.5 * hat + coeff * hat @ hat
+
+
+def ba_residuals(problem, x, cameras, ekf_config) -> tuple[np.ndarray, np.ndarray]:
+    """``bundle.residuals`` one observation at a time: the stack and its dense Jacobian.
+
+    Each observation composes its own quaternions on floats, takes its
+    rotation matrices from ``geom.quat_to_rot`` and whitens by a solve with
+    the Cholesky factor of its noise: the loop form of the batched kernel.
+    Columns follow the variable order, keyposes after the anchor and then
+    markers in ascending id, six tangent coordinates each.
+    """
+    n_keyposes = len(problem.keyposes)
+    anchor = problem.keyposes[0].pose
+    rows = np.concatenate([anchor.t, anchor.q, x]).reshape(-1, 7)
+    n_obs = len(problem.observations)
+    res = np.zeros(6 * n_obs)
+    jac = np.zeros((6 * n_obs, problem.n_variables))
+    for o, (kp_index, obs) in enumerate(problem.observations):
+        whitener = np.linalg.cholesky(detection_noise(obs, ekf_config))
+        mk_index = n_keyposes + problem.marker_ids.index(obs.marker_id)
+        t_k, q_k = rows[kp_index, :3], rows[kp_index, 3:].tolist()
+        t_m, q_m = rows[mk_index, :3], rows[mk_index, 3:].tolist()
+        extrinsics = cameras[obs.camera].extrinsics
+        rot_c, rot_k, rot_m = extrinsics.rotation(), quat_to_rot(q_k), quat_to_rot(q_m)
+
+        p = rot_k.T @ (t_m - t_k)
+        k_inv_m = _multiply(quat_conjugate(q_k), q_m)
+        detected = _multiply(extrinsics.q.tolist(), obs.rel_pose.q.tolist())
+        r_theta = so3_log(_multiply(quat_conjugate(detected), k_inv_m))
+        r6 = np.concatenate([rot_c.T @ (p - extrinsics.t) - obs.rel_pose.t, r_theta])
+        rows_o = slice(6 * o, 6 * o + 6)
+        res[rows_o] = np.linalg.solve(whitener, r6)
+
+        jr_inv = so3_right_jacobian_inv(r_theta)
+        block_m = np.zeros((6, 6))
+        block_m[:3, :3] = (rot_k @ rot_c).T
+        block_m[3:, 3:] = jr_inv
+        cols = 6 * (mk_index - 1)
+        jac[rows_o, cols:cols + 6] = np.linalg.solve(whitener, block_m)
+        if kp_index > 0:
+            block_k = np.zeros((6, 6))
+            block_k[:3, :3] = -(rot_k @ rot_c).T
+            block_k[:3, 3:] = rot_c.T @ skew(p)
+            block_k[3:, 3:] = -jr_inv @ rot_m.T @ rot_k
+            cols = 6 * (kp_index - 1)
+            jac[rows_o, cols:cols + 6] = np.linalg.solve(whitener, block_k)
+    return res, jac
 
 
 def from_vector_array(vec) -> tuple[np.ndarray, np.ndarray]:

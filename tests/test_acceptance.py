@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from reference import predict_jacobian
+from reference import predict_jacobian, wrap_angles
 from test_bundle import _marker_rmse, make_problem
 from test_ekf import run_nees_experiment
 from test_swarm import keys_differing_bar_mode
@@ -27,7 +27,7 @@ from markerswarm.ekf import (
     update,
 )
 from markerswarm.framemerge import estimate_transform
-from markerswarm.geom import Pose6D, rotation_angle_between, wrap_angles
+from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.mapstore import MapEntry, fuse_pose
 from markerswarm.scenario import load_scenario, parse_scenario
 from markerswarm.swarm import run_scenario

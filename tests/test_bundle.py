@@ -1,8 +1,9 @@
 """Bundle adjustment tests.
 
 The Jacobian is checked against central finite differences of the
-residual vector (independent oracle), and the batched residuals and
-Jacobian blocks against a per-observation reference loop kept here. The
+residual vector through the retraction x [+] d (independent oracle), and
+the batched residuals and Jacobian blocks against the per-observation
+reference loop ``reference.ba_residuals``. The
 Schur-complement step is checked against a dense solve of the damped
 normal equations. Recovery and gauge tests build a zero-residual
 configuration first so the expected optimum is known by construction,
@@ -14,9 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from reference import ba_arrays, ba_initial_vector, euler_rot_derivatives, from_vector_array
+from reference import IDENTITY, ba_arrays, ba_initial_vector, ba_residuals, pose_arrays
 
 from markerswarm.bundle import (
     BaProblem,
@@ -24,15 +24,10 @@ from markerswarm.bundle import (
     NormalEquations,
     optimize,
     residuals,
+    retract,
     select_keypose,
 )
-from markerswarm.geom import (
-    Pose6D,
-    euler_rate_from_rot_rate,
-    quat_to_euler,
-    rot_to_quat,
-    wrap_angles,
-)
+from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.ekf import EkfConfig, detection_noise
 from markerswarm.worldsim import CAMERAS as TABLE, CameraParams, MarkerDetection
 
@@ -134,69 +129,16 @@ def dense_jacobian(problem, jac):
     return dense
 
 
-def reference_residuals(problem, x, cameras, ekf_config):
-    """Per-observation loop: residual stack and its Jacobian as a sparse matrix.
-
-    One observation at a time, with its own rotation derivatives and a
-    per-row whitening solve by the Cholesky factor of its noise; the form
-    the batched ``residuals`` replaced.
-    """
-    n_obs = len(problem.observations)
-    res = np.zeros(6 * n_obs)
-    jac = sparse.lil_matrix((6 * n_obs, problem.n_variables))
-    anchor_vec = problem.keyposes[0].pose.to_vector()
-    for row, (kp_index, obs) in enumerate(problem.observations):
-        whitener = np.linalg.cholesky(detection_noise(obs, ekf_config))
-        kp_slice, mk_slice = variable_slices(problem, kp_index, obs.marker_id)
-        kp_vec = anchor_vec if kp_slice is None else x[kp_slice]
-        mk_vec = x[mk_slice]
-
-        t_i = kp_vec[:3]
-        rot_i, drot_i = euler_rot_derivatives(kp_vec[3:])
-        t_m = mk_vec[:3]
-        rot_m, drot_m = euler_rot_derivatives(mk_vec[3:])
-        extrinsics = cameras[obs.camera].extrinsics
-        rot_c = extrinsics.rotation()
-        t_c = extrinsics.t
-
-        rot_a = rot_i @ rot_c
-        t_a = t_i + rot_i @ t_c
-        rot_rel = rot_a.T @ rot_m
-        t_rel = rot_a.T @ (t_m - t_a)
-
-        r6 = np.empty(6)
-        r6[:3] = t_rel - obs.rel_pose.t
-        r6[3:] = wrap_angles(quat_to_euler(rot_to_quat(rot_rel)) - obs.rel_pose.euler)
-        rows = slice(6 * row, 6 * row + 6)
-        res[rows] = np.linalg.solve(whitener, r6)
-
-        block_m = np.zeros((6, 6))
-        block_m[:3, :3] = rot_a.T
-        for k in range(3):
-            block_m[3:, 3 + k] = euler_rate_from_rot_rate(rot_rel, rot_a.T @ drot_m[k])
-        jac[rows, mk_slice] = np.linalg.solve(whitener, block_m)
-
-        if kp_slice is not None:
-            block_k = np.zeros((6, 6))
-            block_k[:3, :3] = -rot_a.T
-            for k in range(3):
-                d_rot_a = drot_i[k] @ rot_c
-                block_k[:3, 3 + k] = d_rot_a.T @ (t_m - t_a) - rot_a.T @ (drot_i[k] @ t_c)
-                block_k[3:, 3 + k] = euler_rate_from_rot_rate(rot_rel, d_rot_a.T @ rot_m)
-            jac[rows, kp_slice] = np.linalg.solve(whitener, block_k)
-    return res, jac.toarray()
-
-
 def random_problem(rng, n_keyposes, n_markers):
     """Three drones, four named cameras on two rigs, range-dependent noise.
 
-    Nothing is consistent: every value is drawn independently, except that
-    each marker is observed through a camera of one rig and faces it, so
-    every marker-in-camera rotation stays clear of the pitch singularity.
-    Each rig carries two cameras with random offsets. Every keypose sees
-    markers 10 (down rig) and 11 (forward rig) and a random subset of the
-    rest; drone ids cycle 1, 2, 0, so the anchor is not the first keypose
-    given. Returns (problem, cameras, ekf_config).
+    Nothing is consistent: every value is drawn independently, and every
+    orientation is uniform over all rotations. Each marker is observed
+    through the cameras of one rig, and each rig carries two cameras with
+    random offsets. Every keypose sees markers 10 (down rig) and 11
+    (forward rig) and a random subset of the rest; drone ids cycle 1, 2, 0,
+    so the anchor is not the first keypose given. Returns (problem,
+    cameras, ekf_config).
     """
     rigs = [TABLE["down"], TABLE["forward"]]
     cameras = {
@@ -207,10 +149,7 @@ def random_problem(rng, n_keyposes, n_markers):
         for k in range(2)
     }
     rig_of = {10 + j: rigs[j % 2] for j in range(n_markers)}
-    markers = {
-        m: Pose6D(rng.normal(0.0, 2.0, 3), rig.extrinsics.compose(small_pose(rng, 0.0, 0.3)).q)
-        for m, rig in rig_of.items()
-    }
+    markers = {m: random_pose(rng) for m in rig_of}
     keyposes = []
     for i in range(n_keyposes):
         others = [m for m in markers if m > 11]
@@ -219,12 +158,12 @@ def random_problem(rng, n_keyposes, n_markers):
         obs = []
         for mid in seen:
             camera = f"{rig_of[int(mid)].name}{rng.integers(2)}"
-            obs.append(detection(int(mid), small_pose(rng, 1.0, 0.3), camera=camera))
+            obs.append(detection(int(mid), random_pose(rng), camera=camera))
         keyposes.append(
             Keypose(
                 drone_id=(i + 1) % 3,
                 frame=0,
-                pose=small_pose(rng, 2.0, 0.2),
+                pose=random_pose(rng),
                 timestamp=float(i),
                 observations=tuple(obs),
             )
@@ -233,22 +172,26 @@ def random_problem(rng, n_keyposes, n_markers):
     return BaProblem(keyposes, markers, cameras, ekf_config), cameras, ekf_config
 
 
+def random_pose(rng):
+    """Translation within a few metres; rotation uniform (a normalized Gaussian 4-vector)."""
+    return Pose6D(rng.normal(0.0, 2.0, 3), rng.normal(size=4))
+
+
 def fd_jacobian(problem, x, h=1e-7):
+    """Central differences of the residuals along each tangent axis, ``x [+] (+-h e_j)``."""
     r0, _ = residuals(problem, x, with_jacobian=False)
-    jac = np.zeros((len(r0), len(x)))
-    for j in range(len(x)):
-        forward = x.copy()
-        forward[j] += h
-        backward = x.copy()
-        backward[j] -= h
-        rp, _ = residuals(problem, forward, with_jacobian=False)
-        rm, _ = residuals(problem, backward, with_jacobian=False)
+    jac = np.zeros((len(r0), problem.n_variables))
+    for j in range(problem.n_variables):
+        step = np.zeros(problem.n_variables)
+        step[j] = h
+        rp, _ = residuals(problem, retract(x, step), with_jacobian=False)
+        rm, _ = residuals(problem, retract(x, -step), with_jacobian=False)
         jac[:, j] = (rp - rm) / (2 * h)
     return jac
 
 
 class TestSelectKeypose:
-    ORIGIN = Pose6D.identity()
+    ORIGIN = IDENTITY
 
     def test_first_sighting_commits(self):
         assert select_keypose(self.ORIGIN, None, visible_markers=1)
@@ -284,8 +227,9 @@ class TestProblemLayout:
         assert problem.keyposes[0].drone_id == 1
         assert problem.keyposes[0].timestamp == 1.0
         # the anchor is no variable: the vector starts at the next keypose
+        first = problem.keyposes[1].pose
         np.testing.assert_array_equal(
-            problem.initial_vector()[:6], problem.keyposes[1].pose.to_vector()
+            problem.initial_vector()[:7], np.concatenate([first.t, first.q])
         )
 
     def test_mixed_frames_rejected(self):
@@ -311,7 +255,7 @@ class TestProblemLayout:
 
     def test_keypose_requires_observations(self):
         with pytest.raises(ValueError):
-            Keypose(0, 0, Pose6D.identity(), 0.0, ())
+            Keypose(0, 0, IDENTITY, 0.0, ())
 
     def test_arrays_and_vectors_bit_identical_to_per_observation_forms(self):
         """One rotation per camera, one array per field, one pose per unpacked row."""
@@ -333,16 +277,18 @@ class TestProblemLayout:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         x = problem.initial_vector()
         assert x.tobytes() == ba_initial_vector(problem).tobytes()
-        x = x + rng.normal(0.0, 0.3, x.shape)
+        x = retract(x, rng.normal(0.0, 0.3, problem.n_variables))
         unpacked, unpacked_markers = problem.unpack(x)
-        rows = iter(x.reshape(-1, 6))
+        rows = iter(x.reshape(-1, 7))
         assert unpacked[0] is problem.keyposes[0]
         for got, kp in zip(unpacked[1:], problem.keyposes[1:], strict=True):
-            t, q = from_vector_array(next(rows))
+            row = next(rows)
+            t, q = pose_arrays(row[:3], row[3:])
             assert got.pose.t.tobytes() == t.tobytes() and got.pose.q.tobytes() == q.tobytes()
             assert got == replace(kp, pose=got.pose)
         for marker_id in problem.marker_ids:
-            t, q = from_vector_array(next(rows))
+            row = next(rows)
+            t, q = pose_arrays(row[:3], row[3:])
             pose = unpacked_markers[marker_id]
             assert pose.t.tobytes() == t.tobytes() and pose.q.tobytes() == q.tobytes()
 
@@ -388,8 +334,8 @@ class TestJacobian:
         rng = np.random.default_rng(100 + n_keyposes)
         problem, cameras, ekf_config = random_problem(rng, n_keyposes=n_keyposes, n_markers=5)
         assert (problem.obs_keypose == 0).any()
-        x = problem.initial_vector() + rng.normal(0.0, 0.05, problem.n_variables)
-        expected_res, expected_jac = reference_residuals(problem, x, cameras, ekf_config)
+        x = retract(problem.initial_vector(), rng.normal(0.0, 0.05, problem.n_variables))
+        expected_res, expected_jac = ba_residuals(problem, x, cameras, ekf_config)
         res, jac = residuals(problem, x, with_jacobian=True)
         res_only, none = residuals(problem, x, with_jacobian=False)
         assert none is None
@@ -397,23 +343,40 @@ class TestJacobian:
         np.testing.assert_allclose(res_only, expected_res, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dense_jacobian(problem, jac), expected_jac, rtol=0, atol=1e-12)
 
-    def test_marker_at_pitch_singularity_raises(self):
-        keypose = Keypose(
-            drone_id=0,
-            frame=0,
-            pose=Pose6D.identity(),
-            timestamp=0.0,
-            observations=(detection(1, Pose6D.identity(), camera="body"),),
-        )
-        marker = Pose6D.from_euler([1.0, 0.0, 0.0], [0.0, math.pi / 2, 0.0])
-        cameras = {"body": CameraParams("body", Pose6D.identity(), 0.9, 4.0)}
-        problem = BaProblem([keypose], {1: marker}, cameras, FLAT_NOISE)
-        x = problem.initial_vector()
-        assert x[4] == math.pi / 2
-        res, _ = residuals(problem, x, with_jacobian=False)
+    def test_keypose_and_marker_at_pitch_singularity_adjust(self):
+        # Euler variables had no derivative at pitch +-pi/2; the tangent space has no such line
+        rng = np.random.default_rng(13)
+        _, keyposes, markers = make_problem(rng, n_keyposes=4, n_markers=4)
+        markers[10] = Pose6D.from_euler(markers[10].t, [0.3, -math.pi / 2, -0.4])
+        up = Pose6D.from_euler(keyposes[2].pose.t, [-0.2, math.pi / 2, 0.5])
+        keyposes[2] = replace(keyposes[2], pose=up)
+        # exact detections of the tilted poses
+        keyposes = [
+            replace(kp, observations=tuple(
+                detection(d.marker_id, kp.pose.compose(DOWN_CAM).inverse().compose(
+                    markers[d.marker_id]))
+                for d in kp.observations
+            ))
+            for kp in keyposes
+        ]
+        assert keyposes[2].pose.euler[1] == pytest.approx(math.pi / 2)
+        assert markers[10].euler[1] == pytest.approx(-math.pi / 2)
+        jittered = [keyposes[0]] + [
+            replace(kp, pose=small_pose(rng, 0.05, 0.025).compose(kp.pose)) for kp in keyposes[1:]
+        ]
+        start = {m: small_pose(rng, 0.05, 0.025).compose(p) for m, p in markers.items()}
+        problem = BaProblem(jittered, start, CAMERAS, FLAT_NOISE)
+        res, jac = residuals(problem, problem.initial_vector(), with_jacobian=True)
         assert np.all(np.isfinite(res))
-        with pytest.raises(ArithmeticError):
-            residuals(problem, x, with_jacobian=True)
+        assert np.all(np.isfinite(jac.keypose)) and np.all(np.isfinite(jac.marker))
+        result = optimize(problem)
+        assert result.status == "converged" and result.final_cost < 1e-16
+        for truth, est in zip(keyposes, result.keyposes):
+            assert np.linalg.norm(est.pose.t - truth.pose.t) < 1e-6
+            assert rotation_angle_between(est.pose.q, truth.pose.q) < 1e-6
+        for marker_id, pose in result.markers.items():
+            assert np.linalg.norm(pose.t - markers[marker_id].t) < 1e-6
+            assert rotation_angle_between(pose.q, markers[marker_id].q) < 1e-6
 
     def test_zero_residual_at_truth(self):
         rng = np.random.default_rng(12)

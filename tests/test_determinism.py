@@ -22,20 +22,20 @@ from markerswarm.cli import main as cli_main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-TWO_DRONE_DEMO_SEED_7 = "304d9e7a50121c99eeaf31da31bde6727bba8a72fcbf2c71c901384a528f7066"
-TWO_DRONE_DEMO_SEED_7_PLOT = "8ee3740cb7760fa17924c587bed0c7ad7a14bdf92e1a7ddaee716a911a098c5e"
+TWO_DRONE_DEMO_SEED_7 = "df923245a7428de44558e4e52cce11eb521e99cef1888661ac55a7cf2ad8e8ed"
+TWO_DRONE_DEMO_SEED_7_PLOT = "25706e210efd7eb94d4ac96f254f27c011276913cc0af3b7818c378e5d33360a"
 # the other three artifacts of the same run
 TWO_DRONE_DEMO_SEED_7_ARTIFACTS = {
-    "map.json": "d3a7939a07bee4c33368e2df0a87831fcd74de9b81b4a2071656e28245180724",
-    "metrics.json": "41e86aa24e22c25ed7ccabb8ff1581b439b4c33cb9ae58ac35caea3c1ff9cef4",
-    "trajectories.csv": "a85fc0d5e36a0fa97f2421a29f7ce5a90347ab323f46b51fa8cba234659b37ff",
+    "map.json": "fc1f782b0a6b1c9401b5deec7b3ed53b0216af9b328dd4281000049296d4997b",
+    "metrics.json": "81d1fcb30b688d92c658d468121876ea4931896d8dde1843589284fd44a80184",
+    "trajectories.csv": "40fb67609aa3e5ce5315abec5cb0b7c86ee13740fccbf128d4dd73dd52a3f3b9",
 }
 # the same run with "ba": {"enabled": false}: no keyposes, no adjustment
 TWO_DRONE_DEMO_SEED_7_BA_OFF = "6fb570421737b0fb91d3caa036a7fb2d245f4d5d44012c2500152183985d3338"
-LAB_THREE_DRONES_SEED_11 = "fe35f196aa4ea16490fd0a96142216912f8ccaac0d82ae59eddc1cf71bc39f3b"
+LAB_THREE_DRONES_SEED_11 = "5fd0397f5b2b3dd06c64f411f71e6afb679fa0cda4f6e380842f53698709705b"
 # the benchmark's workloads, on the program seed each runs for workload seed 1
 WORKLOAD_REPORTS = {
-    "lab_long": "4715ee9029d2dfc50d2a91e20914f57cf9dbf3b005b94a6f3a366e4905cc02e5",
+    "lab_long": "b57a4bc5ae2c37a0892b0a98aed4ee11f054309d24beeb46dddf3abeae446d4e",
     "marker_dense": "ea73f869b9b1484f2c7dc684aa9e46fea4b9749392ea08948a1a00bf54a1129e",
 }
 

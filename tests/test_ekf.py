@@ -15,6 +15,7 @@ from reference import (
     predict_jacobian,
     transition_jacobian_array,
     update_array,
+    wrap_angles,
 )
 
 from markerswarm.ekf import (
@@ -30,7 +31,7 @@ from markerswarm.ekf import (
     remap_frame,
     update,
 )
-from markerswarm.geom import Pose6D, _euler_rotate, wrap_angles
+from markerswarm.geom import Pose6D, _euler_rotate
 from markerswarm.worldsim import (
     CAMERAS,
     DroneTruth,

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import IDENTITY
+
 from markerswarm import framemerge
 from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.mapstore import GlobalMap, MapContractError
@@ -128,16 +130,16 @@ class TestFindMatches:
         gmap.register_drone(0, 0)
         gmap.register_drone(1, 1)
         for marker_id in (8, 2, 5):
-            gmap.insert_marker(0, marker_id, Pose6D.identity(), np.eye(6) * 0.01)
-        gmap.insert_marker(1, 3, Pose6D.identity(), np.eye(6) * 0.01)
-        pending = {8: Pose6D.identity(), 2: Pose6D.identity(), 99: Pose6D.identity()}
+            gmap.insert_marker(0, marker_id, IDENTITY, np.eye(6) * 0.01)
+        gmap.insert_marker(1, 3, IDENTITY, np.eye(6) * 0.01)
+        pending = {8: IDENTITY, 2: IDENTITY, 99: IDENTITY}
         assert find_matches(gmap, 0, 1, pending) == [2, 8]
         assert find_matches(gmap, 0, 1, {}) == []
 
     def test_same_frame_query_rejected(self):
         gmap = GlobalMap()
         gmap.register_drone(0, 0)
-        gmap.insert_marker(0, 4, Pose6D.identity(), np.eye(6) * 0.01)
+        gmap.insert_marker(0, 4, IDENTITY, np.eye(6) * 0.01)
         with pytest.raises(ValueError):
             find_matches(gmap, 0, 0, {})
 
@@ -187,14 +189,14 @@ class TestMergeFrames:
     def test_self_merge_rejected(self):
         rng = np.random.default_rng(67)
         gmap, _ = build_two_frame_map(rng)
-        ft = FrameTransform(0, 0, Pose6D.identity(), 0.0, 1, 1.0)
+        ft = FrameTransform(0, 0, IDENTITY, 0.0, 1, 1.0)
         with pytest.raises(MapContractError):
             merge_frames(gmap, ft)
 
     def test_higher_id_cannot_win(self):
         rng = np.random.default_rng(68)
         gmap, _ = build_two_frame_map(rng)
-        ft = FrameTransform(0, 1, Pose6D.identity(), 0.0, 1, 1.0)
+        ft = FrameTransform(0, 1, IDENTITY, 0.0, 1, 1.0)
         with pytest.raises(MapContractError):
             merge_frames(gmap, ft)
 
@@ -309,3 +311,18 @@ class TestRefineTransform:
         want = refined.rt.compose(record.pre_merge_poses[30])
         dt, _ = pose_error(gmap.lookup(30).pose, want)
         assert dt < 1e-9
+
+    def test_refit_with_scale_outside_band_is_refused(self, caplog):
+        rng = np.random.default_rng(73)
+        gmap, record, observe = self._merged_map(rng, random_transform(rng))
+        applied = record.transform
+        before = {m: gmap.lookup(m) for m in (30, 31)}
+        # marker 31 seen 20% farther from marker 30 than the loser frame holds it
+        w30, w31 = observe(30), observe(31)
+        stretched = Pose6D(w30.t + 1.2 * (w31.t - w30.t), w31.q)
+        with caplog.at_level(logging.WARNING, logger="markerswarm.framemerge"):
+            assert refine_transform(gmap, record, [(31, stretched)]) is None
+        assert any("refused" in rec.message for rec in caplog.records)
+        assert record.transform is applied
+        for marker_id, entry in before.items():
+            assert gmap.lookup(marker_id) is entry

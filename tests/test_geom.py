@@ -10,28 +10,37 @@ import math
 import numpy as np
 import pytest
 
-from reference import euler_rot_derivatives, from_vector_array, pose_arrays, pose_matrix
+from reference import (
+    euler_rot_derivatives,
+    from_vector_array,
+    pose_arrays,
+    pose_matrix,
+    wrap_angles,
+)
 
 from markerswarm.geom import (
     _GIMBAL_TOL,
     _QUAT_NORM_TOL,
     Pose6D,
+    QUAT_CONJUGATE,
     _multiply,
     check_covariance,
-    euler_rate_from_rot_rate,
-    euler_rot_derivatives_batch,
+    hat_batch,
     quat_angle,
     quat_chordal_mean,
+    quat_multiply_batch,
     quat_normalize,
     quat_slerp,
     quat_to_euler,
     quat_to_rot,
-    rot_to_euler_batch,
+    quat_to_rot_batch,
     rot_to_quat,
     rotation_angle_between,
+    so3_exp_batch,
+    so3_log_batch,
+    so3_right_jacobian_inv_batch,
     transport_covariance,
     wrap_angle,
-    wrap_angles,
 )
 
 ORACLE_TOL = 1e-10
@@ -705,50 +714,90 @@ def test_euler_rot_derivatives_match_finite_differences():
             assert np.max(np.abs(derivs[k] - fd)) < 1e-6
 
 
-def test_euler_rate_chain_rule_matches_finite_differences():
+def random_axes(rng, n):
+    axes = rng.standard_normal((n, 3))
+    return axes / np.linalg.norm(axes, axis=1)[:, None]
+
+
+# rotation angles that straddle the series threshold at 1e-4 rad and reach pi
+EDGE_ANGLES = [0.0, 1e-12, 1e-8, 4.9e-5, 5e-5, 9.9e-5, 1e-4, 1.01e-4, 1e-3, 0.5, 2.0,
+               math.pi - 1e-3, math.pi - 1e-6, math.pi - 1e-9, math.pi]
+
+
+def test_batched_rotation_kernels_match_float_forms():
+    rng = np.random.default_rng(335)
+    a = rng.standard_normal((200, 4))
+    b = rng.standard_normal((200, 4))
+    products = quat_multiply_batch(a, b)
+    units = a / np.linalg.norm(a, axis=1)[:, None]
+    rots = quat_to_rot_batch(units)
+    for i in range(200):
+        # the same IEEE operations in the same order: bit-identical
+        assert products[i].tolist() == list(_multiply(a[i].tolist(), b[i].tolist()))
+        assert rots[i].tobytes() == quat_to_rot(units[i]).tobytes()
+    assert quat_to_rot_batch(units.reshape(10, 20, 4)).shape == (10, 20, 3, 3)
+    v, u = rng.standard_normal((2, 200, 3))
+    np.testing.assert_allclose(
+        (hat_batch(v) @ u[..., None])[..., 0], np.cross(v, u), rtol=0, atol=1e-14
+    )
+    identity = quat_multiply_batch(units, units * QUAT_CONJUGATE)
+    np.testing.assert_allclose(identity, np.tile([1.0, 0.0, 0.0, 0.0], (200, 1)), atol=1e-15)
+
+
+def test_exp_log_round_trip_near_zero_and_pi():
+    rng = np.random.default_rng(336)
+    angles = np.repeat(EDGE_ANGLES, 20)
+    phi = angles[:, None] * random_axes(rng, len(angles))
+    q = so3_exp_batch(phi)
+    np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, rtol=0, atol=1e-15)
+    # Exp against the half-angle formula written out
+    want = np.column_stack([np.cos(angles / 2), np.sin(angles / 2)[:, None] * phi
+                            / np.where(angles > 0, angles, 1.0)[:, None]])
+    want[angles == 0, 1:] = 0.0
+    # |phi| rounds in its last bit, which moves cos(|phi| / 2) near pi by up to 2 ulp of 1
+    np.testing.assert_allclose(q, want, rtol=0, atol=5e-16)
+    back = so3_log_batch(q)
+    # at pi, Log picks one of the two antipodal vectors
+    at_pi = angles == math.pi
+    np.testing.assert_allclose(back[~at_pi], phi[~at_pi], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.abs(back[at_pi]), np.abs(phi[at_pi]), rtol=0, atol=1e-14)
+    # q and -q are one rotation, with one Log
+    np.testing.assert_array_equal(so3_log_batch(-q), back)
+    # Exp of Log is the quaternion itself, up to sign
+    quats = rng.standard_normal((500, 4))
+    quats /= np.linalg.norm(quats, axis=1)[:, None]
+    again = so3_exp_batch(so3_log_batch(quats))
+    np.testing.assert_allclose(again * np.sign(quats[:, :1]), quats, rtol=0, atol=1e-15)
+
+
+def test_right_jacobian_inv_matches_finite_differences_of_log():
+    # Log(Exp(phi) Exp(d)) = phi + J_r^-1(phi) d + O(d^2), by central differences
     rng = np.random.default_rng(333)
     h = 1e-7
-    for _ in range(100):
-        e = np.array([rng.uniform(-3, 3), rng.uniform(-1.3, 1.3), rng.uniform(-3, 3)])
-        direction = rng.standard_normal(3)
-        rot, derivs = euler_rot_derivatives(e)
-        drot = sum(direction[k] * derivs[k] for k in range(3))
-        got = euler_rate_from_rot_rate(rot, drot)
-        ep = quat_to_euler(euler_quat(*(e + h * direction)))
-        em = quat_to_euler(euler_quat(*(e - h * direction)))
-        fd = wrap_angles(ep - em) / (2 * h)
-        assert np.max(np.abs(got - fd)) < 1e-5
+    angles = [a for a in EDGE_ANGLES if a <= math.pi - 1e-3] + list(rng.uniform(0, 3.1, 40))
+    phi = np.array(angles)[:, None] * random_axes(rng, len(angles))
+    got = so3_right_jacobian_inv_batch(phi)
+    q = so3_exp_batch(phi)
+    for j in range(3):
+        step = np.zeros(3)
+        step[j] = h
+        plus = so3_log_batch(quat_multiply_batch(q, so3_exp_batch(step)))
+        minus = so3_log_batch(quat_multiply_batch(q, so3_exp_batch(-step)))
+        np.testing.assert_allclose(got[:, :, j], (plus - minus) / (2 * h), rtol=0, atol=1e-7)
 
 
-def test_batched_euler_helpers_match_single_pose_forms():
-    rng = np.random.default_rng(335)
-    eulers = np.column_stack(
-        [rng.uniform(-3, 3, 50), rng.uniform(-1.5, 1.5, 50), rng.uniform(-3, 3, 50)]
+def test_so3_kernels_are_finite_up_to_pi():
+    # the Euler-rate kernels raised at pitch +-pi/2; these have no singular line below pi
+    rng = np.random.default_rng(334)
+    axes = random_axes(rng, 50)
+    near, at = (math.pi - 1e-9) * axes, math.pi * axes
+    for phi in (near, at):
+        assert np.all(np.isfinite(so3_right_jacobian_inv_batch(phi)))
+    np.testing.assert_allclose(
+        so3_right_jacobian_inv_batch(at), so3_right_jacobian_inv_batch(near), rtol=0, atol=1e-8
     )
-    # both gimbal branches, and pitches just inside them
-    eulers[:4, 1] = [math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-7, -math.pi / 2 + 1e-7]
-    rots, derivs = euler_rot_derivatives_batch(eulers)
-    assert rots.shape == (50, 3, 3) and derivs.shape == (50, 3, 3, 3)
-    got = rot_to_euler_batch(rots)
-    rates = euler_rate_from_rot_rate(rots[4:, None], derivs[4:])
-    for i, e in enumerate(eulers):
-        rot, drot = euler_rot_derivatives(e)
-        np.testing.assert_allclose(rots[i], rot, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(derivs[i], np.array(drot), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(got[i], numpy_rot_to_euler(rot), rtol=0, atol=1e-12)
-        if i >= 4:
-            for k in range(3):
-                np.testing.assert_allclose(
-                    rates[i - 4, k], euler_rate_from_rot_rate(rot, drot[k]), rtol=1e-12
-                )
-    assert got[0, 0] == 0.0 and got[0, 1] == math.pi / 2 and got[1, 1] == -math.pi / 2
-
-
-def test_euler_rate_raises_if_any_rotation_in_a_stack_is_singular():
-    rots, derivs = euler_rot_derivatives_batch(np.array([[0.1, 0.2, 0.3], [0.0, math.pi / 2, 0.0]]))
-    euler_rate_from_rot_rate(rots[:1], derivs[:1, 0])
-    with pytest.raises(ArithmeticError):
-        euler_rate_from_rot_rate(rots, derivs[:, 0])
+    tilted = np.array([euler_quat(0.3, sign * math.pi / 2, -0.4) for sign in (1, -1)])
+    np.testing.assert_allclose(so3_exp_batch(so3_log_batch(tilted)), tilted, atol=1e-15)
 
 
 def test_transport_covariance_preserves_trace_symmetry_psd():

@@ -269,3 +269,85 @@ def test_cli_import_loads_no_oracle_or_network_module():
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stdout)
     assert [name for name in NOT_AT_STARTUP if name in loaded] == []
+
+
+def defined_functions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """``(qualified name, node)`` of each function and method a module defines, dunders excluded."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found.append((f"{prefix}{child.name}", child))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def name_reads(tree: ast.Module) -> list[tuple[str, set[int]]]:
+    """Each name or attribute the module loads, with the ids of the functions enclosing it."""
+    reads = []
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.id, enclosing))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def unread_functions(sources: list[str]) -> list[str]:
+    """Functions and methods whose name no code reads outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    reads = [read for tree in trees for read in name_reads(tree)]
+    return sorted(
+        qualified
+        for tree in trees
+        for qualified, node in defined_functions(tree)
+        if not any(name == node.name and id(node) not in enclosing for name, enclosing in reads)
+    )
+
+
+# perfbench/child.py counts its calls; it goes together with that harness
+FUNCTIONS_READ_ONLY_BY_THE_BENCHMARK = {"QueueTransport.recv_line"}
+
+
+def test_every_function_in_the_package_is_read_in_the_package():
+    unread = unread_functions([path.read_text(encoding="utf-8") for path in MODULES])
+    assert sorted(set(unread) - FUNCTIONS_READ_ONLY_BY_THE_BENCHMARK) == []
+    assert FUNCTIONS_READ_ONLY_BY_THE_BENCHMARK <= set(unread)
+
+
+def test_function_checker_flags_unread_and_accepts_every_kind_of_read():
+    source = (
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def orphan():\n"
+        "    return used()\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.go = self.method\n"
+        "    def method(self):\n"
+        "        return 0\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "    def never(self):\n"
+        "        return self.never()\n"
+        "print(C().size)\n"
+    )
+    assert unread_functions([source]) == ["C.never", "orphan", "recursive"]

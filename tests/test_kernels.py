@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reference import euler_rot_derivatives
+from reference import euler_rot_derivatives, wrap_angles
 
 from markerswarm.ekf import (
     GATE_THRESHOLD,
@@ -32,7 +32,6 @@ from markerswarm.geom import (
     _euler_rotate,
     symmetrize,
     transport_covariance,
-    wrap_angles,
 )
 from markerswarm.worldsim import (
     CAMERAS,

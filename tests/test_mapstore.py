@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from reference import IDENTITY
+
 from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.mapstore import GlobalMap, MapContractError, MapEntry, fuse_pose
 
@@ -20,26 +22,26 @@ def diag_cov(pos=0.01, ang=0.001):
 class TestInsert:
     def test_first_insert_has_obs_count_one(self):
         gm = make_map()
-        entry = gm.insert_marker(0, 5, Pose6D.identity(), diag_cov())
+        entry = gm.insert_marker(0, 5, IDENTITY, diag_cov())
         assert entry.obs_count == 1
         assert gm.lookup(5) is entry
 
     def test_duplicate_insert_is_contract_violation(self):
         gm = make_map()
-        gm.insert_marker(0, 5, Pose6D.identity(), diag_cov())
+        gm.insert_marker(0, 5, IDENTITY, diag_cov())
         with pytest.raises(MapContractError):
-            gm.insert_marker(0, 5, Pose6D.identity(), diag_cov())
+            gm.insert_marker(0, 5, IDENTITY, diag_cov())
 
     def test_id_1024_rejected(self):
         gm = make_map()
         with pytest.raises(MapContractError):
-            gm.insert_marker(0, 1024, Pose6D.identity(), diag_cov())
-        gm.insert_marker(0, 1023, Pose6D.identity(), diag_cov())
+            gm.insert_marker(0, 1024, IDENTITY, diag_cov())
+        gm.insert_marker(0, 1023, IDENTITY, diag_cov())
 
     def test_dead_frame_rejected(self):
         gm = make_map()
         with pytest.raises(MapContractError):
-            gm.insert_marker(3, 1, Pose6D.identity(), diag_cov())
+            gm.insert_marker(3, 1, IDENTITY, diag_cov())
 
     def test_lookup_missing_returns_none(self):
         assert make_map().lookup(9) is None
@@ -109,17 +111,17 @@ class TestFusePose:
 class TestFuseObservation:
     def test_obs_count_increments_through_window(self):
         gm = make_map(n_fuse=5)
-        gm.insert_marker(0, 1, Pose6D.identity(), diag_cov())
+        gm.insert_marker(0, 1, IDENTITY, diag_cov())
         for k in range(2, 6):
-            entry = gm.fuse_observation(1, Pose6D.identity(), diag_cov())
+            entry = gm.fuse_observation(1, IDENTITY, diag_cov())
             assert entry.obs_count == k
         assert gm.lookup(1).obs_count == 5
 
     def test_sixth_observation_is_frozen(self):
         gm = make_map(n_fuse=5)
-        gm.insert_marker(0, 1, Pose6D.identity(), diag_cov())
+        gm.insert_marker(0, 1, IDENTITY, diag_cov())
         for k in range(4):
-            gm.fuse_observation(1, Pose6D.identity(), diag_cov())
+            gm.fuse_observation(1, IDENTITY, diag_cov())
         before = gm.lookup(1)
         wild = Pose6D.from_vector([5.0, -3.0, 1.0, 0.5, 0.2, -1.0])
         after = gm.fuse_observation(1, wild, diag_cov())
@@ -131,7 +133,7 @@ class TestFuseObservation:
     def test_fusing_unknown_marker_is_contract_violation(self):
         gm = make_map()
         with pytest.raises(MapContractError):
-            gm.fuse_observation(4, Pose6D.identity(), diag_cov())
+            gm.fuse_observation(4, IDENTITY, diag_cov())
 
     def test_fusion_tightens_entry(self):
         gm = make_map()
@@ -156,9 +158,9 @@ class TestFramesAndSnapshot:
         gm = GlobalMap()
         gm.register_drone(0, 0)
         gm.register_drone(1, 1)
-        gm.insert_marker(0, 9, Pose6D.identity(), diag_cov())
-        gm.insert_marker(0, 3, Pose6D.identity(), diag_cov())
-        gm.insert_marker(1, 4, Pose6D.identity(), diag_cov())
+        gm.insert_marker(0, 9, IDENTITY, diag_cov())
+        gm.insert_marker(0, 3, IDENTITY, diag_cov())
+        gm.insert_marker(1, 4, IDENTITY, diag_cov())
         assert [e.marker_id for e in gm.entries_in_frame(0)] == [3, 9]
         assert [e.marker_id for e in gm.entries_in_frame(1)] == [4]
 
@@ -179,5 +181,5 @@ class TestFramesAndSnapshot:
     def test_snapshot_sorted_by_marker_id(self):
         gm = make_map()
         for marker_id in (9, 1, 5):
-            gm.insert_marker(0, marker_id, Pose6D.identity(), diag_cov())
+            gm.insert_marker(0, marker_id, IDENTITY, diag_cov())
         assert [d["marker_id"] for d in gm.snapshot()] == [1, 5, 9]

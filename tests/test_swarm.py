@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import choose_destination_array
+from reference import IDENTITY, choose_destination_array
 
 from markerswarm.bundle import Keypose
 from markerswarm.geom import Pose6D, rotation_angle_between
@@ -364,7 +364,7 @@ class TestNavptsNode:
     def test_merge_for_other_frame_ignored(self):
         sc = node_scenario()
         node, _, station_tx = make_node(sc, drone_id=0)
-        station_tx.send(MapSnapshot(entries=(), merges=((1, 0, Pose6D.identity()),)))
+        station_tx.send(MapSnapshot(entries=(), merges=((1, 0, IDENTITY),)))
         node.tick(0.1, still_odometry(), [])
         node.steer(0.1)
         assert node.state.frame == 0
@@ -687,7 +687,7 @@ class TestGroundStation:
         sc = station_scenario()
         station, senders, _ = make_station(sc)
         senders[0].send(Hello())
-        good = obs_from(0, Pose6D.identity(), Pose6D.identity(), world_marker(), CAMERAS["down"])
+        good = obs_from(0, IDENTITY, IDENTITY, world_marker(), CAMERAS["down"])
         for field, value in [("camera", "sideways"), ("marker_id", -1), ("marker_id", 1024)]:
             senders[0].send(replace(good, detection=replace(good.detection, **{field: value})))
         assert station.counters["malformed"] == 3

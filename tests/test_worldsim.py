@@ -6,10 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import sense_markers_every_marker, sense_odometry_array, step_drone_numpy
+from reference import (
+    IDENTITY,
+    sense_markers_every_marker,
+    sense_odometry_array,
+    step_drone_numpy,
+    wrap_angles,
+)
 
 from markerswarm.ekf import EkfConfig, detection_variances
-from markerswarm.geom import Pose6D, wrap_angles
+from markerswarm.geom import Pose6D
 from markerswarm.worldsim import (
     CAMERAS,
     CameraParams,
@@ -122,8 +128,8 @@ class TestStepDrone:
 class TestWorld:
     def test_rejects_out_of_range_marker_id(self):
         with pytest.raises(ValueError):
-            make_world({1024: Pose6D.identity()})
-        make_world({1023: Pose6D.identity()})  # boundary id is fine
+            make_world({1024: IDENTITY})
+        make_world({1023: IDENTITY})  # boundary id is fine
 
     def test_rejects_degenerate_bounds(self):
         with pytest.raises(ValueError):
@@ -325,7 +331,7 @@ def test_one_draw_of_six_is_two_draws_of_three():
 def test_detection_is_slotted():
     """A detection holds its three fields and nothing else: keyposes retain them."""
     assert MarkerDetection.__slots__ == ("marker_id", "camera", "rel_pose")
-    det = MarkerDetection(1, "down", Pose6D.identity())
+    det = MarkerDetection(1, "down", IDENTITY)
     assert not hasattr(det, "__dict__")
 
 
@@ -432,8 +438,8 @@ class TestCameraValidation:
 
     def test_bad_fov_or_range_rejected(self):
         with pytest.raises(ValueError):
-            CameraParams("c", Pose6D.identity(), fov_half_angle=0.0, max_range=1.0)
+            CameraParams("c", IDENTITY, fov_half_angle=0.0, max_range=1.0)
         with pytest.raises(ValueError):
-            CameraParams("c", Pose6D.identity(), fov_half_angle=math.pi / 2, max_range=1.0)
+            CameraParams("c", IDENTITY, fov_half_angle=math.pi / 2, max_range=1.0)
         with pytest.raises(ValueError):
-            CameraParams("c", Pose6D.identity(), fov_half_angle=0.5, max_range=0.0)
+            CameraParams("c", IDENTITY, fov_half_angle=0.5, max_range=0.0)
