@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -66,44 +65,48 @@ class EkfConfig:
     # set in code only (acceptance criterion 2 runs it)
     gate_enabled: bool = True
 
-    @cached_property
-    def process_noise(self) -> np.ndarray:
+    def __post_init__(self) -> None:
         q = np.diag([self.q_pos] * 3 + [self.q_ang] * 3).astype(float)
         q.flags.writeable = False
-        return q
+        object.__setattr__(self, "process_noise", q)  # read-only, not a field
 
 
-@dataclass(frozen=True)
 class EkfState:
-    mean: np.ndarray  # (6,)
-    cov: np.ndarray  # (6, 6)
-    frame: int
+    """A filter state: mean (6,), covariance (6, 6), both read-only copies, and frame.
 
-    def __post_init__(self) -> None:
-        mean, cov = _frozen_copies(self.mean, self.cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+    A slotted class, not a dataclass: a run builds one per prediction and
+    per accepted update. ``pose``, the mean as a ``Pose6D``, is built on
+    its first read and kept.
+    """
 
-    @cached_property
-    def pose(self) -> Pose6D:
-        return Pose6D.from_vector(self.mean)
+    __slots__ = ("mean", "cov", "frame", "pose")
+
+    def __init__(self, mean, cov, frame: int) -> None:
+        self.mean, self.cov = _frozen_copies(mean, cov)
+        self.frame = frame
+
+    def __getattr__(self, name: str):
+        # reached only for an empty slot: ``pose`` before its first read
+        if name != "pose":
+            raise AttributeError(name)
+        self.pose = pose = Pose6D.from_vector(self.mean)
+        return pose
 
     @staticmethod
     def from_pose(pose: Pose6D, cov: np.ndarray, frame: int) -> "EkfState":
         return EkfState(pose.to_vector(), cov, frame)
 
 
-@dataclass(frozen=True)
 class PoseObservation:
-    """Direct observation of the state vector, derived from one marker detection."""
+    """Direct observation of the state vector, derived from one marker detection.
 
-    vector: np.ndarray  # (x, y, z, alpha, beta, gamma)
-    cov: np.ndarray
+    ``vector`` (x, y, z, alpha, beta, gamma) and ``cov`` are read-only copies.
+    """
 
-    def __post_init__(self) -> None:
-        vector, cov = _frozen_copies(self.vector, self.cov)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "cov", cov)
+    __slots__ = ("vector", "cov")
+
+    def __init__(self, vector, cov) -> None:
+        self.vector, self.cov = _frozen_copies(vector, cov)
 
 
 def _frozen_copies(vector, cov) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +210,7 @@ def update(state: EkfState, obs: PoseObservation, config: EkfConfig) -> tuple[Ek
     """
     y = innovation(state, obs)
     p = state.cov
-    s = symmetrize(p + obs.cov)
+    s = p + obs.cov  # exactly symmetric, as both terms are (tests/test_symmetry.py)
     # one factorization for both right-hand sides: S^-1 y and S^-1 P
     rhs = np.empty((STATE_DIM, STATE_DIM + 1))
     rhs[:, 0] = y

@@ -16,16 +16,22 @@ unknowns are quaternions too, stepped on the rotation manifold; Euler
 triples appear only at API boundaries (construction, serialization, the
 filter's state vector and its measurements).
 
-Trust boundaries: values are validated once, where they enter a run.
-``parse_scenario`` checks the scenario file; protocol ``decode`` and the
-``from_dict`` constructors it calls check every wire value with
+Trust boundaries: values are validated once, where they enter a run,
+and each decoded value is checked once. ``parse_scenario`` checks the
+scenario file; protocol ``decode``, its ``_parse_*`` parsers and the
+``from_dict`` constructors they call check every wire value with
 ``check_keys`` (an object has exactly its keys), ``check_int``,
 ``check_float``, ``check_covariance`` or, for a detection's camera and
-marker id, against the camera table and the id range. The constructors
-of values a run computes itself (``EkfState``, ``PoseObservation``,
-``MapEntry``) only copy and freeze their arrays. ``Pose6D`` is the
-exception: it still rejects a non-finite translation and normalizes its
-quaternion.
+marker id, against the camera table and the id range. A covariance
+travels as its 21 upper-triangle values (``upper_triangle``);
+``check_covariance`` checks each with ``check_float``, builds the
+symmetric 6x6 from them and checks its smallest eigenvalue, with no
+separate finiteness or symmetry pass. ``Pose6D.from_dict`` builds its
+pose straight from its checked floats. The constructors of values a run
+computes itself (``EkfState``, ``PoseObservation``, ``MapEntry``) check
+nothing: they only copy or keep, and freeze, their arrays. ``Pose6D`` is
+the exception: it still rejects a non-finite translation and normalizes
+its quaternion.
 
 ``Pose6D`` is a slotted dataclass built in one pass: its own
 ``__init__`` copies ``t``, checks that it is finite and normalizes ``q``
@@ -445,10 +451,9 @@ class Pose6D:
     @staticmethod
     def from_dict(data: dict) -> "Pose6D":
         check_keys(data, Pose6D.WIRE_KEYS, "pose")
-        return Pose6D.from_euler(
-            [check_float(v, "t") for v in data["t"]],
-            [check_float(v, "euler") for v in data["euler"]],
-        )
+        t = [check_float(v, "t") for v in data["t"]]
+        alpha, beta, gamma = [check_float(v, "euler") for v in data["euler"]]
+        return Pose6D(t, _euler_quat(alpha, beta, gamma))
 
     def __repr__(self) -> str:  # compact, round-trip not required
         t = ", ".join(f"{v:.4g}" for v in self.t)
@@ -488,22 +493,35 @@ def check_float(value, what: str) -> float:
 # --------------------------------------------------------------------------
 # 6x6 covariances over (x, y, z, alpha, beta, gamma)
 
-SYM_TOL = 1e-12
 EIG_TOL = -1e-12
+# on the wire a covariance is its upper triangle, row by row: 21 values
+COV_WIRE_LEN = 21
+_UPPER = np.flatnonzero(np.triu(np.ones((6, 6), dtype=bool)))  # their flat indices in a 6x6
+# each entry of a 6x6, as an index into those 21 values: (i, j) and (j, i) read the same one
+_FROM_UPPER = np.zeros((6, 6), dtype=np.intp)
+_FROM_UPPER.flat[_UPPER] = range(COV_WIRE_LEN)
+_FROM_UPPER = np.maximum(_FROM_UPPER, _FROM_UPPER.T)
 
 
-def check_covariance(cov: np.ndarray, what: str = "covariance") -> np.ndarray:
-    """Validate symmetry within 1e-12 and eigenvalues >= -1e-12."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (6, 6):
-        raise ValueError(f"{what}: expected 6x6, got {cov.shape}")
-    if not np.all(np.isfinite(cov)):
-        raise ValueError(f"{what}: non-finite entries")
-    if np.max(np.abs(cov - cov.T)) > SYM_TOL:
-        raise ValueError(f"{what}: not symmetric within {SYM_TOL}")
-    eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    if eigs[0] < EIG_TOL:
-        raise ValueError(f"{what}: negative eigenvalue {eigs[0]}")
+def upper_triangle(cov: np.ndarray) -> list[float]:
+    """The wire form of a symmetric 6x6: its 21 upper-triangle values, row-major."""
+    return cov.take(_UPPER).tolist()
+
+
+def check_covariance(values, what: str = "covariance") -> np.ndarray:
+    """The read-only 6x6 of 21 wire values (``upper_triangle``'s), checked.
+
+    Each value must be a finite JSON number (``check_float``), and the
+    smallest eigenvalue at least ``EIG_TOL``. The matrix is built from the
+    upper triangle alone, so it is exactly symmetric.
+    """
+    if len(values) != COV_WIRE_LEN:
+        raise ValueError(f"{what}: expected {COV_WIRE_LEN} values, got {len(values)}")
+    cov = np.array([check_float(v, what) for v in values])[_FROM_UPPER]
+    eig = np.linalg.eigvalsh(cov)[0]
+    if eig < EIG_TOL:
+        raise ValueError(f"{what}: negative eigenvalue {eig}")
+    cov.setflags(write=False)
     return cov
 
 

@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from markerswarm.geom import (
-    Pose6D,
-    check_covariance,
-    check_float,
-    check_int,
-    check_keys,
-    quat_slerp,
-    symmetrize,
-)
+from markerswarm.geom import Pose6D, quat_slerp
 from markerswarm.worldsim import MARKER_ID_MAX
 
 DEFAULT_N_FUSE = 5
@@ -45,14 +37,17 @@ class MapEntry:
     pose: Pose6D
     cov: np.ndarray
     obs_count: int
-    WIRE_KEYS = frozenset(("marker_id", "frame", "pose", "cov", "obs_count"))
 
     def __post_init__(self) -> None:
-        cov = np.array(self.cov, dtype=float).reshape(6, 6)
+        # kept, not copied, and frozen: each caller hands over a new array or a frozen one
+        cov = np.asarray(self.cov, dtype=float)
+        if cov.shape != (6, 6):
+            cov = cov.reshape(6, 6)
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
 
     def to_dict(self) -> dict:
+        """The file form (``map.json``, ``report.json``): ``cov`` as 36 values, row-major."""
         return {
             "marker_id": int(self.marker_id),
             "frame": int(self.frame),
@@ -60,21 +55,6 @@ class MapEntry:
             "cov": self.cov.reshape(-1).tolist(),
             "obs_count": int(self.obs_count),
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "MapEntry":
-        check_keys(data, MapEntry.WIRE_KEYS, "map entry")
-        marker_id = check_int(data["marker_id"], "marker_id")
-        return MapEntry(
-            marker_id=marker_id,
-            frame=check_int(data["frame"], "frame"),
-            pose=Pose6D.from_dict(data["pose"]),
-            cov=check_covariance(
-                np.array([check_float(v, "cov") for v in data["cov"]]).reshape(6, 6),
-                f"marker {marker_id} cov",
-            ),
-            obs_count=check_int(data["obs_count"], "obs_count"),
-        )
 
 
 def fuse_pose(
@@ -89,23 +69,24 @@ def fuse_pose(
     observation and vice versa. Position and orientation are treated as
     independent: cross blocks of the fused covariance are zero.
     """
-    p_old, p_new = cov_old[:3, :3], cov_new[:3, :3]
-    a_old, a_new = cov_old[3:, 3:], cov_new[3:, 3:]
+    # Each level is one batched inverse of the (position, angle) blocks. The
+    # batch solves each block alone, with the bits of its own call.
+    info = np.linalg.inv(
+        np.array((cov_old[:3, :3], cov_old[3:, 3:], cov_new[:3, :3], cov_new[3:, 3:]))
+    )
+    fused = np.linalg.inv(info[:2] + info[2:])  # (position, angle)
+    t_fused = fused[0] @ (info[0] @ pose_old.t + info[2] @ pose_new.t)
 
-    info_old = np.linalg.inv(p_old)
-    info_new = np.linalg.inv(p_new)
-    p_fused = np.linalg.inv(info_old + info_new)
-    t_fused = p_fused @ (info_old @ pose_old.t + info_new @ pose_new.t)
-
-    tr_old, tr_new = np.trace(a_old), np.trace(a_new)
+    # the angle traces, summed in np.trace's order
+    _, _, _, a0, a1, a2 = cov_old.diagonal().tolist()
+    _, _, _, b0, b1, b2 = cov_new.diagonal().tolist()
+    tr_old, tr_new = a0 + a1 + a2, b0 + b1 + b2
     weight_new = tr_old / (tr_old + tr_new)
     q_fused = quat_slerp(pose_old.q, pose_new.q, weight_new)
 
-    a_fused = np.linalg.inv(np.linalg.inv(a_old) + np.linalg.inv(a_new))
-
+    fused = 0.5 * (fused + fused.transpose(0, 2, 1))  # symmetrize, block by block
     cov = np.zeros((6, 6))
-    cov[:3, :3] = symmetrize(p_fused)
-    cov[3:, 3:] = symmetrize(a_fused)
+    cov[:3, :3], cov[3:, 3:] = fused
     return Pose6D(t_fused, q_fused), cov
 
 

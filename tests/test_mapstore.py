@@ -6,7 +6,8 @@ import pytest
 from reference import IDENTITY
 
 from markerswarm.geom import Pose6D, rotation_angle_between
-from markerswarm.mapstore import GlobalMap, MapContractError, MapEntry, fuse_pose
+from markerswarm.mapstore import GlobalMap, MapContractError, fuse_pose
+from markerswarm.swarm.protocol import STATION_ID, MapSnapshot, decode, encode
 
 
 def make_map(n_fuse=5):
@@ -167,16 +168,22 @@ class TestFramesAndSnapshot:
     def test_snapshot_round_trip(self):
         gm = make_map()
         pose = Pose6D.from_euler([1.0, 2.0, 0.0], [0.0, 0.0, 0.7])
-        gm.insert_marker(0, 7, pose, diag_cov())
+        rng = np.random.default_rng(167)
+        a = rng.standard_normal((6, 6))
+        gm.insert_marker(0, 7, pose, 0.5 * (a @ a.T + (a @ a.T).T))
+        entry = gm.lookup(7)
         snap = gm.snapshot()
         assert len(snap) == 1
         d = snap[0]
+        # the file form: the whole matrix, row by row
         assert set(d) == {"marker_id", "frame", "pose", "cov", "obs_count"}
-        assert len(d["cov"]) == 36
-        back = MapEntry.from_dict(d)
-        assert back.marker_id == 7
+        assert d["cov"] == entry.cov.reshape(-1).tolist()
+        # the wire form (21 values) gives back the same bits
+        line = encode(MapSnapshot((entry,), ()), sender=STATION_ID, seq=1)
+        (back,) = decode(line).msg.entries
+        assert (back.marker_id, back.frame, back.obs_count) == (7, 0, 1)
         assert np.max(np.abs(back.pose.t - pose.t)) < 1e-15
-        assert np.max(np.abs(back.cov - gm.lookup(7).cov)) < 1e-15
+        assert back.cov.tobytes() == entry.cov.tobytes()
 
     def test_snapshot_sorted_by_marker_id(self):
         gm = make_map()

@@ -1,8 +1,11 @@
-"""Wire protocol tests: codec round trips, guards and transports."""
+"""Wire protocol tests: codec round trips, guards, transports and the wire's size."""
 
 import dataclasses
+import importlib
 import json
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import pytest
 from markerswarm.bundle import Keypose
 from markerswarm.geom import Pose6D
 from markerswarm.mapstore import MapEntry
+from markerswarm.scenario import load_scenario
+from markerswarm.swarm import protocol, run_scenario
 from markerswarm.swarm.protocol import (
     STATION_ID,
     Decoded,
@@ -85,9 +90,17 @@ def flat(matrix):
     return [float(v) for v in np.asarray(matrix).reshape(-1)]
 
 
-# encode's output before the payload float lists came from .tolist():
-# every number went through float() one at a time, and json.dumps built
-# a new encoder per message.
+def upper(matrix):
+    """The 21 upper-triangle values of a 6x6, row by row: a covariance's wire form."""
+    return [float(matrix[i][j]) for i in range(6) for j in range(i, 6)]
+
+
+NEGATIVE_EIGENVALUE = upper(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1e-6]))
+
+
+# encode's output built the slow way: every number goes through float()
+# one at a time, a covariance is indexed entry by entry, and json.dumps
+# builds a new encoder per message.
 
 
 def legacy_pose(p):
@@ -95,7 +108,7 @@ def legacy_pose(p):
 
 
 def legacy_cov(cov):
-    return [float(v) for v in np.asarray(cov).reshape(-1)]
+    return upper(np.asarray(cov))
 
 
 def legacy_entry(e):
@@ -243,17 +256,32 @@ class TestCodec:
             tampered("KeyposeCommit", ["keypose", "drone_id"], "2"),
             tampered("KeyposeCommit", ["keypose", "frame"], True),
             tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], 7.0),
-            tampered("MarkerObs", ["ekf_cov"], flat(-np.eye(6))),
+            tampered("MarkerObs", ["ekf_cov"], upper(-np.eye(6))),
+            tampered("MarkerObs", ["ekf_cov"], NEGATIVE_EIGENVALUE),
+            tampered("MarkerObs", ["ekf_cov"], upper(np.eye(6))[:20]),
             tampered("MarkerObs", ["ekf_cov"], flat(np.eye(6) + np.triu(np.ones((6, 6)), 1))),
-            tampered("MarkerObs", ["ekf_cov"], flat(np.full((6, 6), np.nan))),
+            tampered("MarkerObs", ["ekf_cov"], upper(np.full((6, 6), np.nan))),
+            tampered("MarkerObs", ["ekf_cov"], [0.125] + upper(np.eye(6))[1:]).replace(
+                "0.125", "1e400"
+            ),
+            tampered("MarkerObs", ["ekf_cov"], ["1.0"] + upper(np.eye(6))[1:]),
             tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], "0.5"),
             tampered("KeyposeCommit", ["keypose", "observations", 0, "camera"], 5),
             tampered("MarkerObs", ["detection", "range"], float("nan")),
             tampered("KeyposeCommit", ["keypose", "timestamp"], float("inf")),
-            tampered("MapSnapshot", ["entries", 0, "cov"], flat(-np.eye(6))),
+            tampered("MapSnapshot", ["entries", 0, "cov"], upper(-np.eye(6))),
+            tampered("MapSnapshot", ["entries", 0, "cov"], NEGATIVE_EIGENVALUE),
+            tampered("MapSnapshot", ["entries", 0, "cov"], upper(np.eye(6))[:20]),
             tampered("MapSnapshot", ["entries", 0, "cov"],
                      flat(np.eye(6) + np.triu(np.ones((6, 6)), 1))),
-            tampered("MapSnapshot", ["entries", 0, "cov"], flat(np.full((6, 6), np.nan))),
+            tampered("MapSnapshot", ["entries", 0, "cov"], upper(np.full((6, 6), np.nan))),
+            tampered("MapSnapshot", ["entries", 0, "cov"], [0.125] + upper(np.eye(6))[1:]).replace(
+                "0.125", "1e400"
+            ),
+            tampered("MapSnapshot", ["entries", 0, "cov"], True),
+            tampered("MapSnapshot", ["entries", 0, "cov"], [True] + upper(np.eye(6))[1:]),
+            tampered("MapSnapshot", ["entries", 0, "obs_count"], 0),
+            tampered("MapSnapshot", ["entries", 0, "obs_count"], -3),
             tampered("PoseReport", ["mean"], [0.0, 1.0, 2.0, 3.0, 4.0]),
             tampered("PoseReport", ["mean"], [0.0, 1.0, 2.0, 3.0, 4.0, 0.125]).replace(
                 "0.125", "1e400"
@@ -265,12 +293,12 @@ class TestCodec:
             tampered("MarkerObs", ["detection", "camera"], 5),
             tampered("MarkerObs", ["detection", "rel_pose", "t"], ["0.1", 0.0, 0.0]),
             tampered("MarkerObs", ["ekf_pose", "euler"], [0.0, False, 0.0]),
-            tampered("MarkerObs", ["ekf_cov"], [True if v else 0.0 for v in flat(np.eye(6))]),
+            tampered("MarkerObs", ["ekf_cov"], [True if v else 0.0 for v in upper(np.eye(6))]),
             tampered("MapSnapshot", ["merges", 0, "rt", "t"], ["0.5", 0.0, 0.0]),
             tampered("PoseReport", ["timestamp"], "inf"),
             tampered("PoseReport", ["mean"], ["0.0", 1.0, 2.0, 3.0, 4.0, 5.0]),
             tampered("PoseReport", ["frame"], True),
-            tampered("MapSnapshot", ["entries", 0, "cov"], [str(v) for v in flat(np.eye(6))]),
+            tampered("MapSnapshot", ["entries", 0, "cov"], [str(v) for v in upper(np.eye(6))]),
             tampered("MapSnapshot", ["entries", 0, "pose", "euler"], [0.0, 0.0, "0.5"]),
             tampered("KeyposeCommit", ["keypose", "timestamp"], "inf"),
             tampered("KeyposeCommit", ["keypose", "observations", 0, "rel_pose", "t"],
@@ -320,15 +348,26 @@ class TestCodec:
             "keypose-bool-frame",
             "keypose-float-observation-marker-id",
             "obs-negative-ekf-cov",
-            "obs-asymmetric-ekf-cov",
+            "obs-negative-eigenvalue-ekf-cov",
+            "obs-20-value-ekf-cov",
+            "obs-36-value-ekf-cov",
             "obs-nan-ekf-cov",
+            "obs-overflowing-ekf-cov",
+            "obs-string-ekf-cov",
             "keypose-string-observation-range",
             "keypose-int-observation-camera",
             "obs-nan-range",
             "keypose-infinite-timestamp",
             "snapshot-negative-cov",
-            "snapshot-asymmetric-cov",
+            "snapshot-negative-eigenvalue-cov",
+            "snapshot-20-value-cov",
+            "snapshot-36-value-cov",
             "snapshot-nan-cov",
+            "snapshot-overflowing-cov",
+            "snapshot-bool-cov",
+            "snapshot-bool-cov-value",
+            "snapshot-zero-obs-count",
+            "snapshot-negative-obs-count",
             "report-short-state-mean",
             "report-overflowing-state-mean",
             "obs-string-range",
@@ -490,3 +529,35 @@ class TestEndpoint:
             d = decode(line)
             assert d.sender == 5
             assert guard.accept(d.sender, d.seq)
+
+
+# (messages, encoded bytes) per message type at protocol.encode, on the
+# marker_dense benchmark workload for workload seed 1: the wire cannot grow
+# unseen. A change that alters the wire on purpose updates these and says
+# why in CHANGES.md.
+MARKER_DENSE_WIRE = {
+    "Hello": (3, 105),
+    "MarkerObs": (337, 303888),
+    "PoseReport": (150, 30568),
+    "MapSnapshot": (48, 130447),
+}
+
+
+def test_marker_dense_wire_is_pinned(monkeypatch, tmp_path):
+    # the benchmark's own generator, imported as perfbench/run.py imports it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workload = importlib.import_module("workloads").WORKLOADS["marker_dense"]
+    scenario = tmp_path / "marker_dense.json"
+    scenario.write_text(json.dumps(workload.build(1)), encoding="utf-8")
+    messages, size = Counter(), Counter()
+    encode = protocol.encode
+
+    def counted(msg, sender, seq):
+        line = encode(msg, sender, seq)
+        messages[type(msg).__name__] += 1
+        size[type(msg).__name__] += len(line.encode("utf-8"))
+        return line
+
+    monkeypatch.setattr(protocol, "encode", counted)
+    run_scenario(load_scenario(scenario), workload.seeds(1)[0], workload.mode)
+    assert {kind: (messages[kind], size[kind]) for kind in messages} == MARKER_DENSE_WIRE
