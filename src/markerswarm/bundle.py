@@ -118,7 +118,8 @@ def select_keypose(current: Pose6D, last: Pose6D | None, visible_markers: int) -
         return False
     if last is None:
         return True
-    offset = current.t - last.t
+    (cx, cy, cz), (lx, ly, lz) = current.t, last.t
+    offset = np.array((cx - lx, cy - ly, cz - lz))
     # what np.linalg.norm computes for a real vector, without its dispatch
     moved = math.sqrt(offset.dot(offset)) > KEYPOSE_TRANSLATION
     turned = rotation_angle_between(current.q, last.q) > KEYPOSE_ROTATION
@@ -191,10 +192,10 @@ class BaProblem:
         obs_camera = np.array([camera_index[d.camera] for d in dets])
         self._cam_rot = np.array([cameras[n].extrinsics.rotation() for n in names])[obs_camera]
         self._cam_t = np.array([cameras[n].extrinsics.t for n in names])[obs_camera]
-        self._obs_t = np.array([d.rel_pose.t.tolist() for d in dets])
+        self._obs_t = np.array([d.rel_pose.t for d in dets])
         # (q_c q_z)^-1: the detected marker rotation in the keypose body, inverted
         cam_q = np.array([cameras[n].extrinsics.q for n in names])[obs_camera]
-        obs_q = np.array([d.rel_pose.q.tolist() for d in dets])
+        obs_q = np.array([d.rel_pose.q for d in dets])
         self._obs_q_inv = quat_multiply_batch(cam_q, obs_q) * QUAT_CONJUGATE
         # the noise is diagonal: whitening divides each axis by its sigma
         variances = [detection_variances(d, ekf_config) for d in dets]
@@ -214,7 +215,7 @@ class BaProblem:
         return _pose_rows(poses + [self.marker_init[m] for m in self.marker_ids])
 
     def unpack(self, x: np.ndarray) -> tuple[list[Keypose], dict[int, Pose6D]]:
-        rows = x.reshape(-1, 7)  # keyposes after the anchor, then markers
+        rows = x.reshape(-1, 7).tolist()  # keyposes after the anchor, then markers
         n_keyposes = self.n_keypose_vars
         keyposes = [self.keyposes[0]] + [
             Keypose(kp.drone_id, kp.frame, Pose6D(v[:3], v[3:]), kp.timestamp, kp.observations)
@@ -226,7 +227,7 @@ class BaProblem:
 
 def _pose_rows(poses: list[Pose6D]) -> np.ndarray:
     """The poses' ``t`` and ``q``, seven numbers each, in one flat array."""
-    return np.array([(*p.t.tolist(), *p.q.tolist()) for p in poses]).reshape(-1)
+    return np.array([(*p.t, *p.q) for p in poses]).reshape(-1)
 
 
 def retract(x: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -328,15 +329,14 @@ class NormalEquations:
         jm_t = jac.marker.swapaxes(1, 2)
         r6 = res.reshape(-1, 6)
         # an overflow here gives a non-finite step, which raises the damping
+        # row i of observation o's W block goes to row 6 kp + i, block column mk
+        w_rows = (kp[:, None] * 6 + np.arange(6)) * n_markers + mk[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             self.u = _sum_blocks(kp, jk_t @ jac.keypose, n_keyposes)[1:]
             self.v = _sum_blocks(mk, jm_t @ jac.marker, n_markers)
-            w = _sum_blocks(kp * n_markers + mk, jk_t @ jac.marker, n_keyposes * n_markers)
-        self.w = (
-            w.reshape(n_keyposes, n_markers, 6, 6)[1:]
-            .transpose(0, 2, 1, 3)
-            .reshape(n_keyposes - 1, 6, 6 * n_markers)
-        )
+            w = _sum_blocks(w_rows.reshape(-1), (jk_t @ jac.marker).reshape(-1, 6),
+                            6 * n_keyposes * n_markers)
+        self.w = w.reshape(n_keyposes, 6, 6 * n_markers)[1:]
         self.g_keypose = _sum_blocks(kp, _apply(jk_t, r6), n_keyposes)[1:]
         self.g_marker = _sum_blocks(mk, _apply(jm_t, r6), n_markers)
 
@@ -414,9 +414,10 @@ def optimize(problem: BaProblem, max_iterations: int = 100) -> BaResult:
     """Levenberg-Marquardt on the whitened residuals.
 
     Terminates on relative cost decrease below COST_REL_TOL, gradient
-    infinity norm below GRAD_TOL, or max_iterations. A singular damped
-    system at maximum damping aborts with the initial variables intact so
-    the caller leaves the map untouched.
+    infinity norm below GRAD_TOL, or max_iterations, and computes no
+    Jacobian after the step that ends the run. A singular damped system
+    at maximum damping aborts with the initial variables intact so the
+    caller leaves the map untouched.
     """
     x = problem.initial_vector()
     res, jac = residuals(problem, x, with_jacobian=True)
@@ -441,7 +442,9 @@ def optimize(problem: BaProblem, max_iterations: int = 100) -> BaResult:
             message=message,
         )
 
-    for _ in range(max_iterations):
+    for iteration in range(max_iterations):
+        if iteration:  # relinearize at the step the last iteration accepted
+            res, jac = residuals(problem, x, with_jacobian=True)
         normal = NormalEquations(problem, res, jac)
         if float(np.max(np.abs(normal.gradient))) < GRAD_TOL:
             status = "converged"
@@ -482,7 +485,6 @@ def optimize(problem: BaProblem, max_iterations: int = 100) -> BaResult:
         relative_drop = (cost - cost_try) / max(cost, 1e-300)
         x = x_try
         cost = cost_try
-        res, jac = residuals(problem, x, with_jacobian=True)
         if relative_drop < COST_REL_TOL:
             status = "converged"
             message = "relative cost decrease below tolerance"

@@ -72,54 +72,42 @@ class EkfConfig:
 
 
 class EkfState:
-    """A filter state: mean (6,), covariance (6, 6), both read-only copies, and frame.
+    """A filter state: mean, covariance and frame.
 
-    A slotted class, not a dataclass: a run builds one per prediction and
+    ``mean`` is (x, y, z, alpha, beta, gamma) as a tuple of six floats;
+    ``cov`` is the (6, 6) covariance, kept, not copied, and made
+    read-only: each caller hands over a new array or a frozen one. A
+    slotted class, not a dataclass: a run builds one per prediction and
     per accepted update. ``pose``, the mean as a ``Pose6D``, is built on
     its first read and kept.
     """
 
-    __slots__ = ("mean", "cov", "frame", "pose")
+    __slots__ = ("mean", "cov", "frame", "_pose")
 
-    def __init__(self, mean, cov, frame: int) -> None:
-        self.mean, self.cov = _frozen_copies(mean, cov)
-        self.frame = frame
+    def __init__(self, mean: tuple[float, ...], cov: np.ndarray, frame: int) -> None:
+        cov.flags.writeable = False
+        self.mean, self.cov, self.frame, self._pose = mean, cov, frame, None
 
-    def __getattr__(self, name: str):
-        # reached only for an empty slot: ``pose`` before its first read
-        if name != "pose":
-            raise AttributeError(name)
-        self.pose = pose = Pose6D.from_vector(self.mean)
+    @property
+    def pose(self) -> Pose6D:
+        pose = self._pose
+        if pose is None:
+            pose = self._pose = Pose6D.from_vector(self.mean)
         return pose
-
-    @staticmethod
-    def from_pose(pose: Pose6D, cov: np.ndarray, frame: int) -> "EkfState":
-        return EkfState(pose.to_vector(), cov, frame)
 
 
 class PoseObservation:
     """Direct observation of the state vector, derived from one marker detection.
 
-    ``vector`` (x, y, z, alpha, beta, gamma) and ``cov`` are read-only copies.
+    ``vector`` (x, y, z, alpha, beta, gamma) is a tuple of six floats;
+    ``cov`` is kept, not copied, and made read-only.
     """
 
     __slots__ = ("vector", "cov")
 
-    def __init__(self, vector, cov) -> None:
-        self.vector, self.cov = _frozen_copies(vector, cov)
-
-
-def _frozen_copies(vector, cov) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only float copies of a state vector and its covariance, shapes checked."""
-    vector = np.array(vector, dtype=float)
-    if vector.shape != (STATE_DIM,):
-        vector = vector.reshape(STATE_DIM)
-    cov = np.array(cov, dtype=float)
-    if cov.shape != (STATE_DIM, STATE_DIM):
-        cov = cov.reshape(STATE_DIM, STATE_DIM)
-    vector.setflags(write=False)
-    cov.setflags(write=False)
-    return vector, cov
+    def __init__(self, vector: tuple[float, ...], cov: np.ndarray) -> None:
+        cov.flags.writeable = False
+        self.vector, self.cov = vector, cov
 
 
 def _transition_jacobian(derivs, dt: float) -> np.ndarray:
@@ -136,12 +124,12 @@ def _transition_jacobian(derivs, dt: float) -> np.ndarray:
 
 def predict(state: EkfState, odo: OdometryReading, config: EkfConfig) -> EkfState:
     """Integrate one odometry reading; covariance grows by F P F^T + Q dt."""
-    v_body = odo.v_body.tolist()
-    rates = odo.euler_rates.tolist()
+    v_body = odo.v_body
+    rates = odo.euler_rates
     dt = float(odo.dt)
     if not (all(map(math.isfinite, [*v_body, *rates, dt])) and dt > 0.0):
         raise ValueError(f"non-finite or non-positive odometry {odo}")
-    x, y, z, alpha, beta, gamma = state.mean.tolist()
+    x, y, z, alpha, beta, gamma = state.mean
     (rx, ry, rz), derivs = _euler_rotate(alpha, beta, gamma, v_body)
     rate_a, rate_b, rate_g = rates
     mean = (
@@ -159,7 +147,7 @@ def predict(state: EkfState, odo: OdometryReading, config: EkfConfig) -> EkfStat
 
 def detection_variances(det: MarkerDetection, config: EkfConfig) -> tuple[float, float]:
     """Position and angle variance of one detection at its range |rel_pose.t|, per axis."""
-    x, y, z = det.rel_pose.t.tolist()
+    x, y, z = det.rel_pose.t
     distance = math.sqrt(x * x + y * y + z * z)  # as sense_markers measures it
     sigma_p = config.det_pos_base + config.det_pos_per_m * distance
     sigma_a = config.det_ang_base + config.det_ang_per_m * distance
@@ -188,8 +176,8 @@ def observation_from_marker(
     it needs no rotation into the frame.
     """
     marker, rel, cam_inv = entry.pose, det.rel_pose, cam.inverse_extrinsics
-    t, q = _compose(marker.t.tolist(), marker.q.tolist(), *_inverse(rel.t.tolist(), rel.q.tolist()))
-    t, q = _compose(t, q, cam_inv.t.tolist(), cam_inv.q.tolist())
+    t, q = _compose(marker.t, marker.q, *_inverse(rel.t, rel.q))
+    t, q = _compose(t, q, cam_inv.t, cam_inv.q)
     return PoseObservation(
         vector=(*t, *_quat_euler(q)),
         cov=entry.cov + detection_noise(det, config),
@@ -197,7 +185,7 @@ def observation_from_marker(
 
 
 def innovation(state: EkfState, obs: PoseObservation) -> np.ndarray:
-    x, y, z, alpha, beta, gamma = (obs.vector - state.mean).tolist()
+    x, y, z, alpha, beta, gamma = [o - m for o, m in zip(obs.vector, state.mean)]
     # wrap_angle per angle: the IEEE operations of the array wrap (tests/reference.py)
     return np.array((x, y, z, wrap_angle(alpha), wrap_angle(beta), wrap_angle(gamma)))
 
@@ -219,7 +207,7 @@ def update(state: EkfState, obs: PoseObservation, config: EkfConfig) -> tuple[Ek
     if config.gate_enabled and float(y @ sol[:, 0]) > GATE_THRESHOLD:
         return state, False
     gain = sol[:, 1:].T  # P S^-1, via symmetric S
-    px, py, pz, alpha, beta, gamma = (state.mean + gain @ y).tolist()
+    px, py, pz, alpha, beta, gamma = [m + d for m, d in zip(state.mean, (gain @ y).tolist())]
     mean = (px, py, pz, wrap_angle(alpha), wrap_angle(beta), wrap_angle(gamma))  # as in innovation
     # Joseph form keeps the posterior symmetric PSD under roundoff
     a = _EYE - gain

@@ -21,27 +21,32 @@ and each decoded value is checked once. ``parse_scenario`` checks the
 scenario file; protocol ``decode``, its ``_parse_*`` parsers and the
 ``from_dict`` constructors they call check every wire value with
 ``check_keys`` (an object has exactly its keys), ``check_int``,
-``check_float``, ``check_covariance`` or, for a detection's camera and
-marker id, against the camera table and the id range. A covariance
+``check_float``, ``check_covariance`` or, for a camera and a marker id,
+against the camera table and the id range. A covariance
 travels as its 21 upper-triangle values (``upper_triangle``);
 ``check_covariance`` checks each with ``check_float``, builds the
 symmetric 6x6 from them and checks its smallest eigenvalue, with no
 separate finiteness or symmetry pass. ``Pose6D.from_dict`` builds its
 pose straight from its checked floats. The constructors of values a run
 computes itself (``EkfState``, ``PoseObservation``, ``MapEntry``) check
-nothing: they only copy or keep, and freeze, their arrays. ``Pose6D`` is
-the exception: it still rejects a non-finite translation and normalizes
-its quaternion.
+nothing: they keep what they are given and freeze its arrays. ``Pose6D``
+is the exception: it still rejects a non-finite translation and
+normalizes its quaternion.
 
 ``Pose6D`` is a slotted dataclass built in one pass: its own
-``__init__`` copies ``t``, checks that it is finite and normalizes ``q``
-on floats through ``_quat_unit``, whose norm stays on ``ndarray.dot``
-(below). It has no ``__post_init__`` and no ``__dict__``: a run builds a
-pose per tick per drone and per detection, and keeps many of them.
+``__init__`` makes ``t`` a tuple of three floats (``float`` of an
+``np.float64`` keeps its bits), checks that it is finite and normalizes
+``q`` to a tuple of four through ``_quat_unit``, whose norm stays on
+``ndarray.dot`` (below). It has no ``__post_init__`` and no
+``__dict__``: a run builds a pose per tick per drone and per detection,
+and keeps many of them.
 
-Float kernels: the quaternion and pose kernels unpack their arrays with
-``tolist()`` and compute on Python floats, which is several times faster
-than numpy dispatch on 3- and 4-vectors. ``Pose6D``'s own methods do the
+Float kernels: every small per-tick value (a pose, a filter mean, an
+odometry reading, a command) is a tuple of floats, and the kernels
+compute on them directly, which is several times faster than numpy
+dispatch on 3- and 4-vectors; arrays stay where the math is a matrix
+(rotations, covariances, bundle adjustment, the sensing cull), whose
+readers hand the tuples to numpy. ``Pose6D``'s own methods do the
 same IEEE operations in the same order as the array forms they replaced,
 so they are bit-identical to them (``tests/test_geom.py`` and
 ``tests/reference.py`` keep those forms as references). Quaternion norms
@@ -69,12 +74,13 @@ import numpy as np
 
 _QUAT_NORM_TOL = 1e-9
 _GIMBAL_TOL = 1.0 - 1e-12
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi  # exact: doubling only moves the exponent
 
 
 def wrap_angle(angle: float) -> float:
     """Wrap a single angle to (-pi, pi]."""
-    wrapped = math.pi - (math.pi - angle) % (2.0 * math.pi)
-    return wrapped
+    return _PI - (_PI - angle) % _TWO_PI
 
 
 # --------------------------------------------------------------------------
@@ -151,8 +157,8 @@ def _inverse(t, q) -> tuple[tuple[float, float, float], tuple]:
     return (-rx, -ry, -rz), q_inv
 
 
-def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=float).tolist()
+def quat_to_rot(q) -> np.ndarray:
+    w, x, y, z = q
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -201,8 +207,8 @@ def _euler_quat(alpha: float, beta: float, gamma: float) -> tuple[float, float, 
 def _euler(r00, r01, r10, r11, r20, r21, r22) -> tuple[float, float, float]:
     """(alpha, beta, gamma) from the rotation entries the extraction reads."""
     # R = Rz(gamma) @ Ry(beta) @ Rx(alpha), so R[2,0] = -sin(beta)
-    s_beta = -r20
-    s_beta = min(1.0, max(-1.0, s_beta))
+    s_beta = -r20 if -r20 > -1.0 else -1.0  # min(1.0, max(-1.0, -r20)), without the calls
+    s_beta = s_beta if s_beta < 1.0 else 1.0
     if abs(s_beta) >= _GIMBAL_TOL:
         beta = math.copysign(0.5 * math.pi, s_beta)
         # roll/yaw degenerate: fold everything into gamma, alpha = 0
@@ -301,10 +307,10 @@ def quat_angle(q: np.ndarray) -> float:
     return 2.0 * math.atan2(vec, abs(float(q[0])))
 
 
-def rotation_angle_between(qa: np.ndarray, qb: np.ndarray) -> float:
+def rotation_angle_between(qa, qb) -> float:
     """Geodesic angle between two orientations."""
-    w, x, y, z = np.asarray(qa, dtype=float).tolist()
-    return quat_angle(_multiply((w, -x, -y, -z), np.asarray(qb, dtype=float).tolist()))
+    w, x, y, z = qa
+    return quat_angle(_multiply((w, -x, -y, -z), qb))
 
 
 # --------------------------------------------------------------------------
@@ -317,25 +323,39 @@ QUAT_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])  # q * QUAT_CONJUGATE is q^-1
 
 def quat_multiply_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton products of two broadcast stacks of quaternions."""
-    aw, ax, ay, az = np.moveaxis(a, -1, 0)
-    bw, bx, by, bz = np.moveaxis(b, -1, 0)
-    return np.stack([aw * bw - ax * bx - ay * by - az * bz, aw * bx + ax * bw + ay * bz - az * by,
-                     aw * by - ax * bz + ay * bw + az * bx, aw * bz + ax * by - ay * bx + az * bw],
-                    axis=-1)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
 
 
 def quat_to_rot_batch(q: np.ndarray) -> np.ndarray:
     """Rotation matrices ``(..., 3, 3)`` of unit quaternions: ``quat_to_rot``'s entries."""
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    return np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-                     2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-                     2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-                    axis=-1).reshape(q.shape[:-1] + (3, 3))
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(q.shape[:-1] + (3, 3))
+    out[..., 0, 0] = 1 - 2 * (y * y + z * z)
+    out[..., 0, 1] = 2 * (x * y - w * z)
+    out[..., 0, 2] = 2 * (x * z + w * y)
+    out[..., 1, 0] = 2 * (x * y + w * z)
+    out[..., 1, 1] = 1 - 2 * (x * x + z * z)
+    out[..., 1, 2] = 2 * (y * z - w * x)
+    out[..., 2, 0] = 2 * (x * z - w * y)
+    out[..., 2, 1] = 2 * (y * z + w * x)
+    out[..., 2, 2] = 1 - 2 * (x * x + y * y)
+    return out
 
 
 def hat_batch(v: np.ndarray) -> np.ndarray:
-    """Skew matrices ``[v]x`` with ``[v]x u = v x u``: row i is ``e_i x v``."""
-    return np.cross(np.eye(3), v[..., None, :])
+    """Skew matrices ``[v]x`` with ``[v]x u = v x u``: row i is ``e_i x v``, each
+    entry as ``np.cross(np.eye(3), v[..., None, :])`` computes it, signed zeros included."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zx, zy, zz = 0.0 * x, 0.0 * y, 0.0 * z
+    rows = (zz - zy, zx - z, y - zx, z - zy, zx - zz, zy - x, zz - y, x - zz, zy - zx)
+    return np.stack(rows, axis=-1).reshape(v.shape + (3,))
 
 
 def so3_exp_batch(phi: np.ndarray) -> np.ndarray:
@@ -389,26 +409,23 @@ def so3_right_jacobian_inv_batch(phi: np.ndarray) -> np.ndarray:
 class Pose6D:
     """Rigid transform: rotate by ``q`` then translate by ``t``.
 
-    Holds ``t`` and ``q`` only, in slots: nothing derived (Euler angles,
-    rotation matrix) can be cached on it, since a run keeps one pose per
-    tick per drone.
+    Holds ``t`` and ``q`` only, as tuples of floats, in slots: nothing
+    derived (Euler angles, rotation matrix) can be cached on it, since a
+    run keeps one pose per tick per drone.
     """
 
-    t: np.ndarray
-    q: np.ndarray
+    t: tuple[float, float, float]
+    q: tuple[float, float, float, float]
     WIRE_KEYS = frozenset(("t", "euler"))  # of to_dict's object
 
     def __init__(self, t, q) -> None:
-        t = np.array(t, dtype=float)
-        if t.shape != (3,):
-            t = t.reshape(3)
-        if not all(map(math.isfinite, t.tolist())):
-            raise ValueError(f"non-finite translation {t}")
-        q = np.array(_quat_unit(q))
-        t.setflags(write=False)
-        q.setflags(write=False)
+        # three numbers, an array of any shape holding three, or numpy's error
+        x, y, z = t if len(t) == 3 and type(t) is not np.ndarray else np.reshape(t, 3)
+        t = (float(x), float(y), float(z))
+        if not (math.isfinite(t[0]) and math.isfinite(t[1]) and math.isfinite(t[2])):
+            raise ValueError(f"non-finite translation {np.array(t)}")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _quat_unit(q))
 
     @staticmethod
     def from_euler(t, euler) -> "Pose6D":
@@ -425,28 +442,27 @@ class Pose6D:
 
     def compose(self, other: "Pose6D") -> "Pose6D":
         """self then other: first apply other in self's frame (self * other)."""
-        t, q = _compose(self.t.tolist(), self.q.tolist(), other.t.tolist(), other.q.tolist())
-        return Pose6D(t, q)
+        return Pose6D(*_compose(self.t, self.q, other.t, other.q))
 
     def inverse(self) -> "Pose6D":
-        return Pose6D(*_inverse(self.t.tolist(), self.q.tolist()))
+        return Pose6D(*_inverse(self.t, self.q))
 
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        tx, ty, tz = self.t.tolist()
-        rx, ry, rz = _rotate(self.q.tolist(), np.asarray(point, dtype=float).tolist())
+    def apply(self, point) -> np.ndarray:
+        tx, ty, tz = self.t
+        rx, ry, rz = _rotate(self.q, point)
         return np.array([tx + rx, ty + ry, tz + rz])
 
-    def to_vector(self) -> np.ndarray:
+    def to_vector(self) -> tuple[float, ...]:
         """(x, y, z, alpha, beta, gamma) boundary form."""
-        return np.array([*self.t.tolist(), *_quat_euler(self.q.tolist())])
+        return (*self.t, *_quat_euler(self.q))
 
     @staticmethod
-    def from_vector(vec: np.ndarray) -> "Pose6D":
-        x, y, z, alpha, beta, gamma = np.asarray(vec, dtype=float).reshape(6).tolist()
+    def from_vector(vec) -> "Pose6D":
+        x, y, z, alpha, beta, gamma = vec
         return Pose6D((x, y, z), _euler_quat(alpha, beta, gamma))
 
     def to_dict(self) -> dict:
-        return {"t": self.t.tolist(), "euler": list(_quat_euler(self.q.tolist()))}
+        return {"t": list(self.t), "euler": list(_quat_euler(self.q))}
 
     @staticmethod
     def from_dict(data: dict) -> "Pose6D":

@@ -79,9 +79,7 @@ def compute_metrics(report: dict) -> dict:
             for row in rows:
                 if int(row["frame"]) != frame:
                     continue
-                est_t = np.asarray(row["estimate"]["t"], dtype=float)
-                truth_t = np.asarray(row["truth"]["t"], dtype=float)
-                errors.append(np.linalg.norm(rt.apply(est_t) - truth_t))
+                errors.append(np.linalg.norm(rt.apply(row["estimate"]["t"]) - row["truth"]["t"]))
             value = _rmse(errors)
             if value is not None:
                 ate[drone_id] = value

@@ -114,16 +114,14 @@ class SweepPolicy:
             self._target = None
 
         if distance < 1e-9:
-            return VelocityCommand(np.zeros(3))
+            return VelocityCommand((0.0, 0.0, 0.0))
         speed = min(self.config.speed, distance)
-        v_world = [
-            (c - p) / distance * speed for c, p in zip(self.cells[best].tolist(), position.tolist())
-        ]
+        v_world = [(c - p) / distance * speed for c, p in zip(self.cells[best].tolist(), position)]
         v_body = pose.rotation().T @ np.array(v_world)
-        return VelocityCommand(v_body)
+        return VelocityCommand(tuple(v_body.tolist()))
 
 
-def _distances(cells: np.ndarray, position: np.ndarray) -> list[float]:
+def _distances(cells: np.ndarray, position) -> list[float]:
     """Euclidean distance from ``position`` to each row of ``cells``.
 
     One batched product of each row with itself, in one call: the same bits
@@ -160,7 +158,7 @@ class NavptsNode:
         self.n_fuse = scenario.n_fuse
         self.ba = scenario.ba  # with BA off nothing reads a keypose
         # the believed start defines the frame: the state is exact at t = 0
-        self.state = EkfState.from_pose(setup.ekf_start_pose, np.zeros((6, 6)), setup.drone_id)
+        self.state = EkfState(setup.ekf_start_pose.to_vector(), np.zeros((6, 6)), setup.drone_id)
         self.map_view: dict[int, MapEntry] = {}
         self.policy = SweepPolicy(
             scenario.world.bounds_min, scenario.world.bounds_max, scenario.policy
@@ -209,7 +207,7 @@ class NavptsNode:
 
         state = self.state
         self.trajectory.append({"pose": state.pose, "frame": state.frame})
-        self.link.send(PoseReport(state.frame, now, tuple(state.mean.tolist())))
+        self.link.send(PoseReport(state.frame, now, state.mean))
 
         # BG: next destination
         return self.policy.choose_destination(self.state.pose)

@@ -32,12 +32,12 @@ malformed line. Every JSON object on a line, the line included, has
 exactly its keys. Every integer, in the envelope and in the payload, must
 be a JSON integer: a float, a string or a bool is a malformed line. Every
 float must be a finite JSON number (``check_float``), not a string or a
-bool. A detection's camera must be a name in ``CAMERAS`` and its marker
-id lie in ``0..MARKER_ID_MAX``. A map entry's ``obs_count`` must be at
-least 1: a drone forwards every sighting of an entry below its fusion
-window. A covariance must pass ``check_covariance``: exactly 21 values,
-each passing ``check_float``, and a smallest eigenvalue of at least
-``EIG_TOL``.
+bool. A detection's camera must be a name in ``CAMERAS``, and the marker
+id of a detection or a map entry lie in ``0..MARKER_ID_MAX``. A map
+entry's ``obs_count`` must be at least 1: a drone forwards every sighting
+of an entry below its fusion window. A covariance must pass
+``check_covariance``: exactly 21 values, each passing ``check_float``,
+and a smallest eigenvalue of at least ``EIG_TOL``.
 
 Frames are state, not events: a pose on the wire names the frame it was
 taken in (``MarkerObs.frame``, ``Keypose.frame``, ``PoseReport.frame``);
@@ -63,7 +63,8 @@ broadcast: the station's one ``Endpoint`` encodes it once and appends the
 same line to every drone's inbox, and ``decode_broadcast`` decodes it once
 per process for every reader. ``SequenceGuard`` drops (and the drone
 logs) any line that arrives out of order all the same. Every decoded
-message is immutable, arrays included, so readers can share it.
+message is immutable (frozen dataclasses, float tuples and read-only
+arrays), so readers can share it.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from markerswarm.geom import (
     upper_triangle,
 )
 from markerswarm.mapstore import MapEntry
-from markerswarm.worldsim import MarkerDetection
+from markerswarm.worldsim import MARKER_ID_MAX, MarkerDetection
 
 STATION_ID = -1
 SEQ_MAX = 2**64 - 1
@@ -209,6 +210,8 @@ def _parse_map_snapshot(p: dict) -> MapSnapshot:
 def _parse_map_entry(p: dict) -> MapEntry:
     check_keys(p, ENTRY_KEYS, "map entry")
     marker_id = check_int(p["marker_id"], "marker_id")
+    if not (0 <= marker_id <= MARKER_ID_MAX):
+        raise ValueError(f"marker id {marker_id} outside 0..{MARKER_ID_MAX}")
     obs_count = check_int(p["obs_count"], "obs_count")
     # a drone forwards every sighting of an entry below its fusion window
     if obs_count < 1:
@@ -298,7 +301,7 @@ def decode_broadcast(line: str) -> Decoded:
     drone's inbox, so without this each drone would parse and check it
     again. Sharing one ``Decoded`` is sound only because ``decode`` is a
     pure function of the line and every decoded message is immutable:
-    frozen dataclasses, tuples and read-only arrays.
+    frozen dataclasses, float tuples and read-only arrays.
     """
     # before the cache, which would raise TypeError on an unhashable line
     if not isinstance(line, str):

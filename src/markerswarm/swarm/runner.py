@@ -108,7 +108,7 @@ def _run_ticks(scenario: Scenario, seed: int, map_ticks=map):
                 {
                     "tick": tick,
                     "time": now,
-                    "truth": {"t": truth.pose.t.tolist(), "euler": list(truth.euler)},
+                    "truth": {"t": list(truth.pose.t), "euler": list(truth.euler)},
                 }
             )
         # list() waits for every tick and re-raises what one raised

@@ -89,31 +89,30 @@ class World:
         object.__setattr__(self, "marker_positions", positions)
 
 
-@dataclass(frozen=True)
+# built per drone per tick, so not frozen: that sets each field via object.__setattr__
+@dataclass(slots=True)
 class DroneTruth:
     """True state of one drone; roll and pitch are exactly zero."""
 
     pose: Pose6D
+    # ``pose.euler`` as floats: stepping, odometry and the report read it
+    euler: tuple[float, float, float]
 
-    def __post_init__(self) -> None:
-        # ``pose.euler`` as floats, not a field: stepping, odometry and the report read it
-        object.__setattr__(self, "euler", _quat_euler(self.pose.q.tolist()))
+    def __init__(self, pose: Pose6D) -> None:
+        self.pose = pose
+        self.euler = _quat_euler(pose.q)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VelocityCommand:
-    """Body-frame linear velocity plus yaw rate."""
+    """Body-frame linear velocity, three floats, plus yaw rate."""
 
-    v_body: np.ndarray
+    v_body: tuple[float, float, float]
     yaw_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.v_body, dtype=float).reshape(3)
-        object.__setattr__(self, "v_body", v)
 
     @staticmethod
     def hover() -> "VelocityCommand":
-        return VelocityCommand(np.zeros(3), 0.0)
+        return VelocityCommand((0.0, 0.0, 0.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -173,11 +172,11 @@ class MarkerDetection:
         return MarkerDetection(marker_id, camera, Pose6D.from_dict(data["rel_pose"]))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OdometryReading:
     dt: float
-    v_body: np.ndarray
-    euler_rates: np.ndarray
+    v_body: tuple[float, float, float]
+    euler_rates: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -208,16 +207,13 @@ def step_drone(truth: DroneTruth, cmd: VelocityCommand, dt: float, world: World)
     """
     if not (0.0 < dt <= MAX_STEP_DT):
         raise ValueError(f"dt {dt} outside (0, {MAX_STEP_DT}]")
-    v_body = cmd.v_body.tolist()
+    v_body = cmd.v_body
     if not (all(map(math.isfinite, v_body)) and math.isfinite(cmd.yaw_rate)):
         raise ValueError(f"non-finite command {cmd}")
-    offset = _rotate(truth.pose.q.tolist(), [v * dt for v in v_body])
+    offset = _rotate(truth.pose.q, [v * dt for v in v_body])
     lows, highs = world.bounds_min.tolist(), world.bounds_max.tolist()
     # np.clip's comparisons, in its order, so even a signed zero clips alike
-    pos = [
-        min(hi, max(lo, t + r))
-        for t, r, lo, hi in zip(truth.pose.t.tolist(), offset, lows, highs)
-    ]
+    pos = [min(hi, max(lo, t + r)) for t, r, lo, hi in zip(truth.pose.t, offset, lows, highs)]
     yaw = wrap_angle(truth.euler[2] + cmd.yaw_rate * dt)
     return DroneTruth(Pose6D(pos, _euler_quat(0.0, 0.0, yaw)))
 
@@ -250,9 +246,7 @@ def sense_markers(
     the detection's ``rel_pose`` is the one pose built per marker.
     """
     ext = cam.extrinsics
-    (cx, cy, cz), cq = _compose(
-        truth.pose.t.tolist(), truth.pose.q.tolist(), ext.t.tolist(), ext.q.tolist()
-    )
+    (cx, cy, cz), cq = _compose(truth.pose.t, truth.pose.q, ext.t, ext.q)
     # normalized as the camera's Pose6D and then its inverse's would be
     cw, qx, qy, qz = cq = _quat_unit(cq)
     cam_t, cam_q = _inverse((cx, cy, cz), cq)
@@ -265,10 +259,10 @@ def sense_markers(
     depth = offsets @ axis
     near = (dists <= cam.max_range + CULL_MARGIN) & (depth >= dists * cos_fov - CULL_MARGIN)
     out: list[MarkerDetection] = []
-    for index in np.flatnonzero(near).tolist():
+    for index in near.nonzero()[0].tolist():
         marker_id = world.marker_ids[index]
         marker = world.markers[marker_id]
-        (x, y, z), q = _compose(cam_t, cam_q, marker.t.tolist(), marker.q.tolist())
+        (x, y, z), q = _compose(cam_t, cam_q, marker.t, marker.q)
         dist = math.sqrt(x * x + y * y + z * z)
         if dist <= 0.0 or dist > cam.max_range:
             continue
@@ -312,7 +306,8 @@ def sense_odometry(
     """
     if dt <= 0.0:
         raise ValueError(f"dt {dt} must be positive")
-    delta = curr.pose.t - prev.pose.t
+    (cx, cy, cz), (px, py, pz) = curr.pose.t, prev.pose.t
+    delta = np.array((cx - px, cy - py, cz - pz))
     rot = prev.pose.rotation()
     v_body = (rot.T @ delta / dt).tolist()
     # wrap_angle per axis: the IEEE operations of the array wrap (tests/reference.py)
@@ -322,4 +317,4 @@ def sense_odometry(
         draws = rng.standard_normal(6).tolist()
         v_body = [v + sigma_v * n for v, n in zip(v_body, draws[:3])]
         rates = [r + sigma_r * n for r, n in zip(rates, draws[3:])]
-    return OdometryReading(dt=dt, v_body=np.array(v_body), euler_rates=np.array(rates))
+    return OdometryReading(dt=dt, v_body=tuple(v_body), euler_rates=tuple(rates))

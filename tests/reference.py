@@ -78,7 +78,7 @@ def predict_jacobian(mean: np.ndarray, v_body: np.ndarray, dt: float) -> np.ndar
 
 def nees(state: EkfState, truth: np.ndarray) -> float:
     """Normalized estimation error squared against a true state vector."""
-    err = state.mean - np.asarray(truth, dtype=float).reshape(STATE_DIM)
+    err = np.subtract(state.mean, np.asarray(truth, dtype=float).reshape(STATE_DIM))
     err[3:] = wrap_angles(err[3:])
     return float(err @ np.linalg.solve(state.cov, err))
 
@@ -95,7 +95,7 @@ def step_drone_numpy(
     truth: DroneTruth, cmd: VelocityCommand, dt: float, world: World
 ) -> DroneTruth:
     """``worldsim.step_drone`` on arrays: ``Pose6D.apply``, ``np.clip`` and ``from_euler``."""
-    pos = truth.pose.apply(cmd.v_body * dt)
+    pos = truth.pose.apply(np.multiply(cmd.v_body, dt))
     pos = np.clip(pos, world.bounds_min, world.bounds_max)
     yaw = wrap_angle(truth.pose.euler[2] + cmd.yaw_rate * dt)
     return DroneTruth(Pose6D.from_euler(pos, [0.0, 0.0, yaw]))
@@ -141,7 +141,7 @@ def sense_markers_every_marker(truth, world, cam, noise, rng):
     for marker_id in sorted(world.markers):
         marker = world.markers[marker_id]
         t = world_in_cam.apply(marker.t)
-        q = np.array(_multiply(world_in_cam.q.tolist(), marker.q.tolist()))
+        q = np.array(_multiply(world_in_cam.q, marker.q))
         dist = norm3(t)
         if dist <= 0.0 or dist > cam.max_range:
             continue
@@ -163,13 +163,13 @@ def sense_markers_every_marker(truth, world, cam, noise, rng):
 
 def norm3(v) -> float:
     """Euclidean norm as a sequential float sum of squares."""
-    x, y, z = v.tolist()
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return math.sqrt(x * x + y * y + z * z)
 
 
 def sense_odometry_array(prev: DroneTruth, curr: DroneTruth, dt, noise, rng) -> OdometryReading:
     """``worldsim.sense_odometry`` on arrays, with two draws of three."""
-    delta = curr.pose.t - prev.pose.t
+    delta = np.subtract(curr.pose.t, prev.pose.t)
     v_body = prev.pose.rotation().T @ delta / dt
     rates = wrap_angles(np.subtract(curr.euler, prev.euler)) / dt
     if noise.odom_vel_sigma > 0.0 or noise.odom_rate_sigma > 0.0:
@@ -195,7 +195,7 @@ def detection_noise_array(det, config) -> np.ndarray:
 
 def innovation_array(state, obs) -> np.ndarray:
     """``ekf.innovation`` with the angles wrapped by ``wrap_angles``."""
-    diff = obs.vector - state.mean
+    diff = np.subtract(obs.vector, state.mean)
     diff[3:] = wrap_angles(diff[3:])
     return diff
 
@@ -212,11 +212,11 @@ def update_array(state, obs, config) -> tuple[EkfState, bool]:
     if config.gate_enabled and float(y @ sol[:, 0]) > GATE_THRESHOLD:
         return state, False
     gain = sol[:, 1:].T
-    mean = state.mean + gain @ y
+    mean = np.add(state.mean, gain @ y)
     mean[3:] = wrap_angles(mean[3:])
     a = np.eye(STATE_DIM) - gain
     cov = a @ p @ a.T + gain @ obs.cov @ gain.T
-    return EkfState(mean, symmetrize(cov), state.frame), True
+    return EkfState(tuple(mean.tolist()), symmetrize(cov), state.frame), True
 
 
 def ba_arrays(problem, cameras, config) -> dict[str, np.ndarray]:
@@ -228,7 +228,7 @@ def ba_arrays(problem, cameras, config) -> dict[str, np.ndarray]:
         "_cam_t": np.array([e.t for e in extrinsics]),
         "_obs_t": np.array([d.rel_pose.t for d in dets]),
         "_obs_q_inv": np.array([
-            quat_conjugate(_multiply(e.q.tolist(), d.rel_pose.q.tolist()))
+            quat_conjugate(_multiply(e.q, d.rel_pose.q))
             for e, d in zip(extrinsics, dets)
         ]),
         "_sigma": np.sqrt([np.diag(detection_noise_array(d, config)) for d in dets]),
@@ -299,7 +299,7 @@ def ba_residuals(problem, x, cameras, ekf_config) -> tuple[np.ndarray, np.ndarra
 
         p = rot_k.T @ (t_m - t_k)
         k_inv_m = _multiply(quat_conjugate(q_k), q_m)
-        detected = _multiply(extrinsics.q.tolist(), obs.rel_pose.q.tolist())
+        detected = _multiply(extrinsics.q, obs.rel_pose.q)
         r_theta = so3_log(_multiply(quat_conjugate(detected), k_inv_m))
         r6 = np.concatenate([rot_c.T @ (p - extrinsics.t) - obs.rel_pose.t, r_theta])
         rows_o = slice(6 * o, 6 * o + 6)
@@ -319,6 +319,24 @@ def ba_residuals(problem, x, cameras, ekf_config) -> tuple[np.ndarray, np.ndarra
             cols = 6 * (kp_index - 1)
             jac[rows_o, cols:cols + 6] = np.linalg.solve(whitener, block_k)
     return res, jac
+
+
+def quat_multiply_stacked(a, b) -> np.ndarray:
+    """``geom.quat_multiply_batch`` through ``np.moveaxis`` and ``np.stack``."""
+    aw, ax, ay, az = np.moveaxis(a, -1, 0)
+    bw, bx, by, bz = np.moveaxis(b, -1, 0)
+    return np.stack([aw * bw - ax * bx - ay * by - az * bz, aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx, aw * bz + ax * by - ay * bx + az * bw],
+                    axis=-1)
+
+
+def quat_to_rot_stacked(q) -> np.ndarray:
+    """``geom.quat_to_rot_batch`` through ``np.moveaxis`` and ``np.stack``."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+                     2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+                     2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+                    axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def from_vector_array(vec) -> tuple[np.ndarray, np.ndarray]:

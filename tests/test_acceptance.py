@@ -141,7 +141,7 @@ def test_criterion_2_ekf_correctness():
     for row in report["trajectories"]["0"]:
         truth = Pose6D.from_dict(row["truth"])
         est = Pose6D.from_dict(row["estimate"])
-        track_err = max(track_err, float(np.linalg.norm(est.t - truth.t)))
+        track_err = max(track_err, float(np.linalg.norm(np.subtract(est.t, truth.t))))
         track_err = max(track_err, rotation_angle_between(est.q, truth.q))
     assert report["counters"]["drones"]["0"]["updates"] > 0
     assert track_err < 1e-6
@@ -162,7 +162,7 @@ def test_criterion_2_ekf_correctness():
     truth = Pose6D.from_euler([0.0, 0.1, 1.5], [0.0, 0.0, 0.3])
     mean0 = truth.to_vector() + np.array([0.05, -0.04, 0.03, 0.02, -0.015, 0.025])
     state = EkfState(mean0, np.diag([0.1**2] * 3 + [0.05**2] * 3), 0)
-    error0 = float(np.linalg.norm(state.mean - truth.to_vector()))
+    error0 = float(np.linalg.norm(np.subtract(state.mean, truth.to_vector())))
     first_update_error = None
     for _ in range(40):
         state = predict(state, OdometryReading(0.1, np.zeros(3), np.zeros(3)), cfg)
@@ -173,8 +173,8 @@ def test_criterion_2_ekf_correctness():
             state, accepted = update(state, obs, cfg)
             assert accepted
         if first_update_error is None:
-            first_update_error = float(np.linalg.norm(state.mean - truth.to_vector()))
-    residual = state.mean - truth.to_vector()
+            first_update_error = float(np.linalg.norm(np.subtract(state.mean, truth.to_vector())))
+    residual = np.subtract(state.mean, truth.to_vector())
     residual[3:] = wrap_angles(residual[3:])
     assert first_update_error < error0
     assert np.max(np.abs(residual)) < 1e-6
@@ -202,7 +202,7 @@ def test_criterion_2_ekf_correctness():
             xp, xm = mean.copy(), mean.copy()
             xp[k] += h
             xm[k] -= h
-            diff = mean_map(xp) - mean_map(xm)
+            diff = np.subtract(mean_map(xp), mean_map(xm))
             diff[3:] = wrap_angles(diff[3:])
             fd[:, k] = diff / (2 * h)
         jac_err = max(jac_err, float(np.max(np.abs(jac - fd))))
@@ -244,7 +244,7 @@ def test_criterion_3_transform_recovery():
             in_b = marker_set(support, collinear)
             pairs = [(rt.compose(p), p) for p in in_b]
             fit = estimate_transform(pairs).rt
-            worst = max(worst, float(np.linalg.norm(fit.t - rt.t)))
+            worst = max(worst, float(np.linalg.norm(np.subtract(fit.t, rt.t))))
             worst = max(worst, rotation_angle_between(fit.q, rt.q))
     assert worst <= 1e-9
 
@@ -260,7 +260,7 @@ def test_criterion_3_transform_recovery():
                 for p in in_b
             ]
             fit = estimate_transform(pairs).rt
-            errors.append(float(np.linalg.norm(fit.t - rt.t)))
+            errors.append(float(np.linalg.norm(np.subtract(fit.t, rt.t))))
         medians.append(float(np.median(errors)))
     assert medians[0] > medians[1] > medians[2]
 
@@ -282,7 +282,7 @@ def test_criterion_4_merge_end_to_end():
     assert len(report["merge_events"]) == 1
     rt = Pose6D.from_dict(report["merge_events"][0]["transform"]["rt"])
     true_loser_start = Pose6D.from_euler([0.8, 0.6, 0.0], [0, 0, 2.2])
-    offset_t = float(np.linalg.norm(rt.t - true_loser_start.t))
+    offset_t = float(np.linalg.norm(np.subtract(rt.t, true_loser_start.t)))
     offset_a = rotation_angle_between(rt.q, true_loser_start.q)
     assert offset_t < 1e-6 and offset_a < 1e-6
 
@@ -328,10 +328,12 @@ def test_criterion_5_bundle_adjustment():
         )
         result = optimize(problem)
         for kp_true, kp_est in zip(keyposes, result.keyposes):
-            recover_err = max(recover_err, float(np.linalg.norm(kp_est.pose.t - kp_true.pose.t)))
+            error = float(np.linalg.norm(np.subtract(kp_est.pose.t, kp_true.pose.t)))
+            recover_err = max(recover_err, error)
             recover_err = max(recover_err, rotation_angle_between(kp_est.pose.q, kp_true.pose.q))
         for marker_id, pose in result.markers.items():
-            recover_err = max(recover_err, float(np.linalg.norm(pose.t - markers[marker_id].t)))
+            error = float(np.linalg.norm(np.subtract(pose.t, markers[marker_id].t)))
+            recover_err = max(recover_err, error)
     assert recover_err < 1e-6
 
     improved = 0

@@ -37,7 +37,7 @@ def random_marker_pose(rng, collinear=False, index=0):
 
 
 def pose_error(a: Pose6D, b: Pose6D):
-    return float(np.linalg.norm(a.t - b.t)), rotation_angle_between(a.q, b.q)
+    return float(np.linalg.norm(np.subtract(a.t, b.t))), rotation_angle_between(a.q, b.q)
 
 
 class TestEstimateTransformExact:
@@ -91,7 +91,7 @@ class TestEstimateTransformNoise:
                     noisy_a = Pose6D(pose_a.t + sigma * rng.standard_normal(3), pose_a.q)
                     pairs.append((noisy_a, pose_b))
                 ft = estimate_transform(pairs)
-                errors.append(np.linalg.norm(ft.rt.t - truth.t))
+                errors.append(np.linalg.norm(np.subtract(ft.rt.t, truth.t)))
             medians[support] = float(np.median(errors))
         assert medians[3] > medians[6] > medians[12]
 
@@ -319,7 +319,7 @@ class TestRefineTransform:
         before = {m: gmap.lookup(m) for m in (30, 31)}
         # marker 31 seen 20% farther from marker 30 than the loser frame holds it
         w30, w31 = observe(30), observe(31)
-        stretched = Pose6D(w30.t + 1.2 * (w31.t - w30.t), w31.q)
+        stretched = Pose6D(w30.t + 1.2 * np.subtract(w31.t, w30.t), w31.q)
         with caplog.at_level(logging.WARNING, logger="markerswarm.framemerge"):
             assert refine_transform(gmap, record, [(31, stretched)]) is None
         assert any("refused" in rec.message for rec in caplog.records)

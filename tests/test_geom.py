@@ -15,6 +15,8 @@ from reference import (
     from_vector_array,
     pose_arrays,
     pose_matrix,
+    quat_multiply_stacked,
+    quat_to_rot_stacked,
     wrap_angles,
 )
 
@@ -61,8 +63,8 @@ def oracle_rot(alpha, beta, gamma):
 
 
 def euler_quat(alpha, beta, gamma):
-    """The unit quaternion of an Euler triple, as ``Pose6D.from_euler`` builds it."""
-    return Pose6D.from_euler(np.zeros(3), [alpha, beta, gamma]).q
+    """The unit quaternion of an Euler triple, as ``Pose6D.from_euler`` builds it, as an array."""
+    return np.array(Pose6D.from_euler(np.zeros(3), [alpha, beta, gamma]).q)
 
 
 def oracle_matrix(t, euler):
@@ -588,10 +590,11 @@ def test_pose_constructor_bit_identical_to_post_init_form():
             rejected += 1
             continue
         pose = Pose6D(t, q)
-        for got_array, want_array in zip((pose.t, pose.q), want):
-            assert got_array.shape == want_array.shape and got_array.dtype == want_array.dtype
-            assert got_array.tobytes() == want_array.tobytes(), (t, q)
-            assert not got_array.flags.writeable
+        for got, want_array in zip((pose.t, pose.q), want):
+            # an immutable tuple of floats, with the array form's values to the bit
+            assert type(got) is tuple and len(got) == want_array.size
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want_array.tobytes(), (t, q)
     assert 1000 < rejected < 10_000
 
 
@@ -599,7 +602,7 @@ def test_pose_constructor_copies_its_input():
     t, q = np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0, 0.0])
     pose = Pose6D(t, q)
     t[0], q[0] = 9.0, 0.5
-    assert pose.t.tolist() == [1.0, 2.0, 3.0] and pose.q.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert list(pose.t) == [1.0, 2.0, 3.0] and list(pose.q) == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_pose_from_vector_bit_identical_to_array_form():
@@ -608,7 +611,7 @@ def test_pose_from_vector_bit_identical_to_array_form():
     vectors = np.concatenate([positions, awkward_angles(1010, 5000)], axis=1)
     for vec in vectors[np.isfinite(vectors).all(axis=1)]:
         pose, (t, q) = Pose6D.from_vector(vec), from_vector_array(vec)
-        assert pose.t.tobytes() == t.tobytes() and pose.q.tobytes() == q.tobytes(), vec
+        assert np.array(pose.t + pose.q).tobytes() == np.concatenate([t, q]).tobytes(), vec
 
 
 def test_pose_carries_only_translation_and_rotation():
@@ -653,16 +656,16 @@ def test_pose_dict_round_trip():
         t, e = random_pose(rng)
         p = Pose6D.from_euler(t, e)
         back = Pose6D.from_dict(p.to_dict())
-        assert np.max(np.abs(back.t - p.t)) < 1e-15
+        assert np.max(np.abs(np.subtract(back.t, p.t))) < 1e-15
         assert rotation_angle_between(back.q, p.q) < 1e-12
 
 
 def test_pose_vector_round_trip():
     p = Pose6D.from_euler([1, 2, 3], [0.1, -0.2, 0.3])
     v = p.to_vector()
-    assert v.shape == (6,)
+    assert type(v) is tuple and len(v) == 6
     back = Pose6D.from_vector(v)
-    assert np.max(np.abs(back.t - p.t)) < 1e-15
+    assert np.max(np.abs(np.subtract(back.t, p.t))) < 1e-15
     assert rotation_angle_between(back.q, p.q) < 1e-12
 
 
@@ -743,6 +746,22 @@ def test_batched_rotation_kernels_match_float_forms():
     )
     identity = quat_multiply_batch(units, units * QUAT_CONJUGATE)
     np.testing.assert_allclose(identity, np.tile([1.0, 0.0, 0.0, 0.0], (200, 1)), atol=1e-15)
+
+
+@np.errstate(invalid="ignore")
+def test_batched_kernels_bit_identical_to_stacked_and_cross_forms():
+    """Signed zeros, infinities and NaNs included, for single, stacked and broadcast inputs."""
+    rng = np.random.default_rng(744)
+    q = rng.standard_normal((400, 4))
+    q[:100] = rng.choice([0.0, -0.0, 1.0, -1.0], size=(100, 4))
+    q[100:110, 0], q[110:120, 1], q[120:130, 3] = np.inf, -np.inf, np.nan
+    v = q[:, 1:]
+    for a, b in ((q, q[::-1]), (q[0], q), (q.reshape(20, 20, 4), q[:20])):
+        assert quat_multiply_batch(a, b).tobytes() == quat_multiply_stacked(a, b).tobytes()
+    for stack in (q, q[0], q.reshape(20, 20, 4)):
+        assert quat_to_rot_batch(stack).tobytes() == quat_to_rot_stacked(stack).tobytes()
+    for vectors in (v, v[0], v.reshape(20, 20, 3)):
+        assert hat_batch(vectors).tobytes() == np.cross(np.eye(3), vectors[..., None, :]).tobytes()
 
 
 def test_exp_log_round_trip_near_zero_and_pi():

@@ -61,7 +61,7 @@ class TestFusePose:
         p = Pose6D.from_euler([1.0, 2.0, 0.5], [0.1, 0.0, -0.4])
         base = diag_cov(0.04, 0.004)
         pose, cov = fuse_pose(p, base, p, base)
-        assert np.max(np.abs(pose.t - p.t)) < 1e-12
+        assert np.max(np.abs(np.subtract(pose.t, p.t))) < 1e-12
         assert rotation_angle_between(pose.q, p.q) < 1e-12
         assert np.max(np.abs(cov[:3, :3] - base[:3, :3] / 2)) < 1e-12
 
@@ -103,7 +103,7 @@ class TestFusePose:
             cb = diag_cov(rng.uniform(0.01, 1.0), rng.uniform(0.001, 0.1))
             p_ab, c_ab = fuse_pose(pa, ca, pb, cb)
             p_ba, c_ba = fuse_pose(pb, cb, pa, ca)
-            assert np.max(np.abs(p_ab.t - p_ba.t)) < 1e-12
+            assert np.max(np.abs(np.subtract(p_ab.t, p_ba.t))) < 1e-12
             assert np.max(np.abs(c_ab - c_ba)) < 1e-12
             # orientation is symmetric too with the complementary weight
             assert rotation_angle_between(p_ab.q, p_ba.q) < 1e-9
@@ -127,7 +127,7 @@ class TestFuseObservation:
         wild = Pose6D.from_vector([5.0, -3.0, 1.0, 0.5, 0.2, -1.0])
         after = gm.fuse_observation(1, wild, diag_cov())
         assert after.obs_count == 5
-        assert np.max(np.abs(after.pose.t - before.pose.t)) == 0.0
+        assert np.max(np.abs(np.subtract(after.pose.t, before.pose.t))) == 0.0
         assert rotation_angle_between(after.pose.q, before.pose.q) == 0.0
         assert after is before
 
@@ -182,7 +182,7 @@ class TestFramesAndSnapshot:
         line = encode(MapSnapshot((entry,), ()), sender=STATION_ID, seq=1)
         (back,) = decode(line).msg.entries
         assert (back.marker_id, back.frame, back.obs_count) == (7, 0, 1)
-        assert np.max(np.abs(back.pose.t - pose.t)) < 1e-15
+        assert np.max(np.abs(np.subtract(back.pose.t, pose.t))) < 1e-15
         assert back.cov.tobytes() == entry.cov.tobytes()
 
     def test_snapshot_sorted_by_marker_id(self):

@@ -167,7 +167,10 @@ def awkward_messages():
 
 
 def poses_close(a, b, tol=1e-12):
-    return np.linalg.norm(a.t - b.t) < tol and abs(abs(float(a.q @ b.q)) - 1.0) < tol
+    return (
+        np.linalg.norm(np.subtract(a.t, b.t)) < tol
+        and abs(abs(float(np.dot(a.q, b.q))) - 1.0) < tol
+    )
 
 
 class TestCodec:
@@ -316,6 +319,8 @@ class TestCodec:
             tampered("MarkerObs", ["detection", "marker_id"], 1024),
             tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], -1),
             tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], 1024),
+            tampered("MapSnapshot", ["entries", 0, "marker_id"], 1024),
+            tampered("MapSnapshot", ["entries", 0, "marker_id"], -7),
             tampered("Hello", ["drone_id"], 0),
             tampered("PoseReport", ["cov"], flat(np.eye(6))),
             tampered("MarkerObs", ["ekf_pose", "q"], [1.0, 0.0, 0.0, 0.0]),
@@ -398,6 +403,8 @@ class TestCodec:
             "obs-marker-id-1024",
             "keypose-negative-observation-marker-id",
             "keypose-observation-marker-id-1024",
+            "snapshot-marker-id-1024",
+            "snapshot-negative-marker-id",
             "hello-extra-key",
             "report-extra-key",
             "obs-extra-ekf-pose-key",
@@ -450,6 +457,20 @@ class TestCodec:
         for msg in all_messages():
             decoded = decode(encode(msg, sender=0, seq=1))
             assert list(mutable_parts(decoded.msg, type(msg).__name__)) == []
+
+    def test_pose_from_float64_inputs_holds_floats_and_encodes_alike(self):
+        as_floats = Pose6D.from_euler([0.25, -1.5, 2.0], [0.1, -0.2, 0.3])
+        from_arrays = Pose6D(np.array(as_floats.t), np.array(as_floats.q))
+        from_scalars = Pose6D(
+            tuple(map(np.float64, as_floats.t)), tuple(map(np.float64, as_floats.q))
+        )
+        lines = set()
+        for pose in (as_floats, from_arrays, from_scalars):
+            assert all(type(v) is float for v in (*pose.t, *pose.q))
+            assert np.array(pose.t).tobytes() == np.array(as_floats.t).tobytes()
+            assert np.array(pose.q).tobytes() == np.array(as_floats.q).tobytes()
+            lines.add(encode(MapSnapshot(entries=(), merges=((1, 0, pose),)), sender=-1, seq=1))
+        assert len(lines) == 1
 
     def test_encode_rejects_foreign_object(self):
         with pytest.raises(ProtocolError):

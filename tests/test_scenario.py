@@ -69,7 +69,7 @@ class TestParsing:
         raw["drones"][0]["start_pose"] = {"t": [1.0, -1.0, 0.0], "euler": [0, 0, 0.7]}
         raw["drones"][0]["ekf_start_pose"] = {"t": [0.0, 0.0, 0.0], "euler": [0, 0, 0.0]}
         d = parse_scenario(raw).drones[0]
-        assert np.linalg.norm(d.start_pose.t - d.ekf_start_pose.t) > 1.0
+        assert np.linalg.norm(np.subtract(d.start_pose.t, d.ekf_start_pose.t)) > 1.0
 
     def test_drones_sorted_by_id(self):
         raw = minimal_raw()

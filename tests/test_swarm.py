@@ -156,7 +156,8 @@ class TestSweepPolicy:
         pose = at(0.0, 0.0)  # equidistant from all four cells
         for step in range(3000):
             a, b = got.choose_destination(pose), choose_destination_array(want, pose)
-            assert a.v_body.tobytes() == b.v_body.tobytes() and a.yaw_rate == b.yaw_rate
+            assert np.array(a.v_body).tobytes() == np.array(b.v_body).tobytes()
+            assert a.yaw_rate == b.yaw_rate
             assert (got.visited, got._target, got._best_distance, got._no_progress) == (
                 want.visited, want._target, want._best_distance, want._no_progress
             )
@@ -295,7 +296,7 @@ class TestNavptsNode:
         before = node.state.pose
         det = detection_of(before, marker, cam)
         node.tick(0.1, still_odometry(), [det])
-        assert np.linalg.norm(node.state.pose.t - before.t) < 1e-9
+        assert np.linalg.norm(np.subtract(node.state.pose.t, before.t)) < 1e-9
         assert rotation_angle_between(node.state.pose.q, before.q) < 1e-9
 
     def test_pure_prediction_inflates_covariance(self):
@@ -644,7 +645,7 @@ class TestGroundStation:
         # drone 0 sights marker 5 with a 5 mm pose bias: the single-pair
         # merge bakes that bias into the frame transform
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
-        biased0 = Pose6D.from_euler(true0.t + [0.005, 0.0, 0.0], [0, 0, 0])
+        biased0 = Pose6D.from_euler(np.add(true0.t, [0.005, 0.0, 0.0]), [0, 0, 0])
         senders[0].send(
             MarkerObs(
                 detection_of(true0, marker_a, cam, 5),
@@ -1000,7 +1001,7 @@ class TestStationKeyposes:
         assert station.ba_reports[0]["status"] != "aborted_singular"
         for marker_id, pose in before.items():
             after = station.gmap.lookup(marker_id).pose
-            assert np.linalg.norm(after.t - pose.t) < 1e-6
+            assert np.linalg.norm(np.subtract(after.t, pose.t)) < 1e-6
 
     def test_keypose_for_dead_frame_chased_through_merge(self):
         sc = station_scenario()
@@ -1200,7 +1201,7 @@ class TestRunScenario:
         entry = report["map"][0]
         truth = sc.world.markers[3]
         est = Pose6D.from_dict(entry["pose"])
-        assert np.linalg.norm(est.t - truth.t) < 1e-6
+        assert np.linalg.norm(np.subtract(est.t, truth.t)) < 1e-6
         assert rotation_angle_between(est.q, truth.q) < 1e-6
         rows = report["trajectories"]["0"]
         assert len(rows) == sc.n_ticks
@@ -1326,7 +1327,7 @@ class TestRunScenario:
         # drone 1 believes it starts at the origin, so the recovered
         # frame transform is its true start pose expressed in frame 0
         true1 = Pose6D.from_euler([0.8, 0.6, 0.0], [0, 0, 2.2])
-        assert np.linalg.norm(rt.t - true1.t) < 1e-6
+        assert np.linalg.norm(np.subtract(rt.t, true1.t)) < 1e-6
         assert rotation_angle_between(rt.q, true1.q) < 1e-6
 
     @staticmethod

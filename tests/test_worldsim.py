@@ -49,8 +49,8 @@ def drone_at(x=0.0, y=0.0, z=0.0, yaw=0.0):
 
 
 def assert_same_step(got, want):
-    assert got.pose.t.tobytes() == want.pose.t.tobytes()
-    assert got.pose.q.tobytes() == want.pose.q.tobytes()
+    assert np.array(got.pose.t).tobytes() == np.array(want.pose.t).tobytes()
+    assert np.array(got.pose.q).tobytes() == np.array(want.pose.q).tobytes()
     assert np.array(got.euler).tobytes() == got.pose.euler.tobytes()
 
 
@@ -164,7 +164,7 @@ class TestSenseMarkers:
         dets = sense_markers(truth, world, cam, NO_NOISE, drone_rng(0, 0))
         assert len(dets) == 1
         want = truth.pose.compose(cam.extrinsics).inverse().compose(marker)
-        assert np.max(np.abs(dets[0].rel_pose.t - want.t)) < 1e-12
+        assert np.max(np.abs(np.subtract(dets[0].rel_pose.t, want.t))) < 1e-12
         assert np.max(np.abs(wrap_angles(dets[0].rel_pose.euler - want.euler))) < 1e-12
 
     def test_out_of_range_and_behind_are_invisible(self):
@@ -187,7 +187,7 @@ class TestSenseMarkers:
         # the noise model's range is |rel_pose.t| of the noisy detection, to the bit
         config = EkfConfig()
         for det in dets:
-            x, y, z = det.rel_pose.t.tolist()
+            x, y, z = det.rel_pose.t
             distance = math.sqrt(x * x + y * y + z * z)
             assert distance == pytest.approx(float(np.linalg.norm(det.rel_pose.t)), abs=1e-15)
             assert detection_variances(det, config) == (
@@ -392,8 +392,8 @@ class TestSenseOdometry:
             dt = float(rng.uniform(0.01, 0.5))
             got = sense_odometry(prev, curr, dt, noise, got_rng)
             want = sense_odometry_array(prev, curr, dt, noise, want_rng)
-            assert got.v_body.tobytes() == want.v_body.tobytes()
-            assert got.euler_rates.tobytes() == want.euler_rates.tobytes()
+            assert np.array(got.v_body).tobytes() == np.array(want.v_body).tobytes()
+            assert np.array(got.euler_rates).tobytes() == np.array(want.euler_rates).tobytes()
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
 
@@ -410,7 +410,8 @@ class TestDeterminism:
                 moved = step_drone(truth, VelocityCommand([0.2, 0.05, 0.0], 0.1), 0.1, world)
                 odo = sense_odometry(truth, moved, 0.1, noise, rng)
                 dets = sense_markers(moved, world, FORWARD, noise, rng)
-                frames.append((odo.v_body.tobytes(), [(d.marker_id, d.rel_pose.t.tobytes()) for d in dets]))
+                detected = [(d.marker_id, np.array(d.rel_pose.t).tobytes()) for d in dets]
+                frames.append((np.array(odo.v_body).tobytes(), detected))
                 truth = moved
             return frames
 
@@ -431,7 +432,7 @@ class TestCameraValidation:
         assert all(cam.name == name for name, cam in CAMERAS.items())
         assert (DOWN.fov_half_angle, DOWN.max_range) == (0.9, 4.0)
         assert (FORWARD.fov_half_angle, FORWARD.max_range) == (0.8, 5.0)
-        assert DOWN.extrinsics.t.tolist() == FORWARD.extrinsics.t.tolist() == [0.0, 0.0, 0.0]
+        assert list(DOWN.extrinsics.t) == list(FORWARD.extrinsics.t) == [0.0, 0.0, 0.0]
         # down looks along body -z, forward along body +x
         assert np.allclose(DOWN.extrinsics.apply([0.0, 0.0, 1.0]), [0.0, 0.0, -1.0])
         assert np.allclose(FORWARD.extrinsics.apply([0.0, 0.0, 1.0]), [1.0, 0.0, 0.0])
