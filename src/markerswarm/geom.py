@@ -17,12 +17,15 @@ triples appear only at API boundaries (construction, serialization, the
 filter's state vector and its measurements).
 
 Trust boundaries: values are validated once, where they enter a run,
-and each decoded value is checked once. ``parse_scenario`` checks the
-scenario file; protocol ``decode``, its ``_parse_*`` parsers and the
+and each decoded value is checked once, by the same helpers at both
+entries. Protocol ``decode``, its ``_parse_*`` parsers and the
 ``from_dict`` constructors they call check every wire value with
 ``check_keys`` (an object has exactly its keys), ``check_int``,
 ``check_float``, ``check_covariance`` or, for a camera and a marker id,
-against the camera table and the id range. A covariance
+against the camera table and the id range. ``parse_scenario`` checks the
+scenario file in one pass the same way: each number with ``check_float``
+and its setting's bound, each pose with ``Pose6D.from_dict``, each marker
+id against the id range and each camera against the table. A covariance
 travels as its 21 upper-triangle values (``upper_triangle``);
 ``check_covariance`` checks each with ``check_float``, builds the
 symmetric 6x6 from them and checks its smallest eigenvalue, with no

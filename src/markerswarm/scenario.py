@@ -6,10 +6,17 @@ policy, fusion and adjustment knobs, the tick rate and the duration.
 Everything a run needs besides the seed lives here, so one file plus one
 integer reproduces a run bit for bit in lockstep mode.
 
-A drone names its cameras from one fixed table, ``worldsim.CAMERAS``
-(``down`` and ``forward``), each at most once.
-The filter takes its detection noise from the noise block; its other
-settings are set in code (see ``markerswarm.ekf``).
+``parse_scenario`` checks a document in one pass with the wire's own
+checks and names the path of the first fault in its ``ScenarioError``
+(``at ['drones', 0, 'id']: ...``). An object has the required keys of
+its table below and no other than the optional ones; a number passes
+``geom.check_float`` and its setting's bound; a pose is read by
+``Pose6D.from_dict``; an integer may be ``3.0`` but not ``1.5``, as in
+draft-07. Ids are unique, a marker id is in ``0..MARKER_ID_MAX``, the
+bounds are not degenerate, ``1 / tick_rate`` is at most ``MAX_STEP_DT``
+and a drone names its cameras from ``worldsim.CAMERAS``, each once. The
+filter takes its detection noise from the noise block and its other
+settings from ``markerswarm.ekf``.
 
 The believed start pose (``ekf_start_pose``) is where the drone thinks it
 wakes up; it defines the origin of that drone's coordinate frame, so the
@@ -23,120 +30,113 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from markerswarm.ekf import EkfConfig
-from markerswarm.geom import Pose6D
+from markerswarm.geom import Pose6D, check_float
 from markerswarm.mapstore import DEFAULT_N_FUSE
-from markerswarm.worldsim import CAMERAS, MAX_STEP_DT, CameraParams, SensorNoise, World
+from markerswarm.worldsim import (CAMERAS, MARKER_ID_MAX, MAX_STEP_DT, CameraParams,
+                                  SensorNoise, World)
 
 
 class ScenarioError(Exception):
     """The scenario file is missing, malformed, or self-inconsistent."""
 
 
-_VEC3 = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 3,
-    "maxItems": 3,
-}
-_POSE = {
-    "type": "object",
-    "properties": {"t": _VEC3, "euler": _VEC3},
-    "required": ["t", "euler"],
-    "additionalProperties": False,
-}
-_NONNEG = {"type": "number", "minimum": 0}
+def _invalid(path: tuple, message) -> ScenarioError:
+    return ScenarioError(f"at {list(path)}: {message}")
 
-SCENARIO_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "name": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "duration": _NONNEG,
-        "tick_rate": {"type": "number", "exclusiveMinimum": 0},
-        "bounds": {
-            "type": "object",
-            "properties": {"min": _VEC3, "max": _VEC3},
-            "required": ["min", "max"],
-            "additionalProperties": False,
-        },
-        "markers": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "id": {"type": "integer", "minimum": 0, "maximum": 1023},
-                    "pose": _POSE,
-                },
-                "required": ["id", "pose"],
-                "additionalProperties": False,
-            },
-        },
-        "drones": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {
-                    "id": {"type": "integer", "minimum": 0},
-                    "start_pose": _POSE,
-                    "ekf_start_pose": _POSE,
-                    "cameras": {
-                        "type": "array",
-                        "items": {"type": "string"},
-                        "minItems": 1,
-                    },
-                },
-                "required": ["id", "start_pose"],
-                "additionalProperties": False,
-            },
-        },
-        "noise": {
-            "type": "object",
-            "properties": {
-                "pos_base": _NONNEG,
-                "pos_per_m": _NONNEG,
-                "ang_base": _NONNEG,
-                "ang_per_m": _NONNEG,
-                "odom_vel_sigma": _NONNEG,
-                "odom_rate_sigma": _NONNEG,
-                "dropout": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "policy": {
-            "type": "object",
-            "properties": {
-                "cell_size": {"type": "number", "exclusiveMinimum": 0},
-                "altitude": {"type": "number"},
-                "speed": {"type": "number", "exclusiveMinimum": 0},
-                "r_visit": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "fusion": {
-            "type": "object",
-            "properties": {"n_fuse": {"type": "integer", "minimum": 1}},
-            "additionalProperties": False,
-        },
-        "ba": {
-            "type": "object",
-            "properties": {
-                "enabled": {"type": "boolean"},
-                "every_keyposes": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["name", "seed", "duration", "tick_rate", "bounds", "markers", "drones"],
-    "additionalProperties": False,
+
+def _at(path: tuple, check, *args):
+    """``check(*args)``, with the error it raises on a bad value named at ``path``."""
+    try:
+        return check(*args)
+    except (TypeError, ValueError, OverflowError) as err:  # float() of a huge int overflows
+        raise _invalid(path, err) from err
+
+
+def _object(value, path: tuple, required: tuple, optional=()) -> dict:
+    """``value`` if it is an object with each ``required`` key and no other but ``optional``."""
+    if not isinstance(value, dict):
+        raise _invalid(path, f"{value!r} is not an object")
+    for key in required:
+        if key not in value:
+            raise _invalid(path, f"missing key {key!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise _invalid(path, f"unknown key {key!r}")
+    return value
+
+
+def _array(value, path: tuple, nonempty: bool = False) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        raise _invalid(path, f"{value!r} is not {'a non-empty' if nonempty else 'an'} array")
+    return value
+
+
+def _bounded(text: str, test, integer: bool = False):
+    """The check of a finite number that passes ``test``, described by ``text``.
+
+    An integer check takes an integral float (``3.0``), as draft-07 does.
+    """
+
+    def _parse_number(value, path: tuple):
+        number = _at(path, check_float, value, "value")
+        if not test(number) or (integer and not number.is_integer()):
+            raise _invalid(path, f"{value!r} is not {text}")
+        return int(value) if integer else number
+
+    return _parse_number
+
+
+_NUMBER = _bounded("a number", lambda _: True)
+_NONNEG = _bounded("at least 0", lambda v: v >= 0)
+_POSITIVE = _bounded("above 0", lambda v: v > 0)
+_FRACTION = _bounded("within 0..1", lambda v: 0 <= v <= 1)
+_ID = _bounded("an integer of at least 0", lambda v: v >= 0, integer=True)
+_MARKER_ID = _bounded(f"an integer in 0..{MARKER_ID_MAX}", lambda v: 0 <= v <= MARKER_ID_MAX,
+                      integer=True)
+_COUNT = _bounded("an integer of at least 1", lambda v: v >= 1, integer=True)
+
+
+def _boolean(value, path: tuple) -> bool:
+    if not isinstance(value, bool):
+        raise _invalid(path, f"{value!r} is not a boolean")
+    return value
+
+
+def _pose(value, path: tuple) -> Pose6D:
+    if not isinstance(value, dict):
+        raise _invalid(path, f"{value!r} is not an object")
+    return _at(path, Pose6D.from_dict, value)
+
+
+def _cameras(names, path: tuple) -> tuple[CameraParams, ...]:
+    for k, name in enumerate(_array(names, path, nonempty=True)):
+        if not isinstance(name, str):
+            raise _invalid(path + (k,), f"{name!r} is not a string")
+        if name not in CAMERAS:
+            raise _invalid(path + (k,), f"unknown camera {name!r}, not one of {sorted(CAMERAS)}")
+        if name in names[:k]:  # it would sense every marker twice a tick
+            raise _invalid(path + (k,), f"names camera {name!r} twice")
+    return tuple(CAMERAS[name] for name in names)
+
+
+# (required, optional) keys of each object; a pose has Pose6D.WIRE_KEYS
+SCENARIO_KEYS = (("name", "seed", "duration", "tick_rate", "bounds", "markers", "drones"),
+                 ("noise", "policy", "fusion", "ba"))
+BOUNDS_KEYS = (("min", "max"), ())
+MARKER_KEYS = (("id", "pose"), ())
+DRONE_KEYS = (("id", "start_pose"), ("ekf_start_pose", "cameras"))
+# the optional blocks: each setting's check; a setting left out keeps its default
+SETTINGS = {
+    "noise": {"pos_base": _NONNEG, "pos_per_m": _NONNEG, "ang_base": _NONNEG,
+              "ang_per_m": _NONNEG, "odom_vel_sigma": _NONNEG, "odom_rate_sigma": _NONNEG,
+              "dropout": _FRACTION},
+    "policy": {"cell_size": _POSITIVE, "altitude": _NUMBER, "speed": _POSITIVE,
+               "r_visit": _POSITIVE},
+    "fusion": {"n_fuse": _COUNT},
+    "ba": {"enabled": _boolean, "every_keyposes": _COUNT},
 }
 
 
@@ -192,142 +192,53 @@ def scenario_digest(raw: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _non_finite_path(value, path: tuple = ()) -> tuple | None:
-    """Path to the first number in a JSON document that is no finite float, or None.
-
-    Python's json module reads NaN, Infinity and -Infinity, and integers of
-    any size; the schema takes them all for numbers.
-    """
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, int) and not isinstance(value, bool):
-        return None if abs(value) <= sys.float_info.max else path
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return None
-    for key, item in items:
-        found = _non_finite_path(item, path + (key,))
-        if found is not None:
-            return found
-    return None
-
-
-_PY_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
-
-
-def _is_type(value, name: str) -> bool:
-    """draft-07's type test on a JSON value: a bool is no number, 3.0 is an integer."""
-    if name == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if name == "integer":
-        if isinstance(value, float):
-            return value.is_integer()
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, _PY_TYPES[name])
-
-
-def schema_violation(value, schema: dict) -> tuple[tuple, str] | None:
-    """First place where a JSON value breaks a schema, as (path, message), or None.
-
-    Interprets the draft-07 keywords SCENARIO_SCHEMA uses and no others:
-    ``type`` (one name), ``properties``, ``required``, ``additionalProperties``
-    (false or a subschema), ``items`` (one subschema), ``minItems``/``maxItems``,
-    ``minimum``/``maximum`` and ``exclusiveMinimum``/``exclusiveMaximum``;
-    ``$schema`` only names the draft. Each keyword constrains only the
-    values of its own type, as in the draft.
-    """
-    kind = schema.get("type")
-    if kind is not None and not _is_type(value, kind):
-        return (), f"{value!r} is not of type {kind!r}"
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                return (), f"{key!r} is a required property"
-        properties = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        for key, item in value.items():
-            sub = properties.get(key, extra)
-            if sub is False:
-                return (), f"Additional properties are not allowed ({key!r} was unexpected)"
-            if sub is not True:
-                found = schema_violation(item, sub)
-                if found is not None:
-                    return (key, *found[0]), found[1]
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            return (), f"{value!r} is too short"
-        if len(value) > schema.get("maxItems", len(value)):
-            return (), f"{value!r} is too long"
-        items = schema.get("items")
-        if items is not None:
-            for index, item in enumerate(value):
-                found = schema_violation(item, items)
-                if found is not None:
-                    return (index, *found[0]), found[1]
-    elif _is_type(value, "number"):
-        if "minimum" in schema and value < schema["minimum"]:
-            return (), f"{value!r} is less than the minimum of {schema['minimum']!r}"
-        if "maximum" in schema and value > schema["maximum"]:
-            return (), f"{value!r} is greater than the maximum of {schema['maximum']!r}"
-        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            return (), (f"{value!r} is less than or equal to the minimum of "
-                        f"{schema['exclusiveMinimum']!r}")
-        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
-            return (), (f"{value!r} is greater than or equal to the maximum of "
-                        f"{schema['exclusiveMaximum']!r}")
-    return None
-
-
 def parse_scenario(raw: dict) -> Scenario:
-    """Validate a loaded scenario document and resolve all defaults."""
-    bad = _non_finite_path(raw)
-    if bad is not None:
-        raise ScenarioError(f"non-finite number at {list(bad)}")
-    violation = schema_violation(raw, SCENARIO_SCHEMA)
-    if violation is not None:
-        path, message = violation
-        raise ScenarioError(f"schema violation at {list(path)}: {message}")
+    """Check a loaded scenario document in one pass and resolve all defaults."""
+    _object(raw, (), *SCENARIO_KEYS)
+    if not isinstance(raw["name"], str):
+        raise _invalid(("name",), f"{raw['name']!r} is not a string")
+    seed = _ID(raw["seed"], ("seed",))
+    duration = _NONNEG(raw["duration"], ("duration",))
+    tick_rate = _POSITIVE(raw["tick_rate"], ("tick_rate",))
+    if 1.0 / tick_rate > MAX_STEP_DT:
+        raise _invalid(("tick_rate",), f"dt {1.0 / tick_rate:.3f} > {MAX_STEP_DT}")
 
-    dt = 1.0 / raw["tick_rate"]
-    if dt > MAX_STEP_DT:
-        raise ScenarioError(f"tick_rate {raw['tick_rate']} gives dt {dt:.3f} > {MAX_STEP_DT}")
+    bounds = _object(raw["bounds"], ("bounds",), *BOUNDS_KEYS)
+    corners = []
+    for key in BOUNDS_KEYS[0]:
+        corner = bounds[key]
+        if not isinstance(corner, list) or len(corner) != 3:
+            raise _invalid(("bounds", key), f"{corner!r} is not an array of 3 numbers")
+        corners.append([_NUMBER(v, ("bounds", key, k)) for k, v in enumerate(corner)])
 
-    # draft-07 takes an integral float such as 3.0 for an integer; the run
-    # gets an int, so ids and counts are cast here
-    marker_ids = [int(m["id"]) for m in raw["markers"]]
-    if len(set(marker_ids)) != len(marker_ids):
-        raise ScenarioError("duplicate marker ids")
-    try:
-        world = World(
-            markers={int(m["id"]): Pose6D.from_dict(m["pose"]) for m in raw["markers"]},
-            bounds_min=np.asarray(raw["bounds"]["min"], dtype=float),
-            bounds_max=np.asarray(raw["bounds"]["max"], dtype=float),
-        )
-    except ValueError as err:
-        raise ScenarioError(str(err)) from err
+    markers = {}
+    for k, entry in enumerate(_array(raw["markers"], ("markers",))):
+        path = ("markers", k)
+        _object(entry, path, *MARKER_KEYS)
+        marker_id = _MARKER_ID(entry["id"], path + ("id",))
+        if marker_id in markers:
+            raise _invalid(path + ("id",), f"duplicate marker id {marker_id}")
+        markers[marker_id] = _pose(entry["pose"], path + ("pose",))
+    world = _at(("bounds",), World, markers, *corners)  # it refuses degenerate bounds
 
-    drone_ids = [int(d["id"]) for d in raw["drones"]]
-    if len(set(drone_ids)) != len(drone_ids):
-        raise ScenarioError("duplicate drone ids")
     drones = []
-    for entry in sorted(raw["drones"], key=lambda d: d["id"]):
-        start = Pose6D.from_dict(entry["start_pose"])
-        believed = Pose6D.from_dict(entry["ekf_start_pose"]) if "ekf_start_pose" in entry else start
-        names = entry.get("cameras", ["down"])
-        missing = [n for n in names if n not in CAMERAS]
-        if missing:
-            raise ScenarioError(f"drone {entry['id']} references unknown cameras {missing}")
-        if len(set(names)) != len(names):  # it would sense every marker twice a tick
-            raise ScenarioError(f"drone {entry['id']} names a camera twice: {names}")
-        cameras = tuple(CAMERAS[n] for n in names)
-        drones.append(DroneSetup(int(entry["id"]), start, believed, cameras))
+    for k, entry in enumerate(_array(raw["drones"], ("drones",), nonempty=True)):
+        path = ("drones", k)
+        _object(entry, path, *DRONE_KEYS)
+        drone_id = _ID(entry["id"], path + ("id",))
+        if any(d.drone_id == drone_id for d in drones):
+            raise _invalid(path + ("id",), f"duplicate drone id {drone_id}")
+        start = _pose(entry["start_pose"], path + ("start_pose",))
+        believed = (_pose(entry["ekf_start_pose"], path + ("ekf_start_pose",))
+                    if "ekf_start_pose" in entry else start)
+        cameras = _cameras(entry.get("cameras", ["down"]), path + ("cameras",))
+        drones.append(DroneSetup(drone_id, start, believed, cameras))
 
-    noise_block = raw.get("noise", {})
-    noise = SensorNoise(**noise_block)
-
+    blocks = {}
+    for block, checks in SETTINGS.items():
+        values = _object(raw.get(block, {}), (block,), (), checks)
+        blocks[block] = {key: checks[key](value, (block, key)) for key, value in values.items()}
+    noise = SensorNoise(**blocks["noise"])
     ekf = EkfConfig(
         det_pos_base=noise.pos_base if noise.pos_base > 0 else EkfConfig.det_pos_base,
         det_pos_per_m=noise.pos_per_m,
@@ -335,25 +246,18 @@ def parse_scenario(raw: dict) -> Scenario:
         det_ang_per_m=noise.ang_per_m,
     )
 
-    policy = PolicyConfig(**raw.get("policy", {}))
-    ba_block = dict(raw.get("ba", {}))
-    if "every_keyposes" in ba_block:
-        ba_block["every_keyposes"] = int(ba_block["every_keyposes"])
-    ba = BaSettings(**ba_block)
-    n_fuse = int(raw.get("fusion", {}).get("n_fuse", DEFAULT_N_FUSE))
-
     return Scenario(
         name=raw["name"],
-        seed=int(raw["seed"]),
-        duration=float(raw["duration"]),
-        tick_rate=float(raw["tick_rate"]),
+        seed=seed,
+        duration=duration,
+        tick_rate=tick_rate,
         world=world,
-        drones=tuple(drones),
+        drones=tuple(sorted(drones, key=lambda d: d.drone_id)),
         noise=noise,
         ekf=ekf,
-        policy=policy,
-        n_fuse=n_fuse,
-        ba=ba,
+        policy=PolicyConfig(**blocks["policy"]),
+        n_fuse=blocks["fusion"].get("n_fuse", DEFAULT_N_FUSE),
+        ba=BaSettings(**blocks["ba"]),
         digest=scenario_digest(raw),
     )
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from markerswarm.scenario import (
-    SCENARIO_SCHEMA,
+    SCENARIO_KEYS,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -45,6 +45,62 @@ DELETED_SETTINGS = [
     (("ba", "max_iterations"), 50),
     (("ba", "d_key"), 0.3),
     (("ba", "theta_key"), 0.2),
+]
+
+
+def with_value(raw, path, value):
+    """raw with the value at path set, or deleted for DELETE; missing blocks are made."""
+    target = raw
+    for key in path[:-1]:
+        target = target.setdefault(key, {}) if isinstance(target, dict) else target[key]
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return raw
+
+
+DELETE = object()
+START = ["drones", 0, "start_pose"]
+# (edit, value, path named, the rest of the message)
+REFUSALS = [
+    pytest.param(("duration",), DELETE, [], "missing key 'duration'", id="missing-key"),
+    pytest.param(("gravity",), 9.81, [], "unknown key 'gravity'", id="unknown-key"),
+    pytest.param(("policy", "yaw_rate"), 0.1, ["policy"],
+                 "unknown key 'yaw_rate'", id="unknown-key-in-block"),
+    pytest.param(("tick_rate",), True, ["tick_rate"],
+                 "value True is not a number", id="true-for-number"),
+    pytest.param(("seed",), 1.5, ["seed"],
+                 "1.5 is not an integer of at least 0", id="fractional-seed"),
+    pytest.param(("seed",), "3", ["seed"], "value '3' is not a number", id="string-seed"),
+    pytest.param(("markers", 0, "id"), 1024, ["markers", 0, "id"],
+                 "1024 is not an integer in 0..1023", id="marker-id-1024"),
+    pytest.param(("noise", "pos_base"), math.nan, ["noise", "pos_base"],
+                 "value nan is not finite", id="nan-in-noise"),
+    pytest.param(("policy", "speed"), math.inf, ["policy", "speed"],
+                 "value inf is not finite", id="inf-in-policy"),
+    pytest.param(("fusion", "n_fuse"), 10**400, ["fusion", "n_fuse"],
+                 "int too large to convert to float", id="huge-int-in-fusion"),
+    pytest.param(("wind", "gust"), math.nan, [], "unknown key 'wind'", id="nan-in-unknown-block"),
+    pytest.param(("wind", "gust"), math.inf, [], "unknown key 'wind'", id="inf-in-unknown-block"),
+    pytest.param(("wind", "gust"), 10**400, [],
+                 "unknown key 'wind'", id="huge-int-in-unknown-block"),
+    pytest.param(("bounds", "min"), [0.0, 0.0], ["bounds", "min"],
+                 "[0.0, 0.0] is not an array of 3 numbers", id="bounds-2-vector"),
+    pytest.param(("drones", 0, "start_pose", "t"), [0.0, 0.0], START,
+                 "cannot reshape array of size 2 into shape (3,)", id="pose-t-2-vector"),
+    pytest.param(("drones", 0, "start_pose", "euler"), [0.0, 0.0], START,
+                 "not enough values to unpack (expected 3, got 2)", id="pose-euler-2-vector"),
+    pytest.param(("tick_rate",), 0, ["tick_rate"], "0 is not above 0", id="tick-rate-0"),
+    pytest.param(("tick_rate",), 1.0, ["tick_rate"], "dt 1.000 > 0.5", id="tick-rate-too-slow"),
+    pytest.param(("noise", "dropout"), 1.5, ["noise", "dropout"],
+                 "1.5 is not within 0..1", id="dropout-1.5"),
+    pytest.param(("drones", 0, "cameras"), [], ["drones", 0, "cameras"],
+                 "[] is not a non-empty array", id="no-cameras"),
+    pytest.param(("ba", "enabled"), 1, ["ba", "enabled"],
+                 "1 is not a boolean", id="int-for-boolean"),
+    pytest.param(("bounds", "max", 0), -3.0, ["bounds"],
+                 "degenerate bounds [-2. -2.  0.] .. [-3.  2.  2.]", id="degenerate-bounds"),
 ]
 
 
@@ -124,15 +180,15 @@ class TestValidation:
     def test_marker_id_out_of_range_names_its_path(self):
         raw = minimal_raw()
         raw["markers"][0]["id"] = 1024
-        with pytest.raises(ScenarioError, match=re.escape("schema violation at ['markers', 0, 'id']")):
+        with pytest.raises(ScenarioError, match=re.escape("at ['markers', 0, 'id']")):
             parse_scenario(raw)
 
     def test_boolean_is_no_number(self):
-        with pytest.raises(ScenarioError, match=re.escape("schema violation at ['duration']")):
+        with pytest.raises(ScenarioError, match=re.escape("at ['duration']")):
             parse_scenario(minimal_raw(duration=True))
 
     def test_fractional_seed_rejected(self):
-        with pytest.raises(ScenarioError, match=re.escape("schema violation at ['seed']")):
+        with pytest.raises(ScenarioError, match=re.escape("at ['seed']")):
             parse_scenario(minimal_raw(seed=1.5))
 
     def test_integral_float_seed_accepted(self):
@@ -143,14 +199,10 @@ class TestValidation:
         "path, value", DELETED_SETTINGS, ids=[".".join(p) for p, _ in DELETED_SETTINGS]
     )
     def test_deleted_setting_is_refused(self, path, value):
-        raw = minimal_raw()
-        target = raw
-        for key in path[:-1]:
-            target = target.setdefault(key, {})
-        target[path[-1]] = value
+        raw = with_value(minimal_raw(), path, value)
         # a deleted block is unknown at the top level, a deleted key in its block
-        unknown = path[0] if path[0] not in SCENARIO_SCHEMA["properties"] else path[-1]
-        message = f"Additional properties are not allowed ({unknown!r} was unexpected)"
+        where = path[:-1] if path[0] in sum(SCENARIO_KEYS, ()) else ()
+        message = f"at {list(where)}: unknown key {path[len(where)]!r}"
         with pytest.raises(ScenarioError, match=re.escape(message)):
             parse_scenario(raw)
 
@@ -169,7 +221,8 @@ class TestValidation:
     def test_unknown_camera_reference(self):
         raw = minimal_raw()
         raw["drones"][0]["cameras"] = ["sideways"]
-        with pytest.raises(ScenarioError, match="unknown cameras"):
+        message = "at ['drones', 0, 'cameras', 0]: unknown camera 'sideways'"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             parse_scenario(raw)
 
     def test_cameras_come_from_the_table_in_the_order_named(self):
@@ -183,7 +236,7 @@ class TestValidation:
         # it would sense every marker twice a tick, and the filter fuse both
         raw = minimal_raw()
         raw["drones"][0]["cameras"] = names
-        with pytest.raises(ScenarioError, match="names a camera twice"):
+        with pytest.raises(ScenarioError, match=r"'cameras', \d\]: names camera '\w+' twice"):
             parse_scenario(raw)
 
     def test_tick_rate_too_slow_for_stepper(self):
@@ -196,7 +249,7 @@ class TestValidation:
             parse_scenario(raw)
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ScenarioError, match="schema"):
+        with pytest.raises(ScenarioError, match=re.escape("at []: unknown key 'gravity'")):
             parse_scenario(minimal_raw(gravity=9.81))
 
     def test_negative_seed(self):
@@ -204,29 +257,36 @@ class TestValidation:
             parse_scenario(minimal_raw(seed=-1))
 
     @pytest.mark.parametrize(
-        "path, value",
+        "path, value, named, reason",
         [
-            (("drones", 0, "start_pose", "t", 0), math.nan),
-            (("drones", 0, "start_pose", "euler", 2), math.inf),
-            (("duration",), math.inf),
-            (("tick_rate",), math.inf),
-            (("ekf", "q_pos"), math.nan),  # an unknown block: the finite check runs first
-            (("noise", "dropout"), math.nan),
-            (("tick_rate",), 10**400),
-            (("duration",), 10**400),
-            (("drones", 0, "start_pose", "t", 1), -(10**400)),
+            # a pose is read whole, so its own path is named and its key is in the message
+            (("drones", 0, "start_pose", "t", 0), math.nan, ["drones", 0, "start_pose"],
+             "t nan is not finite"),
+            (("drones", 0, "start_pose", "euler", 2), math.inf, ["drones", 0, "start_pose"],
+             "euler inf is not finite"),
+            (("duration",), math.inf, ["duration"], "value inf is not finite"),
+            (("tick_rate",), math.inf, ["tick_rate"], "value inf is not finite"),
+            # an unknown block, refused whole
+            (("ekf", "q_pos"), math.nan, [], "unknown key 'ekf'"),
+            (("noise", "dropout"), math.nan, ["noise", "dropout"], "value nan is not finite"),
+            (("tick_rate",), 10**400, ["tick_rate"], "int too large to convert to float"),
+            (("duration",), 10**400, ["duration"], "int too large to convert to float"),
+            (("drones", 0, "start_pose", "t", 1), -(10**400), ["drones", 0, "start_pose"],
+             "int too large to convert to float"),
         ],
         ids=["start-nan", "yaw-inf", "duration-inf", "tick-rate-inf", "q-pos-nan", "dropout-nan",
              "tick-rate-huge-int", "duration-huge-int", "start-huge-int"],
     )
-    def test_non_finite_number_rejected(self, path, value):
-        raw = minimal_raw(ekf={}, noise={})
-        target = raw
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        with pytest.raises(ScenarioError, match="non-finite"):
-            parse_scenario(raw)
+    def test_non_finite_number_rejected(self, path, value, named, reason):
+        message = f"at {named}: {reason}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(with_value(minimal_raw(), path, value))
+
+    @pytest.mark.parametrize("path, value, named, reason", REFUSALS)
+    def test_refusal_names_its_path(self, path, value, named, reason):
+        with pytest.raises(ScenarioError) as caught:
+            parse_scenario(with_value(minimal_raw(), path, value))
+        assert str(caught.value) == f"at {named}: {reason}"
 
 
 class TestFiles:

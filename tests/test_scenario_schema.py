@@ -1,92 +1,148 @@
-"""The in-house scenario schema check, with jsonschema as its test oracle.
+"""parse_scenario judged by jsonschema, against the draft-07 scenario schema.
 
-``scenario.schema_violation`` interprets ``SCENARIO_SCHEMA`` itself, so a
-run does not import jsonschema. Seeded random mutations of the bundled
-scenarios and of a 256-marker grid document must get the same
-accept/reject from it as from jsonschema, and a rejection must name a place
-jsonschema also names. A second check walks the schema for keywords the
-interpreter does not implement, so a later schema edit cannot be ignored
-silently. A third check finds every setting the schema offers in a bundled
-scenario or a benchmark workload, so a setting nothing sets cannot stay.
+``SCENARIO_SCHEMA`` below is the scenario format written as a draft-07
+document. It lives here as the test oracle's spec: ``parse_scenario``
+checks a document in one pass with the wire's own checks and imports no
+jsonschema. On seeded random mutations of the bundled scenarios and of a
+256-marker grid document, every document the parser accepts must pass
+jsonschema, and every refusal must be justified: a schema refusal names a
+path at or above one jsonschema names, and a refusal under a rule the
+schema cannot state (non-finite or too-large numbers, duplicate ids,
+unknown or repeated cameras, dt, degenerate bounds) must break that rule at
+its path, as this test checks on its own. A further check finds every
+setting the parser's key tables offer in a bundled scenario or a benchmark
+workload, so a setting nothing sets cannot stay.
 """
 
+import ast
 import importlib
 import json
 import math
 import random
+import re
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from markerswarm.scenario import SCENARIO_SCHEMA, schema_violation
+from markerswarm import scenario
+from markerswarm.geom import Pose6D
+from markerswarm.scenario import ScenarioError, parse_scenario
+from markerswarm.worldsim import CAMERAS, MAX_STEP_DT
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-# what schema_violation interprets; "$schema" only names the draft
-IMPLEMENTED = {
-    "$schema", "type", "properties", "required", "additionalProperties", "items",
-    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+_VEC3 = {
+    "type": "array",
+    "items": {"type": "number"},
+    "minItems": 3,
+    "maxItems": 3,
 }
-TYPES = {"object", "array", "string", "number", "integer", "boolean"}
-NUMERIC_BOUNDS = ("minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
-                  "exclusiveMaximum")
+_POSE = {
+    "type": "object",
+    "properties": {"t": _VEC3, "euler": _VEC3},
+    "required": ["t", "euler"],
+    "additionalProperties": False,
+}
+_NONNEG = {"type": "number", "minimum": 0}
+
+SCENARIO_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "properties": {
+        "name": {"type": "string"},
+        "seed": {"type": "integer", "minimum": 0},
+        "duration": _NONNEG,
+        "tick_rate": {"type": "number", "exclusiveMinimum": 0},
+        "bounds": {
+            "type": "object",
+            "properties": {"min": _VEC3, "max": _VEC3},
+            "required": ["min", "max"],
+            "additionalProperties": False,
+        },
+        "markers": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "properties": {
+                    "id": {"type": "integer", "minimum": 0, "maximum": 1023},
+                    "pose": _POSE,
+                },
+                "required": ["id", "pose"],
+                "additionalProperties": False,
+            },
+        },
+        "drones": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "properties": {
+                    "id": {"type": "integer", "minimum": 0},
+                    "start_pose": _POSE,
+                    "ekf_start_pose": _POSE,
+                    "cameras": {
+                        "type": "array",
+                        "items": {"type": "string"},
+                        "minItems": 1,
+                    },
+                },
+                "required": ["id", "start_pose"],
+                "additionalProperties": False,
+            },
+        },
+        "noise": {
+            "type": "object",
+            "properties": {
+                "pos_base": _NONNEG,
+                "pos_per_m": _NONNEG,
+                "ang_base": _NONNEG,
+                "ang_per_m": _NONNEG,
+                "odom_vel_sigma": _NONNEG,
+                "odom_rate_sigma": _NONNEG,
+                "dropout": {"type": "number", "minimum": 0, "maximum": 1},
+            },
+            "additionalProperties": False,
+        },
+        "policy": {
+            "type": "object",
+            "properties": {
+                "cell_size": {"type": "number", "exclusiveMinimum": 0},
+                "altitude": {"type": "number"},
+                "speed": {"type": "number", "exclusiveMinimum": 0},
+                "r_visit": {"type": "number", "exclusiveMinimum": 0},
+            },
+            "additionalProperties": False,
+        },
+        "fusion": {
+            "type": "object",
+            "properties": {"n_fuse": {"type": "integer", "minimum": 1}},
+            "additionalProperties": False,
+        },
+        "ba": {
+            "type": "object",
+            "properties": {
+                "enabled": {"type": "boolean"},
+                "every_keyposes": {"type": "integer", "minimum": 1},
+            },
+            "additionalProperties": False,
+        },
+    },
+    "required": ["name", "seed", "duration", "tick_rate", "bounds", "markers", "drones"],
+    "additionalProperties": False,
+}
 
 ORACLE = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
-def schema_nodes(schema, where="SCENARIO_SCHEMA"):
-    """(location, subschema) for the schema and every subschema reachable from it."""
-    yield where, schema
-    for key, sub in schema.get("properties", {}).items():
-        yield from schema_nodes(sub, f"{where}.properties.{key}")
-    for keyword in ("items", "additionalProperties"):
-        if isinstance(schema.get(keyword), dict):
-            yield from schema_nodes(schema[keyword], f"{where}.{keyword}")
-
-
-def unsupported(schema) -> list[str]:
-    """Every keyword, or keyword form, of a schema that schema_violation does not interpret."""
-    found = []
-    for where, node in schema_nodes(schema):
-        found += [f"{where}: {key}" for key in node if key not in IMPLEMENTED]
-        if "$schema" in node and (where != "SCENARIO_SCHEMA"
-                                  or node["$schema"] != "http://json-schema.org/draft-07/schema#"):
-            found.append(f"{where}: $schema {node['$schema']!r}")
-        if "type" in node and not (isinstance(node["type"], str) and node["type"] in TYPES):
-            found.append(f"{where}: type {node['type']!r}")
-        if not isinstance(node.get("additionalProperties", True), (bool, dict)):
-            found.append(f"{where}: additionalProperties {node['additionalProperties']!r}")
-        if not isinstance(node.get("items", {}), dict):
-            found.append(f"{where}: items {node['items']!r}")
-        found += [f"{where}: {key} {node[key]!r}" for key in NUMERIC_BOUNDS
-                  if key in node and not isinstance(node[key], (int, float))]
-    return found
-
-
-def test_schema_uses_only_implemented_keywords():
-    assert unsupported(SCENARIO_SCHEMA) == []
-
-
-def test_keyword_walk_flags_what_the_interpreter_lacks():
-    schema = {
-        "$schema": "http://json-schema.org/draft-07/schema#",
-        "type": "object",
-        "properties": {
-            "name": {"type": "string", "pattern": "^[a-z]+$"},
-            "tags": {"type": "array", "items": [{"type": "string"}]},
-            "either": {"anyOf": [{"type": "number"}, {"type": "null"}]},
-            "sizes": {"type": ["number", "null"]},
-        },
-        "additionalProperties": {"type": "object", "properties": {"x": {"$schema": "draft-04"}}},
-    }
-    assert unsupported(schema) == [
-        "SCENARIO_SCHEMA.properties.name: pattern",
-        "SCENARIO_SCHEMA.properties.tags: items [{'type': 'string'}]",
-        "SCENARIO_SCHEMA.properties.either: anyOf",
-        "SCENARIO_SCHEMA.properties.sizes: type ['number', 'null']",
-        "SCENARIO_SCHEMA.additionalProperties.properties.x: $schema 'draft-04'",
-    ]
+def schema_nodes(schema):
+    """The schema and every subschema reachable from it."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from schema_nodes(sub)
+    if isinstance(schema.get("items"), dict):
+        yield from schema_nodes(schema["items"])
 
 
 def schema_paths(schema, prefix=()):
@@ -96,6 +152,24 @@ def schema_paths(schema, prefix=()):
         yield from schema_paths(sub, prefix + (key,))
     if isinstance(schema.get("items"), dict):
         yield from schema_paths(schema["items"], prefix)
+
+
+def settable_paths():
+    """Property path of every setting parse_scenario's key tables offer, in schema_paths' form."""
+    pose = (tuple(sorted(Pose6D.WIRE_KEYS)), ())
+    tables = {
+        (): scenario.SCENARIO_KEYS,
+        ("bounds",): scenario.BOUNDS_KEYS,
+        ("markers",): scenario.MARKER_KEYS,
+        ("markers", "pose"): pose,
+        ("drones",): scenario.DRONE_KEYS,
+        ("drones", "start_pose"): pose,
+        ("drones", "ekf_start_pose"): pose,
+    }
+    tables.update({(block,): ((), tuple(checks)) for block, checks in scenario.SETTINGS.items()})
+    for prefix, (required, optional) in tables.items():
+        for key in required + optional:
+            yield prefix + (key,)
 
 
 def document_paths(node, prefix=()):
@@ -109,14 +183,30 @@ def document_paths(node, prefix=()):
             yield from document_paths(item, prefix)
 
 
-def test_every_setting_is_set_by_a_scenario_or_workload(monkeypatch):
+def unset_settings(monkeypatch) -> list[str]:
+    """Each setting of the parser's tables that no bundled scenario or benchmark workload sets."""
     # the benchmark's own generator, imported as perfbench/run.py imports it
     monkeypatch.syspath_prepend(str(SCENARIOS.parent / "perfbench"))
     workloads = importlib.import_module("workloads").WORKLOADS
     docs = [bundled(path.stem) for path in sorted(SCENARIOS.glob("*.json"))]
     docs += [workloads[name].build(1) for name in ("lab_long", "marker_dense")]
     used = {path for doc in docs for path in document_paths(doc)}
-    assert [".".join(p) for p in schema_paths(SCENARIO_SCHEMA) if p not in used] == []
+    return [".".join(p) for p in settable_paths() if p not in used]
+
+
+def test_every_setting_is_set_by_a_scenario_or_workload(monkeypatch):
+    assert unset_settings(monkeypatch) == []
+
+
+def test_a_setting_nothing_sets_is_reported(monkeypatch):
+    policy = scenario.SETTINGS["policy"]
+    monkeypatch.setitem(policy, "yaw_rate", policy["speed"])
+    monkeypatch.setattr(scenario, "DRONE_KEYS", (("id", "start_pose"), ("cameras", "gimbal")))
+    assert unset_settings(monkeypatch) == ["drones.gimbal", "policy.yaw_rate"]
+
+
+def test_key_tables_match_the_schema():
+    assert sorted(settable_paths()) == sorted(schema_paths(SCENARIO_SCHEMA))
 
 
 def grid_document() -> dict:
@@ -153,7 +243,7 @@ def bundled(name: str) -> dict:
 
 
 def property_names(schema) -> list[str]:
-    return sorted({key for _, node in schema_nodes(schema) for key in node.get("properties", {})})
+    return sorted({key for node in schema_nodes(schema) for key in node.get("properties", {})})
 
 
 KEYS = property_names(SCENARIO_SCHEMA) + ["gravity", "", "$schema", "Id"]
@@ -235,15 +325,60 @@ def mutate(rng: random.Random, doc: dict) -> dict:
     return edited(doc, target, grow)
 
 
-def in_house_and_oracle_agree(doc) -> tuple[bool, str]:
-    """(accepted, disagreement): accepted by both, or a description of how they differ."""
-    violation = schema_violation(doc, SCENARIO_SCHEMA)
-    errors = list(ORACLE.iter_errors(doc))
-    if (violation is None) != (not errors):
-        return violation is None, f"in-house {violation}, jsonschema {[e.message for e in errors]}"
-    if violation is not None and list(violation[0]) not in [list(e.absolute_path) for e in errors]:
-        return False, f"in-house path {violation}, jsonschema paths {[e.path for e in errors]}"
-    return violation is None, ""
+def numbers(node):
+    """Every JSON number in a document, bools left out."""
+    if isinstance(node, (dict, list)):
+        for item in node.values() if isinstance(node, dict) else node:
+            yield from numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+def holds_no_float(doc, path) -> bool:
+    """Whether the value at path is or holds a number that is no finite float."""
+    return any(not math.isfinite(number) if isinstance(number, float)
+               else abs(number) > sys.float_info.max for number in numbers(value_at(doc, path)))
+
+
+def repeats(doc, path) -> bool:
+    """Whether the value at path is one of its list's earlier values or ids."""
+    *where, key = path
+    if key == "id":  # an entry's id: ["markers", 3, "id"]
+        *where, key = where
+        return doc[where[0]][key]["id"] in [entry["id"] for entry in doc[where[0]][:key]]
+    return value_at(doc, path) in value_at(doc, where)[:key]
+
+
+# the refusals the schema cannot state: a message that starts with one of
+# these must break the rule at its path, checked here on the document itself
+EXTRA_RULES = [
+    (r"(value|t|euler) \S+ is not finite$", holds_no_float),
+    (r"int too large to convert to float$", holds_no_float),
+    (r"dt ", lambda doc, path: 1.0 / value_at(doc, path) > MAX_STEP_DT),
+    (r"degenerate bounds", lambda doc, path: not all(
+        lo < hi for lo, hi in zip(doc["bounds"]["min"], doc["bounds"]["max"]))),
+    (r"duplicate (marker|drone) id", repeats),
+    (r"unknown camera", lambda doc, path: value_at(doc, path) not in CAMERAS),
+    (r"names camera", repeats),
+]
+
+
+def parser_and_oracle_agree(doc) -> tuple[bool, str]:
+    """(accepted, problem): the parser's verdict, and how it contradicts the oracle, if it does."""
+    named = [list(error.absolute_path) for error in ORACLE.iter_errors(doc)]
+    try:
+        parse_scenario(doc)
+    except ScenarioError as err:
+        found = re.fullmatch(r"at (\[.*?\]): (.*)", str(err), re.S)
+        where, message = found.groups()
+        path = ast.literal_eval(where)
+        for pattern, broken in EXTRA_RULES:
+            if re.match(pattern, message):
+                return False, "" if broken(doc, path) else f"{err}, yet that rule holds"
+        if not any(found[:len(path)] == path for found in named):
+            return False, f"{err}, yet jsonschema names {named}"
+        return False, ""
+    return True, f"accepted, yet jsonschema names {named}" if named else ""
 
 
 # 10 000 mutated documents in all; the grid costs jsonschema about 30 ms a document
@@ -257,7 +392,7 @@ def test_random_mutations_agree_with_jsonschema(name, count):
         doc = base
         for _ in range(rng.choice((1, 1, 2, 3))):
             doc = mutate(rng, doc)
-        ok, problem = in_house_and_oracle_agree(doc)
+        ok, problem = parser_and_oracle_agree(doc)
         accepted += ok
         if problem:
             problems.append(problem)
@@ -267,7 +402,7 @@ def test_random_mutations_agree_with_jsonschema(name, count):
 
 
 def test_grid_document_passes():
-    assert in_house_and_oracle_agree(grid_document()) == (True, "")
+    assert parser_and_oracle_agree(grid_document()) == (True, "")
 
 
 @pytest.mark.parametrize(
@@ -281,6 +416,11 @@ def test_grid_document_passes():
     ],
 )
 def test_type_rules_match_draft_07(value, kind, accepted):
-    schema = {"$schema": "http://json-schema.org/draft-07/schema#", "type": kind}
-    assert (schema_violation(value, schema) is None) is accepted
-    assert jsonschema.validators.validator_for(schema)(schema).is_valid(value) is accepted
+    # each value at a grid setting of that type whose bounds it keeps
+    path = {"number": ("policy", "altitude"), "integer": ("seed",), "boolean": ("ba", "enabled"),
+            "object": ("noise",), "array": ("markers",)}[kind]
+    doc = edited(grid_document(), path, lambda old: value)
+    assert ORACLE.is_valid(doc) is accepted
+    # draft-07 has integers of any size; a run's numbers must be floats
+    fits = not isinstance(value, int) or abs(value) <= sys.float_info.max
+    assert parser_and_oracle_agree(doc) == (accepted and fits, "")
