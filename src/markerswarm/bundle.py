@@ -49,9 +49,6 @@ from markerswarm.ekf import EkfConfig, detection_variances
 from markerswarm.geom import (
     Pose6D,
     QUAT_CONJUGATE,
-    check_float,
-    check_int,
-    check_keys,
     hat_batch,
     quat_multiply_batch,
     quat_to_rot_batch,
@@ -79,32 +76,11 @@ class Keypose:
     pose: Pose6D
     timestamp: float
     observations: tuple[MarkerDetection, ...]  # the detections seen at this instant
-    # no drone_id: the message that carries a keypose names its sender
-    WIRE_KEYS = frozenset(("frame", "pose", "timestamp", "observations"))
 
     def __post_init__(self) -> None:
         if len(self.observations) < 1:
             raise ValueError("a keypose needs at least one attached observation")
         object.__setattr__(self, "observations", tuple(self.observations))
-
-    def to_dict(self) -> dict:
-        return {
-            "frame": int(self.frame),
-            "pose": self.pose.to_dict(),
-            "timestamp": float(self.timestamp),
-            "observations": [o.to_dict() for o in self.observations],
-        }
-
-    @staticmethod
-    def from_dict(data: dict, drone_id: int) -> "Keypose":
-        check_keys(data, Keypose.WIRE_KEYS, "keypose")
-        return Keypose(
-            drone_id=drone_id,
-            frame=check_int(data["frame"], "frame"),
-            pose=Pose6D.from_dict(data["pose"]),
-            timestamp=check_float(data["timestamp"], "timestamp"),
-            observations=tuple(MarkerDetection.from_dict(o) for o in data["observations"]),
-        )
 
 
 def select_keypose(current: Pose6D, last: Pose6D | None, visible_markers: int) -> bool:

@@ -17,20 +17,18 @@ triples appear only at API boundaries (construction, serialization, the
 filter's state vector and its measurements).
 
 Trust boundaries: values are validated once, where they enter a run,
-and each decoded value is checked once, by the same helpers at both
-entries. Protocol ``decode``, its ``_parse_*`` parsers and the
-``from_dict`` constructors they call check every wire value with
-``check_keys`` (an object has exactly its keys), ``check_int``,
-``check_float``, ``check_covariance`` or, for a camera and a marker id,
-against the camera table and the id range. ``parse_scenario`` checks the
-scenario file in one pass the same way: each number with ``check_float``
-and its setting's bound, each pose with ``Pose6D.from_dict``, each marker
-id against the id range and each camera against the table. A covariance
-travels as its 21 upper-triangle values (``upper_triangle``);
-``check_covariance`` checks each with ``check_float``, builds the
-symmetric 6x6 from them and checks its smallest eigenvalue, with no
-separate finiteness or symmetry pass. ``Pose6D.from_dict`` builds its
-pose straight from its checked floats. The constructors of values a run
+and each decoded value is checked once. Both entries share the helpers
+here: ``check_keys`` (an object has exactly its keys), ``check_float`` (a
+finite JSON number, not a bool, and an integer only if a float holds it)
+and ``Pose6D.from_dict``, which names ``t`` or ``euler`` when it does not
+hold three numbers and builds its pose straight from its checked floats.
+The protocol's ``decode`` and its ``_parse_*`` parsers check every wire
+value with them and with the protocol's own ``check_int`` and
+``check_covariance``: ``swarm.protocol`` owns every message form, the
+covariance's included. ``parse_scenario`` checks the scenario file in one
+pass: each number with ``check_float`` and its setting's bound, each pose
+with ``Pose6D.from_dict``, each marker id against the id range and each
+camera against the table. The constructors of values a run
 computes itself (``EkfState``, ``PoseObservation``, ``MapEntry``) check
 nothing: they keep what they are given and freeze its arrays. ``Pose6D``
 is the exception: it still rejects a non-finite translation and
@@ -238,11 +236,6 @@ def _quat_euler(q) -> tuple[float, float, float]:
     )
 
 
-def quat_to_euler(q: np.ndarray) -> np.ndarray:
-    """Extract (alpha, beta, gamma); canonical alpha = 0 at |beta| = pi/2."""
-    return np.array(_quat_euler(np.asarray(q, dtype=float).tolist()))
-
-
 def _euler_rotate(alpha: float, beta: float, gamma: float, v) -> tuple[tuple, tuple]:
     """``R v`` and its partial derivatives by alpha, beta and gamma, on floats.
 
@@ -436,10 +429,6 @@ class Pose6D:
         # normalized once, by the constructor
         return Pose6D(t, _euler_quat(alpha, beta, gamma))
 
-    @property
-    def euler(self) -> np.ndarray:
-        return quat_to_euler(self.q)
-
     def rotation(self) -> np.ndarray:
         return quat_to_rot(self.q)
 
@@ -470,14 +459,14 @@ class Pose6D:
     @staticmethod
     def from_dict(data: dict) -> "Pose6D":
         check_keys(data, Pose6D.WIRE_KEYS, "pose")
-        t = [check_float(v, "t") for v in data["t"]]
-        alpha, beta, gamma = [check_float(v, "euler") for v in data["euler"]]
+        t = _parse_vector3(data["t"], "t")
+        alpha, beta, gamma = _parse_vector3(data["euler"], "euler")
         return Pose6D(t, _euler_quat(alpha, beta, gamma))
 
     def __repr__(self) -> str:  # compact, round-trip not required
         t = ", ".join(f"{v:.4g}" for v in self.t)
-        e = ", ".join(f"{v:.4g}" for v in self.euler)
-        return f"Pose6D(t=[{t}], euler=[{e}])"
+        q = ", ".join(f"{v:.4g}" for v in self.q)
+        return f"Pose6D(t=[{t}], q=[{q}])"
 
 
 # --------------------------------------------------------------------------
@@ -490,59 +479,30 @@ def check_keys(data: dict, keys: frozenset, what: str) -> dict:
     return data
 
 
-def check_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a float, string or bool raises TypeError."""
-    # bool subclasses int, so isinstance would let true and false through
-    if type(value) is not int:
-        raise TypeError(f"{what} {value!r} is not an integer")
-    return value
-
-
 def check_float(value, what: str) -> float:
-    """``value`` if it is a finite JSON number; a string, bool or non-finite one raises."""
+    """``value`` if it is a finite JSON number a float holds; a string, bool or other raises."""
     # json.loads reads 1e400 as inf; bool subclasses int
     if type(value) is not float and type(value) is not int:
         raise TypeError(f"{what} {value!r} is not a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{what} is an integer too large for a float") from None
     if not math.isfinite(value):
         raise ValueError(f"{what} {value!r} is not finite")
     return value
 
 
+def _parse_vector3(values, what: str) -> list[float]:
+    """The three floats of a JSON array (``check_float`` each); another count raises."""
+    floats = [check_float(v, what) for v in values]
+    if len(floats) != 3:
+        raise ValueError(f"{what} has {len(floats)} values, not 3")
+    return floats
+
+
 # --------------------------------------------------------------------------
 # 6x6 covariances over (x, y, z, alpha, beta, gamma)
-
-EIG_TOL = -1e-12
-# on the wire a covariance is its upper triangle, row by row: 21 values
-COV_WIRE_LEN = 21
-_UPPER = np.flatnonzero(np.triu(np.ones((6, 6), dtype=bool)))  # their flat indices in a 6x6
-# each entry of a 6x6, as an index into those 21 values: (i, j) and (j, i) read the same one
-_FROM_UPPER = np.zeros((6, 6), dtype=np.intp)
-_FROM_UPPER.flat[_UPPER] = range(COV_WIRE_LEN)
-_FROM_UPPER = np.maximum(_FROM_UPPER, _FROM_UPPER.T)
-
-
-def upper_triangle(cov: np.ndarray) -> list[float]:
-    """The wire form of a symmetric 6x6: its 21 upper-triangle values, row-major."""
-    return cov.take(_UPPER).tolist()
-
-
-def check_covariance(values, what: str = "covariance") -> np.ndarray:
-    """The read-only 6x6 of 21 wire values (``upper_triangle``'s), checked.
-
-    Each value must be a finite JSON number (``check_float``), and the
-    smallest eigenvalue at least ``EIG_TOL``. The matrix is built from the
-    upper triangle alone, so it is exactly symmetric.
-    """
-    if len(values) != COV_WIRE_LEN:
-        raise ValueError(f"{what}: expected {COV_WIRE_LEN} values, got {len(values)}")
-    cov = np.array([check_float(v, what) for v in values])[_FROM_UPPER]
-    eig = np.linalg.eigvalsh(cov)[0]
-    if eig < EIG_TOL:
-        raise ValueError(f"{what}: negative eigenvalue {eig}")
-    cov.setflags(write=False)
-    return cov
-
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)

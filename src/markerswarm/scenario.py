@@ -51,7 +51,7 @@ def _at(path: tuple, check, *args):
     """``check(*args)``, with the error it raises on a bad value named at ``path``."""
     try:
         return check(*args)
-    except (TypeError, ValueError, OverflowError) as err:  # float() of a huge int overflows
+    except (TypeError, ValueError) as err:
         raise _invalid(path, err) from err
 
 

@@ -38,7 +38,6 @@ from markerswarm.scenario import DroneSetup, PolicyConfig, Scenario
 from markerswarm.swarm import protocol
 from markerswarm.swarm.protocol import (
     Hello,
-    KeyposeCommit,
     MapSnapshot,
     MarkerObs,
     PoseReport,
@@ -144,12 +143,13 @@ class NavptsNode:
     """One drone's estimation and behavior loop, in two halves per tick.
 
     ``tick`` senses and estimates: it predicts, corrects the EKF against
-    the map view, forwards what the station needs and, when the scenario
-    runs bundle adjustment, commits keyposes, reading only the drone's own
-    state. ``steer`` applies the station's snapshots (each walks the state,
-    last keypose and trajectory rows to the live frame through the frame
-    table, then merges its entries into the map view), records the
-    trajectory row, reports the pose and returns the next velocity command.
+    the map view and sends the forwarded detections and, when the scenario
+    runs bundle adjustment, a committed keypose on one ``MarkerObs`` line,
+    reading only the drone's own state. ``steer`` applies the station's
+    snapshots (each walks the state, last keypose and trajectory rows to
+    the live frame through the frame table, then merges its entries into
+    the map view), records the trajectory row, reports the pose and
+    returns the next velocity command.
     """
 
     def __init__(self, setup: DroneSetup, scenario: Scenario) -> None:
@@ -180,25 +180,28 @@ class NavptsNode:
         # SP: sensor readings arrive as arguments, already id-sorted per camera
         # VJ: predict, then correct against frame-local known markers
         self.state = predict(self.state, odometry, self.ekf_config)
+        records = []  # (detection, filter pose, filter covariance) per forwarded detection
         for det in detections:
             entry = self.map_view.get(det.marker_id)
             if entry is not None and entry.frame == self.state.frame:
                 obs = observation_from_marker(det, entry, CAMERAS[det.camera], self.ekf_config)
                 self.state, accepted = update(self.state, obs, self.ekf_config)
                 self.counters["updates" if accepted else "gated"] += 1
-                if entry.obs_count < self.n_fuse:
-                    self._forward(det, now)
-            else:
-                # unknown or cross-frame: the station decides what it means
-                self._forward(det, now)
+                if entry.obs_count >= self.n_fuse:
+                    continue
+            # below the fusion window, or unknown or cross-frame: the station decides
+            records.append((det, self.state.pose, self.state.cov))
+        self.counters["forwarded"] += len(records)
 
+        keypose = None
         if self.ba.enabled and detections and select_keypose(
             self.state.pose, self.last_keypose, len(detections)
         ):
-            kp = Keypose(self.drone_id, self.state.frame, self.state.pose, now, tuple(detections))
-            self.link.send(KeyposeCommit(kp))
-            self.last_keypose = self.state.pose
+            keypose = Keypose(self.drone_id, self.state.frame, self.state.pose, now, detections)
+            self.last_keypose = keypose.pose
             self.counters["keyposes"] += 1
+        if records or keypose is not None:
+            self.link.send(MarkerObs(self.state.frame, now, tuple(records), keypose))
 
     def steer(self, now: float) -> VelocityCommand:
         # WM: apply whatever the station broadcast since the last steer
@@ -211,10 +214,6 @@ class NavptsNode:
 
         # BG: next destination
         return self.policy.choose_destination(self.state.pose)
-
-    def _forward(self, det: MarkerDetection, now: float) -> None:
-        self.link.send(MarkerObs(det, self.state.pose, self.state.cov, self.state.frame, now))
-        self.counters["forwarded"] += 1
 
     def _apply_line(self, line: str) -> None:
         try:
@@ -303,21 +302,25 @@ class GroundStation:
             self.keyposes[sender] = []
             self.keyposes_since_ba[sender] = 0
         elif isinstance(msg, MarkerObs):
-            self._process_marker_obs(msg)
-        elif isinstance(msg, KeyposeCommit):
-            self._process_keypose(msg.keypose)
+            # in order, each carried forward past any merge an earlier one triggered
+            for det, ekf_pose, ekf_cov in msg.records:
+                self._process_detection(msg.frame, msg.timestamp, det, ekf_pose, ekf_cov)
+            if msg.keypose is not None:
+                self._process_keypose(msg.keypose)
         else:
             log.debug("station ignoring %s", type(msg).__name__)
 
     # -- marker observations -------------------------------------------
 
-    def _process_marker_obs(self, m: MarkerObs) -> None:
-        frame, ekf_pose, ekf_cov = self._carry_forward(m.frame, m.ekf_pose, m.ekf_cov)
-        camera_pose = ekf_pose.compose(CAMERAS[m.detection.camera].extrinsics)
-        pose_in_frame = camera_pose.compose(m.detection.rel_pose)
+    def _process_detection(
+        self, frame: int, now: float, det: MarkerDetection, ekf_pose: Pose6D, ekf_cov: np.ndarray
+    ) -> None:
+        frame, ekf_pose, ekf_cov = self._carry_forward(frame, ekf_pose, ekf_cov)
+        camera_pose = ekf_pose.compose(CAMERAS[det.camera].extrinsics)
+        pose_in_frame = camera_pose.compose(det.rel_pose)
         # isotropic detection noise needs no rotation into the frame (see ekf)
-        cov = detection_noise(m.detection, self.ekf_config) + ekf_cov
-        marker_id = m.detection.marker_id
+        cov = detection_noise(det, self.ekf_config) + ekf_cov
+        marker_id = det.marker_id
         entry = self.gmap.lookup(marker_id)
         if entry is None:
             self.gmap.insert_marker(frame, marker_id, pose_in_frame, cov)
@@ -325,7 +328,7 @@ class GroundStation:
             self.gmap.fuse_observation(marker_id, pose_in_frame, cov)
             self._check_refine(marker_id, pose_in_frame, frame)
         else:
-            self._merge_on_overlap(frame, entry, pose_in_frame, cov, m.timestamp)
+            self._merge_on_overlap(frame, entry, pose_in_frame, cov, now)
 
     def _merge_on_overlap(
         self,

@@ -9,8 +9,10 @@ noise. Odometry is a finite-difference body-velocity sensor.
 
 A reading holds what was measured and nothing else: neither a detection
 nor an odometry reading carries a drone id or a time. The caller knows
-both, and the message that carries a detection (``MarkerObs``, a
-keypose) names its sender and its time once.
+both, and the one uplink line of a drone-tick that carries its
+detections (``swarm.protocol.MarkerObs``) names its sender and its time
+once. The wire form of a detection is the protocol's: nothing here
+encodes or checks one.
 
 All randomness flows through per-drone counter-based generators
 (:func:`drone_rng`), so draws depend only on (seed, drone id, call order)
@@ -33,8 +35,6 @@ from markerswarm.geom import (
     _quat_euler,
     _quat_unit,
     _rotate,
-    check_int,
-    check_keys,
     wrap_angle,
 )
 
@@ -95,7 +95,7 @@ class DroneTruth:
     """True state of one drone; roll and pitch are exactly zero."""
 
     pose: Pose6D
-    # ``pose.euler`` as floats: stepping, odometry and the report read it
+    # the pose's Euler angles, as floats: stepping, odometry and the report read them
     euler: tuple[float, float, float]
 
     def __init__(self, pose: Pose6D) -> None:
@@ -151,25 +151,6 @@ class MarkerDetection:
     marker_id: int
     camera: str  # a key of CAMERAS
     rel_pose: Pose6D  # marker pose in the camera frame
-    WIRE_KEYS = frozenset(("marker_id", "camera", "rel_pose"))
-
-    def to_dict(self) -> dict:
-        return {
-            "marker_id": self.marker_id,
-            "camera": self.camera,
-            "rel_pose": self.rel_pose.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "MarkerDetection":
-        check_keys(data, MarkerDetection.WIRE_KEYS, "detection")
-        marker_id = check_int(data["marker_id"], "marker_id")
-        if not (0 <= marker_id <= MARKER_ID_MAX):
-            raise ValueError(f"marker id {marker_id} outside 0..{MARKER_ID_MAX}")
-        camera = data["camera"]
-        if camera not in CAMERAS:  # an unhashable one raises TypeError
-            raise ValueError(f"camera {camera!r} is not one of {sorted(CAMERAS)}")
-        return MarkerDetection(marker_id, camera, Pose6D.from_dict(data["rel_pose"]))
 
 
 @dataclass(slots=True)

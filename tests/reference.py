@@ -27,7 +27,7 @@ from markerswarm.geom import (
     _euler_quat,
     _euler_rotate,
     _multiply,
-    quat_to_euler,
+    _quat_euler,
     quat_to_rot,
     symmetrize,
     wrap_angle,
@@ -40,6 +40,11 @@ from markerswarm.worldsim import (
     VelocityCommand,
     World,
 )
+
+
+def quat_to_euler(q) -> np.ndarray:
+    """(alpha, beta, gamma) of a quaternion, as an array: ``geom._quat_euler`` of its floats."""
+    return np.array(_quat_euler(np.asarray(q, dtype=float).tolist()))
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
@@ -97,7 +102,7 @@ def step_drone_numpy(
     """``worldsim.step_drone`` on arrays: ``Pose6D.apply``, ``np.clip`` and ``from_euler``."""
     pos = truth.pose.apply(np.multiply(cmd.v_body, dt))
     pos = np.clip(pos, world.bounds_min, world.bounds_max)
-    yaw = wrap_angle(truth.pose.euler[2] + cmd.yaw_rate * dt)
+    yaw = wrap_angle(truth.euler[2] + cmd.yaw_rate * dt)
     return DroneTruth(Pose6D.from_euler(pos, [0.0, 0.0, yaw]))
 
 

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from reference import predict_jacobian, wrap_angles
+from reference import predict_jacobian, quat_to_euler, wrap_angles
 from test_bundle import _marker_rmse, make_problem
 from test_ekf import run_nees_experiment
 from test_swarm import keys_differing_bar_mode
@@ -361,7 +361,8 @@ def test_criterion_6_fusion_contracts_covariance():
     for _ in range(200):
         base = Pose6D.from_euler(rng.uniform(-2, 2, size=3), rng.normal(0.0, 0.5, size=3))
         other = Pose6D.from_euler(
-            base.t + rng.normal(0.0, 0.05, size=3), base.euler + rng.normal(0.0, 0.02, size=3)
+            base.t + rng.normal(0.0, 0.05, size=3),
+            quat_to_euler(base.q) + rng.normal(0.0, 0.02, size=3),
         )
         def psd():
             a = rng.normal(size=(6, 6)) * 0.1

@@ -10,6 +10,7 @@ configuration first so the expected optimum is known by construction,
 never copied from the implementation.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from markerswarm.bundle import (
 )
 from markerswarm.geom import Pose6D, rotation_angle_between
 from markerswarm.ekf import EkfConfig, detection_noise
+from markerswarm.swarm.protocol import MarkerObs, decode, encode
 from markerswarm.worldsim import CAMERAS as TABLE, CameraParams, MarkerDetection
 
 DOWN_CAM = Pose6D.from_euler(np.array([0.0, 0.0, 0.1]), np.array([math.pi, 0.0, 0.0]))
@@ -294,11 +296,14 @@ class TestProblemLayout:
             assert np.array(pose.t + pose.q).tobytes() == np.concatenate([t, q]).tobytes()
 
     def test_keypose_dict_round_trip(self):
+        # a keypose's wire form is the protocol's: it rides its tick's uplink line
         rng = np.random.default_rng(6)
         _, keyposes, _ = make_problem(rng, n_keyposes=2)
-        assert "drone_id" not in keyposes[0].to_dict()
-        loaded = Keypose.from_dict(keyposes[0].to_dict(), 9)
-        assert loaded.drone_id == 9  # the sender the caller names
+        kp = keyposes[0]
+        line = encode(MarkerObs(kp.frame, kp.timestamp, (), kp), sender=9, seq=1)
+        assert "drone_id" not in json.loads(line)["keypose"]
+        loaded = decode(line).msg.keypose
+        assert loaded.drone_id == 9  # the envelope's sender
         assert (loaded.frame, loaded.timestamp) == (keyposes[0].frame, keyposes[0].timestamp)
         np.testing.assert_allclose(loaded.pose.t, keyposes[0].pose.t)
         assert len(loaded.observations) == len(keyposes[0].observations)
@@ -360,8 +365,8 @@ class TestJacobian:
             ))
             for kp in keyposes
         ]
-        assert keyposes[2].pose.euler[1] == pytest.approx(math.pi / 2)
-        assert markers[10].euler[1] == pytest.approx(-math.pi / 2)
+        assert keyposes[2].pose.to_vector()[4] == pytest.approx(math.pi / 2)
+        assert markers[10].to_vector()[4] == pytest.approx(-math.pi / 2)
         jittered = [keyposes[0]] + [
             replace(kp, pose=small_pose(rng, 0.05, 0.025).compose(kp.pose)) for kp in keyposes[1:]
         ]

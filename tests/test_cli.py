@@ -210,7 +210,8 @@ class TestRunCommand:
         scenario = write_scenario(tmp_path, tick_rate=10**400)
         assert '"tick_rate": 1' + "0" * 400 + "," in scenario.read_text()
         assert run_cli("run", scenario, "--out", tmp_path / "out") == 2
-        assert "at ['tick_rate']: int too large to convert to float" in capsys.readouterr().err
+        message = "at ['tick_rate']: value is an integer too large for a float"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])

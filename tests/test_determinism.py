@@ -22,7 +22,7 @@ from markerswarm.cli import main as cli_main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-TWO_DRONE_DEMO_SEED_7 = "df923245a7428de44558e4e52cce11eb521e99cef1888661ac55a7cf2ad8e8ed"
+TWO_DRONE_DEMO_SEED_7 = "76949986555d9ed89cdd4b911840aa92c751e7d515a6612f2c06d7a655f6b102"
 TWO_DRONE_DEMO_SEED_7_PLOT = "25706e210efd7eb94d4ac96f254f27c011276913cc0af3b7818c378e5d33360a"
 # the other three artifacts of the same run
 TWO_DRONE_DEMO_SEED_7_ARTIFACTS = {
@@ -32,11 +32,11 @@ TWO_DRONE_DEMO_SEED_7_ARTIFACTS = {
 }
 # the same run with "ba": {"enabled": false}: no keyposes, no adjustment
 TWO_DRONE_DEMO_SEED_7_BA_OFF = "6fb570421737b0fb91d3caa036a7fb2d245f4d5d44012c2500152183985d3338"
-LAB_THREE_DRONES_SEED_11 = "5fd0397f5b2b3dd06c64f411f71e6afb679fa0cda4f6e380842f53698709705b"
+LAB_THREE_DRONES_SEED_11 = "6a0371d115108d5d5ba41a3958ce1b416781e65d9755b30aeb37e6f99694ba43"
 # the benchmark's workloads, on the program seed each runs for workload seed 1
 WORKLOAD_REPORTS = {
-    "lab_long": "b57a4bc5ae2c37a0892b0a98aed4ee11f054309d24beeb46dddf3abeae446d4e",
-    "marker_dense": "ea73f869b9b1484f2c7dc684aa9e46fea4b9749392ea08948a1a00bf54a1129e",
+    "lab_long": "9bd44ab2fc196cebc0e27eab13b87e37d606cc04a7d6d9fc1d3584b8fd3a4579",
+    "marker_dense": "61d3ba5246621ee0cd98c8b64025ecc47749a939f0f302be45d9018b5936fba0",
 }
 
 

@@ -14,6 +14,7 @@ from reference import (
     nees,
     predict_jacobian,
     transition_jacobian_array,
+    quat_to_euler,
     update_array,
     wrap_angles,
 )
@@ -168,7 +169,7 @@ class TestObservationFromMarker:
                 entry = SimpleNamespace(pose=marker, cov=np.zeros((6, 6)))
                 obs = observation_from_marker(det, entry, cam, cfg)
                 assert np.max(np.abs(np.subtract(obs.vector[:3], truth.t))) < 1e-9
-                assert np.max(np.abs(wrap_angles(obs.vector[3:] - truth.euler))) < 1e-9
+                assert np.max(np.abs(wrap_angles(obs.vector[3:] - quat_to_euler(truth.q)))) < 1e-9
 
     def test_zero_entry_cov_identity_rotation_gives_detection_noise(self):
         cfg = EkfConfig()

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reference import euler_rot_derivatives, wrap_angles
+from reference import euler_rot_derivatives, quat_to_euler, wrap_angles
 
 from markerswarm.ekf import (
     GATE_THRESHOLD,
@@ -114,7 +114,7 @@ def reference_sense_markers(truth, world, cam, noise, rng):
         if noise.dropout > 0.0 and rng.uniform() < noise.dropout:
             continue
         t = rel.t + noise.pos_sigma(dist) * rng.standard_normal(3)
-        euler = wrap_angles(rel.euler + noise.ang_sigma(dist) * rng.standard_normal(3))
+        euler = wrap_angles(quat_to_euler(rel.q) + noise.ang_sigma(dist) * rng.standard_normal(3))
         rel = Pose6D.from_euler(t, euler)
         out.append((marker_id, rel, float(np.linalg.norm(rel.t))))
     return out

@@ -76,7 +76,7 @@ class TestFusePose:
         pb = Pose6D.from_euler([0, 0, 0], [0, 0, 1.0])
         # old angle cov trace 3x the new: weight toward new = 3/4
         pose, _ = fuse_pose(pa, np.diag([1] * 3 + [3.0] * 3), pb, np.diag([1] * 3 + [1.0] * 3))
-        assert pose.euler[2] == pytest.approx(0.75, abs=1e-9)
+        assert pose.to_vector()[5] == pytest.approx(0.75, abs=1e-9)
 
     def test_fused_position_cov_contracts_psd(self):
         rng = np.random.default_rng(17)

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +21,6 @@ from markerswarm.swarm.protocol import (
     Decoded,
     Endpoint,
     Hello,
-    KeyposeCommit,
     MapSnapshot,
     MarkerObs,
     PoseReport,
@@ -52,8 +52,14 @@ def sample_detection():
 def sample_keypose():
     det = MarkerDetection(marker_id=7, camera="forward", rel_pose=sample_pose(3))
     return Keypose(
-        drone_id=2, frame=0, pose=sample_pose(6), timestamp=4.5, observations=(det,)
+        drone_id=2, frame=1, pose=sample_pose(6), timestamp=3.25, observations=(det,)
     )
+
+
+def sample_obs():
+    """A drone-tick's line: one forwarded detection and a committed keypose."""
+    record = (sample_detection(), sample_pose(10), sample_cov(11))
+    return MarkerObs(frame=1, timestamp=3.25, records=(record,), keypose=sample_keypose())
 
 
 def all_messages():
@@ -62,17 +68,13 @@ def all_messages():
     )
     return [
         Hello(),
-        MarkerObs(
-            detection=sample_detection(),
-            ekf_pose=sample_pose(10),
-            ekf_cov=sample_cov(11),
-            frame=1,
-            timestamp=3.25,
-        ),
+        sample_obs(),
         PoseReport(frame=1, timestamp=2.0, mean=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0)),
         MapSnapshot(entries=(entry,), merges=((2, 0, sample_pose(13)), (1, 0, sample_pose(14)))),
-        KeyposeCommit(keypose=sample_keypose()),
     ]
+
+
+MISSING = object()  # tampered's value that deletes the key instead
 
 
 def tampered(kind, path, value):
@@ -82,8 +84,16 @@ def tampered(kind, path, value):
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     return json.dumps(doc)
+
+
+RECORD = ["records", 0]  # the sample line's one record
+DETECTION = [*RECORD, "detection"]
+OBSERVATION = ["keypose", "observations", 0]  # the sample keypose's one detection
 
 
 def flat(matrix):
@@ -104,7 +114,7 @@ NEGATIVE_EIGENVALUE = upper(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1e-6]))
 
 
 def legacy_pose(p):
-    return {"t": [float(v) for v in p.t], "euler": [float(v) for v in p.euler]}
+    return {"t": [float(v) for v in p.t], "euler": [float(v) for v in p.to_vector()[3:]]}
 
 
 def legacy_cov(cov):
@@ -122,8 +132,9 @@ def legacy_detection(d):
 
 
 def legacy_keypose(kp):
-    return {"frame": kp.frame, "pose": legacy_pose(kp.pose),
-            "timestamp": float(kp.timestamp),
+    if kp is None:
+        return None
+    return {"pose": legacy_pose(kp.pose),
             "observations": [legacy_detection(d) for d in kp.observations]}
 
 
@@ -131,17 +142,16 @@ def legacy_payload(msg):
     if isinstance(msg, Hello):
         return {}
     if isinstance(msg, MarkerObs):
-        return {"detection": legacy_detection(msg.detection),
-                "ekf_pose": legacy_pose(msg.ekf_pose), "ekf_cov": legacy_cov(msg.ekf_cov),
-                "frame": msg.frame, "timestamp": float(msg.timestamp)}
+        records = [{"detection": legacy_detection(det), "ekf_pose": legacy_pose(pose),
+                    "ekf_cov": legacy_cov(cov)} for det, pose, cov in msg.records]
+        return {"frame": msg.frame, "timestamp": float(msg.timestamp), "records": records,
+                "keypose": legacy_keypose(msg.keypose)}
     if isinstance(msg, PoseReport):
         return {"frame": msg.frame,
                 "timestamp": float(msg.timestamp), "mean": [float(v) for v in msg.mean]}
     if isinstance(msg, MapSnapshot):
         merges = [{"from": r, "to": w, "rt": legacy_pose(rt)} for r, w, rt in msg.merges]
         return {"entries": [legacy_entry(e) for e in msg.entries], "merges": merges}
-    if isinstance(msg, KeyposeCommit):
-        return {"keypose": legacy_keypose(msg.keypose)}
     return {}
 
 
@@ -161,8 +171,8 @@ def awkward_messages():
         PoseReport(frame=2, timestamp=-0.0, mean=tuple(odd.tolist())),
         MapSnapshot(entries=(entry, replace(entry, marker_id=4, cov=-cov)),
                     merges=((3, 2, entry.pose),)),
-        MarkerObs(detection=sample_detection(), ekf_pose=entry.pose, ekf_cov=cov, frame=-0,
-                  timestamp=-0.0),
+        MarkerObs(frame=-0, timestamp=-0.0, records=((sample_detection(), entry.pose, cov),),
+                  keypose=None),
     ]
 
 
@@ -184,12 +194,14 @@ class TestCodec:
         assert type(out.msg) is type(msg)
 
     def test_round_trip_preserves_values(self):
-        msg = all_messages()[1]
+        msg = sample_obs()
         out = decode(encode(msg, sender=1, seq=0)).msg
-        assert poses_close(out.ekf_pose, msg.ekf_pose)
-        assert poses_close(out.detection.rel_pose, msg.detection.rel_pose)
-        np.testing.assert_allclose(out.ekf_cov, msg.ekf_cov)
-        assert out.detection.marker_id == 42 and out.detection.camera == "down"
+        ((det, ekf_pose, ekf_cov),) = out.records
+        ((sent_det, sent_pose, sent_cov),) = msg.records
+        assert poses_close(ekf_pose, sent_pose)
+        assert poses_close(det.rel_pose, sent_det.rel_pose)
+        np.testing.assert_allclose(ekf_cov, sent_cov)
+        assert det.marker_id == 42 and det.camera == "down"
         assert out.frame == 1 and out.timestamp == 3.25
 
     def test_snapshot_round_trip_preserves_the_frame_table(self):
@@ -199,26 +211,47 @@ class TestCodec:
         assert all(poses_close(a[2], b[2]) for a, b in zip(out.merges, msg.merges, strict=True))
 
     def test_keypose_round_trip_preserves_observation(self):
-        msg = KeyposeCommit(keypose=sample_keypose())
-        out = decode(encode(msg, sender=2, seq=5)).msg
-        kp = out.keypose
-        assert kp.drone_id == 2 and kp.timestamp == 4.5
+        msg = sample_obs()
+        kp = decode(encode(msg, sender=2, seq=5)).msg.keypose
+        assert (kp.drone_id, kp.frame, kp.timestamp) == (2, 1, 3.25)
+        assert poses_close(kp.pose, msg.keypose.pose)
         (ob,) = kp.observations
         ref = msg.keypose.observations[0]
         assert (ob.marker_id, ob.camera) == (7, "forward")
         assert poses_close(ob.rel_pose, ref.rel_pose)
 
     def test_keypose_drone_is_the_envelope_sender(self):
-        keypose = sample_keypose()
-        assert keypose.drone_id == 2
-        assert decode(encode(KeyposeCommit(keypose), sender=5, seq=1)).msg.keypose.drone_id == 5
+        msg = sample_obs()
+        assert msg.keypose.drone_id == 2
+        assert decode(encode(msg, sender=5, seq=1)).msg.keypose.drone_id == 5
 
     def test_detections_carry_no_range_and_keyposes_no_drone(self):
-        obs = json.loads(encode(all_messages()[1], sender=1, seq=1))
-        commit = json.loads(encode(KeyposeCommit(sample_keypose()), sender=2, seq=1))
-        assert set(obs["detection"]) == {"marker_id", "camera", "rel_pose"}
-        assert set(commit["keypose"]) == {"frame", "pose", "timestamp", "observations"}
-        assert set(commit["keypose"]["observations"][0]) == {"marker_id", "camera", "rel_pose"}
+        # nor a frame or a time: a keypose's are its line's
+        obs = json.loads(encode(sample_obs(), sender=1, seq=1))
+        assert set(obs) == {"type", "sender", "seq", "frame", "timestamp", "records", "keypose"}
+        assert set(obs["records"][0]) == {"detection", "ekf_pose", "ekf_cov"}
+        assert set(obs["records"][0]["detection"]) == {"marker_id", "camera", "rel_pose"}
+        assert set(obs["keypose"]) == {"pose", "observations"}
+        assert set(obs["keypose"]["observations"][0]) == {"marker_id", "camera", "rel_pose"}
+
+    def test_line_without_keypose_sends_null(self):
+        line = encode(replace(sample_obs(), keypose=None), sender=1, seq=1)
+        assert json.loads(line)["keypose"] is None
+        assert decode(line).msg.keypose is None
+
+    @pytest.mark.parametrize(
+        "path, value, reason",
+        [
+            ([*RECORD, "ekf_pose", "t"], [0.0, 0.5], "t has 2 values, not 3"),
+            ([*DETECTION, "rel_pose", "euler"], [0.0, 0.5], "euler has 2 values, not 3"),
+            (["timestamp"], 10**400, "timestamp is an integer too large for a float"),
+            ([*RECORD, "ekf_cov", 3], -(10**400), "ekf_cov is an integer too large for a float"),
+        ],
+        ids=["t-2-vector", "euler-2-vector", "huge-int-timestamp", "huge-int-ekf-cov"],
+    )
+    def test_refusal_names_its_field(self, path, value, reason):
+        with pytest.raises(ProtocolError, match=re.escape(reason)):
+            decode(tampered("MarkerObs", path, value))
 
     def test_hello_envelope_keys(self):
         line = encode(Hello(), sender=4, seq=1)
@@ -230,9 +263,11 @@ class TestCodec:
         line = encode(MapSnapshot(entries=(), merges=()), sender=STATION_ID, seq=0)
         assert decode(line).sender == STATION_ID
 
-    # A detection has no "range" key and a keypose no "drone_id": every JSON
-    # object on a line has exactly its keys, so the cases that set either
-    # key are malformed for the key alone, whatever its value.
+    # A detection has no "range" key and a keypose no "drone_id" or
+    # "timestamp": every JSON object on a line has exactly its keys, so the
+    # cases that set one of those keys are malformed for the key alone,
+    # whatever its value. A keypose's frame and time are its line's, so the
+    # keypose cases on those tamper with the line's.
     @pytest.mark.parametrize(
         "line",
         [
@@ -252,26 +287,27 @@ class TestCodec:
             tampered("MapSnapshot", ["merges", 1, "to"], True),
             tampered("PoseReport", ["frame"], 1.5),
             tampered("MarkerObs", ["frame"], 1.0),
-            tampered("MarkerObs", ["detection", "marker_id"], "42"),
+            tampered("MarkerObs", [*DETECTION, "marker_id"], "42"),
             tampered("MapSnapshot", ["entries", 0, "marker_id"], 9.0),
             tampered("MapSnapshot", ["entries", 0, "frame"], "0"),
             tampered("MapSnapshot", ["entries", 0, "obs_count"], 3.5),
-            tampered("KeyposeCommit", ["keypose", "drone_id"], "2"),
-            tampered("KeyposeCommit", ["keypose", "frame"], True),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], 7.0),
-            tampered("MarkerObs", ["ekf_cov"], upper(-np.eye(6))),
-            tampered("MarkerObs", ["ekf_cov"], NEGATIVE_EIGENVALUE),
-            tampered("MarkerObs", ["ekf_cov"], upper(np.eye(6))[:20]),
-            tampered("MarkerObs", ["ekf_cov"], flat(np.eye(6) + np.triu(np.ones((6, 6)), 1))),
-            tampered("MarkerObs", ["ekf_cov"], upper(np.full((6, 6), np.nan))),
-            tampered("MarkerObs", ["ekf_cov"], [0.125] + upper(np.eye(6))[1:]).replace(
+            tampered("MarkerObs", ["keypose", "drone_id"], "2"),
+            tampered("MarkerObs", ["frame"], True),
+            tampered("MarkerObs", [*OBSERVATION, "marker_id"], 7.0),
+            tampered("MarkerObs", [*RECORD, "ekf_cov"], upper(-np.eye(6))),
+            tampered("MarkerObs", [*RECORD, "ekf_cov"], NEGATIVE_EIGENVALUE),
+            tampered("MarkerObs", [*RECORD, "ekf_cov"], upper(np.eye(6))[:20]),
+            tampered("MarkerObs", [*RECORD, "ekf_cov"],
+                     flat(np.eye(6) + np.triu(np.ones((6, 6)), 1))),
+            tampered("MarkerObs", [*RECORD, "ekf_cov"], upper(np.full((6, 6), np.nan))),
+            tampered("MarkerObs", [*RECORD, "ekf_cov"], [0.125] + upper(np.eye(6))[1:]).replace(
                 "0.125", "1e400"
             ),
-            tampered("MarkerObs", ["ekf_cov"], ["1.0"] + upper(np.eye(6))[1:]),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], "0.5"),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "camera"], 5),
-            tampered("MarkerObs", ["detection", "range"], float("nan")),
-            tampered("KeyposeCommit", ["keypose", "timestamp"], float("inf")),
+            tampered("MarkerObs", [*RECORD, "ekf_cov"], ["1.0"] + upper(np.eye(6))[1:]),
+            tampered("MarkerObs", [*OBSERVATION, "range"], "0.5"),
+            tampered("MarkerObs", [*OBSERVATION, "camera"], 5),
+            tampered("MarkerObs", [*DETECTION, "range"], float("nan")),
+            tampered("MarkerObs", ["timestamp"], float("inf")),
             tampered("MapSnapshot", ["entries", 0, "cov"], upper(-np.eye(6))),
             tampered("MapSnapshot", ["entries", 0, "cov"], NEGATIVE_EIGENVALUE),
             tampered("MapSnapshot", ["entries", 0, "cov"], upper(np.eye(6))[:20]),
@@ -289,44 +325,56 @@ class TestCodec:
             tampered("PoseReport", ["mean"], [0.0, 1.0, 2.0, 3.0, 4.0, 0.125]).replace(
                 "0.125", "1e400"
             ),
-            tampered("MarkerObs", ["detection", "range"], "nan"),
-            tampered("MarkerObs", ["detection", "range"], True),
-            tampered("MarkerObs", ["detection", "range"], 0.125).replace("0.125", "1e400"),
+            tampered("MarkerObs", [*DETECTION, "range"], "nan"),
+            tampered("MarkerObs", [*DETECTION, "range"], True),
+            tampered("MarkerObs", [*DETECTION, "range"], 0.125).replace("0.125", "1e400"),
             tampered("MarkerObs", ["timestamp"], "inf"),
-            tampered("MarkerObs", ["detection", "camera"], 5),
-            tampered("MarkerObs", ["detection", "rel_pose", "t"], ["0.1", 0.0, 0.0]),
-            tampered("MarkerObs", ["ekf_pose", "euler"], [0.0, False, 0.0]),
-            tampered("MarkerObs", ["ekf_cov"], [True if v else 0.0 for v in upper(np.eye(6))]),
+            tampered("MarkerObs", [*DETECTION, "camera"], 5),
+            tampered("MarkerObs", [*DETECTION, "rel_pose", "t"], ["0.1", 0.0, 0.0]),
+            tampered("MarkerObs", [*RECORD, "ekf_pose", "euler"], [0.0, False, 0.0]),
+            tampered("MarkerObs", [*RECORD, "ekf_cov"],
+                     [True if v else 0.0 for v in upper(np.eye(6))]),
             tampered("MapSnapshot", ["merges", 0, "rt", "t"], ["0.5", 0.0, 0.0]),
             tampered("PoseReport", ["timestamp"], "inf"),
             tampered("PoseReport", ["mean"], ["0.0", 1.0, 2.0, 3.0, 4.0, 5.0]),
             tampered("PoseReport", ["frame"], True),
             tampered("MapSnapshot", ["entries", 0, "cov"], [str(v) for v in upper(np.eye(6))]),
             tampered("MapSnapshot", ["entries", 0, "pose", "euler"], [0.0, 0.0, "0.5"]),
-            tampered("KeyposeCommit", ["keypose", "timestamp"], "inf"),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "rel_pose", "t"],
+            tampered("MarkerObs", ["keypose", "timestamp"], 3.25),
+            tampered("MarkerObs", [*OBSERVATION, "rel_pose", "t"],
                      [True, 0.0, 0.0]),
-            tampered("MarkerObs", ["detection", "range"], -1.0),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], -2.0),
-            tampered("MarkerObs", ["detection", "range"], 0.0),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "range"], 0.0),
+            tampered("MarkerObs", [*DETECTION, "range"], -1.0),
+            tampered("MarkerObs", [*OBSERVATION, "range"], -2.0),
+            tampered("MarkerObs", [*DETECTION, "range"], 0.0),
+            tampered("MarkerObs", [*OBSERVATION, "range"], 0.0),
             '{"type": "FrameMerged", "sender": -1, "seq": 1, "loser": 1, "winner": 0, '
             '"rt": {"t": [0.0, 0.0, 0.0], "euler": [0.0, 0.0, 0.0]}}',
-            tampered("MarkerObs", ["detection", "camera"], "thermal"),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "camera"], "thermal"),
-            tampered("MarkerObs", ["detection", "camera"], ["down"]),
-            tampered("MarkerObs", ["detection", "marker_id"], -1),
-            tampered("MarkerObs", ["detection", "marker_id"], 1024),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], -1),
-            tampered("KeyposeCommit", ["keypose", "observations", 0, "marker_id"], 1024),
+            tampered("MarkerObs", [*DETECTION, "camera"], "thermal"),
+            tampered("MarkerObs", [*OBSERVATION, "camera"], "thermal"),
+            tampered("MarkerObs", [*DETECTION, "camera"], ["down"]),
+            tampered("MarkerObs", [*DETECTION, "marker_id"], -1),
+            tampered("MarkerObs", [*DETECTION, "marker_id"], 1024),
+            tampered("MarkerObs", [*OBSERVATION, "marker_id"], -1),
+            tampered("MarkerObs", [*OBSERVATION, "marker_id"], 1024),
             tampered("MapSnapshot", ["entries", 0, "marker_id"], 1024),
             tampered("MapSnapshot", ["entries", 0, "marker_id"], -7),
             tampered("Hello", ["drone_id"], 0),
             tampered("PoseReport", ["cov"], flat(np.eye(6))),
-            tampered("MarkerObs", ["ekf_pose", "q"], [1.0, 0.0, 0.0, 0.0]),
+            tampered("MarkerObs", [*RECORD, "ekf_pose", "q"], [1.0, 0.0, 0.0, 0.0]),
             tampered("MapSnapshot", ["entries", 0, "seen"], 1),
             tampered("MapSnapshot", ["merges", 0, "time"], 1.0),
-            tampered("MarkerObs", ["detection"], [42, "down"]),
+            tampered("MarkerObs", DETECTION, [42, "down"]),
+            tampered("MarkerObs", [*RECORD, "frame"], 1),
+            tampered("MarkerObs", RECORD, [42, "down"]),
+            tampered("MarkerObs", ["records"], 5),
+            tampered("MarkerObs", ["records"], MISSING),
+            tampered("MarkerObs", ["keypose"], MISSING),
+            tampered("MarkerObs", ["keypose", "pose"], MISSING),
+            tampered("MarkerObs", ["keypose", "observations"], []),
+            tampered("MarkerObs", ["keypose"], []),
+            tampered("MarkerObs", ["frame"], "1"),
+            tampered("MarkerObs", ["timestamp"], 10**400),
+            tampered("MarkerObs", [*RECORD, "ekf_pose", "t"], [0.0, 0.5]),
         ],
         ids=[
             "raw-text",
@@ -411,6 +459,17 @@ class TestCodec:
             "snapshot-extra-entry-key",
             "snapshot-extra-merge-key",
             "obs-list-detection",
+            "obs-extra-record-key",
+            "obs-list-record",
+            "obs-int-records",
+            "obs-no-records",
+            "obs-no-keypose",
+            "keypose-no-pose",
+            "keypose-no-observations",
+            "keypose-list",
+            "obs-string-frame",
+            "obs-huge-int-timestamp",
+            "obs-2-value-ekf-pose-t",
         ],
     )
     def test_malformed_lines_raise(self, line):
@@ -477,9 +536,9 @@ class TestCodec:
             encode(object(), sender=0, seq=0)
 
     def test_encode_rejects_non_finite_number(self):
-        keypose = replace(sample_keypose(), timestamp=float("nan"))
+        msg = replace(sample_obs(), timestamp=float("nan"), keypose=None)
         with pytest.raises(ProtocolError):
-            encode(KeyposeCommit(keypose=keypose), sender=0, seq=1)
+            encode(msg, sender=0, seq=1)
 
 
 class TestSequenceGuard:
@@ -558,8 +617,8 @@ class TestEndpoint:
 # why in CHANGES.md.
 MARKER_DENSE_WIRE = {
     "Hello": (3, 105),
-    "MarkerObs": (337, 303888),
-    "PoseReport": (150, 30568),
+    "MarkerObs": (125, 292719),
+    "PoseReport": (150, 30509),
     "MapSnapshot": (48, 130447),
 }
 

@@ -353,7 +353,7 @@ def repeats(doc, path) -> bool:
 # these must break the rule at its path, checked here on the document itself
 EXTRA_RULES = [
     (r"(value|t|euler) \S+ is not finite$", holds_no_float),
-    (r"int too large to convert to float$", holds_no_float),
+    (r"(value|t|euler) is an integer too large for a float$", holds_no_float),
     (r"dt ", lambda doc, path: 1.0 / value_at(doc, path) > MAX_STEP_DT),
     (r"degenerate bounds", lambda doc, path: not all(
         lo < hi for lo, hi in zip(doc["bounds"]["min"], doc["bounds"]["max"]))),

@@ -30,7 +30,6 @@ from markerswarm.swarm.protocol import (
     STATION_ID,
     Endpoint,
     Hello,
-    KeyposeCommit,
     MapSnapshot,
     MarkerObs,
     PoseReport,
@@ -244,12 +243,13 @@ class TestNavptsNode:
         det = detection_of(node.state.pose, marker, cam)
         node.tick(0.1, still_odometry(), [det])
         node.steer(0.1)
-        kinds = outbound_types(station_inbox)
+        sent = [decode(line).msg for line in station_inbox.drain()]
         assert node.counters["updates"] == 1
         assert node.counters["forwarded"] == 0
-        assert "MarkerObs" not in kinds
-        assert kinds.count("PoseReport") == 1
-        assert "KeyposeCommit" in kinds  # first marker sighting
+        assert [type(msg).__name__ for msg in sent] == ["MarkerObs", "PoseReport"]
+        # the tick's line carries no record, only the keypose of the first marker sighting
+        assert sent[0].records == ()
+        assert [(d.marker_id, d.camera) for d in sent[0].keypose.observations] == [(5, "down")]
 
     def test_known_young_marker_updates_and_forwards(self):
         sc = node_scenario()
@@ -532,14 +532,20 @@ def world_marker():
     return Pose6D.from_euler([0.4, 0.2, 0.0], [0, 0, 0.3])
 
 
+def record_from(believed_pose, true_pose, marker_pose, cam, marker_id=5):
+    """A forwarded detection of ``marker_pose`` from ``true_pose``, taken at ``believed_pose``."""
+    return (detection_of(true_pose, marker_pose, cam, marker_id), believed_pose, np.eye(6) * 1e-6)
+
+
 def obs_from(drone_id, believed_pose, true_pose, marker_pose, cam, marker_id=5, now=0.5):
-    return MarkerObs(
-        detection=detection_of(true_pose, marker_pose, cam, marker_id),
-        ekf_pose=believed_pose,
-        ekf_cov=np.eye(6) * 1e-6,
-        frame=drone_id,
-        timestamp=now,
-    )
+    """A drone's uplink line with one forwarded detection, stamped in the drone's own frame."""
+    record = record_from(believed_pose, true_pose, marker_pose, cam, marker_id)
+    return MarkerObs(frame=drone_id, timestamp=now, records=(record,), keypose=None)
+
+
+def keypose_line(kp):
+    """The uplink line of a tick that forwarded nothing and committed ``kp``."""
+    return MarkerObs(frame=kp.frame, timestamp=kp.timestamp, records=(), keypose=kp)
 
 
 class TestGroundStation:
@@ -646,15 +652,7 @@ class TestGroundStation:
         # merge bakes that bias into the frame transform
         true0 = Pose6D.from_euler([0.1, 0.0, 1.2], [0, 0, 0])
         biased0 = Pose6D.from_euler(np.add(true0.t, [0.005, 0.0, 0.0]), [0, 0, 0])
-        senders[0].send(
-            MarkerObs(
-                detection_of(true0, marker_a, cam, 5),
-                biased0,
-                np.eye(6) * 1e-6,
-                frame=0,
-                timestamp=0.8,
-            )
-        )
+        senders[0].send(MarkerObs(0, 0.8, (record_from(biased0, true0, marker_a, cam),), None))
         assert len(station.merge_events) == 1
         # an exact re-sight of marker 6 (transformed but unpaired) exposes
         # the bias and triggers a correction of the recorded transform
@@ -689,8 +687,9 @@ class TestGroundStation:
         station, senders, _ = make_station(sc)
         senders[0].send(Hello())
         good = obs_from(0, IDENTITY, IDENTITY, world_marker(), CAMERAS["down"])
+        ((det, pose, cov),) = good.records
         for field, value in [("camera", "sideways"), ("marker_id", -1), ("marker_id", 1024)]:
-            senders[0].send(replace(good, detection=replace(good.detection, **{field: value})))
+            senders[0].send(replace(good, records=((replace(det, **{field: value}), pose, cov),)))
         assert station.counters["malformed"] == 3
         assert station.counters["errors"] == 0 and station.counters["handled"] == 1
         assert len(station.gmap.entries) == 0
@@ -719,7 +718,7 @@ class TestGroundStation:
         senders[0].send(Hello())
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         doc = json.loads(encode(obs_from(0, pose, pose, world_marker(), cam), sender=0, seq=2))
-        doc["detection"]["range"] = "nan"
+        doc["records"][0]["detection"]["range"] = "nan"
         station.handle_line(json.dumps(doc))
         assert station.counters["malformed"] == 1
         assert station.counters["handled"] == 1  # the Hello
@@ -931,7 +930,7 @@ class TestStationKeyposes:
         ]
         for index, pose in enumerate(poses):
             kp = self.make_keypose(sc, 0, pose, 1.0 + index, markers)
-            senders[0].send(KeyposeCommit(kp))
+            senders[0].send(keypose_line(kp))
         assert len(station.ba_reports) == 1
         report = station.ba_reports[0]
         assert report["trigger"] == "keypose_interval" and report["frame"] == 0
@@ -945,21 +944,21 @@ class TestStationKeyposes:
             Pose6D.from_euler([0.6, 0.1, 1.2], [0, 0, 0.2]),
             Pose6D.from_euler([-0.4, 0.5, 1.3], [0, 0, -0.3]),
         ]
-        senders[0].send(KeyposeCommit(self.make_keypose(sc, 0, poses[0], 1.0, markers)))
+        senders[0].send(keypose_line(self.make_keypose(sc, 0, poses[0], 1.0, markers)))
         good = self.make_keypose(sc, 0, poses[1], 2.0, markers)
         bad = replace(
             good,
             observations=(replace(good.observations[0], **change),) + good.observations[1:],
         )
         with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
-            senders[0].send(KeyposeCommit(bad))
+            senders[0].send(keypose_line(bad))
         # a keypose BA cannot use would fail every later BA of its frame
         assert station.counters["malformed"] == 1 and station.counters["errors"] == 0
         assert "station dropped a malformed line" in caplog.text
         assert [kp.timestamp for kp in station.keyposes[0]] == [1.0]
         assert station.ba_reports == []
         # the refused keypose neither counts towards the interval nor blocks it
-        senders[0].send(KeyposeCommit(self.make_keypose(sc, 0, poses[2], 3.0, markers)))
+        senders[0].send(keypose_line(self.make_keypose(sc, 0, poses[2], 3.0, markers)))
         assert station.counters["malformed"] == 1 and station.counters["errors"] == 0
         assert [kp.timestamp for kp in station.keyposes[0]] == [1.0, 3.0]
         assert len(station.ba_reports) == 1
@@ -979,7 +978,7 @@ class TestStationKeyposes:
         pose = Pose6D.from_euler([0.0, 0.0, 1.2], [0, 0, 0])
         kp = self.make_keypose(sc, 1, pose, 1.0, markers)  # frame 1 has mapped nothing
         with caplog.at_level(logging.DEBUG, logger="markerswarm.swarm.nodes"):
-            senders[1].send(KeyposeCommit(kp))
+            senders[1].send(keypose_line(kp))
         assert station.counters["errors"] == 0
         assert "skipping adjustment of frame 1: no usable observations" in caplog.text
         assert station.ba_reports == []
@@ -996,7 +995,7 @@ class TestStationKeyposes:
             Pose6D.from_euler([0.6, 0.1, 1.2], [0, 0, 0.2]),
         ]
         for index, pose in enumerate(poses):
-            senders[0].send(KeyposeCommit(self.make_keypose(sc, 0, pose, 1.0 + index, markers)))
+            senders[0].send(keypose_line(self.make_keypose(sc, 0, pose, 1.0 + index, markers)))
         assert len(station.ba_reports) == 1
         assert station.ba_reports[0]["status"] != "aborted_singular"
         for marker_id, pose in before.items():
@@ -1019,7 +1018,7 @@ class TestStationKeyposes:
         assert station.gmap.membership[1] == 0
         # a commit stamped in the dead frame 1 arrives after the merge
         kp = TestStationKeyposes().make_keypose(sc, 1, believed1, 0.81, {5: marker})
-        senders[1].send(KeyposeCommit(kp))
+        senders[1].send(keypose_line(kp))
         assert list(station.keyposes) == [0]
         (stored,) = station.keyposes[0]
         assert stored.frame == 0
@@ -1089,13 +1088,57 @@ class TestCarryForward:
             station_scenario(), 2, self.believed(2), 0.9, {5: marker}
         )
         assert kp.frame == 2
-        senders[2].send(KeyposeCommit(kp))
+        senders[2].send(keypose_line(kp))
         assert station.counters["errors"] == 0
         assert list(station.keyposes) == [0]
         (stored,) = station.keyposes[0]
         assert stored.frame == 0
         np.testing.assert_allclose(stored.pose.t, self.truths[2].t, atol=1e-9)
         assert rotation_angle_between(stored.pose.q, self.truths[2].q) < 1e-9
+
+    def test_line_merging_on_its_first_record_lands_the_rest_in_the_winner_frame(self):
+        station, senders = self.station((0, 1))
+        marker_a = world_marker()
+        marker_b = Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2])
+        senders[0].send(self.sight(0, marker_a, marker_id=5))
+        # one drone 1 tick, stamped in frame 1: its first record merges frame 1
+        # into frame 0, and its second record and its keypose follow on the same line
+        cam = CAMERAS["down"]
+        records = tuple(
+            record_from(self.believed(1), self.truths[1], marker, cam, marker_id)
+            for marker_id, marker in ((5, marker_a), (6, marker_b))
+        )
+        kp = TestStationKeyposes().make_keypose(
+            station_scenario(), 1, self.believed(1), 0.5, {5: marker_a, 6: marker_b}
+        )
+        senders[1].send(MarkerObs(1, 0.5, records, kp))
+        assert station.counters["errors"] == 0 and station.counters["handled"] == 4
+        assert [(e["loser"], e["winner"]) for e in station.merge_events] == [(1, 0)]
+        assert station.gmap.lookup(5).obs_count == 2
+        entry = station.gmap.lookup(6)
+        assert entry.frame == 0
+        np.testing.assert_allclose(entry.pose.t, marker_b.t, atol=1e-9)
+        assert rotation_angle_between(entry.pose.q, marker_b.q) < 1e-9
+        assert list(station.keyposes) == [0]
+        (stored,) = station.keyposes[0]
+        assert stored.frame == 0
+        np.testing.assert_allclose(stored.pose.t, self.truths[1].t, atol=1e-9)
+        assert rotation_angle_between(stored.pose.q, self.truths[1].q) < 1e-9
+
+    def test_line_stamped_in_an_unregistered_frame_counts_one_error(self, caplog):
+        station, senders = self.station((0,))
+        cam = CAMERAS["down"]
+        markers = {5: world_marker(), 6: Pose6D.from_euler([-0.6, 0.5, 0.0], [0, 0, -0.2])}
+        records = tuple(
+            record_from(self.truths[0], self.truths[0], marker, cam, marker_id)
+            for marker_id, marker in markers.items()
+        )
+        kp = TestStationKeyposes().make_keypose(station_scenario(), 0, self.truths[0], 0.9, markers)
+        with caplog.at_level(logging.ERROR, logger="markerswarm.swarm.nodes"):
+            senders[0].send(MarkerObs(3, 0.9, records, replace(kp, frame=3)))
+        assert station.counters["errors"] == 1 and station.counters["handled"] == 1
+        assert [rec.exc_info[0] for rec in caplog.records if rec.exc_info] == [ProtocolError]
+        assert station.gmap.entries == {} and station.keyposes == {0: []}
 
     def test_frame_never_registered_is_rejected_for_both_message_kinds(self, caplog):
         station, senders = self.station((0,))
@@ -1108,7 +1151,7 @@ class TestCarryForward:
         )
         with caplog.at_level(logging.ERROR, logger="markerswarm.swarm.nodes"):
             senders[0].send(obs)
-            senders[0].send(KeyposeCommit(kp))
+            senders[0].send(keypose_line(kp))
         assert station.counters["errors"] == 2
         failures = [rec.exc_info[0] for rec in caplog.records if rec.exc_info]
         assert failures == [ProtocolError, ProtocolError]
@@ -1236,6 +1279,7 @@ class TestRunScenario:
 
         def counting_encode(msg, sender, seq):
             encoded[type(msg).__name__] += 1
+            encoded["keyposes"] += getattr(msg, "keypose", None) is not None
             return encode(msg, sender, seq)
 
         monkeypatch.setattr(protocol, "encode", counting_encode)
@@ -1245,11 +1289,33 @@ class TestRunScenario:
             station, nodes, _ = _run_ticks(sc, sc.seed)
             committed = sum(node.counters["keyposes"] for node in nodes.values())
             if enabled:
-                assert encoded["KeyposeCommit"] == committed > 0
+                assert encoded["keyposes"] == committed > 0
             else:
-                assert encoded["KeyposeCommit"] == committed == 0
+                assert encoded["keyposes"] == committed == 0
                 assert station.keyposes and all(kps == [] for kps in station.keyposes.values())
                 assert encoded["PoseReport"] == 2 * sc.n_ticks
+
+    def test_lab_drones_send_at_most_one_marker_obs_a_tick(self, monkeypatch):
+        raw = json.loads((SCENARIOS / "lab_three_drones.json").read_text(encoding="utf-8"))
+        raw["duration"] = 20.0
+        lines = []  # (sender, MarkerObs)
+
+        def counting_encode(msg, sender, seq):
+            if isinstance(msg, MarkerObs):
+                lines.append((sender, msg))
+            return encode(msg, sender, seq)
+
+        monkeypatch.setattr(protocol, "encode", counting_encode)
+        report = run_scenario(parse_scenario(raw), seed=11)
+        per_tick = Counter((sender, msg.timestamp) for sender, msg in lines)
+        assert max(per_tick.values()) == 1
+        assert all(msg.records or msg.keypose for _, msg in lines)
+        # some tick sends both kinds of news on its one line
+        assert any(msg.records and msg.keypose for _, msg in lines)
+        for drone, counters in report["counters"]["drones"].items():
+            sent = [msg for sender, msg in lines if sender == int(drone)]
+            assert sum(len(msg.records) for msg in sent) == counters["forwarded"]
+            assert sum(msg.keypose is not None for msg in sent) == counters["keyposes"]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_node_tick_error_reaches_the_caller(self, mode, monkeypatch):
@@ -1270,7 +1336,7 @@ class TestRunScenario:
             # the drones' pool is shut down, not left running
             assert set(threading.enumerate()) <= before
 
-    def test_threaded_station_handles_every_line_under_contention(self):
+    def test_threaded_station_handles_every_line_under_contention(self, monkeypatch):
         # more drone threads than cores, switching as often as the
         # interpreter allows: each drone's own station inbox must lose,
         # duplicate or reorder none of its lines, so the report is lockstep's
@@ -1279,21 +1345,26 @@ class TestRunScenario:
             for d in range(4)
         ]
         sc = parse_scenario(runner_raw(duration=2.0, drones=drones))
+        sent = []  # one item per drone line; list.append is atomic across threads
+
+        def counting_encode(msg, sender, seq):
+            if sender != STATION_ID:
+                sent.append(type(msg).__name__)
+            return encode(msg, sender, seq)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            report = run_scenario(sc, mode="threaded")
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol, "encode", counting_encode)
+                report = run_scenario(sc, mode="threaded")
         finally:
             sys.setswitchinterval(interval)
         assert keys_differing_bar_mode(report, run_scenario(sc, mode="lockstep")) == []
         station = report["counters"]["station"]
-        # per drone: Hello, a PoseReport per tick, forwarded MarkerObs and
-        # KeyposeCommits
-        sent = sum(
-            1 + sc.n_ticks + c["forwarded"] + c["keyposes"]
-            for c in report["counters"]["drones"].values()
-        )
-        assert station["handled"] == sent
+        # per drone: Hello, a PoseReport per tick and a MarkerObs per tick with news
+        assert Counter(sent)["PoseReport"] == len(drones) * sc.n_ticks
+        assert station["handled"] == len(sent)
         assert station["stale"] == station["malformed"] == station["errors"] == 0
 
     def test_threaded_drones_localize_against_the_map(self):

@@ -1,7 +1,7 @@
 """Every covariance a run stores or sends is exactly symmetric.
 
 Two things rest on it. The wire carries a covariance as its 21
-upper-triangle values (``geom.upper_triangle``), and decode rebuilds the
+upper-triangle values (``protocol.upper_triangle``), and decode rebuilds the
 lower triangle from them; and ``ekf.update`` forms ``S = P + R`` with no
 symmetrizing step. Both give back the very matrix only if every (i, j)
 entry holds the same bits as its (j, i) entry. ``np.array_equal`` alone
@@ -10,7 +10,7 @@ would let a signed zero through, so the bytes are compared.
 Each path that builds a covariance is watched where it returns: the
 filter's ``predict``, ``update`` and ``remap_frame``; the map's insert and
 fuse; every entry a merge, a refinement, an adjustment or a flush writes
-back; and every ``MarkerObs`` and ``MapSnapshot`` at ``protocol.encode``.
+back; and every ``MarkerObs`` record and ``MapSnapshot`` entry at ``protocol.encode``.
 The runs are lab seed 11, where bundle adjustment runs, and the
 ``marker_dense`` benchmark workload on workload seed 1, where a merge is
 refined.
@@ -108,7 +108,8 @@ def watch_run(monkeypatch, scenario, seed: int) -> Watch:
 
     def encoded(msg, sender, seq):
         if isinstance(msg, MarkerObs):
-            watch.check("MarkerObs", msg.ekf_cov)
+            for _, _, cov in msg.records:
+                watch.check("MarkerObs", cov)
         elif isinstance(msg, MapSnapshot):
             for entry in msg.entries:
                 watch.check("MapSnapshot", entry.cov)

@@ -9,6 +9,7 @@ import pytest
 from reference import (
     IDENTITY,
     sense_markers_every_marker,
+    quat_to_euler,
     sense_odometry_array,
     step_drone_numpy,
     wrap_angles,
@@ -51,7 +52,7 @@ def drone_at(x=0.0, y=0.0, z=0.0, yaw=0.0):
 def assert_same_step(got, want):
     assert np.array(got.pose.t).tobytes() == np.array(want.pose.t).tobytes()
     assert np.array(got.pose.q).tobytes() == np.array(want.pose.q).tobytes()
-    assert np.array(got.euler).tobytes() == got.pose.euler.tobytes()
+    assert np.array(got.euler).tobytes() == quat_to_euler(got.pose.q).tobytes()
 
 
 class TestStepDrone:
@@ -66,8 +67,9 @@ class TestStepDrone:
         world = make_world()
         truth = drone_at(yaw=3.0)
         moved = step_drone(truth, VelocityCommand([0, 0, 0], yaw_rate=0.5), 0.5, world)
-        assert moved.pose.euler[2] == pytest.approx(3.25 - 2 * math.pi)
-        assert moved.pose.euler[0] == 0.0 and moved.pose.euler[1] == 0.0
+        alpha, beta, gamma = moved.pose.to_vector()[3:]
+        assert gamma == pytest.approx(3.25 - 2 * math.pi)
+        assert alpha == 0.0 and beta == 0.0
 
     def test_clamped_to_bounds(self):
         world = make_world()
@@ -165,7 +167,8 @@ class TestSenseMarkers:
         assert len(dets) == 1
         want = truth.pose.compose(cam.extrinsics).inverse().compose(marker)
         assert np.max(np.abs(np.subtract(dets[0].rel_pose.t, want.t))) < 1e-12
-        assert np.max(np.abs(wrap_angles(dets[0].rel_pose.euler - want.euler))) < 1e-12
+        angles = quat_to_euler(dets[0].rel_pose.q) - quat_to_euler(want.q)
+        assert np.max(np.abs(wrap_angles(angles))) < 1e-12
 
     def test_out_of_range_and_behind_are_invisible(self):
         world = make_world(
