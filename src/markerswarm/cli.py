@@ -98,7 +98,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         with open(args.report, "r", encoding="utf-8") as handle:
             report = json.load(handle)
         svg = render_svg(report)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+    except (OSError, RecursionError, KeyError, TypeError, ValueError) as err:
         print(f"malformed report: {err!r}", file=sys.stderr)
         return 2
     out = Path(args.out)

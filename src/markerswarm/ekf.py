@@ -66,6 +66,10 @@ class EkfConfig:
     gate_enabled: bool = True
 
     def __post_init__(self) -> None:
+        # once here, not per detection: each sigma is then above 0 at every range
+        if not (self.det_pos_base > 0.0 and self.det_ang_base > 0.0
+                and self.det_pos_per_m >= 0.0 and self.det_ang_per_m >= 0.0):
+            raise ValueError(f"detection noise needs bases above 0 and slopes of at least 0: {self}")
         q = np.diag([self.q_pos] * 3 + [self.q_ang] * 3).astype(float)
         q.flags.writeable = False
         object.__setattr__(self, "process_noise", q)  # read-only, not a field
@@ -126,9 +130,7 @@ def predict(state: EkfState, odo: OdometryReading, config: EkfConfig) -> EkfStat
     """Integrate one odometry reading; covariance grows by F P F^T + Q dt."""
     v_body = odo.v_body
     rates = odo.euler_rates
-    dt = float(odo.dt)
-    if not (all(map(math.isfinite, [*v_body, *rates, dt])) and dt > 0.0):
-        raise ValueError(f"non-finite or non-positive odometry {odo}")
+    dt = odo.dt
     x, y, z, alpha, beta, gamma = state.mean
     (rx, ry, rz), derivs = _euler_rotate(alpha, beta, gamma, v_body)
     rate_a, rate_b, rate_g = rates
@@ -151,8 +153,6 @@ def detection_variances(det: MarkerDetection, config: EkfConfig) -> tuple[float,
     distance = math.sqrt(x * x + y * y + z * z)  # as sense_markers measures it
     sigma_p = config.det_pos_base + config.det_pos_per_m * distance
     sigma_a = config.det_ang_base + config.det_ang_per_m * distance
-    if sigma_p <= 0.0 or sigma_a <= 0.0:
-        raise ValueError(f"detection noise must be strictly positive, got {sigma_p}, {sigma_a}")
     return sigma_p**2, sigma_a**2
 
 

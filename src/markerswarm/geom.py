@@ -28,11 +28,13 @@ value with them and with the protocol's own ``check_int`` and
 covariance's included. ``parse_scenario`` checks the scenario file in one
 pass: each number with ``check_float`` and its setting's bound, each pose
 with ``Pose6D.from_dict``, each marker id against the id range and each
-camera against the table. The constructors of values a run
-computes itself (``EkfState``, ``PoseObservation``, ``MapEntry``) check
-nothing: they keep what they are given and freeze its arrays. ``Pose6D``
-is the exception: it still rejects a non-finite translation and
-normalizes its quaternion.
+camera against the table. Each JSON read that fails is refused by its
+reader (``decode``, ``load_scenario``, the CLI's ``plot``), and no step,
+sensor, filter or map checks a dt, marker id or ``n_fuse`` again. The
+constructors of values a run computes itself (``EkfState``,
+``PoseObservation``, ``MapEntry``) check nothing: they keep what they are
+given and freeze its arrays. ``Pose6D`` is the exception: it still
+rejects a non-finite translation and normalizes its quaternion.
 
 ``Pose6D`` is a slotted dataclass built in one pass: its own
 ``__init__`` makes ``t`` a tuple of three floats (``float`` of an

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from markerswarm.geom import Pose6D, quat_slerp
-from markerswarm.worldsim import MARKER_ID_MAX
 
 DEFAULT_N_FUSE = 5
 
 
 class MapContractError(Exception):
-    """Raised when a caller violates a map invariant (duplicate insert,
-    dead frame, out-of-range id, unknown marker)."""
+    """Raised when a caller violates a map invariant (duplicate insert, dead
+    frame, unknown marker); a marker id's range is checked where it enters a run."""
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,6 @@ class GlobalMap:
     """All marker entries plus the frame registry, keyed by marker id."""
 
     def __init__(self, n_fuse: int = DEFAULT_N_FUSE) -> None:
-        if n_fuse < 1:
-            raise ValueError(f"n_fuse {n_fuse} must be >= 1")
         self.n_fuse = int(n_fuse)
         self.entries: dict[int, MapEntry] = {}
         self.membership: dict[int, int] = {}  # drone id -> frame id
@@ -131,8 +128,6 @@ class GlobalMap:
 
     def insert_marker(self, frame: int, marker_id: int, pose: Pose6D, cov: np.ndarray) -> MapEntry:
         marker_id = int(marker_id)
-        if not (0 <= marker_id <= MARKER_ID_MAX):
-            raise MapContractError(f"marker id {marker_id} outside 0..{MARKER_ID_MAX}")
         if marker_id in self.entries:
             raise MapContractError(f"marker {marker_id} already mapped")
         if frame not in self.frames:

@@ -13,10 +13,11 @@ its table below and no other than the optional ones; a number passes
 ``geom.check_float`` and its setting's bound; a pose is read by
 ``Pose6D.from_dict``; an integer may be ``3.0`` but not ``1.5``, as in
 draft-07. Ids are unique, a marker id is in ``0..MARKER_ID_MAX``, the
-bounds are not degenerate, ``1 / tick_rate`` is at most ``MAX_STEP_DT``
-and a drone names its cameras from ``worldsim.CAMERAS``, each once. The
-filter takes its detection noise from the noise block and its other
-settings from ``markerswarm.ekf``.
+bounds are not degenerate, ``1 / tick_rate`` is at most ``MAX_STEP_DT``,
+a drone names its cameras from ``worldsim.CAMERAS``, each once, and the
+sweep grid over finite x and y spans holds at most ``MAX_SWEEP_CELLS``
+cells of ``policy.cell_size``. The filter takes its detection noise from
+the noise block and its other settings from ``markerswarm.ekf``.
 
 The believed start pose (``ekf_start_pose``) is where the drone thinks it
 wakes up; it defines the origin of that drone's coordinate frame, so the
@@ -37,6 +38,9 @@ from markerswarm.geom import Pose6D, check_float
 from markerswarm.mapstore import DEFAULT_N_FUSE
 from markerswarm.worldsim import (CAMERAS, MARKER_ID_MAX, MAX_STEP_DT, CameraParams,
                                   SensorNoise, World)
+
+
+MAX_SWEEP_CELLS = 10_000  # in a drone's sweep grid; the bundled scenarios build 16 each
 
 
 class ScenarioError(Exception):
@@ -238,6 +242,14 @@ def parse_scenario(raw: dict) -> Scenario:
     for block, checks in SETTINGS.items():
         values = _object(raw.get(block, {}), (block,), (), checks)
         blocks[block] = {key: checks[key](value, (block, key)) for key, value in values.items()}
+    policy = PolicyConfig(**blocks["policy"])
+    # nodes._cell_centers' grid, counted, not built; max - min is inf when it overflows
+    cell = policy.cell_size
+    nx, ny = (max(1.0, _at(("bounds",), check_float, hi - lo, "sweep grid span") // cell)
+              for lo, hi in zip(corners[0][:2], corners[1][:2]))
+    if nx * ny > MAX_SWEEP_CELLS:
+        raise _invalid(("policy", "cell_size"), f"sweep grid of {nx * ny:.6g} cells of {cell} m "
+                       f"is above MAX_SWEEP_CELLS {MAX_SWEEP_CELLS}")
     noise = SensorNoise(**blocks["noise"])
     ekf = EkfConfig(
         det_pos_base=noise.pos_base if noise.pos_base > 0 else EkfConfig.det_pos_base,
@@ -255,7 +267,7 @@ def parse_scenario(raw: dict) -> Scenario:
         drones=tuple(sorted(drones, key=lambda d: d.drone_id)),
         noise=noise,
         ekf=ekf,
-        policy=PolicyConfig(**blocks["policy"]),
+        policy=policy,
         n_fuse=blocks["fusion"].get("n_fuse", DEFAULT_N_FUSE),
         ba=BaSettings(**blocks["ba"]),
         digest=scenario_digest(raw),
@@ -268,7 +280,7 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(handle)
     except OSError as err:
         raise ScenarioError(f"cannot read scenario: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad JSON or UTF-8, too deep, too many digits
         raise ScenarioError(f"scenario is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")

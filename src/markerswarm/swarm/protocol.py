@@ -33,17 +33,20 @@ construction (``check_covariance``). ``MapEntry.to_dict``, the form of
 ``map.json`` and ``report.json``, keeps all 36 values.
 
 Every wire value is checked where it is decoded, once; what fails makes a
-malformed line. Every JSON object on a line, the line included, has
-exactly its keys. Every integer, in the envelope and in the payload, must
-be a JSON integer (``check_int``): a float, a string or a bool is a
-malformed line. Every float must be a finite JSON number
-(``geom.check_float``), not a string or a bool. A detection's camera must
-be a name in ``CAMERAS``, and the marker id of a detection or a map entry
-lie in ``0..MARKER_ID_MAX``. A keypose needs at least one detection. A
-map entry's ``obs_count`` must be at least 1: a drone forwards every
-sighting of an entry below its fusion window. A covariance must pass
-``check_covariance``: exactly 21 values, each passing ``check_float``,
-and a smallest eigenvalue of at least ``EIG_TOL``.
+malformed line, as does one ``json.loads`` cannot read (bad syntax, a
+BOM, nesting or digits past the interpreter's limits); the checks below
+refuse the ``NaN`` and ``Infinity`` it reads. Every JSON object on a
+line, the line included, has exactly its keys. Every integer, in the
+envelope and in the payload, must be a JSON integer (``check_int``): a
+float, a string or a bool is a malformed line. Every float must be a
+finite JSON number (``geom.check_float``), not a string or a bool. A
+detection's camera must be a name in ``CAMERAS``, and the marker id of a
+detection or a map entry lie in ``0..MARKER_ID_MAX``. A keypose needs at
+least one detection. A map entry's ``obs_count`` must be at least 1: a
+drone forwards every sighting of an entry below its fusion window. A
+covariance must pass ``check_covariance``: exactly 21 values, each
+passing ``check_float``, and a smallest eigenvalue of at least
+``EIG_TOL``.
 
 Frames are state, not events: a pose on the wire names the frame it was
 taken in (``MarkerObs.frame``, for its records and its keypose alike, and
@@ -314,19 +317,12 @@ _PARSERS = {
 }
 
 
-def _reject_constant(name: str):
-    raise ProtocolError(f"non-finite number {name}")
-
-
-# built once: json.dumps and json.loads with options build one per call
+# built once: json.dumps with options builds one per call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def encode(msg, sender: int, seq: int) -> str:
     """One message as a single JSON line (no trailing newline)."""
-    if not (0 <= seq <= SEQ_MAX):
-        raise ProtocolError(f"sequence number {seq} outside unsigned 64-bit range")
     frame = {"type": type(msg).__name__, "sender": int(sender), "seq": int(seq)}
     frame.update(_payload(msg))
     try:
@@ -336,14 +332,12 @@ def encode(msg, sender: int, seq: int) -> str:
 
 
 def decode(line: str) -> Decoded:
-    # JSONDecoder.decode leaves these two checks to json.loads
+    # json.loads would read bytes too
     if not isinstance(line, str):
         raise ProtocolError(f"a line must be str, not {type(line).__name__}")
-    if line.startswith("\ufeff"):
-        raise ProtocolError("not JSON: unexpected UTF-8 BOM")
     try:
-        frame = _DECODER.decode(line)
-    except json.JSONDecodeError as err:
+        frame = json.loads(line)
+    except (ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
         raise ProtocolError(f"not JSON: {err}") from err
     if not isinstance(frame, dict):
         raise ProtocolError("message line must be a JSON object")

@@ -214,6 +214,27 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["deep-nesting", "5000-digit-seed", "latin-1"])
+    def test_scenario_json_cannot_read_exits_2(self, tmp_path, capsys, kind):
+        scenario = write_scenario(tmp_path)
+        if kind == "deep-nesting":  # past the recursion limit
+            scenario.write_text('{"name": ' + "[" * 100_000)
+        elif kind == "latin-1":  # not UTF-8
+            scenario.write_bytes(scenario.read_text().replace("cli-test", "caf\xe9").encode("latin-1"))
+        else:  # past the interpreter's limit on integer digits
+            scenario.write_text(scenario.read_text().replace('"seed": 6', '"seed": ' + "9" * 5000))
+        assert run_cli("run", scenario, "--out", tmp_path / "out") == 2
+        assert "invalid scenario: scenario is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_bounds_exit_2(self, tmp_path, capsys):
+        # max - min overflows to inf: the sweep grid would have no cell count
+        scenario = write_scenario(tmp_path, bounds={"min": [-1e308, -2.0, 0.0],
+                                                    "max": [1e308, 2.0, 2.0]})
+        assert run_cli("run", scenario, "--out", tmp_path / "out") == 2
+        assert "at ['bounds']: sweep grid span inf is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
     def test_seed_that_is_no_non_negative_integer_exits_2(self, tmp_path, capsys, seed):
         scenario = write_scenario(tmp_path)
@@ -276,6 +297,13 @@ class TestPlotCommand:
         bad.write_text('{"world": {}}')
         assert run_cli("plot", bad, "--out", tmp_path / "plots") == 2
         assert "malformed report" in capsys.readouterr().err
+
+    def test_deeply_nested_report_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text('{"world": ' + "[" * 100_000)
+        assert run_cli("plot", bad, "--out", tmp_path / "plots") == 2
+        assert "malformed report: RecursionError" in capsys.readouterr().err
+        assert not (tmp_path / "plots").exists()
 
     def test_unreadable_report_exits_2(self, tmp_path):
         assert run_cli("plot", tmp_path / "absent.json", "--out", tmp_path / "plots") == 2

@@ -121,15 +121,6 @@ class TestPredict:
             assert np.trace(new.cov) >= np.trace(state.cov)
             state = new
 
-    def test_rejects_non_finite_odometry(self):
-        cfg = EkfConfig()
-        with pytest.raises(ValueError):
-            predict(make_state(), odometry([np.nan, 0, 0], [0, 0, 0]), cfg)
-        with pytest.raises(ValueError):
-            predict(make_state(), odometry([0, 0, 0], [0, 0, np.inf]), cfg)
-        with pytest.raises(ValueError):
-            predict(make_state(), odometry([0, 0, 0], [0, 0, 0], dt=0.0), cfg)
-
 
 class TestDetectionNoise:
     def test_strictly_positive_diagonal_zero_elsewhere(self):
@@ -149,9 +140,11 @@ class TestDetectionNoise:
         assert far[3, 3] == pytest.approx(0.025**2)
 
     def test_zero_config_rejected(self):
-        cfg = EkfConfig(det_pos_base=0.0, det_pos_per_m=0.0)
-        with pytest.raises(ValueError):
-            detection_noise(make_detection(Pose6D.from_euler([0, 0, 1.0], [0, 0, 0])), cfg)
+        # checked once, where the config is built, not per detection
+        for bad in ({"det_pos_base": 0.0, "det_pos_per_m": 0.0}, {"det_ang_base": -0.01},
+                    {"det_pos_per_m": -0.001}, {"det_ang_per_m": float("nan")}):
+            with pytest.raises(ValueError, match="detection noise"):
+                EkfConfig(**bad)
 
 
 class TestObservationFromMarker:

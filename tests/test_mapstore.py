@@ -33,12 +33,6 @@ class TestInsert:
         with pytest.raises(MapContractError):
             gm.insert_marker(0, 5, IDENTITY, diag_cov())
 
-    def test_id_1024_rejected(self):
-        gm = make_map()
-        with pytest.raises(MapContractError):
-            gm.insert_marker(0, 1024, IDENTITY, diag_cov())
-        gm.insert_marker(0, 1023, IDENTITY, diag_cov())
-
     def test_dead_frame_rejected(self):
         gm = make_map()
         with pytest.raises(MapContractError):

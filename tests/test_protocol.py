@@ -91,6 +91,17 @@ def tampered(kind, path, value):
     return json.dumps(doc)
 
 
+def value_paths(node, path=()):
+    """The path of every value below ``node``, containers and leaves alike."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield [*path, key]
+        yield from value_paths(value, (*path, key))
+
+
 RECORD = ["records", 0]  # the sample line's one record
 DETECTION = [*RECORD, "detection"]
 OBSERVATION = ["keypose", "observations", 0]  # the sample keypose's one detection
@@ -252,6 +263,20 @@ class TestCodec:
     def test_refusal_names_its_field(self, path, value, reason):
         with pytest.raises(ProtocolError, match=re.escape(reason)):
             decode(tampered("MarkerObs", path, value))
+
+    @pytest.mark.parametrize("msg", all_messages(), ids=lambda m: type(m).__name__)
+    def test_non_finite_constant_anywhere_is_malformed(self, msg):
+        # json.loads reads NaN and Infinity; a value check refuses each, wherever it stands
+        kind = type(msg).__name__
+        doc = json.loads(encode(msg, sender=0, seq=1))
+        paths = list(value_paths(doc))
+        assert len(paths) >= 3
+        for path in paths:
+            for constant in ("NaN", "Infinity", "-Infinity"):
+                line = tampered(kind, path, float(constant))
+                assert constant in line
+                with pytest.raises(ProtocolError):
+                    decode(line)
 
     def test_hello_envelope_keys(self):
         line = encode(Hello(), sender=4, seq=1)

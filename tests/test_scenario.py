@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from markerswarm.scenario import (
+    MAX_SWEEP_CELLS,
     SCENARIO_KEYS,
     ScenarioError,
     load_scenario,
     parse_scenario,
     scenario_digest,
 )
+from markerswarm.swarm.nodes import SweepPolicy
 from markerswarm.worldsim import CAMERAS
 
 
@@ -79,6 +81,8 @@ REFUSALS = [
                  "value nan is not finite", id="nan-in-noise"),
     pytest.param(("policy", "speed"), math.inf, ["policy", "speed"],
                  "value inf is not finite", id="inf-in-policy"),
+    pytest.param(("fusion", "n_fuse"), 0, ["fusion", "n_fuse"],
+                 "0 is not an integer of at least 1", id="n-fuse-0"),
     pytest.param(("fusion", "n_fuse"), 10**400, ["fusion", "n_fuse"],
                  "value is an integer too large for a float", id="huge-int-in-fusion"),
     pytest.param(("wind", "gust"), math.nan, [], "unknown key 'wind'", id="nan-in-unknown-block"),
@@ -101,6 +105,11 @@ REFUSALS = [
                  "1 is not a boolean", id="int-for-boolean"),
     pytest.param(("bounds", "max", 0), -3.0, ["bounds"],
                  "degenerate bounds [-2. -2.  0.] .. [-3.  2.  2.]", id="degenerate-bounds"),
+    pytest.param(("policy", "cell_size"), 1e-6, ["policy", "cell_size"],
+                 "sweep grid of 1.6e+13 cells of 1e-06 m is above MAX_SWEEP_CELLS 10000",
+                 id="sweep-grid-too-fine"),
+    pytest.param(("bounds",), {"min": [-2.0, -1e308, 0.0], "max": [2.0, 1e308, 2.0]}, ["bounds"],
+                 "sweep grid span inf is not finite", id="sweep-grid-span-overflows"),
 ]
 
 
@@ -242,6 +251,17 @@ class TestValidation:
     def test_tick_rate_too_slow_for_stepper(self):
         with pytest.raises(ScenarioError, match="dt"):
             parse_scenario(minimal_raw(tick_rate=1.0))
+
+    def test_sweep_grid_cap_is_inclusive(self):
+        wide = {"min": [-50.0, -50.0, 0.0], "max": [50.0, 50.0, 2.0]}
+        assert MAX_SWEEP_CELLS == 100 * 100
+        sc = parse_scenario(minimal_raw(bounds=wide, policy={"cell_size": 1.0}))
+        # the count parse_scenario makes is the grid a drone builds
+        assert len(SweepPolicy(sc.world.bounds_min, sc.world.bounds_max, sc.policy).cells) \
+            == MAX_SWEEP_CELLS
+        # one cell more per axis is refused, without building the grid
+        with pytest.raises(ScenarioError, match=re.escape("sweep grid of 10201 cells")):
+            parse_scenario(minimal_raw(bounds=wide, policy={"cell_size": 0.99}))
 
     def test_degenerate_bounds(self):
         raw = minimal_raw(bounds={"min": [1, 0, 0], "max": [-1, 2, 2]})

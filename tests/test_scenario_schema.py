@@ -8,10 +8,11 @@ jsonschema. On seeded random mutations of the bundled scenarios and of a
 jsonschema, and every refusal must be justified: a schema refusal names a
 path at or above one jsonschema names, and a refusal under a rule the
 schema cannot state (non-finite or too-large numbers, duplicate ids,
-unknown or repeated cameras, dt, degenerate bounds) must break that rule at
-its path, as this test checks on its own. A further check finds every
-setting the parser's key tables offer in a bundled scenario or a benchmark
-workload, so a setting nothing sets cannot stay.
+unknown or repeated cameras, dt, degenerate bounds, a sweep grid too large
+to build) must break that rule at its path, as this test checks on its
+own. A further check finds every setting the parser's key tables offer in
+a bundled scenario or a benchmark workload, so a setting nothing sets
+cannot stay.
 """
 
 import ast
@@ -28,7 +29,7 @@ import pytest
 
 from markerswarm import scenario
 from markerswarm.geom import Pose6D
-from markerswarm.scenario import ScenarioError, parse_scenario
+from markerswarm.scenario import MAX_SWEEP_CELLS, PolicyConfig, ScenarioError, parse_scenario
 from markerswarm.worldsim import CAMERAS, MAX_STEP_DT
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -349,6 +350,17 @@ def repeats(doc, path) -> bool:
     return value_at(doc, path) in value_at(doc, where)[:key]
 
 
+def sweep_grid_too_large(doc, path) -> bool:
+    """Whether the bounds' x and y spans overflow (named at the bounds), or cut
+    into more than ``MAX_SWEEP_CELLS`` cells of the cell size (named at it)."""
+    spans = [hi - lo for lo, hi in zip(doc["bounds"]["min"], doc["bounds"]["max"])][:2]
+    if not all(map(math.isfinite, spans)):
+        return path == ["bounds"]
+    cell = doc.get("policy", {}).get("cell_size", PolicyConfig.cell_size)
+    return path == ["policy", "cell_size"] and math.prod(
+        max(1, span // cell) for span in spans) > MAX_SWEEP_CELLS
+
+
 # the refusals the schema cannot state: a message that starts with one of
 # these must break the rule at its path, checked here on the document itself
 EXTRA_RULES = [
@@ -360,6 +372,7 @@ EXTRA_RULES = [
     (r"duplicate (marker|drone) id", repeats),
     (r"unknown camera", lambda doc, path: value_at(doc, path) not in CAMERAS),
     (r"names camera", repeats),
+    (r"sweep grid ", sweep_grid_too_large),
 ]
 
 

@@ -229,6 +229,21 @@ def entry_for(node, marker_pose, obs_count, marker_id=5):
     )
 
 
+# lines json itself cannot read, and lines that put a non-finite number in the envelope
+HOSTILE_KINDS = ["deep-nesting", "5000-digit-seq", "nan-seq", "nan-type", "bom"]
+
+
+def hostile_line(kind, sender):
+    """A line from ``sender`` that decode must refuse, however it fails to read."""
+    return {
+        "deep-nesting": "[" * 100_000,  # past the recursion limit
+        "5000-digit-seq": f'{{"type": "Hello", "sender": {sender}, "seq": {"9" * 5000}}}',
+        "nan-seq": f'{{"type": "Hello", "sender": {sender}, "seq": NaN}}',
+        "nan-type": f'{{"type": NaN, "sender": {sender}, "seq": 1}}',
+        "bom": "\ufeff" + encode(Hello(), sender=sender, seq=1),
+    }[kind]
+
+
 def outbound_types(transport):
     return [type(decode(line).msg).__name__ for line in transport.drain()]
 
@@ -425,6 +440,21 @@ class TestNavptsNode:
             node.steer(0.1)
         assert any("dropped a bad line" in rec.message for rec in caplog.records)
         # the good line after the bad one still lands, and the tick completes
+        assert set(node.map_view) == {5}
+        assert outbound_types(station_inbox) == ["PoseReport"]
+
+    @pytest.mark.parametrize("kind", HOSTILE_KINDS)
+    def test_hostile_inbox_line_logged_and_dropped(self, kind, caplog):
+        sc = node_scenario()
+        node, station_inbox, station_tx = make_node(sc)
+        marker = Pose6D.from_euler([0.5, 0.0, 0.0], [0, 0, 0])
+        node.inbox.send_line(hostile_line(kind, STATION_ID))
+        station_tx.send(MapSnapshot(entries=(entry_for(node, marker, obs_count=2),), merges=()))
+        with caplog.at_level(logging.WARNING, logger="markerswarm.swarm.nodes"):
+            node.tick(0.1, still_odometry(), [])
+            node.steer(0.1)
+        assert [rec.message.startswith("drone 0 dropped a bad line") for rec in caplog.records] \
+            == [True]
         assert set(node.map_view) == {5}
         assert outbound_types(station_inbox) == ["PoseReport"]
 
@@ -680,6 +710,18 @@ class TestGroundStation:
         station.handle_line('{"type": "Hello", "sender": 0}')
         assert station.counters["malformed"] == 3
         assert station.counters["handled"] == 0
+
+    @pytest.mark.parametrize("kind", HOSTILE_KINDS)
+    def test_hostile_line_counted_not_raised(self, kind):
+        sc = station_scenario()
+        station, senders, _ = make_station(sc)
+        station.handle_line(hostile_line(kind, sender=0))
+        assert station.counters["malformed"] == 1
+        # the sender is not registered, and its first good line still lands
+        senders[0].send(Hello())
+        assert station.counters == {"handled": 1, "malformed": 1, "stale": 0, "errors": 0,
+                                    "refines": 0}
+        assert list(station.gmap.membership) == [0]
 
     def test_bad_payload_counted_as_malformed(self):
         # an unknown camera or an out-of-range marker id fails at decode

@@ -77,12 +77,6 @@ class TestStepDrone:
         moved = step_drone(truth, VelocityCommand([1.0, 0.0, 0.0]), 0.5, world)
         assert moved.pose.t[0] == 10.0
 
-    def test_rejects_bad_dt(self):
-        world = make_world()
-        for dt in (0.0, -0.1, 0.6):
-            with pytest.raises(ValueError):
-                step_drone(drone_at(), VelocityCommand([0, 0, 0]), dt, world)
-
     def test_rejects_non_finite_command(self):
         world = make_world()
         with pytest.raises(ValueError):
@@ -128,11 +122,6 @@ class TestStepDrone:
 
 
 class TestWorld:
-    def test_rejects_out_of_range_marker_id(self):
-        with pytest.raises(ValueError):
-            make_world({1024: IDENTITY})
-        make_world({1023: IDENTITY})  # boundary id is fine
-
     def test_rejects_degenerate_bounds(self):
         with pytest.raises(ValueError):
             World({}, np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 1.0]))
@@ -373,10 +362,6 @@ class TestSenseOdometry:
         )
         # standard error of the mean: 3 sigma / sqrt(N) = 3 sigma / 100
         assert np.all(np.abs(vs.mean(axis=0) - [1.0, 0.0, 0.0]) < 3 * 0.05 / 100)
-
-    def test_rejects_non_positive_dt(self):
-        with pytest.raises(ValueError):
-            sense_odometry(drone_at(), drone_at(), 0.0, NO_NOISE, drone_rng(0, 0))
 
     @pytest.mark.parametrize(
         "noise", [NO_NOISE, SensorNoise(), SensorNoise(odom_rate_sigma=0.0)],
